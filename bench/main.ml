@@ -977,8 +977,7 @@ let shard () =
       (fun shards ->
         let fs =
           Lfs_shard.Spec.fresh ~blocks
-            (Lfs_shard.Spec.Shard
-               { shards; policy = Lfs_shard.Shard_router.By_hash })
+            (Lfs_shard.Spec.of_string (Printf.sprintf "shard:%d" shards))
         in
         let cfg =
           {
@@ -1263,7 +1262,7 @@ let tier () =
     done;
     !lat
   in
-  (* Tiered volume, built exactly like Spec.fresh's Tier case but with
+  (* Tiered volume, built exactly like Spec.fresh's tiered member but with
      the Vdev_tier handle kept for placement accounting. *)
   let fast_blocks = blocks * fast_pct / 100 in
   let fast =

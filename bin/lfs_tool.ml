@@ -17,6 +17,7 @@ open Cmdliner
 
 module Disk = Lfs_disk.Disk
 module Fs = Lfs_core.Fs
+module Spec = Lfs_shard.Spec
 
 let geometry_of_file path =
   let size =
@@ -44,35 +45,36 @@ let image =
 let fs_path n =
   Arg.(required & pos n (some string) None & info [] ~docv:"PATH" ~doc:"Path inside the file system")
 
-(* The --fs spec shared by serve/stats/crashtest: which implementation
-   backs the run.  Grammar documented once in Spec.grammar_doc. *)
-let spec_conv =
-  let parse s =
-    match Lfs_shard.Spec.parse s with
-    | Ok t -> Ok t
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv ~docv:"FS"
-    (parse, fun ppf t -> Format.pp_print_string ppf (Lfs_shard.Spec.to_string t))
-
+(* The --fs volume recipe shared by serve/stats/crashtest/modelcheck,
+   with --shards folded in.  Grammar documented once in
+   Spec.grammar_doc. *)
 let fs_spec extra =
-  Arg.(
-    value
-    & opt spec_conv Lfs_shard.Spec.Lfs
-    & info [ "fs" ] ~docv:"FS"
-        ~doc:
-          (Printf.sprintf "File system backend.  Grammar: %s.  %s"
-             Lfs_shard.Spec.grammar_doc extra))
-
-let shards_override =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Override the shard count of a $(b,shard) spec (so scripts can \
-           sweep counts without rewriting the spec); ignored for \
-           single-device backends.")
+  let recipe =
+    Arg.conv ~docv:"FS"
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (Spec.parse s)),
+        fun ppf t -> Format.pp_print_string ppf (Spec.to_string t) )
+  in
+  let spec =
+    Arg.(
+      value
+      & opt recipe (Spec.of_string "lfs")
+      & info [ "fs" ] ~docv:"FS"
+          ~doc:
+            (Printf.sprintf "Volume recipe.  Grammar: %s.  %s" Spec.grammar_doc
+               extra))
+  in
+  let shards =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "shards" ] ~docv:"N"
+          ~doc:
+            "Override the shard count of a sharded recipe (so scripts can \
+             sweep counts without rewriting the spec); ignored otherwise.")
+  in
+  Term.(
+    const (fun spec n -> Option.fold n ~none:spec ~some:(fun n -> Spec.with_shards n spec))
+    $ spec $ shards)
 
 (* ---- commands ---- *)
 
@@ -347,7 +349,7 @@ let crashtest_cmd =
       & info [ "allow-failures" ]
           ~doc:"Exit 0 even when the report shows failures (for the FFS demo).")
   in
-  let run workload fs_kind shards stride seed blocks allow_failures =
+  let run workload spec stride seed blocks allow_failures =
     let open Lfs_crashtest in
     let w =
       match workload with
@@ -355,21 +357,7 @@ let crashtest_cmd =
       | `Andrew -> Crashtest.andrew ()
       | `Script -> Crashtest.script ~seed ()
     in
-    let report =
-      match fs_kind with
-      | Lfs_shard.Spec.Lfs -> Crashtest.run_lfs ~blocks ~stride ~seed w
-      | Lfs_shard.Spec.Ffs -> Crashtest.run_ffs ~blocks ~stride ~seed w
-      | Lfs_shard.Spec.Heads { heads } ->
-          Crashtest.run_heads ~heads ~blocks ~stride ~seed w
-      | Lfs_shard.Spec.Tier _ ->
-          (* The tier subject pins its own tight demotion/promotion knobs
-             so every sweep exercises both migration directions; the
-             spec's percentages are a serving-path concern. *)
-          Crashtest.run_tier ~blocks ~stride ~seed w
-      | Lfs_shard.Spec.Shard { shards = n; policy } ->
-          let n = Option.value shards ~default:n in
-          Crashtest.run_shard ~shards:n ~policy ~blocks ~stride ~seed w
-    in
+    let report = Crashtest.run ~blocks ~stride ~seed spec w in
     Format.printf "%a@." Crashtest.pp_report report;
     if not (Crashtest.is_clean report) && not allow_failures then exit 1
   in
@@ -380,8 +368,7 @@ let crashtest_cmd =
           device write (torn/dropped/reordered), recover, fsck, and check \
           the surviving state against a logical oracle")
     Term.(
-      const run $ workload $ fs_kind $ shards_override $ stride $ seed $ blocks
-      $ allow_failures)
+      const run $ workload $ fs_kind $ stride $ seed $ blocks $ allow_failures)
 
 let modelcheck_cmd =
   let fs_kind =
@@ -449,11 +436,11 @@ let modelcheck_cmd =
       & info [ "allow-failures" ]
           ~doc:"Exit 0 even when divergences were found (for the FFS demo).")
   in
-  let run fs_kind shards seed seqs ops stride io_depth blocks engine json
-      allow_failures =
+  let run spec seed seqs ops stride io_depth blocks engine json allow_failures =
     let module Refine = Lfs_model.Refine in
-    let go (module S : Lfs_model.Subject.SUBJECT) =
-      let module R = Refine.Make (S) in
+    let module S = (val Spec.subject spec) in
+    let module R = Refine.Make (S) in
+    let reports =
       if engine then
         [
           R.check_engine ~blocks ~stride ~seed
@@ -468,24 +455,6 @@ let modelcheck_cmd =
       else
         List.init seqs (fun seq ->
             R.check_seq ~blocks ~io_depth ~stride ~seed ~nops:ops ~seq ())
-    in
-    let reports =
-      match fs_kind with
-      | Lfs_shard.Spec.Lfs -> go (module Lfs_model.Subject.Lfs)
-      | Lfs_shard.Spec.Ffs -> go (module Lfs_model.Subject.Ffs)
-      | Lfs_shard.Spec.Heads { heads } ->
-          let module H = Lfs_model.Subject.Lfs_heads (struct
-            let heads = heads
-          end) in
-          go (module H)
-      | Lfs_shard.Spec.Tier _ -> go (module Lfs_model.Subject.Tier)
-      | Lfs_shard.Spec.Shard { shards = n; policy } ->
-          let n = Option.value shards ~default:n in
-          let module Sh = Lfs_model.Subject.Shard (struct
-            let shards = n
-            let policy = policy
-          end) in
-          go (module Sh)
     in
     let total_divs =
       List.fold_left
@@ -544,28 +513,22 @@ let modelcheck_cmd =
           surviving namespace to be some state between the durability \
           frontier and the crash operation")
     Term.(
-      const run $ fs_kind $ shards_override $ seed $ seqs $ ops $ stride
-      $ io_depth $ blocks $ engine $ json $ allow_failures)
+      const run $ fs_kind $ seed $ seqs $ ops $ stride $ io_depth $ blocks
+      $ engine $ json $ allow_failures)
 
 (* The stats/serve exercise, phrased against the shared driver record so
    it runs on any backend a spec can name. *)
 let exercise_fsops (fs : Lfs_workload.Fsops.t) ~files ~seed =
   let module Fsops = Lfs_workload.Fsops in
   let prng = Lfs_util.Prng.create ~seed in
-  let dirname = "/.stats-exercise" in
-  (* Files spread over subdirectories: on a sharded volume the by_hash
-     policy places a file by its parent directory, so one flat dir
-     would drive a single shard and leave the rest idle. *)
+  (* Files spread over top-level directories: a sharded volume places a
+     file by its parent directory (by_hash) or its first path component
+     (by_subtree), so one tree would drive a single shard and leave the
+     rest idle. *)
   let ndirs = 16 in
-  let dir_of i = Printf.sprintf "%s/d%d" dirname (i mod ndirs) in
-  (match fs.Fsops.resolve dirname with
-  | Some _ -> ()
-  | None -> ignore (fs.Fsops.mkdir_path dirname));
+  let dir_of i = Printf.sprintf "/.stats-exercise-%d" (i mod ndirs) in
   for d = 0 to ndirs - 1 do
-    let p = Printf.sprintf "%s/d%d" dirname d in
-    match fs.Fsops.resolve p with
-    | Some _ -> ()
-    | None -> ignore (fs.Fsops.mkdir_path p)
+    if fs.Fsops.resolve (dir_of d) = None then ignore (fs.Fsops.mkdir_path (dir_of d))
   done;
   let path i = Printf.sprintf "%s/f%d" (dir_of i) i in
   for round = 1 to 3 do
@@ -637,83 +600,43 @@ let stats_cmd =
       & info [ "blocks" ]
           ~doc:"Fresh in-memory volume size in 4 KB blocks (no IMAGE only)")
   in
-  let finish ~json ~validate ~title m =
-    let problems = if validate then Lfs_obs.Metrics.validate m else [] in
-    if json then print_string (Lfs_obs.Metrics.to_json m)
-    else print_string (Lfs_obs.Metrics.report ~title m);
-    match problems with
-    | [] -> ()
-    | problems ->
-        List.iter
-          (fun (name, what) -> Printf.eprintf "bad metric %s: %s\n" name what)
-          problems;
-        exit 1
-  in
-  let run_fresh spec shards blocks exercise seed json check =
-    let fs = Lfs_shard.Spec.fresh ?shards ~blocks spec in
-    match fs.Lfs_workload.Fsops.metrics () with
-    | None ->
-        Printf.eprintf "backend %s has no metrics registry\n"
-          fs.Lfs_workload.Fsops.name;
-        exit 1
-    | Some m ->
-        if exercise > 0 then exercise_fsops fs ~files:exercise ~seed;
-        finish ~json
-          ~validate:(check || exercise > 0)
-          ~title:
-            (Printf.sprintf "lfs stats: %s (in-memory)"
-               fs.Lfs_workload.Fsops.name)
+  let run image spec blocks exercise seed json check =
+    let fs, title =
+      match image with
+      | None ->
+          let fs = Spec.fresh ~blocks spec in
+          (fs, Printf.sprintf "lfs stats: %s (in-memory)" fs.Lfs_workload.Fsops.name)
+      | Some image when spec = Spec.of_string "lfs" ->
+          let fs = Fs.mount (Lfs_disk.Vdev.of_disk (load image)) in
+          (Lfs_workload.Fsops.of_lfs fs, Printf.sprintf "lfs stats: %s" image)
+      | Some _ ->
+          prerr_endline
+            "an IMAGE argument is only supported with --fs lfs; omit it to \
+             build an in-memory volume from the spec";
+          exit 1
+    in
+    let m =
+      match fs.Lfs_workload.Fsops.metrics () with
+      | Some m -> m
+      | None ->
+          (* No registry of its own (FFS): report its devices' IO. *)
+          let m = Lfs_obs.Metrics.create () in
+          List.iter (Lfs_disk.Vdev.register_metrics m) fs.Lfs_workload.Fsops.devices;
           m
-  in
-  let run image spec shards blocks exercise seed json check =
-    match (spec, image) with
-    | _, None -> run_fresh spec shards blocks exercise seed json check
-    | ( ( Lfs_shard.Spec.Ffs | Lfs_shard.Spec.Heads _ | Lfs_shard.Spec.Tier _
-        | Lfs_shard.Spec.Shard _ ),
-        Some _ ) ->
-        prerr_endline
-          "an IMAGE argument is only supported with --fs lfs; omit it to \
-           build an in-memory volume from the spec";
-        exit 1
-    | Lfs_shard.Spec.Lfs, Some image ->
-    let disk = load image in
-    let fs = Fs.mount (Lfs_disk.Vdev.of_disk disk) in
-    if exercise > 0 then begin
-      let prng = Lfs_util.Prng.create ~seed in
-      let dirname = "/.stats-exercise" in
-      (match Fs.resolve fs dirname with
-      | Some _ -> ()
-      | None -> ignore (Fs.mkdir_path fs dirname));
-      let file i = Printf.sprintf "%s/f%d" dirname i in
-      (* Several overwrite rounds: rewriting a file kills its old blocks,
-         leaving partially-live segments for the cleaner to work on. *)
-      for round = 1 to 3 do
-        for i = 0 to exercise - 1 do
-          let len = 512 + Lfs_util.Prng.int prng 8192 in
-          Fs.write_path fs (file i)
-            (Bytes.init len (fun j -> Char.chr ((i + j + round) land 0xff)))
-        done
-      done;
-      Fs.sync fs;
-      for i = 0 to exercise - 1 do
-        if Fs.read_path fs (file i) = None then failwith "exercise file vanished"
-      done;
-      let dir =
-        match Fs.resolve fs dirname with Some d -> d | None -> assert false
-      in
-      for i = 0 to exercise - 1 do
-        if i mod 2 = 0 then Fs.unlink fs ~dir (Printf.sprintf "f%d" i)
-      done;
-      Fs.clean fs;
-      Fs.checkpoint fs
-    end;
+    in
+    if exercise > 0 then exercise_fsops fs ~files:exercise ~seed;
     (* An exercised registry must be self-consistent even without
        --check: validate before printing so a bad value fails the run
        instead of sneaking into the report. *)
-    finish ~json
-      ~validate:(check || exercise > 0)
-      ~title:(Printf.sprintf "lfs stats: %s" image)
-      (Fs.metrics fs)
+    let problems = if check || exercise > 0 then Lfs_obs.Metrics.validate m else [] in
+    if json then print_string (Lfs_obs.Metrics.to_json m)
+    else print_string (Lfs_obs.Metrics.report ~title m);
+    if problems <> [] then begin
+      List.iter
+        (fun (name, what) -> Printf.eprintf "bad metric %s: %s\n" name what)
+        problems;
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "stats"
@@ -727,7 +650,7 @@ let stats_cmd =
       $ fs_spec
           "Only $(b,lfs) can read an IMAGE; other specs build a fresh \
            in-memory volume and want --exercise for traffic."
-      $ shards_override $ blocks $ exercise $ seed $ json $ check)
+      $ blocks $ exercise $ seed $ json $ check)
 
 let serve_cmd =
   let module Engine = Lfs_server.Engine in
@@ -795,9 +718,9 @@ let serve_cmd =
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Validate the metrics registry and exit 1 on violations")
   in
-  let run clients ops seed fs_kind shards blocks depth policy window max_batch
-      think bg_clean io_depth json check =
-    let fs = Lfs_shard.Spec.fresh ?shards ~blocks fs_kind in
+  let run clients ops seed spec blocks depth policy window max_batch think
+      bg_clean io_depth json check =
+    let fs = Spec.fresh ~blocks spec in
     let cfg =
       {
         Engine.default with
@@ -851,7 +774,7 @@ let serve_cmd =
           file system over the modelled clock: group commit, admission \
           control, fair dequeue, and per-class latency percentiles")
     Term.(
-      const run $ clients $ ops $ seed $ fs_kind $ shards_override $ blocks
+      const run $ clients $ ops $ seed $ fs_kind $ blocks
       $ depth $ policy $ window $ max_batch $ think $ bg_clean $ io_depth
       $ json $ check)
 

@@ -1172,14 +1172,14 @@ let demote_step ?max_segments t =
    hits the emergency [clean] stall.  Paying for the checkpoint here
    keeps it in the idle window. *)
 let clean_step ?max_segments t =
-  (* The gap must clear 2 because [refresh_reusable] always excludes the
-     current and reserved segments — a smaller gap means a checkpoint
-     would recover nothing, and firing on it would checkpoint on every
-     idle step. *)
+  (* The gap must clear 2 per write head because [refresh_reusable]
+     always excludes every head's current and reserved segments — a
+     smaller gap means a checkpoint would recover nothing, and firing on
+     it would checkpoint on every idle step, forever. *)
   if
     (not t.in_cleaner)
     && !(t.reusable_len) < bg_clean_stop_effective t
-    && clean_segment_count t - !(t.reusable_len) > 2
+    && clean_segment_count t - !(t.reusable_len) > 2 * t.config.Config.log_heads
   then checkpoint t;
   let owed = bg_clean_step ?max_segments t in
   if owed > 0 then owed else demote_step ?max_segments t

@@ -1,33 +1,18 @@
 module Prng = Lfs_util.Prng
-module Disk = Lfs_disk.Disk
 module Vdev = Lfs_disk.Vdev
 module Vdev_fault = Lfs_disk.Vdev_fault
-module Geometry = Lfs_disk.Geometry
 module Fsops = Lfs_workload.Fsops
 module Model = Lfs_model.Fs_model
 
-(* The subjects and the crash-state oracle live in [Lfs_model] — one
-   definition of crash semantics shared with the model-based refinement
-   checker ([lfs_tool modelcheck]).  This harness keeps its own
+(* Subjects come from the volume recipe ({!Lfs_shard.Spec.subject}); the
+   crash-state oracle and the per-point verification (reboot, recover,
+   fsck, walk, oracle) come from [Lfs_model.Refine] — one definition of
+   crash semantics shared with the model-based refinement checker
+   ([lfs_tool modelcheck]).  This harness keeps its own
    enumeration loop because it exercises a different fault surface:
    device-level Torn/Dropped/Reordered transfers under synchronous
    submission, where the refinement driver cuts the queued elevator in
    commit order. *)
-
-module type SUBJECT = Lfs_model.Subject.SUBJECT
-
-module Lfs = Lfs_model.Subject.Lfs
-module Ffs = Lfs_model.Subject.Ffs
-
-module Tier = Lfs_model.Subject.Tier
-
-module type SHARD_SHAPE = Lfs_model.Subject.SHARD_SHAPE
-
-module Shard = Lfs_model.Subject.Shard
-
-module type HEAD_SHAPE = Lfs_model.Subject.HEAD_SHAPE
-
-module Lfs_heads = Lfs_model.Subject.Lfs_heads
 
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
@@ -151,146 +136,61 @@ let pp_report ppf r =
 (* Enumeration                                                         *)
 (* ------------------------------------------------------------------ *)
 
-module Make (S : SUBJECT) = struct
-  module Ops = Lfs_workload.Fsops.Make (S)
-
-  let make_fsops fs =
-    Ops.make ~name:S.subject_name ~async_writes:S.async_writes fs
-
-  (* [S.ndevices] fresh devices; device 0 wears the fault layer, so the
-     crash-point space is that device's writes — for multi-device
-     subjects the other devices never crash and the oracle checks their
-     durable state survives a neighbour's power cut. *)
-  let fresh_fault ~blocks ~seed =
-    let mk () = Vdev.of_disk (Disk.create (Geometry.instant ~blocks)) in
-    let fault = Vdev_fault.create ~seed (mk ()) in
-    let rest = List.init (S.ndevices - 1) (fun _ -> mk ()) in
-    (fault, Vdev_fault.vdev fault :: rest)
-
-  (* Walk the recovered tree against the shared model oracle: the
-     recovered namespace must be some state in the (durable, crash-op]
-     window of the recorded event log. *)
-  let check_oracle ~bs ~events ~durable ~upto fs =
-    let model_dirs = Model.dirs_of_events events ~upto in
-    let files, dirs =
-      Model.walk ~root:S.root
-        ~readdir:(fun ino -> S.readdir fs ino)
-        ~file_size:(fun ino -> S.file_size fs ino)
-        ~read:(fun ino ~off ~len -> S.read fs ino ~off ~len)
-        ~model_dirs
-    in
-    Model.check ~bs ~events ~durable ~upto ~files ~dirs
-
-  let run ?(blocks = 1024) ?(stride = 1) ?cuts ?(seed = 0)
-      ?(modes = [ Vdev_fault.Torn; Dropped; Reordered ]) (w : workload) =
-    if stride < 1 then invalid_arg "Crashtest.run: stride";
-    if modes = [] then invalid_arg "Crashtest.run: modes";
-    (* Reference run: learn the crash-point space. *)
-    let fault, devs = fresh_fault ~blocks ~seed in
-    S.format devs;
-    let base = Vdev_fault.blocks_written fault in
-    let fs = S.mount devs in
-    let recorder = Model.Recorder.create ~root:S.root in
-    w.run (Model.Recorder.instrument recorder (make_fsops fs));
-    let total = Vdev_fault.blocks_written fault - base in
-    let bs = (List.hd devs).Vdev.block_size in
-    let points =
-      match cuts with
-      | Some cs -> List.filter (fun c -> c >= 0 && c < total) cs
-      | None ->
-          let rec gen i acc = if i >= total then acc else gen (i + stride) (i :: acc) in
-          let pts = gen 0 [] in
-          (* always probe the final write *)
-          let pts =
-            if total > 0 && not (List.mem (total - 1) pts) then (total - 1) :: pts
-            else pts
-          in
-          List.rev pts
-    in
-    let mode_rng = Prng.create ~seed:(seed lxor 0x1fe3a9) in
-    let mode_arr = Array.of_list modes in
-    let crashes = ref 0 in
-    let fsck_failures = ref [] and oracle_failures = ref [] in
-    List.iter
-      (fun cut ->
-        let mode = mode_arr.(Prng.int mode_rng (Array.length mode_arr)) in
-        let fail bucket stage detail =
-          bucket := { cut; mode; stage; detail } :: !bucket
-        in
-        let fault, devs = fresh_fault ~blocks ~seed in
-        S.format devs;
-        Vdev_fault.plan_crash fault ~mode ~after_blocks:cut ();
-        let r = Model.Recorder.create ~root:S.root in
-        let crashed =
-          try
-            let fs = S.mount devs in
-            w.run (Model.Recorder.instrument r (make_fsops fs));
-            false
-          with Vdev.Crashed -> true
-        in
-        if crashed then incr crashes
-        else fail fsck_failures "replay" "power cut never fired (non-deterministic workload?)";
-        Vdev_fault.reboot fault;
-        match (try Ok (S.recover devs) with e -> Error e) with
-        | Error e -> fail fsck_failures "recover" (Printexc.to_string e)
-        | Ok fs2 -> (
-            match S.fsck_errors fs2 with
-            | _ :: _ as errs ->
-                fail fsck_failures "fsck" (String.concat "; " errs)
-            | [] -> (
-                match
-                  try
-                    Ok
-                      (check_oracle ~bs
-                         ~events:(Model.Recorder.events r)
-                         ~durable:(Model.Recorder.durable r)
-                         ~upto:(Model.Recorder.op r) fs2)
-                  with e -> Error e
-                with
-                | Error e -> fail fsck_failures "walk" (Printexc.to_string e)
-                | Ok [] -> ()
-                | Ok divs ->
-                    fail oracle_failures "oracle" (String.concat "; " divs))))
-      points;
-    {
-      subject = S.subject_name;
-      workload = w.wname;
-      seed;
-      total_blocks = total;
-      points = List.length points;
-      crashes = !crashes;
-      fsck_failures = List.rev !fsck_failures;
-      oracle_failures = List.rev !oracle_failures;
-    }
-end
-
-module Lfs_runner = Make (Lfs)
-module Ffs_runner = Make (Ffs)
-module Tier_runner = Make (Tier)
-
-let run_lfs ?blocks ?stride ?cuts ?seed ?modes w =
-  Lfs_runner.run ?blocks ?stride ?cuts ?seed ?modes w
-
-let run_ffs ?blocks ?stride ?cuts ?seed ?modes w =
-  Ffs_runner.run ?blocks ?stride ?cuts ?seed ?modes w
-
-let run_tier ?blocks ?stride ?cuts ?seed ?modes w =
-  Tier_runner.run ?blocks ?stride ?cuts ?seed ?modes w
-
-let run_heads ?(heads = 2) ?blocks ?stride ?cuts ?seed ?modes w =
-  let module R =
-    Make (Lfs_heads (struct
-      let heads = heads
-    end))
-  in
-  R.run ?blocks ?stride ?cuts ?seed ?modes w
-
-let run_shard ?(shards = 2) ?(policy = Lfs_shard.Shard_router.By_hash) ?blocks
-    ?stride ?cuts ?seed ?modes w =
-  let module R =
-    Make (Shard (struct
-      let shards = shards
-      let policy = policy
-    end))
-  in
-  R.run ?blocks ?stride ?cuts ?seed ?modes w
+let run ?(blocks = 1024) ?(stride = 1) ?cuts ?(seed = 0)
+    ?(modes = [ Vdev_fault.Torn; Dropped; Reordered ]) spec (w : workload) =
+  let module S = (val Lfs_shard.Spec.subject spec) in
+  let module R = Lfs_model.Refine.Make (S) in
+  if stride < 1 then invalid_arg "Crashtest.run: stride";
+  if modes = [] then invalid_arg "Crashtest.run: modes";
+  (* Reference run: learn the crash-point space. *)
+  let fault, devs = R.fresh_fault ~blocks ~seed in
+  S.format devs;
+  let base = Vdev_fault.blocks_written fault in
+  let fs = S.mount devs in
+  let recorder = Model.Recorder.create ~root:S.root in
+  w.run (Model.Recorder.instrument recorder (R.make_fsops fs));
+  let total = Vdev_fault.blocks_written fault - base in
+  let bs = (List.hd devs).Vdev.block_size in
+  let points = R.select_points ?cuts ~stride total in
+  let mode_rng = Prng.create ~seed:(seed lxor 0x1fe3a9) in
+  let mode_arr = Array.of_list modes in
+  let crashes = ref 0 in
+  let fsck_failures = ref [] and oracle_failures = ref [] in
+  List.iter
+    (fun cut ->
+      let mode = mode_arr.(Prng.int mode_rng (Array.length mode_arr)) in
+      let fail bucket stage detail =
+        bucket := { cut; mode; stage; detail } :: !bucket
+      in
+      let fault, devs = R.fresh_fault ~blocks ~seed in
+      S.format devs;
+      Vdev_fault.plan_crash fault ~mode ~after_blocks:cut ();
+      let r = Model.Recorder.create ~root:S.root in
+      let crashed =
+        try
+          let fs = S.mount devs in
+          w.run (Model.Recorder.instrument r (R.make_fsops fs));
+          false
+        with Vdev.Crashed -> true
+      in
+      if crashed then incr crashes
+      else fail fsck_failures "replay" "power cut never fired (non-deterministic workload?)";
+      match
+        R.verify ~bs ~events:(Model.Recorder.events r)
+          ~durable:(Model.Recorder.durable r) ~upto:(Model.Recorder.op r)
+          ~fault ~devs
+      with
+      | None -> ()
+      | Some ("oracle", detail) -> fail oracle_failures "oracle" detail
+      | Some (stage, detail) -> fail fsck_failures stage detail)
+    points;
+  {
+    subject = S.subject_name;
+    workload = w.wname;
+    seed;
+    total_blocks = total;
+    points = List.length points;
+    crashes = !crashes;
+    fsck_failures = List.rev !fsck_failures;
+    oracle_failures = List.rev !oracle_failures;
+  }

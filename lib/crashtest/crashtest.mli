@@ -18,72 +18,23 @@
       through (no foreign data, no mixed-up files, no resurrected
       deletions).
 
-    The harness is a functor over {!SUBJECT}, a small extension of the
-    shared {!Lfs_core.Fs_intf.DURABLE} lifecycle, so the same
-    enumeration runs against the LFS, the FFS baseline and the shard
-    router.  FFS has no recovery protocol and writes metadata in place,
-    so its runs are expected to report oracle divergences — the harness
-    reports them, it does not crash.
+    The harness runs against any volume recipe ({!Lfs_shard.Spec.t}),
+    through the recipe's crash subject ({!Lfs_shard.Spec.subject}), so
+    the same enumeration covers the LFS, the FFS baseline, and every
+    composition of log heads, tiering and sharding.  FFS has no recovery
+    protocol and writes metadata in place, so its runs are expected to
+    report oracle divergences — the harness reports them, it does not
+    crash.
 
-    Multi-device subjects (the shard router) declare [ndevices]; the
-    harness plants the fault layer on device 0 only, so the enumeration
-    crashes one shard at every one of its write points while the other
-    shards keep serving — the oracle then checks that the surviving
-    shards' durable state is intact alongside the crashed shard's
-    recovery.
+    Multi-device subjects (tiered members, sharded volumes) take several
+    devices; the harness plants the fault layer on device 0 only, so the
+    enumeration crashes that device at every one of its write points
+    while the others keep serving — the oracle then checks that their
+    durable state is intact alongside the crashed device's recovery.
 
     All randomness (crash modes per point, reorder subsets, script
     workloads) derives from one seed, so every reported failure replays
     exactly from the printed seed. *)
-
-module type SUBJECT = sig
-  include Lfs_core.Fs_intf.DURABLE
-  (** [format]/[mount]/[recover] take the full device list (singleton
-      for LFS/FFS, one per shard for the router) with a harness-chosen
-      small config baked in; [recover] is roll-forward for LFS, a plain
-      mount for FFS. *)
-
-  val subject_name : string
-  val async_writes : bool
-
-  val ndevices : int
-  (** How many devices the subject mounts across.  The harness creates
-      exactly this many and faults device 0. *)
-
-  val fsck_errors : t -> string list
-  (** Structural-consistency errors; [[]] means clean.  Subjects with no
-      checker return [[]]. *)
-end
-
-module Lfs : SUBJECT with type t = Lfs_core.Fs.t
-module Ffs : SUBJECT with type t = Lfs_ffs.Ffs.t
-
-module Tier : SUBJECT with type t = Lfs_core.Fs.t
-(** A tiered LFS over two children: device 0 is the fast child (which
-    wears the fault layer, so crash points cover placement-map writes
-    and promotion copies), device 1 the slow child.  Each durability
-    barrier runs one demotion step first, so the sweep enumerates cuts
-    mid-demotion. *)
-
-module type HEAD_SHAPE = sig
-  val heads : int
-end
-
-module Lfs_heads (P : HEAD_SHAPE) : SUBJECT with type t = Lfs_core.Fs.t
-(** A multi-head LFS ([P.heads] log write heads) on one device: the
-    sweep enumerates cuts inside every head's summary chain, exercising
-    the seq-merged roll-forward and the global torn-write cutoff. *)
-
-module type SHARD_SHAPE = sig
-  val shards : int
-  val policy : Lfs_shard.Shard_router.policy
-end
-
-module Shard (P : SHARD_SHAPE) :
-  SUBJECT with type t = Lfs_shard.Shard_router.t
-(** An [P.shards]-way sharded volume; the harness faults shard 0's
-    device only, so every crash point exercises one shard's recovery
-    while the others must keep their durable state intact. *)
 
 (** {1 Workloads} *)
 
@@ -132,75 +83,19 @@ val pp_report : Format.formatter -> report -> unit
 
 (** {1 Enumeration} *)
 
-module Make (S : SUBJECT) : sig
-  val run :
-    ?blocks:int ->
-    ?stride:int ->
-    ?cuts:int list ->
-    ?seed:int ->
-    ?modes:Lfs_disk.Vdev_fault.mode list ->
-    workload ->
-    report
-  (** [run w] records [w] once on fresh [?blocks]-block devices
-      (default 1024 each, [S.ndevices] of them) to learn the crash-point
-      space — the writes that reached device 0 — then replays one crash
-      per point.  [?stride] (default 1) thins the enumeration but
-      always keeps the final write; [?cuts] replays exactly the given
-      points instead.  The crash mode at each point is drawn from
-      [?modes] (default all three) using [?seed] (default 0). *)
-end
-
-val run_lfs :
+val run :
   ?blocks:int ->
   ?stride:int ->
   ?cuts:int list ->
   ?seed:int ->
   ?modes:Lfs_disk.Vdev_fault.mode list ->
+  Lfs_shard.Spec.t ->
   workload ->
   report
-
-val run_ffs :
-  ?blocks:int ->
-  ?stride:int ->
-  ?cuts:int list ->
-  ?seed:int ->
-  ?modes:Lfs_disk.Vdev_fault.mode list ->
-  workload ->
-  report
-
-val run_tier :
-  ?blocks:int ->
-  ?stride:int ->
-  ?cuts:int list ->
-  ?seed:int ->
-  ?modes:Lfs_disk.Vdev_fault.mode list ->
-  workload ->
-  report
-(** {!Make} over {!Tier}: a fast and a slow device of [?blocks] each,
-    crash points enumerated over the fast child's writes. *)
-
-val run_heads :
-  ?heads:int ->
-  ?blocks:int ->
-  ?stride:int ->
-  ?cuts:int list ->
-  ?seed:int ->
-  ?modes:Lfs_disk.Vdev_fault.mode list ->
-  workload ->
-  report
-(** {!Make} over {!Lfs_heads}: a single device, [?heads] (default 2)
-    log write heads. *)
-
-val run_shard :
-  ?shards:int ->
-  ?policy:Lfs_shard.Shard_router.policy ->
-  ?blocks:int ->
-  ?stride:int ->
-  ?cuts:int list ->
-  ?seed:int ->
-  ?modes:Lfs_disk.Vdev_fault.mode list ->
-  workload ->
-  report
-(** {!Make} over {!Shard}: [?shards] (default 2) devices of [?blocks]
-    each, [?policy] (default [By_hash]) placement, crash points
-    enumerated over shard 0's writes. *)
+(** [run spec w] records [w] once on the recipe's subject over fresh
+    [?blocks]-block devices (default 1024 each) to learn the crash-point
+    space — the writes that reached device 0 — then replays one crash
+    per point.  [?stride] (default 1) thins the enumeration but always
+    keeps the final write; [?cuts] replays exactly the given points
+    instead.  The crash mode at each point is drawn from [?modes]
+    (default all three) using [?seed] (default 0). *)

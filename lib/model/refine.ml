@@ -56,7 +56,7 @@ let pp_seq_report ppf r =
 
 exception Semantics of string
 
-module Make (S : Subject.SUBJECT) = struct
+module Make (S : Lfs_shard.Spec.SUBJECT) = struct
   module Ops = Fsops.Make (S)
 
   let make_fsops fs =

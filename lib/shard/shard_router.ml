@@ -412,9 +412,9 @@ let shard_fs t i = t.shards.(i)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_devices = function
-  | [] -> invalid_arg "Shard_router: need at least one device"
-  | devs -> devs
+let check_members = function
+  | [] -> invalid_arg "Shard_router: need at least one shard"
+  | members -> Array.of_list members
 
 let scope i = Printf.sprintf "shard%d." i
 
@@ -440,16 +440,12 @@ let make ~policy shards metrics =
   Hashtbl.replace t.paths root "";
   t
 
-let format ?(config = Config.default) devs =
-  List.iter (fun d -> Fs.format d config) (check_devices devs)
-
-let mount ?config ?(policy = By_hash) devs =
-  let devs = check_devices devs in
+let mount ?(policy = By_hash) members =
   let metrics = Metrics.create () in
   let shards =
-    Array.of_list devs
-    |> Array.mapi (fun i d ->
-           Fs.mount ?config ~metrics:(Metrics.scoped metrics (scope i)) d)
+    Array.mapi
+      (fun i open_shard -> open_shard (Metrics.scoped metrics (scope i)))
+      (check_members members)
   in
   make ~policy shards metrics
 
@@ -493,13 +489,12 @@ let revalidate_mirrors t =
   Array.iteri (fun s fs -> walk s fs ~dir:Fs.root "") t.shards;
   !dropped
 
-let recover ?config ?(policy = By_hash) devs =
-  let devs = check_devices devs in
+let recover ?(policy = By_hash) members =
   let metrics = Metrics.create () in
   let pairs =
-    Array.of_list devs
-    |> Array.mapi (fun i d ->
-           Fs.recover ?config ~metrics:(Metrics.scoped metrics (scope i)) d)
+    Array.mapi
+      (fun i recover_shard -> recover_shard (Metrics.scoped metrics (scope i)))
+      (check_members members)
   in
   let shards = Array.map fst pairs in
   let reports = Array.to_list (Array.map snd pairs) in

@@ -3,9 +3,9 @@
     The paper's single append-only log is also its single serialization
     point: one log, one cleaner, one inode map.  The router scales that
     out by mounting N complete {!Lfs_core.Fs} instances — each with its
-    own device, log, cleaner, checkpoint cadence and [shard<i>.]-scoped
-    metrics — and placing every file and directory on exactly one of
-    them.  Because the router itself satisfies {!Lfs_core.Fs_intf.S},
+    own device (or tiered pair), log, cleaner, checkpoint cadence and
+    [shard<i>.]-scoped metrics — and placing every file and directory on
+    exactly one of them.  Because the router itself satisfies {!Lfs_core.Fs_intf.S},
     everything written against that surface (workloads, the serving
     engine, the crashtest harness, [lfs_tool]) drives a sharded volume
     unchanged.
@@ -59,31 +59,25 @@ val policy_of_string : string -> policy option
 
 (** {1 Lifecycle} *)
 
-val format : ?config:Lfs_core.Config.t -> Lfs_disk.Vdev.t list -> unit
-(** Format every device as an independent LFS (same config each). *)
-
 val mount :
-  ?config:Lfs_core.Config.t ->
-  ?policy:policy ->
-  Lfs_disk.Vdev.t list ->
-  t
-(** Mount one shard per device, in list order, sharing one metrics
-    registry under [shard<i>.] scopes.  [policy] (default {!By_hash})
-    is a mount-time choice and must be the same on every mount of a
-    volume — it is not persisted.  Raises [Invalid_argument] on an
-    empty device list or a config whose [max_inodes] overflows the
-    24-bit local-ino space. *)
+  ?policy:policy -> (Lfs_obs.Metrics.t -> Lfs_core.Fs.t) list -> t
+(** Mount one shard per opener, in list order.  Opener [i] mounts shard
+    [i]'s LFS (one disk or a tiered pair — the router does not care)
+    into the registry view it is given, scoped [shard<i>.], so every
+    shard shares one registry.  [policy] (default {!By_hash}) is a
+    mount-time choice and must be the same on every mount of a volume —
+    it is not persisted.  Raises [Invalid_argument] on an empty list or
+    a shard whose [max_inodes] overflows the 24-bit local-ino space. *)
 
 val recover :
-  ?config:Lfs_core.Config.t ->
   ?policy:policy ->
-  Lfs_disk.Vdev.t list ->
+  (Lfs_obs.Metrics.t -> Lfs_core.Fs.t * Lfs_core.Fs.recovery_report) list ->
   t * Lfs_core.Fs.recovery_report list
-(** Post-crash mount: every shard rolls its own log forward
-    independently; the reports come back in shard order.  After the
-    per-shard replays, mirror dirents are re-validated against their
-    home shards and stale ones dropped (count in the
-    [router.mirrors_dropped] gauge); if any were, the repairs are
+(** Post-crash mount: every opener rolls its own shard's log forward
+    independently ({!Lfs_core.Fs.recover}); the reports come back in
+    shard order.  After the per-shard replays, mirror dirents are
+    re-validated against their home shards and stale ones dropped (count
+    in the [router.mirrors_dropped] gauge); if any were, the repairs are
     synced before the volume is handed out. *)
 
 val unmount : t -> unit

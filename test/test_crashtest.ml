@@ -8,6 +8,8 @@ module Vdev_fault = Lfs_disk.Vdev_fault
 module Geometry = Lfs_disk.Geometry
 module Crashtest = Lfs_crashtest.Crashtest
 
+let lfs = Lfs_shard.Spec.of_string "lfs"
+
 let check_clean report =
   if not (Crashtest.is_clean report) then
     Alcotest.failf "crashtest not clean:@\n%a" Crashtest.pp_report report
@@ -15,7 +17,7 @@ let check_clean report =
 (* Every crash point of the smallfile workload recovers fsck-clean and
    oracle-consistent. *)
 let test_smallfile_every_point () =
-  let report = Crashtest.run_lfs (Crashtest.smallfile ()) in
+  let report = Crashtest.run lfs (Crashtest.smallfile ()) in
   Alcotest.(check bool) "has crash points" true (report.Crashtest.total_blocks > 0);
   Alcotest.(check int) "every point crashed" report.Crashtest.points
     report.Crashtest.crashes;
@@ -29,7 +31,7 @@ let test_smallfile_every_point () =
 let test_script_seeds () =
   List.iter
     (fun seed ->
-      check_clean (Crashtest.run_lfs ~seed (Crashtest.script ~seed ())))
+      check_clean (Crashtest.run ~seed lfs (Crashtest.script ~seed ())))
     [ 3; 7; 11 ]
 
 (* The same harness runs against FFS through the shared interface.  FFS
@@ -37,7 +39,8 @@ let test_script_seeds () =
    that the harness reports them rather than dying. *)
 let test_ffs_reports () =
   let report =
-    Crashtest.run_ffs ~stride:5 ~seed:3 (Crashtest.script ~seed:3 ())
+    Crashtest.run ~stride:5 ~seed:3 (Lfs_shard.Spec.of_string "ffs")
+      (Crashtest.script ~seed:3 ())
   in
   Alcotest.(check bool) "replayed points" true (report.Crashtest.points > 0);
   Alcotest.(check int) "every point crashed" report.Crashtest.points
@@ -50,7 +53,7 @@ let prop_random_cut =
     QCheck.(pair (int_bound 10_000) (int_bound 60))
     (fun (wseed, cut) ->
       let report =
-        Crashtest.run_lfs ~seed:wseed ~cuts:[ cut ]
+        Crashtest.run ~seed:wseed ~cuts:[ cut ] lfs
           (Crashtest.script ~ops:30 ~seed:wseed ())
       in
       Crashtest.is_clean report)

@@ -11,7 +11,7 @@ module Disk = Lfs_disk.Disk
 module Vdev = Lfs_disk.Vdev
 module Geometry = Lfs_disk.Geometry
 module Crashtest = Lfs_crashtest.Crashtest
-module Subject = Lfs_model.Subject
+module Spec = Lfs_shard.Spec
 module Refine = Lfs_model.Refine
 module Opgen = Lfs_model.Opgen
 module Fsops = Lfs_workload.Fsops
@@ -231,7 +231,7 @@ let churn_workload ~files ~steps ~bytes =
    points inside a second chain, not just head 0's. *)
 let test_churn_reaches_cold_head () =
   let dev = Vdev.of_disk (Disk.create (Geometry.instant ~blocks:1024)) in
-  Fs.format dev { Subject.lfs_config with Config.log_heads = 2 };
+  Fs.format dev { Spec.small_config with Config.log_heads = 2 };
   let fs = Fs.mount dev in
   let w = churn_workload ~files:160 ~steps:500 ~bytes:16_384 in
   w.Crashtest.run (Fsops.of_lfs fs);
@@ -244,7 +244,7 @@ let check_clean report =
 
 let test_crashtest_heads_chain_cuts () =
   let report =
-    Crashtest.run_heads ~heads:2 ~stride:89 ~seed:3
+    Crashtest.run ~stride:89 ~seed:3 (Spec.of_string "lfs:heads=2")
       (churn_workload ~files:160 ~steps:500 ~bytes:16_384)
   in
   Alcotest.(check bool) "has crash points" true (report.Crashtest.total_blocks > 0);
@@ -253,14 +253,14 @@ let test_crashtest_heads_chain_cuts () =
 (* Script workloads with deletes and appends over the 3-head subject. *)
 let test_crashtest_three_heads_script () =
   check_clean
-    (Crashtest.run_heads ~heads:3 ~stride:7 ~seed:11 (Crashtest.script ~seed:11 ()))
+    (Crashtest.run ~stride:7 ~seed:11 (Spec.of_string "lfs:heads=3")
+       (Crashtest.script ~seed:11 ()))
 
 (* Model-based refinement: every strided crash point of a generated
    sequence recovers to a state the model allows, on the 2-head
    subject. *)
-module RH2 = Refine.Make (Subject.Lfs_heads (struct
-  let heads = 2
-end))
+module SH2 = (val Spec.subject (Spec.of_string "lfs:heads=2"))
+module RH2 = Refine.Make (SH2)
 
 let test_refinement_heads2 () =
   let r =
@@ -269,6 +269,33 @@ let test_refinement_heads2 () =
   in
   if not (Refine.seq_clean r) then
     Alcotest.failf "refinement not clean:@\n%a" Refine.pp_seq_report r
+
+(* Regression: an idle clean step restocks the reusable pool with a
+   checkpoint only when that would recover a segment.  The threshold
+   ignored the extra heads' pinned segments, so once a multi-head
+   volume's pool sat below the background watermark every idle step
+   checkpointed, and the serving engine's idle loop never came to rest
+   (the run never returned).  The guard turns that hang into a failure. *)
+let test_idle_steps_settle () =
+  let fs = Spec.fresh ~blocks:5461 (Spec.of_string "lfs:heads=2") in
+  let calls = ref 0 in
+  let guarded step ~max_segments =
+    incr calls;
+    if !calls > 5_000 then Alcotest.fail "idle cleaner never came to rest";
+    step ~max_segments
+  in
+  let r =
+    Lfs_server.Engine.run
+      {
+        Lfs_server.Engine.default with
+        clients = 8;
+        ops_per_client = 50;
+        seed = 1;
+        bg_clean = true;
+      }
+      { fs with Fsops.clean_step = Option.map guarded fs.Fsops.clean_step }
+  in
+  Alcotest.(check int) "every request completed" 400 r.Lfs_server.Engine.completed
 
 let suite =
   ( "heads",
@@ -284,4 +311,6 @@ let suite =
         test_crashtest_three_heads_script;
       Alcotest.test_case "refinement sweep on lfs:heads=2" `Quick
         test_refinement_heads2;
+      Alcotest.test_case "idle clean steps come to rest" `Quick
+        test_idle_steps_settle;
     ] )

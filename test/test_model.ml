@@ -5,7 +5,7 @@
    against injected corruption the structural checks cannot see. *)
 
 module M = Lfs_model.Fs_model
-module Subject = Lfs_model.Subject
+module Spec = Lfs_shard.Spec
 module Opgen = Lfs_model.Opgen
 module Refine = Lfs_model.Refine
 module Fs = Lfs_core.Fs
@@ -16,8 +16,10 @@ module Disk = Lfs_disk.Disk
 module Vdev = Lfs_disk.Vdev
 module Vdev_fault = Lfs_disk.Vdev_fault
 module Geometry = Lfs_disk.Geometry
-module RL = Refine.Make (Subject.Lfs)
-module RF = Refine.Make (Subject.Ffs)
+module SL = (val Spec.subject (Spec.of_string "lfs"))
+module SF = (val Spec.subject (Spec.of_string "ffs"))
+module RL = Refine.Make (SL)
+module RF = Refine.Make (SF)
 
 let check_clean r =
   if not (Refine.seq_clean r) then
@@ -294,7 +296,7 @@ let test_queued_countdown_commit_order () =
    and the address of a live data block. *)
 let fs_with_live_block () =
   let dev = Vdev.of_disk (Disk.create (Geometry.instant ~blocks:1024)) in
-  Fs.format dev Subject.lfs_config;
+  Fs.format dev Spec.small_config;
   let fs = Fs.mount dev in
   let ino = Fs.create fs ~dir:Fs.root "f" in
   Fs.write fs ino ~off:0 (Bytes.make 10_000 'x');
@@ -339,6 +341,25 @@ let test_fsck_flags_truncated_chain () =
   assert_flags "truncated chain" "not covered by any summary chain"
     (Fsck.check fs)
 
+(* Every composition of log heads, tiering and sharding refines the
+   model: shapes that no single-feature subject could express, built by
+   the same recipe the tools use. *)
+let test_recipe_product_refines () =
+  List.iter
+    (fun spec ->
+      let module S = (val Spec.subject (Spec.of_string spec)) in
+      let module R = Refine.Make (S) in
+      let r = R.check_seq ~io_depth:4 ~stride:9 ~seed:4 ~nops:40 ~seq:0 () in
+      Alcotest.(check string) "subject is the recipe" spec r.Refine.subject;
+      Alcotest.(check bool) (spec ^ " probed cuts") true (r.Refine.crashes > 0);
+      check_clean r)
+    [
+      "lfs:heads=2:tier:25:promote=2";
+      "shard:2:by_hash:heads=2";
+      "shard:2:by_hash:tier:25:promote=2";
+      "shard:2:by_subtree:heads=2:tier:25:promote=2";
+    ]
+
 let suite =
   ( "model",
     [
@@ -363,4 +384,6 @@ let suite =
       Alcotest.test_case "fsck flags bit rot" `Quick test_fsck_flags_bitrot;
       Alcotest.test_case "fsck flags truncated chain" `Quick
         test_fsck_flags_truncated_chain;
+      Alcotest.test_case "recipe product refines the model" `Quick
+        test_recipe_product_refines;
     ] )

@@ -18,8 +18,11 @@ let fresh_devs n =
 
 let fresh_router ?(shards = 3) ?(policy = Router.By_hash) () =
   let devs = fresh_devs shards in
-  Router.format ~config:shard_config devs;
-  (devs, Router.mount ~config:shard_config ~policy devs)
+  List.iter (fun d -> Fs.format d shard_config) devs;
+  (devs, Router.mount ~policy (List.map (fun d metrics -> Fs.mount ~metrics d) devs))
+
+let recover_router devs =
+  Router.recover (List.map (fun d metrics -> Fs.recover ~metrics d) devs)
 
 (* ------------------------------------------------------------------ *)
 (* Spec grammar                                                        *)
@@ -27,29 +30,46 @@ let fresh_router ?(shards = 3) ?(policy = Router.By_hash) () =
 
 let test_spec_grammar () =
   let ok s = match Spec.parse s with Ok t -> t | Error e -> Alcotest.fail e in
-  (match ok "lfs" with Spec.Lfs -> () | _ -> Alcotest.fail "lfs");
-  (match ok "ffs" with Spec.Ffs -> () | _ -> Alcotest.fail "ffs");
-  (match ok "shard:4" with
-  | Spec.Shard { shards = 4; policy = Router.By_hash } -> ()
-  | t -> Alcotest.failf "shard:4 -> %s" (Spec.to_string t));
-  (match ok "shard:2:by_subtree" with
-  | Spec.Shard { shards = 2; policy = Router.By_subtree } -> ()
-  | t -> Alcotest.failf "shard:2:by_subtree -> %s" (Spec.to_string t));
-  (match Spec.parse ~default_shards:8 "shard" with
-  | Ok (Spec.Shard { shards = 8; _ }) -> ()
-  | _ -> Alcotest.fail "bare shard should take default_shards");
-  (match Spec.parse "shard:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "shard:0 should be rejected");
-  (match Spec.parse "ext4" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "ext4 should be rejected");
+  let is s expected =
+    Alcotest.(check string) s (Spec.to_string expected) (Spec.to_string (ok s));
+    Alcotest.(check bool) (s ^ " parses to the recipe") true (ok s = expected)
+  in
+  let plain = { Spec.heads = 1; tier = None; shard = None } in
+  let sharded n policy = Some { Spec.shards = n; policy } in
+  is "lfs" (Spec.Lfs plain);
+  is "ffs" Spec.Ffs;
+  is "shard" (Spec.Lfs { plain with shard = sharded 4 Router.By_hash });
+  is "shard:4" (Spec.Lfs { plain with shard = sharded 4 Router.By_hash });
+  is "shard:2:by_subtree" (Spec.Lfs { plain with shard = sharded 2 Router.By_subtree });
+  (* the features compose, options in any order after the base *)
+  let composed =
+    Spec.Lfs
+      {
+        Spec.heads = 3;
+        tier = Some { Spec.fast_pct = 10; promote_reads = 2 };
+        shard = sharded 2 Router.By_subtree;
+      }
+  in
+  is "shard:2:by_subtree:heads=3:tier:10:promote=2" composed;
+  is "shard:2:promote=2:tier:10:by_subtree:heads=3" composed;
+  is "lfs:tier" (Spec.Lfs { plain with tier = Some { fast_pct = 25; promote_reads = 0 } });
   List.iter
     (fun s ->
-      match Spec.parse (Spec.to_string (ok s)) with
-      | Ok t -> Alcotest.(check string) "roundtrip" (Spec.to_string (ok s)) (Spec.to_string t)
-      | Error e -> Alcotest.fail e)
-    [ "lfs"; "ffs"; "shard:4"; "shard:2:by_subtree" ]
+      match Spec.parse s with
+      | Error _ -> ()
+      | Ok t -> Alcotest.failf "%s accepted as %s" s (Spec.to_string t))
+    [ "shard:0"; "ext4"; "lfs:heads=9"; "lfs:promote=2"; "lfs:by_hash";
+      "lfs:tier:0"; "ffs:heads=2"; "lfs:bogus" ];
+  (* canonical spellings round-trip; the single-feature ones keep the
+     spelling they had before the features composed *)
+  List.iter
+    (fun s -> Alcotest.(check string) "canonical" s (Spec.to_string (ok s)))
+    [ "lfs"; "ffs"; "lfs:heads=2"; "lfs:tier:25"; "lfs:tier:25:promote=2";
+      "shard:4:by_hash"; "shard:2:by_hash:heads=2:tier:25:promote=2" ];
+  Alcotest.(check string) "--shards override" "shard:8:by_hash:tier:25"
+    (Spec.to_string (Spec.with_shards 8 (ok "shard:2:tier")));
+  Alcotest.(check string) "override ignores unsharded" "lfs:heads=2"
+    (Spec.to_string (Spec.with_shards 8 (ok "lfs:heads=2")))
 
 (* ------------------------------------------------------------------ *)
 (* Placement                                                           *)
@@ -245,7 +265,7 @@ let test_sync_recover_roundtrip () =
         (path, b))
   in
   Router.sync r;
-  let r2, reports = Router.recover ~config:shard_config devs in
+  let r2, reports = recover_router devs in
   Alcotest.(check int) "one report per shard" 3 (List.length reports);
   List.iter
     (fun (path, b) ->
@@ -317,7 +337,7 @@ let test_stale_mirror_pruned_at_recover () =
   let hfs = Router.shard_fs r home in
   Fs.rmdir hfs ~dir:Fs.root dir;
   Fs.sync hfs;
-  let r2, _ = Router.recover ~config:shard_config devs in
+  let r2, _ = recover_router devs in
   Alcotest.(check bool)
     "revalidation dropped the orphaned mirror subtree" true
     (Metrics.float_value (Router.metrics r2) "router.mirrors_dropped" >= 2.0);
@@ -339,8 +359,8 @@ let test_stale_mirror_pruned_at_recover () =
 
 let test_crash_sweep_one_shard () =
   let report =
-    Lfs_crashtest.Crashtest.run_shard ~shards:2 ~blocks:1024 ~stride:5
-      ~seed:11
+    Lfs_crashtest.Crashtest.run ~blocks:1024 ~stride:5 ~seed:11
+      (Spec.of_string "shard:2")
       (Lfs_crashtest.Crashtest.script ~ops:40 ~seed:5 ())
   in
   if not (Lfs_crashtest.Crashtest.is_clean report) then
@@ -351,8 +371,8 @@ let test_crash_sweep_one_shard () =
 
 let test_crash_sweep_by_subtree () =
   let report =
-    Lfs_crashtest.Crashtest.run_shard ~shards:3 ~policy:Router.By_subtree
-      ~blocks:1024 ~stride:19 ~seed:3
+    Lfs_crashtest.Crashtest.run ~blocks:1024 ~stride:19 ~seed:3
+      (Spec.of_string "shard:3:by_subtree")
       (Lfs_crashtest.Crashtest.script ~ops:30 ~seed:9 ())
   in
   if not (Lfs_crashtest.Crashtest.is_clean report) then

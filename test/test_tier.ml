@@ -388,7 +388,11 @@ let test_demotion_and_promotion () =
 
 (* ----- Harness regressions: the tier subject under both checkers ----- *)
 
-module RT = Lfs_model.Refine.Make (Lfs_model.Subject.Tier)
+(* Promotion on two reads, so short sweeps migrate in both directions. *)
+let tier_spec = Spec.of_string "lfs:tier:25:promote=2"
+
+module ST = (val Spec.subject tier_spec)
+module RT = Lfs_model.Refine.Make (ST)
 
 let test_modelcheck_tier () =
   (* Crash points enumerated over the fast child, including the map
@@ -403,7 +407,7 @@ let test_modelcheck_tier () =
 
 let test_crashtest_tier () =
   let module C = Lfs_crashtest.Crashtest in
-  let report = C.run_tier ~stride:5 ~seed:3 (C.script ~seed:3 ()) in
+  let report = C.run ~stride:5 ~seed:3 tier_spec (C.script ~seed:3 ()) in
   Alcotest.(check bool) "has crash points" true (report.C.total_blocks > 0);
   if not (C.is_clean report) then
     Alcotest.failf "tier crashtest not clean:@\n%a" C.pp_report report
