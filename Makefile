@@ -76,7 +76,36 @@ ci:
 	done
 	rm -f ci-serve-a.json ci-serve-b.json ci-model-a.json ci-model-b.json
 
+# Behaviour gate for refactors: export REV (git archive, so the checkout
+# is untouched), build it, and require byte-identical serve JSON (plain,
+# and with idle-time cleaning over an 8-deep queue) for every recipe in
+# SPECS, and byte-identical modelcheck JSON and crashtest reports for
+# every recipe in PRODUCT.  Any difference fails.
+#   make same REV=<rev>
+same:
+	@test -n "$(REV)" || { echo "usage: make same REV=<rev>" >&2; exit 2; }
+	dune build bin/lfs_tool.exe
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src" "$$tmp/old" "$$tmp/new"; \
+	git archive "$(REV)" | tar -x -C "$$tmp/src"; \
+	dune build --root "$$tmp/src" bin/lfs_tool.exe; \
+	outputs() { \
+	  for fs in $(SPECS); do \
+	    $$1 serve --clients 16 --ops 50 --seed 42 --fs $$fs --json > "$$2/serve-$$fs.json"; \
+	    $$1 serve --clients 16 --ops 50 --seed 42 --fs $$fs --bg-clean --io-depth 8 \
+	      --json > "$$2/serve-bg-$$fs.json"; \
+	  done; \
+	  for fs in $(PRODUCT); do \
+	    $$1 modelcheck --fs $$fs --seqs 3 --stride 5 --seed 1 --json > "$$2/model-$$fs.json"; \
+	    $$1 crashtest --fs $$fs --workload script --stride 7 --seed 1 > "$$2/crash-$$fs.txt"; \
+	  done; \
+	}; \
+	outputs "$$tmp/src/_build/default/bin/lfs_tool.exe" "$$tmp/old"; \
+	outputs $(LFS_TOOL) "$$tmp/new"; \
+	for f in $$(ls "$$tmp/old"); do cmp "$$tmp/old/$$f" "$$tmp/new/$$f"; done; \
+	echo "same: $$(ls "$$tmp/old" | wc -l) outputs byte-identical to $(REV)"
+
 clean:
 	dune clean
 
-.PHONY: all test bench bench-quick micro examples verify ci clean
+.PHONY: all test bench bench-quick micro examples verify ci same clean

@@ -306,7 +306,7 @@ let trace_replay_cmd =
     Printf.printf "replayed %d operations; disk busy %.2f s; write cost %.2f\n"
       (Lfs_workload.Trace.length t - skipped)
       ((Disk.stats disk).Lfs_disk.Io_stats.busy_s -. before)
-      (Lfs_core.Fs_stats.write_cost (Fs.stats fs));
+      (Lfs_core.Fs_stats.write_cost (Fs.metrics fs));
     if skipped > 0 then
       Printf.printf
         "skipped %d operations whose paths did not resolve (trace recorded \

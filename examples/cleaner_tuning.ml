@@ -41,17 +41,16 @@ let run_policy policy =
       (Printf.sprintf "/f%03d" i)
       (Bytes.make (380_000 + Prng.int prng 20_000) 'h')
   done;
-  let stats = Fs.stats fs in
+  (* The registry counts from mount: the whole run is the window. *)
+  let m = Fs.metrics fs in
   Printf.printf
-    "%-13s: write cost %.2f, %4d segments cleaned (%2.0f%% empty), avg u of \
+    "%-13s: write cost %.2f, %4.0f segments cleaned (%2.0f%% empty), avg u of \
      non-empty %.2f\n"
     (Lfs_core.Config.cleaning_policy_name policy)
-    (Lfs_core.Fs_stats.write_cost stats)
-    (Lfs_core.Fs_stats.segments_cleaned stats)
-    (100.0
-    *. float_of_int (Lfs_core.Fs_stats.segments_cleaned_empty stats)
-    /. float_of_int (max 1 (Lfs_core.Fs_stats.segments_cleaned stats)))
-    (Lfs_core.Fs_stats.avg_cleaned_u_nonempty stats);
+    (Lfs_core.Fs_stats.write_cost m)
+    (Lfs_obs.Metrics.float_value m "fs.cleaner.segments_cleaned")
+    (100.0 *. Lfs_core.Fs_stats.empty_fraction m)
+    (Lfs_core.Fs_stats.avg_cleaned_u_nonempty m);
   let h = Fs.segment_histogram fs ~bins:10 in
   Printf.printf "  segment utilisation distribution:\n";
   Array.iter

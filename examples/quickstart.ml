@@ -48,11 +48,11 @@ let () =
     (Bytes.to_string (Option.get (Fs.read_path fs' "/home/alice/draft.txt")));
 
   (* The numbers the paper cares about. *)
-  let stats = Fs.stats fs' in
-  Printf.printf "disk utilisation %.1f%%, write cost %.2f, %d checkpoints\n"
+  let m = Fs.metrics fs' in
+  Printf.printf "disk utilisation %.1f%%, write cost %.2f, %.0f checkpoints\n"
     (100.0 *. Fs.utilization fs')
-    (Lfs_core.Fs_stats.write_cost stats)
-    (Lfs_core.Fs_stats.checkpoints stats);
+    (Lfs_core.Fs_stats.write_cost m)
+    (Lfs_obs.Metrics.float_value m "fs.checkpoints");
 
   (* And the integrity check used throughout the test suite. *)
   let r = Lfs_core.Fsck.check fs' in

@@ -47,7 +47,6 @@ type obs = {
   victim_age : Metrics.histogram;
       (* modelled-time age of each cleaned victim: the axis demotion
          policy tuning needs next to utilisation (Fig. 6 plots both) *)
-  cleaner_passes : Metrics.counter;
   (* Foreground (threshold-triggered, writer-stalling) and background
      (idle-time {!clean_step}) cleaning accounted separately, so a bench
      can show cleaning load migrating out of the write path. *)
@@ -91,7 +90,6 @@ let make_obs ?metrics () =
       Metrics.histogram ~lo:0.001 ~hi:1.0 metrics "fs.cleaner.victim_fill";
     victim_age =
       Metrics.histogram ~lo:1.0 ~hi:1e6 metrics "fs.cleaner.victim_age";
-    cleaner_passes = Metrics.counter metrics "fs.cleaner.passes";
     fg_passes = Metrics.counter metrics "fs.cleaner.fg.passes";
     bg_passes = Metrics.counter metrics "fs.cleaner.bg.passes";
     fg_segments = Metrics.counter metrics "fs.cleaner.fg.segments";
@@ -104,6 +102,46 @@ let make_obs ?metrics () =
     demote_busy = Metrics.histogram metrics "fs.cleaner.demote.busy_s";
     promote_segments = Metrics.counter metrics "fs.cleaner.promote.segments";
   }
+
+(* Long-run accounting (Section 3.4's write cost, Tables 2 and 4).  Each
+   event is counted once, into one of these counters; a total or ratio
+   over them is a callback gauge, and a measurement window is a snapshot
+   diff read through {!Fs_stats}.  Registered after the device layers so
+   reports keep their order. *)
+type acct = {
+  log_blocks : Metrics.counter array;  (* appended, by [block_kind_to_int] *)
+  log_cleaner : Metrics.counter;  (* of those, appended by the cleaner *)
+  cleaner_read : Metrics.counter;
+  self_emptied : Metrics.counter;  (* segments whose last live byte died *)
+  checkpoints : Metrics.counter;
+}
+
+let make_acct m =
+  let c name = Metrics.counter m ("fs." ^ name) in
+  let g name f = Metrics.gauge_fn m ("fs." ^ name) f in
+  let total name = Metrics.float_value m ("fs." ^ name) in
+  let kind_name k = "log.blocks." ^ Types.block_kind_name k in
+  g "log.blocks_new" (fun () ->
+      List.fold_left (fun n k -> n +. total (kind_name k)) 0.0 Types.all_block_kinds
+      -. total "log.blocks_cleaner");
+  let log_cleaner = c "log.blocks_cleaner" in
+  let log_blocks =
+    Array.init (List.length Types.all_block_kinds) (fun i ->
+        c (kind_name (Types.block_kind_of_int i)))
+  in
+  let cleaner_read = c "cleaner.blocks_read" in
+  g "cleaner.segments_cleaned" (fun () ->
+      total "cleaner.fg.segments" +. total "cleaner.bg.segments"
+      +. total "cleaner.segments_cleaned_empty");
+  let self_emptied = c "cleaner.segments_cleaned_empty" in
+  g "cleaner.avg_cleaned_u" (fun () -> Fs_stats.avg_cleaned_u_nonempty m);
+  g "write_cost" (fun () -> Fs_stats.write_cost m);
+  let checkpoints = c "checkpoints" in
+  { log_blocks; log_cleaner; cleaner_read; self_emptied; checkpoints }
+
+let note_written acct kind ~cleaner =
+  Metrics.incr acct.log_blocks.(Types.block_kind_to_int kind);
+  if cleaner then Metrics.incr acct.log_cleaner
 
 type t = {
   disk : Vdev.t;  (* the device the caller handed us (may itself be a stack) *)
@@ -121,7 +159,7 @@ type t = {
   reusable : int list ref;  (* checkpoint-persisted clean segments *)
   reusable_len : int ref;
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
-  stats : Fs_stats.t;
+  acct : acct;
   mutable clock : float;
   mutable ops_since_ckpt : int;
   mutable blocks_since_ckpt : int;
@@ -161,7 +199,6 @@ let op_span t h f =
   Metrics.span h ~clock:(fun () -> (Vdev.stats t.disk).Io_stats.busy_s) f
 let layout t = t.layout
 let config t = t.config
-let stats t = t.stats
 let clock t = t.clock
 
 let block_size t = t.layout.Layout.block_size
@@ -186,7 +223,7 @@ let kill_addr t addr ~bytes =
   if
     Seg_usage.live_bytes t.usage seg = 0
     && not (Hashtbl.mem t.cleaning_victims seg)
-  then Fs_stats.note_segment_cleaned t.stats ~u:0.0
+  then Metrics.incr t.acct.self_emptied
 
 (* Every log append goes through here so traffic is attributed — and
    routed by temperature (Section 3.5): fresh foreground data to head 0,
@@ -194,7 +231,7 @@ let kill_addr t addr ~bytes =
    survivors spread into age bins, [demote_age_s] wide, so data that has
    already proven cold lands apart from the merely lukewarm. *)
 let append_block t ~kind ~ino ~blockno ~version ~mtime payload =
-  Fs_stats.note_written t.stats kind ~cleaner:!(t.cleaner_attr) ~blocks:1;
+  note_written t.acct kind ~cleaner:!(t.cleaner_attr);
   t.blocks_since_ckpt <- t.blocks_since_ckpt + 1;
   let head =
     let n = Log_writer.nheads t.log in
@@ -543,7 +580,7 @@ let checkpoint t =
         t.ckpt_region <- 1 - t.ckpt_region;
         t.ops_since_ckpt <- 0;
         t.blocks_since_ckpt <- 0;
-        Fs_stats.note_checkpoint t.stats;
+        Metrics.incr t.acct.checkpoints;
         refresh_reusable t;
         maybe_evict_handles t;
         t.checkpoint_hook ())
@@ -618,7 +655,7 @@ let prefetch_runs t ~prefetched addrs =
   in
   let bs = block_size t in
   let read_run first len =
-    Fs_stats.note_segment_read t.stats ~blocks:len;
+    Metrics.incr ~by:len t.acct.cleaner_read;
     let buf = Vdev.read_blocks t.dev first len in
     for i = 0 to len - 1 do
       Hashtbl.replace prefetched (first + i) (Bytes.sub buf (i * bs) bs)
@@ -648,7 +685,7 @@ let parse_segment_chain_live t ~prefetched ~seg =
   let results = ref [] in
   let rec walk slot =
     if slot <= seg_blocks - 2 then begin
-      Fs_stats.note_segment_read t.stats ~blocks:1;
+      Metrics.incr t.acct.cleaner_read;
       let sum_block = Vdev.read_block t.dev (first + slot) in
       match Summary.decode sum_block with
       | None -> ()
@@ -665,7 +702,7 @@ let parse_segment_chain_live t ~prefetched ~seg =
                     match Hashtbl.find_opt prefetched addr with
                     | Some b -> b
                     | None ->
-                        Fs_stats.note_segment_read t.stats ~blocks:1;
+                        Metrics.incr t.acct.cleaner_read;
                         Vdev.read_block t.dev addr
                   in
                   results := (e, addr, payload) :: !results)
@@ -811,7 +848,6 @@ let clean_victims t ~bg victims =
   (* Read the victims and identify live data across all of them, then
      write the survivors out grouped by the mount-time policy. *)
   List.iter (fun seg -> Hashtbl.replace t.cleaning_victims seg ()) victims;
-  Metrics.incr t.obs.cleaner_passes;
   Metrics.incr (if bg then t.obs.bg_passes else t.obs.fg_passes);
   Metrics.incr
     ~by:(List.length victims)
@@ -822,7 +858,6 @@ let clean_victims t ~bg victims =
   List.iter
     (fun seg ->
       let u = seg_utilization t seg in
-      Fs_stats.note_segment_cleaned t.stats ~u;
       Metrics.dist_add t.obs.victim_u u;
       Metrics.observe t.obs.victim_fill u;
       Metrics.observe t.obs.victim_age
@@ -836,8 +871,7 @@ let clean_victims t ~bg victims =
                   (Layout.seg_first_block t.layout seg)
                   t.layout.Layout.seg_blocks
               in
-              Fs_stats.note_segment_read t.stats
-                ~blocks:t.layout.Layout.seg_blocks;
+              Metrics.incr ~by:t.layout.Layout.seg_blocks t.acct.cleaner_read;
               List.map
                 (fun (e, addr, payload) -> (e, addr, fun () -> payload))
                 (parse_segment_image t ~seg buf)
@@ -1566,29 +1600,11 @@ let read_path t path =
 
 (* {1 Construction} *)
 
-(* Point the registry at every layer we own plus the live Fs_stats
-   accounting; callback gauges read the current values at report time. *)
+(* Point the registry at the layers that need the mounted [t]; callback
+   gauges read the current values at report time. *)
 let register_fs_metrics t =
   let m = t.obs.metrics in
-  Vdev.register_metrics m t.disk;
-  Vdev_cache.register_metrics m t.cache;
-  let s = t.stats in
   let g name f = Metrics.gauge_fn m ("fs." ^ name) f in
-  let gi name f = g name (fun () -> float_of_int (f s)) in
-  gi "log.blocks_new" Fs_stats.blocks_written_new;
-  gi "log.blocks_cleaner" Fs_stats.blocks_written_cleaner;
-  List.iter
-    (fun kind ->
-      gi
-        ("log.blocks." ^ Types.block_kind_name kind)
-        (fun s -> Fs_stats.written_by_kind s kind))
-    Types.all_block_kinds;
-  gi "cleaner.blocks_read" Fs_stats.blocks_read_cleaner;
-  gi "cleaner.segments_cleaned" Fs_stats.segments_cleaned;
-  gi "cleaner.segments_cleaned_empty" Fs_stats.segments_cleaned_empty;
-  g "cleaner.avg_cleaned_u" (fun () -> Fs_stats.avg_cleaned_u_nonempty s);
-  g "write_cost" (fun () -> Fs_stats.write_cost s);
-  gi "checkpoints" Fs_stats.checkpoints;
   g "clean_segments" (fun () -> float_of_int (clean_segment_count t));
   (* Per-head traffic: with segregation on, the bench expects the cold
      heads' [blocks] to stay a small fraction of head 0's. *)
@@ -1622,10 +1638,12 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
   let reusable = ref [] in
   let reusable_len = ref 0 in
   let cleaner_attr = ref false in
-  let stats = Fs_stats.create () in
   let obs = make_obs ?metrics () in
   let cache = Vdev_cache.create ~capacity:config.Config.cache_blocks disk in
   let dev = Vdev_cache.vdev cache in
+  Vdev.register_metrics obs.metrics disk;
+  Vdev_cache.register_metrics obs.metrics cache;
+  let acct = make_acct obs.metrics in
   let pick_clean ~exclude =
     let rec pop ~want acc = function
       | [] -> None
@@ -1678,7 +1696,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
   let on_batch ~head:_ ~addr:_ ~blocks =
     (* Log batches flow through the cache layer, which keeps itself
        coherent when the log reuses cleaned segments. *)
-    Fs_stats.note_written stats Types.Summary ~cleaner:!cleaner_attr ~blocks:1;
+    note_written acct Types.Summary ~cleaner:!cleaner_attr;
     !log_batch_hook ~blocks
   in
   let log =
@@ -1701,7 +1719,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       reusable;
       reusable_len;
       cleaner_attr;
-      stats;
+      acct;
       clock;
       ops_since_ckpt = 0;
       blocks_since_ckpt = 0;

@@ -196,7 +196,6 @@ val devices : t -> Lfs_disk.Vdev.t list
 
 val layout : t -> Layout.t
 val config : t -> Config.t
-val stats : t -> Fs_stats.t
 val clock : t -> float
 
 val metrics : t -> Lfs_obs.Metrics.t
@@ -206,9 +205,14 @@ val metrics : t -> Lfs_obs.Metrics.t
     {!Lfs_disk.Vdev_cache.register_metrics}), per-operation modelled
     latency histograms ([fs.op.<op>.busy_s]), checkpoint count, duration
     and blocks ([fs.checkpoint.*]), cleaner passes and the live victim
-    utilisation distribution ([fs.cleaner.*], Fig 6), and the running
-    {!Fs_stats} gauges including [fs.write_cost].  Callers may register
-    additional layers of their own stack into the same registry. *)
+    utilisation distribution ([fs.cleaner.*], Fig 6), and the long-run
+    accounting: log blocks by kind and origin ([fs.log.*]), cleaner reads
+    and segments cleaned, with [fs.write_cost] derived from them.  It is
+    the only store of these counts; they run from mount and are never
+    reset, so a measured phase is a {!Lfs_obs.Metrics.diff} of snapshots
+    taken at its boundaries, read through {!Fs_stats}.  Callers may
+    register additional layers of their own stack into the same
+    registry. *)
 
 val utilization : t -> float
 (** Live bytes / log capacity (disk capacity utilisation). *)

@@ -1,84 +1,28 @@
-type t = {
-  new_by_kind : int array;
-  cleaner_by_kind : int array;
-  mutable cleaner_blocks_read : int;
-  mutable segments_cleaned : int;
-  mutable segments_cleaned_empty : int;
-  mutable cleaned_u_sum : float;
-  mutable cleaned_u_count : int;
-  mutable checkpoints : int;
-}
+module Metrics = Lfs_obs.Metrics
 
-let nkinds = List.length Types.all_block_kinds
+let total = Metrics.float_value
 
-let create () =
-  {
-    new_by_kind = Array.make nkinds 0;
-    cleaner_by_kind = Array.make nkinds 0;
-    cleaner_blocks_read = 0;
-    segments_cleaned = 0;
-    segments_cleaned_empty = 0;
-    cleaned_u_sum = 0.0;
-    cleaned_u_count = 0;
-    checkpoints = 0;
-  }
-
-let reset t =
-  Array.fill t.new_by_kind 0 nkinds 0;
-  Array.fill t.cleaner_by_kind 0 nkinds 0;
-  t.cleaner_blocks_read <- 0;
-  t.segments_cleaned <- 0;
-  t.segments_cleaned_empty <- 0;
-  t.cleaned_u_sum <- 0.0;
-  t.cleaned_u_count <- 0;
-  t.checkpoints <- 0
-
-let note_written t kind ~cleaner ~blocks =
-  let a = if cleaner then t.cleaner_by_kind else t.new_by_kind in
-  let i = Types.block_kind_to_int kind in
-  a.(i) <- a.(i) + blocks
-
-let note_segment_read t ~blocks = t.cleaner_blocks_read <- t.cleaner_blocks_read + blocks
-
-let note_segment_cleaned t ~u =
-  t.segments_cleaned <- t.segments_cleaned + 1;
-  if u = 0.0 then t.segments_cleaned_empty <- t.segments_cleaned_empty + 1
-  else begin
-    t.cleaned_u_sum <- t.cleaned_u_sum +. u;
-    t.cleaned_u_count <- t.cleaned_u_count + 1
-  end
-
-let note_checkpoint t = t.checkpoints <- t.checkpoints + 1
-
-let sum = Array.fold_left ( + ) 0
-let blocks_written_new t = sum t.new_by_kind
-let blocks_written_cleaner t = sum t.cleaner_by_kind
-let blocks_read_cleaner t = t.cleaner_blocks_read
-
-let written_by_kind t kind =
-  let i = Types.block_kind_to_int kind in
-  t.new_by_kind.(i) + t.cleaner_by_kind.(i)
-
-let segments_cleaned t = t.segments_cleaned
-let segments_cleaned_empty t = t.segments_cleaned_empty
-
-let avg_cleaned_u_nonempty t =
-  if t.cleaned_u_count = 0 then 0.0
-  else t.cleaned_u_sum /. float_of_int t.cleaned_u_count
-
-let checkpoints t = t.checkpoints
-
-let write_cost t =
-  let fresh = blocks_written_new t in
-  (* No fresh data written: the ratio is undefined, and reporting 1.0
-     would hide any cleaner traffic in the interval.  nan here; reports
-     print it as "undefined". *)
-  if fresh = 0 then Float.nan
+let write_cost m =
+  let fresh = total m "fs.log.blocks_new" in
+  if fresh = 0.0 then Float.nan
   else
-    float_of_int (fresh + blocks_written_cleaner t + t.cleaner_blocks_read)
-    /. float_of_int fresh
+    (fresh +. total m "fs.log.blocks_cleaner" +. total m "fs.cleaner.blocks_read")
+    /. fresh
 
-let log_bandwidth_fraction t kind =
-  let total = blocks_written_new t + blocks_written_cleaner t in
-  if total = 0 then 0.0
-  else float_of_int (written_by_kind t kind) /. float_of_int total
+(* Every victim is read with live bytes in it, so the victims' own
+   utilisation histogram is exactly the non-empty segments cleaned. *)
+let avg_cleaned_u_nonempty m =
+  match Metrics.value m "fs.cleaner.victim_fill" with
+  | Some (Metrics.Summary { count; sum; _ }) when count > 0 ->
+      sum /. float_of_int count
+  | _ -> 0.0
+
+let empty_fraction m =
+  let cleaned = total m "fs.cleaner.segments_cleaned" in
+  if cleaned = 0.0 then 0.0
+  else total m "fs.cleaner.segments_cleaned_empty" /. cleaned
+
+let log_bandwidth_fraction m kind =
+  let all = total m "fs.log.blocks_new" +. total m "fs.log.blocks_cleaner" in
+  if all = 0.0 then 0.0
+  else total m ("fs.log.blocks." ^ Types.block_kind_name kind) /. all

@@ -1,48 +1,31 @@
-(** Long-term accounting of log traffic and cleaning, powering the write
-    cost of Section 3.4, Table 2's cleaning statistics and Table 4's
-    log-bandwidth breakdown. *)
+(** The paper's long-run accounting formulas — the write cost of
+    Section 3.4, Table 2's cleaning statistics and Table 4's
+    log-bandwidth breakdown — evaluated over a measurement window.
 
-type t
+    A window is a registry read through {!Lfs_obs.Metrics}: either a
+    {!Lfs_obs.Metrics.diff} of two snapshots taken at the window's
+    boundaries, or a mounted file system's live registry ({!Fs.metrics}),
+    which covers everything since mount.  The formulas read only the
+    running totals [Fs] registers ([fs.log.*], [fs.cleaner.blocks_read],
+    [fs.cleaner.segments_cleaned*], [fs.cleaner.victim_fill]), so they
+    give the same answer on a window as on a registry reset at its
+    start. *)
 
-val create : unit -> t
-val reset : t -> unit
+val write_cost : Lfs_obs.Metrics.t -> float
+(** (log blocks written + cleaner reads) / new-data blocks, the paper's
+    formula.  [nan] (undefined) when no new data was written — a
+    cleaner-only window has no meaningful cost ratio, and pretending 1.0
+    would under-report it.  Reports render [nan] as "undefined". *)
 
-val note_written : t -> Types.block_kind -> cleaner:bool -> blocks:int -> unit
-(** Blocks appended to the log, attributed to new data or to the
-    cleaner. *)
+val avg_cleaned_u_nonempty : Lfs_obs.Metrics.t -> float
+(** Mean utilisation of the victims the cleaner read (Table 2's "u"
+    column; segments that emptied by themselves are not victims).  [0.0]
+    when none was cleaned. *)
 
-val note_segment_read : t -> blocks:int -> unit
-(** A whole victim segment read by the cleaner. *)
+val empty_fraction : Lfs_obs.Metrics.t -> float
+(** Fraction of the segments cleaned that were empty (Table 2); [0.0]
+    when none was cleaned. *)
 
-val note_segment_cleaned : t -> u:float -> unit
-(** A victim finished; [u] is its utilisation when selected. *)
-
-val note_checkpoint : t -> unit
-
-val blocks_written_new : t -> int
-(** All log blocks written on behalf of new data (including metadata and
-    summary blocks). *)
-
-val blocks_written_cleaner : t -> int
-val blocks_read_cleaner : t -> int
-val written_by_kind : t -> Types.block_kind -> int
-(** Total log blocks of this kind (new + cleaner). *)
-
-val segments_cleaned : t -> int
-val segments_cleaned_empty : t -> int
-
-val avg_cleaned_u_nonempty : t -> float
-(** Mean utilisation of the non-empty segments cleaned (Table 2's "u"
-    column). *)
-
-val checkpoints : t -> int
-
-val write_cost : t -> float
-(** (blocks written + cleaner reads) / new-data blocks, the paper's
-    formula.  [nan] (undefined) when no new data has been written — a
-    cleaner-only interval has no meaningful cost ratio, and pretending
-    1.0 would under-report it.  Reports render [nan] as "undefined". *)
-
-val log_bandwidth_fraction : t -> Types.block_kind -> float
+val log_bandwidth_fraction : Lfs_obs.Metrics.t -> Types.block_kind -> float
 (** Fraction of all log blocks of the given kind (Table 4, "Log
     bandwidth" column). *)

@@ -4,8 +4,8 @@
     benchmarks) programs against this record of operations instead of
     the concrete {!Disk} simulator, so devices compose: a file system
     can run over a plain disk, a RAID-0 stripe ({!Vdev_stripe}), a
-    block cache ({!Vdev_cache}), a tracing shim ({!Vdev_trace}), or any
-    stack of them.
+    block cache ({!Vdev_cache}), a fault injector ({!Vdev_fault}), a
+    tiered volume ({!Vdev_tier}), or any stack of them.
 
     IO has two faces.  The synchronous [read_blocks]/[write_blocks]/
     [zero_blocks] are thin submit-then-complete wrappers: in the default

@@ -16,12 +16,28 @@ type histogram = {
 
 type dist = Histogram.t
 
+type value =
+  | Int of int
+  | Float of float
+  | Summary of {
+      count : int;
+      sum : float;
+      mean : float;
+      vmin : float;
+      vmax : float;
+      p50 : float;
+      p95 : float;
+      p99 : float;
+    }
+  | Series of { total : float; series : (float * float) array }
+
 type instrument =
   | Counter of counter
   | Gauge of gauge
   | Gauge_fn of (unit -> float) ref
   | Hist of histogram
   | Dist of dist
+  | Fixed of value  (* a window's frozen reading, see [diff] *)
 
 (* One shared underlying registry; [t] is a view onto it that prepends
    [prefix] to every name registered or looked up through it.  Scoped
@@ -44,6 +60,7 @@ let kind_name = function
   | Gauge_fn _ -> "gauge"
   | Hist _ -> "histogram"
   | Dist _ -> "dist"
+  | Fixed _ -> "window reading"
 
 (* Get-or-create: [make ()] builds the instrument, [extract] projects an
    existing entry back out (None on kind mismatch). *)
@@ -180,21 +197,6 @@ let dist_add ?(weight = 1.0) d v = Histogram.add_weighted d v weight
 
 (* ---- Reading ---- *)
 
-type value =
-  | Int of int
-  | Float of float
-  | Summary of {
-      count : int;
-      sum : float;
-      mean : float;
-      vmin : float;
-      vmax : float;
-      p50 : float;
-      p95 : float;
-      p99 : float;
-    }
-  | Series of { total : float; series : (float * float) array }
-
 let value_of = function
   | Counter c -> Int c.n
   | Gauge g -> Float g.g
@@ -225,6 +227,7 @@ let value_of = function
             p99 = percentile h 0.99;
           }
   | Dist d -> Series { total = Histogram.total d; series = Histogram.to_series d }
+  | Fixed v -> v
 
 let value t name = Option.map value_of (Hashtbl.find_opt t.root.table (full t name))
 
@@ -242,6 +245,47 @@ let snapshot t =
   List.rev_map
     (fun name -> (name, value_of (Hashtbl.find t.root.table name)))
     t.root.order
+
+(* ---- Windows ---- *)
+
+let window_summary ~count ~sum =
+  let nan = Float.nan in
+  Summary
+    {
+      count;
+      sum;
+      mean = (if count = 0 then nan else sum /. float_of_int count);
+      vmin = nan;
+      vmax = nan;
+      p50 = nan;
+      p95 = nan;
+      p99 = nan;
+    }
+
+let sub name a b =
+  match (a, b) with
+  | Int a, Int b -> Int (b - a)
+  | Float a, Float b -> Float (b -. a)
+  | Summary a, Summary b -> window_summary ~count:(b.count - a.count) ~sum:(b.sum -. a.sum)
+  | Series a, Series b -> Series { total = b.total -. a.total; series = [||] }
+  | _ -> invalid_arg (Printf.sprintf "Metrics.diff: %S changed kind" name)
+
+let zero = function
+  | Int _ -> Int 0
+  | Float _ -> Float 0.
+  | Summary _ -> window_summary ~count:0 ~sum:0.
+  | Series _ -> Series { total = 0.; series = [||] }
+
+let diff before after =
+  let w = create () in
+  let before = Hashtbl.of_seq (List.to_seq before) in
+  List.iter
+    (fun (name, b) ->
+      let a = Option.value (Hashtbl.find_opt before name) ~default:(zero b) in
+      Hashtbl.replace w.root.table name (Fixed (sub name a b));
+      w.root.order <- name :: w.root.order)
+    after;
+  w
 
 (* ---- Text report ---- *)
 

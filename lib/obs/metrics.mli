@@ -124,6 +124,25 @@ val snapshot : t -> (string * value) list
 (** All instruments of the shared registry (every scope) in
     registration order, under their full prefixed names. *)
 
+(** {1 Windows}
+
+    Instruments are never reset: they count from registration.  A
+    measurement window is the difference of two snapshots taken at its
+    boundaries. *)
+
+val diff : (string * value) list -> (string * value) list -> t
+(** [diff before after] is a frozen registry holding, for each
+    instrument of [after], what it added since [before] (an instrument
+    missing from [before] counts from zero): counters and gauge values
+    are subtracted, histograms keep the difference of their [count] and
+    [sum] (their [mean] is the window's own; extrema and percentiles are
+    [nan]), dists the difference of their [total] (no bins).  Read it
+    like any registry ({!value}, {!float_value}, {!report}, {!scoped});
+    registering into it raises [Invalid_argument] on a name it holds.
+    A gauge that is not a running total (a ratio, a level) diffs to a
+    meaningless number: derive such quantities from the window's
+    counters instead. *)
+
 (** {1 Reports} *)
 
 val report : ?title:string -> t -> string

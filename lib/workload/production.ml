@@ -2,6 +2,8 @@ module Prng = Lfs_util.Prng
 module Disk = Lfs_disk.Disk
 module Fs = Lfs_core.Fs
 module Types = Lfs_core.Types
+module Fs_stats = Lfs_core.Fs_stats
+module Metrics = Lfs_obs.Metrics
 
 type spec = {
   name : string;
@@ -187,8 +189,7 @@ let run ?(scale = 1.0) ?(policy = Lfs_core.Config.Cost_benefit)
   let count = Array.length files in
   Fs.checkpoint fs;
   (* Measure from a steady start. *)
-  let stats = Fs.stats fs in
-  Lfs_core.Fs_stats.reset stats;
+  let start = Metrics.snapshot (Fs.metrics fs) in
   let traffic_target =
     spec.traffic_to_disk_ratio *. float_of_int capacity *. scale
   in
@@ -258,27 +259,26 @@ let run ?(scale = 1.0) ?(policy = Lfs_core.Config.Cost_benefit)
       (fun (k, b) -> (k, if total_live = 0.0 then 0.0 else float_of_int b /. total_live))
       breakdown.Fs.by_kind
   in
+  let window = Metrics.diff start (Metrics.snapshot (Fs.metrics fs)) in
+  let total name = int_of_float (Metrics.float_value window name) in
   let log_bandwidth =
     List.map
-      (fun k -> (k, Lfs_core.Fs_stats.log_bandwidth_fraction stats k))
+      (fun k -> (k, Fs_stats.log_bandwidth_fraction window k))
       Types.all_block_kinds
   in
   let avg_file_size =
     Array.fold_left (fun acc (_, s) -> acc +. float_of_int s) 0.0 files
     /. float_of_int count
   in
-  let cleaned = Lfs_core.Fs_stats.segments_cleaned stats in
-  let empty = Lfs_core.Fs_stats.segments_cleaned_empty stats in
   {
     spec;
     avg_file_size;
     in_use = Fs.utilization fs;
-    segments_cleaned = cleaned;
-    cleaner_blocks_read = Lfs_core.Fs_stats.blocks_read_cleaner stats;
-    empty_fraction =
-      (if cleaned = 0 then 0.0 else float_of_int empty /. float_of_int cleaned);
-    avg_nonempty_u = Lfs_core.Fs_stats.avg_cleaned_u_nonempty stats;
-    write_cost = Lfs_core.Fs_stats.write_cost stats;
+    segments_cleaned = total "fs.cleaner.segments_cleaned";
+    cleaner_blocks_read = total "fs.cleaner.blocks_read";
+    empty_fraction = Fs_stats.empty_fraction window;
+    avg_nonempty_u = Fs_stats.avg_cleaned_u_nonempty window;
+    write_cost = Fs_stats.write_cost window;
     histogram = Fs.segment_histogram fs ~bins:50;
     live_breakdown;
     log_bandwidth;

@@ -26,16 +26,19 @@ let test_config =
 let fresh_disk ?blocks () = Disk.create (test_geometry ?blocks ())
 
 (* Tests keep the concrete [Disk.t] (for [snapshot] and [stats]) and
-   hand the file system a [Vdev] view of it — routed through a
-   [Vdev_trace] shim so the whole suite exercises crash and recovery
-   semantics across a wrapped device stack. *)
-let vdev disk = Lfs_disk.Vdev_trace.vdev (Lfs_disk.Vdev_trace.create (Vdev.of_disk disk))
+   hand the file system a [Vdev] view of it.  [Fs] puts its own block
+   cache over that view, so every crash and recovery test crosses a
+   wrapped device stack. *)
+let vdev disk = Vdev.of_disk disk
 
 (* Crash plumbing goes through the vdev view, not the raw disk: fault
    scheduling composes through wrapped device stacks instead of
    reaching under them. *)
 let plan_crash disk ~after_blocks = Vdev.plan_crash (vdev disk) ~after_blocks
 let reboot disk = Vdev.reboot (vdev disk)
+
+(* A running total of the mount's registry (counted since mount). *)
+let fs_total fs name = int_of_float (Lfs_obs.Metrics.float_value (Fs.metrics fs) name)
 
 let fresh_fs ?blocks ?(config = test_config) () =
   let disk = fresh_disk ?blocks () in

@@ -196,12 +196,12 @@ let test_cleaning_triggers_and_reclaims () =
         Fs.write fs ino ~off:(4096 * Prng.int prng 14) (Bytes.make 4096 'z')
     | None -> ()
   done;
-  let stats = Fs.stats fs in
-  Alcotest.(check bool) "cleaner ran" true (Fs_stats.segments_cleaned stats > 0);
+  Alcotest.(check bool) "cleaner ran" true
+    (Helpers.fs_total fs "fs.cleaner.segments_cleaned" > 0);
   Alcotest.(check bool) "cleaner read segments" true
-    (Fs_stats.blocks_read_cleaner stats > 0);
-  Alcotest.(check bool) "write cost sane" true
-    (Fs_stats.write_cost stats >= 1.0 && Fs_stats.write_cost stats < 20.0);
+    (Helpers.fs_total fs "fs.cleaner.blocks_read" > 0);
+  let cost = Fs_stats.write_cost (Fs.metrics fs) in
+  Alcotest.(check bool) "write cost sane" true (cost >= 1.0 && cost < 20.0);
   Helpers.fsck_clean fs
 
 let test_contents_survive_cleaning () =
@@ -222,7 +222,7 @@ let run_policy_churn policy =
   let prng = Prng.create ~seed:8 in
   churn fs prng ~files:35 ~rounds:400 ~size:55_000;
   Helpers.fsck_clean fs;
-  Fs_stats.write_cost (Fs.stats fs)
+  Fs_stats.write_cost (Fs.metrics fs)
 
 let test_all_policies_safe () =
   List.iter
@@ -260,7 +260,7 @@ let test_deletion_reclaims_without_cleaning () =
   Fs.checkpoint fs;
   Alcotest.(check bool) "space reclaimed" true (Fs.utilization fs < used_before /. 4.0);
   Alcotest.(check bool) "empties counted as cleaned" true
-    (Fs_stats.segments_cleaned_empty (Fs.stats fs) > 0);
+    (Helpers.fs_total fs "fs.cleaner.segments_cleaned_empty" > 0);
   Helpers.fsck_clean fs
 
 let test_segment_histogram_shape () =
@@ -276,14 +276,15 @@ let test_write_cost_accounting_consistent () =
   let _, fs = Helpers.fresh_fs ~blocks:2048 () in
   let prng = Prng.create ~seed:12 in
   churn fs prng ~files:30 ~rounds:300 ~size:50_000;
-  let s = Fs.stats fs in
+  let total = Helpers.fs_total fs in
   let manual =
     float_of_int
-      (Fs_stats.blocks_written_new s + Fs_stats.blocks_written_cleaner s
-     + Fs_stats.blocks_read_cleaner s)
-    /. float_of_int (Fs_stats.blocks_written_new s)
+      (total "fs.log.blocks_new" + total "fs.log.blocks_cleaner"
+     + total "fs.cleaner.blocks_read")
+    /. float_of_int (total "fs.log.blocks_new")
   in
-  Alcotest.(check (float 1e-9)) "formula matches" manual (Fs_stats.write_cost s)
+  Alcotest.(check (float 1e-9)) "formula matches" manual
+    (Fs_stats.write_cost (Fs.metrics fs))
 
 let test_live_breakdown_sums () =
   let _, fs = Helpers.fresh_fs ~blocks:2048 () in
@@ -302,7 +303,7 @@ let test_live_blocks_cleaning_safe () =
   let prng = Prng.create ~seed:13 in
   churn fs prng ~files:35 ~rounds:400 ~size:55_000;
   Alcotest.(check bool) "cleaner ran" true
-    (Fs_stats.segments_cleaned (Fs.stats fs) > 0);
+    (Helpers.fs_total fs "fs.cleaner.segments_cleaned" > 0);
   Helpers.check_bytes "contents survive" keep (Option.get (Fs.read_path fs "/keeper"));
   Helpers.fsck_clean fs;
   Fs.unmount fs;
@@ -323,7 +324,7 @@ let test_live_blocks_reads_less_when_sparse () =
         (Bytes.make 16_384 'c')
     done;
     Fs.clean fs;
-    Fs_stats.blocks_read_cleaner (Fs.stats fs)
+    Helpers.fs_total fs "fs.cleaner.blocks_read"
   in
   let whole = run Config.Whole_segment in
   let live = run Config.Live_blocks in
@@ -456,7 +457,7 @@ let test_checkpoint_by_blocks () =
   done;
   (* 10 x 15 blocks of data >> 64-block interval: several checkpoints. *)
   Alcotest.(check bool) "volume-triggered checkpoints" true
-    (Fs_stats.checkpoints (Fs.stats fs) >= 2)
+    (Helpers.fs_total fs "fs.checkpoints" >= 2)
 
 let test_checkpoint_by_blocks_bounds_recovery () =
   let config =

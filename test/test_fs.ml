@@ -303,7 +303,7 @@ let test_deterministic_runs () =
     let prng = Prng.create ~seed:99 in
     let _ = Helpers.random_ops ~ops:80 fs prng in
     Fs.sync fs;
-    Lfs_core.Fs_stats.blocks_written_new (Fs.stats fs)
+    Helpers.fs_total fs "fs.log.blocks_new"
   in
   Alcotest.(check int) "identical traffic" (run ()) (run ())
 

@@ -3,7 +3,6 @@
    whose cut points land inside each head's summary chain. *)
 
 module Fs = Lfs_core.Fs
-module Fs_stats = Lfs_core.Fs_stats
 module Config = Lfs_core.Config
 module Checkpoint = Lfs_core.Checkpoint
 module Superblock = Lfs_core.Superblock
@@ -171,13 +170,13 @@ let test_recover_divergent_heads () =
      pushes survivors through the cold heads and the head positions
      genuinely diverge. *)
   let steps = ref 0 in
-  while Fs_stats.blocks_written_cleaner (Fs.stats fs) = 0 && !steps < 600 do
+  while Helpers.fs_total fs "fs.log.blocks_cleaner" = 0 && !steps < 600 do
     incr steps;
     put (name (!steps * 7 mod 80)) 16_384 !steps;
     if !steps mod 10 = 0 then Fs.clean fs
   done;
   Alcotest.(check bool) "cleaner relocated survivors" true
-    (Fs_stats.blocks_written_cleaner (Fs.stats fs) > 0);
+    (Helpers.fs_total fs "fs.log.blocks_cleaner" > 0);
   Fs.checkpoint fs;
   let layout = (Superblock.load dev).Superblock.layout in
   let _, ck = Option.get (Checkpoint.read_latest layout dev) in
@@ -236,7 +235,7 @@ let test_churn_reaches_cold_head () =
   let w = churn_workload ~files:160 ~steps:500 ~bytes:16_384 in
   w.Crashtest.run (Fsops.of_lfs fs);
   Alcotest.(check bool) "survivors flowed through the cold head" true
-    (Fs_stats.blocks_written_cleaner (Fs.stats fs) > 0)
+    (Helpers.fs_total fs "fs.log.blocks_cleaner" > 0)
 
 let check_clean report =
   if not (Crashtest.is_clean report) then

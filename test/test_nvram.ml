@@ -117,7 +117,7 @@ let test_capacity_forces_checkpoint () =
   Alcotest.(check bool) "bounded" true
     (Nvram.used_bytes nvram <= Nvram.capacity_bytes nvram);
   Alcotest.(check bool) "checkpoints happened" true
-    (Lfs_core.Fs_stats.checkpoints (Fs.stats fs) > 1)
+    (Helpers.fs_total fs "fs.checkpoints" > 1)
 
 let test_randomised_no_loss ~seed () =
   let disk, nvram, nfs = fresh () in

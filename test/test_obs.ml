@@ -202,20 +202,64 @@ let test_report_and_json_render_nan () =
   Alcotest.(check bool) "json has no nan token" false (contains ~sub:"nan" json);
   Alcotest.(check bool) "json renders null" true (contains ~sub:"null" json)
 
+(* ----- Windows: snapshot diffs ----- *)
+
+let test_diff_window () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "c" and h = Metrics.histogram m "h" in
+  let g = Metrics.gauge m "g" in
+  Metrics.incr ~by:5 c;
+  Metrics.observe h 1.0;
+  Metrics.set g 2.0;
+  let s0 = Metrics.snapshot m in
+  Metrics.incr ~by:3 c;
+  List.iter (Metrics.observe h) [ 2.0; 4.0 ];
+  Metrics.set g 2.5;
+  Metrics.incr (Metrics.counter m "late");
+  let w = Metrics.diff s0 (Metrics.snapshot m) in
+  Alcotest.(check (float 0.0)) "counter delta" 3.0 (Metrics.float_value w "c");
+  Alcotest.(check (float 0.0)) "gauge delta" 0.5 (Metrics.float_value w "g");
+  Alcotest.(check (float 0.0)) "registered mid-window counts from zero" 1.0
+    (Metrics.float_value w "late");
+  (match Metrics.value w "h" with
+  | Some (Metrics.Summary { count; sum; mean; vmax; _ }) ->
+      Alcotest.(check int) "histogram count delta" 2 count;
+      Alcotest.(check (float 0.0)) "histogram sum delta" 6.0 sum;
+      Alcotest.(check (float 0.0)) "window mean" 3.0 mean;
+      Alcotest.(check bool) "extrema undefined" true (Float.is_nan vmax)
+  | _ -> Alcotest.fail "expected Summary");
+  (* The window is frozen: later traffic does not move it. *)
+  Metrics.incr c;
+  Alcotest.(check (float 0.0)) "frozen" 3.0 (Metrics.float_value w "c")
+
 (* ----- Fs_stats.write_cost: undefined (nan) without fresh data ----- *)
 
 let test_write_cost_undefined_without_fresh_data () =
-  let s = Fs_stats.create () in
-  Alcotest.(check bool) "fresh stats: nan" true (Float.is_nan (Fs_stats.write_cost s));
+  let snap ~fresh ~cleaner ~read =
+    [
+      ("fs.log.blocks_new", Metrics.Int fresh);
+      ("fs.log.blocks_cleaner", Metrics.Int cleaner);
+      ("fs.cleaner.blocks_read", Metrics.Int read);
+    ]
+  in
+  let start = snap ~fresh:10 ~cleaner:0 ~read:0 in
   (* Cleaner-only traffic must not masquerade as a 1.0x write cost. *)
-  Fs_stats.note_segment_read s ~blocks:32;
-  Fs_stats.note_written s Lfs_core.Types.Data ~cleaner:true ~blocks:16;
-  Alcotest.(check bool) "cleaner-only interval: still nan" true
-    (Float.is_nan (Fs_stats.write_cost s));
-  Fs_stats.note_written s Lfs_core.Types.Data ~cleaner:false ~blocks:16;
+  let cleaner_only = Metrics.diff start (snap ~fresh:10 ~cleaner:16 ~read:32) in
+  Alcotest.(check bool) "cleaner-only window: nan" true
+    (Float.is_nan (Fs_stats.write_cost cleaner_only));
+  let mixed = Metrics.diff start (snap ~fresh:26 ~cleaner:16 ~read:32) in
   Alcotest.(check (float 1e-9)) "defined once fresh data lands"
     ((16.0 +. 16.0 +. 32.0) /. 16.0)
-    (Fs_stats.write_cost s)
+    (Fs_stats.write_cost mixed);
+  (* An idle window on a live mount has no fresh data either. *)
+  let _, fs = Helpers.fresh_fs () in
+  Fs.write_path fs "/a" (Bytes.make 10_000 'a');
+  Fs.sync fs;
+  let s0 = Metrics.snapshot (Fs.metrics fs) in
+  ignore (Fs.read_path fs "/a");
+  Alcotest.(check bool) "idle window: nan" true
+    (Float.is_nan
+       (Fs_stats.write_cost (Metrics.diff s0 (Metrics.snapshot (Fs.metrics fs)))))
 
 (* ----- The registry wired into a mounted file system ----- *)
 
@@ -241,9 +285,11 @@ let test_fs_write_cost_gauge_agrees () =
   exercise fs;
   let m = Fs.metrics fs in
   let from_gauge = Metrics.float_value m "fs.write_cost" in
-  let from_stats = Fs_stats.write_cost (Fs.stats fs) in
-  Alcotest.(check bool) "write cost defined" true (Float.is_finite from_stats);
-  Alcotest.(check (float 1e-9)) "gauge tracks Fs_stats" from_stats from_gauge
+  let since_mount = Metrics.diff [] (Metrics.snapshot m) in
+  let from_window = Fs_stats.write_cost since_mount in
+  Alcotest.(check bool) "write cost defined" true (Float.is_finite from_window);
+  Alcotest.(check (float 1e-9)) "gauge equals the since-mount window" from_window
+    from_gauge
 
 let test_fs_metrics_cover_layers () =
   let _, fs = Helpers.fresh_fs ~blocks:2048 () in
@@ -257,10 +303,9 @@ let test_fs_metrics_cover_layers () =
   | Some (Metrics.Summary { count; _ }) ->
       Alcotest.(check int) "create spans" 3 count
   | _ -> Alcotest.fail "create histogram missing");
-  (* Checkpoint instruments agree with the long-term accounting. *)
-  let ckpts = Fs_stats.checkpoints (Fs.stats fs) in
-  Alcotest.(check (float 0.0)) "checkpoint counter gauge" (float_of_int ckpts)
-    (Metrics.float_value m "fs.checkpoints");
+  (* Checkpoint instruments agree with each other. *)
+  let ckpts = Helpers.fs_total fs "fs.checkpoints" in
+  Alcotest.(check bool) "checkpoints counted" true (ckpts > 0);
   (match Metrics.value m "fs.checkpoint.busy_s" with
   | Some (Metrics.Summary { count; _ }) ->
       Alcotest.(check int) "one span per checkpoint" ckpts count
@@ -271,7 +316,7 @@ let test_fs_metrics_cover_layers () =
       .blocks_written
   in
   Alcotest.(check bool) "vdev layer registered" true
-    (Metrics.float_value m "vdev.trace.blocks_written" = float_of_int dev_writes)
+    (Metrics.float_value m "vdev.disk.blocks_written" = float_of_int dev_writes)
 
 let test_fs_metrics_validate_clean () =
   let _, fs = Helpers.fresh_fs ~blocks:2048 () in
@@ -282,6 +327,79 @@ let test_fs_metrics_validate_clean () =
       Alcotest.failf "validate: %s"
         (String.concat "; "
            (List.map (fun (n, msg) -> n ^ ": " ^ msg) violations))
+
+(* ----- Accounting identities over a measured window ----- *)
+
+(* Each quantity is counted once; the names derived from the counts must
+   add up inside any window.  The window covers foreground passes,
+   background steps and segments that empty by themselves. *)
+let test_accounting_identities () =
+  let config =
+    {
+      Helpers.test_config with
+      Lfs_core.Config.clean_stop = 30;
+      bg_clean_start = 20;
+      bg_clean_stop = 24;
+    }
+  in
+  let _, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
+  let m = Fs.metrics fs in
+  let prng = Prng.create ~seed:31 in
+  let path i = Printf.sprintf "/f%d" i in
+  (* Single-block overwrites fragment segments, so victims hold live
+     data the cleaner must read. *)
+  let scribble rounds =
+    for _ = 1 to rounds do
+      match Fs.resolve fs (path (10 + Prng.int prng 50)) with
+      | Some ino -> Fs.write fs ino ~off:(4096 * Prng.int prng 16) (Bytes.make 4096 's')
+      | None -> ()
+    done
+  in
+  for i = 0 to 59 do
+    Fs.write_path fs (path i) (Bytes.make 65_536 'f')
+  done;
+  scribble 300;
+  Fs.sync fs;
+  let start = Metrics.snapshot m in
+  (* Whole files deleted: their segments empty without cleaning. *)
+  for i = 0 to 9 do
+    Fs.unlink fs ~dir:Fs.root (Printf.sprintf "f%d" i)
+  done;
+  scribble 300;
+  for _ = 1 to 10 do
+    ignore (Fs.clean_step ~max_segments:1 fs)
+  done;
+  Fs.clean fs;
+  Fs.sync fs;
+  let w = Metrics.diff start (Metrics.snapshot m) in
+  let n name = int_of_float (Metrics.float_value w name) in
+  let samples name =
+    match Metrics.value w name with
+    | Some (Metrics.Summary { count; _ }) -> count
+    | _ -> Alcotest.failf "%s: expected a histogram" name
+  in
+  let fg = n "fs.cleaner.fg.segments" and bg = n "fs.cleaner.bg.segments" in
+  let empty = n "fs.cleaner.segments_cleaned_empty" in
+  Alcotest.(check bool)
+    (Printf.sprintf "window covers fg (%d), bg (%d) and empty (%d)" fg bg empty)
+    true
+    (fg > 0 && bg > 0 && empty > 0);
+  Alcotest.(check int) "cleaned = fg + bg + self-emptied"
+    (fg + bg + empty)
+    (n "fs.cleaner.segments_cleaned");
+  Alcotest.(check int) "one busy_s sample per checkpoint" (n "fs.checkpoints")
+    (samples "fs.checkpoint.busy_s");
+  Alcotest.(check int) "new + cleaner = sum over kinds"
+    (n "fs.log.blocks_new" + n "fs.log.blocks_cleaner")
+    (List.fold_left
+       (fun acc k ->
+         acc + n ("fs.log.blocks." ^ Lfs_core.Types.block_kind_name k))
+       0 Lfs_core.Types.all_block_kinds);
+  let fresh = float_of_int (n "fs.log.blocks_new") in
+  Alcotest.(check (float 1e-12)) "write cost is the hand formula"
+    ((fresh +. float_of_int (n "fs.log.blocks_cleaner" + n "fs.cleaner.blocks_read"))
+    /. fresh)
+    (Fs_stats.write_cost w)
 
 let suite =
   ( "obs",
@@ -299,8 +417,10 @@ let suite =
       Alcotest.test_case "unknown name" `Quick test_unknown_name;
       Alcotest.test_case "validate flags bad values" `Quick test_validate_flags_bad_values;
       Alcotest.test_case "report/json nan rendering" `Quick test_report_and_json_render_nan;
+      Alcotest.test_case "diff window" `Quick test_diff_window;
       Alcotest.test_case "write cost undefined" `Quick test_write_cost_undefined_without_fresh_data;
       Alcotest.test_case "fs write-cost gauge agrees" `Quick test_fs_write_cost_gauge_agrees;
       Alcotest.test_case "fs metrics cover layers" `Quick test_fs_metrics_cover_layers;
       Alcotest.test_case "fs metrics validate clean" `Quick test_fs_metrics_validate_clean;
+      Alcotest.test_case "accounting identities" `Quick test_accounting_identities;
     ] )

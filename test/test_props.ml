@@ -217,7 +217,6 @@ let prop_nvram_no_loss =
 module Vdev = Lfs_disk.Vdev
 module Vdev_stripe = Lfs_disk.Vdev_stripe
 module Vdev_cache = Lfs_disk.Vdev_cache
-module Vdev_trace = Lfs_disk.Vdev_trace
 module Geometry = Lfs_disk.Geometry
 
 let stripe_width = 4
@@ -324,7 +323,7 @@ let prop_cached_stack_matches_raw =
            (Vdev.read_blocks cached 0 cache_prop_blocks))
 
 (* A torn write must persist exactly the planned prefix, and the wrapper
-   (cache or trace) must not serve stale data for the torn tail. *)
+   must not serve stale data for the torn tail. *)
 let check_torn_write wrap (k, extra) =
   let disk = Disk.create (Geometry.instant ~blocks:256) in
   let dev = wrap disk in
@@ -370,12 +369,6 @@ let prop_torn_write_through_cache =
     (check_torn_write (fun disk ->
          Vdev_cache.vdev (Vdev_cache.create ~capacity:64 (Vdev.of_disk disk))))
 
-let prop_torn_write_through_trace =
-  QCheck.Test.make ~count:60
-    ~name:"torn writes propagate through Vdev_trace" arb_torn
-    (check_torn_write (fun disk ->
-         Vdev_trace.vdev (Vdev_trace.create (Vdev.of_disk disk))))
-
 (* ----- Submit/complete vs synchronous data equivalence ----- *)
 
 (* Scheduling lives purely on the time plane: a program of tagged
@@ -399,7 +392,7 @@ let print_sq = function
   | Sq_await -> "await"
   | Sq_drain -> "drain"
 
-let sq_stack_names = [| "plain"; "cache"; "stripe"; "trace"; "fault" |]
+let sq_stack_names = [| "plain"; "cache"; "stripe"; "fault" |]
 
 let sq_stack = function
   | 0 -> Vdev.of_disk (Disk.create (Geometry.instant ~blocks:sq_blocks))
@@ -411,10 +404,6 @@ let sq_stack = function
       Vdev_stripe.create
         (Array.init 4 (fun _ ->
              Vdev.of_disk (Disk.create (Geometry.instant ~blocks:(sq_blocks / 4)))))
-  | 3 ->
-      Vdev_trace.vdev
-        (Vdev_trace.create
-           (Vdev.of_disk (Disk.create (Geometry.instant ~blocks:sq_blocks))))
   | _ ->
       Vdev_fault.vdev
         (Vdev_fault.create
@@ -423,7 +412,7 @@ let sq_stack = function
 let arb_sq_prog =
   let gen =
     QCheck.Gen.(
-      pair (int_bound 4)
+      pair (int_bound 3)
         (list_size (int_range 1 50)
            (frequency
               [
@@ -503,6 +492,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_stripe_matches_single_disk;
       QCheck_alcotest.to_alcotest prop_cached_stack_matches_raw;
       QCheck_alcotest.to_alcotest prop_torn_write_through_cache;
-      QCheck_alcotest.to_alcotest prop_torn_write_through_trace;
       QCheck_alcotest.to_alcotest prop_queued_data_equivalence;
     ] )

@@ -194,7 +194,7 @@ let test_crash_during_cleaning () =
       done
     done;
     Fs.checkpoint fs;
-    Lfs_core.Fs_stats.segments_cleaned (Fs.stats fs)
+    Helpers.fs_total fs "fs.cleaner.segments_cleaned"
   in
   let probe = Helpers.fresh_disk ~blocks:1536 () in
   Lfs_core.Fs.format (Helpers.vdev probe) Helpers.test_config;

@@ -296,8 +296,8 @@ let test_metrics_scoping () =
   (* both shards publish their own fs instruments under their scopes *)
   ignore (value "shard0.fs.log.blocks_new");
   ignore (value "shard1.fs.log.blocks_new");
-  ignore (value "shard0.fs.cleaner.passes");
-  ignore (value "shard1.fs.cleaner.passes");
+  ignore (value "shard0.fs.cleaner.fg.passes");
+  ignore (value "shard1.fs.cleaner.bg.passes");
   (* the placement counters account for every create/mkdir: 10 files,
      the "m" dir, plus mirror shells (which are placed on the canonical
      path's shard and counted once each) *)
