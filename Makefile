@@ -79,8 +79,11 @@ ci:
 # Behaviour gate for refactors: export REV (git archive, so the checkout
 # is untouched), build it, and require byte-identical serve JSON (plain,
 # and with idle-time cleaning over an 8-deep queue) for every recipe in
-# SPECS, and byte-identical modelcheck JSON and crashtest reports for
-# every recipe in PRODUCT.  Any difference fails.
+# SPECS, and byte-identical modelcheck JSON, crashtest reports and
+# exercised stats JSON for every recipe in PRODUCT.  The stats run is
+# sized so the cleaner works: foreground and background passes,
+# promotion on tiered recipes, several checkpoints per shard.  Any
+# difference fails.
 #   make same REV=<rev>
 same:
 	@test -n "$(REV)" || { echo "usage: make same REV=<rev>" >&2; exit 2; }
@@ -98,6 +101,7 @@ same:
 	  for fs in $(PRODUCT); do \
 	    $$1 modelcheck --fs $$fs --seqs 3 --stride 5 --seed 1 --json > "$$2/model-$$fs.json"; \
 	    $$1 crashtest --fs $$fs --workload script --stride 7 --seed 1 > "$$2/crash-$$fs.txt"; \
+	    $$1 stats --fs $$fs --blocks 4096 --exercise 400 --json > "$$2/stats-$$fs.json"; \
 	  done; \
 	}; \
 	outputs "$$tmp/src/_build/default/bin/lfs_tool.exe" "$$tmp/old"; \

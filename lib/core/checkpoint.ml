@@ -2,12 +2,10 @@ module Codec = Lfs_util.Bytes_codec
 module Checksum = Lfs_util.Checksum
 module Vdev = Lfs_disk.Vdev
 
-type head_pos = { cur_seg : int; cur_off : int; next_seg : int }
-
 type t = {
   timestamp : float;
   log_seq : int;
-  heads : head_pos array;
+  heads : Log_writer.position array;
   imap_addrs : Types.baddr array;
   usage_addrs : Types.baddr array;
 }
@@ -29,9 +27,9 @@ let write layout disk ~region t =
   Codec.put_u32 c t.log_seq;
   Codec.put_u32 c (Array.length t.heads);
   Array.iter
-    (fun h ->
-      Codec.put_u32 c h.cur_seg;
-      Codec.put_u32 c h.cur_off;
+    (fun (h : Log_writer.position) ->
+      Codec.put_u32 c h.seg;
+      Codec.put_u32 c h.off;
       Codec.put_int c h.next_seg)
     t.heads;
   Codec.put_u32 c (Array.length t.imap_addrs);
@@ -62,10 +60,10 @@ let read layout disk ~region =
       let n_heads = Codec.get_u32 c in
       let heads =
         Array.init n_heads (fun _ ->
-            let cur_seg = Codec.get_u32 c in
-            let cur_off = Codec.get_u32 c in
+            let seg = Codec.get_u32 c in
+            let off = Codec.get_u32 c in
             let next_seg = Codec.get_int c in
-            { cur_seg; cur_off; next_seg })
+            { Log_writer.seg; off; next_seg })
       in
       let n_imap = Codec.get_u32 c in
       let n_usage = Codec.get_u32 c in

@@ -10,16 +10,10 @@
     whole-region checksum stands in for the paper's "time in the last
     block" trick — a torn region write simply fails validation. *)
 
-type head_pos = {
-  cur_seg : int;   (** segment this head is filling *)
-  cur_off : int;   (** next free slot in that segment *)
-  next_seg : int;  (** the head's reserved successor segment *)
-}
-
 type t = {
   timestamp : float;  (** logical clock at checkpoint time *)
   log_seq : int;      (** next log-write sequence number (shared) *)
-  heads : head_pos array;  (** one position per write head, by index *)
+  heads : Log_writer.position array;  (** one per write head, by index *)
   imap_addrs : Types.baddr array;
   usage_addrs : Types.baddr array;
 }

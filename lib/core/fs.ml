@@ -143,6 +143,41 @@ let note_written acct kind ~cleaner =
   Metrics.incr acct.log_blocks.(Types.block_kind_to_int kind);
   if cleaner then Metrics.incr acct.log_cleaner
 
+(* The inode map and the usage table reach the log the same way
+   (Section 4.1): as numbered blocks, each rewritten whole, whose
+   addresses the checkpoint region records. *)
+type table = {
+  kind : Types.block_kind;
+  nblocks : int;
+  addr : int -> Types.baddr;
+  set_addr : int -> Types.baddr -> unit;
+  dirty : unit -> int list;
+  encode : int -> bytes;
+  clear_dirty : int -> unit;
+}
+
+let imap_table m =
+  {
+    kind = Types.Imap;
+    nblocks = Inode_map.nblocks m;
+    addr = Inode_map.block_addr m;
+    set_addr = Inode_map.set_block_addr m;
+    dirty = (fun () -> Inode_map.dirty_blocks m);
+    encode = Inode_map.encode_block m;
+    clear_dirty = Inode_map.clear_block_dirty m;
+  }
+
+let usage_table u =
+  {
+    kind = Types.Seg_usage;
+    nblocks = Seg_usage.nblocks u;
+    addr = Seg_usage.block_addr u;
+    set_addr = Seg_usage.set_block_addr u;
+    dirty = (fun () -> Seg_usage.dirty_blocks u);
+    encode = Seg_usage.encode_block u;
+    clear_dirty = Seg_usage.clear_block_dirty u;
+  }
+
 type t = {
   disk : Vdev.t;  (* the device the caller handed us (may itself be a stack) *)
   cache : Vdev_cache.t;
@@ -151,13 +186,13 @@ type t = {
   mutable config : Config.t;
   imap : Inode_map.t;
   usage : Seg_usage.t;
+  tables : table list;  (* the imap's, then the usage table's *)
   log : Log_writer.t;
   handles : (Types.ino, handle) Hashtbl.t;
   dirty_data : (Types.ino * int, bytes) Hashtbl.t;
   mutable dirty_count : int;
   mutable pending_dirops : Dir_log.record list;  (* newest first *)
-  reusable : int list ref;  (* checkpoint-persisted clean segments *)
-  reusable_len : int ref;
+  pool : Seg_pool.t;
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
   acct : acct;
   mutable clock : float;
@@ -169,7 +204,6 @@ type t = {
   mutable in_checkpoint : bool;
   mutable checkpoint_hook : unit -> unit;
   log_batch_hook : (blocks:int -> unit) ref;
-  cleaning_victims : (int, unit) Hashtbl.t;
   rng : Prng.t;
   obs : obs;
   tier : Vdev_tier.t option;
@@ -220,9 +254,7 @@ let kill_addr t addr ~bytes =
   Seg_usage.kill t.usage seg ~bytes;
   (* A segment whose last live byte dies is reclaimed without cleaning
      (Section 3.6); Table 2 counts such segments as cleaned-empty. *)
-  if
-    Seg_usage.live_bytes t.usage seg = 0
-    && not (Hashtbl.mem t.cleaning_victims seg)
+  if Seg_usage.live_bytes t.usage seg = 0 && not (Seg_pool.is_victim t.pool seg)
   then Metrics.incr t.acct.self_emptied
 
 (* Every log append goes through here so traffic is attributed — and
@@ -305,8 +337,7 @@ let note_tier_read t addr =
         if
           seg >= 0
           && seg < Vdev_tier.nchunks ti
-          && (not (List.mem seg active))
-          && (not (Hashtbl.mem t.cleaning_victims seg))
+          && (not (Seg_pool.pinned t.pool ~active seg))
           && Vdev_tier.chunk_tier ti seg = Vdev_tier.Slow
         then begin
           let n =
@@ -319,15 +350,9 @@ let note_tier_read t addr =
               (* Free pool drained: swap with a clean fast-mapped segment
                  (overwrite-safe by the checkpoint rule), which lands on
                  the slow tier as demotion capacity in the same move. *)
-              let donor_ok s =
-                s <> seg
-                && (not (List.mem s active))
-                && (not (Hashtbl.mem t.cleaning_victims s))
-                && Vdev_tier.chunk_tier ti s = Vdev_tier.Fast
-              in
-              match List.filter donor_ok !(t.reusable) with
+              match Seg_pool.donors t.pool ~active Vdev_tier.Fast with
               (* Keep at least one fast clean segment in reserve for the
-                 write head — promotion must not starve [pick_clean]. *)
+                 write head — promotion must not starve {!Seg_pool.pick}. *)
               | d :: _ :: _ -> Vdev_tier.swap ti ~chunk:seg ~dead:d
               | _ -> false
           in
@@ -485,13 +510,25 @@ let sync t =
 
 (* {1 Checkpoints} *)
 
-let refresh_reusable t =
-  let active = Log_writer.active_segments t.log in
-  t.reusable :=
-    List.filter
-      (fun s -> not (List.mem s active))
-      (Seg_usage.clean_segments t.usage);
-  t.reusable_len := List.length !(t.reusable)
+let refresh_pool t =
+  Seg_pool.refresh t.pool t.usage ~active:(Log_writer.active_segments t.log)
+
+(* Append a fresh copy of table block [i] and kill the old one.  The
+   block self-describes accounting that appending it changes, so its
+   payload is rendered lazily at batch-write time, and rendering clears
+   its dirty flag. *)
+let rewrite_table_block t tb i =
+  let old = tb.addr i in
+  let fresh =
+    append_block t ~kind:tb.kind ~ino:0 ~blockno:i ~version:0 ~mtime:t.clock
+      (Log_writer.Lazy
+         (fun () ->
+           let b = tb.encode i in
+           tb.clear_dirty i;
+           b))
+  in
+  tb.set_addr i fresh;
+  if old <> Types.nil_addr then kill_addr t old ~bytes:(block_size t)
 
 let checkpoint t =
   if t.in_checkpoint then ()
@@ -507,51 +544,18 @@ let checkpoint t =
           (float_of_int d.Io_stats.blocks_written))
       (fun () ->
         flush_internal t ~cleaner:false;
-        (* Imap and usage blocks self-describe accounting that appending
-           them changes, so payloads are rendered lazily at batch-write
-           time and the dirty flag is cleared when the payload is
-           rendered.  A batch may auto-sync mid-cycle, in which case the
-           cycle's later appends re-dirty already-written blocks — so
+        (* A batch may auto-sync mid-cycle, in which case the cycle's
+           later appends re-dirty already-written table blocks — so
            cycles repeat until a whole cycle lands in one batch and
            nothing is dirty after the sync. *)
         let cycles = ref 0 in
-        let dirty_remains () =
-          Inode_map.dirty_blocks t.imap <> [] || Seg_usage.dirty_blocks t.usage <> []
-        in
-        while dirty_remains () do
+        while List.exists (fun tb -> tb.dirty () <> []) t.tables do
           incr cycles;
           if !cycles > 100 then
             Types.corrupt "checkpoint: metadata flush failed to converge";
           List.iter
-            (fun i ->
-              let old = Inode_map.block_addr t.imap i in
-              let fresh =
-                append_block t ~kind:Types.Imap ~ino:0 ~blockno:i ~version:0
-                  ~mtime:t.clock
-                  (Log_writer.Lazy
-                     (fun () ->
-                       let b = Inode_map.encode_block t.imap i in
-                       Inode_map.clear_block_dirty t.imap i;
-                       b))
-              in
-              Inode_map.set_block_addr t.imap i fresh;
-              if old <> Types.nil_addr then kill_addr t old ~bytes:(block_size t))
-            (Inode_map.dirty_blocks t.imap);
-          List.iter
-            (fun i ->
-              let old = Seg_usage.block_addr t.usage i in
-              let fresh =
-                append_block t ~kind:Types.Seg_usage ~ino:0 ~blockno:i
-                  ~version:0 ~mtime:t.clock
-                  (Log_writer.Lazy
-                     (fun () ->
-                       let b = Seg_usage.encode_block t.usage i in
-                       Seg_usage.clear_block_dirty t.usage i;
-                       b))
-              in
-              Seg_usage.set_block_addr t.usage i fresh;
-              if old <> Types.nil_addr then kill_addr t old ~bytes:(block_size t))
-            (Seg_usage.dirty_blocks t.usage);
+            (fun tb -> List.iter (rewrite_table_block t tb) (tb.dirty ()))
+            t.tables;
           Log_writer.sync t.log
         done;
         (* The checkpoint region must not land ahead of the log blocks
@@ -561,15 +565,7 @@ let checkpoint t =
           {
             Checkpoint.timestamp = t.clock;
             log_seq = Log_writer.seq t.log;
-            heads =
-              Array.map
-                (fun (p : Log_writer.position) ->
-                  {
-                    Checkpoint.cur_seg = p.Log_writer.pos_seg;
-                    cur_off = p.Log_writer.pos_off;
-                    next_seg = p.Log_writer.pos_next;
-                  })
-                (Log_writer.positions t.log);
+            heads = Log_writer.positions t.log;
             imap_addrs =
               Array.init (Inode_map.nblocks t.imap) (Inode_map.block_addr t.imap);
             usage_addrs =
@@ -581,7 +577,7 @@ let checkpoint t =
         t.ops_since_ckpt <- 0;
         t.blocks_since_ckpt <- 0;
         Metrics.incr t.acct.checkpoints;
-        refresh_reusable t;
+        refresh_pool t;
         maybe_evict_handles t;
         t.checkpoint_hook ())
   end
@@ -610,38 +606,6 @@ let clean_start_effective t =
 
 let clean_stop_effective t =
   max (t.config.Config.clean_stop + head_reserve t) (clean_start_effective t + 2)
-
-(* Parse every log write found in a victim segment's in-memory image.
-   Stale summaries from a previous life of the segment may survive here;
-   the entries they describe simply fail the liveness checks. *)
-let parse_segment_image t ~seg buf =
-  let bs = block_size t in
-  let seg_blocks = t.layout.Layout.seg_blocks in
-  let results = ref [] in
-  let rec walk slot =
-    if slot <= seg_blocks - 2 then begin
-      let sum_block = Bytes.sub buf (slot * bs) bs in
-      match Summary.decode sum_block with
-      | None -> ()
-      | Some s ->
-          if s.Summary.seg <> seg || s.Summary.slot <> slot then ()
-          else begin
-            let n = List.length s.Summary.entries in
-            if slot + 1 + n > seg_blocks then ()
-            else begin
-              List.iteri
-                (fun i e ->
-                  let addr = Layout.seg_first_block t.layout seg + slot + 1 + i in
-                  let payload = Bytes.sub buf ((slot + 1 + i) * bs) bs in
-                  results := (e, addr, payload) :: !results)
-                s.Summary.entries;
-              walk (Summary.next_slot s)
-            end
-          end
-    end
-  in
-  walk 0;
-  List.rev !results
 
 (* Read [addrs] into [prefetched], coalescing consecutive addresses into
    one ranged read each.  Runs contain exactly the requested blocks (no
@@ -674,45 +638,24 @@ let prefetch_runs t ~prefetched addrs =
   in
   go addrs
 
-(* Live-blocks cleaning: walk the summary chain, handing out payload
-   thunks that serve from [prefetched] when the coalescing pass already
-   pulled the block in, and fall back to a single cached read otherwise
-   — the device is only ever charged for blocks actually needed
-   (Section 3.4's untried idea). *)
-let parse_segment_chain_live t ~prefetched ~seg =
-  let seg_blocks = t.layout.Layout.seg_blocks in
+(* Every log write a victim's summary chain describes, as (entry,
+   address, payload thunk) triples; [read] fetches the block at an
+   address.  The cleaner applies no sequence rule: a stale summary from a
+   previous life of the segment, sitting where the chain continues, is
+   walked too, and the entries it describes simply fail the liveness
+   checks. *)
+let victim_entries t ~seg ~read ~payload =
   let first = Layout.seg_first_block t.layout seg in
   let results = ref [] in
-  let rec walk slot =
-    if slot <= seg_blocks - 2 then begin
-      Metrics.incr t.acct.cleaner_read;
-      let sum_block = Vdev.read_block t.dev (first + slot) in
-      match Summary.decode sum_block with
-      | None -> ()
-      | Some su ->
-          if su.Summary.seg <> seg || su.Summary.slot <> slot then ()
-          else begin
-            let n = List.length su.Summary.entries in
-            if slot + 1 + n > seg_blocks then ()
-            else begin
-              List.iteri
-                (fun i e ->
-                  let addr = first + slot + 1 + i in
-                  let payload () =
-                    match Hashtbl.find_opt prefetched addr with
-                    | Some b -> b
-                    | None ->
-                        Metrics.incr t.acct.cleaner_read;
-                        Vdev.read_block t.dev addr
-                  in
-                  results := (e, addr, payload) :: !results)
-                su.Summary.entries;
-              walk (Summary.next_slot su)
-            end
-          end
-    end
-  in
-  walk 0;
+  Summary.walk_segment ~seg_blocks:t.layout.Layout.seg_blocks ~seg
+    ~read:(fun slot -> read (first + slot))
+    (fun s ->
+      List.iteri
+        (fun i e ->
+          let addr = first + s.Summary.slot + 1 + i in
+          results := (e, addr, payload addr) :: !results)
+        s.Summary.entries;
+      true);
   List.rev !results
 
 type live_item =
@@ -727,8 +670,7 @@ type live_item =
     }
   | Live_indirect of { ino : Types.ino; sblockno : int }
   | Live_inode of Types.ino
-  | Live_imap_block of int
-  | Live_usage_block of int
+  | Live_table_block of table * int
 
 (* Liveness tests of Section 3.3: version (uid) first — a stale version
    discards the block with no further IO — then the block pointer. *)
@@ -783,19 +725,11 @@ let classify_live t (e : Summary.entry) addr payload =
             then acc := Live_inode ino :: !acc
       done;
       List.rev !acc
-  | Types.Imap ->
-      if
-        e.Summary.blockno >= 0
-        && e.Summary.blockno < Inode_map.nblocks t.imap
-        && Inode_map.block_addr t.imap e.Summary.blockno = addr
-      then [ Live_imap_block e.Summary.blockno ]
-      else []
-  | Types.Seg_usage ->
-      if
-        e.Summary.blockno >= 0
-        && e.Summary.blockno < Seg_usage.nblocks t.usage
-        && Seg_usage.block_addr t.usage e.Summary.blockno = addr
-      then [ Live_usage_block e.Summary.blockno ]
+  | Types.Imap | Types.Seg_usage ->
+      let tb = List.find (fun tb -> tb.kind = e.Summary.kind) t.tables in
+      let i = e.Summary.blockno in
+      if i >= 0 && i < tb.nblocks && tb.addr i = addr then
+        [ Live_table_block (tb, i) ]
       else []
 
 let relocate_item t item =
@@ -817,37 +751,12 @@ let relocate_item t item =
   | Live_inode ino ->
       let h = get_handle t ino in
       h.inode_dirty <- true
-  | Live_imap_block i ->
-      let old = Inode_map.block_addr t.imap i in
-      let fresh =
-        append_block t ~kind:Types.Imap ~ino:0 ~blockno:i ~version:0
-          ~mtime:t.clock
-          (Log_writer.Lazy
-             (fun () ->
-               let b = Inode_map.encode_block t.imap i in
-               Inode_map.clear_block_dirty t.imap i;
-               b))
-      in
-      Inode_map.set_block_addr t.imap i fresh;
-      if old <> Types.nil_addr then kill_addr t old ~bytes:(block_size t)
-  | Live_usage_block i ->
-      let old = Seg_usage.block_addr t.usage i in
-      let fresh =
-        append_block t ~kind:Types.Seg_usage ~ino:0 ~blockno:i ~version:0
-          ~mtime:t.clock
-          (Log_writer.Lazy
-             (fun () ->
-               let b = Seg_usage.encode_block t.usage i in
-               Seg_usage.clear_block_dirty t.usage i;
-               b))
-      in
-      Seg_usage.set_block_addr t.usage i fresh;
-      if old <> Types.nil_addr then kill_addr t old ~bytes:(block_size t)
+  | Live_table_block (tb, i) -> rewrite_table_block t tb i
 
 let clean_victims t ~bg victims =
   (* Read the victims and identify live data across all of them, then
      write the survivors out grouped by the mount-time policy. *)
-  List.iter (fun seg -> Hashtbl.replace t.cleaning_victims seg ()) victims;
+  Seg_pool.cleaning t.pool victims @@ fun () ->
   Metrics.incr (if bg then t.obs.bg_passes else t.obs.fg_passes);
   Metrics.incr
     ~by:(List.length victims)
@@ -866,17 +775,29 @@ let clean_victims t ~bg victims =
         let entries =
           match t.config.Config.cleaner_read with
           | Config.Whole_segment ->
-              let buf =
-                Vdev.read_blocks t.dev
-                  (Layout.seg_first_block t.layout seg)
-                  t.layout.Layout.seg_blocks
-              in
+              let first = Layout.seg_first_block t.layout seg in
+              let buf = Vdev.read_blocks t.dev first t.layout.Layout.seg_blocks in
               Metrics.incr ~by:t.layout.Layout.seg_blocks t.acct.cleaner_read;
-              List.map
-                (fun (e, addr, payload) -> (e, addr, fun () -> payload))
-                (parse_segment_image t ~seg buf)
+              let bs = block_size t in
+              let block addr = Bytes.sub buf ((addr - first) * bs) bs in
+              victim_entries t ~seg ~read:block ~payload:(fun addr () ->
+                  block addr)
           | Config.Live_blocks ->
-              let entries = parse_segment_chain_live t ~prefetched ~seg in
+              (* Payload thunks serve from [prefetched] when a coalescing
+                 pass already pulled the block in, and fall back to a
+                 single cached read otherwise — the device is only ever
+                 charged for blocks actually needed (Section 3.4's
+                 untried idea). *)
+              let read addr =
+                Metrics.incr t.acct.cleaner_read;
+                Vdev.read_block t.dev addr
+              in
+              let entries =
+                victim_entries t ~seg ~read ~payload:(fun addr () ->
+                    match Hashtbl.find_opt prefetched addr with
+                    | Some b -> b
+                    | None -> read addr)
+              in
               (* Classification decodes inode blocks immediately; pull
                  them in as coalesced runs before it starts. *)
               prefetch_runs t ~prefetched
@@ -925,8 +846,7 @@ let clean_victims t ~bg victims =
         Types.corrupt "segment %d still has %d live bytes after cleaning" seg
           left;
       Seg_usage.set_clean t.usage seg)
-    victims;
-  Hashtbl.reset t.cleaning_victims
+    victims
 
 (* A background pass must compact, not merely copy: relocating a
    (nearly) fully-live segment consumes as much clean space as it frees,
@@ -950,7 +870,8 @@ let clean_pass t ~bg ~max_victims ~candidates =
   let scored =
     !candidates
     |> List.filter (fun s ->
-           (not (List.mem s active)) && Seg_usage.live_bytes t.usage s > 0)
+           (not (Seg_pool.pinned t.pool ~active s))
+           && Seg_usage.live_bytes t.usage s > 0)
     |> List.map (fun s ->
            {
              Cleaner.seg = s;
@@ -967,7 +888,7 @@ let clean_pass t ~bg ~max_victims ~candidates =
      so a cost-benefit (or ablation) policy that favours old nearly-full
      segments cannot starve the writer of clean segments. *)
   let policy =
-    if !(t.reusable_len) < flush_need t then Config.Greedy
+    if Seg_pool.length t.pool < flush_need t then Config.Greedy
     else t.config.Config.cleaning_policy
   in
   let victims =
@@ -979,7 +900,7 @@ let clean_pass t ~bg ~max_victims ~candidates =
      so bound the pass by what the reusable pool can absorb, keeping one
      segment of slack for the checkpoint and 30% headroom for the inode
      and indirect blocks rewritten alongside the relocated data. *)
-  let budget = Float.max 0.7 (float_of_int (!(t.reusable_len) - 1)) in
+  let budget = Float.max 0.7 (float_of_int (Seg_pool.length t.pool - 1)) in
   let victims =
     let acc = ref 0.0 in
     List.filter
@@ -1116,8 +1037,7 @@ let demote_step ?max_segments t =
       else begin
         let active = Log_writer.active_segments t.log in
         let eligible s =
-          (not (List.mem s active))
-          && (not (Hashtbl.mem t.cleaning_victims s))
+          (not (Seg_pool.pinned t.pool ~active s))
           && Seg_usage.live_bytes t.usage s > 0
           && Vdev_tier.chunk_tier ti s = Vdev_tier.Fast
         in
@@ -1138,12 +1058,7 @@ let demote_step ?max_segments t =
            the write head — demotion and head placement in one move).
            Reusable segments are overwrite-safe by the checkpoint rule,
            exactly the contract [swap] asks for. *)
-        let donor_ok s =
-          (not (List.mem s active))
-          && (not (Hashtbl.mem t.cleaning_victims s))
-          && Vdev_tier.chunk_tier ti s = Vdev_tier.Slow
-        in
-        let donors = ref (List.filter donor_ok !(t.reusable)) in
+        let donors = ref (Seg_pool.donors t.pool ~active Vdev_tier.Slow) in
         let capacity () =
           Vdev_tier.free_chunks ti ~tier:Vdev_tier.Slow + List.length !donors
         in
@@ -1206,14 +1121,14 @@ let demote_step ?max_segments t =
    hits the emergency [clean] stall.  Paying for the checkpoint here
    keeps it in the idle window. *)
 let clean_step ?max_segments t =
-  (* The gap must clear 2 per write head because [refresh_reusable]
+  (* The gap must clear 2 per write head because the pool's refresh
      always excludes every head's current and reserved segments — a
      smaller gap means a checkpoint would recover nothing, and firing on
      it would checkpoint on every idle step, forever. *)
   if
     (not t.in_cleaner)
-    && !(t.reusable_len) < bg_clean_stop_effective t
-    && clean_segment_count t - !(t.reusable_len) > 2 * t.config.Config.log_heads
+    && Seg_pool.length t.pool < bg_clean_stop_effective t
+    && clean_segment_count t - Seg_pool.length t.pool > 2 * t.config.Config.log_heads
   then checkpoint t;
   let owed = bg_clean_step ?max_segments t in
   if owed > 0 then owed else demote_step ?max_segments t
@@ -1227,6 +1142,12 @@ let drop_caches t =
 
 (* {1 Operation epilogue} *)
 
+(* The foreground trigger: the pool can no longer absorb what the next
+   buffer flushes may need. *)
+let maybe_clean t =
+  if (not t.in_cleaner) && Seg_pool.length t.pool < clean_start_effective t
+  then clean t
+
 let finish_op t =
   t.ops_since_ckpt <- t.ops_since_ckpt + 1;
   if
@@ -1236,8 +1157,7 @@ let finish_op t =
        || (t.config.Config.checkpoint_interval_blocks > 0
           && t.blocks_since_ckpt >= t.config.Config.checkpoint_interval_blocks))
   then checkpoint t;
-  if (not t.in_cleaner) && !(t.reusable_len) < clean_start_effective t then
-    clean t
+  maybe_clean t
 
 (* {1 File IO} *)
 
@@ -1274,8 +1194,7 @@ let write_blocks_of t h ino ~off data =
     h.inode.Inode.size <- max h.inode.Inode.size hi;
     if t.dirty_count >= t.config.Config.write_buffer_blocks then begin
       flush_internal t ~cleaner:false;
-      if (not t.in_cleaner) && !(t.reusable_len) < clean_start_effective t
-      then clean t
+      maybe_clean t
     end
   done
 
@@ -1398,8 +1317,7 @@ let set_dir_contents t ino d =
   h.content <- Some fresh;
   if t.dirty_count >= t.config.Config.write_buffer_blocks then begin
     flush_internal t ~cleaner:false;
-    if (not t.in_cleaner) && !(t.reusable_len) < clean_start_effective t
-    then clean t
+    maybe_clean t
   end
 
 let lookup t ~dir name = Directory.find (dir_contents t dir) name
@@ -1635,8 +1553,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
         invalid_arg
           "Fs: tier geometry does not match the layout (chunks must equal \
            segments)");
-  let reusable = ref [] in
-  let reusable_len = ref 0 in
+  let pool = Seg_pool.create tier in
   let cleaner_attr = ref false in
   let obs = make_obs ?metrics () in
   let cache = Vdev_cache.create ~capacity:config.Config.cache_blocks disk in
@@ -1644,44 +1561,6 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
   Vdev.register_metrics obs.metrics disk;
   Vdev_cache.register_metrics obs.metrics cache;
   let acct = make_acct obs.metrics in
-  let pick_clean ~exclude =
-    let rec pop ~want acc = function
-      | [] -> None
-      | s :: rest ->
-          if List.mem s exclude || not (want s) then pop ~want (s :: acc) rest
-          else begin
-            reusable := List.rev_append acc rest;
-            decr reusable_len;
-            Some s
-          end
-    in
-    let any s = ignore s; true in
-    let picked =
-      match tier with
-      | None -> pop ~want:any [] !reusable
-      | Some ti -> (
-          (* Keep the write head on the fast tier: prefer a clean segment
-             already placed there; otherwise take any and re-point it at a
-             free fast chunk without copying (its contents are dead) —
-             which also recycles the slow chunk into demotion capacity.
-             With no free fast chunk the log simply writes to the slow
-             tier; correct, and the next demotion pass frees fast space. *)
-          let on_fast s = Vdev_tier.chunk_tier ti s = Vdev_tier.Fast in
-          match pop ~want:(fun s -> on_fast s) [] !reusable with
-          | Some s -> Some s
-          | None -> (
-              match pop ~want:any [] !reusable with
-              | None -> None
-              | Some s ->
-                  ignore (Vdev_tier.rehome ti ~chunk:s ~target:Vdev_tier.Fast);
-                  Some s))
-    in
-    match picked with
-    | Some s -> s
-    | None ->
-        Types.fs_error
-          "log is out of clean segments (disk full or checkpoint-starved)"
-  in
   let on_append kind ~seg ~mtime =
     let bytes =
       match kind with
@@ -1700,7 +1579,8 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
     !log_batch_hook ~blocks
   in
   let log =
-    Log_writer.create layout dev ~pick_clean ~on_append ~on_batch ~heads ~seq
+    Log_writer.create layout dev ~pick_clean:(Seg_pool.pick pool) ~on_append
+      ~on_batch ~heads ~seq
   in
   let t =
     {
@@ -1711,13 +1591,13 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       config;
       imap;
       usage;
+      tables = [ imap_table imap; usage_table usage ];
       log;
       handles = Hashtbl.create 256;
       dirty_data = Hashtbl.create 256;
       dirty_count = 0;
       pending_dirops = [];
-      reusable;
-      reusable_len;
+      pool;
       cleaner_attr;
       acct;
       clock;
@@ -1729,7 +1609,6 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       in_checkpoint = false;
       checkpoint_hook = (fun () -> ());
       log_batch_hook;
-      cleaning_victims = Hashtbl.create 16;
       rng = Prng.create ~seed:0x5EED;
       obs;
       tier;
@@ -1737,7 +1616,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
     }
   in
   register_fs_metrics t;
-  refresh_reusable t;
+  refresh_pool t;
   t
 
 let format disk cfg =
@@ -1749,22 +1628,16 @@ let format disk cfg =
   let layout = sb.Superblock.layout in
   let imap = Inode_map.create layout in
   let usage = Seg_usage.create layout in
-  (* Head i starts writing segment 2i with 2i+1 reserved. *)
-  let nheads = cfg.Config.log_heads in
+  (* Head i starts writing segment 2i with 2i+1 reserved; on a fresh
+     disk every other segment is in the pool. *)
   let heads =
-    Array.init nheads (fun i ->
-        { Log_writer.pos_seg = 2 * i; pos_off = 0; pos_next = (2 * i) + 1 })
+    Array.init cfg.Config.log_heads (fun i ->
+        { Log_writer.seg = 2 * i; off = 0; next_seg = (2 * i) + 1 })
   in
   let t =
     make_t disk sb ~config:cfg ~imap ~usage ~heads ~seq:1 ~clock:1.0
       ~ckpt_region:0
   in
-  (* Fresh disk: every segment not pinned by a head is writable. *)
-  t.reusable :=
-    List.filter
-      (fun s -> s >= 2 * nheads)
-      (List.init layout.Layout.nsegs (fun i -> i));
-  t.reusable_len := List.length !(t.reusable);
   let ino = Inode_map.allocate t.imap in
   assert (ino = Types.root_ino);
   let inode = Inode.create ~ino ~ftype:Types.Directory ~mtime:(tick t) in
@@ -1781,52 +1654,36 @@ let format disk cfg =
   set_dir_contents t ino Directory.empty;
   checkpoint t
 
-let mount ?config ?metrics ?tier disk =
+(* The one way onto a formatted volume, for [mount] and [recover]:
+   superblock, geometry guard, newest checkpoint region, then where the
+   heads stand — at the checkpoint, or past it with [roll_forward], whose
+   scan reads the log before the tables load — then the inode map and
+   usage table.  Segments holding post-checkpoint writes look clean in
+   the checkpoint's usage table but contain the data being recovered;
+   they stay out of the pool until the adjusted table says so. *)
+let open_volume ~caller ~roll_forward ?config ?metrics ?tier disk =
   let sb = Superblock.load disk in
   let layout = sb.Superblock.layout in
-  let cfg = Option.value ~default:sb.Superblock.config config in
-  if cfg.Config.block_size <> sb.Superblock.config.Config.block_size
-     || cfg.Config.seg_blocks <> sb.Superblock.config.Config.seg_blocks
-     || cfg.Config.max_inodes <> sb.Superblock.config.Config.max_inodes
-     || cfg.Config.log_heads <> sb.Superblock.config.Config.log_heads
-  then invalid_arg "Fs.mount: geometry fields cannot be overridden";
+  let fixed = sb.Superblock.config in
+  let cfg = Option.value ~default:fixed config in
+  if cfg.Config.block_size <> fixed.Config.block_size
+     || cfg.Config.seg_blocks <> fixed.Config.seg_blocks
+     || cfg.Config.max_inodes <> fixed.Config.max_inodes
+     || cfg.Config.log_heads <> fixed.Config.log_heads
+  then invalid_arg (caller ^ ": geometry fields cannot be overridden");
   match Checkpoint.read_latest layout disk with
   | None -> Types.corrupt "no valid checkpoint region: not a formatted LFS"
   | Some (region, ck) ->
-      let read = Vdev.read_block disk in
-      let imap =
-        Inode_map.load layout ~read ~block_addrs:ck.Checkpoint.imap_addrs
+      let log =
+        if roll_forward then Recovery.scan layout disk ~ckpt:ck
+        else
+          {
+            Recovery.writes = [];
+            tails = ck.Checkpoint.heads;
+            next_seq = ck.Checkpoint.log_seq;
+            segments_scanned = 0;
+          }
       in
-      let usage =
-        Seg_usage.load layout ~read ~block_addrs:ck.Checkpoint.usage_addrs
-      in
-      let heads =
-        Array.map
-          (fun (h : Checkpoint.head_pos) ->
-            {
-              Log_writer.pos_seg = h.Checkpoint.cur_seg;
-              pos_off = h.Checkpoint.cur_off;
-              pos_next = h.Checkpoint.next_seg;
-            })
-          ck.Checkpoint.heads
-      in
-      make_t ?metrics ?tier disk sb ~config:cfg ~imap ~usage ~heads
-        ~seq:ck.Checkpoint.log_seq
-        ~clock:(ck.Checkpoint.timestamp +. 1.0)
-        ~ckpt_region:(1 - region)
-
-let unmount t = checkpoint t
-
-(* {1 Roll-forward} *)
-
-let recover ?config ?metrics ?tier disk =
-  let sb = Superblock.load disk in
-  let layout = sb.Superblock.layout in
-  let cfg = Option.value ~default:sb.Superblock.config config in
-  match Checkpoint.read_latest layout disk with
-  | None -> Types.corrupt "no valid checkpoint region: not a formatted LFS"
-  | Some (region, ck) ->
-      let scan = Recovery.scan layout disk ~ckpt:ck in
       let read = Vdev.read_block disk in
       let imap =
         Inode_map.load layout ~read ~block_addrs:ck.Checkpoint.imap_addrs
@@ -1837,316 +1694,312 @@ let recover ?config ?metrics ?tier disk =
       let newest_ts =
         List.fold_left
           (fun acc w -> Float.max acc w.Recovery.summary.Summary.timestamp)
-          ck.Checkpoint.timestamp scan.Recovery.writes
-      in
-      let heads =
-        Array.map
-          (fun (tl : Recovery.tail) ->
-            {
-              Log_writer.pos_seg = tl.Recovery.tail_seg;
-              pos_off = tl.Recovery.tail_off;
-              pos_next = tl.Recovery.tail_next_seg;
-            })
-          scan.Recovery.tails
+          ck.Checkpoint.timestamp log.Recovery.writes
       in
       let t =
-        make_t ?metrics ?tier disk sb ~config:cfg ~imap ~usage ~heads
-          ~seq:scan.Recovery.next_seq
-          ~clock:(newest_ts +. 1.0)
-          ~ckpt_region:(1 - region)
+        make_t ?metrics ?tier disk sb ~config:cfg ~imap ~usage
+          ~heads:log.Recovery.tails ~seq:log.Recovery.next_seq
+          ~clock:(newest_ts +. 1.0) ~ckpt_region:(1 - region)
       in
-      (* Segments holding post-checkpoint writes look clean in the
-         checkpoint's usage table but contain the data being recovered;
-         they must not be handed out for writing until the adjusted
-         usage table says so. *)
       let touched = Hashtbl.create 8 in
-      Array.iter
-        (fun (tl : Recovery.tail) ->
-          Hashtbl.replace touched tl.Recovery.tail_seg ())
-        scan.Recovery.tails;
       List.iter
         (fun w -> Hashtbl.replace touched w.Recovery.summary.Summary.seg ())
-        scan.Recovery.writes;
-      t.reusable := List.filter (fun s -> not (Hashtbl.mem touched s)) !(t.reusable);
-      t.reusable_len := List.length !(t.reusable);
-      let bs = block_size t in
-      (* Phase 1: the latest recovered copy of each inode wins.
-         [recovered_seq] remembers which log write carried it, so dirop
-         replay can tell a re-created incarnation from a stale copy of a
-         dead one (see [survives_reuse] below). *)
-      let recovered : (Types.ino, Types.Iaddr.t) Hashtbl.t = Hashtbl.create 64 in
-      let recovered_seq : (Types.ino, int) Hashtbl.t = Hashtbl.create 64 in
-      let dirlogs = ref [] in
-      let data_blocks = ref 0 in
-      List.iter
-        (fun w ->
-          List.iteri
-            (fun i (e : Summary.entry) ->
-              let addr = Summary.entry_addr w.Recovery.summary t.layout i in
-              match e.Summary.kind with
-              | Types.Inode_block ->
-                  let payload = List.assoc i w.Recovery.blocks in
-                  for slot = 0 to t.layout.Layout.inodes_per_block - 1 do
-                    match Inode.decode payload ~slot with
-                    | None -> ()
-                    | Some inode ->
-                        Hashtbl.replace recovered inode.Inode.ino
-                          (Types.Iaddr.make ~block:addr ~slot);
-                        Hashtbl.replace recovered_seq inode.Inode.ino
-                          w.Recovery.summary.Summary.seq
-                  done
-              | Types.Data -> incr data_blocks
-              | Types.Dir_log ->
-                  let payload = List.assoc i w.Recovery.blocks in
-                  dirlogs :=
-                    List.rev_append
-                      (List.map
-                         (fun r -> (w.Recovery.summary.Summary.seq, r))
-                         (Dir_log.decode_block payload))
-                      !dirlogs
-              | Types.Indirect | Types.Dindirect | Types.Imap
-              | Types.Seg_usage | Types.Summary ->
-                  ())
-            w.Recovery.summary.Summary.entries)
-        scan.Recovery.writes;
-      let dirlogs = List.rev !dirlogs in
-      (* Phase 2: incorporate each recovered inode and adjust segment
-         utilisations by diffing the old and new block maps. *)
-      let adjust_for_inode ino new_iaddr =
-        let old_iaddr = Inode_map.location t.imap ino in
-        let old_map = Hashtbl.create 64 in
-        (if not (Types.Iaddr.is_nil old_iaddr) then
-           match
-             Inode.decode
-               (read_disk_block t (Types.Iaddr.block old_iaddr))
-               ~slot:(Types.Iaddr.slot old_iaddr)
-           with
-           | None -> ()
-           | Some old_inode ->
-               let old_fmap =
-                 Filemap.load ~read:(read_disk_block t) t.layout old_inode
-               in
-               Filemap.iter_mapped old_fmap (fun i a ->
-                   Hashtbl.replace old_map (`Data i) a);
-               List.iter
-                 (fun (s, a) -> Hashtbl.replace old_map (`Ind s) a)
-                 (Filemap.indirect_blocks old_fmap));
-        (* Old inode slot dies; new one lives. *)
-        if not (Types.Iaddr.is_nil old_iaddr) then
-          Seg_usage.kill t.usage
-            (Layout.seg_of_block t.layout (Types.Iaddr.block old_iaddr))
-            ~bytes:t.layout.Layout.inode_size;
-        Inode_map.set_location t.imap ino new_iaddr;
-        let h = load_handle t ino in
-        Hashtbl.replace t.handles ino h;
+        log.Recovery.writes;
+      Seg_pool.withhold t.pool (Hashtbl.mem touched);
+      (t, log)
+
+let mount ?config ?metrics ?tier disk =
+  fst
+    (open_volume ~caller:"Fs.mount" ~roll_forward:false ?config ?metrics ?tier
+       disk)
+
+let unmount t = checkpoint t
+
+(* {1 Roll-forward} *)
+
+let recover ?config ?metrics ?tier disk =
+  let t, scan =
+    open_volume ~caller:"Fs.recover" ~roll_forward:true ?config ?metrics ?tier
+      disk
+  in
+  let bs = block_size t in
+  (* Phase 1: the latest recovered copy of each inode wins.
+     [recovered_seq] remembers which log write carried it, so dirop
+     replay can tell a re-created incarnation from a stale copy of a
+     dead one (see [survives_reuse] below). *)
+  let recovered : (Types.ino, Types.Iaddr.t) Hashtbl.t = Hashtbl.create 64 in
+  let recovered_seq : (Types.ino, int) Hashtbl.t = Hashtbl.create 64 in
+  let dirlogs = ref [] in
+  let data_blocks = ref 0 in
+  List.iter
+    (fun w ->
+      List.iteri
+        (fun i (e : Summary.entry) ->
+          let addr = Summary.entry_addr w.Recovery.summary t.layout i in
+          match e.Summary.kind with
+          | Types.Inode_block ->
+              let payload = List.assoc i w.Recovery.blocks in
+              for slot = 0 to t.layout.Layout.inodes_per_block - 1 do
+                match Inode.decode payload ~slot with
+                | None -> ()
+                | Some inode ->
+                    Hashtbl.replace recovered inode.Inode.ino
+                      (Types.Iaddr.make ~block:addr ~slot);
+                    Hashtbl.replace recovered_seq inode.Inode.ino
+                      w.Recovery.summary.Summary.seq
+              done
+          | Types.Data -> incr data_blocks
+          | Types.Dir_log ->
+              let payload = List.assoc i w.Recovery.blocks in
+              dirlogs :=
+                List.rev_append
+                  (List.map
+                     (fun r -> (w.Recovery.summary.Summary.seq, r))
+                     (Dir_log.decode_block payload))
+                  !dirlogs
+          | Types.Indirect | Types.Dindirect | Types.Imap
+          | Types.Seg_usage | Types.Summary ->
+              ())
+        w.Recovery.summary.Summary.entries)
+    scan.Recovery.writes;
+  let dirlogs = List.rev !dirlogs in
+  (* Phase 2: incorporate each recovered inode and adjust segment
+     utilisations by diffing the old and new block maps. *)
+  let adjust_for_inode ino new_iaddr =
+    let old_iaddr = Inode_map.location t.imap ino in
+    let old_map = Hashtbl.create 64 in
+    (if not (Types.Iaddr.is_nil old_iaddr) then
+       match
+         Inode.decode
+           (read_disk_block t (Types.Iaddr.block old_iaddr))
+           ~slot:(Types.Iaddr.slot old_iaddr)
+       with
+       | None -> ()
+       | Some old_inode ->
+           let old_fmap =
+             Filemap.load ~read:(read_disk_block t) t.layout old_inode
+           in
+           Filemap.iter_mapped old_fmap (fun i a ->
+               Hashtbl.replace old_map (`Data i) a);
+           List.iter
+             (fun (s, a) -> Hashtbl.replace old_map (`Ind s) a)
+             (Filemap.indirect_blocks old_fmap));
+    (* Old inode slot dies; new one lives. *)
+    if not (Types.Iaddr.is_nil old_iaddr) then
+      Seg_usage.kill t.usage
+        (Layout.seg_of_block t.layout (Types.Iaddr.block old_iaddr))
+        ~bytes:t.layout.Layout.inode_size;
+    Inode_map.set_location t.imap ino new_iaddr;
+    let h = load_handle t ino in
+    Hashtbl.replace t.handles ino h;
+    Seg_usage.add_live t.usage
+      (Layout.seg_of_block t.layout (Types.Iaddr.block new_iaddr))
+      ~bytes:t.layout.Layout.inode_size ~mtime:h.inode.Inode.mtime;
+    let seen = Hashtbl.create 64 in
+    let account key addr =
+      Hashtbl.replace seen key ();
+      let old = Hashtbl.find_opt old_map key in
+      if old <> Some addr then begin
+        (match old with
+        | Some a -> kill_addr t a ~bytes:bs
+        | None -> ());
         Seg_usage.add_live t.usage
-          (Layout.seg_of_block t.layout (Types.Iaddr.block new_iaddr))
-          ~bytes:t.layout.Layout.inode_size ~mtime:h.inode.Inode.mtime;
-        let seen = Hashtbl.create 64 in
-        let account key addr =
-          Hashtbl.replace seen key ();
-          let old = Hashtbl.find_opt old_map key in
-          if old <> Some addr then begin
-            (match old with
-            | Some a -> kill_addr t a ~bytes:bs
-            | None -> ());
-            Seg_usage.add_live t.usage
-              (Layout.seg_of_block t.layout addr)
-              ~bytes:bs ~mtime:h.inode.Inode.mtime
-          end
-        in
-        Filemap.iter_mapped h.fmap (fun i a -> account (`Data i) a);
-        List.iter
-          (fun (s, a) -> account (`Ind s) a)
-          (Filemap.indirect_blocks h.fmap);
-        (* Blocks the old inode had but the new one dropped. *)
-        Hashtbl.iter
-          (fun key a -> if not (Hashtbl.mem seen key) then kill_addr t a ~bytes:bs)
-          old_map
-      in
-      (* Process recovered inodes in on-disk order so the inode-block
-         reads stream sequentially instead of seeking per file. *)
-      let recovered_sorted =
-        List.sort
-          (fun (_, a) (_, b) ->
-            compare (Types.Iaddr.to_int a) (Types.Iaddr.to_int b))
-          (Hashtbl.fold (fun ino ia acc -> (ino, ia) :: acc) recovered [])
-      in
-      List.iter (fun (ino, ia) -> adjust_for_inode ino ia) recovered_sorted;
-      (* Phase 3: replay the directory operation log (ensure-style, so
-         operations whose effects did reach disk are no-ops). *)
-      let dirops_applied = ref 0 in
-      let inode_live ino =
-        Inode_map.is_allocated t.imap ino
-      in
-      (* A parent referenced by a journal record can be live yet no
-         longer a directory: its ino was freed by an [rmdir] and reused
-         for a regular file inside the recovery window.  Every entry of
-         the dead directory incarnation is moot, so such records are
-         skipped exactly like ones whose parent died outright. *)
-      let dir_live ino =
-        inode_live ino
-        && (get_handle t ino).inode.Inode.ftype = Types.Directory
-      in
-      (* An inode number freed and reallocated inside the recovery window
-         appears in the journal twice: records for the dead incarnation
-         must not touch the surviving one — but only if the new
-         incarnation actually survived.  Inodes carry no on-disk version,
-         so the log order decides: the re-created inode's copy can only
-         appear in a write at or after the one carrying its fresh [Add]
-         (by then the old incarnation is dead and is never flushed
-         again).  If no recovered copy is that late, the re-create never
-         reached the log: the [Remove] must still take effect, and the
-         later [Add] then drops its entry as a create without an inode. *)
-      let dirlog_arr = Array.of_list dirlogs in
-      let fresh_add_seq_after i ino =
-        let rec scan j =
-          if j >= Array.length dirlog_arr then None
-          else
-            match dirlog_arr.(j) with
-            | seq, Dir_log.Add { ino = ino'; fresh = true; _ } when ino' = ino ->
-                Some seq
-            | _, (Dir_log.Add _ | Dir_log.Remove _ | Dir_log.Rename _) ->
-                scan (j + 1)
-        in
-        scan (i + 1)
-      in
-      let survives_reuse i ino =
-        match fresh_add_seq_after i ino with
-        | None -> false
-        | Some add_seq -> (
-            match Hashtbl.find_opt recovered_seq ino with
-            | Some s -> s >= add_seq
-            | None -> false)
-      in
-      let apply_dirop i (_seq, op) =
-        incr dirops_applied;
-        match op with
-        | Dir_log.Add { dir; name; ino; nlink; fresh } ->
-            if dir_live dir then begin
-              let d = dir_contents t dir in
-              (* A fresh create can reuse an ino freed earlier in the
-                 window.  If the only recovered copy of that ino
-                 predates this create's write, it is the dead
-                 incarnation — left live when its Remove was suppressed
-                 to protect a durable rename destination.  Attaching it
-                 here would alias two names to one inode; the create's
-                 own inode never reached the log, so the entry drops. *)
-              let freed_earlier =
-                let rec scan j =
-                  j < i
-                  &&
-                  match dirlog_arr.(j) with
-                  | _, Dir_log.Remove { ino = ino'; nlink = nl; _ }
-                    when ino' = ino && nl <= 0 ->
-                      true
-                  | _ -> scan (j + 1)
-                in
-                scan 0
-              in
-              let stale_reuse =
-                fresh && freed_earlier
-                &&
-                match Hashtbl.find_opt recovered_seq ino with
-                | Some s -> s < _seq
-                | None -> true
-              in
-              if inode_live ino && not stale_reuse then begin
-                if Directory.find d name <> Some ino then
-                  set_dir_contents t dir (Directory.replace d name ino);
-                let h = get_handle t ino in
-                if h.inode.Inode.nlink <> nlink then begin
-                  h.inode.Inode.nlink <- nlink;
-                  h.inode_dirty <- true
-                end
-              end
-              else if Directory.find d name = Some ino then
-                (* Create whose inode never reached the log: the paper's
-                   one uncompletable operation — drop the entry. *)
-                set_dir_contents t dir (Directory.remove d name)
-            end
-        | Dir_log.Remove { dir; name; ino; nlink } ->
-            (* A rename onto an existing name queues (Remove old-dst,
-               Rename) as one operation.  When the renamed inode never
-               survived to the log, the Rename below is skipped; the
-               Remove must then be suppressed too, or an unacknowledged
-               rename would destroy its durable destination.  Unless,
-               that is, the removed ino was reused by a later create
-               that did survive: the inode now belongs to the new file,
-               so keeping the old entry would alias two names to one
-               inode — the entry must drop. *)
-            let covered_by_dead_rename =
-              i + 1 < Array.length dirlog_arr
-              && (match dirlog_arr.(i + 1) with
-                 | _, Dir_log.Rename { ndir; nname; ino = rino; _ } ->
-                     ndir = dir && nname = name && not (inode_live rino)
-                 | _ -> false)
-              && not (survives_reuse i ino)
+          (Layout.seg_of_block t.layout addr)
+          ~bytes:bs ~mtime:h.inode.Inode.mtime
+      end
+    in
+    Filemap.iter_mapped h.fmap (fun i a -> account (`Data i) a);
+    List.iter
+      (fun (s, a) -> account (`Ind s) a)
+      (Filemap.indirect_blocks h.fmap);
+    (* Blocks the old inode had but the new one dropped. *)
+    Hashtbl.iter
+      (fun key a -> if not (Hashtbl.mem seen key) then kill_addr t a ~bytes:bs)
+      old_map
+  in
+  (* Process recovered inodes in on-disk order so the inode-block
+     reads stream sequentially instead of seeking per file. *)
+  let recovered_sorted =
+    List.sort
+      (fun (_, a) (_, b) ->
+        compare (Types.Iaddr.to_int a) (Types.Iaddr.to_int b))
+      (Hashtbl.fold (fun ino ia acc -> (ino, ia) :: acc) recovered [])
+  in
+  List.iter (fun (ino, ia) -> adjust_for_inode ino ia) recovered_sorted;
+  (* Phase 3: replay the directory operation log (ensure-style, so
+     operations whose effects did reach disk are no-ops). *)
+  let dirops_applied = ref 0 in
+  let inode_live ino =
+    Inode_map.is_allocated t.imap ino
+  in
+  (* A parent referenced by a journal record can be live yet no
+     longer a directory: its ino was freed by an [rmdir] and reused
+     for a regular file inside the recovery window.  Every entry of
+     the dead directory incarnation is moot, so such records are
+     skipped exactly like ones whose parent died outright. *)
+  let dir_live ino =
+    inode_live ino
+    && (get_handle t ino).inode.Inode.ftype = Types.Directory
+  in
+  (* An inode number freed and reallocated inside the recovery window
+     appears in the journal twice: records for the dead incarnation
+     must not touch the surviving one — but only if the new
+     incarnation actually survived.  Inodes carry no on-disk version,
+     so the log order decides: the re-created inode's copy can only
+     appear in a write at or after the one carrying its fresh [Add]
+     (by then the old incarnation is dead and is never flushed
+     again).  If no recovered copy is that late, the re-create never
+     reached the log: the [Remove] must still take effect, and the
+     later [Add] then drops its entry as a create without an inode. *)
+  let dirlog_arr = Array.of_list dirlogs in
+  let fresh_add_seq_after i ino =
+    let rec scan j =
+      if j >= Array.length dirlog_arr then None
+      else
+        match dirlog_arr.(j) with
+        | seq, Dir_log.Add { ino = ino'; fresh = true; _ } when ino' = ino ->
+            Some seq
+        | _, (Dir_log.Add _ | Dir_log.Remove _ | Dir_log.Rename _) ->
+            scan (j + 1)
+    in
+    scan (i + 1)
+  in
+  let survives_reuse i ino =
+    match fresh_add_seq_after i ino with
+    | None -> false
+    | Some add_seq -> (
+        match Hashtbl.find_opt recovered_seq ino with
+        | Some s -> s >= add_seq
+        | None -> false)
+  in
+  let apply_dirop i (_seq, op) =
+    incr dirops_applied;
+    match op with
+    | Dir_log.Add { dir; name; ino; nlink; fresh } ->
+        if dir_live dir then begin
+          let d = dir_contents t dir in
+          (* A fresh create can reuse an ino freed earlier in the
+             window.  If the only recovered copy of that ino
+             predates this create's write, it is the dead
+             incarnation — left live when its Remove was suppressed
+             to protect a durable rename destination.  Attaching it
+             here would alias two names to one inode; the create's
+             own inode never reached the log, so the entry drops. *)
+          let freed_earlier =
+            let rec scan j =
+              j < i
+              &&
+              match dirlog_arr.(j) with
+              | _, Dir_log.Remove { ino = ino'; nlink = nl; _ }
+                when ino' = ino && nl <= 0 ->
+                  true
+              | _ -> scan (j + 1)
             in
-            if not covered_by_dead_rename then begin
-              if dir_live dir then begin
-                let d = dir_contents t dir in
-                if Directory.find d name = Some ino then
-                  set_dir_contents t dir (Directory.remove d name)
-              end;
-              if inode_live ino && not (survives_reuse i ino) then begin
-                if nlink <= 0 then delete_file t ino
-                else begin
-                  let h = get_handle t ino in
-                  if h.inode.Inode.nlink <> nlink then begin
-                    h.inode.Inode.nlink <- nlink;
-                    h.inode_dirty <- true
-                  end
-                end
-              end
+            scan 0
+          in
+          let stale_reuse =
+            fresh && freed_earlier
+            &&
+            match Hashtbl.find_opt recovered_seq ino with
+            | Some s -> s < _seq
+            | None -> true
+          in
+          if inode_live ino && not stale_reuse then begin
+            if Directory.find d name <> Some ino then
+              set_dir_contents t dir (Directory.replace d name ino);
+            let h = get_handle t ino in
+            if h.inode.Inode.nlink <> nlink then begin
+              h.inode.Inode.nlink <- nlink;
+              h.inode_dirty <- true
             end
-        | Dir_log.Rename { odir; oname; ndir; nname; ino } ->
-            if inode_live ino then begin
-              if dir_live odir then begin
-                let d = dir_contents t odir in
-                if Directory.find d oname = Some ino then
-                  set_dir_contents t odir (Directory.remove d oname)
-              end;
-              if dir_live ndir then begin
-                let d = dir_contents t ndir in
-                if Directory.find d nname <> Some ino then
-                  set_dir_contents t ndir (Directory.replace d nname ino)
-              end
-            end
-      in
-      List.iteri apply_dirop dirlogs;
-      (* Phase 3b: drop orphans.  Replay can leave a recovered inode
-         with no surviving directory entry — its create's parent
-         directory died (or its ino was reused as a file) inside the
-         recovery window, so the [Add] above was skipped.  Walk the
-         surviving namespace and delete every allocated inode nothing
-         references; anything else would fail fsck's reachability and
-         nlink accounting forever after. *)
-      let reachable = Hashtbl.create 64 in
-      let rec mark ino =
-        if not (Hashtbl.mem reachable ino) then begin
-          Hashtbl.replace reachable ino ();
-          let h = get_handle t ino in
-          if h.inode.Inode.ftype = Types.Directory then
-            List.iter (fun (_, child) -> mark child) (readdir t ino)
+          end
+          else if Directory.find d name = Some ino then
+            (* Create whose inode never reached the log: the paper's
+               one uncompletable operation — drop the entry. *)
+            set_dir_contents t dir (Directory.remove d name)
         end
-      in
-      mark Types.root_ino;
-      let orphans = ref [] in
-      Inode_map.iter_allocated t.imap (fun ino _ ->
-          if not (Hashtbl.mem reachable ino) then orphans := ino :: !orphans);
-      List.iter (fun ino -> delete_file t ino) !orphans;
-      (* Phase 4: persist the recovered state. *)
-      refresh_reusable t;
-      checkpoint t;
-      ( t,
-        {
-          writes_replayed = List.length scan.Recovery.writes;
-          inodes_recovered = Hashtbl.length recovered;
-          data_blocks_recovered = !data_blocks;
-          dirops_applied = !dirops_applied;
-          segments_scanned = scan.Recovery.segments_scanned;
-        } )
+    | Dir_log.Remove { dir; name; ino; nlink } ->
+        (* A rename onto an existing name queues (Remove old-dst,
+           Rename) as one operation.  When the renamed inode never
+           survived to the log, the Rename below is skipped; the
+           Remove must then be suppressed too, or an unacknowledged
+           rename would destroy its durable destination.  Unless,
+           that is, the removed ino was reused by a later create
+           that did survive: the inode now belongs to the new file,
+           so keeping the old entry would alias two names to one
+           inode — the entry must drop. *)
+        let covered_by_dead_rename =
+          i + 1 < Array.length dirlog_arr
+          && (match dirlog_arr.(i + 1) with
+             | _, Dir_log.Rename { ndir; nname; ino = rino; _ } ->
+                 ndir = dir && nname = name && not (inode_live rino)
+             | _ -> false)
+          && not (survives_reuse i ino)
+        in
+        if not covered_by_dead_rename then begin
+          if dir_live dir then begin
+            let d = dir_contents t dir in
+            if Directory.find d name = Some ino then
+              set_dir_contents t dir (Directory.remove d name)
+          end;
+          if inode_live ino && not (survives_reuse i ino) then begin
+            if nlink <= 0 then delete_file t ino
+            else begin
+              let h = get_handle t ino in
+              if h.inode.Inode.nlink <> nlink then begin
+                h.inode.Inode.nlink <- nlink;
+                h.inode_dirty <- true
+              end
+            end
+          end
+        end
+    | Dir_log.Rename { odir; oname; ndir; nname; ino } ->
+        if inode_live ino then begin
+          if dir_live odir then begin
+            let d = dir_contents t odir in
+            if Directory.find d oname = Some ino then
+              set_dir_contents t odir (Directory.remove d oname)
+          end;
+          if dir_live ndir then begin
+            let d = dir_contents t ndir in
+            if Directory.find d nname <> Some ino then
+              set_dir_contents t ndir (Directory.replace d nname ino)
+          end
+        end
+  in
+  List.iteri apply_dirop dirlogs;
+  (* Phase 3b: drop orphans.  Replay can leave a recovered inode
+     with no surviving directory entry — its create's parent
+     directory died (or its ino was reused as a file) inside the
+     recovery window, so the [Add] above was skipped.  Walk the
+     surviving namespace and delete every allocated inode nothing
+     references; anything else would fail fsck's reachability and
+     nlink accounting forever after. *)
+  let reachable = Hashtbl.create 64 in
+  let rec mark ino =
+    if not (Hashtbl.mem reachable ino) then begin
+      Hashtbl.replace reachable ino ();
+      let h = get_handle t ino in
+      if h.inode.Inode.ftype = Types.Directory then
+        List.iter (fun (_, child) -> mark child) (readdir t ino)
+    end
+  in
+  mark Types.root_ino;
+  let orphans = ref [] in
+  Inode_map.iter_allocated t.imap (fun ino _ ->
+      if not (Hashtbl.mem reachable ino) then orphans := ino :: !orphans);
+  List.iter (fun ino -> delete_file t ino) !orphans;
+  (* Phase 4: persist the recovered state. *)
+  refresh_pool t;
+  checkpoint t;
+  ( t,
+    {
+      writes_replayed = List.length scan.Recovery.writes;
+      inodes_recovered = Hashtbl.length recovered;
+      data_blocks_recovered = !data_blocks;
+      dirops_applied = !dirops_applied;
+      segments_scanned = scan.Recovery.segments_scanned;
+    } )
 
 (* {1 Introspection} *)
 
@@ -2164,7 +2017,7 @@ let segment_histogram t ~bins =
   let curs =
     Array.to_list
       (Array.map
-         (fun (p : Log_writer.position) -> p.Log_writer.pos_seg)
+         (fun (p : Log_writer.position) -> p.Log_writer.seg)
          (Log_writer.positions t.log))
   in
   Seg_usage.utilization_histogram t.usage ~bins ~exclude:(fun s ->

@@ -83,43 +83,36 @@ let check fs =
   done;
   (* Data integrity: every live block must sit inside an intact
      summarized log write.  Each segment's writes chain from slot 0
-     (stale summaries from the segment's previous life fail the
-     self-identification or sequence-monotonicity test and end the
-     walk), and each write stores an Adler-32 over its payload blocks.
-     A live block whose covering write fails its checksum has rotted or
-     was torn; a live block no chain reaches means the summary chain
-     itself was truncated or corrupted.  Structural checks above can
-     all pass in both cases — the block pointers are fine, the bytes
-     are not. *)
+     ({!Summary.walk_segment}; stale summaries from the segment's
+     previous life fail its self-identification test or, here, a
+     sequence floor, and end the walk), and each write stores an
+     Adler-32 over its payload blocks.  A live block whose covering
+     write fails its checksum has rotted or was torn; a live block no
+     chain reaches means the summary chain itself was truncated or
+     corrupted.  Structural checks above can all pass in both cases —
+     the block pointers are fine, the bytes are not. *)
   let disk = List.hd (Fs.devices fs) in
-  let seg_blocks = layout.Layout.seg_blocks in
   let covered : (Types.baddr, bool) Hashtbl.t = Hashtbl.create 1024 in
   for seg = 0 to layout.Layout.nsegs - 1 do
     let first = Layout.seg_first_block layout seg in
-    let rec walk slot last_seq =
-      if slot <= seg_blocks - 2 then
-        match Summary.decode (Vdev.read_block disk (first + slot)) with
-        | None -> ()
-        | Some s ->
-            if s.Summary.seg <> seg || s.Summary.slot <> slot then ()
-            else if s.Summary.seq <= last_seq then ()
-            else begin
-              let n = List.length s.Summary.entries in
-              if slot + 1 + n > seg_blocks then ()
-              else begin
-                let ok =
-                  Summary.payload_checksum
-                    (Vdev.read_blocks disk (first + slot + 1) n)
-                  = s.Summary.payload_sum
-                in
-                for i = 0 to n - 1 do
-                  Hashtbl.replace covered (first + slot + 1 + i) ok
-                done;
-                walk (Summary.next_slot s) s.Summary.seq
-              end
-            end
-    in
-    walk 0 (-1)
+    let last_seq = ref (-1) in
+    Summary.walk_segment ~seg_blocks:layout.Layout.seg_blocks ~seg
+      ~read:(fun slot -> Vdev.read_block disk (first + slot))
+      (fun s ->
+        s.Summary.seq > !last_seq
+        && begin
+             last_seq := s.Summary.seq;
+             let n = List.length s.Summary.entries in
+             let ok =
+               Summary.payload_checksum
+                 (Vdev.read_blocks disk (first + s.Summary.slot + 1) n)
+               = s.Summary.payload_sum
+             in
+             for i = 0 to n - 1 do
+               Hashtbl.replace covered (first + s.Summary.slot + 1 + i) ok
+             done;
+             true
+           end)
   done;
   Hashtbl.iter
     (fun addr what ->

@@ -134,18 +134,6 @@ let load layout ~read ~block_addrs =
     block_addrs;
   t
 
-let flush t ~write ~free =
-  Array.iteri
-    (fun i is_dirty ->
-      if is_dirty then begin
-        let old = t.block_addrs.(i) in
-        let fresh = write ~index:i (encode_block t i) in
-        if old <> Types.nil_addr then free old;
-        t.block_addrs.(i) <- fresh;
-        t.dirty.(i) <- false
-      end)
-    t.dirty
-
 let iter_allocated t f =
   Array.iteri
     (fun ino loc ->

@@ -62,10 +62,5 @@ val clear_block_dirty : t -> int -> unit
 val encode_block : t -> int -> bytes
 (** Serialise map block [i] (for writing to the log). *)
 
-val flush :
-  t -> write:(index:int -> bytes -> Types.baddr) -> free:(Types.baddr -> unit) -> unit
-(** Write every dirty block via [write], free superseded copies, record
-    the new addresses, and clear dirtiness. *)
-
 val iter_allocated : t -> (Types.ino -> Types.Iaddr.t -> unit) -> unit
 val count_allocated : t -> int

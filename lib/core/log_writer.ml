@@ -12,7 +12,7 @@ type pending = {
   payload : payload;
 }
 
-type position = { pos_seg : int; pos_off : int; pos_next : int }
+type position = { seg : int; off : int; next_seg : int }
 type head_stats = { segments : int; blocks : int; syncs : int }
 
 (* One write head: its own segment, open batch, and summary chain.  All
@@ -57,9 +57,9 @@ let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
       Array.map
         (fun p ->
           {
-            cur_seg = p.pos_seg;
-            cur_off = p.pos_off;
-            next_seg = p.pos_next;
+            cur_seg = p.seg;
+            cur_off = p.off;
+            next_seg = p.next_seg;
             batch = [];
             batch_count = 0;
             batch_slot = -1;
@@ -75,13 +75,12 @@ let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
 
 let nheads t = Array.length t.heads
 let current_segment ?(head = 0) t = t.heads.(head).cur_seg
-let current_offset ?(head = 0) t = t.heads.(head).cur_off
 let reserved_segment ?(head = 0) t = t.heads.(head).next_seg
 let seq t = t.seq
 
 let position ?(head = 0) t =
   let h = t.heads.(head) in
-  { pos_seg = h.cur_seg; pos_off = h.cur_off; pos_next = h.next_seg }
+  { seg = h.cur_seg; off = h.cur_off; next_seg = h.next_seg }
 
 let positions t = Array.init (Array.length t.heads) (fun i -> position ~head:i t)
 
@@ -92,10 +91,6 @@ let pending_blocks t =
    never be offered to the cleaner, the demoter, or reuse. *)
 let active_segments t =
   Array.fold_left (fun acc h -> h.cur_seg :: h.next_seg :: acc) [] t.heads
-
-let segment_bytes_remaining ?(head = 0) t =
-  (t.layout.Layout.seg_blocks - t.heads.(head).cur_off)
-  * t.layout.Layout.block_size
 
 let head_stats t i =
   let h = t.heads.(i) in

@@ -27,9 +27,14 @@
 
 type payload = Bytes of bytes | Lazy of (unit -> bytes)
 
-type position = { pos_seg : int; pos_off : int; pos_next : int }
-(** One head's place in the log: current segment, next free slot, and the
-    reserved next segment.  Recorded per head in every checkpoint. *)
+type position = {
+  seg : int;       (** segment this head is filling *)
+  off : int;       (** next free slot in that segment *)
+  next_seg : int;  (** the head's reserved successor segment *)
+}
+(** One head's place in the log.  The one spelling of it: the writer
+    starts from it, every checkpoint records it per head, and
+    roll-forward returns it as each head's resume point. *)
 
 type head_stats = { segments : int; blocks : int; syncs : int }
 (** Per-head lifetime counters: segments opened, payload blocks appended,
@@ -85,9 +90,6 @@ val unflushed_batches : t -> int
 val nheads : t -> int
 
 val current_segment : ?head:int -> t -> int
-val current_offset : ?head:int -> t -> int
-(** Next free slot in the head's current segment ({b including} queued
-    blocks). *)
 
 val reserved_segment : ?head:int -> t -> int
 
@@ -106,5 +108,3 @@ val pending_blocks : t -> int
 (** Queued payload blocks not yet written, summed over all heads. *)
 
 val head_stats : t -> int -> head_stats
-
-val segment_bytes_remaining : ?head:int -> t -> int

@@ -1,11 +1,10 @@
 module Vdev = Lfs_disk.Vdev
 
 type write = { summary : Summary.t; blocks : (int * bytes) list }
-type tail = { tail_seg : int; tail_off : int; tail_next_seg : int }
 
 type result = {
   writes : write list;
-  tails : tail array;
+  tails : Log_writer.position array;
   next_seq : int;
   segments_scanned : int;
 }
@@ -44,74 +43,66 @@ let walk_chain layout disk ~ckpt ~start_seg =
   let torn = ref None in
   let scanned = ref 0 in
   let visited = Hashtbl.create 16 in
-  (* last_seq grows strictly along the walk; summaries written before the
-     checkpoint (or left over from a segment's previous life) fail the
-     monotonicity test or the self-identification test and end the
-     walk. *)
-  let rec walk_segment seg slot last_seq =
-    if Hashtbl.mem visited (seg, slot) then ()
-    else begin
-      Hashtbl.replace visited (seg, slot) ();
-      if slot <= seg_blocks - 2 then begin
-        let first = Layout.seg_first_block layout seg in
-        let sum_block = Vdev.read_block disk (first + slot) in
-        match Summary.decode sum_block with
-        | None -> ()
-        | Some s ->
-            if s.Summary.seg <> seg || s.Summary.slot <> slot then ()
-            else if s.Summary.seq <= last_seq then ()
-            else begin
-              let n = List.length s.Summary.entries in
-              if slot + 1 + n > seg_blocks then ()
-              else begin
-                (* Every post-checkpoint write must verify its payload
-                   checksum: with queued submission the device commits
-                   blocks out of submission order, so a crash can
-                   persist a later summary while an earlier write's
-                   payload never made it.  The first torn write ends
-                   this chain — and, because the fsync barrier spans
-                   every head, truncates all chains at its sequence
-                   number (see [scan]). *)
-                let intact =
-                  s.Summary.seq < ckpt.Checkpoint.log_seq
-                  ||
-                  let payload =
-                    Vdev.read_blocks disk (first + slot + 1) n
-                  in
-                  Summary.payload_checksum payload = s.Summary.payload_sum
-                in
-                if not intact then torn := Some s
-                else begin
-                  steps := s :: !steps;
-                  let next = Summary.next_slot s in
-                  if next <= seg_blocks - 2 then
-                    walk_segment seg next s.Summary.seq
-                  else begin
-                    (* Segment exhausted: follow the head's thread. *)
-                    incr scanned;
-                    if
-                      s.Summary.next_seg >= 0
-                      && s.Summary.next_seg < layout.Layout.nsegs
-                    then walk_segment s.Summary.next_seg 0 s.Summary.seq
-                  end
-                end
-              end
-            end
-      end
+  (* [last_seq] grows strictly along the walk; summaries written before
+     the checkpoint (or left over from a segment's previous life) fail
+     this floor or the walker's self-identification test and end the
+     walk.  A segment is always entered at slot 0, so remembering the
+     segments entered is enough to break a [next_seg] cycle. *)
+  let last_seq = ref 0 in
+  let rec walk_segment seg =
+    if not (Hashtbl.mem visited seg) then begin
+      Hashtbl.replace visited seg ();
+      let first = Layout.seg_first_block layout seg in
+      let exhausted = ref None in
+      Summary.walk_segment ~seg_blocks ~seg
+        ~read:(fun slot -> Vdev.read_block disk (first + slot))
+        (fun s ->
+          s.Summary.seq > !last_seq
+          &&
+          (* Every post-checkpoint write must verify its payload
+             checksum: with queued submission the device commits blocks
+             out of submission order, so a crash can persist a later
+             summary while an earlier write's payload never made it.
+             The first torn write ends this chain — and, because the
+             fsync barrier spans every head, truncates all chains at its
+             sequence number (see [scan]). *)
+          let intact =
+            s.Summary.seq < ckpt.Checkpoint.log_seq
+            ||
+            let payload =
+              Vdev.read_blocks disk (first + s.Summary.slot + 1)
+                (List.length s.Summary.entries)
+            in
+            Summary.payload_checksum payload = s.Summary.payload_sum
+          in
+          if not intact then torn := Some s
+          else begin
+            steps := s :: !steps;
+            last_seq := s.Summary.seq;
+            if Summary.next_slot s > seg_blocks - 2 then exhausted := Some s
+          end;
+          intact);
+      (* Segment exhausted: follow the head's thread. *)
+      match !exhausted with
+      | None -> ()
+      | Some s ->
+          incr scanned;
+          if s.Summary.next_seg >= 0 && s.Summary.next_seg < layout.Layout.nsegs
+          then walk_segment s.Summary.next_seg
     end
   in
   (* Start from the head of the checkpoint's tail segment: writes earlier
      in that segment predate the checkpoint and are skipped by the seq
      filter, but they carry the chain to the post-checkpoint tail. *)
   incr scanned;
-  walk_segment start_seg 0 0;
+  walk_segment start_seg;
   { steps = List.rev !steps; torn = !torn; scanned = !scanned }
 
 let scan layout disk ~ckpt =
   let chains =
     Array.map
-      (fun (h : Checkpoint.head_pos) ->
-        walk_chain layout disk ~ckpt ~start_seg:h.cur_seg)
+      (fun (h : Log_writer.position) ->
+        walk_chain layout disk ~ckpt ~start_seg:h.seg)
       ckpt.Checkpoint.heads
   in
   (* The durability frontier is global: a completed fsync barrier awaits
@@ -132,30 +123,15 @@ let scan layout disk ~ckpt =
         let kept, rejected =
           List.partition (fun s -> s.Summary.seq < cutoff) c.steps
         in
-        let tail_at (s : Summary.t) =
-          {
-            tail_seg = s.Summary.seg;
-            tail_off = s.Summary.slot;
-            tail_next_seg = s.Summary.next_seg;
-          }
+        let tail_at (s : Summary.t) ~off =
+          { Log_writer.seg = s.Summary.seg; off; next_seg = s.Summary.next_seg }
         in
         match (rejected, c.torn) with
-        | s :: _, _ -> tail_at s
-        | [], Some s -> tail_at s
+        | s :: _, _ | [], Some s -> tail_at s ~off:s.Summary.slot
         | [], None -> (
             match List.rev kept with
-            | s :: _ ->
-                {
-                  tail_seg = s.Summary.seg;
-                  tail_off = Summary.next_slot s;
-                  tail_next_seg = s.Summary.next_seg;
-                }
-            | [] ->
-                {
-                  tail_seg = h.Checkpoint.cur_seg;
-                  tail_off = h.Checkpoint.cur_off;
-                  tail_next_seg = h.Checkpoint.next_seg;
-                }))
+            | s :: _ -> tail_at s ~off:(Summary.next_slot s)
+            | [] -> h))
       chains
   in
   (* Roll-forward merges the chains back into one log order by the

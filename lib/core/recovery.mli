@@ -1,12 +1,12 @@
 (** Crash recovery: the log scan behind roll-forward (Section 4.2).
 
     Starting from the checkpoint's per-head log positions, the scan walks
-    each head's summary chain — within a segment by hopping over each
-    write's payload, and across segments by following the [next_seg]
-    pointer every summary records.  A write is accepted only if its
-    summary is intact, its sequence number strictly increases along its
-    chain, and its self-identification (segment, slot) matches where it
-    was found.  The chains are then merged back into one log order by the
+    each head's summary chain — within a segment with
+    {!Summary.walk_segment}, and across segments by following the
+    [next_seg] pointer every summary records.  On top of the walker's
+    checks (intact, self-identifying, fits its segment) a write is
+    accepted only if its sequence number strictly increases along its
+    chain.  The chains are then merged back into one log order by the
     shared sequence number.
 
     Only inode-block and directory-log payloads are read (data blocks
@@ -31,19 +31,15 @@ type write = {
           entry index within the summary *)
 }
 
-type tail = {
-  tail_seg : int;       (** where this head should resume *)
-  tail_off : int;
-  tail_next_seg : int;  (** reservation in force at the tail *)
-}
-
 type result = {
   writes : write list;
       (** valid log writes with [seq >= ] the checkpoint's [log_seq] and
           below the torn-write cutoff, merged across chains into
           ascending sequence order — the data roll-forward must
           reprocess *)
-  tails : tail array;   (** per-head resume positions, indexed by head *)
+  tails : Log_writer.position array;
+      (** where each head resumes, with the reservation in force there,
+          indexed by head *)
   next_seq : int;       (** sequence number for the next write *)
   segments_scanned : int;
 }

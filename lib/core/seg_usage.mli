@@ -46,14 +46,9 @@ val dirty_segments : t -> int list
 val block_addr : t -> int -> Types.baddr
 val set_block_addr : t -> int -> Types.baddr -> unit
 val nblocks : t -> int
-val block_of_seg : t -> int -> int
-val mark_block_dirty : t -> int -> unit
 val clear_block_dirty : t -> int -> unit
 val dirty_blocks : t -> int list
 val encode_block : t -> int -> bytes
-
-val flush :
-  t -> write:(index:int -> bytes -> Types.baddr) -> free:(Types.baddr -> unit) -> unit
 
 val utilization_histogram : t -> bins:int -> exclude:(int -> bool) -> Lfs_util.Histogram.t
 (** Distribution of per-segment utilisation (Figures 5, 6, 10), skipping

@@ -97,3 +97,15 @@ let payload_checksum payload =
 let entry_addr t layout i = Layout.seg_first_block layout t.seg + t.slot + 1 + i
 
 let next_slot t = t.slot + 1 + List.length t.entries
+
+let walk_segment ~seg_blocks ~seg ~read visit =
+  let rec walk slot =
+    if slot <= seg_blocks - 2 then
+      match decode (read slot) with
+      | Some s
+        when s.seg = seg && s.slot = slot
+             && slot + 1 + List.length s.entries <= seg_blocks ->
+          if visit s then walk (next_slot s)
+      | Some _ | None -> ()
+  in
+  walk 0

@@ -48,3 +48,17 @@ val entry_addr : t -> Layout.t -> int -> Types.baddr
 
 val next_slot : t -> int
 (** Segment slot just past this write ([slot + 1 + entries]). *)
+
+val walk_segment :
+  seg_blocks:int -> seg:int -> read:(int -> bytes) -> (t -> bool) -> unit
+(** The one walk of a segment's summary chain, shared by the cleaner,
+    roll-forward and fsck.  Starting at slot 0, [read slot] fetches the
+    block at that slot of segment [seg]; the walk ends at the first block
+    that does not decode, does not identify itself as ([seg], that slot),
+    or describes a write that would not fit in the segment.  Each summary
+    that passes is handed to [visit], and the walk goes on just past its
+    write while [visit] returns [true] and a summary plus one payload
+    block still fit.  Callers add their own rules in [visit]: a sequence
+    floor, a payload checksum, a hop to [next_seg].  Stale summaries from
+    a segment's previous life pass these checks when they happen to sit
+    where the chain continues; only a caller's rule can reject them. *)

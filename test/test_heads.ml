@@ -181,7 +181,7 @@ let test_recover_divergent_heads () =
   let layout = (Superblock.load dev).Superblock.layout in
   let _, ck = Option.get (Checkpoint.read_latest layout dev) in
   let segs =
-    Array.to_list (Array.map (fun h -> h.Checkpoint.cur_seg) ck.Checkpoint.heads)
+    Array.to_list (Array.map (fun h -> h.Lfs_core.Log_writer.seg) ck.Checkpoint.heads)
   in
   Alcotest.(check int) "checkpoint records three heads" 3 (List.length segs);
   Alcotest.(check bool) "head positions diverged" true

@@ -25,7 +25,7 @@ let mk_env ?(heads = 1) () =
   let next_clean = ref (2 * heads) in
   let positions =
     Array.init heads (fun i ->
-        { Log_writer.pos_seg = 2 * i; pos_off = 0; pos_next = (2 * i) + 1 })
+        { Log_writer.seg = 2 * i; off = 0; next_seg = (2 * i) + 1 })
   in
   let log =
     Log_writer.create layout (Helpers.vdev disk)
@@ -179,7 +179,7 @@ let one_head_ckpt =
   {
     Lfs_core.Checkpoint.timestamp = 0.0;
     log_seq = 1;
-    heads = [| { Lfs_core.Checkpoint.cur_seg = 0; cur_off = 0; next_seg = 1 } |];
+    heads = [| { Log_writer.seg = 0; off = 0; next_seg = 1 } |];
     imap_addrs = [||];
     usage_addrs = [||];
   }
@@ -205,7 +205,7 @@ let test_scan_follows_chain_across_segments () =
   Alcotest.(check int) "all 71 blocks found" 71 total_entries;
   Alcotest.(check int) "writer position recovered"
     (Log_writer.current_segment env.log)
-    result.Lfs_core.Recovery.tails.(0).Lfs_core.Recovery.tail_seg;
+    result.Lfs_core.Recovery.tails.(0).Log_writer.seg;
   Alcotest.(check int) "seq recovered" (Log_writer.seq env.log)
     result.Lfs_core.Recovery.next_seq
 
@@ -312,8 +312,8 @@ let test_scan_merges_two_chains_by_seq () =
       one_head_ckpt with
       Lfs_core.Checkpoint.heads =
         [|
-          { Lfs_core.Checkpoint.cur_seg = 0; cur_off = 0; next_seg = 1 };
-          { Lfs_core.Checkpoint.cur_seg = 2; cur_off = 0; next_seg = 3 };
+          { Log_writer.seg = 0; off = 0; next_seg = 1 };
+          { Log_writer.seg = 2; off = 0; next_seg = 3 };
         |];
     }
   in
@@ -330,11 +330,11 @@ let test_scan_merges_two_chains_by_seq () =
   Alcotest.(check int) "seq recovered" (Log_writer.seq env.log)
     result.Lfs_core.Recovery.next_seq;
   Array.iteri
-    (fun i (tl : Lfs_core.Recovery.tail) ->
+    (fun i (tl : Log_writer.position) ->
       Alcotest.(check int)
         (Printf.sprintf "head %d tail segment" i)
         (Log_writer.current_segment ~head:i env.log)
-        tl.Lfs_core.Recovery.tail_seg)
+        tl.Log_writer.seg)
     result.Lfs_core.Recovery.tails
 
 let test_scan_torn_write_truncates_all_chains () =
@@ -355,8 +355,8 @@ let test_scan_torn_write_truncates_all_chains () =
       one_head_ckpt with
       Lfs_core.Checkpoint.heads =
         [|
-          { Lfs_core.Checkpoint.cur_seg = 0; cur_off = 0; next_seg = 1 };
-          { Lfs_core.Checkpoint.cur_seg = 2; cur_off = 0; next_seg = 3 };
+          { Log_writer.seg = 0; off = 0; next_seg = 1 };
+          { Log_writer.seg = 2; off = 0; next_seg = 3 };
         |];
     }
   in

@@ -7,6 +7,7 @@ let () =
       Test_structures.suite;
       Test_filemap.suite;
       Test_log_writer.suite;
+      Test_seg_pool.suite;
       Test_fs.suite;
       Test_cleaner.suite;
       Test_recovery.suite;

@@ -3,7 +3,14 @@
 
 module Fs = Lfs_core.Fs
 module Disk = Lfs_disk.Disk
+module Vdev = Lfs_disk.Vdev
 module Types = Lfs_core.Types
+module Config = Lfs_core.Config
+module Layout = Lfs_core.Layout
+module Summary = Lfs_core.Summary
+module Checkpoint = Lfs_core.Checkpoint
+module Recovery = Lfs_core.Recovery
+module Log_writer = Lfs_core.Log_writer
 module Prng = Lfs_util.Prng
 
 let test_recover_nothing_to_do () =
@@ -267,6 +274,125 @@ let test_recovery_report_counts () =
   Alcotest.(check bool) "dirops for each create" true (report.Fs.dirops_applied >= 10);
   Alcotest.(check bool) "data blocks seen" true (report.Fs.data_blocks_recovered >= 10)
 
+(* Geometry is fixed at format time: both ways onto a volume refuse a
+   config that would reinterpret it. *)
+let test_geometry_overrides_rejected () =
+  let disk, _ = Helpers.fresh_fs () in
+  let overrides =
+    [
+      ("log_heads", { Helpers.test_config with Config.log_heads = 2 });
+      ("seg_blocks", { Helpers.test_config with Config.seg_blocks = 64 });
+      ("max_inodes", { Helpers.test_config with Config.max_inodes = 1024 });
+    ]
+  in
+  List.iter
+    (fun (field, config) ->
+      let rejected name f =
+        match f () with
+        | () -> Alcotest.failf "%s accepted a %s override" name field
+        | exception Invalid_argument _ -> ()
+      in
+      rejected "mount" (fun () -> ignore (Fs.mount ~config (Helpers.vdev disk)));
+      rejected "recover" (fun () ->
+          ignore (Fs.recover ~config (Helpers.vdev disk))))
+    overrides
+
+(* A stale summary (lower seq) planted just past a segment's live tail
+   is where the summary walkers' own rules part ways: roll-forward's
+   sequence floor and fsck's stop there, while the cleaner applies no
+   sequence rule and walks into it: it reads 12 blocks with the plant,
+   where stopping at the stale summary would read 10. *)
+let stale_summary layout ~(at : Log_writer.position) ~seq ~payload_sum entries =
+  Summary.encode ~block_size:layout.Layout.block_size
+    {
+      Summary.seq;
+      seg = at.Log_writer.seg;
+      slot = at.Log_writer.off;
+      next_seg = at.Log_writer.next_seg;
+      timestamp = 0.0;
+      payload_sum;
+      entries;
+    }
+
+let entry kind =
+  { Summary.kind; ino = 7; blockno = 0; version = 0; mtime = 0.0 }
+
+let plant dev layout (at : Log_writer.position) summary =
+  Vdev.write_block dev (Layout.seg_first_block layout at.Log_writer.seg + at.Log_writer.off)
+    summary
+
+let test_stale_summary_past_tail_rollforward () =
+  let disk, fs = Helpers.fresh_fs () in
+  let dev = Helpers.vdev disk in
+  let layout = Fs.layout fs in
+  Fs.write_path fs "/a" (Bytes.make 5000 'a');
+  Fs.checkpoint fs;
+  Fs.write_path fs "/b" (Bytes.make 5000 'b');
+  Fs.sync fs;
+  let _, ck = Option.get (Checkpoint.read_latest layout dev) in
+  let scan = Recovery.scan layout dev ~ckpt:ck in
+  let tail = scan.Recovery.tails.(0) in
+  Alcotest.(check bool) "post-checkpoint writes to roll forward" true
+    (scan.Recovery.writes <> []);
+  Alcotest.(check bool) "room past the tail" true
+    (tail.Log_writer.off <= layout.Layout.seg_blocks - 2);
+  (* Its seq is the checkpoint's, below the chain's last, and its payload
+     checksum matches what lies behind it: only the floor rejects it. *)
+  let behind =
+    Vdev.read_blocks dev
+      (Layout.seg_first_block layout tail.Log_writer.seg + tail.Log_writer.off + 1)
+      1
+  in
+  plant dev layout tail
+    (stale_summary layout ~at:tail ~seq:ck.Checkpoint.log_seq
+       ~payload_sum:(Summary.payload_checksum behind)
+       [ entry Types.Data ]);
+  Helpers.fsck_clean fs;
+  let fs2, report = Fs.recover dev in
+  Alcotest.(check int) "roll-forward ignores the stale write"
+    (List.length scan.Recovery.writes) report.Fs.writes_replayed;
+  Helpers.check_bytes "post-checkpoint file" (Bytes.make 5000 'b')
+    (Option.get (Fs.read_path fs2 "/b"));
+  Helpers.fsck_clean fs2
+
+let test_stale_summary_past_tail_cleaner () =
+  let config =
+    {
+      Helpers.test_config with
+      Config.cleaner_read = Config.Live_blocks;
+      bg_clean_start = 100;
+      bg_clean_stop = 102;
+    }
+  in
+  let disk, fs = Helpers.fresh_fs ~config () in
+  let dev = Helpers.vdev disk in
+  let layout = Fs.layout fs in
+  Fs.write_path fs "/f" (Bytes.make 5000 'f');
+  Fs.checkpoint fs;
+  let region, ck = Option.get (Checkpoint.read_latest layout dev) in
+  let h = ck.Checkpoint.heads.(0) in
+  Alcotest.(check (list int)) "head still in its first segment" [ 0; 1 ]
+    [ h.Log_writer.seg; h.Log_writer.next_seg ];
+  plant dev layout h
+    (stale_summary layout ~at:h ~seq:0 ~payload_sum:0
+       [ entry Types.Inode_block; entry Types.Data ]);
+  (* Move the head on to its reservation, as if it had filled segment 0,
+     so segment 0 — the only one with live data — becomes the victim. *)
+  Checkpoint.write layout dev ~region
+    {
+      ck with
+      Checkpoint.heads = [| { Log_writer.seg = 1; off = 0; next_seg = 2 } |];
+    };
+  let fs = Fs.mount ~config dev in
+  let read () = Helpers.fs_total fs "fs.cleaner.blocks_read" in
+  let before = read () in
+  ignore (Fs.clean_step ~max_segments:1 fs);
+  Alcotest.(check int) "segment 0 cleaned" 0 (Fs.segment_live_bytes fs 0);
+  Alcotest.(check int) "blocks the cleaner read" 12 (read () - before);
+  Helpers.check_bytes "file survives" (Bytes.make 5000 'f')
+    (Option.get (Fs.read_path fs "/f"));
+  Helpers.fsck_clean fs
+
 let suite =
   ( "recovery",
     [
@@ -288,4 +414,10 @@ let suite =
       Alcotest.test_case "crash torture (seed 43)" `Quick (test_crash_torture ~seed:43);
       Alcotest.test_case "crash torture (seed 44)" `Quick (test_crash_torture ~seed:44);
       Alcotest.test_case "report counts" `Quick test_recovery_report_counts;
+      Alcotest.test_case "geometry overrides rejected" `Quick
+        test_geometry_overrides_rejected;
+      Alcotest.test_case "stale summary: roll-forward, fsck" `Quick
+        test_stale_summary_past_tail_rollforward;
+      Alcotest.test_case "stale summary: cleaner reads" `Quick
+        test_stale_summary_past_tail_cleaner;
     ] )

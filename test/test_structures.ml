@@ -213,12 +213,14 @@ let test_imap_block_roundtrip () =
     Inode_map.set_location m ino (Types.Iaddr.make ~block:(200 + i) ~slot:(i mod 8));
     Inode_map.set_atime m ino (float_of_int i)
   done;
+  (* Write the dirty blocks out the way a checkpoint does. *)
   let disk = Hashtbl.create 8 in
-  Inode_map.flush m
-    ~write:(fun ~index b ->
-      Hashtbl.replace disk (1000 + index) b;
-      1000 + index)
-    ~free:(fun _ -> ());
+  List.iter
+    (fun i ->
+      Hashtbl.replace disk (1000 + i) (Inode_map.encode_block m i);
+      Inode_map.set_block_addr m i (1000 + i);
+      Inode_map.clear_block_dirty m i)
+    (Inode_map.dirty_blocks m);
   Alcotest.(check bool) "no dirty blocks left" true (Inode_map.dirty_blocks m = []);
   let addrs = Array.init (Inode_map.nblocks m) (Inode_map.block_addr m) in
   let m' = Inode_map.load layout ~read:(Hashtbl.find disk) ~block_addrs:addrs in
@@ -242,7 +244,7 @@ let test_imap_full () =
 
 let test_imap_dirty_tracking () =
   let m = Inode_map.create layout in
-  Inode_map.flush m ~write:(fun ~index:_ _ -> 1) ~free:(fun _ -> ());
+  List.iter (Inode_map.clear_block_dirty m) (Inode_map.dirty_blocks m);
   Alcotest.(check (list int)) "clean" [] (Inode_map.dirty_blocks m);
   let i = Inode_map.allocate m in
   Inode_map.set_location m i (Types.Iaddr.make ~block:2 ~slot:0);
@@ -287,11 +289,12 @@ let test_usage_block_roundtrip () =
     Seg_usage.add_live u s ~bytes:(100 * (s + 1)) ~mtime:(float_of_int s)
   done;
   let store = Hashtbl.create 8 in
-  Seg_usage.flush u
-    ~write:(fun ~index b ->
-      Hashtbl.replace store (500 + index) b;
-      500 + index)
-    ~free:(fun _ -> ());
+  List.iter
+    (fun i ->
+      Hashtbl.replace store (500 + i) (Seg_usage.encode_block u i);
+      Seg_usage.set_block_addr u i (500 + i);
+      Seg_usage.clear_block_dirty u i)
+    (Seg_usage.dirty_blocks u);
   let addrs = Array.init (Seg_usage.nblocks u) (Seg_usage.block_addr u) in
   let u' = Seg_usage.load layout ~read:(Hashtbl.find store) ~block_addrs:addrs in
   for s = 0 to Seg_usage.nsegs u - 1 do
@@ -409,7 +412,7 @@ let ckpt_fixture =
   {
     Checkpoint.timestamp = 42.0;
     log_seq = 7;
-    heads = [| { Checkpoint.cur_seg = 2; cur_off = 13; next_seg = 5 } |];
+    heads = [| { Lfs_core.Log_writer.seg = 2; off = 13; next_seg = 5 } |];
     imap_addrs = [| 100; 101; Types.nil_addr |];
     usage_addrs = [| 200 |];
   }
@@ -444,9 +447,9 @@ let test_checkpoint_multihead_roundtrip () =
       ckpt_fixture with
       Checkpoint.heads =
         [|
-          { Checkpoint.cur_seg = 2; cur_off = 13; next_seg = 5 };
-          { Checkpoint.cur_seg = 9; cur_off = 1; next_seg = 11 };
-          { Checkpoint.cur_seg = 4; cur_off = 15; next_seg = Types.nil_addr };
+          { Lfs_core.Log_writer.seg = 2; off = 13; next_seg = 5 };
+          { Lfs_core.Log_writer.seg = 9; off = 1; next_seg = 11 };
+          { Lfs_core.Log_writer.seg = 4; off = 15; next_seg = Types.nil_addr };
         |];
       imap_addrs = Array.make ckpt_layout.Layout.imap_blocks 33;
       usage_addrs = Array.make ckpt_layout.Layout.usage_blocks 44;
