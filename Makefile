@@ -79,34 +79,43 @@ ci:
 # Behaviour gate for refactors: export REV (git archive, so the checkout
 # is untouched), build it, and require byte-identical serve JSON (plain,
 # and with idle-time cleaning over an 8-deep queue) for every recipe in
-# SPECS, and byte-identical modelcheck JSON, crashtest reports and
-# exercised stats JSON for every recipe in PRODUCT.  The stats run is
-# sized so the cleaner works: foreground and background passes,
-# promotion on tiered recipes, several checkpoints per shard.  Any
-# difference fails.
+# SPECS, byte-identical modelcheck JSON, crashtest reports and exercised
+# stats JSON for every recipe in PRODUCT, and byte-identical output from
+# every example program.  The stats run is sized so the cleaner works:
+# foreground and background passes, promotion on tiered recipes, several
+# checkpoints per shard; the examples add the greedy policy.  Every
+# difference is listed, then the target fails.
 #   make same REV=<rev>
+EXAMPLES := quickstart office_workload crash_recovery cleaner_tuning nvram_buffer
+
 same:
 	@test -n "$(REV)" || { echo "usage: make same REV=<rev>" >&2; exit 2; }
-	dune build bin/lfs_tool.exe
+	dune build bin/lfs_tool.exe @examples/all
 	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/src" "$$tmp/old" "$$tmp/new"; \
 	git archive "$(REV)" | tar -x -C "$$tmp/src"; \
-	dune build --root "$$tmp/src" bin/lfs_tool.exe; \
+	dune build --root "$$tmp/src" bin/lfs_tool.exe @examples/all; \
 	outputs() { \
 	  for fs in $(SPECS); do \
-	    $$1 serve --clients 16 --ops 50 --seed 42 --fs $$fs --json > "$$2/serve-$$fs.json"; \
-	    $$1 serve --clients 16 --ops 50 --seed 42 --fs $$fs --bg-clean --io-depth 8 \
+	    $$1/bin/lfs_tool.exe serve --clients 16 --ops 50 --seed 42 --fs $$fs --json > "$$2/serve-$$fs.json"; \
+	    $$1/bin/lfs_tool.exe serve --clients 16 --ops 50 --seed 42 --fs $$fs --bg-clean --io-depth 8 \
 	      --json > "$$2/serve-bg-$$fs.json"; \
 	  done; \
 	  for fs in $(PRODUCT); do \
-	    $$1 modelcheck --fs $$fs --seqs 3 --stride 5 --seed 1 --json > "$$2/model-$$fs.json"; \
-	    $$1 crashtest --fs $$fs --workload script --stride 7 --seed 1 > "$$2/crash-$$fs.txt"; \
-	    $$1 stats --fs $$fs --blocks 4096 --exercise 400 --json > "$$2/stats-$$fs.json"; \
+	    $$1/bin/lfs_tool.exe modelcheck --fs $$fs --seqs 3 --stride 5 --seed 1 --json > "$$2/model-$$fs.json"; \
+	    $$1/bin/lfs_tool.exe crashtest --fs $$fs --workload script --stride 7 --seed 1 > "$$2/crash-$$fs.txt"; \
+	    $$1/bin/lfs_tool.exe stats --fs $$fs --blocks 4096 --exercise 400 --json > "$$2/stats-$$fs.json"; \
 	  done; \
+	  for ex in $(EXAMPLES); do $$1/examples/$$ex.exe > "$$2/example-$$ex.txt"; done; \
 	}; \
-	outputs "$$tmp/src/_build/default/bin/lfs_tool.exe" "$$tmp/old"; \
-	outputs $(LFS_TOOL) "$$tmp/new"; \
-	for f in $$(ls "$$tmp/old"); do cmp "$$tmp/old/$$f" "$$tmp/new/$$f"; done; \
+	outputs "$$tmp/src/_build/default" "$$tmp/old"; \
+	outputs _build/default "$$tmp/new"; \
+	differ=0; for f in $$(ls "$$tmp/old"); do \
+	  cmp -s "$$tmp/old/$$f" "$$tmp/new/$$f" || { \
+	    echo "differs: $$f"; diff "$$tmp/old/$$f" "$$tmp/new/$$f" | head -n 20 || true; \
+	    differ=$$((differ + 1)); }; \
+	done; \
+	test $$differ -eq 0 || { echo "same: $$differ of $$(ls "$$tmp/old" | wc -l) outputs differ from $(REV)" >&2; exit 1; }; \
 	echo "same: $$(ls "$$tmp/old" | wc -l) outputs byte-identical to $(REV)"
 
 clean:

@@ -2,7 +2,7 @@
 
     Pure functions from segment statistics to a cleaning order; the
     mechanical part of cleaning (reading victims, identifying live data,
-    rewriting it) lives in {!Fs}. *)
+    rewriting it) lives in the cleaner layer under {!Fs}. *)
 
 type candidate = {
   seg : int;

@@ -196,7 +196,6 @@ val devices : t -> Lfs_disk.Vdev.t list
 
 val layout : t -> Layout.t
 val config : t -> Config.t
-val clock : t -> float
 
 val metrics : t -> Lfs_obs.Metrics.t
 (** The observability registry of this mount.  Every layer is already
@@ -237,4 +236,3 @@ val imap_location : t -> Types.ino -> Types.Iaddr.t
 val imap_block_addr : t -> int -> Types.baddr
 val usage_block_addrs : t -> Types.baddr list
 val segment_live_bytes : t -> int -> int
-val segment_mtime : t -> int -> float

@@ -161,3 +161,101 @@ let scan layout disk ~ckpt =
     segments_scanned =
       Array.fold_left (fun acc c -> acc + c.scanned) 0 chains;
   }
+
+(* {1 The roll-forward digest} *)
+
+type dirop = { op : Dir_log.record; stale_add : bool; survives_reuse : bool }
+
+type digest = {
+  inodes : (Types.ino * Types.Iaddr.t) list;
+  dirops : dirop list;
+  data_blocks : int;
+}
+
+(* An inode number freed and reallocated inside the recovery window
+   appears in the journal twice, and inodes carry no on-disk version, so
+   log order tells the incarnations apart: the re-created inode's copy
+   can only appear in a write at or after the one carrying its fresh
+   [Add] (by then the old incarnation is dead and never flushed again).
+   [carried ino] is the sequence number of the write that last carried
+   [ino].  One pass each way over the records. *)
+let dirop_facts ~carried records =
+  let records = Array.of_list records in
+  let n = Array.length records in
+  (* A fresh [Add] of an ino an earlier [Remove] freed, whose only
+     recovered copy predates the [Add]: that copy is the dead
+     incarnation, and the create's own inode never reached the log. *)
+  let stale_add = Array.make n false in
+  let freed = Hashtbl.create 16 in
+  for i = 0 to n - 1 do
+    match records.(i) with
+    | seq, Dir_log.Add { ino; fresh = true; _ } ->
+        stale_add.(i) <-
+          Hashtbl.mem freed ino
+          && (match carried ino with Some s -> s < seq | None -> true)
+    | _, Dir_log.Remove { ino; nlink; _ } when nlink <= 0 ->
+        Hashtbl.replace freed ino ()
+    | _ -> ()
+  done;
+  (* A [Remove] whose ino a later fresh [Add] re-creates, and that new
+     incarnation reached the log: the inode belongs to the new file. *)
+  let survives_reuse = Array.make n false in
+  let next_fresh_add = Hashtbl.create 16 in
+  for i = n - 1 downto 0 do
+    match records.(i) with
+    | seq, Dir_log.Add { ino; fresh = true; _ } ->
+        Hashtbl.replace next_fresh_add ino seq
+    | _, Dir_log.Remove { ino; _ } ->
+        survives_reuse.(i) <-
+          (match (Hashtbl.find_opt next_fresh_add ino, carried ino) with
+          | Some add_seq, Some s -> s >= add_seq
+          | _ -> false)
+    | _ -> ()
+  done;
+  List.init n (fun i ->
+      {
+        op = snd records.(i);
+        stale_add = stale_add.(i);
+        survives_reuse = survives_reuse.(i);
+      })
+
+let digest layout writes =
+  let latest = Hashtbl.create 64 in
+  let records = ref [] in
+  let data_blocks = ref 0 in
+  List.iter
+    (fun w ->
+      let seq = w.summary.Summary.seq in
+      List.iteri
+        (fun i (e : Summary.entry) ->
+          match e.Summary.kind with
+          | Types.Inode_block ->
+              let payload = List.assoc i w.blocks in
+              let block = Summary.entry_addr w.summary layout i in
+              for slot = 0 to layout.Layout.inodes_per_block - 1 do
+                match Inode.decode payload ~slot with
+                | None -> ()
+                | Some inode ->
+                    Hashtbl.replace latest inode.Inode.ino
+                      (Types.Iaddr.make ~block ~slot, seq)
+              done
+          | Types.Data -> incr data_blocks
+          | Types.Dir_log ->
+              List.iter
+                (fun r -> records := (seq, r) :: !records)
+                (Dir_log.decode_block (List.assoc i w.blocks))
+          | Types.Indirect | Types.Dindirect | Types.Imap | Types.Seg_usage
+          | Types.Summary ->
+              ())
+        w.summary.Summary.entries)
+    writes;
+  let carried ino = Option.map snd (Hashtbl.find_opt latest ino) in
+  {
+    (* In on-disk order, so re-reading them streams sequentially. *)
+    inodes =
+      Hashtbl.fold (fun ino (ia, _) acc -> (ino, ia) :: acc) latest []
+      |> List.sort (fun (_, a) (_, b) ->
+             compare (Types.Iaddr.to_int a) (Types.Iaddr.to_int b));
+    dirops = dirop_facts ~carried (List.rev !records);
+    data_blocks = !data_blocks;
+  }

@@ -46,3 +46,34 @@ type result = {
 
 val scan : Layout.t -> Lfs_disk.Vdev.t -> ckpt:Checkpoint.t -> result
 (** Follow every head's chain from [ckpt]'s positions until each ends. *)
+
+(** {1 The roll-forward digest}
+
+    What roll-forward needs from the scanned writes, computed from the
+    log alone (no disk, no mounted state). *)
+
+type dirop = {
+  op : Dir_log.record;
+  stale_add : bool;
+      (** an [Add] with [fresh] whose ino an earlier [Remove] freed, and
+          whose latest recovered copy predates it (or none exists): the
+          copy is the dead incarnation, and the create never reached the
+          log *)
+  survives_reuse : bool;
+      (** a [Remove] whose ino a later fresh [Add] re-creates, with a
+          recovered copy at or after that [Add]: the ino belongs to the
+          new file, which the [Remove] must not touch *)
+}
+
+type digest = {
+  inodes : (Types.ino * Types.Iaddr.t) list;
+      (** the latest copy of each inode in the writes, in on-disk
+          order *)
+  dirops : dirop list;  (** every directory-log record, in log order *)
+  data_blocks : int;  (** data blocks the writes carry *)
+}
+
+val digest : Layout.t -> write list -> digest
+(** Pure: the inode copies, dir-log records and facts above, from
+    [writes] in log order (as {!scan} returns them). *)
+

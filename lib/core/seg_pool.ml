@@ -69,6 +69,23 @@ let donors t ~active tier =
         (fun s -> (not (pinned t ~active s)) && Vdev_tier.chunk_tier ti s = tier)
         t.free
 
+let room t ~active tier =
+  match t.tier with
+  | None -> 0
+  | Some ti -> Vdev_tier.free_chunks ti ~tier + List.length (donors t ~active tier)
+
+let move t ~active ~reserve seg ~target =
+  match t.tier with
+  | None -> false
+  | Some ti -> (
+      if Vdev_tier.free_chunks ti ~tier:target > 0 then
+        Vdev_tier.migrate ti ~chunk:seg ~target
+      else
+        match donors t ~active target with
+        | d :: rest when List.length rest >= reserve ->
+            Vdev_tier.swap ti ~chunk:seg ~dead:d
+        | _ -> false)
+
 let cleaning t victims f =
   List.iter (fun s -> Hashtbl.replace t.victims s ()) victims;
   Fun.protect ~finally:(fun () -> Hashtbl.reset t.victims) f

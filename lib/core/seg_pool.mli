@@ -44,6 +44,19 @@ val donors : t -> active:int list -> Lfs_disk.Vdev_tier.tier -> int list
 (** Pool segments on the given tier that are not pinned, ascending: the
     dead chunks a tier swap may overwrite.  Empty without a tier. *)
 
+val room : t -> active:int list -> Lfs_disk.Vdev_tier.tier -> int
+(** Segments {!move} can still place on the given tier: its free
+    physical chunks plus its {!donors}.  [0] without a tier. *)
+
+val move :
+  t -> active:int list -> reserve:int -> int -> target:Lfs_disk.Vdev_tier.tier -> bool
+(** [move t ~active ~reserve seg ~target] re-places live segment [seg]'s
+    chunk on [target]: into a free physical chunk there, else by swapping
+    with the lowest {!donors} segment — only while [reserve] more donors
+    would remain, so a caller can keep clean segments on [target] for
+    the write head.  The donor surfaces on [seg]'s old tier as a clean
+    segment.  [false] when neither way is open, and without a tier. *)
+
 val cleaning : t -> int list -> (unit -> 'a) -> 'a
 (** [cleaning t victims f] runs [f] with [victims] pinned as the pass in
     progress, and unpins them when [f] returns or raises. *)

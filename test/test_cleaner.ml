@@ -263,6 +263,36 @@ let test_deletion_reclaims_without_cleaning () =
     (Helpers.fs_total fs "fs.cleaner.segments_cleaned_empty" > 0);
   Helpers.fsck_clean fs
 
+(* A segment whose last live byte dies outside a cleaning pass counts as
+   cleaned-empty whatever that byte was — a data block, or the old slot
+   of an inode written again.  Oracle: the segments seen to drop to zero
+   live bytes between operations. *)
+let test_self_emptied_counts_every_kill () =
+  let _, fs = Helpers.fresh_fs ~blocks:4096 () in
+  let nsegs = (Fs.layout fs).Lfs_core.Layout.nsegs in
+  let live () = Array.init nsegs (Fs.segment_live_bytes fs) in
+  let counted () = Helpers.fs_total fs "fs.cleaner.segments_cleaned_empty" in
+  let start = counted () in
+  let emptied = ref 0 in
+  let last = ref (live ()) in
+  let prng = Prng.create ~seed:7 in
+  for i = 1 to 400 do
+    Fs.write_path fs
+      (Printf.sprintf "/f%d" (Prng.int prng 8))
+      (Bytes.make (1 + Prng.int prng 40_000) (Char.chr (97 + (i mod 26))));
+    if i mod 20 = 0 then Fs.checkpoint fs;
+    let now = live () in
+    Array.iteri (fun s l -> if !last.(s) > 0 && l = 0 then incr emptied) now;
+    last := now
+  done;
+  Alcotest.(check int) "no cleaning pass ran" 0
+    (Helpers.fs_total fs "fs.cleaner.fg.passes"
+    + Helpers.fs_total fs "fs.cleaner.bg.passes");
+  Alcotest.(check bool) "churn empties segments" true (!emptied > 0);
+  Alcotest.(check int) "every emptied segment counted" !emptied
+    (counted () - start);
+  Helpers.fsck_clean fs
+
 let test_segment_histogram_shape () =
   let _, fs = Helpers.fresh_fs ~blocks:2048 () in
   let prng = Prng.create ~seed:10 in
@@ -498,6 +528,8 @@ let suite =
       Alcotest.test_case "grouping policies safe" `Slow test_grouping_policies_safe;
       Alcotest.test_case "explicit clean" `Quick test_explicit_clean_call;
       Alcotest.test_case "deletion reclaims" `Quick test_deletion_reclaims_without_cleaning;
+      Alcotest.test_case "self-emptied counts every kill" `Quick
+        test_self_emptied_counts_every_kill;
       Alcotest.test_case "histogram shape" `Quick test_segment_histogram_shape;
       Alcotest.test_case "write-cost accounting" `Quick test_write_cost_accounting_consistent;
       Alcotest.test_case "live breakdown" `Quick test_live_breakdown_sums;

@@ -11,6 +11,7 @@ module Summary = Lfs_core.Summary
 module Checkpoint = Lfs_core.Checkpoint
 module Recovery = Lfs_core.Recovery
 module Log_writer = Lfs_core.Log_writer
+module Dir_log = Lfs_core.Dir_log
 module Prng = Lfs_util.Prng
 
 let test_recover_nothing_to_do () =
@@ -274,6 +275,162 @@ let test_recovery_report_counts () =
   Alcotest.(check bool) "dirops for each create" true (report.Fs.dirops_applied >= 10);
   Alcotest.(check bool) "data blocks seen" true (report.Fs.data_blocks_recovered >= 10)
 
+(* {2 The roll-forward digest, from hand-built log writes} *)
+
+let digest_layout = Layout.compute Helpers.test_config ~disk_blocks:1024
+
+(* A log write at [seq] (in segment [seq], slot 0) carrying [records] in
+   one dir-log block, [data] data blocks and a copy of each of [inos] in
+   one inode block, in that order. *)
+let hand_write ~seq ?(records = []) ?(data = 0) ?(inos = []) () =
+  let bs = digest_layout.Layout.block_size in
+  let entry kind = { Summary.kind; ino = 0; blockno = 0; version = 0; mtime = 0.0 } in
+  let dirlog =
+    match Dir_log.encode_blocks ~block_size:bs records with
+    | [] -> []
+    | [ b ] -> [ (entry Types.Dir_log, Some b) ]
+    | _ -> Alcotest.fail "hand-built records span blocks"
+  in
+  let inode_block =
+    if inos = [] then []
+    else begin
+      let b = Bytes.make bs '\000' in
+      List.iteri
+        (fun slot ino ->
+          Lfs_core.Inode.encode
+            (Lfs_core.Inode.create ~ino ~ftype:Types.Regular ~mtime:0.0)
+            b ~slot)
+        inos;
+      [ (entry Types.Inode_block, Some b) ]
+    end
+  in
+  let parts =
+    dirlog @ List.init data (fun _ -> (entry Types.Data, None)) @ inode_block
+  in
+  {
+    Recovery.summary =
+      {
+        Summary.seq;
+        seg = seq;
+        slot = 0;
+        next_seg = seq + 1;
+        timestamp = 0.0;
+        payload_sum = 0;
+        entries = List.map fst parts;
+      };
+    blocks =
+      List.concat
+        (List.mapi (fun i (_, b) -> Option.to_list (Option.map (fun b -> (i, b)) b)) parts);
+  }
+
+let digest writes = Recovery.digest digest_layout writes
+
+let facts d =
+  List.map (fun o -> (o.Recovery.stale_add, o.Recovery.survives_reuse)) d.Recovery.dirops
+
+let dir = Types.root_ino
+let remove ?(nlink = 0) name ino = Dir_log.Remove { dir; name; ino; nlink }
+let add ?(fresh = true) name ino = Dir_log.Add { dir; name; ino; nlink = 1; fresh }
+
+(* Ino 5 dies, then a create reuses it.  Its only copy (seq 9) is the
+   dead incarnation's: the create's own inode never reached the log. *)
+let test_digest_stale_fresh_add () =
+  let d =
+    digest
+      [
+        hand_write ~seq:9 ~inos:[ 5 ] ();
+        hand_write ~seq:10 ~records:[ remove "a" 5 ] ();
+        hand_write ~seq:11 ~records:[ add "b" 5; add "c" 6 ] ();
+      ]
+  in
+  Alcotest.(check (list (pair bool bool))) "only the reusing create is stale"
+    [ (false, false); (true, false); (false, false) ]
+    (facts d);
+  let d =
+    digest
+      [
+        hand_write ~seq:10 ~records:[ remove "a" 5 ] ();
+        hand_write ~seq:11 ~records:[ add "b" 5 ] ~inos:[ 5 ] ();
+      ]
+  in
+  Alcotest.(check (list (pair bool bool)))
+    "a copy in the create's write is the new incarnation"
+    [ (false, true); (false, false) ]
+    (facts d);
+  let d = digest [ hand_write ~seq:10 ~records:[ add ~fresh:false "l" 5; remove ~nlink:1 "a" 5; add "b" 5 ] () ] in
+  Alcotest.(check (list (pair bool bool)))
+    "no earlier free, no stale create"
+    [ (false, false); (false, false); (false, false) ]
+    (facts d)
+
+(* A Remove whose ino a later create reuses survives reuse only when a
+   copy of the new incarnation reached the log. *)
+let test_digest_remove_survives_reuse () =
+  let writes ~copy_seq =
+    [
+      hand_write ~seq:9 ~inos:[ 5 ] ();
+      hand_write ~seq:10 ~records:[ remove "a" 5 ] ();
+      hand_write ~seq:11 ~records:[ add "b" 5 ] ();
+    ]
+    @ Option.to_list (Option.map (fun seq -> hand_write ~seq ~inos:[ 5 ] ()) copy_seq)
+  in
+  Alcotest.(check (list (pair bool bool))) "copy after the create: survives"
+    [ (false, true); (false, false) ]
+    (facts (digest (writes ~copy_seq:(Some 12))));
+  Alcotest.(check (list (pair bool bool))) "no later copy: the Remove applies"
+    [ (false, false); (true, false) ]
+    (facts (digest (writes ~copy_seq:None)));
+  let d = digest (writes ~copy_seq:(Some 12)) in
+  (* Write 12's inode block is its first payload block. *)
+  let copy12 =
+    Types.Iaddr.make ~block:(Layout.seg_first_block digest_layout 12 + 1) ~slot:0
+  in
+  Alcotest.(check (list (pair int int))) "the latest copy of 5 wins"
+    [ (5, Types.Iaddr.to_int copy12) ]
+    (List.map (fun (i, a) -> (i, Types.Iaddr.to_int a)) d.Recovery.inodes)
+
+(* A rename onto an existing name logs (Remove old-dst, Rename); replay
+   looks at the pair, so the digest keeps them adjacent in log order even
+   when they arrive in different writes. *)
+let test_digest_remove_then_rename () =
+  let rename = Dir_log.Rename { odir = dir; oname = "src"; ndir = dir; nname = "dst"; ino = 7 } in
+  let d =
+    digest
+      [
+        hand_write ~seq:10 ~records:[ add "src" 7; remove "dst" 6 ] ();
+        hand_write ~seq:11 ~records:[ rename ] ~inos:[ 7 ] ();
+      ]
+  in
+  Alcotest.(check (list string)) "log order"
+    (List.map (Fmt.to_to_string Dir_log.pp_record) [ add "src" 7; remove "dst" 6; rename ])
+    (List.map (fun o -> Fmt.to_to_string Dir_log.pp_record o.Recovery.op) d.Recovery.dirops);
+  Alcotest.(check (list (pair bool bool))) "no reuse, nothing stale"
+    [ (false, false); (false, false); (false, false) ]
+    (facts d)
+
+(* Recovery's report counts exactly what the digest of the scan holds. *)
+let test_digest_matches_report () =
+  let disk, fs = Helpers.fresh_fs () in
+  Fs.checkpoint fs;
+  for i = 0 to 9 do
+    Fs.write_path fs (Printf.sprintf "/n%d" i) (Bytes.make 6000 'n')
+  done;
+  Fs.unlink fs ~dir:Fs.root "n3";
+  Fs.rename fs ~odir:Fs.root "n4" ~ndir:Fs.root "n5";
+  Fs.sync fs;
+  let vdev = Helpers.vdev disk in
+  let layout = Fs.layout fs in
+  let _, ckpt = Option.get (Checkpoint.read_latest layout vdev) in
+  let scan = Recovery.scan layout vdev ~ckpt in
+  let d = Recovery.digest layout scan.Recovery.writes in
+  let _, report = Fs.recover vdev in
+  Alcotest.(check int) "inodes" report.Fs.inodes_recovered (List.length d.Recovery.inodes);
+  Alcotest.(check int) "data blocks" report.Fs.data_blocks_recovered d.Recovery.data_blocks;
+  Alcotest.(check int) "dir ops" report.Fs.dirops_applied (List.length d.Recovery.dirops);
+  Alcotest.(check int) "writes" report.Fs.writes_replayed (List.length scan.Recovery.writes);
+  Alcotest.(check bool) "non-trivial" true
+    (d.Recovery.data_blocks > 0 && List.length d.Recovery.dirops >= 12)
+
 (* Geometry is fixed at format time: both ways onto a volume refuse a
    config that would reinterpret it. *)
 let test_geometry_overrides_rejected () =
@@ -414,6 +571,12 @@ let suite =
       Alcotest.test_case "crash torture (seed 43)" `Quick (test_crash_torture ~seed:43);
       Alcotest.test_case "crash torture (seed 44)" `Quick (test_crash_torture ~seed:44);
       Alcotest.test_case "report counts" `Quick test_recovery_report_counts;
+      Alcotest.test_case "digest: stale fresh add" `Quick test_digest_stale_fresh_add;
+      Alcotest.test_case "digest: remove survives reuse" `Quick
+        test_digest_remove_survives_reuse;
+      Alcotest.test_case "digest: remove then rename" `Quick
+        test_digest_remove_then_rename;
+      Alcotest.test_case "digest matches the report" `Quick test_digest_matches_report;
       Alcotest.test_case "geometry overrides rejected" `Quick
         test_geometry_overrides_rejected;
       Alcotest.test_case "stale summary: roll-forward, fsck" `Quick

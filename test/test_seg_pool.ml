@@ -120,6 +120,44 @@ let test_freed_waits_for_refresh () =
   Alcotest.(check (list int)) "withheld until the next refresh" [ 3; 5 ]
     (picks pool ~exclude:[ 0; 1 ] 2)
 
+(* The one tier-move rule: a free chunk on the target tier first, else a
+   swap with the lowest clean donor there — never one that would leave
+   fewer than [reserve] donors (promotion keeps one fast clean segment
+   for the write head). *)
+let test_move_keeps_reserve () =
+  let ti = mk_tier () in
+  (* Spend the fast tier's free chunk; chunk 40 now holds fast data.
+     Fast segments 28 and 29 are clean: the donors.  Slow 50 and 51 hold
+     data to move. *)
+  assert (Vdev_tier.migrate ti ~chunk:40 ~target:Vdev_tier.Fast);
+  let usage = tier_usage_with_dirty ([ 40; 50; 51 ] @ List.init 28 Fun.id) in
+  let pool = Seg_pool.create (Some ti) in
+  Seg_pool.refresh pool usage ~active:[];
+  let on_fast s = Vdev_tier.chunk_tier ti s = Vdev_tier.Fast in
+  Alcotest.(check int) "room: no free fast chunk, two donors" 2
+    (Seg_pool.room pool ~active:[] Vdev_tier.Fast);
+  Alcotest.(check bool) "swap with the lowest donor" true
+    (Seg_pool.move pool ~active:[] ~reserve:1 50 ~target:Vdev_tier.Fast);
+  Alcotest.(check (list bool)) "50 on fast, donor 28 on slow, 29 kept"
+    [ true; false; true ]
+    (List.map on_fast [ 50; 28; 29 ]);
+  Alcotest.(check bool) "the last donor is kept" false
+    (Seg_pool.move pool ~active:[] ~reserve:1 51 ~target:Vdev_tier.Fast);
+  Alcotest.(check bool) "51 stays slow" false (on_fast 51);
+  Alcotest.(check bool) "without a reserve it goes" true
+    (Seg_pool.move pool ~active:[] ~reserve:0 51 ~target:Vdev_tier.Fast);
+  Alcotest.(check int) "no room left" 0
+    (Seg_pool.room pool ~active:[] Vdev_tier.Fast);
+  (* A free chunk on the target tier is used before any donor. *)
+  Alcotest.(check bool) "migrate into a free slow chunk" true
+    (Seg_pool.move pool ~active:[] ~reserve:99 3 ~target:Vdev_tier.Slow);
+  Alcotest.(check bool) "3 on slow" false (on_fast 3);
+  let flat = Seg_pool.create None in
+  Alcotest.(check bool) "no tier, no move" false
+    (Seg_pool.move flat ~active:[] ~reserve:0 3 ~target:Vdev_tier.Fast);
+  Alcotest.(check int) "no tier, no room" 0
+    (Seg_pool.room flat ~active:[] Vdev_tier.Slow)
+
 let suite =
   ( "seg_pool",
     [
@@ -129,4 +167,6 @@ let suite =
         test_pinned_never_picked_or_donor;
       Alcotest.test_case "freed waits for refresh" `Quick
         test_freed_waits_for_refresh;
+      Alcotest.test_case "move keeps the donor reserve" `Quick
+        test_move_keeps_reserve;
     ] )

@@ -386,6 +386,90 @@ let test_demotion_and_promotion () =
   Alcotest.(check bool) "fsck clean after migrations" true
     (Lfs_core.Fsck.is_clean (Lfs_core.Fsck.check fs))
 
+(* Some (ino, blockno) of a file block mapped into segment [seg]. *)
+let block_in_segment fs seg =
+  let layout = Fs.layout fs in
+  let found = ref None in
+  Fs.iter_files fs (fun ino inode ->
+      if inode.Lfs_core.Inode.ftype = Lfs_core.Types.Regular then
+        Fs.with_handle fs ino (fun _ fmap ->
+            Lfs_core.Filemap.iter_mapped fmap (fun blockno addr ->
+                if !found = None && Layout.seg_of_block layout addr = seg then
+                  found := Some (ino, blockno))));
+  !found
+
+let read_block fs (ino, blockno) =
+  let bs = (Fs.layout fs).Layout.block_size in
+  ignore (Fs.read fs ino ~off:(blockno * bs) ~len:bs)
+
+(* Reads counted toward promoting a slow segment belong to its current
+   life: once the segment empties, a later life — refilled and demoted
+   again — starts from zero. *)
+let test_promotion_reads_die_with_segment () =
+  let config =
+    tier_fs_config ~demote_age_s:2.0 ~promote_reads:2 ~cache_blocks:16 ()
+  in
+  let _, _, ti, fs = fresh_tier_fs ~config () in
+  let pump () =
+    let rec go n = if n > 0 && Fs.demote_step fs > 0 then go (n - 1) in
+    go 16
+  in
+  let write_batch prefix n =
+    for i = 0 to n - 1 do
+      Fs.write_path fs (Printf.sprintf "/%s%d" prefix i) (Bytes.make 8192 'x')
+    done;
+    Fs.sync fs
+  in
+  write_batch "f" 20;
+  write_batch "g" 20;
+  pump ();
+  (* One read of a file block in every slow segment holding one. *)
+  let read_segs =
+    List.filter_map
+      (fun seg ->
+        if Vdev_tier.chunk_tier ti seg <> Vdev_tier.Slow then None
+        else
+          Option.map
+            (fun b ->
+              read_block fs b;
+              seg)
+            (block_in_segment fs seg))
+      (List.init (Vdev_tier.nchunks ti) Fun.id)
+  in
+  Alcotest.(check bool) "file blocks on the slow tier" true (read_segs <> []);
+  Alcotest.(check int) "one read does not promote" 0 (Vdev_tier.promotions ti);
+  (* Every file goes; take a segment that emptied with them. *)
+  List.iter
+    (fun (name, _) -> Fs.unlink fs ~dir:Fs.root name)
+    (Fs.readdir fs Fs.root);
+  Fs.checkpoint fs;
+  let seg =
+    match List.find_opt (fun s -> Fs.segment_live_bytes fs s = 0) read_segs with
+    | Some s -> s
+    | None -> Alcotest.fail "no read segment emptied"
+  in
+  (* Refill until the same segment holds live data on the slow tier
+     again. *)
+  let rec refill round =
+    if round > 200 then Alcotest.fail "segment never came back to the slow tier";
+    write_batch (Printf.sprintf "r%d_" round) 4;
+    Fs.checkpoint fs;
+    pump ();
+    if Vdev_tier.chunk_tier ti seg = Vdev_tier.Slow then
+      match block_in_segment fs seg with
+      | Some b -> b
+      | None -> refill (round + 1)
+    else refill (round + 1)
+  in
+  let b = refill 0 in
+  let promotions = Vdev_tier.promotions ti in
+  read_block fs b;
+  Alcotest.(check int) "first read of the new life does not promote"
+    promotions (Vdev_tier.promotions ti);
+  Alcotest.(check bool) "segment still on the slow tier" true
+    (Vdev_tier.chunk_tier ti seg = Vdev_tier.Slow);
+  Helpers.fsck_clean fs
+
 (* ----- Harness regressions: the tier subject under both checkers ----- *)
 
 (* Promotion on two reads, so short sweeps migrate in both directions. *)
@@ -425,6 +509,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_tier_fs_matches_model;
       QCheck_alcotest.to_alcotest prop_tier_remount_preserves;
       Alcotest.test_case "demotion and promotion" `Quick test_demotion_and_promotion;
+      Alcotest.test_case "promotion reads die with the segment" `Quick
+        test_promotion_reads_die_with_segment;
       Alcotest.test_case "modelcheck tier subject" `Slow test_modelcheck_tier;
       Alcotest.test_case "crashtest tier subject" `Slow test_crashtest_tier;
     ] )
