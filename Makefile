@@ -43,6 +43,9 @@ LFS_TOOL := _build/default/bin/lfs_tool.exe
 ci:
 	dune build @all
 	dune runtest
+	# The repository benchmark at 1/20 scale: fails if tracing perturbs
+	# any modelled result.
+	dune build @bench/perf/smoke
 	dune exec bench/main.exe -- quick
 	# Image stats: exercise a small image (geometry chosen so the cleaner
 	# engages); --check fails on any NaN/negative metric.

@@ -1509,6 +1509,12 @@ let micro () =
     Test.make ~name:"adler32-4k"
       (Staged.stage (fun () -> ignore (Lfs_util.Checksum.adler32 payload)))
   in
+  (* One full log batch: the payload of 32 blocks that a summary covers. *)
+  let batch = Bytes.init (32 * 4096) (fun i -> Char.chr (i * 131 land 0xff)) in
+  let test_checksum_batch =
+    Test.make ~name:"adler32-128k"
+      (Staged.stage (fun () -> ignore (Lfs_util.Checksum.adler32 batch)))
+  in
   let dir =
     List.fold_left
       (fun d i -> Lfs_core.Directory.add d (Printf.sprintf "entry%d" i) i)
@@ -1535,7 +1541,15 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"lfs"
-      [ test_write; test_read; test_inode_codec; test_checksum; test_dir_codec; test_sim ]
+      [
+        test_write;
+        test_read;
+        test_inode_codec;
+        test_checksum;
+        test_checksum_batch;
+        test_dir_codec;
+        test_sim;
+      ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in

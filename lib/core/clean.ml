@@ -49,7 +49,7 @@ let prefetch_runs t ~prefetched addrs =
     Metrics.incr ~by:len t.acct.cleaner_read;
     let buf = Vdev.read_blocks t.dev first len in
     for i = 0 to len - 1 do
-      Hashtbl.replace prefetched (first + i) (Bytes.sub buf (i * bs) bs)
+      Hashtbl.replace prefetched (first + i) (buf, i * bs)
     done
   in
   let rec go = function
@@ -67,10 +67,11 @@ let prefetch_runs t ~prefetched addrs =
 
 (* Every log write a victim's summary chain describes, as (entry,
    address, payload thunk) triples; [read] fetches the block at an
-   address.  The cleaner applies no sequence rule: a stale summary from a
-   previous life of the segment, sitting where the chain continues, is
-   walked too, and the entries it describes simply fail the liveness
-   checks. *)
+   address, and a payload thunk gives its block as a buffer and the
+   block's byte offset in it.  The cleaner applies no sequence rule: a
+   stale summary from a previous life of the segment, sitting where the
+   chain continues, is walked too, and the entries it describes simply
+   fail the liveness checks. *)
 let victim_entries t ~seg ~read ~payload =
   let first = Layout.seg_first_block t.layout seg in
   let results = ref [] in
@@ -95,8 +96,10 @@ let read_victim t ~prefetched seg =
       let buf = Vdev.read_blocks t.dev first t.layout.Layout.seg_blocks in
       Metrics.incr ~by:t.layout.Layout.seg_blocks t.acct.cleaner_read;
       let bs = block_size t in
-      let block addr = Bytes.sub buf ((addr - first) * bs) bs in
-      victim_entries t ~seg ~read:block ~payload:(fun addr () -> block addr)
+      let off addr = (addr - first) * bs in
+      victim_entries t ~seg
+        ~read:(fun addr -> Bytes.sub buf (off addr) bs)
+        ~payload:(fun addr () -> (buf, off addr))
   | Config.Live_blocks ->
       (* Payload thunks serve from [prefetched] when a coalescing pass
          already pulled the block in, and fall back to a single cached
@@ -109,8 +112,8 @@ let read_victim t ~prefetched seg =
       let entries =
         victim_entries t ~seg ~read ~payload:(fun addr () ->
             match Hashtbl.find_opt prefetched addr with
-            | Some b -> b
-            | None -> read addr)
+            | Some slice -> slice
+            | None -> (read addr, 0))
       in
       (* Classification decodes inode blocks immediately; pull them in
          as coalesced runs before it starts. *)
@@ -130,9 +133,11 @@ type live_item =
       ino : Types.ino;
       blockno : int;
       version : int;
-      payload : unit -> bytes;
-          (** whole-segment cleaning hands out a slice of the segment
-              image; live-blocks cleaning reads the block on demand *)
+      payload : unit -> bytes * int;
+          (** the block as a buffer and its byte offset there:
+              whole-segment cleaning hands out the segment image,
+              live-blocks cleaning a prefetched run or a block read on
+              demand *)
       mtime : float;
     }
   | Live_indirect of { ino : Types.ino; sblockno : int }
@@ -173,7 +178,10 @@ let classify_live t (e : Summary.entry) addr payload =
       then [ Live_indirect { ino = e.Summary.ino; sblockno = e.Summary.blockno } ]
       else []
   | Types.Inode_block ->
-      let payload = payload () in
+      let payload =
+        let b, pos = payload () in
+        Bytes.sub b pos (block_size t)
+      in
       let acc = ref [] in
       for slot = 0 to t.layout.Layout.inodes_per_block - 1 do
         match Inode.decode payload ~slot with
@@ -201,9 +209,10 @@ let relocate_item t item =
   | Live_data { ino; blockno; version; payload; mtime } ->
       let h = get_handle t ino in
       let old = Filemap.get h.fmap blockno in
+      let b, pos = payload () in
       let addr =
         append_block t ~kind:Types.Data ~ino ~blockno ~version ~mtime
-          (Log_writer.Bytes (payload ()))
+          (Log_writer.Slice (b, pos))
       in
       Filemap.set h.fmap blockno addr;
       h.inode_dirty <- true;

@@ -1,7 +1,7 @@
 module Vdev = Lfs_disk.Vdev
 module Io_queue = Lfs_disk.Io_queue
 
-type payload = Bytes of bytes | Lazy of (unit -> bytes)
+type payload = Bytes of bytes | Slice of bytes * int | Lazy of (unit -> bytes)
 
 type pending = {
   kind : Types.block_kind;
@@ -96,23 +96,28 @@ let head_stats t i =
   let h = t.heads.(i) in
   { segments = h.stat_segments; blocks = h.stat_blocks; syncs = h.stat_syncs }
 
-let render = function Bytes b -> b | Lazy f -> f ()
+(* Copy one payload block into [buf] at byte [dst]. *)
+let place ~bs buf dst payload =
+  let whole b =
+    if Bytes.length b <> bs then
+      invalid_arg "Log_writer: payload is not exactly one block";
+    b
+  in
+  match payload with
+  | Bytes b -> Bytes.blit (whole b) 0 buf dst bs
+  | Slice (b, pos) -> Bytes.blit b pos buf dst bs
+  | Lazy f -> Bytes.blit (whole (f ())) 0 buf dst bs
 
 (* Write one head's queued batch (summary + payloads) as one sequential
-   IO. *)
+   IO.  Payloads are rendered straight into the transfer buffer after
+   the summary slot and checksummed there; the summary goes in last. *)
 let sync_head t i =
   let h = t.heads.(i) in
   if h.batch_count > 0 then begin
     let bs = t.layout.Layout.block_size in
     let pendings = List.rev h.batch in
-    let payload = Bytes.create (h.batch_count * bs) in
-    List.iteri
-      (fun k p ->
-        let b = render p.payload in
-        if Bytes.length b <> bs then
-          invalid_arg "Log_writer: payload is not exactly one block";
-        Bytes.blit b 0 payload (k * bs) bs)
-      pendings;
+    let buf = Bytes.create ((h.batch_count + 1) * bs) in
+    List.iteri (fun k p -> place ~bs buf ((k + 1) * bs) p.payload) pendings;
     let entries =
       List.map
         (fun p ->
@@ -132,14 +137,11 @@ let sync_head t i =
         slot = h.batch_slot;
         next_seg = h.next_seg;
         timestamp = h.timestamp;
-        payload_sum = Summary.payload_checksum payload;
+        payload_sum = Summary.payload_checksum ~pos:bs buf;
         entries;
       }
     in
-    let sum_block = Summary.encode ~block_size:bs summary in
-    let buf = Bytes.create ((h.batch_count + 1) * bs) in
-    Bytes.blit sum_block 0 buf 0 bs;
-    Bytes.blit payload 0 buf bs (Bytes.length payload);
+    Bytes.blit (Summary.encode ~block_size:bs summary) 0 buf 0 bs;
     let addr = Layout.seg_first_block t.layout h.cur_seg + h.batch_slot in
     (* Submit the batch as one tagged sequential transfer.  Under Direct
        mode this services immediately (the historical behaviour); under

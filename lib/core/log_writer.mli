@@ -25,7 +25,13 @@
     ({!reserved_segment}); every summary records it, which is how
     roll-forward follows each head's chain across segment boundaries. *)
 
-type payload = Bytes of bytes | Lazy of (unit -> bytes)
+type payload =
+  | Bytes of bytes  (** exactly one block *)
+  | Slice of bytes * int
+      (** the block at byte offset [pos] of a larger buffer, which the
+          caller leaves untouched until the batch is written: the cleaner
+          relocates straight out of its read buffers *)
+  | Lazy of (unit -> bytes)  (** one block, rendered at batch-write time *)
 
 type position = {
   seg : int;       (** segment this head is filling *)

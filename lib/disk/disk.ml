@@ -1,16 +1,17 @@
+module Seq_map = Map.Make (Int)
+
 type t = {
   geometry : Geometry.t;
   data : bytes array;
   stats : Io_stats.t;
   queue : Io_queue.t;
-  mutable mode : Io_queue.mode;
   mutable crash_countdown : int option;  (* blocks until power cut *)
   mutable crashed : bool;
-  mutable pending : (int * int * bytes) list;
+  mutable pending : (int * bytes) Seq_map.t;
       (* queued-mode writes submitted but not yet committed by the
-         elevator: (seq, addr, payload) in submission order.  Reads
-         overlay these so the FS observes its own writes; a reboot
-         drops them. *)
+         elevator: seq -> (addr, payload), so ascending seq is
+         submission order.  Reads overlay these so the FS observes its
+         own writes; a reboot drops them. *)
   mutable write_seq_counter : int;
   write_seq : int array;
       (* per block, the submission seq of the newest committed write:
@@ -52,10 +53,9 @@ let create geometry =
     data = Array.init geometry.Geometry.blocks (fun _ -> Bytes.make geometry.Geometry.block_size '\000');
     stats;
     queue = Io_queue.create ~service:(service_fn geometry) ~stats;
-    mode = Io_queue.Direct;
     crash_countdown = None;
     crashed = false;
-    pending = [];
+    pending = Seq_map.empty;
     write_seq_counter = 0;
     write_seq = Array.make geometry.Geometry.blocks 0;
   }
@@ -73,9 +73,9 @@ let set_mode t m =
   | Io_queue.Queued clock when Io_queue.depth t.queue = 0 ->
       Io_queue.set_horizon t.queue (clock ())
   | _ -> ());
-  t.mode <- m
+  Io_queue.set_mode t.queue m
 
-let get_mode t = t.mode
+let get_mode t = Io_queue.mode t.queue
 
 let check_range t addr n what =
   if addr < 0 || n < 0 || addr + n > nblocks t then
@@ -91,12 +91,12 @@ let enqueue ?on_commit t ?now ~addr ~n () =
     match now with
     | Some s -> s
     | None -> (
-        match t.mode with
+        match get_mode t with
         | Io_queue.Direct -> Io_queue.horizon t.queue
         | Io_queue.Queued clock -> clock ())
   in
   let tag = Io_queue.submit ?on_commit t.queue ~now ~addr ~nblocks:n in
-  (match t.mode with
+  (match get_mode t with
   | Io_queue.Direct -> ignore (Io_queue.await (Io_queue.Tag (t.queue, tag)))
   | Io_queue.Queued _ -> ());
   Io_queue.Tag (t.queue, tag)
@@ -109,8 +109,8 @@ let ensure_alive t = if t.crashed then raise Crashed
    elevator retired first) keeps the committed data. *)
 let overlay_pending t ~addr ~n out =
   let bs = block_size t in
-  List.iter
-    (fun (seq, waddr, payload) ->
+  Seq_map.iter
+    (fun seq (waddr, payload) ->
       let wn = Bytes.length payload / bs in
       let lo = max addr waddr and hi = min (addr + n) (waddr + wn) in
       for blk = lo to hi - 1 do
@@ -129,7 +129,7 @@ let submit_read ?now t addr n =
   for i = 0 to n - 1 do
     Bytes.blit t.data.(addr + i) 0 out (i * bs) bs
   done;
-  if t.pending <> [] then overlay_pending t ~addr ~n out;
+  if not (Seq_map.is_empty t.pending) then overlay_pending t ~addr ~n out;
   (enqueue t ?now ~addr ~n (), out)
 
 let read_blocks t addr n = snd (submit_read t addr n)
@@ -177,18 +177,17 @@ let submit_write_payload ?now t addr payload =
   let n = Bytes.length payload / bs in
   t.write_seq_counter <- t.write_seq_counter + 1;
   let seq = t.write_seq_counter in
-  match t.mode with
+  match get_mode t with
   | Io_queue.Direct ->
       let tk = enqueue t ?now ~addr ~n () in
       perform_write t ~seq addr payload;
       tk
   | Io_queue.Queued _ ->
       let payload = Bytes.copy payload in
-      let cell = (seq, addr, payload) in
-      t.pending <- t.pending @ [ cell ];
+      t.pending <- Seq_map.add seq (addr, payload) t.pending;
       enqueue t ?now ~addr ~n ()
         ~on_commit:(fun () ->
-          t.pending <- List.filter (fun c -> c != cell) t.pending;
+          t.pending <- Seq_map.remove seq t.pending;
           perform_write t ~seq addr payload)
 
 let submit_write ?now t addr b =
@@ -236,7 +235,7 @@ let reboot t =
   t.crash_countdown <- None;
   (* Submitted-but-uncommitted writes die with the power: only what the
      elevator actually retired is on the medium. *)
-  t.pending <- [];
+  t.pending <- Seq_map.empty;
   Io_queue.reset t.queue;
   Io_queue.set_head t.queue (-1)
 
@@ -250,10 +249,9 @@ let snapshot t =
     data = Array.map Bytes.copy t.data;
     stats;
     queue;
-    mode = Io_queue.Direct;
     crash_countdown = t.crash_countdown;
     crashed = t.crashed;
-    pending = [];
+    pending = Seq_map.empty;
     write_seq_counter = 0;
     write_seq = Array.make t.geometry.Geometry.blocks 0;
   }
@@ -272,7 +270,7 @@ let restore t ~from =
   s.Io_stats.queue_wait_s <- s'.Io_stats.queue_wait_s;
   s.Io_stats.max_queue_depth <- s'.Io_stats.max_queue_depth;
   (* Pending time-plane requests do not survive a restore. *)
-  t.pending <- [];
+  t.pending <- Seq_map.empty;
   Array.fill t.write_seq 0 (Array.length t.write_seq) 0;
   t.write_seq_counter <- 0;
   Io_queue.reset t.queue;

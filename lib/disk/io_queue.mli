@@ -60,12 +60,16 @@ val drain : t -> float
 
 val pump : t -> now:float -> (int * float) list
 (** If the device is idle at [now], commit the elevator's next pick.
-    Returns every [(tag, finish)] committed since the last pump so the
-    caller can schedule completion events. *)
+    Returns every [(tag, finish)] committed in [Queued] mode since the
+    last pump, oldest first, so the caller can schedule completion
+    events.  Services committed in [Direct] mode are not recorded: no
+    one pumps a Direct queue. *)
 
 val outstanding_in : t -> lo:int -> hi:int -> int
 (** Number of not-yet-serviced requests with tag in [\[lo, hi)]. *)
 
+val mode : t -> mode
+val set_mode : t -> mode -> unit
 val head : t -> int
 val set_head : t -> int -> unit
 val horizon : t -> float

@@ -69,7 +69,6 @@ let merge a b =
     max_queue_depth = max a.max_queue_depth b.max_queue_depth;
   }
 
-let bytes_read ~block_size t = t.blocks_read * block_size
 let bytes_written ~block_size t = t.blocks_written * block_size
 let total_ios t = t.reads + t.writes
 

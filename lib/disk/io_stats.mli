@@ -31,7 +31,6 @@ val merge : t -> t -> t
     sum of per-spindle busy times, not wall-clock; [max_queue_depth] is
     the max of the two watermarks). *)
 
-val bytes_read : block_size:int -> t -> int
 val bytes_written : block_size:int -> t -> int
 val total_ios : t -> int
 

@@ -12,7 +12,7 @@ let make_view lower cache name =
       tickets := tk :: !tickets;
       b
     in
-    let b = Block_cache.read_range cache ~block_size:bs ~fetch addr n in
+    let b = Block_cache.read_range cache ~fetch addr n in
     let tk =
       match !tickets with [] -> Io_queue.Done | ts -> Io_queue.Join ts
     in
@@ -25,7 +25,7 @@ let make_view lower cache name =
     Block_cache.invalidate_range cache addr n;
     let tk = Vdev.submit_write ?now lower addr b in
     for i = 0 to n - 1 do
-      Block_cache.put cache (addr + i) (Bytes.sub b (i * bs) bs)
+      Block_cache.put cache (addr + i) ~pos:(i * bs) b
     done;
     tk
   in
@@ -44,7 +44,7 @@ let make_view lower cache name =
   }
 
 let create ?(name = "cache") ~capacity lower =
-  let cache = Block_cache.create ~capacity in
+  let cache = Block_cache.create ~capacity ~block_size:(Vdev.block_size lower) in
   { lower; cache; view = make_view lower cache name }
 
 let vdev t = t.view

@@ -58,10 +58,6 @@ let rot_byte t =
 let rot_read t ~addr = Hashtbl.replace t.read_rot addr (rot_byte t)
 let rot_write t ~addr = Hashtbl.replace t.write_rot addr (rot_byte t)
 
-let clear_rot t =
-  Hashtbl.reset t.read_rot;
-  Hashtbl.reset t.write_rot
-
 let flip b off (byte, mask) =
   Bytes.set b (off + byte) (Char.chr (Char.code (Bytes.get b (off + byte)) lxor mask))
 

@@ -64,16 +64,12 @@ val blocks_written : t -> int
 
 val rot_read : t -> addr:int -> unit
 (** Corrupt one pseudo-randomly chosen byte of block [addr] in every
-    subsequent read of it, until [clear_rot].  The medium itself is
-    untouched. *)
+    subsequent read of it.  The medium itself is untouched. *)
 
 val rot_write : t -> addr:int -> unit
 (** Corrupt one pseudo-randomly chosen byte of block [addr] in the next
     write that covers it (the corruption reaches the medium); the plan
     entry is consumed by that write. *)
-
-val clear_rot : t -> unit
-(** Forget all planned and active bit-rot. *)
 
 val register_metrics : ?prefix:string -> Lfs_obs.Metrics.t -> t -> unit
 (** Register [<prefix>.blocks_written] (the layer's own payload counter)

@@ -66,14 +66,6 @@ val step : state -> op -> (state * event list, string) result
     router cannot move them), same-path rename and empty writes are
     accepted no-ops. *)
 
-val splice : bytes -> off:int -> bytes -> bytes
-(** [splice old ~off data] — the content after writing [data] at [off]
-    (zero-fills any gap beyond [old]). *)
-
-val resize : bytes -> int -> bytes
-(** The content after truncating to the given length (extension
-    zero-fills). *)
-
 (** {1 The refinement oracle} *)
 
 val chain :
@@ -85,11 +77,6 @@ val chain :
 (** Version chain of a file path at a cut: newest content with
     op <= [durable] plus every version in the ([durable], [upto]]
     window. *)
-
-val dir_chain :
-  (int * event) list -> string -> durable:int -> upto:int -> bool * bool list
-(** Presence chain of a directory path (durably present?, window
-    presence values). *)
 
 val content_acceptable : bs:int -> bytes list -> bytes -> bool
 (** Whether recovered content is block-wise assembled from the given

@@ -48,12 +48,6 @@ let put_string c s =
   Bytes.blit_string s 0 c.buf c.off n;
   c.off <- c.off + n
 
-let put_raw c b =
-  let n = Bytes.length b in
-  check c n "put_raw";
-  Bytes.blit b 0 c.buf c.off n;
-  c.off <- c.off + n
-
 let get_u8 c =
   check c 1 "get_u8";
   let v = Char.code (Bytes.unsafe_get c.buf c.off) in
@@ -88,8 +82,3 @@ let get_string c =
   c.off <- c.off + n;
   s
 
-let get_raw c n =
-  check c n "get_raw";
-  let b = Bytes.sub c.buf c.off n in
-  c.off <- c.off + n;
-  b

@@ -34,7 +34,6 @@ val put_float : cursor -> float -> unit
 val put_string : cursor -> string -> unit
 (** Length-prefixed (u16) string. *)
 
-val put_raw : cursor -> bytes -> unit
 
 val get_u8 : cursor -> int
 val get_u16 : cursor -> int
@@ -43,4 +42,3 @@ val get_u64 : cursor -> int64
 val get_int : cursor -> int
 val get_float : cursor -> float
 val get_string : cursor -> string
-val get_raw : cursor -> int -> bytes

@@ -43,5 +43,3 @@ val pareto : t -> alpha:float -> x_min:float -> float
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)

@@ -18,7 +18,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two observations. *)
 
-val stddev : t -> float
 val min_value : t -> float
 (** Smallest observation; [infinity] when empty. *)
 

@@ -43,7 +43,7 @@ end
 (** Build the driver record from any module satisfying the shared
     {!Lfs_core.Fs_intf.S} surface, so every workload in this library
     runs against a new file system the moment it implements the
-    interface.  [of_lfs]/[of_ffs] below are instances. *)
+    interface.  {!of_lfs} below is an instance. *)
 
 val of_any : name:string -> async_writes:bool -> Lfs_core.Fs_intf.Any.t -> t
 (** Build the driver record from a packed file system
@@ -59,7 +59,6 @@ val io_stats : t -> Lfs_disk.Io_stats.t
     after a phase and {!Lfs_disk.Io_stats.diff} the two. *)
 
 val of_lfs : Lfs_core.Fs.t -> t
-val of_ffs : Lfs_ffs.Ffs.t -> t
 
 val fresh_lfs :
   ?config:Lfs_core.Config.t -> Lfs_disk.Geometry.t -> t

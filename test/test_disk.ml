@@ -155,7 +155,7 @@ let test_geometry_io_time () =
 let test_cache_hit_costs_nothing () =
   let d = Disk.create wren in
   Disk.write_block d 2 (block 'c');
-  let c = Block_cache.create ~capacity:8 in
+  let c = Block_cache.create ~capacity:8 ~block_size:4096 in
   ignore (Block_cache.read c ~fetch:(Disk.read_block d) 2);
   let busy = (Disk.stats d).Io_stats.busy_s in
   Helpers.check_bytes "cache hit" (block 'c') (Block_cache.read c ~fetch:(Disk.read_block d) 2);
@@ -165,7 +165,7 @@ let test_cache_hit_costs_nothing () =
 
 let test_cache_eviction_lru () =
   let d = Disk.create wren in
-  let c = Block_cache.create ~capacity:2 in
+  let c = Block_cache.create ~capacity:2 ~block_size:4096 in
   ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);
   ignore (Block_cache.read c ~fetch:(Disk.read_block d) 1);
   ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);  (* touch 0: now 1 is LRU *)
@@ -177,7 +177,7 @@ let test_cache_eviction_lru () =
 
 let test_cache_put_and_invalidate () =
   let d = Disk.create wren in
-  let c = Block_cache.create ~capacity:4 in
+  let c = Block_cache.create ~capacity:4 ~block_size:4096 in
   Block_cache.put c 5 (block 'p');
   Helpers.check_bytes "put visible" (block 'p') (Block_cache.read c ~fetch:(Disk.read_block d) 5);
   Block_cache.invalidate c 5;
@@ -186,14 +186,32 @@ let test_cache_put_and_invalidate () =
 
 let test_cache_returns_copies () =
   let d = Disk.create wren in
-  let c = Block_cache.create ~capacity:4 in
+  let c = Block_cache.create ~capacity:4 ~block_size:4096 in
   let b = Block_cache.read c ~fetch:(Disk.read_block d) 1 in
   Bytes.fill b 0 10 'Z';
   Helpers.check_bytes "cache unpolluted" (block '\000') (Block_cache.read c ~fetch:(Disk.read_block d) 1)
 
+(* Eviction from a full cache leaves alone what the cache handed out
+   earlier and what a writer still holds. *)
+let test_cache_eviction_keeps_handed_out () =
+  let d = Disk.create wren in
+  Disk.write_block d 0 (block 'a');
+  Disk.write_block d 1 (block 'b');
+  let c = Block_cache.create ~capacity:1 ~block_size:4096 in
+  let miss = Block_cache.read c ~fetch:(Disk.read_block d) 0 in
+  let hit = Block_cache.read c ~fetch:(Disk.read_block d) 0 in
+  let mine = block 'p' in
+  Block_cache.put c 2 mine;
+  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 1);
+  Helpers.check_bytes "miss result kept" (block 'a') miss;
+  Helpers.check_bytes "hit result kept" (block 'a') hit;
+  Helpers.check_bytes "writer's buffer kept" (block 'p') mine;
+  Helpers.check_bytes "the new entry serves its block" (block 'b')
+    (Block_cache.read c ~fetch:(fun _ -> Alcotest.fail "expected a hit") 1)
+
 let test_cache_zero_capacity () =
   let d = Disk.create wren in
-  let c = Block_cache.create ~capacity:0 in
+  let c = Block_cache.create ~capacity:0 ~block_size:4096 in
   Disk.write_block d 0 (block 'z');
   Helpers.check_bytes "still reads through" (block 'z') (Block_cache.read c ~fetch:(Disk.read_block d) 0);
   Alcotest.(check int) "never hits" 0 (Block_cache.hits c)
@@ -214,7 +232,7 @@ let test_geometry_presets () =
 
 let test_cache_clear_resets_counters () =
   let d = Disk.create wren in
-  let c = Block_cache.create ~capacity:8 in
+  let c = Block_cache.create ~capacity:8 ~block_size:4096 in
   ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);
   ignore (Block_cache.read c ~fetch:(Disk.read_block d) 1);
   ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);
@@ -237,15 +255,15 @@ let test_cache_read_range_coalesces () =
   done;
   let expect = Disk.read_blocks d 10 8 in
   let reads0 = (Disk.stats d).Io_stats.reads in
-  let c = Block_cache.create ~capacity:32 in
-  let got = Block_cache.read_range c ~block_size:4096 ~fetch:(range_fetch d) 10 8 in
+  let c = Block_cache.create ~capacity:32 ~block_size:4096 in
+  let got = Block_cache.read_range c ~fetch:(range_fetch d) 10 8 in
   Helpers.check_bytes "cold range" expect got;
   Alcotest.(check int) "one coalesced device read" (reads0 + 1)
     (Disk.stats d).Io_stats.reads;
   Alcotest.(check int) "eight misses" 8 (Block_cache.misses c);
   Alcotest.(check int) "no hits yet" 0 (Block_cache.hits c);
   let busy = (Disk.stats d).Io_stats.busy_s in
-  let again = Block_cache.read_range c ~block_size:4096 ~fetch:(range_fetch d) 10 8 in
+  let again = Block_cache.read_range c ~fetch:(range_fetch d) 10 8 in
   Helpers.check_bytes "warm range" expect again;
   Alcotest.(check int) "warm read is free" (reads0 + 1) (Disk.stats d).Io_stats.reads;
   Alcotest.(check (float 0.0)) "no extra disk time" busy (Disk.stats d).Io_stats.busy_s;
@@ -256,12 +274,12 @@ let test_cache_read_range_partial_overlap () =
   for i = 0 to 7 do
     Disk.write_block d i (block (Char.chr (Char.code 'A' + i)))
   done;
-  let c = Block_cache.create ~capacity:32 in
-  ignore (Block_cache.read_range c ~block_size:4096 ~fetch:(range_fetch d) 0 4);
+  let c = Block_cache.create ~capacity:32 ~block_size:4096 in
+  ignore (Block_cache.read_range c ~fetch:(range_fetch d) 0 4);
   let expect = Disk.read_blocks d 2 4 in
   let reads1 = (Disk.stats d).Io_stats.reads in
   (* [2,6) overlaps the cached [0,4): two hits, one fetch for [4,6). *)
-  let got = Block_cache.read_range c ~block_size:4096 ~fetch:(range_fetch d) 2 4 in
+  let got = Block_cache.read_range c ~fetch:(range_fetch d) 2 4 in
   Helpers.check_bytes "overlap contents" expect got;
   Alcotest.(check int) "two hits" 2 (Block_cache.hits c);
   Alcotest.(check int) "4 + 2 misses" 6 (Block_cache.misses c);
@@ -421,6 +439,86 @@ let test_queued_drain_barrier () =
     (snd (Disk.submit_read d 3 1));
   ignore (Disk.drain d)
 
+(* Services committed without a pump (here by a drain) come back from
+   the next pump oldest first, each once; a tie on address goes to the
+   older request. *)
+let test_pump_oldest_first () =
+  let d = Disk.create wren in
+  let now = ref 0.0 in
+  Disk.set_mode d (Io_queue.Queued (fun () -> !now));
+  let t100 = leaf_tag (fst (Disk.submit_read d 100 1)) in
+  let t10 = leaf_tag (fst (Disk.submit_read d 10 1)) in
+  let t10' = leaf_tag (Disk.submit_write d 10 (block 'w')) in
+  let t5 = leaf_tag (fst (Disk.submit_read d 5 1)) in
+  ignore (Disk.drain d);
+  let started = Disk.pump d ~now:!now in
+  (* From 5 the head is at 6: both requests at 10 lie ahead and the
+     older wins the tie; the younger is behind the head after it. *)
+  Alcotest.(check (list int)) "commit order" [ t5; t10; t100; t10' ]
+    (List.map fst started);
+  let fins = List.map snd started in
+  Alcotest.(check bool) "finish times ascend" true
+    (List.sort Float.compare fins = fins);
+  Alcotest.(check (list int)) "each reported once" []
+    (List.map fst (Disk.pump d ~now:1e9))
+
+(* No one pumps a Direct device, so its services are never recorded: a
+   later switch to Queued starts with nothing stale to report. *)
+let test_direct_leaves_nothing_to_pump () =
+  let d = Disk.create wren in
+  for i = 0 to 99 do
+    Disk.write_block d (i mod 50) (block 'x');
+    ignore (Disk.read_block d (i mod 50))
+  done;
+  Alcotest.(check int) "nothing from direct traffic" 0
+    (List.length (Disk.pump d ~now:infinity));
+  let now = ref 1e6 in
+  Disk.set_mode d (Io_queue.Queued (fun () -> !now));
+  Alcotest.(check int) "nothing after the switch" 0
+    (List.length (Disk.pump d ~now:infinity));
+  let tk = leaf_tag (fst (Disk.submit_read d 7 1)) in
+  Alcotest.(check (list int)) "only the queued request" [ tk ]
+    (List.map fst (Disk.pump d ~now:infinity))
+
+(* The cache keeps its own copy of every block: mutating a buffer after
+   handing it to a write, or a buffer a read returned (whole-range miss,
+   partial hit, full hit), never changes what the cache serves next. *)
+let test_cache_owns_its_blocks () =
+  let d = Disk.create wren in
+  let cache = Lfs_disk.Vdev_cache.create ~capacity:64 (Vdev.of_disk d) in
+  let dev = Lfs_disk.Vdev_cache.vdev cache in
+  let data = Helpers.bytes_of_pattern ~seed:5 (4 * 4096) in
+  let w = Bytes.copy data in
+  ignore (Vdev.submit_write dev 20 w);
+  Bytes.fill w 0 (Bytes.length w) 'W';
+  Helpers.check_bytes "write buffer reused" data (Vdev.read_blocks dev 20 4);
+  let one = Bytes.sub data 0 4096 in
+  Vdev.write_block dev 30 one;
+  Bytes.fill one 0 4096 'W';
+  Helpers.check_bytes "one-block write buffer reused" (Bytes.sub data 0 4096)
+    (Vdev.read_block dev 30);
+  let scribble b = Bytes.fill b 0 (Bytes.length b) 'R' in
+  let check_reads what addr n =
+    let expect = Disk.read_blocks d addr n in
+    let b = Vdev.read_blocks dev addr n in
+    Helpers.check_bytes what expect b;
+    scribble b;
+    Helpers.check_bytes (what ^ ", then scribbled") expect
+      (Vdev.read_blocks dev addr n)
+  in
+  let cold = Helpers.bytes_of_pattern ~seed:6 (8 * 4096) in
+  Disk.write_blocks d 40 cold;
+  check_reads "single-block miss" 47 1;
+  check_reads "single-block hit" 47 1;
+  check_reads "whole-range miss" 40 4;
+  check_reads "partial hit" 42 4;
+  check_reads "full hit" 40 6;
+  let b = snd (Vdev.submit_read dev 20 4) in
+  scribble b;
+  Helpers.check_bytes "submit_read result" data (Vdev.read_blocks dev 20 4);
+  Helpers.check_bytes "medium untouched" data (Disk.read_blocks d 20 4);
+  Helpers.check_bytes "medium untouched, cold range" cold (Disk.read_blocks d 40 8)
+
 (* Satellite: the vdev layer validates read results against
    n * block_size, so a misbehaving compositor fails at the boundary
    instead of corrupting its caller. *)
@@ -466,6 +564,8 @@ let suite =
       Alcotest.test_case "cache LRU eviction" `Quick test_cache_eviction_lru;
       Alcotest.test_case "cache put/invalidate" `Quick test_cache_put_and_invalidate;
       Alcotest.test_case "cache returns copies" `Quick test_cache_returns_copies;
+      Alcotest.test_case "cache eviction keeps handed-out blocks" `Quick
+        test_cache_eviction_keeps_handed_out;
       Alcotest.test_case "cache zero capacity" `Quick test_cache_zero_capacity;
       Alcotest.test_case "cache clear resets counters" `Quick test_cache_clear_resets_counters;
       Alcotest.test_case "range read coalesces" `Quick test_cache_read_range_coalesces;
@@ -480,4 +580,7 @@ let suite =
       Alcotest.test_case "direct sync = submit+await" `Quick test_direct_sync_equals_submit_await;
       Alcotest.test_case "queued drain barrier" `Quick test_queued_drain_barrier;
       Alcotest.test_case "vdev read length validated" `Quick test_vdev_read_length_validated;
+      Alcotest.test_case "pump oldest first" `Quick test_pump_oldest_first;
+      Alcotest.test_case "direct leaves nothing to pump" `Quick test_direct_leaves_nothing_to_pump;
+      Alcotest.test_case "cache owns its blocks" `Quick test_cache_owns_its_blocks;
     ] )

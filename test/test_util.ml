@@ -150,6 +150,66 @@ let test_checksum_range () =
   Alcotest.(check bool) "range differs from whole" false (whole = part);
   Alcotest.(check int32) "range stable" part (Checksum.adler32 ~pos:10 ~len:50 b)
 
+(* The per-byte definition of Adler-32, reducing both sums after every
+   byte: the oracle the deferred-reduction implementation must match. *)
+let adler32_reference ~pos ~len b =
+  let a = ref 1 and s = ref 0 in
+  for i = pos to pos + len - 1 do
+    a := (!a + Char.code (Bytes.get b i)) mod 65521;
+    s := (!s + !a) mod 65521
+  done;
+  Int32.logor (Int32.shift_left (Int32.of_int !s) 16) (Int32.of_int !a)
+
+let test_checksum_known_vector () =
+  Alcotest.(check int32) "adler32 \"Wikipedia\"" 0x11E60398l
+    (Checksum.adler32_string "Wikipedia");
+  Alcotest.(check int32) "empty input" 1l (Checksum.adler32 Bytes.empty)
+
+(* Lengths around the 8-byte step, the 128-byte block of steps and the
+   5552-byte reduction chunk, over all-0xFF input (every sum and lane at
+   its largest) and over a mixed pattern, at aligned and unaligned
+   offsets. *)
+let test_checksum_boundaries () =
+  let lens =
+    [ 0; 1; 7; 8; 9; 15; 16; 17; 127; 128; 129; 255; 256; 5503; 5504; 5505;
+      5544; 5551; 5552; 5553; 5560; 11103; 11104; 11105; 4088; 4096;
+      32 * 4096 ]
+  in
+  List.iter
+    (fun fill ->
+      List.iter
+        (fun len ->
+          List.iter
+            (fun pos ->
+              let b = Bytes.init (pos + len) (fill pos) in
+              Alcotest.(check int32)
+                (Printf.sprintf "pos %d len %d" pos len)
+                (adler32_reference ~pos ~len b)
+                (Checksum.adler32 ~pos ~len b))
+            [ 0; 3; 8 ])
+        lens)
+    [ (fun _ _ -> '\255'); (fun pos i -> Char.chr ((i - pos) * 131 land 0xff)) ]
+
+let test_checksum_rejects_bad_range () =
+  let b = Bytes.make 16 'x' in
+  List.iter
+    (fun (pos, len) ->
+      match Checksum.adler32 ~pos ~len b with
+      | _ -> Alcotest.failf "range pos %d len %d accepted" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, 17); (10, 7); (4, -1) ]
+
+let prop_checksum_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"adler32 = per-byte reference"
+    QCheck.(triple (string_of_size Gen.(0 -- 20_000)) pos_int pos_int)
+    (fun (s, p, l) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let pos = p mod (n + 1) in
+      let len = l mod (n - pos + 1) in
+      Checksum.adler32 ~pos ~len b = adler32_reference ~pos ~len b
+      && Checksum.adler32 b = adler32_reference ~pos:0 ~len:n b)
+
 let test_plot_renders () =
   let s =
     Lfs_util.Plot.render ~title:"t"
@@ -294,10 +354,14 @@ let suite =
       Alcotest.test_case "checksum stable" `Quick test_checksum_stable;
       Alcotest.test_case "checksum differs" `Quick test_checksum_differs;
       Alcotest.test_case "checksum range" `Quick test_checksum_range;
+      Alcotest.test_case "checksum known vector" `Quick test_checksum_known_vector;
+      Alcotest.test_case "checksum chunk boundaries" `Quick test_checksum_boundaries;
+      Alcotest.test_case "checksum rejects bad range" `Quick test_checksum_rejects_bad_range;
       Alcotest.test_case "plot renders" `Quick test_plot_renders;
       Alcotest.test_case "plot empty series" `Quick test_plot_empty_series;
       Alcotest.test_case "io_stats merge zero" `Quick test_io_stats_merge_zero;
       Alcotest.test_case "io_stats reset" `Quick test_io_stats_reset;
+      QCheck_alcotest.to_alcotest prop_checksum_matches_reference;
       QCheck_alcotest.to_alcotest prop_codec_roundtrip;
       QCheck_alcotest.to_alcotest prop_codec_overflow;
       QCheck_alcotest.to_alcotest prop_percentile_bounds;
