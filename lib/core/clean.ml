@@ -212,7 +212,7 @@ let relocate_item t item =
       let b, pos = payload () in
       let addr =
         append_block t ~kind:Types.Data ~ino ~blockno ~version ~mtime
-          (Log_writer.Slice (b, pos))
+          (Log_writer.Bytes (b, pos))
       in
       Filemap.set h.fmap blockno addr;
       h.inode_dirty <- true;

@@ -324,7 +324,7 @@ let flush_dirops t =
       (fun b ->
         let (_ : Types.baddr) =
           append_block t ~kind:Types.Dir_log ~ino:0 ~blockno:0 ~version:0
-            ~mtime:t.clock (Log_writer.Bytes b)
+            ~mtime:t.clock (Log_writer.Bytes (b, 0))
         in
         ())
       blocks
@@ -352,7 +352,7 @@ let flush_data_blocks t =
             let addr =
               append_block t ~kind:Types.Data ~ino ~blockno
                 ~version:(version_of t ino) ~mtime:h.inode.Inode.mtime
-                (Log_writer.Bytes b)
+                (Log_writer.Bytes (b, 0))
             in
             Filemap.set h.fmap blockno addr;
             if old <> Types.nil_addr then kill t old ~bytes:(block_size t);
@@ -375,7 +375,7 @@ let flush_filemaps_and_inodes t =
         Filemap.flush h.fmap h.inode
           ~alloc:(fun ~kind ~blockno payload ->
             append_block t ~kind ~ino ~blockno ~version:(version_of t ino)
-              ~mtime:h.inode.Inode.mtime (Log_writer.Bytes payload))
+              ~mtime:h.inode.Inode.mtime (Log_writer.Bytes (payload, 0)))
           ~free:(fun addr -> kill t addr ~bytes:(block_size t));
         dirty_inos := (ino, h) :: !dirty_inos
       end)
@@ -399,7 +399,7 @@ let flush_filemaps_and_inodes t =
         List.iteri (fun slot (_, h) -> Inode.encode h.inode b ~slot) batch;
         let addr =
           append_block t ~kind:Types.Inode_block ~ino:0 ~blockno:0 ~version:0
-            ~mtime:newest (Log_writer.Bytes b)
+            ~mtime:newest (Log_writer.Bytes (b, 0))
         in
         let seg = Layout.seg_of_block t.layout addr in
         List.iteri

@@ -1,7 +1,7 @@
 module Vdev = Lfs_disk.Vdev
 module Io_queue = Lfs_disk.Io_queue
 
-type payload = Bytes of bytes | Slice of bytes * int | Lazy of (unit -> bytes)
+type payload = Bytes of bytes * int | Lazy of (unit -> bytes)
 
 type pending = {
   kind : Types.block_kind;
@@ -98,15 +98,12 @@ let head_stats t i =
 
 (* Copy one payload block into [buf] at byte [dst]. *)
 let place ~bs buf dst payload =
-  let whole b =
-    if Bytes.length b <> bs then
-      invalid_arg "Log_writer: payload is not exactly one block";
-    b
+  let b, pos =
+    match payload with Bytes (b, pos) -> (b, pos) | Lazy f -> (f (), 0)
   in
-  match payload with
-  | Bytes b -> Bytes.blit (whole b) 0 buf dst bs
-  | Slice (b, pos) -> Bytes.blit b pos buf dst bs
-  | Lazy f -> Bytes.blit (whole (f ())) 0 buf dst bs
+  if pos < 0 || pos + bs > Bytes.length b then
+    invalid_arg "Log_writer: payload is not a whole block";
+  Bytes.blit b pos buf dst bs
 
 (* Write one head's queued batch (summary + payloads) as one sequential
    IO.  Payloads are rendered straight into the transfer buffer after

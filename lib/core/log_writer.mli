@@ -26,11 +26,11 @@
     roll-forward follows each head's chain across segment boundaries. *)
 
 type payload =
-  | Bytes of bytes  (** exactly one block *)
-  | Slice of bytes * int
-      (** the block at byte offset [pos] of a larger buffer, which the
-          caller leaves untouched until the batch is written: the cleaner
-          relocates straight out of its read buffers *)
+  | Bytes of bytes * int
+      (** the block at byte offset [pos] of a buffer (a single block is
+          offset 0), which the caller leaves untouched until the batch is
+          written: the cleaner relocates straight out of its read
+          buffers *)
   | Lazy of (unit -> bytes)  (** one block, rendered at batch-write time *)
 
 type position = {

@@ -91,8 +91,8 @@ let decode b =
     end
   end
 
-let payload_checksum ?pos ?len payload =
-  Int32.to_int (Checksum.adler32 ?pos ?len payload) land 0xffffffff
+let payload_checksum ?pos payload =
+  Int32.to_int (Checksum.adler32 ?pos payload) land 0xffffffff
 
 let entry_addr t layout i = Layout.seg_first_block layout t.seg + t.slot + 1 + i
 

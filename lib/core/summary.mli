@@ -40,11 +40,11 @@ val decode : bytes -> t option
 (** [None] when the block is not a valid summary (bad magic or header
     checksum) — the normal way a log scan terminates. *)
 
-val payload_checksum : ?pos:int -> ?len:int -> bytes -> int
-(** Checksum to store in / compare against [payload_sum], over [len]
-    bytes of the buffer from [pos] (default: all of it).  The log writer
-    sums a batch's payload in place in its transfer buffer, just past
-    the summary slot. *)
+val payload_checksum : ?pos:int -> bytes -> int
+(** Checksum to store in / compare against [payload_sum], over the
+    buffer from [pos] (default 0) to its end.  The log writer sums a
+    batch's payload in place in its transfer buffer, just past the
+    summary slot. *)
 
 val entry_addr : t -> Layout.t -> int -> Types.baddr
 (** Disk address of payload block [i] of this summary. *)

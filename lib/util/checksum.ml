@@ -6,56 +6,30 @@ let base = 65521
    chunk instead of one per byte. *)
 let nmax = 5552
 
-external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
-external bswap64 : int64 -> int64 = "%bswap_int64"
-
-let lanes = 0x00ff_00ff_00ff_00ff
-
-(* The sum of the four 16-bit lanes of [v]. *)
-let hsum v =
-  (v land 0xffff) + ((v lsr 16) land 0xffff) + ((v lsr 32) land 0xffff) + (v lsr 48)
-
 let adler32 ?(pos = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - pos in
   if pos < 0 || len < 0 || pos > Bytes.length b - len then
     invalid_arg "Checksum.adler32: range out of bounds";
+  let byte k = Char.code (Bytes.unsafe_get b k) in
   let a = ref 1 and s = ref 0 in
   let i = ref pos and stop = pos + len in
   while !i < stop do
     let chunk_stop = min stop (!i + nmax) in
-    (* Blocks of up to 16 steps of 8 bytes.  Byte by byte, one step
-       x0 .. x7 adds x0 + ... + x7 to [a] and 8a + 8x0 + 7x1 + ... + 1x7
-       to [s].  Summed over a block, that is: [a] grows by the sum of
-       every byte, and [s] by 8 (steps) a + 8 P + sum (8 - k) L_k, where
-       L_k sums the bytes at offset k of each word and P sums, over the
-       steps, every L_k as it stood before that step.  [le]/[lo] hold the
-       L_k for even/odd k in four 16-bit lanes each, [pe]/[po] the
-       matching P; 16 steps keep every lane below 2^15 (at most 16 * 255
-       and 120 * 255), the width of an OCaml int's top lane. *)
+    (* Eight bytes per step: byte by byte, x0 .. x7 add their sum to [a]
+       and 8a + 8x0 + 7x1 + ... + 1x7 to [s]. *)
     while chunk_stop - !i >= 8 do
-      let steps = min 16 ((chunk_stop - !i) / 8) in
-      let le = ref 0 and lo = ref 0 and pe = ref 0 and po = ref 0 in
-      for _ = 1 to steps do
-        let w = get64u b !i in
-        let w = if Sys.big_endian then bswap64 w else w in
-        pe := !pe + !le;
-        po := !po + !lo;
-        le := !le + (Int64.to_int w land lanes);
-        lo := !lo + (Int64.to_int (Int64.shift_right_logical w 8) land lanes);
-        i := !i + 8
-      done;
-      let le = !le and lo = !lo in
-      let l0 = le land 0xffff and l2 = (le lsr 16) land 0xffff in
-      let l4 = (le lsr 32) land 0xffff and l6 = le lsr 48 in
-      let l1 = lo land 0xffff and l3 = (lo lsr 16) land 0xffff in
-      let l5 = (lo lsr 32) land 0xffff and l7 = lo lsr 48 in
+      let j = !i in
+      let x0 = byte j and x1 = byte (j + 1) and x2 = byte (j + 2)
+      and x3 = byte (j + 3) and x4 = byte (j + 4) and x5 = byte (j + 5)
+      and x6 = byte (j + 6) and x7 = byte (j + 7) in
       s :=
-        !s + (8 * steps * !a) + (8 * (hsum !pe + hsum !po)) + (8 * l0) + (7 * l1)
-        + (6 * l2) + (5 * l3) + (4 * l4) + (3 * l5) + (2 * l6) + l7;
-      a := !a + l0 + l1 + l2 + l3 + l4 + l5 + l6 + l7
+        !s + (8 * (!a + x0)) + (7 * x1) + (6 * x2) + (5 * x3) + (4 * x4)
+        + (3 * x5) + (2 * x6) + x7;
+      a := !a + x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7;
+      i := j + 8
     done;
     while !i < chunk_stop do
-      a := !a + Char.code (Bytes.unsafe_get b !i);
+      a := !a + byte !i;
       s := !s + !a;
       incr i
     done;

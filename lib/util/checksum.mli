@@ -4,11 +4,11 @@
 
     The two running sums are reduced modulo 65521 once per 5552-byte
     chunk rather than once per byte (zlib's deferred reduction: no sum
-    can overflow within a chunk).  Inside a chunk the bytes are loaded
-    eight at a time and summed in 16-bit lanes, sixteen words per block;
-    the block's lane totals give exactly what the per-byte recurrence
-    would have added.  The result is bit-identical to the per-byte
-    definition, so every checksum already on disk still verifies. *)
+    can overflow within a chunk).  Inside a chunk the loop takes eight
+    bytes per step and adds to each sum exactly what eight per-byte
+    steps would have added.  The result is bit-identical to the
+    per-byte definition, so every checksum already on disk still
+    verifies. *)
 
 val adler32 : ?pos:int -> ?len:int -> bytes -> int32
 (** Checksum of [len] bytes of [b] starting at [pos] (defaults: whole

@@ -43,7 +43,7 @@ let mk_env ?(heads = 1) () =
   in
   { disk; log; appended; batches }
 
-let payload c = Log_writer.Bytes (Bytes.make layout.Layout.block_size c)
+let payload c = Log_writer.Bytes (Bytes.make layout.Layout.block_size c, 0)
 
 let append ?head ?(kind = Types.Data) ?(ino = 7) ?(blockno = 0) ?(mtime = 1.0)
     env c =
@@ -159,7 +159,7 @@ let test_wrong_payload_size_rejected () =
   let (_ : Types.baddr) =
     Log_writer.append env.log ~kind:Types.Data ~ino:1 ~blockno:0 ~version:0
       ~mtime:1.0
-      (Log_writer.Bytes (Bytes.make 17 'x'))
+      (Log_writer.Bytes (Bytes.make 17 'x', 0))
   in
   match Log_writer.sync env.log with
   | () -> Alcotest.fail "should reject non-block payload"

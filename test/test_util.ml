@@ -165,10 +165,9 @@ let test_checksum_known_vector () =
     (Checksum.adler32_string "Wikipedia");
   Alcotest.(check int32) "empty input" 1l (Checksum.adler32 Bytes.empty)
 
-(* Lengths around the 8-byte step, the 128-byte block of steps and the
-   5552-byte reduction chunk, over all-0xFF input (every sum and lane at
-   its largest) and over a mixed pattern, at aligned and unaligned
-   offsets. *)
+(* Lengths around the 8-byte step and the 5552-byte reduction chunk,
+   over all-0xFF input (every sum at its largest) and over a mixed
+   pattern, at aligned and unaligned offsets. *)
 let test_checksum_boundaries () =
   let lens =
     [ 0; 1; 7; 8; 9; 15; 16; 17; 127; 128; 129; 255; 256; 5503; 5504; 5505;
