@@ -82,12 +82,13 @@ ci:
 # Behaviour gate for refactors: export REV (git archive, so the checkout
 # is untouched), build it, and require byte-identical serve JSON (plain,
 # and with idle-time cleaning over an 8-deep queue) for every recipe in
-# SPECS, byte-identical modelcheck JSON, crashtest reports and exercised
-# stats JSON for every recipe in PRODUCT, and byte-identical output from
-# every example program.  The stats run is sized so the cleaner works:
-# foreground and background passes, promotion on tiered recipes, several
-# checkpoints per shard; the examples add the greedy policy.  Every
-# difference is listed, then the target fails.
+# SPECS, byte-identical modelcheck JSON (op sequences and the serving
+# engine), crashtest reports (script and smallfile workloads) and
+# exercised stats JSON for every recipe in PRODUCT, and byte-identical
+# output from every example program.  The stats run is sized so the
+# cleaner works: foreground and background passes, promotion on tiered
+# recipes, several checkpoints per shard; the examples add the greedy
+# policy.  Every difference is listed, then the target fails.
 #   make same REV=<rev>
 EXAMPLES := quickstart office_workload crash_recovery cleaner_tuning nvram_buffer
 
@@ -107,6 +108,8 @@ same:
 	  for fs in $(PRODUCT); do \
 	    $$1/bin/lfs_tool.exe modelcheck --fs $$fs --seqs 3 --stride 5 --seed 1 --json > "$$2/model-$$fs.json"; \
 	    $$1/bin/lfs_tool.exe crashtest --fs $$fs --workload script --stride 7 --seed 1 > "$$2/crash-$$fs.txt"; \
+	    $$1/bin/lfs_tool.exe modelcheck --fs $$fs --engine --stride 5 --seed 1 --json > "$$2/model-engine-$$fs.json"; \
+	    $$1/bin/lfs_tool.exe crashtest --fs $$fs --workload smallfile --stride 7 --seed 1 > "$$2/crash-smallfile-$$fs.txt"; \
 	    $$1/bin/lfs_tool.exe stats --fs $$fs --blocks 4096 --exercise 400 --json > "$$2/stats-$$fs.json"; \
 	  done; \
 	  for ex in $(EXAMPLES); do $$1/examples/$$ex.exe > "$$2/example-$$ex.txt"; done; \

@@ -976,8 +976,8 @@ let shard () =
     List.map
       (fun shards ->
         let fs =
-          Lfs_shard.Spec.fresh ~blocks
-            (Lfs_shard.Spec.of_string (Printf.sprintf "shard:%d" shards))
+          Lfs_spec.Spec.fresh ~blocks
+            (Lfs_spec.Spec.of_string (Printf.sprintf "shard:%d" shards))
         in
         let cfg =
           {
@@ -1274,7 +1274,7 @@ let tier () =
       (Lfs_disk.Disk.create
          (Lfs_disk.Geometry.wren_iv ~blocks:(blocks - fast_blocks)))
   in
-  let ti = Lfs_shard.Spec.tier_volume ~config ~fast ~slow in
+  let ti = Lfs_spec.Spec.tier_volume ~config ~fast ~slow in
   let dev = Lfs_disk.Vdev_tier.vdev ti in
   Lfs_core.Fs.format dev config;
   let tfs = Lfs_core.Fs.mount ~tier:ti dev in

@@ -17,7 +17,7 @@ open Cmdliner
 
 module Disk = Lfs_disk.Disk
 module Fs = Lfs_core.Fs
-module Spec = Lfs_shard.Spec
+module Spec = Lfs_spec.Spec
 
 let geometry_of_file path =
   let size =

@@ -1,24 +1,20 @@
 module Prng = Lfs_util.Prng
-module Vdev = Lfs_disk.Vdev
 module Vdev_fault = Lfs_disk.Vdev_fault
 module Fsops = Lfs_workload.Fsops
-module Model = Lfs_model.Fs_model
+module Refine = Lfs_model.Refine
 
-(* Subjects come from the volume recipe ({!Lfs_shard.Spec.subject}); the
-   crash-state oracle and the per-point verification (reboot, recover,
-   fsck, walk, oracle) come from [Lfs_model.Refine] — one definition of
-   crash semantics shared with the model-based refinement checker
-   ([lfs_tool modelcheck]).  This harness keeps its own
-   enumeration loop because it exercises a different fault surface:
-   device-level Torn/Dropped/Reordered transfers under synchronous
-   submission, where the refinement driver cuts the queued elevator in
-   commit order. *)
+(* Subjects come from the volume recipe ({!Lfs_spec.Spec.subject}); the
+   enumeration, the per-point verification and the crash-state oracle
+   are [Refine.sweep]'s — the one crash sweep shared with the model
+   refinement checker ([lfs_tool modelcheck]).  This harness only
+   supplies the workloads, run under a recorder at io-depth 1, and its
+   report. *)
 
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type workload = { wname : string; run : Lfs_workload.Fsops.t -> unit }
+type workload = { wname : string; run : Fsops.t -> unit }
 
 let smallfile ?(nfiles = 48) ?(file_size = 1024) ?(files_per_dir = 12) () =
   let p =
@@ -85,9 +81,9 @@ let script ?(ops = 60) ~seed () =
 (* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type failure = {
+type failure = Refine.divergence = {
   cut : int;
-  mode : Lfs_disk.Vdev_fault.mode;
+  mode : Vdev_fault.mode;
   stage : string;
   detail : string;
 }
@@ -136,61 +132,20 @@ let pp_report ppf r =
 (* Enumeration                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(blocks = 1024) ?(stride = 1) ?cuts ?(seed = 0)
-    ?(modes = [ Vdev_fault.Torn; Dropped; Reordered ]) spec (w : workload) =
-  let module S = (val Lfs_shard.Spec.subject spec) in
-  let module R = Lfs_model.Refine.Make (S) in
-  if stride < 1 then invalid_arg "Crashtest.run: stride";
-  if modes = [] then invalid_arg "Crashtest.run: modes";
-  (* Reference run: learn the crash-point space. *)
-  let fault, devs = R.fresh_fault ~blocks ~seed in
-  S.format devs;
-  let base = Vdev_fault.blocks_written fault in
-  let fs = S.mount devs in
-  let recorder = Model.Recorder.create ~root:S.root in
-  w.run (Model.Recorder.instrument recorder (R.make_fsops fs));
-  let total = Vdev_fault.blocks_written fault - base in
-  let bs = (List.hd devs).Vdev.block_size in
-  let points = R.select_points ?cuts ~stride total in
-  let mode_rng = Prng.create ~seed:(seed lxor 0x1fe3a9) in
-  let mode_arr = Array.of_list modes in
-  let crashes = ref 0 in
-  let fsck_failures = ref [] and oracle_failures = ref [] in
-  List.iter
-    (fun cut ->
-      let mode = mode_arr.(Prng.int mode_rng (Array.length mode_arr)) in
-      let fail bucket stage detail =
-        bucket := { cut; mode; stage; detail } :: !bucket
-      in
-      let fault, devs = R.fresh_fault ~blocks ~seed in
-      S.format devs;
-      Vdev_fault.plan_crash fault ~mode ~after_blocks:cut ();
-      let r = Model.Recorder.create ~root:S.root in
-      let crashed =
-        try
-          let fs = S.mount devs in
-          w.run (Model.Recorder.instrument r (R.make_fsops fs));
-          false
-        with Vdev.Crashed -> true
-      in
-      if crashed then incr crashes
-      else fail fsck_failures "replay" "power cut never fired (non-deterministic workload?)";
-      match
-        R.verify ~bs ~events:(Model.Recorder.events r)
-          ~durable:(Model.Recorder.durable r) ~upto:(Model.Recorder.op r)
-          ~fault ~devs
-      with
-      | None -> ()
-      | Some ("oracle", detail) -> fail oracle_failures "oracle" detail
-      | Some (stage, detail) -> fail fsck_failures stage detail)
-    points;
+let run ?blocks ?stride ?cuts ?(seed = 0) spec (w : workload) =
+  let module S = (val Lfs_spec.Spec.subject spec) in
+  let module R = Refine.Make (S) in
+  let r = R.sweep ?blocks ?stride ?cuts ~seed ~seq:(-1) (R.recorded w.run) in
+  let oracle_failures, fsck_failures =
+    List.partition (fun (f : failure) -> f.stage = "oracle") r.divergences
+  in
   {
-    subject = S.subject_name;
+    subject = r.subject;
     workload = w.wname;
     seed;
-    total_blocks = total;
-    points = List.length points;
-    crashes = !crashes;
-    fsck_failures = List.rev !fsck_failures;
-    oracle_failures = List.rev !oracle_failures;
+    total_blocks = r.total_blocks;
+    points = r.points;
+    crashes = r.crashes;
+    fsck_failures;
+    oracle_failures;
   }

@@ -227,7 +227,6 @@ let plan_crash t ~after_blocks =
   assert (after_blocks >= 0);
   t.crash_countdown <- Some after_blocks
 
-let cancel_crash t = t.crash_countdown <- None
 let is_crashed t = t.crashed
 
 let reboot t =

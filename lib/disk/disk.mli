@@ -92,7 +92,6 @@ val plan_crash : t -> after_blocks:int -> unit
     The triggering write persists only its first [after_blocks] remaining
     blocks (a torn write). *)
 
-val cancel_crash : t -> unit
 val is_crashed : t -> bool
 
 val reboot : t -> unit

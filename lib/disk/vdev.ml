@@ -16,7 +16,6 @@ type t = {
   get_mode : unit -> mode;
   stats : unit -> Io_stats.t;
   plan_crash : after_blocks:int -> unit;
-  cancel_crash : unit -> unit;
   is_crashed : unit -> bool;
   reboot : unit -> unit;
 }
@@ -40,7 +39,6 @@ let of_disk d =
     get_mode = (fun () -> Disk.get_mode d);
     stats = (fun () -> Disk.stats d);
     plan_crash = (fun ~after_blocks -> Disk.plan_crash d ~after_blocks);
-    cancel_crash = (fun () -> Disk.cancel_crash d);
     is_crashed = (fun () -> Disk.is_crashed d);
     reboot = (fun () -> Disk.reboot d);
   }
@@ -80,7 +78,6 @@ let get_mode v = v.get_mode ()
 let next_tag = Io_queue.next_tag
 let stats v = v.stats ()
 let plan_crash v ~after_blocks = v.plan_crash ~after_blocks
-let cancel_crash v = v.cancel_crash ()
 let is_crashed v = v.is_crashed ()
 let reboot v = v.reboot ()
 

@@ -18,9 +18,16 @@
     the synchronous wrappers submit without waiting, so callers overlap
     transfers and settle at barriers ({!drain}, {!await}).
 
-    Crash plumbing arms a torn-write power cut after which every IO
-    raises {!Crashed} until [reboot]; countdowns are consumed at submit
-    time in submission order, independent of queueing. *)
+    Crash plumbing: a power cut is armed on a leaf {!Disk} (via
+    {!of_disk}) or on a {!Vdev_fault} layer, and once it fires every IO
+    to that device raises {!Crashed} until [reboot].  In [Direct] mode
+    the countdown burns at submit time, in submission order; in
+    [Queued] mode it burns as the leaf's elevator commits writes, so
+    the cut tears whichever write C-LOOK retires at that point.
+    {!Vdev_cache} forwards crash plumbing to its child.  The composites
+    {!Vdev_stripe} and {!Vdev_tier} keep no crash state: their
+    [plan_crash] raises [Invalid_argument], [is_crashed] reports
+    whether any child crashed and [reboot] reboots every child. *)
 
 type mode = Io_queue.mode = Direct | Queued of (unit -> float)
 
@@ -55,7 +62,6 @@ type t = {
       (** Cumulative statistics of the device (a live view for single
           devices; an aggregated snapshot for composites). *)
   plan_crash : after_blocks:int -> unit;
-  cancel_crash : unit -> unit;
   is_crashed : unit -> bool;
   reboot : unit -> unit;
 }
@@ -108,7 +114,6 @@ val next_tag : unit -> int
 
 val stats : t -> Io_stats.t
 val plan_crash : t -> after_blocks:int -> unit
-val cancel_crash : t -> unit
 val is_crashed : t -> bool
 val reboot : t -> unit
 

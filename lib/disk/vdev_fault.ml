@@ -37,10 +37,6 @@ let plan_crash t ?(mode = Torn) ~after_blocks () =
   t.countdown <- after_blocks;
   t.mode <- mode
 
-let cancel_crash t =
-  t.countdown <- -1;
-  t.lower.Vdev.cancel_crash ()
-
 let is_crashed t = t.crashed || t.lower.Vdev.is_crashed ()
 
 let reboot t =
@@ -167,18 +163,6 @@ let vdev t =
     submit_read = (fun ?now addr n -> submit_read ?now t addr n);
     submit_write = (fun ?now addr b -> submit_write ?now t addr b);
     plan_crash = (fun ~after_blocks -> plan_crash t ~mode:Torn ~after_blocks ());
-    cancel_crash = (fun () -> cancel_crash t);
     is_crashed = (fun () -> is_crashed t);
     reboot = (fun () -> reboot t);
   }
-
-let register_metrics ?prefix metrics t =
-  let module M = Lfs_obs.Metrics in
-  let p =
-    match prefix with
-    | Some p -> p
-    | None -> "vdev." ^ Printf.sprintf "fault(%s)" t.lower.Vdev.name
-  in
-  let g name f = M.gauge_fn metrics (p ^ "." ^ name) f in
-  g "blocks_written" (fun () -> float_of_int t.written);
-  g "crashed" (fun () -> if t.crashed then 1.0 else 0.0)

@@ -1,8 +1,9 @@
 (** A fault-injecting {!Vdev} layer.
 
     Wraps any lower vdev and injects failures at block granularity
-    according to a deterministic, PRNG-seeded plan — the seam the
-    crash-point enumeration harness ([lib/crashtest]) is built on:
+    according to a deterministic, PRNG-seeded plan — the seam the one
+    crash sweep ([Lfs_model.Refine], behind [lfs_tool crashtest] and
+    [lfs_tool modelcheck]) is built on:
 
     - {b power cuts}: [plan_crash] arms a countdown of payload blocks;
       the write that exhausts it persists only part of itself (see
@@ -21,8 +22,9 @@
     exactly.  The layer keeps its own write counter ({!blocks_written}),
     making it the "recording vdev" used to count a workload's crash
     points.  The crash plumbing of the wrapped {!Vdev.t} view maps to
-    this layer's own plan (mode {!Torn}, matching [Disk] semantics);
-    the lower device's own crash state is never touched. *)
+    this layer's own plan (mode {!Torn}, matching [Disk] semantics).
+    The lower device's crash state is touched only when the lower stack
+    is [Queued] (see {!plan_crash}). *)
 
 type mode =
   | Torn  (** a prefix of the triggering write reaches the medium *)
@@ -47,10 +49,12 @@ val plan_crash : t -> ?mode:mode -> after_blocks:int -> unit -> unit
 (** Arm a power cut after [after_blocks] more payload blocks have been
     accepted by [write_blocks].  The triggering write persists according
     to [mode] (default {!Torn}: its first [after_blocks] remaining
-    blocks). *)
+    blocks).
 
-val cancel_crash : t -> unit
-val is_crashed : t -> bool
+    [mode] applies only while the lower stack is [Direct].  When the
+    lower stack is [Queued], the next write hands the countdown to the
+    leaf {!Disk}, which burns it in commit order and always tears a
+    prefix: a [Dropped] or [Reordered] plan then behaves as {!Torn}. *)
 
 val reboot : t -> unit
 (** Clear the crashed state and disarm any plan; surviving contents are
@@ -70,9 +74,3 @@ val rot_write : t -> addr:int -> unit
 (** Corrupt one pseudo-randomly chosen byte of block [addr] in the next
     write that covers it (the corruption reaches the medium); the plan
     entry is consumed by that write. *)
-
-val register_metrics : ?prefix:string -> Lfs_obs.Metrics.t -> t -> unit
-(** Register [<prefix>.blocks_written] (the layer's own payload counter)
-    and [<prefix>.crashed] (0/1) callback gauges; [prefix] defaults to
-    ["vdev." ^ name].  Combine with {!Vdev.register_metrics} on {!vdev}
-    for the IO-level view. *)

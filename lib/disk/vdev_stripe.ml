@@ -2,8 +2,6 @@ type t = {
   children : Vdev.t array;
   block_size : int;
   nblocks : int;
-  mutable crash_countdown : int option;  (* global blocks until power cut *)
-  mutable crashed : bool;
 }
 
 let check_range t addr n what =
@@ -25,14 +23,11 @@ let iter_extents t addr n f =
       f ~child:c ~caddr:(first / nch) ~first ~count
   done
 
-let ensure_alive t = if t.crashed then raise Vdev.Crashed
-
 (* Fan the read across the children and join their tickets: each child
    queue services its extent independently, so the stripe completes at
    the max child completion instead of the sum — this is where stripe
    parallelism pays under queued IO. *)
 let submit_read ?now t addr n =
-  ensure_alive t;
   check_range t addr n "read_blocks";
   let bs = t.block_size and nch = Array.length t.children in
   let out = Bytes.create (n * bs) in
@@ -45,52 +40,25 @@ let submit_read ?now t addr n =
       done);
   (Io_queue.Join !tickets, out)
 
-(* Persist the first [persist] blocks of [b]; used for both intact and
-   torn writes. *)
-let submit_prefix ?now t addr b persist =
+let submit_write ?now t addr b =
   let bs = t.block_size and nch = Array.length t.children in
+  if Bytes.length b mod bs <> 0 then
+    invalid_arg "Vdev_stripe.write_blocks: buffer is not a whole number of blocks";
+  let n = Bytes.length b / bs in
+  check_range t addr n "write_blocks";
   let tickets = ref [] in
-  iter_extents t addr persist (fun ~child ~caddr ~first ~count ->
+  iter_extents t addr n (fun ~child ~caddr ~first ~count ->
       let buf = Bytes.create (count * bs) in
       for i = 0 to count - 1 do
         Bytes.blit b ((first + (i * nch) - addr) * bs) buf (i * bs) bs
       done;
       tickets := Vdev.submit_write ?now t.children.(child) caddr buf :: !tickets);
-  !tickets
-
-let writable_prefix t n =
-  match t.crash_countdown with None -> n | Some k -> min k n
-
-let consume_countdown t n =
-  match t.crash_countdown with
-  | None -> ()
-  | Some k ->
-      let k = k - n in
-      if k <= 0 then begin
-        t.crash_countdown <- None;
-        t.crashed <- true
-      end
-      else t.crash_countdown <- Some k
-
-let submit_write ?now t addr b =
-  ensure_alive t;
-  if Bytes.length b mod t.block_size <> 0 then
-    invalid_arg "Vdev_stripe.write_blocks: buffer is not a whole number of blocks";
-  let n = Bytes.length b / t.block_size in
-  check_range t addr n "write_blocks";
-  let tickets = submit_prefix ?now t addr b (writable_prefix t n) in
-  consume_countdown t n;
-  if t.crashed then raise Vdev.Crashed;
-  Io_queue.Join tickets
+  Io_queue.Join !tickets
 
 let zero_blocks t addr n =
-  ensure_alive t;
   check_range t addr n "zero_blocks";
-  iter_extents t addr (writable_prefix t n)
-    (fun ~child ~caddr ~first:_ ~count ->
-      Vdev.zero_blocks t.children.(child) caddr count);
-  consume_countdown t n;
-  if t.crashed then raise Vdev.Crashed
+  iter_extents t addr n (fun ~child ~caddr ~first:_ ~count ->
+      Vdev.zero_blocks t.children.(child) caddr count)
 
 let stats t =
   Array.fold_left
@@ -110,15 +78,7 @@ let create ?name children =
   let per_child =
     Array.fold_left (fun m c -> min m (Vdev.nblocks c)) max_int children
   in
-  let t =
-    {
-      children;
-      block_size;
-      nblocks = nch * per_child;
-      crash_countdown = None;
-      crashed = false;
-    }
-  in
+  let t = { children; block_size; nblocks = nch * per_child } in
   let name =
     match name with Some n -> n | None -> Printf.sprintf "stripe(%d)" nch
   in
@@ -149,16 +109,11 @@ let create ?name children =
     set_mode = (fun m -> Array.iter (fun c -> Vdev.set_mode c m) t.children);
     get_mode = (fun () -> Vdev.get_mode t.children.(0));
     stats = (fun () -> stats t);
-    plan_crash = (fun ~after_blocks ->
-      assert (after_blocks >= 0);
-      t.crash_countdown <- Some after_blocks);
-    cancel_crash = (fun () -> t.crash_countdown <- None);
-    is_crashed =
-      (fun () ->
-        t.crashed || Array.exists (fun c -> Vdev.is_crashed c) t.children);
-    reboot =
-      (fun () ->
-        t.crashed <- false;
-        t.crash_countdown <- None;
-        Array.iter (fun c -> Vdev.reboot c) t.children);
+    plan_crash =
+      (fun ~after_blocks:_ ->
+        invalid_arg
+          (Printf.sprintf "%s: arm power cuts on a child device, not the stripe"
+             name));
+    is_crashed = (fun () -> Array.exists Vdev.is_crashed t.children);
+    reboot = (fun () -> Array.iter Vdev.reboot t.children);
   }

@@ -11,11 +11,11 @@
     busy times, while the modelled elapsed time of a balanced workload is
     the per-child maximum (query the children directly for that).
 
-    Crash plumbing: [plan_crash] arms a countdown at stripe level, in
-    global blocks, with the same torn-write prefix semantics as
-    {!Disk.plan_crash}.  Crashes armed directly on a child also surface
-    (the child raises); [is_crashed] reports either, and [reboot] clears
-    the stripe and reboots every child. *)
+    Crash plumbing: the stripe keeps no crash state of its own.  Arm a
+    power cut on a child device (or on a {!Vdev_fault} over one); the
+    child raises {!Vdev.Crashed} through the stripe.  [plan_crash] on
+    the stripe raises [Invalid_argument], [is_crashed] reports whether
+    any child crashed, and [reboot] reboots every child. *)
 
 val create : ?name:string -> Vdev.t array -> Vdev.t
 (** [create children] stripes over the children, which must be non-empty

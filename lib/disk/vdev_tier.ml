@@ -92,8 +92,6 @@ type t = {
   mutable free_slow : int list;
   mutable demotions : int;
   mutable promotions : int;
-  mutable crash_countdown : int option;
-  mutable crashed : bool;
 }
 
 let nchunks t = t.nchunks
@@ -153,24 +151,7 @@ let iter_extents t addr n f =
     end
   done
 
-let ensure_alive t = if t.crashed then raise Vdev.Crashed
-
-let writable_prefix t n =
-  match t.crash_countdown with None -> n | Some k -> min k n
-
-let consume_countdown t n =
-  match t.crash_countdown with
-  | None -> ()
-  | Some k ->
-      let k = k - n in
-      if k <= 0 then begin
-        t.crash_countdown <- None;
-        t.crashed <- true
-      end
-      else t.crash_countdown <- Some k
-
 let submit_read ?now t addr n =
-  ensure_alive t;
   check_range t addr n "read_blocks";
   let bs = t.block_size in
   let out = Bytes.create (n * bs) in
@@ -181,32 +162,22 @@ let submit_read ?now t addr n =
       Bytes.blit buf 0 out ((first - addr) * bs) (count * bs));
   (Io_queue.Join !tickets, out)
 
-let submit_prefix ?now t addr b persist =
+let submit_write ?now t addr b =
   let bs = t.block_size in
+  if Bytes.length b mod bs <> 0 then
+    invalid_arg "Vdev_tier.write_blocks: buffer is not a whole number of blocks";
+  let n = Bytes.length b / bs in
+  check_range t addr n "write_blocks";
   let tickets = ref [] in
-  iter_extents t addr persist (fun ~dev ~daddr ~first ~count ->
+  iter_extents t addr n (fun ~dev ~daddr ~first ~count ->
       let buf = Bytes.sub b ((first - addr) * bs) (count * bs) in
       tickets := Vdev.submit_write ?now dev daddr buf :: !tickets);
-  !tickets
-
-let submit_write ?now t addr b =
-  ensure_alive t;
-  if Bytes.length b mod t.block_size <> 0 then
-    invalid_arg "Vdev_tier.write_blocks: buffer is not a whole number of blocks";
-  let n = Bytes.length b / t.block_size in
-  check_range t addr n "write_blocks";
-  let tickets = submit_prefix ?now t addr b (writable_prefix t n) in
-  consume_countdown t n;
-  if t.crashed then raise Vdev.Crashed;
-  Io_queue.Join tickets
+  Io_queue.Join !tickets
 
 let zero_blocks t addr n =
-  ensure_alive t;
   check_range t addr n "zero_blocks";
-  iter_extents t addr (writable_prefix t n) (fun ~dev ~daddr ~first:_ ~count ->
-      Vdev.zero_blocks dev daddr count);
-  consume_countdown t n;
-  if t.crashed then raise Vdev.Crashed
+  iter_extents t addr n (fun ~dev ~daddr ~first:_ ~count ->
+      Vdev.zero_blocks dev daddr count)
 
 (* ------------------------------------------------------------------ *)
 (* Persistent placement map                                            *)
@@ -301,22 +272,15 @@ let reload_map t =
   Array.blit map 0 t.map 0 t.nchunks;
   rebuild_free t
 
-(* Persist the in-memory map at generation [gen+1].  The write consumes
-   the tier-level crash countdown (so tests can cut power mid-map-write)
-   and is awaited before [gen] advances: a torn region fails its
-   checksum on reload and the previous generation wins. *)
+(* Persist the in-memory map at generation [gen+1].  The write is
+   awaited before [gen] advances: a region torn by a power cut on the
+   fast child fails its checksum on reload and the previous generation
+   wins. *)
 let write_map ?now t =
   let next = Int64.add t.gen 1L in
-  let buf = map_bytes t ~gen:next in
-  let addr = region_addr t next in
-  let persist = writable_prefix t t.map_r in
   let ticket =
-    if persist > 0 then
-      Vdev.submit_write ?now t.fast addr (Bytes.sub buf 0 (persist * t.block_size))
-    else Io_queue.Done
+    Vdev.submit_write ?now t.fast (region_addr t next) (map_bytes t ~gen:next)
   in
-  consume_countdown t t.map_r;
-  if t.crashed then raise Vdev.Crashed;
   ignore (Vdev.await ticket);
   t.gen <- next
 
@@ -362,7 +326,6 @@ let flip_and_persist ?now t ~chunk ~dst =
    the source chunk rejoin the free pool.  A crash at any cut leaves a
    durable map whose every entry still points at an intact copy. *)
 let migrate ?now t ~chunk ~target =
-  ensure_alive t;
   if chunk < 0 || chunk >= t.nchunks then invalid_arg "Vdev_tier.migrate";
   if phys_tier t t.map.(chunk) = target then true
   else
@@ -373,15 +336,7 @@ let migrate ?now t ~chunk ~target =
           let src_dev, src_addr = phys_addr t t.map.(chunk) in
           let rt, data = Vdev.submit_read ?now src_dev src_addr t.chunk_blocks in
           let dst_dev, dst_addr = phys_addr t dst in
-          let persist = writable_prefix t t.chunk_blocks in
-          let wt =
-            if persist > 0 then
-              Vdev.submit_write ?now dst_dev dst_addr
-                (Bytes.sub data 0 (persist * t.block_size))
-            else Io_queue.Done
-          in
-          consume_countdown t t.chunk_blocks;
-          if t.crashed then raise Vdev.Crashed;
+          let wt = Vdev.submit_write ?now dst_dev dst_addr data in
           ignore (Vdev.await (Io_queue.Join [ rt; wt ]));
           flip_and_persist ?now t ~chunk ~dst;
           (match target with
@@ -403,7 +358,6 @@ let migrate ?now t ~chunk ~target =
    summary self-identification checks.  Same copy-before-flip ordering
    as [migrate]; the single map write keeps the exchange atomic. *)
 let swap ?now t ~chunk ~dead =
-  ensure_alive t;
   if
     chunk < 0 || chunk >= t.nchunks || dead < 0 || dead >= t.nchunks
     || chunk = dead
@@ -414,15 +368,7 @@ let swap ?now t ~chunk ~dead =
     let src_dev, src_addr = phys_addr t src in
     let rt, data = Vdev.submit_read ?now src_dev src_addr t.chunk_blocks in
     let dst_dev, dst_addr = phys_addr t dst in
-    let persist = writable_prefix t t.chunk_blocks in
-    let wt =
-      if persist > 0 then
-        Vdev.submit_write ?now dst_dev dst_addr
-          (Bytes.sub data 0 (persist * t.block_size))
-      else Io_queue.Done
-    in
-    consume_countdown t t.chunk_blocks;
-    if t.crashed then raise Vdev.Crashed;
+    let wt = Vdev.submit_write ?now dst_dev dst_addr data in
     ignore (Vdev.await (Io_queue.Join [ rt; wt ]));
     t.map.(chunk) <- dst;
     t.map.(dead) <- src;
@@ -443,7 +389,6 @@ let swap ?now t ~chunk ~dead =
    which is the same hazard class as ordinary segment reuse and is
    neutralised by the summary checksum / sequence checks above. *)
 let rehome ?now t ~chunk ~target =
-  ensure_alive t;
   if chunk < 0 || chunk >= t.nchunks then invalid_arg "Vdev_tier.rehome";
   if phys_tier t t.map.(chunk) = target then true
   else
@@ -480,8 +425,6 @@ let make_t (p : plan) ~(fast : Vdev.t) ~(slow : Vdev.t) =
     free_slow = [];
     demotions = 0;
     promotions = 0;
-    crash_countdown = None;
-    crashed = false;
   }
 
 let format ~base ~chunk_blocks ~fast ~slow =
@@ -617,17 +560,13 @@ let vdev ?name t =
     get_mode = (fun () -> Vdev.get_mode t.fast);
     stats = (fun () -> stats t);
     plan_crash =
-      (fun ~after_blocks ->
-        assert (after_blocks >= 0);
-        t.crash_countdown <- Some after_blocks);
-    cancel_crash = (fun () -> t.crash_countdown <- None);
-    is_crashed =
-      (fun () ->
-        t.crashed || Vdev.is_crashed t.fast || Vdev.is_crashed t.slow);
+      (fun ~after_blocks:_ ->
+        invalid_arg
+          (Printf.sprintf
+             "%s: arm power cuts on the fast or slow child, not the tier" name));
+    is_crashed = (fun () -> Vdev.is_crashed t.fast || Vdev.is_crashed t.slow);
     reboot =
       (fun () ->
-        t.crashed <- false;
-        t.crash_countdown <- None;
         Vdev.reboot t.fast;
         Vdev.reboot t.slow;
         reload_map t);

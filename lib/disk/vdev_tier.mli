@@ -65,8 +65,12 @@ val load : fast:Vdev.t -> slow:Vdev.t -> t
 val vdev : ?name:string -> t -> Vdev.t
 (** The exported device.  Reads and writes fan out to the child that
     owns each extent; tickets join across children so queued IO
-    completes at the max child completion.  [reboot] reloads the
-    placement map from disk, discarding any un-persisted flip. *)
+    completes at the max child completion.  The tier keeps no crash
+    state of its own: arm power cuts on the fast or slow child (its
+    [plan_crash] raises [Invalid_argument]).  [is_crashed] reports
+    whether either child crashed; [reboot] reboots both children and
+    reloads the placement map from disk, discarding any un-persisted
+    flip. *)
 
 (** {1 Geometry and placement queries} *)
 

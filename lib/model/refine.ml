@@ -1,18 +1,24 @@
-(* The refinement driver.
+(* The crash sweep: the one per-cut replay loop in the tree.
 
-   For one operation sequence it performs a reference run (no fault) to
-   learn the crash-point space — every payload block device 0 receives —
-   then replays the sequence from scratch once per enumerated point,
-   cutting the power at exactly that block, rebooting, recovering, and
-   asking {!Fs_model.check} whether the surviving namespace is some
-   state between the durability frontier and the crash op.
+   A {!driver} runs one workload over a freshly mounted volume while a
+   shadow model records what the oracle needs ({!trace}).  [sweep]
+   performs a reference run (no fault) to learn the crash-point space —
+   every payload block device 0 receives — then replays the workload
+   from scratch once per enumerated point ([once]), cutting the power at
+   exactly that block in the mode [mode_for ~seed cut] picks, rebooting,
+   recovering, and asking {!Fs_model.check} whether the surviving
+   namespace is some state between the durability frontier and the
+   crash op.
 
-   Ops flow through the same serving stack the benchmarks use: with
+   Three drivers feed it: [scripted] runs a model op sequence and checks
+   the model in the *logical* direction on every op too (backend
+   acceptance must match {!Fs_model.step} acceptance exactly); with
    [io_depth > 1] the devices run in queued submission, the driver keeps
    about [io_depth] transfers in flight via {!Lfs_disk.Vdev.pump}, and
-   every generated [Sync] is a group-commit barrier.  The model is also
-   checked in the *logical* direction on every op: backend acceptance
-   must match {!Fs_model.step} acceptance exactly. *)
+   every generated [Sync] is a group-commit barrier.  [recorded] runs
+   any {!Fsops} workload under a {!Fs_model.Recorder} — the serving
+   engine ([check_engine]) and the crashtest workloads, which run at
+   io-depth 1 (Direct). *)
 
 module Prng = Lfs_util.Prng
 module Disk = Lfs_disk.Disk
@@ -23,7 +29,13 @@ module Fsops = Lfs_workload.Fsops
 module Types = Lfs_core.Types
 module Engine = Lfs_server.Engine
 
-type divergence = { cut : int; stage : string; detail : string }
+(* [mode] is the crash mode the cut was replayed with. *)
+type divergence = {
+  cut : int;
+  mode : Vdev_fault.mode;
+  stage : string;
+  detail : string;
+}
 
 type seq_report = {
   subject : string;
@@ -56,7 +68,33 @@ let pp_seq_report ppf r =
 
 exception Semantics of string
 
-module Make (S : Lfs_shard.Spec.SUBJECT) = struct
+(* Crash modes keyed by (seed, cut), not by enumeration position, so a
+   single (seed, cut) pair replays bit-identically no matter which other
+   points ran. *)
+let mode_for ~seed cut =
+  let r = Prng.create ~seed:(seed lxor 0x1fe3a9 lxor (cut * 0x85ebca6b)) in
+  [| Vdev_fault.Torn; Dropped; Reordered |].(Prng.int r 3)
+
+let select_points ?cuts ~stride total =
+  match cuts with
+  | Some cs -> List.filter (fun c -> c >= 0 && c < total) cs
+  | None ->
+      let rec gen i acc =
+        if i >= total then acc else gen (i + stride) (i :: acc)
+      in
+      let pts = gen 0 [] in
+      let pts =
+        if total > 0 && not (List.mem (total - 1) pts) then
+          (total - 1) :: pts
+        else pts
+      in
+      List.rev pts
+
+(* What a run leaves for the oracle: the ops issued ([upto]), the last
+   completed sync barrier ([durable]) and the numbered model events. *)
+type trace = { upto : int; durable : int; events : (int * Fs_model.event) list }
+
+module Make (S : Lfs_spec.Spec.SUBJECT) = struct
   module Ops = Fsops.Make (S)
 
   let make_fsops fs =
@@ -119,91 +157,103 @@ module Make (S : Lfs_shard.Spec.SUBJECT) = struct
         fsops.Fsops.rmdir ~dir:(dir_ino (Fs_model.parent p)) (Fs_model.leaf p)
     | Fs_model.Sync -> fsops.Fsops.sync ()
 
-  (* Drive the whole sequence, shadowing each op with the model.
-     Events are recorded *before* execution (a crash mid-op may persist
-     part of the effect) and popped again on logical rejection.  The
-     durability frontier advances only when a [Sync]'s barrier
-     completes — i.e. when the backend sync returns. *)
-  let drive fsops ~pump ops ~st ~events_rev ~opn ~durable =
-    List.iter
-      (fun op ->
-        incr opn;
-        let n = !opn in
-        let expected = Fs_model.step !st op in
-        (match expected with
-        | Ok (_, evs) ->
-            List.iter (fun e -> events_rev := (n, e) :: !events_rev) evs
-        | Error _ -> ());
-        let actual =
-          try
-            exec fsops op;
-            Ok ()
-          with Types.Fs_error m -> Error m
-        in
-        (match (expected, actual) with
-        | Ok (st', _), Ok () ->
-            st := st';
-            if op = Fs_model.Sync then durable := n
-        | Error _, Error _ -> ()
-        | Ok _, Error m ->
-            let rec pop = function
-              | (o, _) :: rest when o = n -> pop rest
-              | rest -> rest
-            in
-            events_rev := pop !events_rev;
-            raise
-              (Semantics
-                 (Printf.sprintf "op %d (%s): model accepts, backend refused: %s"
-                    n (Fs_model.op_to_string op) m))
-        | Error m, Ok () ->
-            raise
-              (Semantics
-                 (Printf.sprintf "op %d (%s): model refuses (%s), backend \
-                                  accepted"
-                    n (Fs_model.op_to_string op) m)));
-        pump ())
-      ops
+  (* A workload to sweep.  [driver ()] sets up fresh shadow state and
+     returns the function that runs the workload on a mounted volume and
+     its devices, and the function that reads the shadow's trace — also
+     after a power cut stopped the run part-way. *)
+  type driver = unit -> (Fsops.t -> Vdev.t list -> unit) * (unit -> trace)
 
-  type once = {
+  (* Run a model op sequence, shadowing each op with {!Fs_model.step}.
+     Events are recorded *before* execution (a crash mid-op may persist
+     part of the effect).  The durability frontier advances only when a
+     [Sync]'s barrier completes — i.e. when the backend sync returns.
+     A final flush outside the op list extends the crash-point space;
+     the frontier stays at the last recorded [Sync] unless that barrier
+     completes too. *)
+  let scripted ~io_depth ops () =
+    let st = ref Fs_model.empty and events_rev = ref [] in
+    let opn = ref 0 and durable = ref 0 in
+    let step fsops op =
+      incr opn;
+      let n = !opn in
+      let expected = Fs_model.step !st op in
+      (match expected with
+      | Ok (_, evs) -> List.iter (fun e -> events_rev := (n, e) :: !events_rev) evs
+      | Error _ -> ());
+      let actual =
+        try
+          exec fsops op;
+          Ok ()
+        with Types.Fs_error m -> Error m
+      in
+      match (expected, actual) with
+      | Ok (st', _), Ok () ->
+          st := st';
+          if op = Fs_model.Sync then durable := n
+      | Error _, Error _ -> ()
+      | Ok _, Error m ->
+          raise
+            (Semantics
+               (Printf.sprintf "op %d (%s): model accepts, backend refused: %s"
+                  n (Fs_model.op_to_string op) m))
+      | Error m, Ok () ->
+          raise
+            (Semantics
+               (Printf.sprintf "op %d (%s): model refuses (%s), backend \
+                                accepted"
+                  n (Fs_model.op_to_string op) m))
+    in
+    let run fsops devs =
+      let now = ref 0.0 in
+      let queued = io_depth > 1 in
+      if queued then
+        List.iter (fun d -> Vdev.set_mode d (Vdev.Queued (fun () -> !now))) devs;
+      List.iter
+        (fun op ->
+          step fsops op;
+          if queued then settle ~now ~io_depth devs)
+        ops;
+      fsops.Fsops.sync ();
+      durable := !opn
+    in
+    (run, fun () -> { upto = !opn; durable = !durable; events = List.rev !events_rev })
+
+  (* Run an {!Fsops} workload under a {!Fs_model.Recorder}. *)
+  let recorded workload () =
+    let r = Fs_model.Recorder.create ~root:S.root in
+    ( (fun fsops _devs -> workload (Fs_model.Recorder.instrument r fsops)),
+      fun () ->
+        {
+          upto = Fs_model.Recorder.op r;
+          durable = Fs_model.Recorder.durable r;
+          events = Fs_model.Recorder.events r;
+        } )
+
+  type run = {
     crashed : bool;
-    upto : int;
-    durable : int;
-    events : (int * Fs_model.event) list;
-    total : int;
+    trace : trace;
+    total : int;  (** payload blocks device 0 received *)
     fault : Vdev_fault.t;
     devs : Vdev.t list;
   }
 
-  (* One full execution of [ops], optionally with a crash armed at
-     [cut].  Devices come back drained and in Direct mode (fault device
-     excepted when crashed — {!Vdev_fault.reboot} clears its queue). *)
-  let run_once ~blocks ~seed ~io_depth ?cut ?mode ops =
+  (* One full execution of [driver] on fresh devices, with a power cut
+     armed at [cut] if given.  Devices come back drained and in Direct
+     mode (fault device excepted when crashed — {!Vdev_fault.reboot}
+     clears its queue). *)
+  let once ~blocks ~seed ?cut (driver : driver) =
     let fault, devs = fresh_fault ~blocks ~seed in
     S.format devs;
     let base = Vdev_fault.blocks_written fault in
-    (match cut with
-    | Some c ->
-        Vdev_fault.plan_crash fault ?mode ~after_blocks:c ()
-    | None -> ());
-    let now = ref 0.0 in
-    let queued = io_depth > 1 in
-    let pump () = if queued then settle ~now ~io_depth devs in
-    let st = ref Fs_model.empty in
-    let events_rev = ref [] and opn = ref 0 and durable = ref 0 in
+    Option.iter
+      (fun c ->
+        Vdev_fault.plan_crash fault ~mode:(mode_for ~seed c) ~after_blocks:c ())
+      cut;
+    let run, trace = driver () in
     let crashed =
       try
         let fs = S.mount devs in
-        let fsops = make_fsops fs in
-        if queued then
-          List.iter
-            (fun d -> Vdev.set_mode d (Vdev.Queued (fun () -> !now)))
-            devs;
-        drive fsops ~pump ops ~st ~events_rev ~opn ~durable;
-        (* final flush outside the op list: its blocks extend the
-           crash-point space, but the frontier stays at the last
-           recorded Sync unless this barrier completes too *)
-        fsops.Fsops.sync ();
-        durable := !opn;
+        run (make_fsops fs) devs;
         false
       with Vdev.Crashed -> true
     in
@@ -214,16 +264,15 @@ module Make (S : Lfs_shard.Spec.SUBJECT) = struct
       devs;
     {
       crashed;
-      upto = !opn;
-      durable = !durable;
-      events = List.rev !events_rev;
+      trace = trace ();
       total = Vdev_fault.blocks_written fault - base;
       fault;
       devs;
     }
 
   (* Reboot, recover, fsck, walk, refinement-check.  [None] = clean. *)
-  let verify ~bs ~events ~durable ~upto ~fault ~devs =
+  let verify { trace = { upto; durable; events }; fault; devs; _ } =
+    let bs = (List.hd devs).Vdev.block_size in
     Vdev_fault.reboot fault;
     match (try Ok (S.recover devs) with e -> Error e) with
     | Error e -> Some ("recover", Printexc.to_string e)
@@ -250,162 +299,67 @@ module Make (S : Lfs_shard.Spec.SUBJECT) = struct
                 | [] -> None
                 | divs -> Some ("oracle", String.concat "; " divs))))
 
-  let select_points ?cuts ~stride total =
-    match cuts with
-    | Some cs -> List.filter (fun c -> c >= 0 && c < total) cs
-    | None ->
-        let rec gen i acc =
-          if i >= total then acc else gen (i + stride) (i :: acc)
-        in
-        let pts = gen 0 [] in
-        let pts =
-          if total > 0 && not (List.mem (total - 1) pts) then
-            (total - 1) :: pts
-          else pts
-        in
-        List.rev pts
-
-  (* Replay modes keyed by (seed, cut), not by enumeration position, so
-     a single (seed, seq, cut) triple replays bit-identically no matter
-     which other points ran. *)
-  let mode_for ~seed cut =
-    let r = Prng.create ~seed:(seed lxor 0x1fe3a9 lxor (cut * 0x85ebca6b)) in
-    [| Vdev_fault.Torn; Dropped; Reordered |].(Prng.int r 3)
-
-  let check_ops ?(blocks = 1024) ?(io_depth = 4) ?(stride = 1) ?cuts
-      ?(seed = 0) ?(seq = 0) ops =
-    if stride < 1 then invalid_arg "Refine.check_ops: stride";
+  (* The per-cut loop: a reference run sizes the crash-point space, then
+     every selected cut replays [driver] from scratch and is verified.
+     [?stride] (default 1) thins the cuts but always keeps the final
+     write; [?cuts] replays exactly the given points instead.  A
+     {!Semantics} disagreement aborts that run and is reported at its
+     cut ([-1] for the reference run). *)
+  let sweep ?(blocks = 1024) ?(stride = 1) ?cuts ~seed ~seq driver =
+    if stride < 1 then invalid_arg "Refine.sweep: stride";
     let divergences = ref [] in
     let div cut stage detail =
-      divergences := { cut; stage; detail } :: !divergences
+      divergences :=
+        { cut; mode = mode_for ~seed cut; stage; detail } :: !divergences
     in
-    let reference =
-      try Some (run_once ~blocks ~seed ~io_depth ops)
-      with Semantics m ->
+    let report ~ops ~total ~points ~crashes =
+      {
+        subject = S.subject_name;
+        seed;
+        seq;
+        ops;
+        total_blocks = total;
+        points;
+        crashes;
+        divergences = List.rev !divergences;
+      }
+    in
+    match once ~blocks ~seed driver with
+    | exception Semantics m ->
         div (-1) "semantics" m;
-        None
-    in
-    match reference with
-    | None ->
-        {
-          subject = S.subject_name;
-          seed;
-          seq;
-          ops = List.length ops;
-          total_blocks = 0;
-          points = 0;
-          crashes = 0;
-          divergences = List.rev !divergences;
-        }
-    | Some r ->
-        let bs = (List.hd r.devs).Vdev.block_size in
-        let points = select_points ?cuts ~stride r.total in
+        report ~ops:0 ~total:0 ~points:0 ~crashes:0
+    | reference ->
+        let points = select_points ?cuts ~stride reference.total in
         let crashes = ref 0 in
         List.iter
           (fun cut ->
-            let mode = mode_for ~seed cut in
-            match
-              try Ok (run_once ~blocks ~seed ~io_depth ~cut ~mode ops)
-              with Semantics m -> Error m
-            with
-            | Error m -> div cut "semantics" m
-            | Ok replay ->
+            match once ~blocks ~seed ~cut driver with
+            | exception Semantics m -> div cut "semantics" m
+            | replay ->
                 if replay.crashed then incr crashes
                 else
                   div cut "replay"
                     "power cut never fired (non-deterministic replay?)";
-                (match
-                   verify ~bs ~events:replay.events ~durable:replay.durable
-                     ~upto:replay.upto ~fault:replay.fault ~devs:replay.devs
-                 with
-                | None -> ()
-                | Some (stage, detail) -> div cut stage detail))
+                Option.iter
+                  (fun (stage, detail) -> div cut stage detail)
+                  (verify replay))
           points;
-        {
-          subject = S.subject_name;
-          seed;
-          seq;
-          ops = List.length ops;
-          total_blocks = r.total;
-          points = List.length points;
-          crashes = !crashes;
-          divergences = List.rev !divergences;
-        }
+        report ~ops:reference.trace.upto ~total:reference.total
+          ~points:(List.length points) ~crashes:!crashes
+
+  let check_ops ?blocks ?(io_depth = 4) ?stride ?cuts ?(seed = 0) ?(seq = 0)
+      ops =
+    let r = sweep ?blocks ?stride ?cuts ~seed ~seq (scripted ~io_depth ops) in
+    { r with ops = List.length ops }
 
   let check_seq ?blocks ?io_depth ?stride ?cuts ?(seed = 0) ?(nops = 60) ~seq
       () =
     let ops = Opgen.sequence ~seed ~seq ~nops in
     check_ops ?blocks ?io_depth ?stride ?cuts ~seed ~seq ops
 
-  (* ---------------- the serving-engine path ---------------- *)
-
-  (* Same enumeration, but the op stream is the request-serving engine's
-     own generated load (group commit, admission control, io-depth) and
-     the events come from a {!Fs_model.Recorder} shadowing the Fsops
-     surface the engine drives. *)
-  let engine_once ~blocks ~seed ?cut ?mode ecfg =
-    let fault, devs = fresh_fault ~blocks ~seed in
-    S.format devs;
-    let base = Vdev_fault.blocks_written fault in
-    (match cut with
-    | Some c -> Vdev_fault.plan_crash fault ?mode ~after_blocks:c ()
-    | None -> ());
-    let recorder = Fs_model.Recorder.create ~root:S.root in
-    let crashed =
-      try
-        let fs = S.mount devs in
-        ignore
-          (Engine.run ecfg (Fs_model.Recorder.instrument recorder (make_fsops fs)));
-        false
-      with Vdev.Crashed -> true
-    in
-    List.iter
-      (fun d ->
-        (try ignore (Vdev.drain d) with Vdev.Crashed -> ());
-        Vdev.set_mode d Vdev.Direct)
-      devs;
-    {
-      crashed;
-      upto = Fs_model.Recorder.op recorder;
-      durable = Fs_model.Recorder.durable recorder;
-      events = Fs_model.Recorder.events recorder;
-      total = Vdev_fault.blocks_written fault - base;
-      fault;
-      devs;
-    }
-
-  let check_engine ?(blocks = 1024) ?(stride = 1) ?cuts ?(seed = 0)
-      (ecfg : Engine.config) =
-    if stride < 1 then invalid_arg "Refine.check_engine: stride";
-    let reference = engine_once ~blocks ~seed ecfg in
-    let bs = (List.hd reference.devs).Vdev.block_size in
-    let points = select_points ?cuts ~stride reference.total in
-    let crashes = ref 0 in
-    let divergences = ref [] in
-    let div cut stage detail =
-      divergences := { cut; stage; detail } :: !divergences
-    in
-    List.iter
-      (fun cut ->
-        let mode = mode_for ~seed cut in
-        let replay = engine_once ~blocks ~seed ~cut ~mode ecfg in
-        if replay.crashed then incr crashes
-        else div cut "replay" "power cut never fired (non-deterministic replay?)";
-        match
-          verify ~bs ~events:replay.events ~durable:replay.durable
-            ~upto:replay.upto ~fault:replay.fault ~devs:replay.devs
-        with
-        | None -> ()
-        | Some (stage, detail) -> div cut stage detail)
-      points;
-    {
-      subject = S.subject_name;
-      seed;
-      seq = -1;
-      ops = reference.upto;
-      total_blocks = reference.total;
-      points = List.length points;
-      crashes = !crashes;
-      divergences = List.rev !divergences;
-    }
+  (* The serving engine's own generated load (group commit, admission
+     control, io-depth) as the op source. *)
+  let check_engine ?blocks ?stride ?cuts ?(seed = 0) (ecfg : Engine.config) =
+    sweep ?blocks ?stride ?cuts ~seed ~seq:(-1)
+      (recorded (fun fsops -> ignore (Engine.run ecfg fsops)))
 end

@@ -1,3 +1,4 @@
+module Shard_router = Lfs_shard.Shard_router
 module Disk = Lfs_disk.Disk
 module Vdev = Lfs_disk.Vdev
 module Vdev_tier = Lfs_disk.Vdev_tier

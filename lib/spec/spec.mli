@@ -27,7 +27,7 @@ type tier = {
   promote_reads : int;  (** demand reads that promote a slow segment; 0 = never *)
 }
 
-type shard = { shards : int; policy : Shard_router.policy }
+type shard = { shards : int; policy : Lfs_shard.Shard_router.policy }
 
 type recipe = {
   heads : int;  (** log write heads, 1..8 *)

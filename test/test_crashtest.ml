@@ -8,7 +8,7 @@ module Vdev_fault = Lfs_disk.Vdev_fault
 module Geometry = Lfs_disk.Geometry
 module Crashtest = Lfs_crashtest.Crashtest
 
-let lfs = Lfs_shard.Spec.of_string "lfs"
+let lfs = Lfs_spec.Spec.of_string "lfs"
 
 let check_clean report =
   if not (Crashtest.is_clean report) then
@@ -39,12 +39,48 @@ let test_script_seeds () =
    that the harness reports them rather than dying. *)
 let test_ffs_reports () =
   let report =
-    Crashtest.run ~stride:5 ~seed:3 (Lfs_shard.Spec.of_string "ffs")
+    Crashtest.run ~stride:5 ~seed:3 (Lfs_spec.Spec.of_string "ffs")
       (Crashtest.script ~seed:3 ())
   in
   Alcotest.(check bool) "replayed points" true (report.Crashtest.points > 0);
   Alcotest.(check int) "every point crashed" report.Crashtest.points
     report.Crashtest.crashes
+
+(* A cut's crash mode is keyed by (seed, cut), so it cannot depend on
+   how the sweep was thinned: the FFS script run fails at cuts that a
+   full sweep, a stride-5 sweep and a single-cut run all replay, and
+   each such cut must report the same mode every time. *)
+let test_mode_independent_of_stride () =
+  let run ?stride ?cuts () =
+    let r =
+      Crashtest.run ?stride ?cuts ~seed:3 (Lfs_spec.Spec.of_string "ffs")
+        (Crashtest.script ~seed:3 ())
+    in
+    r.Crashtest.fsck_failures @ r.Crashtest.oracle_failures
+  in
+  let full = run ~stride:1 () and thinned = run ~stride:5 () in
+  let shared =
+    List.filter
+      (fun (f : Crashtest.failure) ->
+        List.exists (fun (g : Crashtest.failure) -> g.cut = f.cut) thinned)
+      full
+  in
+  Alcotest.(check bool) "some cut fails in both sweeps" true (shared <> []);
+  let singles =
+    List.concat_map
+      (fun (f : Crashtest.failure) -> run ~cuts:[ f.cut ] ())
+      (List.filteri (fun i _ -> i < 3) shared)
+  in
+  List.iter
+    (fun (f : Crashtest.failure) ->
+      List.iter
+        (fun (g : Crashtest.failure) ->
+          if g.cut = f.cut && g.mode <> f.mode then
+            Alcotest.failf "cut %d: %s in one run, %s in another" f.cut
+              (Vdev_fault.mode_name f.mode)
+              (Vdev_fault.mode_name g.mode))
+        (thinned @ singles))
+    full
 
 (* Property: a random script workload crashed at a random point always
    recovers fsck-clean and oracle-consistent. *)
@@ -159,6 +195,8 @@ let suite =
         test_script_seeds;
       Alcotest.test_case "ffs: harness reports, does not die" `Quick
         test_ffs_reports;
+      Alcotest.test_case "crash mode independent of stride" `Quick
+        test_mode_independent_of_stride;
       QCheck_alcotest.to_alcotest prop_random_cut;
       Alcotest.test_case "every crash point inside a checkpoint" `Quick
         test_crash_inside_checkpoint;

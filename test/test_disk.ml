@@ -103,15 +103,6 @@ let test_crash_blocks_io_until_reboot () =
   Disk.reboot d;
   ignore (Disk.read_block d 0)
 
-let test_cancel_crash () =
-  let d = Disk.create wren in
-  Disk.plan_crash d ~after_blocks:5;
-  Disk.cancel_crash d;
-  for i = 0 to 9 do
-    Disk.write_block d i (block 'k')
-  done;
-  Alcotest.(check bool) "still alive" false (Disk.is_crashed d)
-
 let test_snapshot_restore () =
   let d = Disk.create wren in
   Disk.write_block d 3 (block 'v');
@@ -554,7 +545,6 @@ let suite =
       Alcotest.test_case "stats diff" `Quick test_stats_diff;
       Alcotest.test_case "crash tears write" `Quick test_crash_tears_write;
       Alcotest.test_case "crash blocks io" `Quick test_crash_blocks_io_until_reboot;
-      Alcotest.test_case "cancel crash" `Quick test_cancel_crash;
       Alcotest.test_case "snapshot restore" `Quick test_snapshot_restore;
       Alcotest.test_case "snapshot independent" `Quick test_snapshot_independent;
       Alcotest.test_case "save/load file" `Quick test_save_load_file;

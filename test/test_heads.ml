@@ -10,7 +10,7 @@ module Disk = Lfs_disk.Disk
 module Vdev = Lfs_disk.Vdev
 module Geometry = Lfs_disk.Geometry
 module Crashtest = Lfs_crashtest.Crashtest
-module Spec = Lfs_shard.Spec
+module Spec = Lfs_spec.Spec
 module Refine = Lfs_model.Refine
 module Opgen = Lfs_model.Opgen
 module Fsops = Lfs_workload.Fsops

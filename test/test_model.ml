@@ -5,7 +5,7 @@
    against injected corruption the structural checks cannot see. *)
 
 module M = Lfs_model.Fs_model
-module Spec = Lfs_shard.Spec
+module Spec = Lfs_spec.Spec
 module Opgen = Lfs_model.Opgen
 module Refine = Lfs_model.Refine
 module Fs = Lfs_core.Fs
@@ -217,30 +217,23 @@ let test_checker_rejects_ffs () =
    synced to disk" bug could slip through. *)
 let test_frontier_is_sync_completion () =
   let ops = Opgen.sequence ~seed:1 ~seq:2 ~nops:40 in
-  let reference = RL.run_once ~blocks:1024 ~seed:1 ~io_depth:4 ops in
-  let bs = (List.hd reference.RL.devs).Vdev.block_size in
+  let driver = RL.scripted ~io_depth:4 ops in
+  let reference = RL.once ~blocks:1024 ~seed:1 driver in
   let naive_flagged = ref false in
   let cut = ref (reference.RL.total - 1) in
   while (not !naive_flagged) && !cut >= 0 do
-    let mode = RL.mode_for ~seed:1 !cut in
-    let correct =
-      RL.run_once ~blocks:1024 ~seed:1 ~io_depth:4 ~cut:!cut ~mode ops
-    in
+    let correct = RL.once ~blocks:1024 ~seed:1 ~cut:!cut driver in
     if correct.RL.crashed then begin
-      (match
-         RL.verify ~bs ~events:correct.RL.events ~durable:correct.RL.durable
-           ~upto:correct.RL.upto ~fault:correct.RL.fault ~devs:correct.RL.devs
-       with
+      (match RL.verify correct with
       | None -> ()
       | Some (stage, detail) ->
           Alcotest.failf "cut %d not clean with true frontier: %s %s" !cut
             stage detail);
-      let naive =
-        RL.run_once ~blocks:1024 ~seed:1 ~io_depth:4 ~cut:!cut ~mode ops
-      in
+      let naive = RL.once ~blocks:1024 ~seed:1 ~cut:!cut driver in
+      let trace = naive.RL.trace in
       match
-        RL.verify ~bs ~events:naive.RL.events ~durable:naive.RL.upto
-          ~upto:naive.RL.upto ~fault:naive.RL.fault ~devs:naive.RL.devs
+        RL.verify
+          { naive with RL.trace = { trace with Refine.durable = trace.Refine.upto } }
       with
       | Some ("oracle", _) -> naive_flagged := true
       | _ -> ()

@@ -7,7 +7,7 @@ module Vdev = Lfs_disk.Vdev
 module Geometry = Lfs_disk.Geometry
 module Fs = Lfs_core.Fs
 module Router = Lfs_shard.Shard_router
-module Spec = Lfs_shard.Spec
+module Spec = Lfs_spec.Spec
 module Metrics = Lfs_obs.Metrics
 module Prng = Lfs_util.Prng
 

@@ -11,7 +11,7 @@ module Geometry = Lfs_disk.Geometry
 module Fs = Lfs_core.Fs
 module Config = Lfs_core.Config
 module Layout = Lfs_core.Layout
-module Spec = Lfs_shard.Spec
+module Spec = Lfs_spec.Spec
 
 let mk_child blocks = Vdev.of_disk (Disk.create (Geometry.instant ~blocks))
 
@@ -159,7 +159,8 @@ let test_swap_semantics () =
   Helpers.check_bytes "bytes survive swap" image got
 
 (* Crash sweep over every block of a migration — copy, then map flip —
-   with the power cut planned on either child.  Whatever the cut point,
+   with the power cut planned on either child (the tier view itself
+   refuses to arm one).  Whatever the cut point,
    reboot + load must find a valid map whose chunks all read back the
    pre-migration bytes: the only copy is never lost. *)
 let test_crash_mid_migration_sweep () =
@@ -179,6 +180,9 @@ let test_crash_mid_migration_sweep () =
           | Vdev_tier.Fast -> Vdev_tier.nchunks ti - 1 (* starts slow *)
         in
         let armed = if armed_name = "fast" then fast else slow in
+        (match Vdev.plan_crash dev ~after_blocks:cut with
+        | () -> Alcotest.fail "power cut armed on the tier view"
+        | exception Invalid_argument _ -> ());
         Vdev.plan_crash armed ~after_blocks:cut;
         (match Vdev_tier.migrate ti ~chunk ~target with
         | (_ : bool) -> ()
