@@ -81,10 +81,10 @@ ci:
 
 # Behaviour gate for refactors: export REV (git archive, so the checkout
 # is untouched), build it, and require byte-identical serve JSON (plain,
-# and with idle-time cleaning over an 8-deep queue) for every recipe in
-# SPECS, byte-identical modelcheck JSON (op sequences and the serving
-# engine), crashtest reports (script and smallfile workloads) and
-# exercised stats JSON for every recipe in PRODUCT, and byte-identical
+# and with idle-time cleaning over an 8-deep queue) and exercised stats
+# JSON for every recipe in SPECS, byte-identical modelcheck JSON (op
+# sequences and the serving engine) and crashtest reports (script and
+# smallfile workloads) for every recipe in PRODUCT, and byte-identical
 # output from every example program.  The stats run is sized so the
 # cleaner works: foreground and background passes, promotion on tiered
 # recipes, several checkpoints per shard; the examples add the greedy
@@ -104,13 +104,13 @@ same:
 	    $$1/bin/lfs_tool.exe serve --clients 16 --ops 50 --seed 42 --fs $$fs --json > "$$2/serve-$$fs.json"; \
 	    $$1/bin/lfs_tool.exe serve --clients 16 --ops 50 --seed 42 --fs $$fs --bg-clean --io-depth 8 \
 	      --json > "$$2/serve-bg-$$fs.json"; \
+	    $$1/bin/lfs_tool.exe stats --fs $$fs --blocks 4096 --exercise 400 --json > "$$2/stats-$$fs.json"; \
 	  done; \
 	  for fs in $(PRODUCT); do \
 	    $$1/bin/lfs_tool.exe modelcheck --fs $$fs --seqs 3 --stride 5 --seed 1 --json > "$$2/model-$$fs.json"; \
 	    $$1/bin/lfs_tool.exe crashtest --fs $$fs --workload script --stride 7 --seed 1 > "$$2/crash-$$fs.txt"; \
 	    $$1/bin/lfs_tool.exe modelcheck --fs $$fs --engine --stride 5 --seed 1 --json > "$$2/model-engine-$$fs.json"; \
 	    $$1/bin/lfs_tool.exe crashtest --fs $$fs --workload smallfile --stride 7 --seed 1 > "$$2/crash-smallfile-$$fs.txt"; \
-	    $$1/bin/lfs_tool.exe stats --fs $$fs --blocks 4096 --exercise 400 --json > "$$2/stats-$$fs.json"; \
 	  done; \
 	  for ex in $(EXAMPLES); do $$1/examples/$$ex.exe > "$$2/example-$$ex.txt"; done; \
 	}; \

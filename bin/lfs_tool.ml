@@ -107,7 +107,7 @@ let put_cmd =
     in
     with_fs image (fun fs ->
         (* Create parent directories as needed. *)
-        let parts = List.filter (fun s -> s <> "") (String.split_on_char '/' path) in
+        let parts = Lfs_core.Fs_intf.split_path path in
         let rec mkdirs prefix = function
           | [] | [ _ ] -> ()
           | d :: rest ->

@@ -31,7 +31,6 @@ let devices t = [ t.disk ]
 let tier t = t.tier
 let metrics t = t.obs.metrics
 let on_log_batch t f = t.log_batch_hook := f
-let pending_log_blocks t = Log_writer.pending_blocks t.log
 let layout t = t.layout
 let config t = t.config
 
@@ -69,13 +68,12 @@ let read_file_block t h ino blockno =
       end
 
 let put_dirty_block t ino blockno b =
-  if not (Hashtbl.mem t.dirty_data (ino, blockno)) then
-    t.dirty_count <- t.dirty_count + 1;
   Hashtbl.replace t.dirty_data (ino, blockno) b
 
 (* A full write buffer goes to the log, which may call the cleaner. *)
 let flush_if_full t =
-  if t.dirty_count >= t.config.Config.write_buffer_blocks then begin
+  if Hashtbl.length t.dirty_data >= t.config.Config.write_buffer_blocks
+  then begin
     flush t ~cleaner:false;
     Clean.maybe_clean t
   end
@@ -102,89 +100,48 @@ let get_file_handle t ino =
   | Types.Directory -> Types.fs_error "inode %d is a directory" ino);
   h
 
-let write_blocks_of t h ino ~off data =
-  let bs = block_size t in
-  let len = Bytes.length data in
-  if off < 0 then Types.fs_error "negative offset";
-  let first = off / bs and last = (off + len - 1) / bs in
-  h.inode.Inode.mtime <- tick t;
-  h.inode_dirty <- true;
-  for blockno = first to last do
-    let block_start = blockno * bs in
-    let lo = max off block_start in
-    let hi = min (off + len) (block_start + bs) in
-    let b =
-      if lo = block_start && hi = block_start + bs then
-        Bytes.sub data (lo - off) bs
-      else begin
-        let b = read_file_block t h ino blockno in
-        Bytes.blit data (lo - off) b (lo - block_start) (hi - lo);
-        b
-      end
-    in
-    put_dirty_block t ino blockno b;
-    (* Grow the size with the buffered prefix so a mid-write buffer
-       flush persists a self-consistent inode (matters after a crash). *)
-    h.inode.Inode.size <- max h.inode.Inode.size hi;
-    flush_if_full t
-  done
-
 let write t ino ~off data =
   if Bytes.length data > 0 then
     op_span t t.obs.op_write (fun () ->
         let h = get_file_handle t ino in
-        write_blocks_of t h ino ~off data;
+        h.inode.Inode.mtime <- tick t;
+        h.inode_dirty <- true;
+        File_range.write ~block_size:(block_size t)
+          ~read_block:(read_file_block t h ino) ~off data
+          (fun blockno b ~hi ->
+            put_dirty_block t ino blockno b;
+            (* Grow the size with the buffered prefix so a mid-write
+               buffer flush persists a self-consistent inode (matters
+               after a crash). *)
+            h.inode.Inode.size <- max h.inode.Inode.size hi;
+            flush_if_full t);
         finish_op t)
 
 let read_any t ino ~off ~len =
   let h = get_handle t ino in
-  let bs = block_size t in
-  if off < 0 || len < 0 then Types.fs_error "negative read range";
-  let len = max 0 (min len (h.inode.Inode.size - off)) in
-  let out = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let blockno = abs / bs in
-    let in_block = abs mod bs in
-    let n = min (bs - in_block) (len - !pos) in
-    let b = read_file_block t h ino blockno in
-    Bytes.blit b in_block out !pos n;
-    pos := !pos + n
-  done;
+  let out =
+    File_range.read ~block_size:(block_size t) ~size:h.inode.Inode.size
+      ~read_block:(read_file_block t h ino) ~off ~len
+  in
   Inode_map.set_atime t.imap ino t.clock;
   out
 
 let read t ino ~off ~len =
   op_span t t.obs.op_read (fun () -> read_any t ino ~off ~len)
 
-let drop_cached_blocks_from t ino ~first_block =
-  let doomed = ref [] in
-  Hashtbl.iter
-    (fun (i, blockno) _ ->
-      if i = ino && blockno >= first_block then doomed := blockno :: !doomed)
-    t.dirty_data;
-  List.iter
-    (fun blockno ->
-      Hashtbl.remove t.dirty_data (ino, blockno);
-      t.dirty_count <- t.dirty_count - 1)
-    !doomed
-
 let truncate_internal t ino ~len =
   let h = get_handle t ino in
   if len < 0 then Types.fs_error "negative truncate length";
   let bs = block_size t in
   let keep_blocks = (len + bs - 1) / bs in
-  drop_cached_blocks_from t ino ~first_block:keep_blocks;
+  File_range.drop_dirty t.dirty_data ino ~first:keep_blocks;
   Filemap.truncate h.fmap ~blocks:keep_blocks
     ~free:(fun addr -> kill t addr ~bytes:bs);
-  if len < h.inode.Inode.size && len mod bs <> 0 then begin
+  if len < h.inode.Inode.size && len mod bs <> 0 then
     (* Zero the tail of the new last block so extends re-read zeros. *)
-    let blockno = len / bs in
-    let b = read_file_block t h ino blockno in
-    Bytes.fill b (len mod bs) (bs - (len mod bs)) '\000';
-    put_dirty_block t ino blockno b
-  end;
+    File_range.write ~block_size:bs ~read_block:(read_file_block t h ino)
+      ~off:len (Bytes.make (bs - (len mod bs)) '\000')
+      (fun blockno b ~hi:_ -> put_dirty_block t ino blockno b);
   h.inode.Inode.size <- len;
   h.inode.Inode.mtime <- tick t;
   h.inode_dirty <- true;
@@ -222,23 +179,10 @@ let set_dir_contents t ino d =
   let bs = block_size t in
   let fresh = Directory.to_bytes d in
   let old = match h.content with Some b -> b | None -> Bytes.create 0 in
+  File_range.changed_blocks ~block_size:bs ~old fresh (put_dirty_block t ino);
   let nblocks = (Bytes.length fresh + bs - 1) / bs in
-  for blockno = 0 to nblocks - 1 do
-    let lo = blockno * bs in
-    let hi = min (Bytes.length fresh) (lo + bs) in
-    let changed =
-      lo >= Bytes.length old
-      || hi > Bytes.length old
-      || not (Bytes.equal (Bytes.sub fresh lo (hi - lo)) (Bytes.sub old lo (hi - lo)))
-    in
-    if changed then begin
-      let b = Bytes.make bs '\000' in
-      Bytes.blit fresh lo b 0 (hi - lo);
-      put_dirty_block t ino blockno b
-    end
-  done;
   if Bytes.length fresh < h.inode.Inode.size then begin
-    drop_cached_blocks_from t ino ~first_block:nblocks;
+    File_range.drop_dirty t.dirty_data ino ~first:nblocks;
     Filemap.truncate h.fmap ~blocks:nblocks
       ~free:(fun addr -> kill t addr ~bytes:bs)
   end;
@@ -308,7 +252,7 @@ let set_nlink t ino nlink =
 let delete_file t ino =
   let h = get_handle t ino in
   let bs = block_size t in
-  drop_cached_blocks_from t ino ~first_block:0;
+  File_range.drop_dirty t.dirty_data ino ~first:0;
   Filemap.iter_mapped h.fmap (fun _ addr -> kill t addr ~bytes:bs);
   List.iter
     (fun (_, addr) -> kill t addr ~bytes:bs)
@@ -384,59 +328,13 @@ let stat t ino =
 
 let file_size t ino = (get_handle t ino).inode.Inode.size
 
-(* {1 Paths} *)
+include Fs_intf.Paths (struct
+  type nonrec t = t
 
-let split_path path =
-  List.filter (fun s -> s <> "") (String.split_on_char '/' path)
-
-let resolve t path =
-  let rec go dir = function
-    | [] -> Some dir
-    | name :: rest -> (
-        match lookup t ~dir name with
-        | None -> None
-        | Some ino -> go ino rest)
-  in
-  go root (split_path path)
-
-let parent_and_leaf t path =
-  match List.rev (split_path path) with
-  | [] -> Types.fs_error "path %S has no leaf" path
-  | leaf :: rev_dirs -> (
-      let dirs = List.rev rev_dirs in
-      match
-        List.fold_left
-          (fun acc name ->
-            match acc with
-            | None -> None
-            | Some dir -> lookup t ~dir name)
-          (Some root) dirs
-      with
-      | None -> Types.fs_error "path %S: missing directory" path
-      | Some dir -> (dir, leaf))
-
-let create_path t path =
-  let dir, leaf = parent_and_leaf t path in
-  create t ~dir leaf
-
-let mkdir_path t path =
-  let dir, leaf = parent_and_leaf t path in
-  mkdir t ~dir leaf
-
-let write_path t path data =
-  let dir, leaf = parent_and_leaf t path in
-  let ino =
-    match lookup t ~dir leaf with
-    | Some ino -> ino
-    | None -> create t ~dir leaf
-  in
-  truncate t ino ~len:0;
-  write t ino ~off:0 data
-
-let read_path t path =
-  match resolve t path with
-  | None -> None
-  | Some ino -> Some (read t ino ~off:0 ~len:(file_size t ino))
+  let root = root and lookup = lookup and create = create and mkdir = mkdir
+  let truncate = truncate and write = write and read = read
+  let file_size = file_size
+end)
 
 (* {1 Construction} *)
 

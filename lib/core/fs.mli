@@ -96,27 +96,27 @@ val rename :
 (** {1 File IO} *)
 
 val write : t -> Types.ino -> off:int -> bytes -> unit
+(** Writing past EOF leaves a hole.  Raises {!Types.Fs_error} on a
+    negative [off]. *)
+
 val read : t -> Types.ino -> off:int -> len:int -> bytes
-(** Reads past EOF are truncated; holes read as zeros. *)
+(** Reads past EOF are truncated; holes read as zeros.  Raises
+    {!Types.Fs_error} on a negative [off] or [len]. *)
 
 val truncate : t -> Types.ino -> len:int -> unit
-(** Truncating to zero bumps the file's uid version (Section 3.3). *)
+(** Set the size to [len].  Shrinking to mid-block zeroes the rest of
+    the new last block; extending leaves a hole.  Either way, bytes
+    past the old end read back as zeros.  Truncating to zero bumps the
+    file's uid version (Section 3.3). *)
 
 val stat : t -> Types.ino -> stat
 val file_size : t -> Types.ino -> int
 
-(** {1 Paths} — convenience wrappers resolving ["/a/b/c"] from the root *)
+(** {1 Paths} — ["/a/b/c"] resolved from the root by the shared
+    {!Fs_intf.Paths}; [resolve] and [read_path] report absence as
+    [None], like [lookup] (see {!Types}). *)
 
-val resolve : t -> string -> Types.ino option
-val create_path : t -> string -> Types.ino
-val mkdir_path : t -> string -> Types.ino
-val write_path : t -> string -> bytes -> unit
-(** Create-or-replace the file's entire contents. *)
-
-val read_path : t -> string -> bytes option
-(** Whole-file read; [None] when no file lives at the path (matching
-    [lookup]/[resolve]: absence is an option, exceptions mean
-    corruption or misuse — see {!Types}). *)
+include Fs_intf.PATHS with type t := t
 
 (** {1 Durability and maintenance} *)
 
@@ -138,10 +138,6 @@ val on_log_batch : t -> (blocks:int -> unit) -> unit
     with its total block count (payload plus summary).  The serving
     layer uses it to measure how many blocks each shared group-commit
     flush carries. *)
-
-val pending_log_blocks : t -> int
-(** Log blocks queued in the writer but not yet on disk — the part of
-    the current batch a {!sync} would flush. *)
 
 val clean : t -> unit
 (** Run cleaning passes until the clean-segment target is reached;

@@ -185,7 +185,6 @@ type t = {
   log : Log_writer.t;
   handles : (Types.ino, handle) Hashtbl.t;
   dirty_data : (Types.ino * int, bytes) Hashtbl.t;
-  mutable dirty_count : int;
   mutable pending_dirops : Dir_log.record list;  (* newest first *)
   pool : Seg_pool.t;
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
@@ -359,8 +358,7 @@ let flush_data_blocks t =
             Hashtbl.remove t.dirty_data (ino, blockno))
           blocks;
         h.inode_dirty <- true)
-      (List.sort compare inos);
-    t.dirty_count <- 0
+      (List.sort compare inos)
   end
 
 let flush_filemaps_and_inodes t =
@@ -603,7 +601,6 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       log;
       handles = Hashtbl.create 256;
       dirty_data = Hashtbl.create 256;
-      dirty_count = 0;
       pending_dirops = [];
       pool;
       cleaner_attr;

@@ -4,6 +4,7 @@ module Codec = Lfs_util.Bytes_codec
 module Types = Lfs_core.Types
 module Inode = Lfs_core.Inode
 module Directory = Lfs_core.Directory
+module File_range = Lfs_core.File_range
 
 type config = {
   block_size : int;
@@ -51,7 +52,6 @@ type t = {
   inode_free : Bitmap.t array;     (* per group, in memory only *)
   handles : (Types.ino, handle) Hashtbl.t;
   dirty_data : (Types.ino * int, bytes) Hashtbl.t;
-  mutable dirty_count : int;
   mutable clock : float;
   mutable next_dir_cg : int;
 }
@@ -258,7 +258,6 @@ let flush_data t =
         Hashtbl.replace touched ino ();
         Hashtbl.remove t.dirty_data (ino, blockno))
       items;
-    t.dirty_count <- 0;
     Hashtbl.iter (fun ino () -> flush_fmap_and_inode t (get_handle t ino)) touched
   end
 
@@ -292,7 +291,6 @@ let flush_data_clustered t =
           (addr, b))
         items
     in
-    t.dirty_count <- 0;
     (* Pass 2: write contiguous runs as single transfers. *)
     let sorted = List.sort (fun (a, _) (b, _) -> compare a b) placed in
     let flush_run run =
@@ -336,69 +334,39 @@ let sync t =
   flush_bitmaps t
 
 let put_dirty_block t ino blockno b =
-  if not (Hashtbl.mem t.dirty_data (ino, blockno)) then
-    t.dirty_count <- t.dirty_count + 1;
   Hashtbl.replace t.dirty_data (ino, blockno) b;
-  if t.dirty_count >= t.layout.cfg.write_buffer_blocks then
+  if Hashtbl.length t.dirty_data >= t.layout.cfg.write_buffer_blocks then
     if t.layout.cfg.cluster_writes then flush_data_clustered t else flush_data t
 
 let write t ino ~off data =
-  let bs = t.layout.cfg.block_size in
-  let len = Bytes.length data in
-  if len > 0 then begin
+  if Bytes.length data > 0 then begin
     let h = get_handle t ino in
-    let first = off / bs and last = (off + len - 1) / bs in
-    for blockno = first to last do
-      let block_start = blockno * bs in
-      let lo = max off block_start in
-      let hi = min (off + len) (block_start + bs) in
-      let b =
-        if lo = block_start && hi = block_start + bs then
-          Bytes.sub data (lo - off) bs
-        else begin
-          let b = read_file_block t h ino blockno in
-          Bytes.blit data (lo - off) b (lo - block_start) (hi - lo);
-          b
-        end
-      in
-      put_dirty_block t ino blockno b;
-      h.inode.Inode.size <- max h.inode.Inode.size hi
-    done;
+    File_range.write ~block_size:t.layout.cfg.block_size
+      ~read_block:(read_file_block t h ino) ~off data
+      (fun blockno b ~hi ->
+        put_dirty_block t ino blockno b;
+        h.inode.Inode.size <- max h.inode.Inode.size hi);
     h.inode.Inode.mtime <- tick t
   end
 
 let read t ino ~off ~len =
   let h = get_handle t ino in
-  let bs = t.layout.cfg.block_size in
-  let len = max 0 (min len (h.inode.Inode.size - off)) in
-  let out = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let blockno = abs / bs in
-    let in_block = abs mod bs in
-    let n = min (bs - in_block) (len - !pos) in
-    let b = read_file_block t h ino blockno in
-    Bytes.blit b in_block out !pos n;
-    pos := !pos + n
-  done;
-  out
+  File_range.read ~block_size:t.layout.cfg.block_size ~size:h.inode.Inode.size
+    ~read_block:(read_file_block t h ino) ~off ~len
 
 let truncate t ino ~len =
   let h = get_handle t ino in
+  if len < 0 then Types.fs_error "ffs: negative truncate length";
   let bs = t.layout.cfg.block_size in
   let keep = (len + bs - 1) / bs in
-  let doomed = ref [] in
-  Hashtbl.iter
-    (fun (i, blockno) _ -> if i = ino && blockno >= keep then doomed := blockno :: !doomed)
-    t.dirty_data;
-  List.iter
-    (fun blockno ->
-      Hashtbl.remove t.dirty_data (ino, blockno);
-      t.dirty_count <- t.dirty_count - 1)
-    !doomed;
+  File_range.drop_dirty t.dirty_data ino ~first:keep;
   Lfs_core.Filemap.truncate h.fmap ~blocks:keep ~free:(fun a -> free_block t a);
-  h.inode.Inode.size <- min h.inode.Inode.size len;
+  if len < h.inode.Inode.size && len mod bs <> 0 then
+    (* Zero the tail of the new last block so extends re-read zeros. *)
+    File_range.write ~block_size:bs ~read_block:(read_file_block t h ino)
+      ~off:len (Bytes.make (bs - (len mod bs)) '\000')
+      (fun blockno b ~hi:_ -> put_dirty_block t ino blockno b);
+  h.inode.Inode.size <- len;
   h.inode.Inode.mtime <- tick t;
   flush_fmap_and_inode t h
 
@@ -423,17 +391,7 @@ let set_dir_contents t ino d =
   let bs = t.layout.cfg.block_size in
   let fresh = Directory.to_bytes d in
   let old = match h.content with Some b -> b | None -> Bytes.create 0 in
-  let nblocks = (Bytes.length fresh + bs - 1) / bs in
-  for blockno = 0 to nblocks - 1 do
-    let lo = blockno * bs in
-    let hi = min (Bytes.length fresh) (lo + bs) in
-    let changed =
-      hi > Bytes.length old
-      || not (Bytes.equal (Bytes.sub fresh lo (hi - lo)) (Bytes.sub old lo (hi - lo)))
-    in
-    if changed then begin
-      let b = Bytes.make bs '\000' in
-      Bytes.blit fresh lo b 0 (hi - lo);
+  File_range.changed_blocks ~block_size:bs ~old fresh (fun blockno b ->
       (* Synchronous directory-data write. *)
       let addr =
         match Lfs_core.Filemap.get h.fmap blockno with
@@ -443,9 +401,8 @@ let set_dir_contents t ino d =
             Lfs_core.Filemap.set h.fmap blockno a;
             a
       in
-      Vdev.write_block t.dev addr b
-    end
-  done;
+      Vdev.write_block t.dev addr b);
+  let nblocks = (Bytes.length fresh + bs - 1) / bs in
   if Bytes.length fresh < h.inode.Inode.size then
     Lfs_core.Filemap.truncate h.fmap ~blocks:nblocks
       ~free:(fun a -> free_block t a);
@@ -510,15 +467,7 @@ let unlink_internal t ~dir name ~expect =
             Types.fs_error "ffs: directory %S not empty" name
       | `File, Types.Regular -> ());
       set_dir_contents t dir (Directory.remove d name);
-      let doomed = ref [] in
-      Hashtbl.iter
-        (fun (i, blockno) _ -> if i = ino then doomed := blockno :: !doomed)
-        t.dirty_data;
-      List.iter
-        (fun blockno ->
-          Hashtbl.remove t.dirty_data (ino, blockno);
-          t.dirty_count <- t.dirty_count - 1)
-        !doomed;
+      File_range.drop_dirty t.dirty_data ino ~first:0;
       Lfs_core.Filemap.iter_mapped h.fmap (fun _ a -> free_block t a);
       List.iter (fun (_, a) -> free_block t a)
         (Lfs_core.Filemap.indirect_blocks h.fmap);
@@ -548,51 +497,13 @@ let rename t ~odir oname ~ndir nname =
         set_dir_contents t ndir (Directory.add (dir_contents t ndir) nname ino)
       end
 
-(* {1 Paths} *)
+include Lfs_core.Fs_intf.Paths (struct
+  type nonrec t = t
 
-let split_path path = List.filter (fun s -> s <> "") (String.split_on_char '/' path)
-
-let resolve t path =
-  let rec go dir = function
-    | [] -> Some dir
-    | name :: rest -> (
-        match lookup t ~dir name with None -> None | Some ino -> go ino rest)
-  in
-  go root (split_path path)
-
-let parent_and_leaf t path =
-  match List.rev (split_path path) with
-  | [] -> Types.fs_error "ffs: path %S has no leaf" path
-  | leaf :: rev_dirs -> (
-      match
-        List.fold_left
-          (fun acc name ->
-            match acc with None -> None | Some dir -> lookup t ~dir name)
-          (Some root) (List.rev rev_dirs)
-      with
-      | None -> Types.fs_error "ffs: path %S: missing directory" path
-      | Some dir -> (dir, leaf))
-
-let create_path t path =
-  let dir, leaf = parent_and_leaf t path in
-  create t ~dir leaf
-
-let mkdir_path t path =
-  let dir, leaf = parent_and_leaf t path in
-  mkdir t ~dir leaf
-
-let write_path t path data =
-  let dir, leaf = parent_and_leaf t path in
-  let ino =
-    match lookup t ~dir leaf with Some ino -> ino | None -> create t ~dir leaf
-  in
-  truncate t ino ~len:0;
-  write t ino ~off:0 data
-
-let read_path t path =
-  match resolve t path with
-  | None -> None
-  | Some ino -> Some (read t ino ~off:0 ~len:(file_size t ino))
+  let root = root and lookup = lookup and create = create and mkdir = mkdir
+  let truncate = truncate and write = write and read = read
+  let file_size = file_size
+end)
 
 (* {1 Lifecycle} *)
 
@@ -637,7 +548,6 @@ let make disk cfg =
     inode_free = Array.init l.ncg (fun _ -> Bitmap.create ~bits:cfg.inodes_per_cg);
     handles = Hashtbl.create 256;
     dirty_data = Hashtbl.create 256;
-    dirty_count = 0;
     clock = 1.0;
     next_dir_cg = 0;
   }

@@ -64,17 +64,23 @@ val rename :
 (** Move a name; an existing (non-directory) target is replaced. *)
 
 val write : t -> Lfs_core.Types.ino -> off:int -> bytes -> unit
+(** Writing past EOF leaves a hole.  Raises {!Lfs_core.Types.Fs_error}
+    on a negative [off]. *)
+
 val read : t -> Lfs_core.Types.ino -> off:int -> len:int -> bytes
+(** Reads past EOF are truncated; holes read as zeros.  Raises
+    {!Lfs_core.Types.Fs_error} on a negative [off] or [len]. *)
+
 val truncate : t -> Lfs_core.Types.ino -> len:int -> unit
+(** Set the size to [len], as {!Lfs_core.Fs.truncate} does: shrinking
+    to mid-block zeroes the rest of the new last block, extending
+    leaves a hole, and either way bytes past the old end read back as
+    zeros.  The block map and inode are written synchronously. *)
+
 val file_size : t -> Lfs_core.Types.ino -> int
 
-val resolve : t -> string -> Lfs_core.Types.ino option
-val create_path : t -> string -> Lfs_core.Types.ino
-val mkdir_path : t -> string -> Lfs_core.Types.ino
-val write_path : t -> string -> bytes -> unit
-val read_path : t -> string -> bytes option
-(** Whole-file read; [None] when no file lives at the path (same
-    convention as {!Lfs_core.Fs.read_path}). *)
+include Lfs_core.Fs_intf.PATHS with type t := t
+(** The shared path layer ({!Lfs_core.Fs_intf.Paths}). *)
 
 val sync : t -> unit
 val devices : t -> Lfs_disk.Vdev.t list

@@ -2,6 +2,7 @@ module Vdev = Lfs_disk.Vdev
 module Fs = Lfs_core.Fs
 module Config = Lfs_core.Config
 module Types = Lfs_core.Types
+module Fs_intf = Lfs_core.Fs_intf
 module Metrics = Lfs_obs.Metrics
 
 type policy = By_hash | By_subtree
@@ -84,10 +85,8 @@ let rendezvous t key =
     !best
   end
 
-let split path = List.filter (fun s -> s <> "") (String.split_on_char '/' path)
-
 let first_component path =
-  match split path with [] -> "" | c :: _ -> c
+  match Fs_intf.split_path path with [] -> "" | c :: _ -> c
 
 (* Home shard of the object [name] under the directory at
    [parent_path] ("" is the root). *)
@@ -103,7 +102,7 @@ let place t ~parent_path ~name =
   rendezvous t key
 
 let place_path t path =
-  match List.rev (split path) with
+  match List.rev (Fs_intf.split_path path) with
   | [] -> invalid_arg "Shard_router.place_path: the root is not placed"
   | name :: rev_parents ->
       place t ~parent_path:(String.concat "/" (List.rev rev_parents)) ~name
@@ -129,17 +128,6 @@ let path_of t ino =
 
 let remember t ino path = Hashtbl.replace t.paths ino path
 
-(* Walk [path] on one shard with plain lookups. *)
-let resolve_on fs path =
-  let rec go dir = function
-    | [] -> Some dir
-    | name :: rest -> (
-        match Fs.lookup fs ~dir name with
-        | None -> None
-        | Some ino -> go ino rest)
-  in
-  go Fs.root (split path)
-
 (* Make sure the directory chain for [path] exists on [fs], creating
    mirror shells as needed, and return its shard-local ino.  Ancestors
    are always directories here: a file and a directory of the same path
@@ -151,7 +139,7 @@ let ensure_dir_on fs path =
       match Fs.lookup fs ~dir name with
       | Some ino -> ino
       | None -> Fs.mkdir fs ~dir name)
-    Fs.root (split path)
+    Fs.root (Fs_intf.split_path path)
 
 (* ------------------------------------------------------------------ *)
 (* Namespace                                                           *)
@@ -175,7 +163,7 @@ let lookup t ~dir name =
   let parent = path_of t dir in
   let s = place t ~parent_path:parent ~name in
   let fs = t.shards.(s) in
-  match resolve_on fs parent with
+  match Fs.resolve fs parent with
   | None -> None
   | Some pdir -> (
       match Fs.lookup fs ~dir:pdir name with
@@ -191,7 +179,7 @@ let readdir t ino =
   let out = ref [] in
   Array.iteri
     (fun s fs ->
-      match resolve_on fs path with
+      match Fs.resolve fs path with
       | None -> ()
       | Some d ->
           List.iter
@@ -216,7 +204,7 @@ let unlink t ~dir name =
   let parent = path_of t dir in
   let s = place t ~parent_path:parent ~name in
   let fs = t.shards.(s) in
-  match resolve_on fs parent with
+  match Fs.resolve fs parent with
   | None -> Types.fs_error "no such entry %S" name
   | Some pdir -> Fs.unlink fs ~dir:pdir name
 
@@ -228,7 +216,7 @@ let rmdir t ~dir name =
   let path = child_path parent name in
   let s = place t ~parent_path:parent ~name in
   let fs = t.shards.(s) in
-  match resolve_on fs parent with
+  match Fs.resolve fs parent with
   | None -> Types.fs_error "no such entry %S" name
   | Some pdir -> (
       match Fs.lookup fs ~dir:pdir name with
@@ -240,7 +228,7 @@ let rmdir t ~dir name =
              canonical children live on their own home shards. *)
           Array.iter
             (fun sfs ->
-              match resolve_on sfs path with
+              match Fs.resolve sfs path with
               | None -> ()
               | Some d ->
                   if Fs.readdir sfs d <> [] then
@@ -250,7 +238,7 @@ let rmdir t ~dir name =
           Array.iteri
             (fun i sfs ->
               if i <> s then
-                match resolve_on sfs parent with
+                match Fs.resolve sfs parent with
                 | None -> ()
                 | Some pd -> (
                     match Fs.lookup sfs ~dir:pd name with
@@ -268,7 +256,7 @@ let rename t ~odir oname ~ndir nname =
   let os = place t ~parent_path:oparent ~name:oname in
   let ns = place t ~parent_path:nparent ~name:nname in
   let ofs = t.shards.(os) in
-  match resolve_on ofs oparent with
+  match Fs.resolve ofs oparent with
   | None -> Types.fs_error "no such entry %S" oname
   | Some opd -> (
       match Fs.lookup ofs ~dir:opd oname with
@@ -333,55 +321,13 @@ let file_size t ino =
   let s, local = decode t ino in
   Fs.file_size t.shards.(s) local
 
-(* ------------------------------------------------------------------ *)
-(* Path helpers (same shape as Fs's)                                   *)
-(* ------------------------------------------------------------------ *)
+include Fs_intf.Paths (struct
+  type nonrec t = t
 
-let resolve t path =
-  let rec go dir = function
-    | [] -> Some dir
-    | name :: rest -> (
-        match lookup t ~dir name with
-        | None -> None
-        | Some ino -> go ino rest)
-  in
-  go root (split path)
-
-let parent_and_leaf t path =
-  match List.rev (split path) with
-  | [] -> Types.fs_error "path %S has no leaf" path
-  | leaf :: rev_dirs -> (
-      match
-        List.fold_left
-          (fun acc name ->
-            match acc with None -> None | Some dir -> lookup t ~dir name)
-          (Some root) (List.rev rev_dirs)
-      with
-      | None -> Types.fs_error "path %S: missing directory" path
-      | Some dir -> (dir, leaf))
-
-let create_path t path =
-  let dir, leaf = parent_and_leaf t path in
-  create t ~dir leaf
-
-let mkdir_path t path =
-  let dir, leaf = parent_and_leaf t path in
-  mkdir t ~dir leaf
-
-let write_path t path data =
-  let dir, leaf = parent_and_leaf t path in
-  let ino =
-    match lookup t ~dir leaf with
-    | Some ino -> ino
-    | None -> create t ~dir leaf
-  in
-  truncate t ino ~len:0;
-  write t ino ~off:0 data
-
-let read_path t path =
-  match resolve t path with
-  | None -> None
-  | Some ino -> Some (read t ino ~off:0 ~len:(file_size t ino))
+  let root = root and lookup = lookup and create = create and mkdir = mkdir
+  let truncate = truncate and write = write and read = read
+  let file_size = file_size
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle and maintenance                                           *)
@@ -391,7 +337,6 @@ let sync t = Array.iter Fs.sync t.shards
 let drop_caches t = Array.iter Fs.drop_caches t.shards
 let devices t = List.concat_map Fs.devices (Array.to_list t.shards)
 let checkpoint t = Array.iter Fs.checkpoint t.shards
-let unmount t = Array.iter Fs.unmount t.shards
 
 let clean_step ?max_segments t =
   Array.fold_left
@@ -399,9 +344,6 @@ let clean_step ?max_segments t =
     0 t.shards
 
 let on_log_batch t f = Array.iter (fun fs -> Fs.on_log_batch fs f) t.shards
-
-let pending_log_blocks t =
-  Array.fold_left (fun acc fs -> acc + Fs.pending_log_blocks fs) 0 t.shards
 
 let metrics t = t.metrics
 let shard_count t = Array.length t.shards
@@ -470,7 +412,7 @@ let revalidate_mirrors t =
     incr dropped
   in
   let canonical_survives t ~home ~parent_path ~name =
-    match resolve_on t.shards.(home) parent_path with
+    match Fs.resolve t.shards.(home) parent_path with
     | None -> false
     | Some pd -> Fs.lookup t.shards.(home) ~dir:pd name <> None
   in

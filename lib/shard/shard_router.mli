@@ -80,7 +80,6 @@ val recover :
     in the [router.mirrors_dropped] gauge); if any were, the repairs are
     synced before the volume is handed out. *)
 
-val unmount : t -> unit
 val checkpoint : t -> unit
 
 (** {1 The shared surface} *)
@@ -122,11 +121,9 @@ val read : t -> Lfs_core.Types.ino -> off:int -> len:int -> bytes
 val truncate : t -> Lfs_core.Types.ino -> len:int -> unit
 val file_size : t -> Lfs_core.Types.ino -> int
 
-val resolve : t -> string -> Lfs_core.Types.ino option
-val create_path : t -> string -> Lfs_core.Types.ino
-val mkdir_path : t -> string -> Lfs_core.Types.ino
-val write_path : t -> string -> bytes -> unit
-val read_path : t -> string -> bytes option
+include Lfs_core.Fs_intf.PATHS with type t := t
+(** The shared path layer ({!Lfs_core.Fs_intf.Paths}) over the routed
+    [lookup]/[create]/[mkdir] and file IO above. *)
 
 val sync : t -> unit
 (** Fan-out barrier: every shard's acknowledged operations are durable
@@ -147,9 +144,6 @@ val clean_step : ?max_segments:int -> t -> int
 val on_log_batch : t -> (blocks:int -> unit) -> unit
 (** Register [f] on every shard: it sees the merged stream of per-shard
     log batch writes. *)
-
-val pending_log_blocks : t -> int
-(** Sum of unflushed log blocks across shards. *)
 
 val metrics : t -> Lfs_obs.Metrics.t
 (** The shared registry: per-shard instruments under [shard<i>.*]

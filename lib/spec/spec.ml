@@ -237,10 +237,9 @@ let fresh ~blocks = function
                 fun metrics -> Fs.mount ~metrics ?tier dev)
           in
           let router = Shard_router.mount ~policy:s.policy members in
+          let module Of_router = Fsops.Make (Shard_router) in
           {
-            (Fsops.of_any ~name ~async_writes:true
-               (Lfs_core.Fs_intf.Any.pack (module Shard_router) router))
-            with
+            (Of_router.make ~name ~async_writes:true router) with
             metrics = (fun () -> Some (Shard_router.metrics router));
             on_log_batch = Some (Shard_router.on_log_batch router);
             clean_step =

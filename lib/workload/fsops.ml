@@ -54,10 +54,6 @@ end
 module Of_lfs = Make (Fs)
 module Of_ffs = Make (Ffs)
 
-let of_any ~name ~async_writes (Lfs_core.Fs_intf.Any.Any ((module F), fs)) =
-  let module M = Make (F) in
-  M.make ~name ~async_writes fs
-
 let io_stats t =
   match t.devices with
   | [] -> invalid_arg "Fsops.io_stats: empty device list"

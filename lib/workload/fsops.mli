@@ -43,15 +43,10 @@ end
 (** Build the driver record from any module satisfying the shared
     {!Lfs_core.Fs_intf.S} surface, so every workload in this library
     runs against a new file system the moment it implements the
-    interface.  {!of_lfs} below is an instance. *)
-
-val of_any : name:string -> async_writes:bool -> Lfs_core.Fs_intf.Any.t -> t
-(** Build the driver record from a packed file system
-    ({!Lfs_core.Fs_intf.Any}), for callers that receive "some file
-    system" across an API boundary instead of a concrete module.  The
-    optional hooks ([metrics], [on_log_batch], [clean_step]) start as
-    [None]; builders that know more (e.g. the shard spec parser) fill
-    them in with record update. *)
+    interface.  The optional hooks ([metrics], [on_log_batch],
+    [clean_step]) start as [None]; builders that know more fill them in
+    with record update, as {!of_lfs} below and the shard recipes in
+    [Lfs_spec.Spec.fresh] do. *)
 
 val io_stats : t -> Lfs_disk.Io_stats.t
 (** A merged snapshot of {!Lfs_disk.Vdev.stats} across [devices]

@@ -103,6 +103,49 @@ let test_truncate () =
   Alcotest.(check int) "read truncated" 1000
     (Bytes.length (Ffs.read fs ino ~off:0 ~len:20_000))
 
+(* Shrinking to mid-block must not leave the cut bytes in the kept
+   block: a later write past the new end would otherwise expose them
+   instead of the zeros of the gap (the semantics of [Fs.truncate]). *)
+let test_truncate_zeroes_cut_tail () =
+  let disk, fs = fresh () in
+  let ino = Ffs.create fs ~dir:Ffs.root "z" in
+  Ffs.write fs ino ~off:0 (Bytes.make 300 'x');
+  Ffs.truncate fs ino ~len:100;
+  Ffs.write fs ino ~off:200 (Bytes.make 10 'y');
+  let expected =
+    Bytes.concat Bytes.empty
+      [ Bytes.make 100 'x'; Bytes.make 100 '\000'; Bytes.make 10 'y' ]
+  in
+  Helpers.check_bytes "gap reads as zeros" expected
+    (Ffs.read fs ino ~off:0 ~len:1000);
+  Ffs.sync fs;
+  let fs = Ffs.mount (Helpers.vdev disk) in
+  Helpers.check_bytes "and still after a remount" expected
+    (Ffs.read fs ino ~off:0 ~len:1000)
+
+let test_truncate_extends () =
+  let _, fs = fresh () in
+  let ino = Ffs.create fs ~dir:Ffs.root "e" in
+  Ffs.write fs ino ~off:0 (Bytes.make 210 'x');
+  Ffs.truncate fs ino ~len:5000;
+  Alcotest.(check int) "size" 5000 (Ffs.file_size fs ino);
+  Helpers.check_bytes "hole reads as zeros" (Bytes.make 4790 '\000')
+    (Ffs.read fs ino ~off:210 ~len:5000)
+
+let test_negative_offset_rejected () =
+  let _, fs = fresh () in
+  let ino = Ffs.create fs ~dir:Ffs.root "n" in
+  Ffs.write fs ino ~off:0 (Bytes.make 10 'x');
+  let rejects what f =
+    match f () with
+    | exception Types.Fs_error _ -> ()
+    | _ -> Alcotest.failf "%s at a negative offset accepted" what
+  in
+  rejects "write" (fun () -> Ffs.write fs ino ~off:(-1) (Bytes.make 10 'y'));
+  rejects "read" (fun () -> ignore (Ffs.read fs ino ~off:(-1) ~len:5));
+  Helpers.check_bytes "contents untouched" (Bytes.make 10 'x')
+    (Ffs.read fs ino ~off:0 ~len:10)
+
 let test_inode_fixed_location () =
   (* FFS inodes persist at fixed locations: deleting and re-creating
      reuses the inode number from the same cylinder group. *)
@@ -228,6 +271,9 @@ let suite =
       Alcotest.test_case "unlink frees" `Quick test_unlink_frees_space;
       Alcotest.test_case "persistence" `Quick test_persistence;
       Alcotest.test_case "truncate" `Quick test_truncate;
+      Alcotest.test_case "truncate zeroes cut tail" `Quick test_truncate_zeroes_cut_tail;
+      Alcotest.test_case "truncate extends" `Quick test_truncate_extends;
+      Alcotest.test_case "negative offset rejected" `Quick test_negative_offset_rejected;
       Alcotest.test_case "fixed inode locations" `Quick test_inode_fixed_location;
       Alcotest.test_case "disk full" `Quick test_disk_full;
       Alcotest.test_case "out of inodes" `Quick test_out_of_inodes;

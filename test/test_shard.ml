@@ -1,11 +1,13 @@
 (* The shard router: placement determinism, the unified namespace's
-   observational equivalence with a single LFS, ino encoding, per-shard
-   metrics scoping, and the one-faulted-shard crash sweep. *)
+   observational equivalence with a single LFS (and FFS's), ino
+   encoding, per-shard metrics scoping, and the one-faulted-shard crash
+   sweep. *)
 
 module Disk = Lfs_disk.Disk
 module Vdev = Lfs_disk.Vdev
 module Geometry = Lfs_disk.Geometry
 module Fs = Lfs_core.Fs
+module Ffs = Lfs_ffs.Ffs
 module Router = Lfs_shard.Shard_router
 module Spec = Lfs_spec.Spec
 module Metrics = Lfs_obs.Metrics
@@ -139,12 +141,15 @@ let test_ino_encoding () =
 (* Namespace equivalence with a single LFS                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One random op applied to both systems through their path helpers;
+(* One random op applied to every system through its path helpers;
    results are compared in normalized form (contents, sorted readdir
-   names, presence) because inos legitimately differ. *)
+   names, presence, "err" without the message) because inos and error
+   texts legitimately differ. *)
 type op =
   | Write of string * int * int  (* path, size, tag *)
   | Append of string * int
+  | Truncate of string * int
+  | Write_negative of string * int  (* path, offset below zero *)
   | Unlink of string
   | Readdir of string
   | Read of string
@@ -164,6 +169,9 @@ let op_gen =
       [
         (5, map3 (fun p s t -> Write (p, s, t)) path (int_range 1 12_000) (int_bound 25));
         (2, map2 (fun p s -> Append (p, s)) path (int_range 1 4_000));
+        (* shrinks to mid-block and extends past EOF alike *)
+        (2, map2 (fun p l -> Truncate (p, l)) path (int_bound 16_000));
+        (1, map2 (fun p o -> Write_negative (p, o)) path (int_range 1 5_000));
         (2, map (fun p -> Unlink p) path);
         (2, map (fun d -> Readdir dirs.(d)) (int_bound (Array.length dirs - 1)));
         (3, map (fun p -> Read p) path);
@@ -173,6 +181,8 @@ let op_gen =
 let print_op = function
   | Write (p, s, t) -> Printf.sprintf "Write(%s,%d,#%d)" p s t
   | Append (p, s) -> Printf.sprintf "Append(%s,%d)" p s
+  | Truncate (p, l) -> Printf.sprintf "Truncate(%s,%d)" p l
+  | Write_negative (p, o) -> Printf.sprintf "Write_negative(%s,-%d)" p o
   | Unlink p -> Printf.sprintf "Unlink(%s)" p
   | Readdir d -> Printf.sprintf "Readdir(%s)" d
   | Read p -> Printf.sprintf "Read(%s)" p
@@ -184,40 +194,57 @@ let arb_ops =
     ~shrink:QCheck.Shrink.list
     QCheck.Gen.(list_size (int_range 1 40) op_gen)
 
-(* The same surface over both systems, via first-class packing — the
-   equivalence property doubles as an exercise of [Fs_intf.Any]. *)
-let surface (Lfs_core.Fs_intf.Any.Any ((module F), fs)) =
+(* The same surface over every system, from its first-class module. *)
+let surface (type a) (module F : Lfs_core.Fs_intf.S with type t = a) (fs : a) =
   object
     method write_path p b = F.write_path fs p b
     method resolve p = F.resolve fs p
     method read_path p = F.read_path fs p
     method file_size ino = F.file_size fs ino
     method write ino ~off b = F.write fs ino ~off b
+    method truncate ino ~len = F.truncate fs ino ~len
     method unlink ~dir n = F.unlink fs ~dir n
     method readdir ino = F.readdir fs ino
     method mkdir_path p = F.mkdir_path fs p
     method sync = F.sync fs
   end
 
-let apply o = function
+let apply o op =
+  let on_file p f =
+    match o#resolve p with
+    | None -> "absent"
+    | Some ino -> ( try f ino with Lfs_core.Types.Fs_error _ -> "err")
+  in
+  let contents p =
+    match o#read_path p with
+    | None -> "absent"
+    | Some b -> Digest.to_hex (Digest.bytes b)
+  in
+  match op with
   | Write (p, size, tag) ->
       let b = Bytes.make size (Char.chr (65 + (tag mod 26))) in
       o#write_path p b;
       Printf.sprintf "wrote %d" size
-  | Append (p, size) -> (
-      match o#resolve p with
-      | None -> "absent"
-      | Some ino ->
+  | Append (p, size) ->
+      on_file p (fun ino ->
           let off = o#file_size ino in
           o#write ino ~off (Bytes.make size 'z');
           Printf.sprintf "appended at %d" off)
+  | Truncate (p, len) ->
+      on_file p (fun ino ->
+          o#truncate ino ~len;
+          Printf.sprintf "size %d, %s" (o#file_size ino) (contents p))
+  | Write_negative (p, off) ->
+      on_file p (fun ino ->
+          o#write ino ~off:(-off) (Bytes.make 10 'n');
+          "wrote")
   | Unlink p -> (
       match o#resolve (Filename.dirname p) with
       | Some dir when o#resolve p <> None -> (
           try
             o#unlink ~dir (Filename.basename p);
             "unlinked"
-          with Lfs_core.Types.Fs_error m -> "err:" ^ m)
+          with Lfs_core.Types.Fs_error _ -> "err")
       | _ -> "absent")
   | Readdir d -> (
       match o#resolve d with
@@ -225,29 +252,49 @@ let apply o = function
       | Some ino ->
           let names = List.map fst (o#readdir ino) in
           String.concat "," (List.sort String.compare names))
-  | Read p -> (
-      match o#read_path p with
-      | None -> "absent"
-      | Some b -> Digest.to_hex (Digest.bytes b))
+  | Read p -> contents p
   | Sync ->
       o#sync;
       "synced"
 
+let fresh_ffs () =
+  let dev = Vdev.of_disk (Disk.create (Geometry.instant ~blocks:2048)) in
+  Ffs.format dev
+    {
+      Ffs.default_config with
+      Ffs.cg_blocks = 256;
+      inodes_per_cg = 128;
+      write_buffer_blocks = 16;
+      cache_blocks = 64;
+    };
+  Ffs.mount dev
+
 let prop_sharded_matches_single =
-  QCheck.Test.make ~count:60 ~name:"sharded volume is observationally a single LFS"
-    arb_ops (fun ops ->
+  QCheck.Test.make ~count:60
+    ~name:"sharded volume is observationally a single LFS, as is FFS" arb_ops
+    (fun ops ->
       let _, single = Helpers.fresh_fs ~blocks:4096 () in
       let _, sharded = fresh_router ~shards:3 () in
-      let s1 = surface (Lfs_core.Fs_intf.Any.pack (module Fs) single) in
-      let s2 = surface (Lfs_core.Fs_intf.Any.pack (module Router) sharded) in
-      List.iter (fun d -> if d <> "" then ignore (s1#mkdir_path d)) (Array.to_list dirs);
-      List.iter (fun d -> if d <> "" then ignore (s2#mkdir_path d)) (Array.to_list dirs);
+      let systems =
+        [
+          ("single", surface (module Fs) single);
+          ("sharded", surface (module Router) sharded);
+          ("ffs", surface (module Ffs) (fresh_ffs ()));
+        ]
+      in
+      List.iter
+        (fun (_, o) ->
+          Array.iter (fun d -> if d <> "" then ignore (o#mkdir_path d)) dirs)
+        systems;
       List.for_all
         (fun op ->
-          let a = apply s1 op and b = apply s2 op in
-          if String.equal a b then true
-          else
-            QCheck.Test.fail_reportf "%s: single=%S sharded=%S" (print_op op) a b)
+          let results = List.map (fun (name, o) -> (name, apply o op)) systems in
+          let expected = List.assoc "single" results in
+          match List.find_opt (fun (_, r) -> r <> expected) results with
+          | None -> true
+          | Some (name, r) ->
+              QCheck.Test.fail_reportf "%s: single=%S %s=%S" (print_op op)
+                expected name r)
         ops)
 
 (* ------------------------------------------------------------------ *)
