@@ -1515,16 +1515,24 @@ let micro () =
     Test.make ~name:"adler32-128k"
       (Staged.stage (fun () -> ignore (Lfs_util.Checksum.adler32 batch)))
   in
-  let dir =
-    List.fold_left
-      (fun d i -> Lfs_core.Directory.add d (Printf.sprintf "entry%d" i) i)
-      Lfs_core.Directory.empty
-      (List.init 100 (fun i -> i + 2))
-  in
-  let dirb = Lfs_core.Directory.to_bytes dir in
+  let module Directory = Lfs_core.Directory in
+  let names = Array.init 1000 (fun i -> Printf.sprintf "entry%d" i) in
+  let dir = Directory.create ~block_size:4096 in
+  for i = 0 to 99 do
+    ignore (Directory.add dir names.(i) (i + 2))
+  done;
+  let dirb = Directory.to_bytes dir in
   let test_dir_codec =
     Test.make ~name:"directory-decode-100"
-      (Staged.stage (fun () -> ignore (Lfs_core.Directory.of_bytes dirb)))
+      (Staged.stage (fun () ->
+           ignore (Directory.of_bytes ~block_size:4096 dirb)))
+  in
+  let test_dir_add_lookup =
+    Test.make ~name:"directory-add-lookup-1000"
+      (Staged.stage (fun () ->
+           let d = Directory.create ~block_size:4096 in
+           Array.iteri (fun i name -> ignore (Directory.add d name (i + 2))) names;
+           Array.iter (fun name -> ignore (Directory.find d name)) names))
   in
   let test_sim =
     Test.make ~name:"simulator-1k-writes"
@@ -1548,6 +1556,7 @@ let micro () =
         test_checksum;
         test_checksum_batch;
         test_dir_codec;
+        test_dir_add_lookup;
         test_sim;
       ]
   in

@@ -34,26 +34,19 @@ let write ~block_size ~read_block ~off data put =
       in
       put blockno b ~hi:(off + pos + n))
 
-let changed_blocks ~block_size ~old fresh put =
-  let len = Bytes.length fresh in
-  for blockno = 0 to ((len + block_size - 1) / block_size) - 1 do
-    let lo = blockno * block_size in
-    let n = min len (lo + block_size) - lo in
-    if
-      lo + n > Bytes.length old
-      || not (Bytes.equal (Bytes.sub fresh lo n) (Bytes.sub old lo n))
-    then begin
-      let b = Bytes.make block_size '\000' in
-      Bytes.blit fresh lo b 0 n;
-      put blockno b
-    end
+let blocks ~block_size size = (size + block_size - 1) / block_size
+
+let drop_dirty dirty ino ~first ~size ~block_size =
+  for blockno = first to blocks ~block_size size - 1 do
+    Hashtbl.remove dirty (ino, blockno)
   done
 
-let drop_dirty dirty ino ~first =
-  let doomed =
-    Hashtbl.fold
-      (fun (i, blockno) _ acc ->
-        if i = ino && blockno >= first then blockno :: acc else acc)
-      dirty []
-  in
-  List.iter (fun blockno -> Hashtbl.remove dirty (ino, blockno)) doomed
+let update_dir ~dirty ~ino (inode : Inode.t) fmap dir changed ~put ~free =
+  List.iter (fun blockno -> put blockno (Directory.block dir blockno)) changed;
+  let block_size = Directory.block_size dir and len = Directory.length dir in
+  if len < inode.Inode.size then begin
+    let first = blocks ~block_size len in
+    drop_dirty dirty ino ~first ~size:inode.Inode.size ~block_size;
+    Filemap.truncate fmap ~blocks:first ~free
+  end;
+  inode.Inode.size <- len

@@ -1,7 +1,7 @@
 (** Byte ranges of a file, walked block by block.
 
-    The read walk, the read-modify-write walk and the changed-block diff
-    of a rewritten directory, shared by {!Fs} and [Lfs_ffs.Ffs].  Each
+    The read walk, the read-modify-write walk and the write-back of a
+    changed directory, shared by {!Fs} and [Lfs_ffs.Ffs].  Each
     file system passes its own [read_block] (dirty buffer, else the
     mapped disk block, else a zero block) and its own per-block action,
     so where a block goes — the LFS write buffer, the FFS dirty table,
@@ -33,14 +33,34 @@ val write :
     the bytes written into it.  Raises {!Types.Fs_error} on a negative
     [off] before calling anything. *)
 
-val changed_blocks :
-  block_size:int -> old:bytes -> bytes -> (int -> bytes -> unit) -> unit
-(** [changed_blocks ~block_size ~old fresh put] calls [put blockno b]
-    for each block of [fresh] whose bytes differ from [old] (or that
-    [old] does not fully cover), with [b] the block zero-padded to
-    [block_size]: rewriting a directory dirties only what changed. *)
-
 val drop_dirty :
-  (Types.ino * int, bytes) Hashtbl.t -> Types.ino -> first:int -> unit
+  (Types.ino * int, bytes) Hashtbl.t ->
+  Types.ino ->
+  first:int ->
+  size:int ->
+  block_size:int ->
+  unit
 (** Remove file [ino]'s blocks numbered [first] or above from a dirty
-    table keyed by [(ino, blockno)]. *)
+    table keyed by [(ino, blockno)], for a file of [size] bytes: both
+    file systems dirty a block only below the file's size, so this
+    walks only the blocks from [first] up to the one holding byte
+    [size - 1], never the whole table. *)
+
+val update_dir :
+  dirty:(Types.ino * int, bytes) Hashtbl.t ->
+  ino:Types.ino ->
+  Inode.t ->
+  Filemap.t ->
+  Directory.t ->
+  int list ->
+  put:(int -> bytes -> unit) ->
+  free:(Types.baddr -> unit) ->
+  unit
+(** Write back directory [ino] after a {!Directory} mutator changed
+    the listed blocks: [put blockno b] each, in the given (ascending)
+    order, with [b] a fresh zero-padded copy; then, if the image
+    shrank below the inode's size, drop the dirty blocks past its new
+    end and truncate the block map, [free]ing what it held; then set
+    the inode's size.  What [put] does — dirty the block (LFS) or
+    write it synchronously (FFS) — and the mtime and inode write-back
+    stay with the file system. *)

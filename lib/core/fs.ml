@@ -134,7 +134,8 @@ let truncate_internal t ino ~len =
   if len < 0 then Types.fs_error "negative truncate length";
   let bs = block_size t in
   let keep_blocks = (len + bs - 1) / bs in
-  File_range.drop_dirty t.dirty_data ino ~first:keep_blocks;
+  File_range.drop_dirty t.dirty_data ino ~first:keep_blocks
+    ~size:h.inode.Inode.size ~block_size:bs;
   Filemap.truncate h.fmap ~blocks:keep_blocks
     ~free:(fun addr -> kill t addr ~bytes:bs);
   if len < h.inode.Inode.size && len mod bs <> 0 then
@@ -165,32 +166,30 @@ let get_dir_handle t ino =
 let dir_contents t ino =
   let h = get_dir_handle t ino in
   match h.content with
-  | Some b -> Directory.of_bytes b
+  | Some d -> d
   | None ->
-      let b = read_any t ino ~off:0 ~len:h.inode.Inode.size in
-      h.content <- Some b;
-      Directory.of_bytes b
+      let d =
+        Directory.of_bytes ~block_size:(block_size t)
+          (read_any t ino ~off:0 ~len:h.inode.Inode.size)
+      in
+      h.content <- Some d;
+      d
 
-(* Rewrite a directory's contents, dirtying only the blocks that
-   actually changed (appending an entry touches the count block and the
-   tail, not the whole file). *)
-let set_dir_contents t ino d =
-  let h = get_dir_handle t ino in
-  let bs = block_size t in
-  let fresh = Directory.to_bytes d in
-  let old = match h.content with Some b -> b | None -> Bytes.create 0 in
-  File_range.changed_blocks ~block_size:bs ~old fresh (put_dirty_block t ino);
-  let nblocks = (Bytes.length fresh + bs - 1) / bs in
-  if Bytes.length fresh < h.inode.Inode.size then begin
-    File_range.drop_dirty t.dirty_data ino ~first:nblocks;
-    Filemap.truncate h.fmap ~blocks:nblocks
-      ~free:(fun addr -> kill t addr ~bytes:bs)
-  end;
-  h.inode.Inode.size <- Bytes.length fresh;
+(* Apply the {!Directory} mutator [f] to directory [ino] and dirty only
+   the blocks it changed (appending an entry touches the count block and
+   the tail, not the whole file). *)
+let update_dir t ino f =
+  let d = dir_contents t ino in
+  let h = get_handle t ino in
+  File_range.update_dir ~dirty:t.dirty_data ~ino h.inode h.fmap d (f d)
+    ~put:(put_dirty_block t ino)
+    ~free:(fun addr -> kill t addr ~bytes:(block_size t));
   h.inode.Inode.mtime <- tick t;
   h.inode_dirty <- true;
-  h.content <- Some fresh;
   flush_if_full t
+
+(* A new directory's size covers its empty image; no data block yet. *)
+let init_dir t ino = update_dir t ino (fun _ -> [])
 
 let lookup t ~dir name = Directory.find (dir_contents t dir) name
 
@@ -204,7 +203,9 @@ let new_inode t ~ftype =
   let ino = Inode_map.allocate t.imap in
   let inode = Inode.create ~ino ~ftype ~mtime:(tick t) in
   let dir = ftype = Types.Directory in
-  let content = if dir then Some (Directory.to_bytes Directory.empty) else None in
+  let content =
+    if dir then Some (Directory.create ~block_size:(block_size t)) else None
+  in
   Hashtbl.replace t.handles ino
     { inode; fmap = Filemap.create_empty t.layout inode; inode_dirty = true; content };
   Inode_map.set_location t.imap ino placeholder_iaddr;
@@ -216,8 +217,8 @@ let create_node t ~dir name ~ftype =
   if Directory.mem d name then Types.fs_error "name %S already exists" name;
   let ino = new_inode t ~ftype in
   queue_dirop t (Dir_log.Add { dir; name; ino; nlink = 1; fresh = true });
-  set_dir_contents t dir (Directory.add d name ino);
-  if ftype = Types.Directory then set_dir_contents t ino Directory.empty;
+  update_dir t dir (fun d -> Directory.add d name ino);
+  if ftype = Types.Directory then init_dir t ino;
   finish_op t;
   ino
 
@@ -239,7 +240,7 @@ let link t ~dir name ino =
   h.inode_dirty <- true;
   queue_dirop t
     (Dir_log.Add { dir; name; ino; nlink = h.inode.Inode.nlink; fresh = false });
-  set_dir_contents t dir (Directory.add d name ino);
+  update_dir t dir (fun d -> Directory.add d name ino);
   finish_op t
 
 let set_nlink t ino nlink =
@@ -252,7 +253,8 @@ let set_nlink t ino nlink =
 let delete_file t ino =
   let h = get_handle t ino in
   let bs = block_size t in
-  File_range.drop_dirty t.dirty_data ino ~first:0;
+  File_range.drop_dirty t.dirty_data ino ~first:0 ~size:h.inode.Inode.size
+    ~block_size:bs;
   Filemap.iter_mapped h.fmap (fun _ addr -> kill t addr ~bytes:bs);
   List.iter
     (fun (_, addr) -> kill t addr ~bytes:bs)
@@ -277,7 +279,7 @@ let unlink_internal t ~dir name ~expect =
       | `File, Types.Regular -> ());
       let nlink = h.inode.Inode.nlink - 1 in
       queue_dirop t (Dir_log.Remove { dir; name; ino; nlink });
-      set_dir_contents t dir (Directory.remove d name);
+      update_dir t dir (fun d -> Directory.remove d name);
       if nlink <= 0 then delete_file t ino else set_nlink t ino nlink
 
 let unlink t ~dir name =
@@ -307,8 +309,8 @@ let rename t ~odir oname ~ndir nname =
         | Some _ -> unlink_internal t ~dir:ndir nname ~expect:`File
         | None -> ());
         queue_dirop t (Dir_log.Rename { odir; oname; ndir; nname; ino });
-        set_dir_contents t odir (Directory.remove (dir_contents t odir) oname);
-        set_dir_contents t ndir (Directory.add (dir_contents t ndir) nname ino);
+        update_dir t odir (fun d -> Directory.remove d oname);
+        update_dir t ndir (fun d -> Directory.add d nname ino);
         finish_op t
       end
 
@@ -359,7 +361,7 @@ let format disk cfg =
   in
   let ino = new_inode t ~ftype:Types.Directory in
   assert (ino = Types.root_ino);
-  set_dir_contents t ino Directory.empty;
+  init_dir t ino;
   checkpoint t
 
 let mount ?config ?metrics ?tier disk =
@@ -429,14 +431,12 @@ let dir_live t ino =
 
 (* Make [dir/name] point at [ino], or no longer at it. *)
 let ensure_entry t ~dir name ino =
-  let d = dir_contents t dir in
-  if Directory.find d name <> Some ino then
-    set_dir_contents t dir (Directory.replace d name ino)
+  if lookup t ~dir name <> Some ino then
+    update_dir t dir (fun d -> Directory.replace d name ino)
 
 let ensure_no_entry t ~dir name ino =
-  let d = dir_contents t dir in
-  if Directory.find d name = Some ino then
-    set_dir_contents t dir (Directory.remove d name)
+  if lookup t ~dir name = Some ino then
+    update_dir t dir (fun d -> Directory.remove d name)
 
 let replay_add t ~stale_add ~dir ~name ~ino ~nlink =
   if dir_live t dir then

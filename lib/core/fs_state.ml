@@ -14,7 +14,7 @@ type handle = {
   inode : Inode.t;
   fmap : Filemap.t;
   mutable inode_dirty : bool;
-  mutable content : bytes option;  (* whole-content cache, directories only *)
+  mutable content : Directory.t option;  (* directories only *)
 }
 
 (* Observability handles: one {!Lfs_obs.Metrics} registry per mounted

@@ -38,7 +38,7 @@ type layout = {
 type handle = {
   inode : Inode.t;
   fmap : Lfs_core.Filemap.t;
-  mutable content : bytes option;  (* directories *)
+  mutable content : Directory.t option;  (* directories *)
 }
 
 type t = {
@@ -359,7 +359,8 @@ let truncate t ino ~len =
   if len < 0 then Types.fs_error "ffs: negative truncate length";
   let bs = t.layout.cfg.block_size in
   let keep = (len + bs - 1) / bs in
-  File_range.drop_dirty t.dirty_data ino ~first:keep;
+  File_range.drop_dirty t.dirty_data ino ~first:keep ~size:h.inode.Inode.size
+    ~block_size:bs;
   Lfs_core.Filemap.truncate h.fmap ~blocks:keep ~free:(fun a -> free_block t a);
   if len < h.inode.Inode.size && len mod bs <> 0 then
     (* Zero the tail of the new last block so extends re-read zeros. *)
@@ -380,19 +381,22 @@ let dir_contents t ino =
   | Types.Directory -> ()
   | Types.Regular -> Types.fs_error "ffs: inode %d is not a directory" ino);
   match h.content with
-  | Some b -> Directory.of_bytes b
+  | Some d -> d
   | None ->
-      let b = read t ino ~off:0 ~len:h.inode.Inode.size in
-      h.content <- Some b;
-      Directory.of_bytes b
+      let d =
+        Directory.of_bytes ~block_size:t.layout.cfg.block_size
+          (read t ino ~off:0 ~len:h.inode.Inode.size)
+      in
+      h.content <- Some d;
+      d
 
-let set_dir_contents t ino d =
+(* Apply the {!Directory} mutator [f] to directory [ino] and write the
+   blocks it changed synchronously, then the inode. *)
+let update_dir t ino f =
+  let d = dir_contents t ino in
   let h = get_handle t ino in
-  let bs = t.layout.cfg.block_size in
-  let fresh = Directory.to_bytes d in
-  let old = match h.content with Some b -> b | None -> Bytes.create 0 in
-  File_range.changed_blocks ~block_size:bs ~old fresh (fun blockno b ->
-      (* Synchronous directory-data write. *)
+  File_range.update_dir ~dirty:t.dirty_data ~ino h.inode h.fmap d (f d)
+    ~put:(fun blockno b ->
       let addr =
         match Lfs_core.Filemap.get h.fmap blockno with
         | a when a <> Types.nil_addr -> a
@@ -401,15 +405,13 @@ let set_dir_contents t ino d =
             Lfs_core.Filemap.set h.fmap blockno a;
             a
       in
-      Vdev.write_block t.dev addr b);
-  let nblocks = (Bytes.length fresh + bs - 1) / bs in
-  if Bytes.length fresh < h.inode.Inode.size then
-    Lfs_core.Filemap.truncate h.fmap ~blocks:nblocks
-      ~free:(fun a -> free_block t a);
-  h.inode.Inode.size <- Bytes.length fresh;
+      Vdev.write_block t.dev addr b)
+    ~free:(free_block t);
   h.inode.Inode.mtime <- tick t;
-  h.content <- Some fresh;
   flush_fmap_and_inode t h
+
+(* A new directory's size covers its empty image; no data block yet. *)
+let init_dir t ino = update_dir t ino (fun _ -> [])
 
 let lookup t ~dir name = Directory.find (dir_contents t dir) name
 let readdir t ino = Directory.entries (dir_contents t ino)
@@ -434,7 +436,8 @@ let create_node t ~dir name ~ftype =
       fmap = Lfs_core.Filemap.create_empty t.lfs_layout inode;
       content =
         (match ftype with
-        | Types.Directory -> Some (Directory.to_bytes Directory.empty)
+        | Types.Directory ->
+            Some (Directory.create ~block_size:t.layout.cfg.block_size)
         | Types.Regular -> None);
     }
   in
@@ -443,10 +446,8 @@ let create_node t ~dir name ~ftype =
   write_inode t inode;
   if t.layout.cfg.sync_double_inode_on_create then write_inode t inode;
   (* Synchronous directory data + directory inode writes. *)
-  set_dir_contents t dir (Directory.add d name ino);
-  (match ftype with
-  | Types.Directory -> set_dir_contents t ino Directory.empty
-  | Types.Regular -> ());
+  update_dir t dir (fun d -> Directory.add d name ino);
+  (match ftype with Types.Directory -> init_dir t ino | Types.Regular -> ());
   ino
 
 let create t ~dir name = create_node t ~dir name ~ftype:Types.Regular
@@ -466,8 +467,9 @@ let unlink_internal t ~dir name ~expect =
           if not (Directory.is_empty (dir_contents t ino)) then
             Types.fs_error "ffs: directory %S not empty" name
       | `File, Types.Regular -> ());
-      set_dir_contents t dir (Directory.remove d name);
-      File_range.drop_dirty t.dirty_data ino ~first:0;
+      update_dir t dir (fun d -> Directory.remove d name);
+      File_range.drop_dirty t.dirty_data ino ~first:0 ~size:h.inode.Inode.size
+        ~block_size:t.layout.cfg.block_size;
       Lfs_core.Filemap.iter_mapped h.fmap (fun _ a -> free_block t a);
       List.iter (fun (_, a) -> free_block t a)
         (Lfs_core.Filemap.indirect_blocks h.fmap);
@@ -493,8 +495,8 @@ let rename t ~odir oname ~ndir nname =
         (match lookup t ~dir:ndir nname with
         | Some _ -> unlink_internal t ~dir:ndir nname ~expect:`File
         | None -> ());
-        set_dir_contents t odir (Directory.remove (dir_contents t odir) oname);
-        set_dir_contents t ndir (Directory.add (dir_contents t ndir) nname ino)
+        update_dir t odir (fun d -> Directory.remove d oname);
+        update_dir t ndir (fun d -> Directory.add d nname ino)
       end
 
 include Lfs_core.Fs_intf.Paths (struct
@@ -574,12 +576,12 @@ let format disk cfg =
     {
       inode;
       fmap = Lfs_core.Filemap.create_empty t.lfs_layout inode;
-      content = Some (Directory.to_bytes Directory.empty);
+      content = Some (Directory.create ~block_size:cfg.block_size);
     }
   in
   Hashtbl.replace t.handles root h;
   write_inode t inode;
-  set_dir_contents t root Directory.empty;
+  init_dir t root;
   sync t
 
 let mount disk =

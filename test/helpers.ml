@@ -148,3 +148,20 @@ let check_model fs model =
             Alcotest.failf "contents of %s differ (len %d vs %d)" path
               (Bytes.length actual) (Bytes.length data))
     model
+
+(* The names of a directory listing (in on-disk order) whose encoded
+   entries reach into the image's last [block_size] block, and that
+   block's first byte: removing them all shrinks the directory across
+   the block boundary. *)
+let last_block_entries ~block_size entries =
+  let entry_len name = 2 + String.length name + 4 in
+  let len = List.fold_left (fun acc (n, _) -> acc + entry_len n) 4 entries in
+  let lo = (len - 1) / block_size * block_size in
+  let _, names =
+    List.fold_left
+      (fun (off, acc) (n, _) ->
+        let next = off + entry_len n in
+        (next, if next > lo then n :: acc else acc))
+      (4, []) entries
+  in
+  (List.rev names, lo)

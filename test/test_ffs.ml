@@ -94,6 +94,38 @@ let test_persistence () =
   let fs2 = Ffs.mount (Helpers.vdev disk) in
   Helpers.check_bytes "after remount" data (Option.get (Ffs.read_path fs2 "/d/file"))
 
+(* A directory of 2,000 entries spans several blocks; unlinking every
+   entry that reaches into its last block shrinks it across the boundary
+   and frees that block, and a remount reads the shrunk image back. *)
+let test_multiblock_dir_shrink () =
+  let disk = Disk.create (Lfs_disk.Geometry.instant ~blocks:8192) in
+  let config = { config with inodes_per_cg = 1024 } in
+  Ffs.format (Helpers.vdev disk) config;
+  let fs = Ffs.mount (Helpers.vdev disk) in
+  let inos =
+    List.init 2000 (fun i ->
+        let name = Printf.sprintf "f%04d" i in
+        (name, Ffs.create fs ~dir:Ffs.root name))
+  in
+  let bs = config.Ffs.block_size in
+  let victims, lo = Helpers.last_block_entries ~block_size:bs (Ffs.readdir fs Ffs.root) in
+  Alcotest.(check bool) "several blocks" true (lo >= 4 * bs);
+  Ffs.sync fs;
+  let free0 = Ffs.free_blocks fs in
+  List.iter (fun n -> Ffs.unlink fs ~dir:Ffs.root n) victims;
+  Alcotest.(check bool) "shrank below the last block" true (Ffs.file_size fs Ffs.root <= lo);
+  Ffs.sync fs;
+  Alcotest.(check int) "last block freed" (free0 + 1) (Ffs.free_blocks fs);
+  let fs2 = Ffs.mount (Helpers.vdev disk) in
+  List.iter
+    (fun (name, ino) ->
+      let want = if List.mem name victims then None else Some ino in
+      Alcotest.(check (option int)) name want (Ffs.lookup fs2 ~dir:Ffs.root name))
+    inos;
+  Alcotest.(check int) "size survives" (Ffs.file_size fs Ffs.root)
+    (Ffs.file_size fs2 Ffs.root);
+  Ffs.fsck_scan fs2
+
 let test_truncate () =
   let _, fs = fresh () in
   let ino = Ffs.create fs ~dir:Ffs.root "t" in
@@ -270,6 +302,7 @@ let suite =
       Alcotest.test_case "directories" `Quick test_directories;
       Alcotest.test_case "unlink frees" `Quick test_unlink_frees_space;
       Alcotest.test_case "persistence" `Quick test_persistence;
+      Alcotest.test_case "multi-block dir shrink" `Quick test_multiblock_dir_shrink;
       Alcotest.test_case "truncate" `Quick test_truncate;
       Alcotest.test_case "truncate zeroes cut tail" `Quick test_truncate_zeroes_cut_tail;
       Alcotest.test_case "truncate extends" `Quick test_truncate_extends;

@@ -222,6 +222,52 @@ let test_many_files_in_dir () =
   Alcotest.(check int) "200 entries" 200 (List.length (Fs.readdir fs Fs.root));
   Helpers.fsck_clean fs
 
+(* A directory of 2,000 entries spans several blocks; unlinking every
+   entry that reaches into its last block shrinks it across the boundary
+   and frees that block, and roll-forward replays the unlinks onto the
+   checkpointed multi-block image. *)
+let test_multiblock_dir_shrink () =
+  let config = { Helpers.test_config with max_inodes = 4096 } in
+  let disk, fs = Helpers.fresh_fs ~blocks:8192 ~config () in
+  let bs = (Fs.layout fs).Lfs_core.Layout.block_size in
+  let inos =
+    List.init 2000 (fun i ->
+        let name = Printf.sprintf "f%04d" i in
+        (name, Fs.create fs ~dir:Fs.root name))
+  in
+  Fs.checkpoint fs;
+  let victims, lo = Helpers.last_block_entries ~block_size:bs (Fs.readdir fs Fs.root) in
+  Alcotest.(check bool) "several blocks" true (lo >= 4 * bs);
+  List.iter (fun n -> Fs.unlink fs ~dir:Fs.root n) victims;
+  Alcotest.(check bool) "shrank below the last block" true (Fs.file_size fs Fs.root <= lo);
+  Fs.with_handle fs Fs.root (fun _ fmap ->
+      Alcotest.(check bool) "last block unmapped" true
+        (Lfs_core.Filemap.get fmap (lo / bs) = Types.nil_addr));
+  Helpers.fsck_clean fs;
+  let fs2, report = Fs.recover (Helpers.vdev disk) in
+  Alcotest.(check bool) "unlinks rolled forward" true
+    (report.Fs.dirops_applied >= List.length victims);
+  List.iter
+    (fun (name, ino) ->
+      let want = if List.mem name victims then None else Some ino in
+      Alcotest.(check (option int)) name want (Fs.lookup fs2 ~dir:Fs.root name))
+    inos;
+  Alcotest.(check int) "size survives" (Fs.file_size fs Fs.root)
+    (Fs.file_size fs2 Fs.root);
+  Helpers.fsck_clean fs2
+
+(* Dirty blocks past a truncation point are dropped, not left to resurface
+   when the file grows back over them. *)
+let test_truncate_drops_dirty_tail () =
+  let _, fs = Helpers.fresh_fs () in
+  let ino = Fs.create fs ~dir:Fs.root "f" in
+  Fs.write fs ino ~off:0 (Bytes.make (8 * 4096) 'x');
+  Fs.truncate fs ino ~len:(2 * 4096 + 100);
+  Fs.write fs ino ~off:(7 * 4096) (Bytes.of_string "end");
+  let gap = Fs.read fs ino ~off:(2 * 4096 + 100) ~len:(5 * 4096 - 100) in
+  Alcotest.(check bool) "gap reads zeros" true
+    (Bytes.for_all (fun c -> c = '\000') gap)
+
 let test_path_helpers () =
   let _, fs = Helpers.fresh_fs () in
   ignore (Fs.mkdir_path fs "/x");
@@ -347,6 +393,8 @@ let suite =
       Alcotest.test_case "rename noop same file" `Quick test_rename_noop_same_file;
       Alcotest.test_case "readdir" `Quick test_readdir_lists_everything;
       Alcotest.test_case "many files in dir" `Quick test_many_files_in_dir;
+      Alcotest.test_case "multi-block dir shrink" `Quick test_multiblock_dir_shrink;
+      Alcotest.test_case "truncate drops dirty tail" `Quick test_truncate_drops_dirty_tail;
       Alcotest.test_case "path helpers" `Quick test_path_helpers;
       Alcotest.test_case "remount preserves" `Quick test_remount_preserves_everything;
       Alcotest.test_case "mount discards post-ckpt" `Quick test_mount_discards_after_checkpoint;

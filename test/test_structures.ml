@@ -319,30 +319,34 @@ let test_usage_histogram_excludes () =
 
 (* ----- Directory ----- *)
 
+let dir_of entries =
+  let d = Directory.create ~block_size:4096 in
+  List.iter (fun (name, ino) -> ignore (Directory.add d name ino)) entries;
+  d
+
 let test_dir_roundtrip () =
-  let d =
-    Directory.add (Directory.add Directory.empty "alpha" 10) "beta" 20
-  in
-  let d' = Directory.of_bytes (Directory.to_bytes d) in
+  let d = dir_of [ ("alpha", 10); ("beta", 20) ] in
+  let d' = Directory.of_bytes ~block_size:4096 (Directory.to_bytes d) in
   Alcotest.(check bool) "entries preserved" true
     (Directory.entries d = Directory.entries d')
 
 let test_dir_ops () =
-  let d = Directory.add Directory.empty "x" 5 in
+  let d = dir_of [ ("x", 5) ] in
   Alcotest.(check bool) "mem" true (Directory.mem d "x");
   Alcotest.(check (option int)) "find" (Some 5) (Directory.find d "x");
   Alcotest.(check (option int)) "missing" None (Directory.find d "y");
-  let d = Directory.remove d "x" in
+  ignore (Directory.remove d "x");
   Alcotest.(check bool) "removed" true (Directory.is_empty d)
 
 let test_dir_duplicate_rejected () =
-  let d = Directory.add Directory.empty "a" 1 in
+  let d = dir_of [ ("a", 1) ] in
   match Directory.add d "a" 2 with
   | _ -> Alcotest.fail "duplicate should be rejected"
-  | exception Types.Fs_error _ -> ()
+  | exception Types.Fs_error _ ->
+      Alcotest.(check (option int)) "unchanged" (Some 1) (Directory.find d "a")
 
 let test_dir_remove_missing_rejected () =
-  match Directory.remove Directory.empty "ghost" with
+  match Directory.remove (Directory.create ~block_size:4096) "ghost" with
   | _ -> Alcotest.fail "should fail"
   | exception Types.Fs_error _ -> ()
 
@@ -355,26 +359,142 @@ let test_dir_bad_names_rejected () =
     [ ""; "a/b"; "nul\000byte"; String.make 256 'n' ]
 
 let test_dir_replace () =
-  let d = Directory.add Directory.empty "f" 1 in
-  let d = Directory.replace d "f" 2 in
+  let d = dir_of [ ("f", 1) ] in
+  ignore (Directory.replace d "f" 2);
   Alcotest.(check (option int)) "replaced" (Some 2) (Directory.find d "f");
-  let d = Directory.replace d "g" 3 in
+  ignore (Directory.replace d "g" 3);
   Alcotest.(check (option int)) "added" (Some 3) (Directory.find d "g")
 
 let test_dir_order_preserved () =
   let names = [ "c"; "a"; "b" ] in
-  let d =
-    List.fold_left (fun d (i, n) -> Directory.add d n i)
-      Directory.empty
-      (List.mapi (fun i n -> (i, n)) names)
-  in
+  let d = dir_of (List.mapi (fun i n -> (n, i)) names) in
   Alcotest.(check (list string)) "insertion order" names
     (List.map fst (Directory.entries d))
 
 let test_dir_corrupt_rejected () =
-  match Directory.of_bytes (Bytes.make 4 '\255') with
+  match Directory.of_bytes ~block_size:4096 (Bytes.make 4 '\255') with
   | _ -> Alcotest.fail "should reject"
   | exception Types.Corrupt _ -> ()
+
+(* The on-disk encoding, written independently of {!Directory}. *)
+let encode_entries entries =
+  let b = Buffer.create 64 in
+  Buffer.add_int32_le b (Int32.of_int (List.length entries));
+  List.iter
+    (fun (name, ino) ->
+      Buffer.add_uint16_le b (String.length name);
+      Buffer.add_string b name;
+      Buffer.add_int32_le b (Int32.of_int ino))
+    entries;
+  Buffer.to_bytes b
+
+let test_dir_duplicate_image_first_wins () =
+  let d =
+    Directory.of_bytes ~block_size:4096
+      (encode_entries [ ("a", 1); ("b", 2); ("a", 3) ])
+  in
+  Alcotest.(check (option int)) "first entry" (Some 1) (Directory.find d "a");
+  Alcotest.(check int) "both entries kept" 3 (Directory.cardinal d);
+  ignore (Directory.remove d "a");
+  Alcotest.(check (list (pair string int))) "remove drops both"
+    [ ("b", 2) ] (Directory.entries d)
+
+let test_dir_truncated_image_rejected () =
+  let b = encode_entries [ ("alpha", 1); ("beta", 2) ] in
+  for cut = 1 to Bytes.length b - 1 do
+    match Directory.of_bytes ~block_size:4096 (Bytes.sub b 0 cut) with
+    | _ -> Alcotest.failf "image cut to %d bytes should be rejected" cut
+    | exception Types.Corrupt _ -> ()
+  done
+
+(* The blocks of [fresh] a blockwise compare against [old] picks: those
+   whose bytes differ, or that [old] does not fully cover. *)
+let changed_blocks_oracle ~block_size ~old fresh =
+  let len = Bytes.length fresh in
+  List.filter
+    (fun blockno ->
+      let lo = blockno * block_size in
+      let n = min len (lo + block_size) - lo in
+      lo + n > Bytes.length old
+      || not (Bytes.equal (Bytes.sub fresh lo n) (Bytes.sub old lo n)))
+    (List.init ((len + block_size - 1) / block_size) Fun.id)
+
+(* Random add/remove/replace sequences over a pool of long names, so the
+   directory grows to a few hundred entries across several blocks.  After
+   every op: the image is the reference list's encoding, lookups agree,
+   and the reported blocks are exactly those a blockwise compare picks. *)
+let prop_directory_model =
+  let names = Array.init 400 (fun i -> Printf.sprintf "%s-%d" (String.make (8 + (i * 7 mod 40)) 'n') i) in
+  QCheck.Test.make ~count:40 ~name:"directory matches reference"
+    (* No shrinker: each case replays hundreds of ops, so shrinking a
+       failure would take minutes; the report names the failing op. *)
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 200 700) (triple (int_bound 9) (int_bound 399) (int_bound 100_000))))
+    (fun ops ->
+      let d = ref (Directory.create ~block_size:4096) in
+      let reference = ref [] in
+      let step i (kind, k, ino) =
+        let name = names.(k) in
+        let old = Directory.to_bytes !d in
+        let present = List.mem_assoc name !reference in
+        let changed =
+          match kind with
+          | 0 | 1 | 2 | 3 | 4 | 5 ->
+              if present then None
+              else begin
+                reference := !reference @ [ (name, ino) ];
+                Some (Directory.add !d name ino)
+              end
+          | 6 | 7 ->
+              if not present then None
+              else begin
+                reference := List.remove_assoc name !reference;
+                Some (Directory.remove !d name)
+              end
+          | _ ->
+              reference :=
+                if present then
+                  List.map (fun (n, i) -> if n = name then (n, ino) else (n, i)) !reference
+                else !reference @ [ (name, ino) ];
+              Some (Directory.replace !d name ino)
+        in
+        let fresh = encode_entries !reference in
+        if not (Bytes.equal (Directory.to_bytes !d) fresh) then
+          QCheck.Test.fail_reportf "op %d: image differs from the reference" i;
+        Option.iter
+          (fun got ->
+            let want = changed_blocks_oracle ~block_size:4096 ~old fresh in
+            if got <> want then
+              QCheck.Test.fail_reportf "op %d: changed blocks [%s], expected [%s]" i
+                (String.concat ";" (List.map string_of_int got))
+                (String.concat ";" (List.map string_of_int want)))
+          changed;
+        let agrees n = Directory.find !d n = List.assoc_opt n !reference in
+        if not (agrees name && (i mod 25 <> 0 || Array.for_all agrees names))
+        then QCheck.Test.fail_reportf "op %d: find disagrees" i;
+        (* Now and then continue from a freshly loaded image. *)
+        if i mod 97 = 96 then
+          d := Directory.of_bytes ~block_size:4096 (Directory.to_bytes !d)
+      in
+      List.iteri step ops;
+      true)
+
+(* ----- Dirty-table trimming ----- *)
+
+let test_drop_dirty_trims_tail () =
+  let dirty = Hashtbl.create 16 in
+  for blockno = 0 to 9 do
+    Hashtbl.replace dirty (5, blockno) Bytes.empty;
+    Hashtbl.replace dirty (6, blockno) Bytes.empty
+  done;
+  Lfs_core.File_range.drop_dirty dirty 5 ~first:4 ~size:(10 * 512 - 100)
+    ~block_size:512;
+  Hashtbl.iter
+    (fun (ino, blockno) _ ->
+      if ino = 5 && blockno >= 4 then
+        Alcotest.failf "dirty block %d of inode 5 survived" blockno)
+    dirty;
+  Alcotest.(check int) "the rest kept" 14 (Hashtbl.length dirty)
 
 (* ----- Directory operation log ----- *)
 
@@ -512,13 +632,13 @@ let prop_directory_roundtrip =
   QCheck.Test.make ~count:100 ~name:"directory roundtrip"
     QCheck.(small_list (pair (string_gen_of_size (Gen.int_range 1 30) (Gen.char_range 'a' 'z')) (int_bound 100000)))
     (fun entries ->
-      let d =
-        List.fold_left
-          (fun d (name, ino) ->
-            if Directory.mem d name then d else Directory.add d name ino)
-          Directory.empty entries
-      in
-      Directory.entries (Directory.of_bytes (Directory.to_bytes d))
+      let d = Directory.create ~block_size:4096 in
+      List.iter
+        (fun (name, ino) ->
+          if not (Directory.mem d name) then ignore (Directory.add d name ino))
+        entries;
+      Directory.entries
+        (Directory.of_bytes ~block_size:4096 (Directory.to_bytes d))
       = Directory.entries d)
 
 let prop_summary_roundtrip =
@@ -581,6 +701,10 @@ let suite =
       Alcotest.test_case "dir replace" `Quick test_dir_replace;
       Alcotest.test_case "dir order" `Quick test_dir_order_preserved;
       Alcotest.test_case "dir corrupt" `Quick test_dir_corrupt_rejected;
+      Alcotest.test_case "dir duplicate image first wins" `Quick
+        test_dir_duplicate_image_first_wins;
+      Alcotest.test_case "dir truncated image" `Quick test_dir_truncated_image_rejected;
+      Alcotest.test_case "drop_dirty trims tail" `Quick test_drop_dirty_trims_tail;
       Alcotest.test_case "dirlog roundtrip" `Quick test_dirlog_roundtrip;
       Alcotest.test_case "dirlog splits blocks" `Quick test_dirlog_splits_blocks;
       Alcotest.test_case "dirlog empty" `Quick test_dirlog_empty;
@@ -591,5 +715,6 @@ let suite =
       Alcotest.test_case "checkpoint torn write" `Quick test_checkpoint_torn_write_invalid;
       QCheck_alcotest.to_alcotest prop_inode_roundtrip;
       QCheck_alcotest.to_alcotest prop_directory_roundtrip;
+      QCheck_alcotest.to_alcotest prop_directory_model;
       QCheck_alcotest.to_alcotest prop_summary_roundtrip;
     ] )
