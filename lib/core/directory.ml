@@ -70,14 +70,17 @@ let mem t name = Index.mem t.index name
 let name_len t off = Bytes.get_uint16_le t.img off
 let ino_at t off = off + 2 + name_len t off
 let next t off = ino_at t off + 4
-let get_ino t off = Int32.to_int (Bytes.get_int32_le t.img (ino_at t off)) land 0xffffffff
+let get_ino t off =
+  Int32.to_int (Bytes.get_int32_le t.img (ino_at t off)) land 0xffffffff
 
 let name_is t off name =
   let n = String.length name in
   name_len t off = n
   &&
   let rec go i =
-    i = n || (Bytes.unsafe_get t.img (off + 2 + i) = String.unsafe_get name i && go (i + 1))
+    i = n
+    || Bytes.unsafe_get t.img (off + 2 + i) = String.unsafe_get name i
+       && go (i + 1)
   in
   go 0
 
@@ -118,8 +121,12 @@ let add t name ino =
 let same img a b n =
   let rec go i =
     if i + 8 <= n then
-      Bytes.get_int64_ne img (a + i) = Bytes.get_int64_ne img (b + i) && go (i + 8)
-    else i = n || (Bytes.unsafe_get img (a + i) = Bytes.unsafe_get img (b + i) && go (i + 1))
+      Bytes.get_int64_ne img (a + i) = Bytes.get_int64_ne img (b + i)
+      && go (i + 8)
+    else
+      i = n
+      || Bytes.unsafe_get img (a + i) = Bytes.unsafe_get img (b + i)
+         && go (i + 1)
   in
   go 0
 
@@ -144,22 +151,23 @@ let move_down t blocks ~dst ~src n =
 let remove t name =
   if not (mem t name) then Types.fs_error "no such entry %S" name;
   let blocks = ref [ 0 ] and removed = ref 0 in
+  (* Each run [run, stop) of kept entries moves down to [dst]. *)
   let dst = ref 4 and run = ref 4 and off = ref 4 in
-  let flush_run () =
-    let n = !off - !run in
-    if !dst <> !run then blocks := move_down t !blocks ~dst:!dst ~src:!run n;
-    dst := !dst + n
+  let keep stop =
+    if !dst <> !run then
+      blocks := move_down t !blocks ~dst:!dst ~src:!run (stop - !run);
+    dst := !dst + stop - !run
   in
   for _ = 1 to t.count do
-    if name_is t !off name then begin
-      flush_run ();
+    let here = !off in
+    off := next t here;
+    if name_is t here name then begin
+      keep here;
       incr removed;
-      off := next t !off;
       run := !off
     end
-    else off := next t !off
   done;
-  flush_run ();
+  keep !off;
   t.len <- !dst;
   set_count t (t.count - !removed);
   Index.remove t.index name;

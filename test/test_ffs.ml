@@ -113,7 +113,8 @@ let test_multiblock_dir_shrink () =
   Ffs.sync fs;
   let free0 = Ffs.free_blocks fs in
   List.iter (fun n -> Ffs.unlink fs ~dir:Ffs.root n) victims;
-  Alcotest.(check bool) "shrank below the last block" true (Ffs.file_size fs Ffs.root <= lo);
+  Alcotest.(check bool) "shrank below the last block" true
+    (Ffs.file_size fs Ffs.root <= lo);
   Ffs.sync fs;
   Alcotest.(check int) "last block freed" (free0 + 1) (Ffs.free_blocks fs);
   let fs2 = Ffs.mount (Helpers.vdev disk) in

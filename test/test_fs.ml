@@ -239,7 +239,8 @@ let test_multiblock_dir_shrink () =
   let victims, lo = Helpers.last_block_entries ~block_size:bs (Fs.readdir fs Fs.root) in
   Alcotest.(check bool) "several blocks" true (lo >= 4 * bs);
   List.iter (fun n -> Fs.unlink fs ~dir:Fs.root n) victims;
-  Alcotest.(check bool) "shrank below the last block" true (Fs.file_size fs Fs.root <= lo);
+  Alcotest.(check bool) "shrank below the last block" true
+    (Fs.file_size fs Fs.root <= lo);
   Fs.with_handle fs Fs.root (fun _ fmap ->
       Alcotest.(check bool) "last block unmapped" true
         (Lfs_core.Filemap.get fmap (lo / bs) = Types.nil_addr));

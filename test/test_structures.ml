@@ -424,12 +424,17 @@ let changed_blocks_oracle ~block_size ~old fresh =
    every op: the image is the reference list's encoding, lookups agree,
    and the reported blocks are exactly those a blockwise compare picks. *)
 let prop_directory_model =
-  let names = Array.init 400 (fun i -> Printf.sprintf "%s-%d" (String.make (8 + (i * 7 mod 40)) 'n') i) in
+  let names =
+    Array.init 400 (fun i ->
+        Printf.sprintf "%s-%d" (String.make (8 + (i * 7 mod 40)) 'n') i)
+  in
   QCheck.Test.make ~count:40 ~name:"directory matches reference"
     (* No shrinker: each case replays hundreds of ops, so shrinking a
        failure would take minutes; the report names the failing op. *)
     (QCheck.make
-       QCheck.Gen.(list_size (int_range 200 700) (triple (int_bound 9) (int_bound 399) (int_bound 100_000))))
+       QCheck.Gen.(
+         list_size (int_range 200 700)
+           (triple (int_bound 9) (int_bound 399) (int_bound 100_000))))
     (fun ops ->
       let d = ref (Directory.create ~block_size:4096) in
       let reference = ref [] in
@@ -454,7 +459,9 @@ let prop_directory_model =
           | _ ->
               reference :=
                 if present then
-                  List.map (fun (n, i) -> if n = name then (n, ino) else (n, i)) !reference
+                  List.map
+                    (fun (n, i) -> if n = name then (n, ino) else (n, i))
+                    !reference
                 else !reference @ [ (name, ino) ];
               Some (Directory.replace !d name ino)
         in
@@ -465,7 +472,8 @@ let prop_directory_model =
           (fun got ->
             let want = changed_blocks_oracle ~block_size:4096 ~old fresh in
             if got <> want then
-              QCheck.Test.fail_reportf "op %d: changed blocks [%s], expected [%s]" i
+              QCheck.Test.fail_reportf
+                "op %d: changed blocks [%s], expected [%s]" i
                 (String.concat ";" (List.map string_of_int got))
                 (String.concat ";" (List.map string_of_int want)))
           changed;
