@@ -88,7 +88,14 @@ ci:
 # output from every example program.  The stats run is sized so the
 # cleaner works: foreground and background passes, promotion on tiered
 # recipes, several checkpoints per shard; the examples add the greedy
-# policy.  Every difference is listed, then the target fails.
+# policy.  Serve and modelcheck JSON never show a checksum, so an image
+# gate also compares the bytes on disk: a small image replays a recorded
+# trace sized so the cleaner relocates, then is cleaned, and the image,
+# the trace and the tool's output must match.  Only the replay's
+# relocations reuse checksums logged in the same mount (the final clean
+# is a fresh mount), so the target fails if the replay's write cost is
+# not above 1, i.e. if the cleaner stopped relocating during it.  Every
+# difference is listed, then the target fails.
 #   make same REV=<rev>
 EXAMPLES := quickstart office_workload crash_recovery cleaner_tuning nvram_buffer
 
@@ -113,9 +120,15 @@ same:
 	    $$1/bin/lfs_tool.exe crashtest --fs $$fs --workload smallfile --stride 7 --seed 1 > "$$2/crash-smallfile-$$fs.txt"; \
 	  done; \
 	  for ex in $(EXAMPLES); do $$1/examples/$$ex.exe > "$$2/example-$$ex.txt"; done; \
+	  { $$1/bin/lfs_tool.exe mkfs "$$2/image.img" --blocks 1024 --segment-blocks 64; \
+	    $$1/bin/lfs_tool.exe trace-record "$$2/image.trace" --ops 600 --seed 1; \
+	    $$1/bin/lfs_tool.exe trace-replay "$$2/image.img" "$$2/image.trace"; \
+	    $$1/bin/lfs_tool.exe clean "$$2/image.img"; } | sed "s|$$2/||g" > "$$2/image.txt"; \
 	}; \
 	outputs "$$tmp/src/_build/default" "$$tmp/old"; \
 	outputs _build/default "$$tmp/new"; \
+	awk '/^replayed/ { c = $$NF + 0 } END { exit !(c > 1) }' "$$tmp/new/image.txt" || { \
+	  echo "same: the image gate's trace-replay no longer relocates (write cost not above 1)" >&2; exit 1; }; \
 	differ=0; for f in $$(ls "$$tmp/old"); do \
 	  cmp -s "$$tmp/old/$$f" "$$tmp/new/$$f" || { \
 	    echo "differs: $$f"; diff "$$tmp/old/$$f" "$$tmp/new/$$f" | head -n 20 || true; \

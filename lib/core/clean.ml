@@ -41,7 +41,7 @@ let pass_size t max_segments =
    lets already-cached blocks satisfy part of a run. *)
 let prefetch_runs t ~prefetched addrs =
   let addrs =
-    List.sort_uniq compare
+    List.sort_uniq Int.compare
       (List.filter (fun a -> not (Hashtbl.mem prefetched a)) addrs)
   in
   let bs = block_size t in
@@ -130,6 +130,7 @@ let read_victim t ~prefetched seg =
 
 type live_item =
   | Live_data of {
+      from : Types.baddr;  (** the victim block being relocated *)
       ino : Types.ino;
       blockno : int;
       version : int;
@@ -161,6 +162,7 @@ let classify_live t (e : Summary.entry) addr payload =
         [
           Live_data
             {
+              from = addr;
               ino = e.Summary.ino;
               blockno = e.Summary.blockno;
               version = e.Summary.version;
@@ -206,12 +208,12 @@ let classify_live t (e : Summary.entry) addr payload =
 
 let relocate_item t item =
   match item with
-  | Live_data { ino; blockno; version; payload; mtime } ->
+  | Live_data { from; ino; blockno; version; payload; mtime } ->
       let h = get_handle t ino in
       let old = Filemap.get h.fmap blockno in
       let b, pos = payload () in
       let addr =
-        append_block t ~kind:Types.Data ~ino ~blockno ~version ~mtime
+        append_block t ~from ~kind:Types.Data ~ino ~blockno ~version ~mtime
           (Log_writer.Bytes (b, pos))
       in
       Filemap.set h.fmap blockno addr;

@@ -248,8 +248,9 @@ let kill_inode t iaddr =
    routed by temperature (Section 3.5): fresh foreground data to head 0,
    cleaner survivors to the cold head(s).  With more than two heads the
    survivors spread into age bins, [demote_age_s] wide, so data that has
-   already proven cold lands apart from the merely lukewarm. *)
-let append_block t ~kind ~ino ~blockno ~version ~mtime payload =
+   already proven cold lands apart from the merely lukewarm.  [from] is
+   as in {!Log_writer.append}. *)
+let append_block ?from t ~kind ~ino ~blockno ~version ~mtime payload =
   note_written t.acct kind ~cleaner:!(t.cleaner_attr);
   t.blocks_since_ckpt <- t.blocks_since_ckpt + 1;
   let head =
@@ -261,7 +262,8 @@ let append_block t ~kind ~ino ~blockno ~version ~mtime payload =
       let bin = int_of_float (age /. Float.max 1.0 t.config.Config.demote_age_s) in
       1 + min (n - 2) bin
   in
-  Log_writer.append ~head t.log ~kind ~ino ~blockno ~version ~mtime payload
+  Log_writer.append ~head ?from t.log ~kind ~ino ~blockno ~version ~mtime
+    payload
 
 (* Run [f] with its appends attributed to the cleaner or not. *)
 let attributed t ~cleaner f =
@@ -343,7 +345,7 @@ let flush_data_blocks t =
       (fun ino ->
         let h = get_handle t ino in
         let blocks =
-          List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.find by_ino ino)
+          List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.find by_ino ino)
         in
         List.iter
           (fun (blockno, b) ->
@@ -358,7 +360,7 @@ let flush_data_blocks t =
             Hashtbl.remove t.dirty_data (ino, blockno))
           blocks;
         h.inode_dirty <- true)
-      (List.sort compare inos)
+      (List.sort Int.compare inos)
   end
 
 let flush_filemaps_and_inodes t =
@@ -379,7 +381,7 @@ let flush_filemaps_and_inodes t =
       end)
     t.handles;
   (* Pack dirty inodes into inode blocks. *)
-  let pending = List.sort (fun (a, _) (b, _) -> compare a b) !dirty_inos in
+  let pending = List.sort (fun (a, _) (b, _) -> Int.compare a b) !dirty_inos in
   let per_block = t.layout.Layout.inodes_per_block in
   let inode_size = t.layout.Layout.inode_size in
   let rec pack = function

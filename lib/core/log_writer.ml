@@ -10,6 +10,7 @@ type pending = {
   version : int;
   mtime : float;
   payload : payload;
+  sum : int;  (* the payload's checksum when carried over, else -1 *)
 }
 
 type position = { seg : int; off : int; next_seg : int }
@@ -40,6 +41,9 @@ type t = {
   on_append : Types.block_kind -> seg:int -> mtime:float -> unit;
   on_batch : head:int -> addr:int -> blocks:int -> unit;
   max_batch : int;
+  sums : int array;
+      (* the payload checksum of the block this writer last wrote at each
+         log address (index: address - seg_start), -1 when unknown *)
   heads : head array;
   mutable seq : int;  (* shared across heads: one global log order *)
 }
@@ -53,6 +57,7 @@ let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
     on_append;
     on_batch;
     max_batch = Summary.max_entries ~block_size:layout.Layout.block_size;
+    sums = Array.make (layout.Layout.nsegs * layout.Layout.seg_blocks) (-1);
     heads =
       Array.map
         (fun p ->
@@ -107,14 +112,30 @@ let place ~bs buf dst payload =
 
 (* Write one head's queued batch (summary + payloads) as one sequential
    IO.  Payloads are rendered straight into the transfer buffer after
-   the summary slot and checksummed there; the summary goes in last. *)
+   the summary slot.  Each block's checksum is the one carried over from
+   its source, or is taken in place right after the copy; it is recorded
+   at the block's new address and folded into the batch's.  The summary
+   goes in last. *)
 let sync_head t i =
   let h = t.heads.(i) in
   if h.batch_count > 0 then begin
     let bs = t.layout.Layout.block_size in
     let pendings = List.rev h.batch in
     let buf = Bytes.create ((h.batch_count + 1) * bs) in
-    List.iteri (fun k p -> place ~bs buf ((k + 1) * bs) p.payload) pendings;
+    let addr = Layout.seg_first_block t.layout h.cur_seg + h.batch_slot in
+    let first = addr + 1 - t.layout.Layout.seg_start in
+    let payload_sum = ref 1 in
+    List.iteri
+      (fun k p ->
+        let dst = (k + 1) * bs in
+        place ~bs buf dst p.payload;
+        let sum =
+          if p.sum >= 0 then p.sum
+          else Summary.payload_checksum ~pos:dst ~len:bs buf
+        in
+        t.sums.(first + k) <- sum;
+        payload_sum := Lfs_util.Checksum.combine !payload_sum sum ~len2:bs)
+      pendings;
     let entries =
       List.map
         (fun p ->
@@ -134,12 +155,11 @@ let sync_head t i =
         slot = h.batch_slot;
         next_seg = h.next_seg;
         timestamp = h.timestamp;
-        payload_sum = Summary.payload_checksum ~pos:bs buf;
+        payload_sum = !payload_sum;
         entries;
       }
     in
-    Bytes.blit (Summary.encode ~block_size:bs summary) 0 buf 0 bs;
-    let addr = Layout.seg_first_block t.layout h.cur_seg + h.batch_slot in
+    Summary.encode_into ~block_size:bs summary buf;
     (* Submit the batch as one tagged sequential transfer.  Under Direct
        mode this services immediately (the historical behaviour); under
        queued IO the write pipelines ahead of the next fsync barrier. *)
@@ -186,6 +206,10 @@ let advance_segment t i =
   h.cur_seg <- from;
   h.cur_off <- 0;
   h.next_seg <- fresh;
+  (* The segment's previous life is being overwritten. *)
+  Array.fill t.sums
+    (Layout.seg_first_block t.layout from - t.layout.Layout.seg_start)
+    t.layout.Layout.seg_blocks (-1);
   h.stat_segments <- h.stat_segments + 1
 
 (* An open batch needs one more payload slot; a new batch additionally
@@ -198,8 +222,17 @@ let ensure_room t i =
     advance_segment t i
   end
 
-let append ?(head = 0) t ~kind ~ino ~blockno ~version ~mtime payload =
+let append ?(head = 0) ?from t ~kind ~ino ~blockno ~version ~mtime payload =
   ensure_room t head;
+  let sum =
+    match from with
+    | None -> -1
+    | Some a ->
+        let k = a - t.layout.Layout.seg_start in
+        if k < 0 || k >= Array.length t.sums then
+          invalid_arg "Log_writer.append: ~from is not a log address";
+        t.sums.(k)
+  in
   let h = t.heads.(head) in
   if h.batch_count = 0 then begin
     h.batch_slot <- h.cur_off;
@@ -207,7 +240,7 @@ let append ?(head = 0) t ~kind ~ino ~blockno ~version ~mtime payload =
   end;
   let addr = Layout.seg_first_block t.layout h.cur_seg + h.cur_off in
   h.cur_off <- h.cur_off + 1;
-  h.batch <- { kind; ino; blockno; version; mtime; payload } :: h.batch;
+  h.batch <- { kind; ino; blockno; version; mtime; payload; sum } :: h.batch;
   h.batch_count <- h.batch_count + 1;
   h.stat_blocks <- h.stat_blocks + 1;
   if mtime > h.timestamp then h.timestamp <- mtime;

@@ -67,6 +67,7 @@ val create :
 
 val append :
   ?head:int ->
+  ?from:Types.baddr ->
   t ->
   kind:Types.block_kind ->
   ino:Types.ino ->
@@ -76,7 +77,25 @@ val append :
   payload ->
   Types.baddr
 (** Queue one block for [head]'s chain (default 0, the hot head) and
-    return its (final) disk address. *)
+    return its (final) disk address.
+
+    [~from] says the payload is a byte-identical copy of the block now at
+    log address [from], as this writer last wrote it there: the cleaner
+    relocating a live block passes the victim address.  The writer then
+    reuses the checksum it recorded for [from] when it wrote that block
+    instead of summing the payload again.  It computes the checksum as
+    usual when it has none for [from]: the block was written before this
+    writer was created (an earlier mount, or recovery), or a head has
+    reopened [from]'s segment since.  A caller that passes [~from] for
+    bytes that differ from what this writer wrote there gets a batch that
+    fails its payload check at roll-forward.  That includes a block that
+    rotted on the medium between its write and its relocation: the
+    relocating batch carries the sum of the bytes first written, so fsck
+    reports the relocated block, and roll-forward treats the batch as
+    torn and stops there.  The cleaner checkpoints at the end of every
+    pass, so such a stop undoes only that pass's relocations, whose
+    victims still hold their blocks.  Raises [Invalid_argument] if
+    [from] is not in the log area. *)
 
 val sync : t -> unit
 (** Submit every head's buffered batch to disk, each as one tagged

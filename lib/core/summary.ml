@@ -25,13 +25,15 @@ let entry_size = 25
 
 let max_entries ~block_size = (block_size - header_size) / entry_size
 
-let encode ~block_size t =
+let encode_into ~block_size t b =
   let n = List.length t.entries in
   if n > max_entries ~block_size then
     invalid_arg
-      (Printf.sprintf "Summary.encode: %d entries exceed capacity %d" n
+      (Printf.sprintf "Summary.encode_into: %d entries exceed capacity %d" n
          (max_entries ~block_size));
-  let b = Bytes.make block_size '\000' in
+  if Bytes.length b < block_size then
+    invalid_arg "Summary.encode_into: buffer shorter than a block";
+  Bytes.fill b 0 block_size '\000';
   let c = Codec.at b 8 in
   Codec.put_u32 c magic;
   Codec.put_u32 c t.seq;
@@ -50,11 +52,13 @@ let encode ~block_size t =
       Codec.put_u32 c e.version;
       Codec.put_float c e.mtime)
     t.entries;
-  let sum = Int32.to_int (Checksum.adler32 ~pos:8 b) land 0xffffffff in
+  let sum =
+    Int32.to_int (Checksum.adler32 ~pos:8 ~len:(block_size - 8) b)
+    land 0xffffffff
+  in
   let c0 = Codec.writer b in
   Codec.put_u32 c0 sum;
-  Codec.put_u32 c0 0;
-  b
+  Codec.put_u32 c0 0
 
 let decode b =
   let c0 = Codec.reader b in
@@ -91,8 +95,8 @@ let decode b =
     end
   end
 
-let payload_checksum ?pos payload =
-  Int32.to_int (Checksum.adler32 ?pos payload) land 0xffffffff
+let payload_checksum ?pos ?len payload =
+  Int32.to_int (Checksum.adler32 ?pos ?len payload) land 0xffffffff
 
 let entry_addr t layout i = Layout.seg_first_block layout t.seg + t.slot + 1 + i
 

@@ -32,19 +32,20 @@ type t = {
 val max_entries : block_size:int -> int
 (** How many payload blocks one summary block can describe. *)
 
-val encode : block_size:int -> t -> bytes
-(** Raises [Invalid_argument] if there are more entries than
-    {!max_entries}. *)
+val encode_into : block_size:int -> t -> bytes -> unit
+(** Render the summary block into the first [block_size] bytes of a
+    buffer (the log writer's transfer buffer, whose first block is the
+    summary slot); the rest of the buffer is left alone.  Raises
+    [Invalid_argument] if there are more entries than {!max_entries} or
+    the buffer is shorter than a block. *)
 
 val decode : bytes -> t option
 (** [None] when the block is not a valid summary (bad magic or header
     checksum) — the normal way a log scan terminates. *)
 
-val payload_checksum : ?pos:int -> bytes -> int
-(** Checksum to store in / compare against [payload_sum], over the
-    buffer from [pos] (default 0) to its end.  The log writer sums a
-    batch's payload in place in its transfer buffer, just past the
-    summary slot. *)
+val payload_checksum : ?pos:int -> ?len:int -> bytes -> int
+(** Checksum to store in / compare against [payload_sum], over [len]
+    bytes of the buffer from [pos] (defaults: 0 and to its end). *)
 
 val entry_addr : t -> Layout.t -> int -> Types.baddr
 (** Disk address of payload block [i] of this summary. *)

@@ -54,6 +54,12 @@ let bytes_of_pattern ~seed len =
   let prng = Prng.create ~seed in
   Bytes.init len (fun _ -> Char.chr (32 + Prng.int prng 95))
 
+(* A summary rendered into a block of its own. *)
+let encode_summary ~block_size s =
+  let b = Bytes.create block_size in
+  Lfs_core.Summary.encode_into ~block_size s b;
+  b
+
 let check_bytes msg expected actual =
   Alcotest.(check string) msg (Bytes.to_string expected) (Bytes.to_string actual)
 

@@ -506,6 +506,164 @@ let test_checkpoint_by_blocks_bounds_recovery () =
     (report.Fs.writes_replayed <= 6);
   Helpers.fsck_clean (Fs.mount (Helpers.vdev disk))
 
+(* ----- Carried payload checksums ----- *)
+
+(* Every log write still on disk verifies.  Each segment's summary
+   chain is walked as fsck walks it (sequence numbers rising, so a stale
+   summary from the segment's previous life ends the walk), and each
+   write's [payload_sum] is compared with a checksum of its payload read
+   back.  Returns the number of writes checked. *)
+let writes_verify dev layout =
+  let module Layout = Lfs_core.Layout in
+  let module Summary = Lfs_core.Summary in
+  let checked = ref 0 in
+  for seg = 0 to layout.Layout.nsegs - 1 do
+    let first = Layout.seg_first_block layout seg in
+    let last_seq = ref (-1) in
+    Summary.walk_segment ~seg_blocks:layout.Layout.seg_blocks ~seg
+      ~read:(fun slot -> Lfs_disk.Vdev.read_block dev (first + slot))
+      (fun s ->
+        s.Summary.seq > !last_seq
+        && begin
+             last_seq := s.Summary.seq;
+             let n = List.length s.Summary.entries in
+             let payload =
+               Lfs_disk.Vdev.read_blocks dev (first + s.Summary.slot + 1) n
+             in
+             Alcotest.(check int)
+               (Printf.sprintf "segment %d slot %d: payload checksum" seg
+                  s.Summary.slot)
+               s.Summary.payload_sum
+               (Summary.payload_checksum payload);
+             incr checked;
+             true
+           end)
+  done;
+  !checked
+
+(* Distinct contents per block, so a checksum carried to the wrong block
+   could not pass for the right one. *)
+let patterned prng len = Helpers.bytes_of_pattern ~seed:(Prng.int prng 1_000_000) len
+
+(* Whole-file rewrites and single-block overwrites on a full disk, with
+   foreground cleaning, explicit passes and idle steps (background
+   passes, and demotion on a tiered volume): the cleaner relocates
+   blocks this mount wrote, carrying their checksums, and every write it
+   leaves on disk must still verify. *)
+let carried_sums_verify ~tier config () =
+  let dev, fs =
+    if tier then begin
+      let child blocks =
+        Lfs_disk.Vdev.of_disk
+          (Lfs_disk.Disk.create (Lfs_disk.Geometry.instant ~blocks))
+      in
+      let ti = Lfs_spec.Spec.tier_volume ~config ~fast:(child 768) ~slow:(child 1536) in
+      let dev = Lfs_disk.Vdev_tier.vdev ti in
+      Fs.format dev config;
+      (dev, Fs.mount ~tier:ti dev)
+    end
+    else begin
+      let disk, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
+      (Helpers.vdev disk, fs)
+    end
+  in
+  let prng = Prng.create ~seed:17 in
+  let path i = Printf.sprintf "/f%d" i in
+  let files = 110 in
+  for i = 0 to files - 1 do
+    Fs.write_path fs (path i) (patterned prng 40_000)
+  done;
+  for round = 1 to 400 do
+    let p = path (Prng.int prng files) in
+    (if Prng.int prng 3 = 0 then Fs.write_path fs p (patterned prng 40_000)
+     else
+       match Fs.resolve fs p with
+       | Some ino ->
+           Fs.write fs ino ~off:(4096 * Prng.int prng 9) (patterned prng 4096)
+       | None -> ());
+    if round mod 100 = 0 then Fs.clean fs;
+    if round mod 7 = 0 then ignore (Fs.clean_step fs)
+  done;
+  Alcotest.(check bool) "the cleaner relocated blocks" true
+    (Helpers.fs_total fs "fs.log.blocks_cleaner" > 0);
+  Helpers.fsck_clean fs;
+  let layout = Fs.layout fs in
+  Fs.unmount fs;
+  Alcotest.(check bool) "writes checked" true (writes_verify dev layout > 0)
+
+let live_blocks = { Helpers.test_config with Config.cleaner_read = Config.Live_blocks }
+
+(* A block whose bytes change on the medium after this mount logged it
+   (bit rot: here every read of it comes back with one byte wrong) is
+   relocated under the checksum recorded when it was written, not one
+   taken over the rotted bytes, so the relocating write fails its
+   payload check.  fsck reports the block at its new address; summing
+   the rotted bytes afresh would have hidden the rot.  If the pass's
+   checkpoint never becomes durable (here: its region is unreadable,
+   as after a torn checkpoint write), roll-forward from the previous
+   checkpoint stops at the relocating write and the pass is undone: the
+   file points at its old address again, and nothing synced before the
+   pass is lost. *)
+let test_rotted_block_relocated () =
+  let module Vdev_fault = Lfs_disk.Vdev_fault in
+  let module Layout = Lfs_core.Layout in
+  let fault =
+    Vdev_fault.create ~seed:3
+      (Lfs_disk.Vdev.of_disk
+         (Lfs_disk.Disk.create (Lfs_disk.Geometry.instant ~blocks:2048)))
+  in
+  let dev = Vdev_fault.vdev fault in
+  (* Background watermarks above the segment count: an idle step always
+     runs a pass. *)
+  let config =
+    { Helpers.test_config with
+      Config.cleaning_policy = Config.Greedy;
+      bg_clean_start = 1000;
+      bg_clean_stop = 1001 }
+  in
+  Fs.format dev config;
+  let fs = Fs.mount dev in
+  let keep = Helpers.bytes_of_pattern ~seed:1 20_000 in
+  let rot = Helpers.bytes_of_pattern ~seed:2 4096 in
+  Fs.write_path fs "/keep" keep;
+  Fs.write_path fs "/rot" rot;
+  (* Move the log past the files' segment, which a pass never cleans
+     while the log is still writing it. *)
+  Fs.write_path fs "/pad" (Bytes.make 200_000 'p');
+  Fs.unlink fs ~dir:Fs.root "pad";
+  Fs.checkpoint fs;
+  let ino = Option.get (Fs.resolve fs "/rot") in
+  let addr fs = Fs.with_handle fs ino (fun _ fm -> Lfs_core.Filemap.get fm 0) in
+  let old = addr fs in
+  Fs.drop_caches fs;
+  Vdev_fault.rot_read fault ~addr:old;
+  let checkpoints = ref 0 in
+  Fs.on_checkpoint fs (fun () -> incr checkpoints);
+  ignore (Fs.clean_step ~max_segments:64 fs);
+  let moved = addr fs in
+  Alcotest.(check bool) "the rotted block was relocated" true (moved <> old);
+  Alcotest.(check int) "the pass wrote one checkpoint" 1 !checkpoints;
+  let reports block fs =
+    let msg = Printf.sprintf "block %d fails its write's payload checksum" block in
+    List.exists
+      (fun e ->
+        let n = String.length msg in
+        let rec at i =
+          i + n <= String.length e && (String.sub e i n = msg || at (i + 1))
+        in
+        at 0)
+      (Lfs_core.Fsck.check fs).Lfs_core.Fsck.errors
+  in
+  Alcotest.(check bool) "fsck reports the relocated block" true (reports moved fs);
+  let layout = Fs.layout fs in
+  let region, _ = Option.get (Lfs_core.Checkpoint.read_latest layout dev) in
+  Vdev_fault.rot_read fault
+    ~addr:(if region = 0 then layout.Layout.ckpt_a else layout.Layout.ckpt_b);
+  let fs2, _ = Fs.recover dev in
+  Alcotest.(check int) "the relocation was not rolled forward" old (addr fs2);
+  Helpers.check_bytes "/keep survives" keep (Option.get (Fs.read_path fs2 "/keep"));
+  Alcotest.(check bool) "fsck reports the block where it was" true (reports old fs2)
+
 let suite =
   ( "cleaner",
     [
@@ -543,6 +701,18 @@ let suite =
         test_clean_step_refills_to_high_watermark;
       Alcotest.test_case "clean_step respects budget" `Quick
         test_clean_step_respects_budget;
+      Alcotest.test_case "carried sums: live blocks" `Quick
+        (carried_sums_verify ~tier:false live_blocks);
+      Alcotest.test_case "carried sums: whole segment" `Quick
+        (carried_sums_verify ~tier:false Helpers.test_config);
+      Alcotest.test_case "carried sums: two heads" `Quick
+        (carried_sums_verify ~tier:false
+           { live_blocks with Config.log_heads = 2 });
+      Alcotest.test_case "carried sums: tiered" `Quick
+        (carried_sums_verify ~tier:true
+           { Helpers.test_config with Config.demote_age_s = 16.0; promote_reads = 2 });
+      Alcotest.test_case "carried sums: rotted block relocated" `Quick
+        test_rotted_block_relocated;
       Alcotest.test_case "read-policy equivalence" `Quick
         test_read_policy_equivalence;
       Alcotest.test_case "checkpoint by volume" `Quick test_checkpoint_by_blocks;

@@ -18,7 +18,9 @@ type env = {
   batches : (int * int * int) list ref;  (* head, addr, blocks *)
 }
 
-let mk_env ?(heads = 1) () =
+(* Clean segments are handed out in ascending order past the heads'
+   own, unless [pick] says otherwise. *)
+let mk_env ?(heads = 1) ?pick () =
   let disk = Helpers.fresh_disk () in
   let appended = ref [] in
   let batches = ref [] in
@@ -27,15 +29,17 @@ let mk_env ?(heads = 1) () =
     Array.init heads (fun i ->
         { Log_writer.seg = 2 * i; off = 0; next_seg = (2 * i) + 1 })
   in
+  let ascending ~exclude =
+    let rec pick () =
+      let s = !next_clean in
+      incr next_clean;
+      if List.mem s exclude then pick () else s
+    in
+    pick ()
+  in
   let log =
     Log_writer.create layout (Helpers.vdev disk)
-      ~pick_clean:(fun ~exclude ->
-        let rec pick () =
-          let s = !next_clean in
-          incr next_clean;
-          if List.mem s exclude then pick () else s
-        in
-        pick ())
+      ~pick_clean:(Option.value pick ~default:ascending)
       ~on_append:(fun kind ~seg ~mtime -> appended := (kind, seg, mtime) :: !appended)
       ~on_batch:(fun ~head ~addr ~blocks ->
         batches := (head, addr, blocks) :: !batches)
@@ -45,9 +49,9 @@ let mk_env ?(heads = 1) () =
 
 let payload c = Log_writer.Bytes (Bytes.make layout.Layout.block_size c, 0)
 
-let append ?head ?(kind = Types.Data) ?(ino = 7) ?(blockno = 0) ?(mtime = 1.0)
-    env c =
-  Log_writer.append ?head env.log ~kind ~ino ~blockno ~version:0 ~mtime
+let append ?head ?from ?(kind = Types.Data) ?(ino = 7) ?(blockno = 0)
+    ?(mtime = 1.0) env c =
+  Log_writer.append ?head ?from env.log ~kind ~ino ~blockno ~version:0 ~mtime
     (payload c)
 
 let test_addresses_sequential_in_batch () =
@@ -105,6 +109,93 @@ let test_payload_checksum_matches () =
   let payload = Disk.read_blocks env.disk a 1 in
   Alcotest.(check int) "checksum" s.Summary.payload_sum
     (Summary.payload_checksum payload)
+
+(* The write whose payload holds [addr]: its summary, read from disk, and
+   whether its [payload_sum] matches the payload read back. *)
+let covering_write env addr =
+  let first = Layout.seg_first_block layout (Layout.seg_of_block layout addr) in
+  let found = ref None in
+  Summary.walk_segment ~seg_blocks:layout.Layout.seg_blocks
+    ~seg:(Layout.seg_of_block layout addr)
+    ~read:(fun slot -> Disk.read_block env.disk (first + slot))
+    (fun s ->
+      let n = List.length s.Summary.entries in
+      let start = first + s.Summary.slot + 1 in
+      if addr >= start && addr < start + n then begin
+        let payload = Disk.read_blocks env.disk start n in
+        found :=
+          Some (s, Summary.payload_checksum payload = s.Summary.payload_sum);
+        false
+      end
+      else true);
+  match !found with
+  | Some w -> w
+  | None -> Alcotest.failf "no write covers block %d" addr
+
+let test_payload_sum_combines_blocks () =
+  (* A batch of distinct blocks, some carried from blocks this writer
+     wrote (honestly: the same bytes), sums as one run over its payload. *)
+  let env = mk_env () in
+  let olds = List.map (fun c -> append env c) [ 'a'; 'b'; 'c' ] in
+  Log_writer.sync env.log;
+  let a = append env 'x' in
+  ignore (append env 'b' ~from:(List.nth olds 1));
+  ignore (append env 'y');
+  ignore (append env 'a' ~from:(List.nth olds 0));
+  Log_writer.sync env.log;
+  let s, ok = covering_write env a in
+  Alcotest.(check int) "four payload blocks" 4 (List.length s.Summary.entries);
+  Alcotest.(check bool) "payload_sum matches the bytes on disk" true ok
+
+let test_from_reuses_recorded_sum () =
+  (* [~from] with bytes that differ from what was written there breaks
+     the contract on purpose: the batch then carries the recorded
+     checksum of the old bytes, which shows the payload was not summed
+     again. *)
+  let env = mk_env () in
+  let old = append env 'o' in
+  Log_writer.sync env.log;
+  let a = append env 'n' ~from:old in
+  Log_writer.sync env.log;
+  let s, ok = covering_write env a in
+  Alcotest.(check int) "the recorded sum of the source block"
+    (Summary.payload_checksum (Disk.read_block env.disk old))
+    s.Summary.payload_sum;
+  Alcotest.(check bool) "so the payload check fails" false ok
+
+let test_from_reopened_segment_recomputes () =
+  (* Segment 0 comes back as the head's third segment.  Once the head
+     reopens it, the checksums recorded in its previous life are gone: a
+     [~from] into it (here with bytes that differ from the old block) is
+     summed afresh, and the batch verifies. *)
+  let picks = ref [ 2; 0; 1 ] in
+  let pick ~exclude:_ =
+    match !picks with
+    | s :: rest ->
+        picks := rest;
+        s
+    | [] -> Alcotest.fail "no clean segment left"
+  in
+  let env = mk_env ~pick () in
+  let olds = List.init 5 (fun i -> append env 'o' ~blockno:i) in
+  Log_writer.sync env.log;
+  let left = ref false in
+  while not (!left && Log_writer.current_segment env.log = 0) do
+    ignore (append env 'f');
+    if Log_writer.current_segment env.log <> 0 then left := true
+  done;
+  let a = append env 'n' ~from:(List.nth olds 4) in
+  Log_writer.sync env.log;
+  Alcotest.(check int) "written into the reopened segment" 0
+    (Layout.seg_of_block layout a);
+  let _, ok = covering_write env a in
+  Alcotest.(check bool) "payload_sum computed from the new bytes" true ok
+
+let test_from_outside_log_rejected () =
+  let env = mk_env () in
+  match append env 'x' ~from:0 with
+  | _ -> Alcotest.fail "a ~from in the fixed area was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_partial_segment_chain () =
   (* Two syncs produce two summaries chained within one segment. *)
@@ -216,7 +307,7 @@ let test_scan_stops_at_stale_summary () =
   (* Plant a stale summary (lower seq) where the chain would continue:
      the scan must not accept it. *)
   let stale =
-    Summary.encode ~block_size:layout.Layout.block_size
+    Helpers.encode_summary ~block_size:layout.Layout.block_size
       {
         Summary.seq = 0;
         seg = 0;
@@ -379,6 +470,10 @@ let suite =
       Alcotest.test_case "batch is one IO" `Quick test_batch_is_single_io;
       Alcotest.test_case "summary decodes" `Quick test_summary_on_disk_decodes;
       Alcotest.test_case "payload checksum" `Quick test_payload_checksum_matches;
+      Alcotest.test_case "payload sum combines blocks" `Quick test_payload_sum_combines_blocks;
+      Alcotest.test_case "from reuses recorded sum" `Quick test_from_reuses_recorded_sum;
+      Alcotest.test_case "from into reopened segment" `Quick test_from_reopened_segment_recomputes;
+      Alcotest.test_case "from outside log rejected" `Quick test_from_outside_log_rejected;
       Alcotest.test_case "partial-segment chain" `Quick test_partial_segment_chain;
       Alcotest.test_case "advance uses reservation" `Quick test_segment_advance_uses_reservation;
       Alcotest.test_case "on_append accounting" `Quick test_on_append_accounting;

@@ -460,7 +460,7 @@ let test_geometry_overrides_rejected () =
    sequence rule and walks into it: it reads 12 blocks with the plant,
    where stopping at the stale summary would read 10. *)
 let stale_summary layout ~(at : Log_writer.position) ~seq ~payload_sum entries =
-  Summary.encode ~block_size:layout.Layout.block_size
+  Helpers.encode_summary ~block_size:layout.Layout.block_size
     {
       Summary.seq;
       seg = at.Log_writer.seg;

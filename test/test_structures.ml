@@ -146,13 +146,13 @@ let summary_fixture =
   }
 
 let test_summary_roundtrip () =
-  let b = Summary.encode ~block_size:1024 summary_fixture in
+  let b = Helpers.encode_summary ~block_size:1024 summary_fixture in
   match Summary.decode b with
   | None -> Alcotest.fail "should decode"
   | Some s -> Alcotest.(check bool) "equal" true (s = summary_fixture)
 
 let test_summary_detects_corruption () =
-  let b = Summary.encode ~block_size:1024 summary_fixture in
+  let b = Helpers.encode_summary ~block_size:1024 summary_fixture in
   Bytes.set b 100 'X';
   Alcotest.(check bool) "corrupt rejected" true (Summary.decode b = None)
 
@@ -166,7 +166,7 @@ let test_summary_capacity_enforced () =
     List.init (Summary.max_entries ~block_size:1024 + 1) (fun i ->
         { Summary.kind = Types.Data; ino = i; blockno = i; version = 0; mtime = 0.0 })
   in
-  match Summary.encode ~block_size:1024 { summary_fixture with entries = too_many } with
+  match Helpers.encode_summary ~block_size:1024 { summary_fixture with entries = too_many } with
   | _ -> Alcotest.fail "should reject"
   | exception Invalid_argument _ -> ()
 
@@ -665,7 +665,7 @@ let prop_summary_roundtrip =
                })
       in
       let s = { summary_fixture with Summary.entries } in
-      Summary.decode (Summary.encode ~block_size:1024 s) = Some s)
+      Summary.decode (Helpers.encode_summary ~block_size:1024 s) = Some s)
 
 let suite =
   ( "structures",

@@ -165,13 +165,15 @@ let test_checksum_known_vector () =
     (Checksum.adler32_string "Wikipedia");
   Alcotest.(check int32) "empty input" 1l (Checksum.adler32 Bytes.empty)
 
-(* Lengths around the 8-byte step and the 5552-byte reduction chunk,
-   over all-0xFF input (every sum at its largest) and over a mixed
-   pattern, at aligned and unaligned offsets. *)
+(* Lengths around the 8-byte word, the 128-word (1024-byte) run, the
+   4 KB block and zlib's 5552-byte reduction chunk (odd tails past one
+   and two chunks), over all-0xFF input (every lane and sum at its
+   largest) and over a mixed pattern, at every offset within a word. *)
 let test_checksum_boundaries () =
   let lens =
-    [ 0; 1; 7; 8; 9; 15; 16; 17; 127; 128; 129; 255; 256; 5503; 5504; 5505;
-      5544; 5551; 5552; 5553; 5560; 11103; 11104; 11105; 4088; 4096;
+    [ 0; 1; 7; 8; 9; 15; 16; 17; 127; 128; 129; 255; 256; 1023; 1024; 1025;
+      2047; 2048; 2049; 3071; 3072; 3073; 4088; 4095; 4096; 4097; 5503;
+      5504; 5505; 5544; 5551; 5552; 5553; 5560; 11103; 11104; 11105;
       32 * 4096 ]
   in
   List.iter
@@ -185,9 +187,58 @@ let test_checksum_boundaries () =
                 (Printf.sprintf "pos %d len %d" pos len)
                 (adler32_reference ~pos ~len b)
                 (Checksum.adler32 ~pos ~len b))
-            [ 0; 3; 8 ])
+            [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ])
         lens)
     [ (fun _ _ -> '\255'); (fun pos i -> Char.chr ((i - pos) * 131 land 0xff)) ]
+
+(* A megabyte of 0xFF: runs back to back, each filling every lane to its
+   largest. *)
+let test_checksum_all_ones () =
+  let b = Bytes.make (1 lsl 20) '\255' in
+  Alcotest.(check int32) "1 MB of 0xff" (adler32_reference ~pos:0 ~len:(1 lsl 20) b)
+    (Checksum.adler32 b)
+
+(* Checksums as [Checksum.combine] takes them: unsigned ints. *)
+let u32 c = Int32.to_int c land 0xffff_ffff
+
+let test_combine_edges () =
+  let b = Bytes.init 200_000 (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  let sum pos len = u32 (Checksum.adler32 ~pos ~len b) in
+  List.iter
+    (fun (k, len2) ->
+      Alcotest.(check int)
+        (Printf.sprintf "prefix %d + %d bytes" k len2)
+        (sum 0 (k + len2))
+        (Checksum.combine (sum 0 k) (sum k len2) ~len2))
+    [ (0, 0); (0, 100); (100, 0); (0, 65521); (3, 65521); (3, 65522);
+      (3, 131042); (4096, 131_043); (65521, 65521) ];
+  match Checksum.combine 1 1 ~len2:(-1) with
+  | _ -> Alcotest.fail "negative length accepted"
+  | exception Invalid_argument _ -> ()
+
+(* Split a byte string anywhere, including an empty prefix (checksum 1)
+   and an empty suffix (len2 = 0), with suffixes past 65521 bytes (len2
+   reduced modulo the base): the combined checksums equal the whole
+   string's, by the per-byte reference. *)
+let prop_combine_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* n = oneof [ int_range 0 300; int_range 65_000 140_000 ] in
+      let* seed = int in
+      let* split = oneof [ return 0; return n; int_range 0 n ] in
+      return (n, seed, split))
+  in
+  QCheck.Test.make ~count:60 ~name:"combine = adler32 of the joined bytes"
+    (QCheck.make gen
+       ~print:(fun (n, seed, k) -> Printf.sprintf "n=%d seed=%d split=%d" n seed k))
+    (fun (n, seed, k) ->
+      let st = Random.State.make [| seed |] in
+      let b = Bytes.init n (fun _ -> Char.chr (Random.State.int st 256)) in
+      Checksum.combine
+        (u32 (adler32_reference ~pos:0 ~len:k b))
+        (u32 (adler32_reference ~pos:k ~len:(n - k) b))
+        ~len2:(n - k)
+      = u32 (adler32_reference ~pos:0 ~len:n b))
 
 let test_checksum_rejects_bad_range () =
   let b = Bytes.make 16 'x' in
@@ -356,11 +407,14 @@ let suite =
       Alcotest.test_case "checksum known vector" `Quick test_checksum_known_vector;
       Alcotest.test_case "checksum chunk boundaries" `Quick test_checksum_boundaries;
       Alcotest.test_case "checksum rejects bad range" `Quick test_checksum_rejects_bad_range;
+      Alcotest.test_case "checksum all 0xff" `Quick test_checksum_all_ones;
+      Alcotest.test_case "checksum combine edges" `Quick test_combine_edges;
       Alcotest.test_case "plot renders" `Quick test_plot_renders;
       Alcotest.test_case "plot empty series" `Quick test_plot_empty_series;
       Alcotest.test_case "io_stats merge zero" `Quick test_io_stats_merge_zero;
       Alcotest.test_case "io_stats reset" `Quick test_io_stats_reset;
       QCheck_alcotest.to_alcotest prop_checksum_matches_reference;
+      QCheck_alcotest.to_alcotest prop_combine_matches_reference;
       QCheck_alcotest.to_alcotest prop_codec_roundtrip;
       QCheck_alcotest.to_alcotest prop_codec_overflow;
       QCheck_alcotest.to_alcotest prop_percentile_bounds;
