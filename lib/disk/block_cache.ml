@@ -1,6 +1,9 @@
 (* Exact LRU: an intrusive doubly-linked list threaded through the
    entries plus a hash table for lookup.  Every entry's buffer belongs to
-   the cache: blocks are copied in, and copied or blitted out. *)
+   the cache: blocks are copied in, and copied or blitted out.  A buffer
+   whose entry leaves (eviction, invalidation) goes to a free list of at
+   most [capacity] buffers, and the next new entry reuses it, so a warm
+   cache fills without allocating. *)
 
 type node = {
   addr : int;
@@ -17,6 +20,8 @@ type t = {
   mutable tail : node option;  (* least recently used *)
   mutable hits : int;
   mutable misses : int;
+  free : bytes array;  (* [free.(0 .. nfree - 1)] are unused buffers *)
+  mutable nfree : int;
 }
 
 let create ~capacity ~block_size =
@@ -28,6 +33,8 @@ let create ~capacity ~block_size =
     tail = None;
     hits = 0;
     misses = 0;
+    free = Array.make (max 0 capacity) Bytes.empty;
+    nfree = 0;
   }
 
 let unlink t n =
@@ -53,24 +60,42 @@ let touch t n =
       unlink t n;
       push_front t n
 
+(* Give [n]'s buffer back: nothing may read [n.data] afterwards.  A node
+   that already gave it back (see the defect in [read_range]) has none. *)
+let release t n =
+  if n.data != Bytes.empty && t.nfree < t.capacity then begin
+    t.free.(t.nfree) <- n.data;
+    t.nfree <- t.nfree + 1
+  end;
+  n.data <- Bytes.empty
+
 let evict_lru t =
   match t.tail with
   | None -> ()
   | Some n ->
       unlink t n;
-      Hashtbl.remove t.table n.addr
+      Hashtbl.remove t.table n.addr;
+      release t n
+
+let fresh_buffer t =
+  if t.nfree = 0 then Bytes.create t.block_size
+  else begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
 
 (* Take a copy of the block at [pos] of [src] as the contents of
    [addr]. *)
 let put t addr ?(pos = 0) src =
   if t.capacity > 0 then begin
-    let data = Bytes.sub src pos t.block_size in
     match Hashtbl.find_opt t.table addr with
     | Some n ->
-        n.data <- data;
+        Bytes.blit src pos n.data 0 t.block_size;
         touch t n
     | None ->
         if Hashtbl.length t.table >= t.capacity then evict_lru t;
+        let data = fresh_buffer t in
+        Bytes.blit src pos data 0 t.block_size;
         let n = { addr; data; prev = None; next = None } in
         Hashtbl.replace t.table addr n;
         push_front t n
@@ -92,7 +117,8 @@ let invalidate t addr =
   match Hashtbl.find_opt t.table addr with
   | Some n ->
       unlink t n;
-      Hashtbl.remove t.table addr
+      Hashtbl.remove t.table addr;
+      release t n
   | None -> ()
 
 let invalidate_range t addr n =
@@ -132,15 +158,17 @@ let read_range t ~fetch addr n =
     for i = first to n - 1 do
       match Hashtbl.find_opt t.table (addr + i) with
       | Some node ->
-          (* Known defect, kept for identical results: when this fill
-             evicts [node], the [touch] below relinks a node the table
-             no longer holds, the LRU list loses every other entry, and
-             the table outgrows [capacity] from then on. *)
+          (* Copy the hit out before the fill: the fill may evict [node]
+             and hand its buffer to a block it loads.  Known defect, kept
+             for identical results: when the fill evicts [node], the
+             [touch] below relinks a node the table no longer holds, the
+             LRU list loses every other entry, and the table outgrows
+             [capacity] from then on. *)
+          Bytes.blit node.data 0 out (i * bs) bs;
           fill !run i;
           run := i + 1;
           t.hits <- t.hits + 1;
-          touch t node;
-          Bytes.blit node.data 0 out (i * bs) bs
+          touch t node
       | None -> ()
     done;
     fill !run n;

@@ -6,7 +6,8 @@
     or {!invalidate} so the cache never returns stale data.
 
     The cache owns what it stores: a block enters by one copy, and
-    nothing the cache returns aliases the copies it keeps. *)
+    nothing the cache returns aliases the copies it keeps.  The buffers
+    of evicted and invalidated entries are reused for new ones. *)
 
 type t
 

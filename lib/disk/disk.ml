@@ -1,8 +1,25 @@
 module Seq_map = Map.Make (Int)
 
+(* The medium: one off-heap, zero-on-demand buffer of [blocks *
+   block_size] bytes, block [a] at byte [a * block_size].  Pages no
+   write has touched cost no resident memory, and the image is not part
+   of the GC's live set.  Contents move in and out through the two
+   copies below (disk_store_stubs.c); callers check the ranges. *)
+type store = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external store_create : int -> store = "lfs_disk_store_create"
+
+external blit_to_store : bytes -> int -> store -> int -> int -> unit
+  = "lfs_disk_blit_bytes_to_store"
+[@@noalloc]
+
+external blit_from_store : store -> int -> bytes -> int -> int -> unit
+  = "lfs_disk_blit_store_to_bytes"
+[@@noalloc]
+
 type t = {
   geometry : Geometry.t;
-  data : bytes array;
+  data : store;
   stats : Io_stats.t;
   queue : Io_queue.t;
   mutable crash_countdown : int option;  (* blocks until power cut *)
@@ -50,7 +67,7 @@ let create geometry =
   let stats = Io_stats.create () in
   {
     geometry;
-    data = Array.init geometry.Geometry.blocks (fun _ -> Bytes.make geometry.Geometry.block_size '\000');
+    data = store_create (Geometry.capacity_bytes geometry);
     stats;
     queue = Io_queue.create ~service:(service_fn geometry) ~stats;
     crash_countdown = None;
@@ -126,9 +143,7 @@ let submit_read ?now t addr n =
   t.stats.Io_stats.blocks_read <- t.stats.Io_stats.blocks_read + n;
   let bs = block_size t in
   let out = Bytes.create (n * bs) in
-  for i = 0 to n - 1 do
-    Bytes.blit t.data.(addr + i) 0 out (i * bs) bs
-  done;
+  blit_from_store t.data (addr * bs) out 0 (n * bs);
   if not (Seq_map.is_empty t.pending) then overlay_pending t ~addr ~n out;
   (enqueue t ?now ~addr ~n (), out)
 
@@ -165,7 +180,7 @@ let perform_write t ~seq addr payload =
   let persist = writable_prefix t n in
   for i = 0 to persist - 1 do
     if t.write_seq.(addr + i) <= seq then begin
-      Bytes.blit payload (i * bs) t.data.(addr + i) 0 bs;
+      blit_to_store payload (i * bs) t.data ((addr + i) * bs) bs;
       t.write_seq.(addr + i) <- seq
     end
   done;
@@ -240,12 +255,14 @@ let reboot t =
 
 let snapshot t =
   let stats = Io_stats.copy t.stats in
+  let data = store_create (Bigarray.Array1.dim t.data) in
+  Bigarray.Array1.blit t.data data;
   let queue = Io_queue.create ~service:(service_fn t.geometry) ~stats in
   Io_queue.set_head queue (Io_queue.head t.queue);
   Io_queue.set_horizon queue (Io_queue.horizon t.queue);
   {
     geometry = t.geometry;
-    data = Array.map Bytes.copy t.data;
+    data;
     stats;
     queue;
     crash_countdown = t.crash_countdown;
@@ -258,7 +275,7 @@ let snapshot t =
 let restore t ~from =
   if t.geometry <> from.geometry then
     invalid_arg "Disk.restore: geometry mismatch";
-  Array.iteri (fun i b -> Bytes.blit b 0 t.data.(i) 0 (Bytes.length b)) from.data;
+  Bigarray.Array1.blit from.data t.data;
   let s = t.stats and s' = from.stats in
   s.Io_stats.reads <- s'.Io_stats.reads;
   s.Io_stats.writes <- s'.Io_stats.writes;
@@ -278,11 +295,28 @@ let restore t ~from =
   t.crash_countdown <- from.crash_countdown;
   t.crashed <- from.crashed
 
+(* Image files hold the blocks in address order; both directions stream
+   through one buffer of at most [io_chunk_blocks] blocks. *)
+let io_chunk_blocks = 256
+
+let iter_chunks t f =
+  let bs = block_size t in
+  let buf = Bytes.create (min (nblocks t) io_chunk_blocks * bs) in
+  let addr = ref 0 in
+  while !addr < nblocks t do
+    let n = min io_chunk_blocks (nblocks t - !addr) in
+    f buf ~pos:(!addr * bs) ~len:(n * bs);
+    addr := !addr + n
+  done
+
 let save_file t path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> Array.iter (fun b -> output_bytes oc b) t.data)
+    (fun () ->
+      iter_chunks t (fun buf ~pos ~len ->
+          blit_from_store t.data pos buf 0 len;
+          output oc buf 0 len))
 
 let load_file geometry path =
   let expected = Geometry.capacity_bytes geometry in
@@ -295,5 +329,7 @@ let load_file geometry path =
           (Printf.sprintf "Disk.load_file: %s is %d bytes, geometry wants %d"
              path (in_channel_length ic) expected);
       let t = create geometry in
-      Array.iter (fun b -> really_input ic b 0 (Bytes.length b)) t.data;
+      iter_chunks t (fun buf ~pos ~len ->
+          really_input ic buf 0 len;
+          blit_to_store buf 0 t.data pos len);
       t)

@@ -5,6 +5,12 @@
     accesses (starting exactly where the previous transfer ended) cost no
     seek — this is the property log-structured writing exploits.
 
+    The contents live off the OCaml heap, in one zero-on-demand buffer
+    per device: blocks never written read as zeros and cost no resident
+    memory, so a paper-sized device costs only what is written to it.
+    Blocks move in and out by copy; no buffer passed to or returned by
+    this interface aliases the medium.
+
     IO is split into two planes.  The data plane runs at submit time in
     submission order: contents move, crash countdowns tick.  The time
     plane is a per-device {!Io_queue}: every transfer takes a tag, and a

@@ -170,15 +170,7 @@ let run ?(scale = 1.0) ?(policy = Lfs_core.Config.Cost_benefit)
     incr nfiles;
     Printf.sprintf "/data/f%d" !nfiles
   in
-  let payload_cache = Hashtbl.create 16 in
-  let payload size =
-    match Hashtbl.find_opt payload_cache size with
-    | Some b -> b
-    | None ->
-        let b = Bytes.make size 'p' in
-        Hashtbl.replace payload_cache size b;
-        b
-  in
+  let payload size = Bytes.make size 'p' in
   while Fs.utilization fs < spec.target_util do
     let size = sample_size prng ~mean_bytes in
     let name = new_file_name () in
