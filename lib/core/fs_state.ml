@@ -364,24 +364,27 @@ let flush_data_blocks t =
   end
 
 let flush_filemaps_and_inodes t =
-  (* Indirect blocks first (the inode must point at their new copies). *)
-  let dirty_inos = ref [] in
-  Hashtbl.iter
-    (fun ino h ->
-      (* The map flush also refreshes the inode's direct pointers, so it
-         must run for every inode about to be written, not only when an
-         indirect chunk is dirty. *)
-      if Filemap.dirty h.fmap || h.inode_dirty then begin
-        Filemap.flush h.fmap h.inode
-          ~alloc:(fun ~kind ~blockno payload ->
-            append_block t ~kind ~ino ~blockno ~version:(version_of t ino)
-              ~mtime:h.inode.Inode.mtime (Log_writer.Bytes (payload, 0)))
-          ~free:(fun addr -> kill t addr ~bytes:(block_size t));
-        dirty_inos := (ino, h) :: !dirty_inos
-      end)
-    t.handles;
+  (* In ascending ino order, the order the inodes are packed in. *)
+  let pending =
+    Hashtbl.fold
+      (fun ino h acc ->
+        if Filemap.dirty h.fmap || h.inode_dirty then (ino, h) :: acc else acc)
+      t.handles []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  (* Indirect blocks first (the inode must point at their new copies).
+     The map flush also refreshes the inode's direct pointers, so it must
+     run for every inode about to be written, not only when an indirect
+     chunk is dirty. *)
+  List.iter
+    (fun (ino, h) ->
+      Filemap.flush h.fmap h.inode
+        ~alloc:(fun ~kind ~blockno payload ->
+          append_block t ~kind ~ino ~blockno ~version:(version_of t ino)
+            ~mtime:h.inode.Inode.mtime (Log_writer.Bytes (payload, 0)))
+        ~free:(fun addr -> kill t addr ~bytes:(block_size t)))
+    pending;
   (* Pack dirty inodes into inode blocks. *)
-  let pending = List.sort (fun (a, _) (b, _) -> Int.compare a b) !dirty_inos in
   let per_block = t.layout.Layout.inodes_per_block in
   let inode_size = t.layout.Layout.inode_size in
   let rec pack = function
