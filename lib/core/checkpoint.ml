@@ -36,7 +36,7 @@ let write layout disk ~region t =
   Codec.put_u32 c (Array.length t.usage_addrs);
   Array.iter (fun a -> Codec.put_int c a) t.imap_addrs;
   Array.iter (fun a -> Codec.put_int c a) t.usage_addrs;
-  let sum = Int32.to_int (Checksum.adler32 ~pos:8 b) land 0xffffffff in
+  let sum = Checksum.adler32 ~pos:8 b in
   let c0 = Codec.writer b in
   Codec.put_u32 c0 sum;
   Codec.put_u32 c0 0;
@@ -49,7 +49,7 @@ let read layout disk ~region =
   let c0 = Codec.reader b in
   let stored = Codec.get_u32 c0 in
   let _pad = Codec.get_u32 c0 in
-  let sum = Int32.to_int (Checksum.adler32 ~pos:8 b) land 0xffffffff in
+  let sum = Checksum.adler32 ~pos:8 b in
   if stored <> sum then None
   else begin
     let c = Codec.at b 8 in

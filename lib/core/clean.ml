@@ -217,15 +217,15 @@ let relocate_item t item =
           (Log_writer.Bytes (b, pos))
       in
       Filemap.set h.fmap blockno addr;
-      h.inode_dirty <- true;
+      mark_dirty t ino;
       if old <> Types.nil_addr then kill t old ~bytes:(block_size t)
   | Live_indirect { ino; sblockno } ->
       let h = get_handle t ino in
       Filemap.mark_indirect_dirty h.fmap ~sblockno;
-      h.inode_dirty <- true
+      mark_dirty t ino
   | Live_inode ino ->
-      let h = get_handle t ino in
-      h.inode_dirty <- true
+      ignore (get_handle t ino : handle);
+      mark_dirty t ino
   | Live_table_block (tb, i) -> rewrite_table_block t tb i
 
 let clean_victims t ~bg victims =

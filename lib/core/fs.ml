@@ -105,15 +105,16 @@ let write t ino ~off data =
     op_span t t.obs.op_write (fun () ->
         let h = get_file_handle t ino in
         h.inode.Inode.mtime <- tick t;
-        h.inode_dirty <- true;
         File_range.write ~block_size:(block_size t)
           ~read_block:(read_file_block t h ino) ~off data
           (fun blockno b ~hi ->
             put_dirty_block t ino blockno b;
             (* Grow the size with the buffered prefix so a mid-write
                buffer flush persists a self-consistent inode (matters
-               after a crash). *)
+               after a crash).  Marked dirty per block, not once: a
+               flush earlier in this write empties the dirty set. *)
             h.inode.Inode.size <- max h.inode.Inode.size hi;
+            mark_dirty t ino;
             flush_if_full t);
         finish_op t)
 
@@ -145,7 +146,7 @@ let truncate_internal t ino ~len =
       (fun blockno b ~hi:_ -> put_dirty_block t ino blockno b);
   h.inode.Inode.size <- len;
   h.inode.Inode.mtime <- tick t;
-  h.inode_dirty <- true;
+  mark_dirty t ino;
   if len = 0 then Inode_map.bump_version t.imap ino
 
 let truncate t ino ~len =
@@ -185,7 +186,7 @@ let update_dir t ino f =
     ~put:(put_dirty_block t ino)
     ~free:(fun addr -> kill t addr ~bytes:(block_size t));
   h.inode.Inode.mtime <- tick t;
-  h.inode_dirty <- true;
+  mark_dirty t ino;
   flush_if_full t
 
 (* A new directory's size covers its empty image; no data block yet. *)
@@ -207,7 +208,8 @@ let new_inode t ~ftype =
     if dir then Some (Directory.create ~block_size:(block_size t)) else None
   in
   Hashtbl.replace t.handles ino
-    { inode; fmap = Filemap.create_empty t.layout inode; inode_dirty = true; content };
+    { inode; fmap = Filemap.create_empty t.layout inode; content };
+  mark_dirty t ino;
   Inode_map.set_location t.imap ino placeholder_iaddr;
   ino
 
@@ -237,7 +239,7 @@ let link t ~dir name ino =
   let d = dir_contents t dir in
   if Directory.mem d name then Types.fs_error "name %S already exists" name;
   h.inode.Inode.nlink <- h.inode.Inode.nlink + 1;
-  h.inode_dirty <- true;
+  mark_dirty t ino;
   queue_dirop t
     (Dir_log.Add { dir; name; ino; nlink = h.inode.Inode.nlink; fresh = false });
   update_dir t dir (fun d -> Directory.add d name ino);
@@ -247,7 +249,7 @@ let set_nlink t ino nlink =
   let h = get_handle t ino in
   if h.inode.Inode.nlink <> nlink then begin
     h.inode.Inode.nlink <- nlink;
-    h.inode_dirty <- true
+    mark_dirty t ino
   end
 
 let delete_file t ino =
@@ -261,7 +263,8 @@ let delete_file t ino =
     (Filemap.indirect_blocks h.fmap);
   kill_inode t (Inode_map.location t.imap ino);
   Inode_map.free t.imap ino;
-  Hashtbl.remove t.handles ino
+  Hashtbl.remove t.handles ino;
+  t.dirty_inos <- Ino_set.remove ino t.dirty_inos
 
 let unlink_internal t ~dir name ~expect =
   let d = dir_contents t dir in

@@ -10,12 +10,15 @@ module Io_stats = Lfs_disk.Io_stats
 module Prng = Lfs_util.Prng
 module Metrics = Lfs_obs.Metrics
 
+(* A cached inode and block map.  Whether the log's copy is stale is
+   not the handle's to say: its ino is in the mount's dirty set. *)
 type handle = {
   inode : Inode.t;
   fmap : Filemap.t;
-  mutable inode_dirty : bool;
   mutable content : Directory.t option;  (* directories only *)
 }
+
+module Ino_set = Set.Make (Int)
 
 (* Observability handles: one {!Lfs_obs.Metrics} registry per mounted
    file system, plus the instruments that hot paths update directly.
@@ -184,6 +187,9 @@ type t = {
   tables : table list;  (* the imap's, then the usage table's *)
   log : Log_writer.t;
   handles : (Types.ino, handle) Hashtbl.t;
+  mutable dirty_inos : Ino_set.t;
+      (* the handles the next flush writes: every mutation of a cached
+         inode or block map goes through [mark_dirty] *)
   dirty_data : (Types.ino * int, bytes) Hashtbl.t;
   mutable pending_dirops : Dir_log.record list;  (* newest first *)
   pool : Seg_pool.t;
@@ -285,7 +291,7 @@ let load_handle t ino =
       if inode.Inode.ino <> ino then
         Types.corrupt "inode %d: slot holds inode %d" ino inode.Inode.ino;
       let fmap = Filemap.load ~read:(read_disk_block t) t.layout inode in
-      { inode; fmap; inode_dirty = false; content = None }
+      { inode; fmap; content = None }
 
 let get_handle t ino =
   match Hashtbl.find_opt t.handles ino with
@@ -295,22 +301,19 @@ let get_handle t ino =
       Hashtbl.replace t.handles ino h;
       h
 
+(* The next flush writes [ino]'s cached inode and block map. *)
+let mark_dirty t ino = t.dirty_inos <- Ino_set.add ino t.dirty_inos
+
 (* Bound the handle cache; only clean handles may be dropped. *)
 let handle_cache_limit = 100_000
 
 let maybe_evict_handles t =
-  if Hashtbl.length t.handles > handle_cache_limit then begin
-    let victims = ref [] in
-    Hashtbl.iter
+  if Hashtbl.length t.handles > handle_cache_limit then
+    Hashtbl.filter_map_inplace
       (fun ino h ->
-        if
-          (not h.inode_dirty)
-          && (not (Filemap.dirty h.fmap))
-          && ino <> Types.root_ino
-        then victims := ino :: !victims)
-      t.handles;
-    List.iter (Hashtbl.remove t.handles) !victims
-  end
+        if ino = Types.root_ino || Ino_set.mem ino t.dirty_inos then Some h
+        else None)
+      t.handles
 
 let version_of t ino = Inode_map.version t.imap ino
 
@@ -359,18 +362,20 @@ let flush_data_blocks t =
             if old <> Types.nil_addr then kill t old ~bytes:(block_size t);
             Hashtbl.remove t.dirty_data (ino, blockno))
           blocks;
-        h.inode_dirty <- true)
+        mark_dirty t ino)
       (List.sort Int.compare inos)
   end
 
 let flush_filemaps_and_inodes t =
-  (* In ascending ino order, the order the inodes are packed in. *)
+  (* The dirty set, in ascending ino order: the order the inodes are
+     packed in. *)
   let pending =
-    Hashtbl.fold
-      (fun ino h acc ->
-        if Filemap.dirty h.fmap || h.inode_dirty then (ino, h) :: acc else acc)
-      t.handles []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    List.map
+      (fun ino ->
+        match Hashtbl.find_opt t.handles ino with
+        | Some h -> (ino, h)
+        | None -> Types.corrupt "dirty inode %d has no cached handle" ino)
+      (Ino_set.elements t.dirty_inos)
   in
   (* Indirect blocks first (the inode must point at their new copies).
      The map flush also refreshes the inode's direct pointers, so it must
@@ -411,7 +416,7 @@ let flush_filemaps_and_inodes t =
             Seg_usage.add_live t.usage seg ~bytes:inode_size
               ~mtime:h.inode.Inode.mtime;
             Inode_map.set_location t.imap ino (Types.Iaddr.make ~block:addr ~slot);
-            h.inode_dirty <- false)
+            t.dirty_inos <- Ino_set.remove ino t.dirty_inos)
           batch;
         pack rest
   in
@@ -605,6 +610,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       tables = [ imap_table imap; usage_table usage ];
       log;
       handles = Hashtbl.create 256;
+      dirty_inos = Ino_set.empty;
       dirty_data = Hashtbl.create 256;
       pending_dirops = [];
       pool;

@@ -52,10 +52,7 @@ let encode_into ~block_size t b =
       Codec.put_u32 c e.version;
       Codec.put_float c e.mtime)
     t.entries;
-  let sum =
-    Int32.to_int (Checksum.adler32 ~pos:8 ~len:(block_size - 8) b)
-    land 0xffffffff
-  in
+  let sum = Checksum.adler32 ~pos:8 ~len:(block_size - 8) b in
   let c0 = Codec.writer b in
   Codec.put_u32 c0 sum;
   Codec.put_u32 c0 0
@@ -64,7 +61,7 @@ let decode b =
   let c0 = Codec.reader b in
   let stored = Codec.get_u32 c0 in
   let _pad = Codec.get_u32 c0 in
-  let sum = Int32.to_int (Checksum.adler32 ~pos:8 b) land 0xffffffff in
+  let sum = Checksum.adler32 ~pos:8 b in
   if stored <> sum then None
   else begin
     let c = Codec.at b 8 in
@@ -95,8 +92,7 @@ let decode b =
     end
   end
 
-let payload_checksum ?pos ?len payload =
-  Int32.to_int (Checksum.adler32 ?pos ?len payload) land 0xffffffff
+let payload_checksum = Checksum.adler32
 
 let entry_addr t layout i = Layout.seg_first_block layout t.seg + t.slot + 1 + i
 

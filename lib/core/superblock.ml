@@ -56,7 +56,7 @@ let store t disk =
   (* Whole-block checksum over everything after the checksum field. *)
   let sum = Checksum.adler32 ~pos:8 b in
   let c0 = Codec.writer b in
-  Codec.put_u32 c0 (Int32.to_int sum land 0xffffffff);
+  Codec.put_u32 c0 sum;
   Codec.put_u32 c0 0;
   Vdev.write_block disk 0 b
 
@@ -65,7 +65,7 @@ let load disk =
   let c0 = Codec.reader b in
   let stored_sum = Codec.get_u32 c0 in
   let _pad = Codec.get_u32 c0 in
-  let sum = Int32.to_int (Checksum.adler32 ~pos:8 b) land 0xffffffff in
+  let sum = Checksum.adler32 ~pos:8 b in
   if stored_sum <> sum then
     Types.corrupt "superblock: checksum mismatch (%x vs %x)" stored_sum sum;
   let c = Codec.at b 8 in

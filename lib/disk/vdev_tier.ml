@@ -195,8 +195,7 @@ let superblock_bytes t =
   Codec.put_u32 c t.fast_chunks;
   Codec.put_u32 c t.slow_chunks;
   Codec.put_u32 c t.map_r;
-  let ck = Checksum.adler32 ~pos:8 b in
-  Codec.put_u32 (Codec.at b 0) (Int32.to_int ck land 0xffff_ffff);
+  Codec.put_u32 (Codec.at b 0) (Checksum.adler32 ~pos:8 b);
   b
 
 let map_bytes t ~gen =
@@ -208,8 +207,7 @@ let map_bytes t ~gen =
   Codec.put_u32 c t.nchunks;
   Codec.put_u32 c 0;
   Array.iter (fun phys -> Codec.put_u32 c phys) t.map;
-  let ck = Checksum.adler32 ~pos:8 b in
-  Codec.put_u32 (Codec.at b 0) (Int32.to_int ck land 0xffff_ffff);
+  Codec.put_u32 (Codec.at b 0) (Checksum.adler32 ~pos:8 b);
   b
 
 let region_addr t gen = if Int64.rem gen 2L = 0L then 1 else 1 + t.map_r
@@ -221,7 +219,7 @@ let decode_map t b =
     let c = Codec.reader b in
     let stored = Codec.get_u32 c in
     let _pad = Codec.get_u32 c in
-    let computed = Int32.to_int (Checksum.adler32 ~pos:8 b) land 0xffff_ffff in
+    let computed = Checksum.adler32 ~pos:8 b in
     if stored <> computed then None
     else
       let gen = Codec.get_u64 c in
@@ -449,7 +447,7 @@ let load ~(fast : Vdev.t) ~(slow : Vdev.t) =
   let c = Codec.reader sb in
   let stored = Codec.get_u32 c in
   let m = Codec.get_u32 c in
-  let computed = Int32.to_int (Checksum.adler32 ~pos:8 sb) land 0xffff_ffff in
+  let computed = Checksum.adler32 ~pos:8 sb in
   if m <> magic then failwith "Vdev_tier.load: bad magic (not a tiered volume)";
   if stored <> computed then failwith "Vdev_tier.load: superblock checksum";
   let v = Codec.get_u32 c in
@@ -481,7 +479,7 @@ let verify t =
    let c = Codec.reader sb in
    let stored = Codec.get_u32 c in
    let m = Codec.get_u32 c in
-   let computed = Int32.to_int (Checksum.adler32 ~pos:8 sb) land 0xffff_ffff in
+   let computed = Checksum.adler32 ~pos:8 sb in
    if m <> magic then err "tier superblock: bad magic"
    else if stored <> computed then err "tier superblock: bad checksum"
    else begin

@@ -134,76 +134,93 @@ let test_table_pads_short_rows () =
   let s = Table.render ~header:[ "x"; "y"; "z" ] [ [ "only" ] ] in
   Alcotest.(check bool) "renders" true (String.length s > 0)
 
+let adler32_of_string s = Checksum.adler32 (Bytes.of_string s)
+
 let test_checksum_stable () =
-  let c1 = Checksum.adler32_string "hello world" in
-  let c2 = Checksum.adler32_string "hello world" in
-  Alcotest.(check int32) "deterministic" c1 c2
+  let c1 = adler32_of_string "hello world" in
+  let c2 = adler32_of_string "hello world" in
+  Alcotest.(check int) "deterministic" c1 c2
 
 let test_checksum_differs () =
   Alcotest.(check bool) "different inputs differ" false
-    (Checksum.adler32_string "hello" = Checksum.adler32_string "hellp")
+    (adler32_of_string "hello" = adler32_of_string "hellp")
 
 let test_checksum_range () =
   let b = Bytes.make 100 'x' in
   let whole = Checksum.adler32 b in
   let part = Checksum.adler32 ~pos:10 ~len:50 b in
   Alcotest.(check bool) "range differs from whole" false (whole = part);
-  Alcotest.(check int32) "range stable" part (Checksum.adler32 ~pos:10 ~len:50 b)
+  Alcotest.(check int) "range stable" part (Checksum.adler32 ~pos:10 ~len:50 b)
 
 (* The per-byte definition of Adler-32, reducing both sums after every
-   byte: the oracle the deferred-reduction implementation must match. *)
+   byte: the oracle the deferred-reduction kernels must match. *)
 let adler32_reference ~pos ~len b =
   let a = ref 1 and s = ref 0 in
   for i = pos to pos + len - 1 do
     a := (!a + Char.code (Bytes.get b i)) mod 65521;
     s := (!s + !a) mod 65521
   done;
-  Int32.logor (Int32.shift_left (Int32.of_int !s) 16) (Int32.of_int !a)
+  (!s lsl 16) lor !a
+
+(* Both kernels: the one [adler32] dispatches to on this build, and the
+   portable loop that is a non-SSE2 build's only path. *)
+let kernels =
+  [ ("adler32", Checksum.adler32); ("portable", Checksum.adler32_portable) ]
 
 let test_checksum_known_vector () =
-  Alcotest.(check int32) "adler32 \"Wikipedia\"" 0x11E60398l
-    (Checksum.adler32_string "Wikipedia");
-  Alcotest.(check int32) "empty input" 1l (Checksum.adler32 Bytes.empty)
+  List.iter
+    (fun (name, (kernel : ?pos:int -> ?len:int -> bytes -> int)) ->
+      Alcotest.(check int) (name ^ " \"Wikipedia\"") 0x11E60398
+        (kernel (Bytes.of_string "Wikipedia"));
+      Alcotest.(check int) (name ^ " empty input") 1 (kernel Bytes.empty))
+    kernels
 
-(* Lengths around the 8-byte word, the 128-word (1024-byte) run, the
-   4 KB block and zlib's 5552-byte reduction chunk (odd tails past one
-   and two chunks), over all-0xFF input (every lane and sum at its
-   largest) and over a mixed pattern, at every offset within a word. *)
+(* Lengths around the 8-byte word, the 32-byte vector step (one and two
+   steps), the 128-word (1024-byte) run, the 4 KB block, the 173-step
+   (5536-byte) vector run and zlib's 5552-byte reduction chunk (odd
+   tails past one and two of each), over all-0xFF input (every lane and
+   sum at its largest) and over a mixed pattern, at every offset within
+   two words. *)
 let test_checksum_boundaries () =
   let lens =
-    [ 0; 1; 7; 8; 9; 15; 16; 17; 127; 128; 129; 255; 256; 1023; 1024; 1025;
-      2047; 2048; 2049; 3071; 3072; 3073; 4088; 4095; 4096; 4097; 5503;
-      5504; 5505; 5544; 5551; 5552; 5553; 5560; 11103; 11104; 11105;
-      32 * 4096 ]
+    [ 0; 1; 7; 8; 9; 15; 16; 17; 31; 32; 33; 63; 64; 65; 127; 128; 129; 255;
+      256; 1023; 1024; 1025; 2047; 2048; 2049; 3071; 3072; 3073; 4088; 4095;
+      4096; 4097; 5503; 5504; 5505; 5535; 5536; 5537; 5544; 5551; 5552; 5553;
+      5560; 11071; 11072; 11073; 11103; 11104; 11105; 32 * 4096 ]
   in
   List.iter
-    (fun fill ->
+    (fun (name, (kernel : ?pos:int -> ?len:int -> bytes -> int)) ->
       List.iter
-        (fun len ->
+        (fun fill ->
           List.iter
-            (fun pos ->
-              let b = Bytes.init (pos + len) (fill pos) in
-              Alcotest.(check int32)
-                (Printf.sprintf "pos %d len %d" pos len)
-                (adler32_reference ~pos ~len b)
-                (Checksum.adler32 ~pos ~len b))
-            [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ])
-        lens)
-    [ (fun _ _ -> '\255'); (fun pos i -> Char.chr ((i - pos) * 131 land 0xff)) ]
+            (fun len ->
+              List.iter
+                (fun pos ->
+                  let b = Bytes.init (pos + len) (fill pos) in
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s pos %d len %d" name pos len)
+                    (adler32_reference ~pos ~len b)
+                    (kernel ~pos ~len b))
+                (List.init 16 Fun.id))
+            lens)
+        [ (fun _ _ -> '\255');
+          (fun pos i -> Char.chr ((i - pos) * 131 land 0xff)) ])
+    kernels
 
 (* A megabyte of 0xFF: runs back to back, each filling every lane to its
    largest. *)
 let test_checksum_all_ones () =
   let b = Bytes.make (1 lsl 20) '\255' in
-  Alcotest.(check int32) "1 MB of 0xff" (adler32_reference ~pos:0 ~len:(1 lsl 20) b)
-    (Checksum.adler32 b)
-
-(* Checksums as [Checksum.combine] takes them: unsigned ints. *)
-let u32 c = Int32.to_int c land 0xffff_ffff
+  List.iter
+    (fun (name, (kernel : ?pos:int -> ?len:int -> bytes -> int)) ->
+      Alcotest.(check int) (name ^ " 1 MB of 0xff")
+        (adler32_reference ~pos:0 ~len:(1 lsl 20) b)
+        (kernel b))
+    kernels
 
 let test_combine_edges () =
   let b = Bytes.init 200_000 (fun i -> Char.chr ((i * 7919) land 0xff)) in
-  let sum pos len = u32 (Checksum.adler32 ~pos ~len b) in
+  let sum pos len = Checksum.adler32 ~pos ~len b in
   List.iter
     (fun (k, len2) ->
       Alcotest.(check int)
@@ -235,19 +252,22 @@ let prop_combine_matches_reference =
       let st = Random.State.make [| seed |] in
       let b = Bytes.init n (fun _ -> Char.chr (Random.State.int st 256)) in
       Checksum.combine
-        (u32 (adler32_reference ~pos:0 ~len:k b))
-        (u32 (adler32_reference ~pos:k ~len:(n - k) b))
+        (adler32_reference ~pos:0 ~len:k b)
+        (adler32_reference ~pos:k ~len:(n - k) b)
         ~len2:(n - k)
-      = u32 (adler32_reference ~pos:0 ~len:n b))
+      = adler32_reference ~pos:0 ~len:n b)
 
 let test_checksum_rejects_bad_range () =
   let b = Bytes.make 16 'x' in
   List.iter
-    (fun (pos, len) ->
-      match Checksum.adler32 ~pos ~len b with
-      | _ -> Alcotest.failf "range pos %d len %d accepted" pos len
-      | exception Invalid_argument _ -> ())
-    [ (-1, 4); (0, 17); (10, 7); (4, -1) ]
+    (fun (name, (kernel : ?pos:int -> ?len:int -> bytes -> int)) ->
+      List.iter
+        (fun (pos, len) ->
+          match kernel ~pos ~len b with
+          | _ -> Alcotest.failf "%s: range pos %d len %d accepted" name pos len
+          | exception Invalid_argument _ -> ())
+        [ (-1, 4); (0, 17); (10, 7); (4, -1) ])
+    kernels
 
 let prop_checksum_matches_reference =
   QCheck.Test.make ~count:300 ~name:"adler32 = per-byte reference"
@@ -257,8 +277,11 @@ let prop_checksum_matches_reference =
       let n = Bytes.length b in
       let pos = p mod (n + 1) in
       let len = l mod (n - pos + 1) in
-      Checksum.adler32 ~pos ~len b = adler32_reference ~pos ~len b
-      && Checksum.adler32 b = adler32_reference ~pos:0 ~len:n b)
+      List.for_all
+        (fun (_, (kernel : ?pos:int -> ?len:int -> bytes -> int)) ->
+          kernel ~pos ~len b = adler32_reference ~pos ~len b
+          && kernel b = adler32_reference ~pos:0 ~len:n b)
+        kernels)
 
 let test_plot_renders () =
   let s =
