@@ -78,4 +78,10 @@ let read_latest layout disk =
   | None, None -> None
   | Some a, None -> Some (0, a)
   | None, Some b -> Some (1, b)
-  | Some a, Some b -> if a.timestamp >= b.timestamp then Some (0, a) else Some (1, b)
+  | Some a, Some b ->
+      (* The logical clock only ticks on operations, so two checkpoints
+         with nothing but cleaning between them share a timestamp; the
+         sequence number moves with every log write. *)
+      if compare (a.log_seq, a.timestamp) (b.log_seq, b.timestamp) >= 0 then
+        Some (0, a)
+      else Some (1, b)

@@ -6,7 +6,8 @@
     table blocks plus every write head's log position (segment, offset,
     reservation) and the shared sequence number.  Two regions alternate
     so a crash during a checkpoint leaves the previous one intact; on
-    reboot the valid region with the latest timestamp wins.  A
+    reboot the valid region with the higher log sequence number wins,
+    then the later timestamp.  A
     whole-region checksum stands in for the paper's "time in the last
     block" trick — a torn region write simply fails validation. *)
 
@@ -25,5 +26,6 @@ val read : Layout.t -> Lfs_disk.Vdev.t -> region:int -> t option
 (** [None] if the region is invalid (never written, or torn). *)
 
 val read_latest : Layout.t -> Lfs_disk.Vdev.t -> (int * t) option
-(** The valid region with the most recent timestamp, with its index.
+(** The newest valid region (highest [log_seq], then [timestamp]), with
+    its index.
     [None] when neither region is valid (not a formatted LFS). *)

@@ -199,7 +199,10 @@ let readdir t ino = Directory.entries (dir_contents t ino)
 let queue_dirop t record = t.pending_dirops <- record :: t.pending_dirops
 
 (* A fresh inode, cached with no on-disk copy yet; a directory starts
-   empty. *)
+   empty, its size covering the empty image at once: the parent's
+   update can fill the write buffer and flush the inode before
+   [init_dir] runs, and a directory logged too short to parse would
+   fail roll-forward. *)
 let new_inode t ~ftype =
   let ino = Inode_map.allocate t.imap in
   let inode = Inode.create ~ino ~ftype ~mtime:(tick t) in
@@ -207,6 +210,7 @@ let new_inode t ~ftype =
   let content =
     if dir then Some (Directory.create ~block_size:(block_size t)) else None
   in
+  Option.iter (fun d -> inode.Inode.size <- Directory.length d) content;
   Hashtbl.replace t.handles ino
     { inode; fmap = Filemap.create_empty t.layout inode; content };
   mark_dirty t ino;
@@ -378,8 +382,11 @@ let unmount t = checkpoint t
 
 (* Incorporate a recovered inode: its old on-disk copy and the blocks
    only that copy mapped die, and everything the new copy maps that the
-   old one did not comes alive. *)
-let reaccount_inode t (ino, new_iaddr) =
+   old one did not comes alive.  A block it maps from the window carries
+   its version, which a free or truncation since the checkpoint may have
+   bumped: without it the cleaner would take the inode's live blocks
+   for dead. *)
+let reaccount_inode t ~versions (ino, new_iaddr) =
   let bs = block_size t in
   let old_iaddr = Inode_map.location t.imap ino in
   let old_map = Hashtbl.create 64 in
@@ -400,6 +407,13 @@ let reaccount_inode t (ino, new_iaddr) =
   Inode_map.set_location t.imap ino new_iaddr;
   let h = load_handle t ino in
   Hashtbl.replace t.handles ino h;
+  (let carried = ref None in
+   let note a =
+     if !carried = None then carried := Hashtbl.find_opt versions a
+   in
+   Filemap.iter_mapped h.fmap (fun _ a -> note a);
+   List.iter (fun (_, a) -> note a) (Filemap.indirect_blocks h.fmap);
+   Option.iter (Inode_map.set_version t.imap ino) !carried);
   Seg_usage.add_live t.usage
     (Layout.seg_of_block t.layout (Types.Iaddr.block new_iaddr))
     ~bytes:t.layout.Layout.inode_size ~mtime:h.inode.Inode.mtime;
@@ -524,7 +538,7 @@ let recover ?config ?metrics ?tier disk =
       disk
   in
   let d = Recovery.digest t.layout scan.Recovery.writes in
-  List.iter (reaccount_inode t) d.Recovery.inodes;
+  List.iter (reaccount_inode t ~versions:d.Recovery.versions) d.Recovery.inodes;
   replay_dirops t d.Recovery.dirops;
   drop_orphans t;
   refresh_pool t;
@@ -605,6 +619,9 @@ let iter_files t f =
 let with_handle t ino f =
   let h = get_handle t ino in
   f h.inode h.fmap
+
+let cached_inos t = Hashtbl.fold (fun ino _ acc -> ino :: acc) t.handles []
+let dirty_inos t = Ino_set.elements t.dirty_inos
 
 let imap_location t ino = Inode_map.location t.imap ino
 let imap_block_addr t i = Inode_map.block_addr t.imap i

@@ -228,6 +228,14 @@ val iter_files : t -> (Types.ino -> Inode.t -> unit) -> unit
 val with_handle : t -> Types.ino -> (Inode.t -> Filemap.t -> 'a) -> 'a
 (** Read-only access to a file's inode and block map (for fsck). *)
 
+val cached_inos : t -> Types.ino list
+(** The inos whose inode and block map are cached, in no order. *)
+
+val dirty_inos : t -> Types.ino list
+(** The dirty set, ascending: the cached inodes and block maps the next
+    flush writes to the log.  A cached handle outside it matches its
+    on-disk copy. *)
+
 val imap_location : t -> Types.ino -> Types.Iaddr.t
 val imap_block_addr : t -> int -> Types.baddr
 val usage_block_addrs : t -> Types.baddr list

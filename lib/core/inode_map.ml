@@ -86,6 +86,11 @@ let bump_version t ino =
   t.versions.(ino) <- t.versions.(ino) + 1;
   mark_ino_dirty t ino
 
+let set_version t ino v =
+  check_ino t ino;
+  t.versions.(ino) <- v;
+  mark_ino_dirty t ino
+
 let block_addr t i = t.block_addrs.(i)
 let set_block_addr t i addr = t.block_addrs.(i) <- addr
 let nblocks t = Array.length t.block_addrs

@@ -45,6 +45,10 @@ val free : t -> Types.ino -> unit
 val bump_version : t -> Types.ino -> unit
 (** Version bump without freeing (truncate to length zero). *)
 
+val set_version : t -> Types.ino -> int -> unit
+(** Roll-forward's restore: the checkpointed map can predate a free or
+    truncation that bumped the version of an inode it recovers. *)
+
 val block_of_ino : t -> Types.ino -> int
 (** Which map block holds the entry for [ino]. *)
 

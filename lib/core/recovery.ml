@@ -170,6 +170,7 @@ type digest = {
   inodes : (Types.ino * Types.Iaddr.t) list;
   dirops : dirop list;
   data_blocks : int;
+  versions : (Types.baddr, int) Hashtbl.t;
 }
 
 (* An inode number freed and reallocated inside the recovery window
@@ -223,6 +224,11 @@ let digest layout writes =
   let latest = Hashtbl.create 64 in
   let records = ref [] in
   let data_blocks = ref 0 in
+  let versions = Hashtbl.create 64 in
+  let note_version w i (e : Summary.entry) =
+    Hashtbl.replace versions (Summary.entry_addr w.summary layout i)
+      e.Summary.version
+  in
   List.iter
     (fun w ->
       let seq = w.summary.Summary.seq in
@@ -239,14 +245,15 @@ let digest layout writes =
                     Hashtbl.replace latest inode.Inode.ino
                       (Types.Iaddr.make ~block ~slot, seq)
               done
-          | Types.Data -> incr data_blocks
+          | Types.Data ->
+              incr data_blocks;
+              note_version w i e
+          | Types.Indirect | Types.Dindirect -> note_version w i e
           | Types.Dir_log ->
               List.iter
                 (fun r -> records := (seq, r) :: !records)
                 (Dir_log.decode_block (List.assoc i w.blocks))
-          | Types.Indirect | Types.Dindirect | Types.Imap | Types.Seg_usage
-          | Types.Summary ->
-              ())
+          | Types.Imap | Types.Seg_usage | Types.Summary -> ())
         w.summary.Summary.entries)
     writes;
   let carried ino = Option.map snd (Hashtbl.find_opt latest ino) in
@@ -258,4 +265,5 @@ let digest layout writes =
              compare (Types.Iaddr.to_int a) (Types.Iaddr.to_int b));
     dirops = dirop_facts ~carried (List.rev !records);
     data_blocks = !data_blocks;
+    versions;
   }

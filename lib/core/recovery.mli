@@ -71,6 +71,9 @@ type digest = {
           order *)
   dirops : dirop list;  (** every directory-log record, in log order *)
   data_blocks : int;  (** data blocks the writes carry *)
+  versions : (Types.baddr, int) Hashtbl.t;
+      (** the version each data and indirect block in the writes was
+          written under, by address *)
 }
 
 val digest : Layout.t -> write list -> digest

@@ -486,6 +486,183 @@ let prop_queued_data_equivalence =
            (Vdev.read_blocks sync_v 0 sq_blocks)
            (Vdev.read_blocks queued_v 0 sq_blocks))
 
+(* The dirty set.  Operations over a small namespace (two directories
+   under the root, four names in each of the three) on a volume small
+   enough that idle-time cleaning relocates data, indirect blocks and
+   inodes.  After every operation, each cached handle outside the set
+   must match the log: its block map clean, and its inode, with the
+   direct pointers the map holds, byte-equal to the copy at its inode-map
+   location.  After a sync the set is empty. *)
+type dop =
+  | D_create of int * int  (* dir, name *)
+  | D_write of int * int * int * int  (* dir, name, offset, size *)
+  | D_truncate of int * int * int
+  | D_link of int * int * int * int  (* from dir/name, to dir/name *)
+  | D_unlink of int * int
+  | D_rename of int * int * int * int
+  | D_mkdir of int
+  | D_rmdir of int
+  | D_clean_step
+  | D_checkpoint
+  | D_sync
+  | D_crash
+
+let print_dop = function
+  | D_create (d, n) -> Printf.sprintf "create d%d/n%d" d n
+  | D_write (d, n, o, l) -> Printf.sprintf "write d%d/n%d @%d %d" d n o l
+  | D_truncate (d, n, l) -> Printf.sprintf "truncate d%d/n%d %d" d n l
+  | D_link (d, n, d', n') -> Printf.sprintf "link d%d/n%d d%d/n%d" d n d' n'
+  | D_unlink (d, n) -> Printf.sprintf "unlink d%d/n%d" d n
+  | D_rename (d, n, d', n') ->
+      Printf.sprintf "rename d%d/n%d d%d/n%d" d n d' n'
+  | D_mkdir d -> Printf.sprintf "mkdir d%d" d
+  | D_rmdir d -> Printf.sprintf "rmdir d%d" d
+  | D_clean_step -> "clean_step"
+  | D_checkpoint -> "checkpoint"
+  | D_sync -> "sync"
+  | D_crash -> "crash"
+
+let dop_gen =
+  QCheck.Gen.(
+    let dir = int_bound 2 and nm = int_bound 3 in
+    frequency
+      [
+        (3, map2 (fun d n -> D_create (d, n)) dir nm);
+        ( 6,
+          let* d = dir and* n = nm and* o = int_bound 16
+          and* unit = oneofl [ 1; 512; 4096 ]
+          and* len = int_range 1 40_000 in
+          return (D_write (d, n, o * unit, len)) );
+        (2, map3 (fun d n l -> D_truncate (d, n, l)) dir nm (int_bound 60_000));
+        (2, map4 (fun d n d' n' -> D_link (d, n, d', n')) dir nm dir nm);
+        (2, map2 (fun d n -> D_unlink (d, n)) dir nm);
+        (2, map4 (fun d n d' n' -> D_rename (d, n, d', n')) dir nm dir nm);
+        (1, map (fun d -> D_mkdir (1 + d)) (int_bound 1));
+        (1, map (fun d -> D_rmdir (1 + d)) (int_bound 1));
+        (3, return D_clean_step);
+        (1, return D_checkpoint);
+        (1, return D_sync);
+        (1, return D_crash);
+      ])
+
+let dirty_config =
+  {
+    Helpers.test_config with
+    Lfs_core.Config.bg_clean_start = 999;
+    bg_clean_stop = 1_000;
+    checkpoint_interval_ops = 0;
+  }
+
+(* Namespace errors (a name taken, a parent gone, a directory not
+   empty) are part of the op mix: the invariant holds after them too. *)
+let apply_dop disk fs op =
+  let dir_ino d =
+    if d = 0 then Some Fs.root else Fs.lookup fs ~dir:Fs.root (Printf.sprintf "d%d" d)
+  in
+  let nm n = Printf.sprintf "n%d" n in
+  let file d n = Option.bind (dir_ino d) (fun dir -> Fs.lookup fs ~dir (nm n)) in
+  let attempt f = try f () with Lfs_core.Types.Fs_error _ -> () in
+  match op with
+  | D_create (d, n) ->
+      Option.iter (fun dir -> attempt (fun () -> ignore (Fs.create fs ~dir (nm n))))
+        (dir_ino d);
+      fs
+  | D_write (d, n, off, len) ->
+      (* Creating the file if it is missing. *)
+      Option.iter
+        (fun dir ->
+          attempt (fun () ->
+              let ino =
+                match Fs.lookup fs ~dir (nm n) with
+                | Some ino -> ino
+                | None -> Fs.create fs ~dir (nm n)
+              in
+              Fs.write fs ino ~off (Bytes.make len (Char.chr (65 + (off mod 26))))))
+        (dir_ino d);
+      fs
+  | D_truncate (d, n, len) ->
+      Option.iter (fun ino -> attempt (fun () -> Fs.truncate fs ino ~len)) (file d n);
+      fs
+  | D_link (d, n, d', n') ->
+      (match (file d n, dir_ino d') with
+      | Some ino, Some dir -> attempt (fun () -> Fs.link fs ~dir (nm n') ino)
+      | _ -> ());
+      fs
+  | D_unlink (d, n) ->
+      Option.iter (fun dir -> attempt (fun () -> Fs.unlink fs ~dir (nm n))) (dir_ino d);
+      fs
+  | D_rename (d, n, d', n') ->
+      (match (dir_ino d, dir_ino d') with
+      | Some odir, Some ndir ->
+          attempt (fun () -> Fs.rename fs ~odir (nm n) ~ndir (nm n'))
+      | _ -> ());
+      fs
+  | D_mkdir d ->
+      attempt (fun () -> ignore (Fs.mkdir fs ~dir:Fs.root (Printf.sprintf "d%d" d)));
+      fs
+  | D_rmdir d ->
+      attempt (fun () -> Fs.rmdir fs ~dir:Fs.root (Printf.sprintf "d%d" d));
+      fs
+  | D_clean_step ->
+      ignore (Fs.clean_step fs);
+      fs
+  | D_checkpoint ->
+      Fs.checkpoint fs;
+      fs
+  | D_sync ->
+      Fs.sync fs;
+      fs
+  | D_crash -> fst (Fs.recover ~config:dirty_config (Helpers.vdev disk))
+
+(* The handles outside the dirty set that differ from the log. *)
+let stale_clean_handles disk fs =
+  let layout = Fs.layout fs in
+  let bs = layout.Lfs_core.Layout.block_size in
+  let isz = layout.Lfs_core.Layout.inode_size in
+  let dirty = Fs.dirty_inos fs in
+  List.filter
+    (fun ino ->
+      (not (List.mem ino dirty))
+      && Fs.with_handle fs ino (fun inode fmap ->
+             let iaddr = Fs.imap_location fs ino in
+             let block = Lfs_core.Types.Iaddr.block iaddr in
+             let slot = Lfs_core.Types.Iaddr.slot iaddr in
+             (* The inode as a flush would write it. *)
+             let inode = Lfs_core.Inode.copy inode in
+             Array.iteri
+               (fun i _ -> inode.Lfs_core.Inode.direct.(i) <- Lfs_core.Filemap.get fmap i)
+               inode.Lfs_core.Inode.direct;
+             let mine = Bytes.make bs '\000' in
+             Lfs_core.Inode.encode inode mine ~slot;
+             Lfs_core.Filemap.dirty fmap
+             || Lfs_core.Types.Iaddr.is_nil iaddr
+             || block = 0
+             || not
+                  (Bytes.equal (Bytes.sub mine (slot * isz) isz)
+                     (Bytes.sub (Disk.read_block disk block) (slot * isz) isz))))
+    (Fs.cached_inos fs)
+
+let prop_dirty_set =
+  QCheck.Test.make ~count:200 ~name:"a handle outside the dirty set matches the log"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_dop ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 120) dop_gen))
+    (fun ops ->
+      let disk = Helpers.fresh_disk ~blocks:1024 () in
+      Fs.format (Helpers.vdev disk) dirty_config;
+      let fs = ref (Fs.mount (Helpers.vdev disk)) in
+      List.for_all
+        (fun op ->
+          fs := apply_dop disk !fs op;
+          (match stale_clean_handles disk !fs with
+          | [] -> ()
+          | inos ->
+              QCheck.Test.fail_reportf "after %s: handles %s are stale" (print_dop op)
+                (String.concat ", " (List.map string_of_int inos)));
+          op <> D_sync || Fs.dirty_inos !fs = [])
+        ops)
+
 let suite =
   ( "properties",
     [
@@ -497,4 +674,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_cached_stack_matches_raw;
       QCheck_alcotest.to_alcotest prop_torn_write_through_cache;
       QCheck_alcotest.to_alcotest prop_queued_data_equivalence;
+      QCheck_alcotest.to_alcotest prop_dirty_set;
     ] )

@@ -550,6 +550,77 @@ let test_stale_summary_past_tail_cleaner () =
     (Option.get (Fs.read_path fs "/f"));
   Helpers.fsck_clean fs
 
+(* Two checkpoints with only cleaning between them share a timestamp
+   (the logical clock ticks on operations); the one written later has the
+   higher log sequence number and must win on reboot, or the volume
+   comes back with the older inode map and usage table. *)
+let test_checkpoint_tie_takes_newer_log () =
+  let disk, fs = Helpers.fresh_fs () in
+  let layout = Fs.layout fs and dev = Helpers.vdev disk in
+  let _, ck = Option.get (Checkpoint.read_latest layout dev) in
+  let at seq = { ck with Checkpoint.timestamp = 5.0; log_seq = seq } in
+  List.iter
+    (fun (seq0, seq1, newest) ->
+      Checkpoint.write layout dev ~region:0 (at seq0);
+      Checkpoint.write layout dev ~region:1 (at seq1);
+      let region, _ = Option.get (Checkpoint.read_latest layout dev) in
+      Alcotest.(check int)
+        (Printf.sprintf "seq %d vs %d" seq0 seq1)
+        newest region)
+    [ (10, 12, 1); (12, 10, 0) ]
+
+(* Idle-time cleaning on every step, with no interval checkpoints. *)
+let eager_cleaning =
+  {
+    Helpers.test_config with
+    Config.bg_clean_start = 999;
+    bg_clean_stop = 1000;
+    checkpoint_interval_ops = 0;
+  }
+
+let clean_until_idle fs =
+  let rec go n = if n > 0 && Fs.clean_step fs > 0 then go (n - 1) in
+  go 20
+
+(* A file deleted and its inode number reused after the checkpoint: the
+   new file's blocks carry the bumped version, and roll-forward must
+   restore it, or the cleaner takes them for dead while the usage table
+   counts them live. *)
+let test_recover_reused_ino_version () =
+  let disk = Helpers.fresh_disk () in
+  Fs.format (Helpers.vdev disk) eager_cleaning;
+  let fs = Fs.mount (Helpers.vdev disk) in
+  let a = Fs.create fs ~dir:Fs.root "a" in
+  Fs.write fs a ~off:0 (Bytes.make 40_000 'a');
+  Fs.unlink fs ~dir:Fs.root "a";
+  let b = Fs.create fs ~dir:Fs.root "b" in
+  Alcotest.(check int) "ino reused" a b;
+  Fs.write fs b ~off:0 (Bytes.make 24_000 'b');
+  Fs.sync fs;
+  let version = (Fs.stat fs b).Fs.st_version in
+  let fs2, _ = Fs.recover ~config:eager_cleaning (Helpers.vdev disk) in
+  Alcotest.(check int) "version restored" version (Fs.stat fs2 b).Fs.st_version;
+  clean_until_idle fs2;
+  Helpers.check_bytes "file survives cleaning" (Bytes.make 24_000 'b')
+    (Option.get (Fs.read_path fs2 "/b"));
+  Helpers.fsck_clean fs2
+
+(* A mkdir whose parent update fills the write buffer flushes the new
+   directory's inode before the directory is initialised; that copy
+   must already be a parseable (empty) directory. *)
+let test_recover_mkdir_at_full_buffer () =
+  let disk, fs = Helpers.fresh_fs () in
+  let bs = (Fs.layout fs).Layout.block_size in
+  let f = Fs.create fs ~dir:Fs.root "f" in
+  Fs.sync fs;
+  let blocks = Helpers.test_config.Config.write_buffer_blocks - 1 in
+  Fs.write fs f ~off:0 (Bytes.make (blocks * bs) 'f');
+  ignore (Fs.mkdir fs ~dir:Fs.root "d");
+  let fs2, _ = Fs.recover (Helpers.vdev disk) in
+  Alcotest.(check (list (pair string int))) "new directory lists empty" []
+    (Fs.readdir fs2 (Option.get (Fs.resolve fs2 "/d")));
+  Helpers.fsck_clean fs2
+
 let suite =
   ( "recovery",
     [
@@ -583,4 +654,10 @@ let suite =
         test_stale_summary_past_tail_rollforward;
       Alcotest.test_case "stale summary: cleaner reads" `Quick
         test_stale_summary_past_tail_cleaner;
+      Alcotest.test_case "checkpoint tie: newer log wins" `Quick
+        test_checkpoint_tie_takes_newer_log;
+      Alcotest.test_case "reused ino keeps its version" `Quick
+        test_recover_reused_ino_version;
+      Alcotest.test_case "mkdir at a full write buffer" `Quick
+        test_recover_mkdir_at_full_buffer;
     ] )
