@@ -224,6 +224,7 @@ let relocate_item t item =
       Filemap.mark_indirect_dirty h.fmap ~sblockno;
       mark_dirty t ino
   | Live_inode ino ->
+      (* Cached first: the flush writes the dirty set from the handles. *)
       ignore (get_handle t ino : handle);
       mark_dirty t ino
   | Live_table_block (tb, i) -> rewrite_table_block t tb i

@@ -23,6 +23,12 @@ let test_config =
     cache_blocks = 128;
   }
 
+(* [test_config] with idle-time cleaning engaged on every
+   [Fs.clean_step] and no interval checkpoints. *)
+let eager_cleaning_config =
+  { test_config with bg_clean_start = 999; bg_clean_stop = 1000;
+    checkpoint_interval_ops = 0 }
+
 let fresh_disk ?blocks () = Disk.create (test_geometry ?blocks ())
 
 (* Tests keep the concrete [Disk.t] (for [snapshot] and [stats]) and

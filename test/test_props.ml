@@ -545,79 +545,56 @@ let dop_gen =
         (1, return D_crash);
       ])
 
-let dirty_config =
-  {
-    Helpers.test_config with
-    Lfs_core.Config.bg_clean_start = 999;
-    bg_clean_stop = 1_000;
-    checkpoint_interval_ops = 0;
-  }
-
 (* Namespace errors (a name taken, a parent gone, a directory not
    empty) are part of the op mix: the invariant holds after them too. *)
 let apply_dop disk fs op =
+  let dname d = Printf.sprintf "d%d" d and nm n = Printf.sprintf "n%d" n in
   let dir_ino d =
-    if d = 0 then Some Fs.root else Fs.lookup fs ~dir:Fs.root (Printf.sprintf "d%d" d)
+    if d = 0 then Some Fs.root else Fs.lookup fs ~dir:Fs.root (dname d)
   in
-  let nm n = Printf.sprintf "n%d" n in
+  let in_dir d f =
+    Option.iter (fun dir -> try f dir with Types.Fs_error _ -> ()) (dir_ino d)
+  in
   let file d n = Option.bind (dir_ino d) (fun dir -> Fs.lookup fs ~dir (nm n)) in
-  let attempt f = try f () with Lfs_core.Types.Fs_error _ -> () in
   match op with
-  | D_create (d, n) ->
-      Option.iter (fun dir -> attempt (fun () -> ignore (Fs.create fs ~dir (nm n))))
-        (dir_ino d);
-      fs
-  | D_write (d, n, off, len) ->
-      (* Creating the file if it is missing. *)
-      Option.iter
-        (fun dir ->
-          attempt (fun () ->
+  | D_crash ->
+      fst (Fs.recover ~config:Helpers.eager_cleaning_config (Helpers.vdev disk))
+  | _ ->
+      (match op with
+      | D_create (d, n) -> in_dir d (fun dir -> ignore (Fs.create fs ~dir (nm n)))
+      | D_write (d, n, off, len) ->
+          (* Creating the file if it is missing. *)
+          in_dir d (fun dir ->
               let ino =
                 match Fs.lookup fs ~dir (nm n) with
                 | Some ino -> ino
                 | None -> Fs.create fs ~dir (nm n)
               in
-              Fs.write fs ino ~off (Bytes.make len (Char.chr (65 + (off mod 26))))))
-        (dir_ino d);
+              Fs.write fs ino ~off (Bytes.make len (Char.chr (65 + (off mod 26)))))
+      | D_truncate (d, n, len) ->
+          in_dir d (fun _ -> Option.iter (fun ino -> Fs.truncate fs ino ~len) (file d n))
+      | D_link (d, n, d', n') ->
+          in_dir d' (fun dir ->
+              Option.iter (fun ino -> Fs.link fs ~dir (nm n') ino) (file d n))
+      | D_unlink (d, n) -> in_dir d (fun dir -> Fs.unlink fs ~dir (nm n))
+      | D_rename (d, n, d', n') ->
+          in_dir d (fun odir ->
+              in_dir d' (fun ndir -> Fs.rename fs ~odir (nm n) ~ndir (nm n')))
+      | D_mkdir d -> in_dir 0 (fun dir -> ignore (Fs.mkdir fs ~dir (dname d)))
+      | D_rmdir d -> in_dir 0 (fun dir -> Fs.rmdir fs ~dir (dname d))
+      | D_clean_step -> ignore (Fs.clean_step fs)
+      | D_checkpoint -> Fs.checkpoint fs
+      | D_sync -> Fs.sync fs
+      | D_crash -> ());
       fs
-  | D_truncate (d, n, len) ->
-      Option.iter (fun ino -> attempt (fun () -> Fs.truncate fs ino ~len)) (file d n);
-      fs
-  | D_link (d, n, d', n') ->
-      (match (file d n, dir_ino d') with
-      | Some ino, Some dir -> attempt (fun () -> Fs.link fs ~dir (nm n') ino)
-      | _ -> ());
-      fs
-  | D_unlink (d, n) ->
-      Option.iter (fun dir -> attempt (fun () -> Fs.unlink fs ~dir (nm n))) (dir_ino d);
-      fs
-  | D_rename (d, n, d', n') ->
-      (match (dir_ino d, dir_ino d') with
-      | Some odir, Some ndir ->
-          attempt (fun () -> Fs.rename fs ~odir (nm n) ~ndir (nm n'))
-      | _ -> ());
-      fs
-  | D_mkdir d ->
-      attempt (fun () -> ignore (Fs.mkdir fs ~dir:Fs.root (Printf.sprintf "d%d" d)));
-      fs
-  | D_rmdir d ->
-      attempt (fun () -> Fs.rmdir fs ~dir:Fs.root (Printf.sprintf "d%d" d));
-      fs
-  | D_clean_step ->
-      ignore (Fs.clean_step fs);
-      fs
-  | D_checkpoint ->
-      Fs.checkpoint fs;
-      fs
-  | D_sync ->
-      Fs.sync fs;
-      fs
-  | D_crash -> fst (Fs.recover ~config:dirty_config (Helpers.vdev disk))
+
+module Inode = Lfs_core.Inode
+module Filemap = Lfs_core.Filemap
+module Iaddr = Types.Iaddr
 
 (* The handles outside the dirty set that differ from the log. *)
 let stale_clean_handles disk fs =
   let layout = Fs.layout fs in
-  let bs = layout.Lfs_core.Layout.block_size in
   let isz = layout.Lfs_core.Layout.inode_size in
   let dirty = Fs.dirty_inos fs in
   List.filter
@@ -625,32 +602,29 @@ let stale_clean_handles disk fs =
       (not (List.mem ino dirty))
       && Fs.with_handle fs ino (fun inode fmap ->
              let iaddr = Fs.imap_location fs ino in
-             let block = Lfs_core.Types.Iaddr.block iaddr in
-             let slot = Lfs_core.Types.Iaddr.slot iaddr in
+             let block = Iaddr.block iaddr and slot = Iaddr.slot iaddr in
              (* The inode as a flush would write it. *)
-             let inode = Lfs_core.Inode.copy inode in
+             let inode = Inode.copy inode in
              Array.iteri
-               (fun i _ -> inode.Lfs_core.Inode.direct.(i) <- Lfs_core.Filemap.get fmap i)
-               inode.Lfs_core.Inode.direct;
-             let mine = Bytes.make bs '\000' in
-             Lfs_core.Inode.encode inode mine ~slot;
-             Lfs_core.Filemap.dirty fmap
-             || Lfs_core.Types.Iaddr.is_nil iaddr
-             || block = 0
-             || not
-                  (Bytes.equal (Bytes.sub mine (slot * isz) isz)
-                     (Bytes.sub (Disk.read_block disk block) (slot * isz) isz))))
+               (fun i _ -> inode.Inode.direct.(i) <- Filemap.get fmap i)
+               inode.Inode.direct;
+             let mine = Bytes.make layout.Lfs_core.Layout.block_size '\000' in
+             Inode.encode inode mine ~slot;
+             let slot_of b = Bytes.sub b (slot * isz) isz in
+             Filemap.dirty fmap || Iaddr.is_nil iaddr || block = 0
+             || not (Bytes.equal (slot_of mine) (slot_of (Disk.read_block disk block)))))
     (Fs.cached_inos fs)
 
 let prop_dirty_set =
-  QCheck.Test.make ~count:200 ~name:"a handle outside the dirty set matches the log"
+  QCheck.Test.make ~count:200
+    ~name:"a handle outside the dirty set matches the log"
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map print_dop ops))
        ~shrink:QCheck.Shrink.list
        QCheck.Gen.(list_size (int_range 1 120) dop_gen))
     (fun ops ->
       let disk = Helpers.fresh_disk ~blocks:1024 () in
-      Fs.format (Helpers.vdev disk) dirty_config;
+      Fs.format (Helpers.vdev disk) Helpers.eager_cleaning_config;
       let fs = ref (Fs.mount (Helpers.vdev disk)) in
       List.for_all
         (fun op ->
@@ -658,7 +632,8 @@ let prop_dirty_set =
           (match stale_clean_handles disk !fs with
           | [] -> ()
           | inos ->
-              QCheck.Test.fail_reportf "after %s: handles %s are stale" (print_dop op)
+              QCheck.Test.fail_reportf "after %s: handles %s are stale"
+                (print_dop op)
                 (String.concat ", " (List.map string_of_int inos)));
           op <> D_sync || Fs.dirty_inos !fs = [])
         ops)

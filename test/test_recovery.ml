@@ -569,15 +569,6 @@ let test_checkpoint_tie_takes_newer_log () =
         newest region)
     [ (10, 12, 1); (12, 10, 0) ]
 
-(* Idle-time cleaning on every step, with no interval checkpoints. *)
-let eager_cleaning =
-  {
-    Helpers.test_config with
-    Config.bg_clean_start = 999;
-    bg_clean_stop = 1000;
-    checkpoint_interval_ops = 0;
-  }
-
 let clean_until_idle fs =
   let rec go n = if n > 0 && Fs.clean_step fs > 0 then go (n - 1) in
   go 20
@@ -588,7 +579,7 @@ let clean_until_idle fs =
    counts them live. *)
 let test_recover_reused_ino_version () =
   let disk = Helpers.fresh_disk () in
-  Fs.format (Helpers.vdev disk) eager_cleaning;
+  Fs.format (Helpers.vdev disk) Helpers.eager_cleaning_config;
   let fs = Fs.mount (Helpers.vdev disk) in
   let a = Fs.create fs ~dir:Fs.root "a" in
   Fs.write fs a ~off:0 (Bytes.make 40_000 'a');
@@ -598,7 +589,9 @@ let test_recover_reused_ino_version () =
   Fs.write fs b ~off:0 (Bytes.make 24_000 'b');
   Fs.sync fs;
   let version = (Fs.stat fs b).Fs.st_version in
-  let fs2, _ = Fs.recover ~config:eager_cleaning (Helpers.vdev disk) in
+  let fs2, _ =
+    Fs.recover ~config:Helpers.eager_cleaning_config (Helpers.vdev disk)
+  in
   Alcotest.(check int) "version restored" version (Fs.stat fs2 b).Fs.st_version;
   clean_until_idle fs2;
   Helpers.check_bytes "file survives cleaning" (Bytes.make 24_000 'b')
