@@ -1505,6 +1505,48 @@ let micro () =
            Lfs_core.Inode.encode inode b ~slot:3;
            ignore (Lfs_core.Inode.decode b ~slot:3)))
   in
+  (* A warm cache lends the inode block to the decoder: no copy. *)
+  let cache =
+    Lfs_disk.Vdev_cache.create ~capacity:16
+      (Lfs_disk.Vdev.of_disk
+         (Lfs_disk.Disk.create (Lfs_disk.Geometry.instant ~blocks:64)))
+  in
+  let iblock = Bytes.make 4096 '\000' in
+  Lfs_core.Inode.encode inode iblock ~slot:3;
+  Lfs_disk.Vdev.write_block (Lfs_disk.Vdev_cache.vdev cache) 9 iblock;
+  let test_inode_load_hit =
+    Test.make ~name:"inode-load-hit"
+      (Staged.stage (fun () ->
+           ignore
+             (Lfs_disk.Vdev_cache.with_block cache 9 (fun blk ->
+                  Option.get (Lfs_core.Inode.decode blk ~slot:3)))))
+  in
+  (* Roll-forward's check of one 64-block write: read into the reader's
+     buffer, then checksum. *)
+  let layout = Lfs_core.Fs.layout fs in
+  let seg = 2 in
+  let first = Lfs_core.Layout.seg_first_block layout seg in
+  let entry =
+    { Lfs_core.Summary.kind = Lfs_core.Types.Data; ino = 1; blockno = 0; version = 0; mtime = 0.0 }
+  in
+  let summary =
+    {
+      Lfs_core.Summary.seq = 1;
+      seg;
+      slot = 0;
+      next_seg = -1;
+      timestamp = 0.0;
+      payload_sum =
+        Lfs_core.Summary.payload_checksum (Lfs_disk.Vdev.read_blocks disk (first + 1) 64);
+      entries = List.init 64 (fun _ -> entry);
+    }
+  in
+  let reader = Lfs_core.Recovery.reader layout disk in
+  let test_payload_verify =
+    Test.make ~name:"payload-verify-64"
+      (Staged.stage (fun () ->
+           assert (Lfs_core.Recovery.payload_intact reader summary)))
+  in
   let test_checksum =
     Test.make ~name:"adler32-4k"
       (Staged.stage (fun () -> ignore (Lfs_util.Checksum.adler32 payload)))
@@ -1553,6 +1595,8 @@ let micro () =
         test_write;
         test_read;
         test_inode_codec;
+        test_inode_load_hit;
+        test_payload_verify;
         test_checksum;
         test_checksum_batch;
         test_dir_codec;

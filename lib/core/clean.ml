@@ -66,16 +66,15 @@ let prefetch_runs t ~prefetched addrs =
   go addrs
 
 (* Every log write a victim's summary chain describes, as (entry,
-   address, payload thunk) triples; [read] fetches the block at an
-   address, and a payload thunk gives its block as a buffer and the
-   block's byte offset in it.  The cleaner applies no sequence rule: a
-   stale summary from a previous life of the segment, sitting where the
-   chain continues, is walked too, and the entries it describes simply
-   fail the liveness checks. *)
+   address, payload thunk) triples; [read] and a payload thunk each give
+   a block as a buffer and the block's byte offset in it.  The cleaner
+   applies no sequence rule: a stale summary from a previous life of the
+   segment, sitting where the chain continues, is walked too, and the
+   entries it describes simply fail the liveness checks. *)
 let victim_entries t ~seg ~read ~payload =
   let first = Layout.seg_first_block t.layout seg in
   let results = ref [] in
-  Summary.walk_segment ~seg_blocks:t.layout.Layout.seg_blocks ~seg
+  Summary.walk_segment t.layout ~seg
     ~read:(fun slot -> read (first + slot))
     (fun s ->
       List.iteri
@@ -98,7 +97,7 @@ let read_victim t ~prefetched seg =
       let bs = block_size t in
       let off addr = (addr - first) * bs in
       victim_entries t ~seg
-        ~read:(fun addr -> Bytes.sub buf (off addr) bs)
+        ~read:(fun addr -> (buf, off addr))
         ~payload:(fun addr () -> (buf, off addr))
   | Config.Live_blocks ->
       (* Payload thunks serve from [prefetched] when a coalescing pass
@@ -107,13 +106,13 @@ let read_victim t ~prefetched seg =
          actually needed. *)
       let read addr =
         Metrics.incr t.acct.cleaner_read;
-        Vdev.read_block t.dev addr
+        (Vdev.read_block t.dev addr, 0)
       in
       let entries =
         victim_entries t ~seg ~read ~payload:(fun addr () ->
             match Hashtbl.find_opt prefetched addr with
             | Some slice -> slice
-            | None -> (read addr, 0))
+            | None -> read addr)
       in
       (* Classification decodes inode blocks immediately; pull them in
          as coalesced runs before it starts. *)
@@ -180,16 +179,12 @@ let classify_live t (e : Summary.entry) addr payload =
       then [ Live_indirect { ino = e.Summary.ino; sblockno = e.Summary.blockno } ]
       else []
   | Types.Inode_block ->
-      let payload =
-        let b, pos = payload () in
-        Bytes.sub b pos (block_size t)
-      in
+      let b, pos = payload () in
       let acc = ref [] in
       for slot = 0 to t.layout.Layout.inodes_per_block - 1 do
-        match Inode.decode payload ~slot with
+        match Inode.decode_ino b ~pos ~slot with
         | None -> ()
-        | Some inode ->
-            let ino = inode.Inode.ino in
+        | Some ino ->
             if
               ino >= 0
               && ino < Inode_map.max_inodes t.imap

@@ -14,11 +14,11 @@ let iter ~block_size ~off ~len f =
     pos := !pos + n
   done
 
-let read ~block_size ~size ~read_block ~off ~len =
+let read ~block_size ~size ~with_block ~off ~len =
   check ~off ~len;
   let out = Bytes.create (max 0 (min len (size - off))) in
   iter ~block_size ~off ~len:(Bytes.length out) (fun blockno ~pos ~at ~n ->
-      Bytes.blit (read_block blockno) at out pos n);
+      with_block blockno (fun b -> Bytes.blit b at out pos n));
   out
 
 let write ~block_size ~read_block ~off data put =

@@ -2,7 +2,7 @@
 
     The read walk, the read-modify-write walk and the write-back of a
     changed directory, shared by {!Fs} and [Lfs_ffs.Ffs].  Each
-    file system passes its own [read_block] (dirty buffer, else the
+    file system passes its own block source (dirty buffer, else the
     mapped disk block, else a zero block) and its own per-block action,
     so where a block goes — the LFS write buffer, the FFS dirty table,
     a synchronous FFS directory write — stays with the file system. *)
@@ -10,13 +10,16 @@
 val read :
   block_size:int ->
   size:int ->
-  read_block:(int -> bytes) ->
+  with_block:(int -> (bytes -> unit) -> unit) ->
   off:int ->
   len:int ->
   bytes
 (** The bytes of [\[off, off + len)] that lie below [size], in order;
-    reads past [size] are cut short.  Raises {!Types.Fs_error} on a
-    negative [off] or [len]. *)
+    reads past [size] are cut short.  [with_block blockno f] applies
+    [f] to file block [blockno]; the buffer may be borrowed (a cache's
+    resident block, a shared zero block) and valid only inside [f],
+    which only blits out of it.  Raises {!Types.Fs_error} on a negative
+    [off] or [len]. *)
 
 val write :
   block_size:int ->
@@ -29,7 +32,8 @@ val write :
     ~hi] for each block the range [\[off, off + length data)] touches,
     first to last: [b] is the block's new contents (a slice of [data]
     when the range covers the whole block, else [read_block blockno]
-    with [data]'s part copied in) and [hi] the file offset just past
+    with [data]'s part copied in, so [read_block] must return a buffer
+    the caller owns) and [hi] the file offset just past
     the bytes written into it.  Raises {!Types.Fs_error} on a negative
     [off] before calling anything. *)
 

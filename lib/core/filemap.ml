@@ -32,9 +32,7 @@ let chunk_of_index t i =
   else if i < Inode.ndirect + k then `Single
   else `L1 ((i - Inode.ndirect - k) / k)
 
-let decode_addrs b =
-  let n = Bytes.length b / 8 in
-  Array.init n (fun i -> Int64.to_int (Bytes.get_int64_le b (i * 8)))
+let addr_at b j = Int64.to_int (Bytes.get_int64_le b (j * 8))
 
 let encode_addrs layout addrs lo hi =
   let b = Bytes.make layout.Layout.block_size '\000' in
@@ -85,7 +83,20 @@ let ensure_chunks t c =
     t.l1_dirty <- d
   end
 
-let load ~read layout (inode : Inode.t) =
+(* Enter the pointers of indirect block [b] as file blocks [base, base +
+   K). *)
+let load_pointers t b ~base =
+  let kk = k t in
+  ensure_map t (base + kk);
+  for j = 0 to kk - 1 do
+    let a = addr_at b j in
+    if a <> Types.nil_addr then begin
+      t.map.(base + j) <- a;
+      t.capacity_used <- max t.capacity_used (base + j + 1)
+    end
+  done
+
+let load ~with_block layout (inode : Inode.t) =
   let t = create_empty layout inode in
   let kk = layout.Layout.addrs_per_block in
   ensure_map t (Inode.nblocks ~block_size:layout.Layout.block_size inode);
@@ -97,37 +108,25 @@ let load ~read layout (inode : Inode.t) =
     end
   done;
   t.single_addr <- inode.Inode.indirect;
-  if t.single_addr <> Types.nil_addr then begin
-    let entries = decode_addrs (read t.single_addr) in
-    ensure_map t (Inode.ndirect + kk);
-    Array.iteri
-      (fun j a ->
-        if a <> Types.nil_addr then begin
-          t.map.(Inode.ndirect + j) <- a;
-          t.capacity_used <- max t.capacity_used (Inode.ndirect + j + 1)
-        end)
-      entries
-  end;
+  if t.single_addr <> Types.nil_addr then
+    with_block t.single_addr (fun b -> load_pointers t b ~base:Inode.ndirect);
   t.l2_addr <- inode.Inode.dindirect;
   if t.l2_addr <> Types.nil_addr then begin
-    let l1s = decode_addrs (read t.l2_addr) in
-    Array.iteri
-      (fun c l1 ->
-        if l1 <> Types.nil_addr then begin
-          ensure_chunks t c;
-          t.l1_addrs.(c) <- l1;
-          let base = Inode.ndirect + kk + (c * kk) in
-          let entries = decode_addrs (read l1) in
-          ensure_map t (base + kk);
-          Array.iteri
-            (fun j a ->
-              if a <> Types.nil_addr then begin
-                t.map.(base + j) <- a;
-                t.capacity_used <- max t.capacity_used (base + j + 1)
-              end)
-            entries
-        end)
-      l1s
+    (* The L1 addresses leave the L2 block before any L1 block is read:
+       one borrowed block at a time. *)
+    let l1s = ref [] in
+    with_block t.l2_addr (fun b ->
+        for c = kk - 1 downto 0 do
+          let l1 = addr_at b c in
+          if l1 <> Types.nil_addr then l1s := (c, l1) :: !l1s
+        done);
+    List.iter
+      (fun (c, l1) ->
+        ensure_chunks t c;
+        t.l1_addrs.(c) <- l1;
+        with_block l1 (fun b ->
+            load_pointers t b ~base:(Inode.ndirect + kk + (c * kk))))
+      !l1s
   end;
   t
 

@@ -14,8 +14,12 @@
 
 type t
 
-val load : read:(Types.baddr -> bytes) -> Layout.t -> Inode.t -> t
-(** Materialise the map by reading the file's indirect blocks. *)
+val load :
+  with_block:(Types.baddr -> (bytes -> unit) -> unit) -> Layout.t -> Inode.t -> t
+(** Materialise the map by reading the file's indirect blocks:
+    [with_block addr f] applies [f] to the block at [addr] and may lend
+    a buffer valid only inside [f] (the {!Lfs_disk.Vdev_cache.with_block}
+    contract).  [f] decodes straight from it and reads nothing else. *)
 
 val create_empty : Layout.t -> Inode.t -> t
 (** Map for a freshly created (empty) file; reads nothing. *)

@@ -56,16 +56,22 @@ let drop_caches t =
 
 (* {1 File block IO} *)
 
-let read_file_block t h ino blockno =
+(* Apply [f] to file block [blockno]: the buffered copy, the cached
+   disk block (borrowed, see {!Fs_state.with_block}) or, for a hole, the
+   shared zero block — so [f] only reads. *)
+let with_file_block t h ino blockno f =
   match Hashtbl.find_opt t.dirty_data (ino, blockno) with
-  | Some b -> Bytes.copy b
+  | Some b -> f b
   | None ->
       let addr = Filemap.get h.fmap blockno in
-      if addr = Types.nil_addr then Bytes.make (block_size t) '\000'
+      if addr = Types.nil_addr then f t.zeros
       else begin
         Tier_policy.note_read t addr;
-        read_disk_block t addr
+        with_block t addr f
       end
+
+(* A copy of file block [blockno] that the caller owns and may write. *)
+let read_file_block t h ino blockno = with_file_block t h ino blockno Bytes.copy
 
 let put_dirty_block t ino blockno b =
   Hashtbl.replace t.dirty_data (ino, blockno) b
@@ -122,7 +128,7 @@ let read_any t ino ~off ~len =
   let h = get_handle t ino in
   let out =
     File_range.read ~block_size:(block_size t) ~size:h.inode.Inode.size
-      ~read_block:(read_file_block t h ino) ~off ~len
+      ~with_block:(with_file_block t h ino) ~off ~len
   in
   Inode_map.set_atime t.imap ino t.clock;
   out
@@ -391,14 +397,12 @@ let reaccount_inode t ~versions (ino, new_iaddr) =
   let old_iaddr = Inode_map.location t.imap ino in
   let old_map = Hashtbl.create 64 in
   (if not (Types.Iaddr.is_nil old_iaddr) then
-     match
-       Inode.decode
-         (read_disk_block t (Types.Iaddr.block old_iaddr))
-         ~slot:(Types.Iaddr.slot old_iaddr)
-     with
+     match decode_inode t old_iaddr with
      | None -> ()
      | Some old_inode ->
-         let old_fmap = Filemap.load ~read:(read_disk_block t) t.layout old_inode in
+         let old_fmap =
+           Filemap.load ~with_block:(with_block t) t.layout old_inode
+         in
          Filemap.iter_mapped old_fmap (fun i a -> Hashtbl.replace old_map (`Data i) a);
          List.iter
            (fun (s, a) -> Hashtbl.replace old_map (`Ind s) a)

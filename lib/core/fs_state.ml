@@ -195,6 +195,7 @@ type t = {
   pool : Seg_pool.t;
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
   acct : acct;
+  zeros : bytes;  (* one block of zeros that reads of holes borrow *)
   mutable clock : float;
   mutable ops_since_ckpt : int;
   mutable blocks_since_ckpt : int;
@@ -224,7 +225,10 @@ let block_size t = t.layout.Layout.block_size
    block 0 is the superblock so no real inode can ever live there. *)
 let placeholder_iaddr = Types.Iaddr.make ~block:0 ~slot:0
 
-let read_disk_block t addr = Vdev.read_block t.dev addr
+(* Apply [f] to block [addr] as the cache holds it, under
+   {!Vdev_cache.with_block}'s borrow contract: [f] decodes or blits and
+   does no IO. *)
+let with_block t addr f = Vdev_cache.with_block t.cache addr f
 
 let clean_segment_count t = Seg_usage.clean_count t.usage
 
@@ -279,18 +283,21 @@ let attributed t ~cleaner f =
 
 (* {1 Inode handles} *)
 
+let decode_inode t iaddr =
+  with_block t (Types.Iaddr.block iaddr) (fun b ->
+      Inode.decode b ~slot:(Types.Iaddr.slot iaddr))
+
 let load_handle t ino =
   let iaddr = Inode_map.location t.imap ino in
   if Types.Iaddr.is_nil iaddr then Types.fs_error "no such inode %d" ino;
   if Types.Iaddr.equal iaddr placeholder_iaddr then
     Types.corrupt "inode %d has no on-disk copy and no handle" ino;
-  let b = read_disk_block t (Types.Iaddr.block iaddr) in
-  match Inode.decode b ~slot:(Types.Iaddr.slot iaddr) with
+  match decode_inode t iaddr with
   | None -> Types.corrupt "inode %d: slot %a is unused" ino Types.Iaddr.pp iaddr
   | Some inode ->
       if inode.Inode.ino <> ino then
         Types.corrupt "inode %d: slot holds inode %d" ino inode.Inode.ino;
-      let fmap = Filemap.load ~read:(read_disk_block t) t.layout inode in
+      let fmap = Filemap.load ~with_block:(with_block t) t.layout inode in
       { inode; fmap; content = None }
 
 let get_handle t ino =
@@ -616,6 +623,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       pool;
       cleaner_attr;
       acct;
+      zeros = Bytes.make layout.Layout.block_size '\000';
       clock;
       ops_since_ckpt = 0;
       blocks_since_ckpt = 0;

@@ -1,5 +1,3 @@
-module Vdev = Lfs_disk.Vdev
-
 type report = {
   errors : string list;
   files : int;
@@ -91,23 +89,19 @@ let check fs =
      chain reaches means the summary chain itself was truncated or
      corrupted.  Structural checks above can all pass in both cases —
      the block pointers are fine, the bytes are not. *)
-  let disk = List.hd (Fs.devices fs) in
+  let r = Recovery.reader layout (List.hd (Fs.devices fs)) in
   let covered : (Types.baddr, bool) Hashtbl.t = Hashtbl.create 1024 in
   for seg = 0 to layout.Layout.nsegs - 1 do
     let first = Layout.seg_first_block layout seg in
     let last_seq = ref (-1) in
-    Summary.walk_segment ~seg_blocks:layout.Layout.seg_blocks ~seg
-      ~read:(fun slot -> Vdev.read_block disk (first + slot))
+    Summary.walk_segment layout ~seg
+      ~read:(fun slot -> (Recovery.read_block r (first + slot), 0))
       (fun s ->
         s.Summary.seq > !last_seq
         && begin
              last_seq := s.Summary.seq;
              let n = List.length s.Summary.entries in
-             let ok =
-               Summary.payload_checksum
-                 (Vdev.read_blocks disk (first + s.Summary.slot + 1) n)
-               = s.Summary.payload_sum
-             in
+             let ok = Recovery.payload_intact r s in
              for i = 0 to n - 1 do
                Hashtbl.replace covered (first + s.Summary.slot + 1 + i) ok
              done;

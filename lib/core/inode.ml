@@ -44,12 +44,27 @@ let encode t b ~slot =
   Codec.put_int c t.indirect;
   Codec.put_int c t.dindirect
 
-let decode b ~slot =
-  let c = Codec.at b (slot * slot_size) in
+(* Reads the magic byte at [c]: whether the slot is used.  Raises on a
+   bad magic. *)
+let slot_used c ~slot =
   let m = Codec.get_u8 c in
-  if m = slot_free then None
+  if m = slot_free then false
   else if m <> slot_magic then
     Types.corrupt "inode slot %d: bad magic %#x" slot m
+  else true
+
+let decode_ino ?(pos = 0) b ~slot =
+  let c = Codec.at b (pos + (slot * slot_size)) in
+  if not (slot_used c ~slot) then None
+  else begin
+    (* Past the ftype and link count. *)
+    Codec.seek c (Codec.pos c + 3);
+    Some (Codec.get_u32 c)
+  end
+
+let decode ?(pos = 0) b ~slot =
+  let c = Codec.at b (pos + (slot * slot_size)) in
+  if not (slot_used c ~slot) then None
   else begin
     let ftype = Types.ftype_of_int (Codec.get_u8 c) in
     let nlink = Codec.get_u16 c in

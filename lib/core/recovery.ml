@@ -1,4 +1,5 @@
 module Vdev = Lfs_disk.Vdev
+module Io_queue = Lfs_disk.Io_queue
 
 type write = { summary : Summary.t; blocks : (int * bytes) list }
 
@@ -28,6 +29,32 @@ let load_blocks layout disk s =
          else [])
        s.Summary.entries)
 
+(* {1 Reading the log into the reader's own buffers} *)
+
+type reader = {
+  dev : Vdev.t;
+  layout : Layout.t;
+  block : bytes;  (* one block: the summary being walked *)
+  mutable payload : bytes;  (* grown to the largest payload verified *)
+}
+
+let reader layout dev =
+  { dev; layout; block = Bytes.create layout.Layout.block_size; payload = Bytes.empty }
+
+let read_block r addr =
+  ignore (Vdev.submit_read_into r.dev addr 1 r.block ~pos:0 : Io_queue.ticket);
+  r.block
+
+let payload_intact r (s : Summary.t) =
+  let n = List.length s.Summary.entries in
+  let len = n * r.layout.Layout.block_size in
+  if Bytes.length r.payload < len then r.payload <- Bytes.create len;
+  ignore
+    (Vdev.submit_read_into r.dev (Summary.entry_addr s r.layout 0) n r.payload
+       ~pos:0
+      : Io_queue.ticket);
+  Summary.payload_checksum ~len r.payload = s.Summary.payload_sum
+
 (* One head's chain walk.  [steps] are the intact summaries in walk
    order (strictly increasing seq); [torn] is the first summary whose
    payload failed its checksum, which ends the chain. *)
@@ -37,7 +64,7 @@ type chain = {
   scanned : int;
 }
 
-let walk_chain layout disk ~ckpt ~start_seg =
+let walk_chain layout r ~ckpt ~start_seg =
   let seg_blocks = layout.Layout.seg_blocks in
   let steps = ref [] in
   let torn = ref None in
@@ -54,8 +81,8 @@ let walk_chain layout disk ~ckpt ~start_seg =
       Hashtbl.replace visited seg ();
       let first = Layout.seg_first_block layout seg in
       let exhausted = ref None in
-      Summary.walk_segment ~seg_blocks ~seg
-        ~read:(fun slot -> Vdev.read_block disk (first + slot))
+      Summary.walk_segment layout ~seg
+        ~read:(fun slot -> (read_block r (first + slot), 0))
         (fun s ->
           s.Summary.seq > !last_seq
           &&
@@ -67,13 +94,7 @@ let walk_chain layout disk ~ckpt ~start_seg =
              fsync barrier spans every head, truncates all chains at its
              sequence number (see [scan]). *)
           let intact =
-            s.Summary.seq < ckpt.Checkpoint.log_seq
-            ||
-            let payload =
-              Vdev.read_blocks disk (first + s.Summary.slot + 1)
-                (List.length s.Summary.entries)
-            in
-            Summary.payload_checksum payload = s.Summary.payload_sum
+            s.Summary.seq < ckpt.Checkpoint.log_seq || payload_intact r s
           in
           if not intact then torn := Some s
           else begin
@@ -99,10 +120,11 @@ let walk_chain layout disk ~ckpt ~start_seg =
   { steps = List.rev !steps; torn = !torn; scanned = !scanned }
 
 let scan layout disk ~ckpt =
+  let r = reader layout disk in
   let chains =
     Array.map
       (fun (h : Log_writer.position) ->
-        walk_chain layout disk ~ckpt ~start_seg:h.seg)
+        walk_chain layout r ~ckpt ~start_seg:h.seg)
       ckpt.Checkpoint.heads
   in
   (* The durability frontier is global: a completed fsync barrier awaits
@@ -239,11 +261,10 @@ let digest layout writes =
               let payload = List.assoc i w.blocks in
               let block = Summary.entry_addr w.summary layout i in
               for slot = 0 to layout.Layout.inodes_per_block - 1 do
-                match Inode.decode payload ~slot with
+                match Inode.decode_ino payload ~slot with
                 | None -> ()
-                | Some inode ->
-                    Hashtbl.replace latest inode.Inode.ino
-                      (Types.Iaddr.make ~block ~slot, seq)
+                | Some ino ->
+                    Hashtbl.replace latest ino (Types.Iaddr.make ~block ~slot, seq)
               done
           | Types.Data ->
               incr data_blocks;

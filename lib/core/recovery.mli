@@ -47,6 +47,26 @@ type result = {
 val scan : Layout.t -> Lfs_disk.Vdev.t -> ckpt:Checkpoint.t -> result
 (** Follow every head's chain from [ckpt]'s positions until each ends. *)
 
+(** {1 The payload verifier}
+
+    The scan and [Fsck]'s integrity pass read summaries and verify
+    payloads the same way: through {!Lfs_disk.Vdev.submit_read_into}
+    into buffers a [reader] owns, so a scan allocates no block per
+    summary or per write. *)
+
+type reader
+
+val reader : Layout.t -> Lfs_disk.Vdev.t -> reader
+
+val read_block : reader -> Types.baddr -> bytes
+(** The block at an address, in the reader's one-block buffer: valid
+    until the reader's next [read_block]. *)
+
+val payload_intact : reader -> Summary.t -> bool
+(** Whether the payload blocks of the summary's write, read into the
+    reader's payload buffer (grown to the largest write checked), match
+    its [payload_sum]. *)
+
 (** {1 The roll-forward digest}
 
     What roll-forward needs from the scanned writes, computed from the

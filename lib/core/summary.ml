@@ -57,14 +57,17 @@ let encode_into ~block_size t b =
   Codec.put_u32 c0 sum;
   Codec.put_u32 c0 0
 
-let decode b =
-  let c0 = Codec.reader b in
+let decode ?(pos = 0) ?block_size b =
+  let block_size =
+    match block_size with Some n -> n | None -> Bytes.length b - pos
+  in
+  let c0 = Codec.at b pos in
   let stored = Codec.get_u32 c0 in
   let _pad = Codec.get_u32 c0 in
-  let sum = Checksum.adler32 ~pos:8 b in
+  let sum = Checksum.adler32 ~pos:(pos + 8) ~len:(block_size - 8) b in
   if stored <> sum then None
   else begin
-    let c = Codec.at b 8 in
+    let c = Codec.at b (pos + 8) in
     let m = Codec.get_u32 c in
     if m <> magic then None
     else begin
@@ -75,9 +78,9 @@ let decode b =
       let timestamp = Codec.get_float c in
       let payload_sum = Codec.get_u32 c in
       let n = Codec.get_u32 c in
-      if n > max_entries ~block_size:(Bytes.length b) then None
+      if n > max_entries ~block_size then None
       else begin
-        Codec.seek c header_size;
+        Codec.seek c (pos + header_size);
         let entries =
           List.init n (fun _ ->
               let kind = Types.block_kind_of_int (Codec.get_u8 c) in
@@ -98,10 +101,13 @@ let entry_addr t layout i = Layout.seg_first_block layout t.seg + t.slot + 1 + i
 
 let next_slot t = t.slot + 1 + List.length t.entries
 
-let walk_segment ~seg_blocks ~seg ~read visit =
+let walk_segment layout ~seg ~read visit =
+  let seg_blocks = layout.Layout.seg_blocks
+  and block_size = layout.Layout.block_size in
   let rec walk slot =
     if slot <= seg_blocks - 2 then
-      match decode (read slot) with
+      let b, pos = read slot in
+      match decode ~pos ~block_size b with
       | Some s
         when s.seg = seg && s.slot = slot
              && slot + 1 + List.length s.entries <= seg_blocks ->

@@ -39,9 +39,11 @@ val encode_into : block_size:int -> t -> bytes -> unit
     [Invalid_argument] if there are more entries than {!max_entries} or
     the buffer is shorter than a block. *)
 
-val decode : bytes -> t option
-(** [None] when the block is not a valid summary (bad magic or header
-    checksum) — the normal way a log scan terminates. *)
+val decode : ?pos:int -> ?block_size:int -> bytes -> t option
+(** Decode the [block_size]-byte block at byte [pos] of the buffer
+    (defaults: 0 and the rest of the buffer), in place.  [None] when the
+    block is not a valid summary (bad magic or header checksum) — the
+    normal way a log scan terminates. *)
 
 val payload_checksum : ?pos:int -> ?len:int -> bytes -> int
 (** Checksum to store in / compare against [payload_sum], over [len]
@@ -54,10 +56,13 @@ val next_slot : t -> int
 (** Segment slot just past this write ([slot + 1 + entries]). *)
 
 val walk_segment :
-  seg_blocks:int -> seg:int -> read:(int -> bytes) -> (t -> bool) -> unit
+  Layout.t -> seg:int -> read:(int -> bytes * int) -> (t -> bool) -> unit
 (** The one walk of a segment's summary chain, shared by the cleaner,
-    roll-forward and fsck.  Starting at slot 0, [read slot] fetches the
-    block at that slot of segment [seg]; the walk ends at the first block
+    roll-forward and fsck.  Starting at slot 0, [read slot] gives the
+    block at that slot of segment [seg] as a buffer and the block's byte
+    offset in it (decoded in place before [visit] runs and not kept, so
+    [read] may return one buffer every time); the walk ends at the
+    first block
     that does not decode, does not identify itself as ([seg], that slot),
     or describes a write that would not fit in the segment.  Each summary
     that passes is handed to [visit], and the walk goes on just past its

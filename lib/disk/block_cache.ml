@@ -1,9 +1,12 @@
 (* Exact LRU: an intrusive doubly-linked list threaded through the
    entries plus a hash table for lookup.  Every entry's buffer belongs to
-   the cache: blocks are copied in, and copied or blitted out.  A buffer
-   whose entry leaves (eviction, invalidation) goes to a free list of at
-   most [capacity] buffers, and the next new entry reuses it, so a warm
-   cache fills without allocating. *)
+   the cache: blocks are copied or fetched in, and blitted out or lent
+   to a [with_block] callback.  A buffer whose entry leaves (eviction,
+   invalidation) goes to a free list of at most [capacity] buffers, and
+   the next new entry reuses it, so a warm cache fills without
+   allocating.  While a buffer is lent, [borrowed] is set and every
+   operation raises: any of them could evict the lent entry and hand its
+   buffer to another block. *)
 
 type node = {
   addr : int;
@@ -22,7 +25,10 @@ type t = {
   mutable misses : int;
   free : bytes array;  (* [free.(0 .. nfree - 1)] are unused buffers *)
   mutable nfree : int;
+  mutable borrowed : bool;
 }
+
+type fetch = int -> int -> bytes -> int -> unit
 
 let create ~capacity ~block_size =
   {
@@ -35,7 +41,11 @@ let create ~capacity ~block_size =
     misses = 0;
     free = Array.make (max 0 capacity) Bytes.empty;
     nfree = 0;
+    borrowed = false;
   }
+
+let check_free t =
+  if t.borrowed then invalid_arg "Block_cache: used while a block is borrowed"
 
 let unlink t n =
   (match n.prev with
@@ -60,13 +70,17 @@ let touch t n =
       unlink t n;
       push_front t n
 
-(* Give [n]'s buffer back: nothing may read [n.data] afterwards.  A node
-   that already gave it back (see the defect in [read_range]) has none. *)
-let release t n =
-  if n.data != Bytes.empty && t.nfree < t.capacity then begin
-    t.free.(t.nfree) <- n.data;
+let give_back t b =
+  if t.nfree < t.capacity then begin
+    t.free.(t.nfree) <- b;
     t.nfree <- t.nfree + 1
-  end;
+  end
+
+(* Give [n]'s buffer back: nothing may read [n.data] afterwards.  A node
+   that already gave it back (see the defect in [read_range_into]) has
+   none. *)
+let release t n =
+  if n.data != Bytes.empty then give_back t n.data;
   n.data <- Bytes.empty
 
 let evict_lru t =
@@ -84,36 +98,76 @@ let fresh_buffer t =
     t.free.(t.nfree)
   end
 
+(* Enter [data] as the contents of [addr], which the table lacks,
+   evicting the LRU entry first when the cache is full. *)
+let insert t addr data =
+  if Hashtbl.length t.table >= t.capacity then evict_lru t;
+  let n = { addr; data; prev = None; next = None } in
+  Hashtbl.replace t.table addr n;
+  push_front t n
+
 (* Take a copy of the block at [pos] of [src] as the contents of
    [addr]. *)
-let put t addr ?(pos = 0) src =
+let store t addr ~pos src =
   if t.capacity > 0 then begin
     match Hashtbl.find_opt t.table addr with
     | Some n ->
         Bytes.blit src pos n.data 0 t.block_size;
         touch t n
     | None ->
-        if Hashtbl.length t.table >= t.capacity then evict_lru t;
         let data = fresh_buffer t in
         Bytes.blit src pos data 0 t.block_size;
-        let n = { addr; data; prev = None; next = None } in
-        Hashtbl.replace t.table addr n;
-        push_front t n
+        insert t addr data
   end
 
-let read t ~fetch addr =
+let put t addr ?(pos = 0) src =
+  check_free t;
+  store t addr ~pos src
+
+(* Lend [b] to [f]: no operation may run until [f] returns. *)
+let lend t b f =
+  t.borrowed <- true;
+  match f b with
+  | r ->
+      t.borrowed <- false;
+      r
+  | exception e ->
+      t.borrowed <- false;
+      raise e
+
+let with_block t ~fetch addr f =
+  check_free t;
   match Hashtbl.find_opt t.table addr with
   | Some n ->
       t.hits <- t.hits + 1;
       touch t n;
-      Bytes.copy n.data
+      lend t n.data f
   | None ->
       t.misses <- t.misses + 1;
-      let b = fetch addr in
-      put t addr b;
-      b
+      if t.capacity = 0 then begin
+        let b = Bytes.create t.block_size in
+        fetch addr 1 b 0;
+        lend t b f
+      end
+      else begin
+        (* The fetch fills the entry's own buffer; a failed fetch leaves
+           the cache as it was. *)
+        let data = fresh_buffer t in
+        (match fetch addr 1 data 0 with
+        | () -> ()
+        | exception e ->
+            give_back t data;
+            raise e);
+        insert t addr data;
+        lend t data f
+      end
+
+let read t ~fetch addr =
+  with_block t addr Bytes.copy ~fetch:(fun addr _ buf pos ->
+      Bytes.blit (fetch addr) 0 buf pos t.block_size)
 
 let invalidate t addr =
+  check_free t;
   match Hashtbl.find_opt t.table addr with
   | Some n ->
       unlink t n;
@@ -126,56 +180,54 @@ let invalidate_range t addr n =
     invalidate t a
   done
 
-let read_range t ~fetch addr n =
+let read_range_into t ~fetch addr n buf ~pos =
+  check_free t;
   let bs = t.block_size in
   (* [lo, hi) is a maximal run of missing blocks: fetch it with one call
-     below so a cold multi-block read still costs a single device IO.
-     Each fetched block is copied once, into the cache. *)
-  let fetch_run lo hi =
-    let count = hi - lo in
-    t.misses <- t.misses + count;
-    let b = fetch (addr + lo) count in
-    for k = lo to hi - 1 do
-      put t (addr + k) ~pos:((k - lo) * bs) b
-    done;
-    b
+     below, straight into [buf], so a cold multi-block read still costs
+     a single device IO.  Each fetched block is copied once, into the
+     cache. *)
+  let fill lo hi =
+    if hi > lo then begin
+      t.misses <- t.misses + (hi - lo);
+      fetch (addr + lo) (hi - lo) buf (pos + (lo * bs));
+      for k = lo to hi - 1 do
+        store t (addr + k) ~pos:(pos + (k * bs)) buf
+      done
+    end
   in
-  let rec first_hit i =
-    if i < n && not (Hashtbl.mem t.table (addr + i)) then first_hit (i + 1)
-    else i
-  in
-  let first = first_hit 0 in
-  if n = 0 then Bytes.empty
-  else if first = n then
-    (* One missed run: the fetched buffer is the result. *)
-    fetch_run 0 n
-  else begin
-    let out = Bytes.create (n * bs) in
-    let fill lo hi =
-      if hi > lo then Bytes.blit (fetch_run lo hi) 0 out (lo * bs) ((hi - lo) * bs)
-    in
-    let run = ref 0 in
-    for i = first to n - 1 do
-      match Hashtbl.find_opt t.table (addr + i) with
-      | Some node ->
-          (* Copy the hit out before the fill: the fill may evict [node]
-             and hand its buffer to a block it loads.  Known defect, kept
-             for identical results: when the fill evicts [node], the
-             [touch] below relinks a node the table no longer holds, the
-             LRU list loses every other entry, and the table outgrows
-             [capacity] from then on. *)
-          Bytes.blit node.data 0 out (i * bs) bs;
-          fill !run i;
-          run := i + 1;
-          t.hits <- t.hits + 1;
-          touch t node
-      | None -> ()
-    done;
-    fill !run n;
-    out
-  end
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    match Hashtbl.find_opt t.table (addr + i) with
+    | Some node ->
+        (* Copy the hit out before the fill: the fill may evict [node]
+           and hand its buffer to a block it loads.  Known defect, kept
+           for identical results: when the fill evicts [node], the
+           [touch] below relinks a node the table no longer holds, the
+           LRU list loses every other entry, and the table outgrows
+           [capacity] from then on. *)
+        Bytes.blit node.data 0 buf (pos + (i * bs)) bs;
+        fill !run i;
+        run := i + 1;
+        t.hits <- t.hits + 1;
+        touch t node
+    | None -> ()
+  done;
+  fill !run n
+
+let read_range t ~fetch addr n =
+  let bs = t.block_size in
+  let out = Bytes.create (n * bs) in
+  read_range_into t addr n out ~pos:0 ~fetch:(fun a k buf pos ->
+      Bytes.blit (fetch a k) 0 buf pos (k * bs));
+  out
+
+let mem t addr =
+  check_free t;
+  Hashtbl.mem t.table addr
 
 let clear t =
+  check_free t;
   Hashtbl.reset t.table;
   t.head <- None;
   t.tail <- None;

@@ -5,9 +5,12 @@
     cost no disk time.  Writers must call {!put} (write-through update)
     or {!invalidate} so the cache never returns stale data.
 
-    The cache owns what it stores: a block enters by one copy, and
-    nothing the cache returns aliases the copies it keeps.  The buffers
-    of evicted and invalidated entries are reused for new ones. *)
+    The cache owns what it stores: a block enters by one copy (or by a
+    fetch straight into the buffer it will occupy), and nothing the
+    cache returns aliases the copies it keeps.  The one exception is
+    {!with_block}, which lends a resident buffer to a callback and
+    forbids every other operation until it returns.  The buffers of
+    evicted and invalidated entries are reused for new ones. *)
 
 type t
 
@@ -15,19 +18,39 @@ val create : capacity:int -> block_size:int -> t
 (** Capacity in blocks of [block_size] bytes.  A zero capacity disables
     caching. *)
 
+type fetch = int -> int -> bytes -> int -> unit
+(** [fetch addr n buf pos] reads blocks [\[addr, addr + n)] from the
+    device below into [buf] at byte [pos]. *)
+
+val with_block : t -> fetch:fetch -> int -> (bytes -> 'a) -> 'a
+(** [with_block t ~fetch addr f] is [f] applied to block [addr]'s
+    resident buffer, with the hit or miss counted and the LRU order
+    updated exactly as {!read} does; a miss fetches the block (one
+    block, [fetch addr 1]) straight into the buffer it then occupies.
+    The borrow contract: the buffer is valid only while [f] runs, and
+    [f] must not write it or keep it; until [f] returns, every other
+    operation on [t] raises [Invalid_argument], because any of them
+    could evict the entry and recycle its buffer.  With a zero capacity
+    [f] gets a fresh buffer.  A hit copies no block and allocates
+    nothing on the major heap. *)
+
 val read : t -> fetch:(int -> bytes) -> int -> bytes
 (** [read t ~fetch addr] returns a copy of the block, from cache when
-    possible; on a miss [fetch addr] supplies it from the device below. *)
+    possible; on a miss [fetch addr] supplies it from the device below.
+    Counts and LRU order as {!with_block}. *)
+
+val read_range_into : t -> fetch:fetch -> int -> int -> bytes -> pos:int -> unit
+(** [read_range_into t ~fetch addr n buf ~pos] reads [n] consecutive
+    blocks into [buf] at byte [pos], serving each from the cache when
+    present and counting a hit or miss per block.  Maximal runs of
+    missing blocks are fetched with a single [fetch] call, straight into
+    their place in [buf], so a cold segment-sized read still costs one
+    device IO; fetched blocks populate the cache, one copy each.  Hits
+    are copied out before the preceding missed run is fetched. *)
 
 val read_range : t -> fetch:(int -> int -> bytes) -> int -> int -> bytes
-(** [read_range t ~fetch addr n] reads [n] consecutive blocks, serving
-    each from the cache when present and counting a hit or miss per
-    block.  Maximal runs of missing blocks are fetched with a single
-    [fetch addr count] call, so a cold segment-sized read still costs one
-    device IO; fetched blocks populate the cache, one copy each.  The
-    result belongs to the caller: when the whole range missed it is the
-    buffer [fetch] returned, which must therefore be the caller's to
-    give away. *)
+(** {!read_range_into} a fresh buffer, with a [fetch] that returns the
+    blocks it reads. *)
 
 val put : t -> int -> ?pos:int -> bytes -> unit
 (** [put t addr ~pos b] records the new contents of block [addr], just
@@ -39,6 +62,9 @@ val invalidate_range : t -> int -> int -> unit
 val clear : t -> unit
 (** Drop every entry and reset the hit/miss counters: after a clear the
     cache reports statistics for the new, cold epoch only. *)
+
+val mem : t -> int -> bool
+(** Whether block [addr] is resident; no count or LRU change. *)
 
 val hits : t -> int
 val misses : t -> int

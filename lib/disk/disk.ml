@@ -123,8 +123,9 @@ let ensure_alive t = if t.crashed then raise Crashed
 (* Overlay not-yet-committed queued writes, oldest first, so reads are
    coherent with the submission order the FS observed.  A block whose
    committed content is already newer (a later-submitted write the
-   elevator retired first) keeps the committed data. *)
-let overlay_pending t ~addr ~n out =
+   elevator retired first) keeps the committed data.  Blocks [addr,
+   addr+n) land at byte [pos] of [out]. *)
+let overlay_pending t ~addr ~n out ~pos =
   let bs = block_size t in
   Seq_map.iter
     (fun seq (waddr, payload) ->
@@ -132,20 +133,27 @@ let overlay_pending t ~addr ~n out =
       let lo = max addr waddr and hi = min (addr + n) (waddr + wn) in
       for blk = lo to hi - 1 do
         if t.write_seq.(blk) <= seq then
-          Bytes.blit payload ((blk - waddr) * bs) out ((blk - addr) * bs) bs
+          Bytes.blit payload ((blk - waddr) * bs) out (pos + ((blk - addr) * bs)) bs
       done)
     t.pending
 
-let submit_read ?now t addr n =
+let submit_read_into ?now t addr n buf ~pos =
   ensure_alive t;
   check_range t addr n "read_blocks";
+  let bs = block_size t in
+  if pos < 0 || pos + (n * bs) > Bytes.length buf then
+    invalid_arg
+      (Printf.sprintf "Disk.submit_read_into: %d blocks at byte %d of %d" n pos
+         (Bytes.length buf));
   t.stats.Io_stats.reads <- t.stats.Io_stats.reads + 1;
   t.stats.Io_stats.blocks_read <- t.stats.Io_stats.blocks_read + n;
-  let bs = block_size t in
-  let out = Bytes.create (n * bs) in
-  blit_from_store t.data (addr * bs) out 0 (n * bs);
-  if not (Seq_map.is_empty t.pending) then overlay_pending t ~addr ~n out;
-  (enqueue t ?now ~addr ~n (), out)
+  blit_from_store t.data (addr * bs) buf pos (n * bs);
+  if not (Seq_map.is_empty t.pending) then overlay_pending t ~addr ~n buf ~pos;
+  enqueue t ?now ~addr ~n ()
+
+let submit_read ?now t addr n =
+  let out = Bytes.create (n * block_size t) in
+  (submit_read_into ?now t addr n out ~pos:0, out)
 
 let read_blocks t addr n = snd (submit_read t addr n)
 let read_block t addr = read_blocks t addr 1

@@ -74,10 +74,16 @@ val zero_blocks : t -> int -> int -> unit
     respects an armed {!plan_crash} exactly like {!write_blocks} (a torn
     zero clears only its writable prefix). *)
 
+val submit_read_into :
+  ?now:float -> t -> int -> int -> bytes -> pos:int -> Io_queue.ticket
+(** [submit_read_into d addr n buf ~pos]: tagged read of [n] blocks into
+    [buf] at byte [pos].  The data is copied in at submit time; the
+    ticket resolves at the modelled completion.  [now] defaults to the
+    device horizon ([Direct]) or the queued-mode clock.  Raises
+    [Invalid_argument] when the blocks do not fit in [buf]. *)
+
 val submit_read : ?now:float -> t -> int -> int -> Io_queue.ticket * bytes
-(** Tagged read: the data is copied out at submit time; the ticket
-    resolves at the modelled completion.  [now] defaults to the device
-    horizon ([Direct]) or the queued-mode clock. *)
+(** {!submit_read_into} a fresh buffer. *)
 
 val submit_write : ?now:float -> t -> int -> bytes -> Io_queue.ticket
 (** Tagged write.  In [Direct] mode contents (and any crash) land at

@@ -8,6 +8,7 @@ type t = {
   write_blocks : int -> bytes -> unit;
   zero_blocks : int -> int -> unit;
   submit_read : ?now:float -> int -> int -> Io_queue.ticket * bytes;
+  submit_read_into : ?now:float -> int -> int -> bytes -> pos:int -> Io_queue.ticket;
   submit_write : ?now:float -> int -> bytes -> Io_queue.ticket;
   drain : unit -> float;
   pump : now:float -> (int * float) list;
@@ -22,15 +23,25 @@ type t = {
 
 exception Crashed = Disk.Crashed
 
+let alloc_submit_read ~block_size read_into ?now addr n =
+  let b = Bytes.create (n * block_size) in
+  (read_into ?now addr n b ~pos:0, b)
+
+let alloc_read_blocks ~block_size read_into addr n =
+  snd (alloc_submit_read ~block_size read_into addr n)
+
 let of_disk d =
+  let block_size = Disk.block_size d in
+  let read_into ?now addr n buf ~pos = Disk.submit_read_into ?now d addr n buf ~pos in
   {
     name = "disk";
-    block_size = Disk.block_size d;
+    block_size;
     nblocks = Disk.nblocks d;
-    read_blocks = (fun addr n -> Disk.read_blocks d addr n);
+    read_blocks = alloc_read_blocks ~block_size read_into;
     write_blocks = (fun addr b -> Disk.write_blocks d addr b);
     zero_blocks = (fun addr n -> Disk.zero_blocks d addr n);
-    submit_read = (fun ?now addr n -> Disk.submit_read ?now d addr n);
+    submit_read = alloc_submit_read ~block_size read_into;
+    submit_read_into = read_into;
     submit_write = (fun ?now addr b -> Disk.submit_write ?now d addr b);
     drain = (fun () -> Disk.drain d);
     pump = (fun ~now -> Disk.pump d ~now);
@@ -67,6 +78,14 @@ let submit_read ?now v addr n =
   let tk, b = v.submit_read ?now addr n in
   check_read_len v n b;
   (tk, b)
+
+let submit_read_into ?now v addr n buf ~pos =
+  if n < 0 || pos < 0 || pos + (n * v.block_size) > Bytes.length buf then
+    invalid_arg
+      (Printf.sprintf
+         "Vdev.submit_read_into(%s): %d blocks at byte %d of a %d-byte buffer"
+         v.name n pos (Bytes.length buf));
+  v.submit_read_into ?now addr n buf ~pos
 
 let submit_write ?now v addr b = v.submit_write ?now addr b
 let await = Io_queue.await

@@ -44,7 +44,16 @@ type t = {
       (** Write zeros: charged and crash-checked like [write_blocks]. *)
   submit_read : ?now:float -> int -> int -> Io_queue.ticket * bytes;
       (** Tagged read: data is produced at submit time, the ticket
-          resolves at the modelled completion. *)
+          resolves at the modelled completion.  Every layer derives this
+          field and [read_blocks] from [submit_read_into] with
+          {!alloc_submit_read} and {!alloc_read_blocks}. *)
+  submit_read_into : ?now:float -> int -> int -> bytes -> pos:int -> Io_queue.ticket;
+      (** [submit_read_into addr n buf ~pos]: the one read each layer
+          implements.  The [n] blocks land in the caller's [buf] at byte
+          [pos] at submit time (the data plane stays at submit); the
+          ticket resolves at the modelled completion.  A layer built
+          with [{ lower with ... }] must override this field, or its
+          reads bypass it. *)
   submit_write : ?now:float -> int -> bytes -> Io_queue.ticket;
       (** Tagged write: contents (and any armed crash) land at submit
           time, the ticket resolves at the modelled completion. *)
@@ -95,6 +104,31 @@ val zero_blocks : t -> int -> int -> unit
 
 val submit_read : ?now:float -> t -> int -> int -> Io_queue.ticket * bytes
 (** Validated like {!read_blocks}. *)
+
+val submit_read_into :
+  ?now:float -> t -> int -> int -> bytes -> pos:int -> Io_queue.ticket
+(** Raises [Invalid_argument] unless the [n] blocks fit in [buf] from
+    byte [pos].  The caller owns [buf] before and after: no layer keeps
+    or aliases it. *)
+
+val alloc_submit_read :
+  block_size:int ->
+  (?now:float -> int -> int -> bytes -> pos:int -> Io_queue.ticket) ->
+  ?now:float ->
+  int ->
+  int ->
+  Io_queue.ticket * bytes
+(** [alloc_submit_read ~block_size read_into] is the [submit_read]
+    field of a layer whose [submit_read_into] is [read_into]: it reads
+    into a fresh buffer. *)
+
+val alloc_read_blocks :
+  block_size:int ->
+  (?now:float -> int -> int -> bytes -> pos:int -> Io_queue.ticket) ->
+  int ->
+  int ->
+  bytes
+(** The matching [read_blocks] field. *)
 
 val submit_write : ?now:float -> t -> int -> bytes -> Io_queue.ticket
 

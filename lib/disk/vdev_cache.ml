@@ -1,22 +1,24 @@
-type t = { lower : Vdev.t; cache : Block_cache.t; view : Vdev.t }
+type t = {
+  lower : Vdev.t;
+  cache : Block_cache.t;
+  view : Vdev.t;
+  fetch_block : Block_cache.fetch;  (* [with_block]'s: tickets dropped *)
+}
+
+(* Misses read through the lower device straight into the caller's or
+   the cache's buffer. *)
+let fetch ?now lower tickets addr n buf pos =
+  tickets := Vdev.submit_read_into ?now lower addr n buf ~pos :: !tickets
 
 let make_view lower cache name =
   let bs = Vdev.block_size lower in
   (* Cache hits complete at submit time (a [Done] ticket); misses
      forward to the lower device and join its tickets. *)
-  let submit_read ?now addr n =
+  let read_into ?now addr n buf ~pos =
     if Vdev.is_crashed lower then raise Vdev.Crashed;
     let tickets = ref [] in
-    let fetch addr n =
-      let tk, b = Vdev.submit_read ?now lower addr n in
-      tickets := tk :: !tickets;
-      b
-    in
-    let b = Block_cache.read_range cache ~fetch addr n in
-    let tk =
-      match !tickets with [] -> Io_queue.Done | ts -> Io_queue.Join ts
-    in
-    (tk, b)
+    Block_cache.read_range_into cache ~fetch:(fetch ?now lower tickets) addr n buf ~pos;
+    match !tickets with [] -> Io_queue.Done | ts -> Io_queue.Join ts
   in
   let submit_write ?now addr b =
     let n = Bytes.length b / bs in
@@ -36,18 +38,26 @@ let make_view lower cache name =
   {
     lower with
     Vdev.name;
-    read_blocks = (fun addr n -> snd (submit_read addr n));
+    read_blocks = Vdev.alloc_read_blocks ~block_size:bs read_into;
     write_blocks = (fun addr b -> ignore (submit_write addr b));
     zero_blocks;
-    submit_read;
+    submit_read = Vdev.alloc_submit_read ~block_size:bs read_into;
+    submit_read_into = read_into;
     submit_write;
   }
 
 let create ?(name = "cache") ~capacity lower =
   let cache = Block_cache.create ~capacity ~block_size:(Vdev.block_size lower) in
-  { lower; cache; view = make_view lower cache name }
+  let fetch_block addr n buf pos =
+    ignore (Vdev.submit_read_into lower addr n buf ~pos : Io_queue.ticket)
+  in
+  { lower; cache; view = make_view lower cache name; fetch_block }
 
 let vdev t = t.view
+
+let with_block t addr f =
+  if Vdev.is_crashed t.lower then raise Vdev.Crashed;
+  Block_cache.with_block t.cache ~fetch:t.fetch_block addr f
 let hits t = Block_cache.hits t.cache
 let misses t = Block_cache.misses t.cache
 

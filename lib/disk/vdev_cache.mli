@@ -4,8 +4,9 @@
     {!Lfs_ffs.Ffs} used to hand-roll into one reusable device layer:
     every read is served per-block from an exact-LRU cache (multi-block
     reads consult and populate it too, with maximal runs of missing
-    blocks fetched in one lower IO), and writes update the device and
-    then the cache.
+    blocks fetched in one lower IO, straight into the caller's buffer),
+    and writes update the device and then the cache.  {!with_block}
+    lends a resident block to a decoder without copying it.
 
     Crash coherence: a write first invalidates the affected range, then
     forwards, and only re-populates the cache on success — so a torn
@@ -20,6 +21,15 @@ val create : ?name:string -> capacity:int -> Vdev.t -> t
 val vdev : t -> Vdev.t
 (** The cached device: same geometry and crash plumbing as the wrapped
     vdev, [stats] delegates to it (cache hits cost no modelled time). *)
+
+val with_block : t -> int -> (bytes -> 'a) -> 'a
+(** [with_block t addr f] reads block [addr] as the view's [read_blocks
+    addr 1] does (same hit and miss counts, same LRU move, a miss
+    fetched through the lower device) but applies [f] to the resident
+    buffer instead of returning a copy.  {!Block_cache.with_block}'s
+    borrow contract holds: the buffer is valid only inside [f], [f] must
+    not write or keep it, and any IO through the view from inside [f]
+    raises [Invalid_argument]. *)
 
 val hits : t -> int
 val misses : t -> int

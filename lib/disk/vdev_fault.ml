@@ -57,16 +57,16 @@ let rot_write t ~addr = Hashtbl.replace t.write_rot addr (rot_byte t)
 let flip b off (byte, mask) =
   Bytes.set b (off + byte) (Char.chr (Char.code (Bytes.get b (off + byte)) lxor mask))
 
-let submit_read ?now t addr n =
+let submit_read_into ?now t addr n buf ~pos =
   check_alive t;
   let bs = t.lower.Vdev.block_size in
-  let tk, b = Vdev.submit_read ?now t.lower addr n in
+  let tk = Vdev.submit_read_into ?now t.lower addr n buf ~pos in
   for i = 0 to n - 1 do
     match Hashtbl.find_opt t.read_rot (addr + i) with
-    | Some rot -> flip b (i * bs) rot
+    | Some rot -> flip buf (pos + (i * bs)) rot
     | None -> ()
   done;
-  (tk, b)
+  tk
 
 (* Write blocks [first, first+count) of the transfer individually so a
    reordered subset costs the same interface calls either way. *)
@@ -148,10 +148,12 @@ let submit_write ?now t addr b =
   Io_queue.Join !tickets
 
 let vdev t =
+  let block_size = t.lower.Vdev.block_size in
+  let read_into ?now addr n buf ~pos = submit_read_into ?now t addr n buf ~pos in
   {
     t.lower with
     Vdev.name = Printf.sprintf "fault(%s)" t.lower.Vdev.name;
-    read_blocks = (fun addr n -> snd (submit_read t addr n));
+    read_blocks = Vdev.alloc_read_blocks ~block_size read_into;
     write_blocks = (fun addr b -> ignore (submit_write t addr b));
     zero_blocks =
       (fun addr n ->
@@ -160,7 +162,8 @@ let vdev t =
            enumeration (payload writes only) stays stable. *)
         check_alive t;
         t.lower.Vdev.zero_blocks addr n);
-    submit_read = (fun ?now addr n -> submit_read ?now t addr n);
+    submit_read = Vdev.alloc_submit_read ~block_size read_into;
+    submit_read_into = read_into;
     submit_write = (fun ?now addr b -> submit_write ?now t addr b);
     plan_crash = (fun ~after_blocks -> plan_crash t ~mode:Torn ~after_blocks ());
     is_crashed = (fun () -> is_crashed t);

@@ -26,19 +26,28 @@ let iter_extents t addr n f =
 (* Fan the read across the children and join their tickets: each child
    queue services its extent independently, so the stripe completes at
    the max child completion instead of the sum — this is where stripe
-   parallelism pays under queued IO. *)
-let submit_read ?now t addr n =
+   parallelism pays under queued IO.  A child's extent of several blocks
+   is strided in the caller's buffer, so it lands in a scratch buffer
+   first; a one-block extent reads in place. *)
+let submit_read_into ?now t addr n buf ~pos =
   check_range t addr n "read_blocks";
   let bs = t.block_size and nch = Array.length t.children in
-  let out = Bytes.create (n * bs) in
   let tickets = ref [] in
   iter_extents t addr n (fun ~child ~caddr ~first ~count ->
-      let tk, buf = Vdev.submit_read ?now t.children.(child) caddr count in
-      tickets := tk :: !tickets;
-      for i = 0 to count - 1 do
-        Bytes.blit buf (i * bs) out ((first + (i * nch) - addr) * bs) bs
-      done);
-  (Io_queue.Join !tickets, out)
+      let at = pos + ((first - addr) * bs) in
+      let tk =
+        if count = 1 then
+          Vdev.submit_read_into ?now t.children.(child) caddr count buf ~pos:at
+        else begin
+          let tk, ext = Vdev.submit_read ?now t.children.(child) caddr count in
+          for i = 0 to count - 1 do
+            Bytes.blit ext (i * bs) buf (at + (i * nch * bs)) bs
+          done;
+          tk
+        end
+      in
+      tickets := tk :: !tickets);
+  Io_queue.Join !tickets
 
 let submit_write ?now t addr b =
   let bs = t.block_size and nch = Array.length t.children in
@@ -82,14 +91,16 @@ let create ?name children =
   let name =
     match name with Some n -> n | None -> Printf.sprintf "stripe(%d)" nch
   in
+  let read_into ?now addr n buf ~pos = submit_read_into ?now t addr n buf ~pos in
   {
     Vdev.name;
     block_size;
     nblocks = t.nblocks;
-    read_blocks = (fun addr n -> snd (submit_read t addr n));
+    read_blocks = Vdev.alloc_read_blocks ~block_size read_into;
     write_blocks = (fun addr b -> ignore (submit_write t addr b));
     zero_blocks = (fun addr n -> zero_blocks t addr n);
-    submit_read = (fun ?now addr n -> submit_read ?now t addr n);
+    submit_read = Vdev.alloc_submit_read ~block_size read_into;
+    submit_read_into = read_into;
     submit_write = (fun ?now addr b -> submit_write ?now t addr b);
     drain =
       (fun () ->

@@ -151,16 +151,16 @@ let iter_extents t addr n f =
     end
   done
 
-let submit_read ?now t addr n =
+let submit_read_into ?now t addr n buf ~pos =
   check_range t addr n "read_blocks";
   let bs = t.block_size in
-  let out = Bytes.create (n * bs) in
   let tickets = ref [] in
   iter_extents t addr n (fun ~dev ~daddr ~first ~count ->
-      let tk, buf = Vdev.submit_read ?now dev daddr count in
-      tickets := tk :: !tickets;
-      Bytes.blit buf 0 out ((first - addr) * bs) (count * bs));
-  (Io_queue.Join !tickets, out)
+      tickets :=
+        Vdev.submit_read_into ?now dev daddr count buf
+          ~pos:(pos + ((first - addr) * bs))
+        :: !tickets);
+  Io_queue.Join !tickets
 
 let submit_write ?now t addr b =
   let bs = t.block_size in
@@ -536,14 +536,16 @@ let vdev ?name t =
     | Some n -> n
     | None -> Printf.sprintf "tier(%s+%s)" t.fast.Vdev.name t.slow.Vdev.name
   in
+  let read_into ?now addr n buf ~pos = submit_read_into ?now t addr n buf ~pos in
   {
     Vdev.name;
     block_size = t.block_size;
     nblocks = t.nblocks;
-    read_blocks = (fun addr n -> snd (submit_read t addr n));
+    read_blocks = Vdev.alloc_read_blocks ~block_size:t.block_size read_into;
     write_blocks = (fun addr b -> ignore (submit_write t addr b));
     zero_blocks = (fun addr n -> zero_blocks t addr n);
-    submit_read = (fun ?now addr n -> submit_read ?now t addr n);
+    submit_read = Vdev.alloc_submit_read ~block_size:t.block_size read_into;
+    submit_read_into = read_into;
     submit_write = (fun ?now addr b -> submit_write ?now t addr b);
     drain =
       (fun () -> Float.max (Vdev.drain t.fast) (Vdev.drain t.slow));

@@ -203,7 +203,8 @@ let get_handle t ino =
   | None ->
       let inode = read_inode t ino in
       let fmap =
-        Lfs_core.Filemap.load ~read:(Vdev.read_block t.dev) t.lfs_layout inode
+        Lfs_core.Filemap.load ~with_block:(Vdev_cache.with_block t.cache)
+          t.lfs_layout inode
       in
       let h = { inode; fmap; content = None } in
       Hashtbl.replace t.handles ino h;
@@ -352,7 +353,8 @@ let write t ino ~off data =
 let read t ino ~off ~len =
   let h = get_handle t ino in
   File_range.read ~block_size:t.layout.cfg.block_size ~size:h.inode.Inode.size
-    ~read_block:(read_file_block t h ino) ~off ~len
+    ~with_block:(fun blockno f -> f (read_file_block t h ino blockno))
+    ~off ~len
 
 let truncate t ino ~len =
   let h = get_handle t ino in
@@ -636,8 +638,9 @@ let fsck_scan t =
           (* Walk the block pointers, as fsck does to rebuild the
              allocation picture; this reads the indirect blocks. *)
           ignore
-            (Lfs_core.Filemap.load ~read:(Vdev.read_block t.disk) t.lfs_layout
-               inode)
+            (Lfs_core.Filemap.load
+               ~with_block:(fun addr f -> f (Vdev.read_block t.disk addr))
+               t.lfs_layout inode)
       | exception Types.Corrupt _ -> ()
     done
   done

@@ -520,8 +520,8 @@ let writes_verify dev layout =
   for seg = 0 to layout.Layout.nsegs - 1 do
     let first = Layout.seg_first_block layout seg in
     let last_seq = ref (-1) in
-    Summary.walk_segment ~seg_blocks:layout.Layout.seg_blocks ~seg
-      ~read:(fun slot -> Lfs_disk.Vdev.read_block dev (first + slot))
+    Summary.walk_segment layout ~seg
+      ~read:(fun slot -> (Lfs_disk.Vdev.read_block dev (first + slot), 0))
       (fun s ->
         s.Summary.seq > !last_seq
         && begin

@@ -649,6 +649,7 @@ let test_store_sparse_memory () =
 type cache_op =
   | Put of int * int  (* address, byte offset of the block in the source *)
   | Read of int
+  | Borrow of int
   | Range of int * int
   | Invalidate of int
 
@@ -661,6 +662,7 @@ let cache_op_gen =
       [
         (3, map2 (fun a p -> Put (a, p * cache_bs)) addr (int_bound 1));
         (3, map (fun a -> Read a) addr);
+        (3, map (fun a -> Borrow a) addr);
         (3, map2 (fun a n -> Range (a, n)) addr (int_bound 5));
         (1, map (fun a -> Invalidate a) addr);
       ])
@@ -668,16 +670,29 @@ let cache_op_gen =
 let show_cache_op = function
   | Put (a, p) -> Printf.sprintf "put %d@%d" a p
   | Read a -> Printf.sprintf "read %d" a
+  | Borrow a -> Printf.sprintf "borrow %d" a
   | Range (a, n) -> Printf.sprintf "range %d+%d" a n
   | Invalidate a -> Printf.sprintf "inval %d" a
 
 (* Runs [ops] on a cache of [capacity] whose device returns fresh
-   contents on every fetch.  Every block returned must equal the last
-   contents put or fetched for its address, every access counts one hit
-   or one miss, and scribbling on what the cache returned or was given
-   never reaches the cache. *)
+   contents on every fetch.  Every block returned or lent must equal the
+   last contents put or fetched for its address, every access counts one
+   hit or one miss, and scribbling on what the cache returned or was
+   given never reaches the cache.  A twin cache runs the same ops with
+   each borrow done as a [read]: after every op both must agree on hits,
+   misses and which blocks are resident. *)
 let cache_agrees ~capacity ops =
   let c = Block_cache.create ~capacity ~block_size:cache_bs in
+  let twin = Block_cache.create ~capacity ~block_size:cache_bs in
+  let junk n = Bytes.make (n * cache_bs) '.' in
+  let twin_fetch _ n = junk n in
+  let same_as_twin () =
+    Block_cache.hits c = Block_cache.hits twin
+    && Block_cache.misses c = Block_cache.misses twin
+    && List.for_all
+         (fun a -> Block_cache.mem c a = Block_cache.mem twin a)
+         (List.init 8 Fun.id)
+  in
   let model = Hashtbl.create 16 in
   let stamp = ref 0 in
   let fresh addr =
@@ -700,20 +715,117 @@ let cache_agrees ~capacity ops =
     (fun op ->
       let accesses = Block_cache.hits c + Block_cache.misses c in
       let counted n = Block_cache.hits c + Block_cache.misses c = accesses + n in
-      match op with
+      (match op with
       | Put (addr, pos) ->
           let src = Bytes.make (2 * cache_bs) '?' in
           Bytes.blit (fresh addr) 0 src pos cache_bs;
           Block_cache.put c addr ~pos src;
           Bytes.fill src 0 (2 * cache_bs) '#';
+          Block_cache.put twin addr (junk 1);
           counted 0
-      | Read addr -> check addr 1 (Block_cache.read c ~fetch:fresh addr) && counted 1
+      | Read addr ->
+          ignore (Block_cache.read twin ~fetch:(fun a -> twin_fetch a 1) addr);
+          check addr 1 (Block_cache.read c ~fetch:fresh addr) && counted 1
+      | Borrow addr ->
+          ignore (Block_cache.read twin ~fetch:(fun a -> twin_fetch a 1) addr);
+          let fetch a n buf pos = Bytes.blit (fetch_range a n) 0 buf pos (n * cache_bs) in
+          check addr 1 (Block_cache.with_block c ~fetch addr Bytes.copy) && counted 1
       | Range (addr, n) ->
+          ignore (Block_cache.read_range twin ~fetch:twin_fetch addr n);
           check addr n (Block_cache.read_range c ~fetch:fetch_range addr n) && counted n
       | Invalidate addr ->
           Block_cache.invalidate c addr;
+          Block_cache.invalidate twin addr;
           counted 0)
+      && same_as_twin ())
     ops
+
+(* While a block is lent, every cache operation raises (any of them could
+   recycle the lent buffer); the borrow ends when the callback returns
+   or raises. *)
+let test_cache_borrow_forbids_ops () =
+  let c = Block_cache.create ~capacity:2 ~block_size:4096 in
+  let fetch _ n buf pos = Bytes.fill buf pos (n * 4096) 'f' in
+  let ops =
+    [
+      ("read", fun () -> ignore (Block_cache.read c ~fetch:(fun _ -> block 'r') 1));
+      ("with_block", fun () -> Block_cache.with_block c ~fetch 1 ignore);
+      ("read_range", fun () -> ignore (Block_cache.read_range c ~fetch:(fun _ n -> Bytes.make (n * 4096) 'r') 0 2));
+      ("read_range_into", fun () -> Block_cache.read_range_into c ~fetch 0 1 (block 'b') ~pos:0);
+      ("put", fun () -> Block_cache.put c 3 (block 'p'));
+      ("invalidate", fun () -> Block_cache.invalidate c 0);
+      ("invalidate_range", fun () -> Block_cache.invalidate_range c 0 2);
+      ("clear", fun () -> Block_cache.clear c);
+      ("mem", fun () -> ignore (Block_cache.mem c 0));
+    ]
+  in
+  let lent =
+    Block_cache.with_block c ~fetch 0 (fun b ->
+        List.iter
+          (fun (name, op) ->
+            match op () with
+            | () -> Alcotest.failf "%s inside a borrow must raise" name
+            | exception Invalid_argument _ -> ())
+          ops;
+        Bytes.get b 0)
+  in
+  Alcotest.(check char) "lent the fetched block" 'f' lent;
+  Alcotest.(check int) "one miss, nothing else counted" 1 (Block_cache.misses c);
+  Alcotest.(check int) "no hits" 0 (Block_cache.hits c);
+  (match Block_cache.with_block c ~fetch 0 (fun _ -> failwith "decoder") with
+  | () -> Alcotest.fail "the callback's exception must pass through"
+  | exception Failure _ -> ());
+  List.iter (fun (_, op) -> op ()) ops;
+  (* Through the device layer: IO on the cached view inside a borrow. *)
+  let vc =
+    Lfs_disk.Vdev_cache.create ~capacity:4
+      (Lfs_disk.Vdev.of_disk (Disk.create wren))
+  in
+  let view = Lfs_disk.Vdev_cache.vdev vc in
+  Lfs_disk.Vdev_cache.with_block vc 5 (fun _ ->
+      match Lfs_disk.Vdev.read_block view 6 with
+      | _ -> Alcotest.fail "a read through the view inside a borrow must raise"
+      | exception Invalid_argument _ -> ())
+
+(* A borrowed hit lends the resident buffer: no 4 KB copy, so nothing
+   reaches the major heap, where a [read] hit's copy goes. *)
+let test_cache_borrowed_hit_no_major_alloc () =
+  let vc =
+    Lfs_disk.Vdev_cache.create ~capacity:4
+      (Lfs_disk.Vdev.of_disk (Disk.create wren))
+  in
+  let view = Lfs_disk.Vdev_cache.vdev vc in
+  Lfs_disk.Vdev.write_block view 7 (block 'w');
+  let first b = Bytes.get b 0 in
+  (* [Gc.counters], not [Gc.quick_stat]: on OCaml 5 the latter's
+     [major_words] only catches up at a minor collection.  The window
+     allocates too little to trigger one, so no promotion is counted. *)
+  let major_words f =
+    Gc.minor ();
+    let major () =
+      let _, _, m = Gc.counters () in
+      m
+    in
+    let before = major () in
+    for _ = 1 to 100 do
+      f ()
+    done;
+    major () -. before
+  in
+  let hits0 = Lfs_disk.Vdev_cache.hits vc in
+  let borrowed =
+    major_words (fun () ->
+        ignore (Lfs_disk.Vdev_cache.with_block vc 7 first : char))
+  in
+  let copied =
+    major_words (fun () -> ignore (Lfs_disk.Vdev.read_block view 7 : bytes))
+  in
+  Alcotest.(check int) "200 hits" (hits0 + 200) (Lfs_disk.Vdev_cache.hits vc);
+  Alcotest.(check (float 0.0)) "borrowed hits: no major words" 0.0 borrowed;
+  Alcotest.(check bool)
+    (Printf.sprintf "copied hits: %.0f major words, a block each" copied)
+    true
+    (copied >= 100.0 *. 512.0)
 
 let prop_cache_agrees_with_model =
   QCheck.Test.make ~count:300 ~name:"cache agrees with a reference map, capacities 0-4"
@@ -784,5 +896,8 @@ let suite =
       Alcotest.test_case "store: queued overlay" `Quick test_store_queued_overlay;
       Alcotest.test_case "store: sparse memory" `Quick test_store_sparse_memory;
       Alcotest.test_case "cache defect case [10, 12)" `Quick test_cache_defect_case;
+      Alcotest.test_case "cache borrow forbids other ops" `Quick test_cache_borrow_forbids_ops;
+      Alcotest.test_case "cache borrowed hit: no major alloc" `Quick
+        test_cache_borrowed_hit_no_major_alloc;
       QCheck_alcotest.to_alcotest prop_cache_agrees_with_model;
     ] )

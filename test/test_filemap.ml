@@ -69,7 +69,7 @@ let test_single_indirect () =
   Alcotest.(check bool) "indirect allocated" true (inode.Inode.indirect <> Types.nil_addr);
   Alcotest.(check bool) "clean after flush" false (Filemap.dirty fm);
   (* Reload from "disk" and verify translation survives. *)
-  let fm' = Filemap.load ~read layout inode in
+  let fm' = Filemap.load ~with_block:(fun a f -> f (read a)) layout inode in
   Alcotest.(check int) "reloaded 10" 1010 (Filemap.get fm' 10);
   Alcotest.(check int) "reloaded last" 2020 (Filemap.get fm' (10 + k - 1))
 
@@ -84,7 +84,7 @@ let test_double_indirect () =
   flush_map fm inode alloc;
   Alcotest.(check bool) "dindirect allocated" true
     (inode.Inode.dindirect <> Types.nil_addr);
-  let fm' = Filemap.load ~read layout inode in
+  let fm' = Filemap.load ~with_block:(fun a f -> f (read a)) layout inode in
   Alcotest.(check int) "chunk0" 3030 (Filemap.get fm' first_dbl);
   Alcotest.(check int) "chunk1" 4040 (Filemap.get fm' (first_dbl + k));
   Alcotest.(check int) "chunk3" 5050 (Filemap.get fm' (first_dbl + (3 * k) + 7));
@@ -207,7 +207,7 @@ let prop_flush_load_roundtrip =
         ops;
       let _, alloc, read = mk_store () in
       flush_map fm inode alloc;
-      let fm' = Filemap.load ~read layout inode in
+      let fm' = Filemap.load ~with_block:(fun a f -> f (read a)) layout inode in
       Hashtbl.fold (fun i a ok -> ok && Filemap.get fm' i = a) model true)
 
 let suite =

@@ -115,9 +115,9 @@ let test_payload_checksum_matches () =
 let covering_write env addr =
   let first = Layout.seg_first_block layout (Layout.seg_of_block layout addr) in
   let found = ref None in
-  Summary.walk_segment ~seg_blocks:layout.Layout.seg_blocks
+  Summary.walk_segment layout
     ~seg:(Layout.seg_of_block layout addr)
-    ~read:(fun slot -> Disk.read_block env.disk (first + slot))
+    ~read:(fun slot -> (Disk.read_block env.disk (first + slot), 0))
     (fun s ->
       let n = List.length s.Summary.entries in
       let start = first + s.Summary.slot + 1 in

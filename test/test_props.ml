@@ -377,7 +377,9 @@ let prop_torn_write_through_cache =
 
 (* Scheduling lives purely on the time plane: a program of tagged
    submits, awaits and drains must leave exactly the bytes the
-   synchronous API leaves, on every composition of the device stack. *)
+   synchronous API leaves, and send the same transfers to the leaves, on
+   every composition of the device stack.  Reads into a caller's buffer
+   at any byte offset must match the allocating reads. *)
 
 module Vdev_fault = Lfs_disk.Vdev_fault
 module Io_queue = Lfs_disk.Io_queue
@@ -386,37 +388,51 @@ let sq_blocks = 128
 
 type sq_op =
   | Sq_read of int * int
+  | Sq_read_into of int * int * int  (* address, blocks, byte offset *)
   | Sq_write of int * int * int
   | Sq_await
   | Sq_drain
 
 let print_sq = function
   | Sq_read (a, l) -> Printf.sprintf "r@%d+%d" a l
+  | Sq_read_into (a, l, p) -> Printf.sprintf "ri@%d+%d>%d" a l p
   | Sq_write (a, l, s) -> Printf.sprintf "w@%d+%d#%d" a l s
   | Sq_await -> "await"
   | Sq_drain -> "drain"
 
-let sq_stack_names = [| "plain"; "cache"; "stripe"; "fault" |]
+let sq_stack_names = [| "plain"; "cache"; "stripe"; "fault"; "tier"; "cache(fault)" |]
+
+let sq_disk blocks = Vdev.of_disk (Disk.create (Geometry.instant ~blocks))
+
+(* A fault layer that flips a bit in every read of a few blocks: a read
+   path that skips the layer reads different bytes. *)
+let sq_rotted lower =
+  let f = Vdev_fault.create lower in
+  List.iter (fun addr -> Vdev_fault.rot_read f ~addr) [ 3; 40; 41; 100 ];
+  f
 
 let sq_stack = function
-  | 0 -> Vdev.of_disk (Disk.create (Geometry.instant ~blocks:sq_blocks))
-  | 1 ->
+  | 0 -> sq_disk sq_blocks
+  | 1 -> Vdev_cache.vdev (Vdev_cache.create ~capacity:16 (sq_disk sq_blocks))
+  | 2 -> Vdev_stripe.create (Array.init 4 (fun _ -> sq_disk (sq_blocks / 4)))
+  | 3 -> Vdev_fault.vdev (sq_rotted (sq_disk sq_blocks))
+  | 4 ->
+      (* Chunks of 8 on both children, so reads cross tier boundaries. *)
+      let ti =
+        Lfs_disk.Vdev_tier.format ~base:4 ~chunk_blocks:8 ~fast:(sq_disk 64)
+          ~slow:(sq_disk 128)
+      in
+      assert (Lfs_disk.Vdev_tier.exported_blocks ti >= sq_blocks);
+      Lfs_disk.Vdev_tier.vdev ti
+  | _ ->
       Vdev_cache.vdev
         (Vdev_cache.create ~capacity:16
-           (Vdev.of_disk (Disk.create (Geometry.instant ~blocks:sq_blocks))))
-  | 2 ->
-      Vdev_stripe.create
-        (Array.init 4 (fun _ ->
-             Vdev.of_disk (Disk.create (Geometry.instant ~blocks:(sq_blocks / 4)))))
-  | _ ->
-      Vdev_fault.vdev
-        (Vdev_fault.create
-           (Vdev.of_disk (Disk.create (Geometry.instant ~blocks:sq_blocks))))
+           (Vdev_fault.vdev (sq_rotted (sq_disk sq_blocks))))
 
 let arb_sq_prog =
   let gen =
     QCheck.Gen.(
-      pair (int_bound 3)
+      pair (int_bound (Array.length sq_stack_names - 1))
         (list_size (int_range 1 50)
            (frequency
               [
@@ -430,6 +446,11 @@ let arb_sq_prog =
                     (fun a l -> Sq_read (min a (sq_blocks - l), l))
                     (int_bound (sq_blocks - 1))
                     (int_range 1 8) );
+                ( 3,
+                  map3
+                    (fun a l p -> Sq_read_into (min a (sq_blocks - l), l, p))
+                    (int_bound (sq_blocks - 1))
+                    (int_range 1 8) (int_bound 5000) );
                 (1, return Sq_await);
                 (1, return Sq_drain);
               ])))
@@ -468,6 +489,16 @@ let prop_queued_data_equivalence =
                 let tk, got = Vdev.submit_read queued_v addr len in
                 tickets := tk :: !tickets;
                 Bytes.equal want got
+            | Sq_read_into (addr, len, pos) ->
+                (* The blocks land at [pos]; the bytes around stay. *)
+                let want = Vdev.read_blocks sync_v addr len in
+                let n = len * bs in
+                let buf = Helpers.bytes_of_pattern ~seed:pos (pos + n + 7) in
+                let around = Bytes.copy buf in
+                tickets := Vdev.submit_read_into queued_v addr len buf ~pos :: !tickets;
+                Bytes.equal want (Bytes.sub buf pos n)
+                && Bytes.equal (Bytes.sub around 0 pos) (Bytes.sub buf 0 pos)
+                && Bytes.equal (Bytes.sub around (pos + n) 7) (Bytes.sub buf (pos + n) 7)
             | Sq_await ->
                 (match !tickets with
                 | [] -> ()
@@ -480,8 +511,16 @@ let prop_queued_data_equivalence =
       in
       ignore (Vdev.drain queued_v);
       let settled = Vdev.outstanding_in queued_v ~lo:0 ~hi:max_int = 0 in
+      (* The same transfers reached the leaves: a layer whose read path
+         the queued side bypassed (a cache hit there, a miss here) shows
+         in the counts. *)
+      let counts v =
+        let s = Vdev.stats v in
+        Lfs_disk.Io_stats.(s.reads, s.blocks_read, s.writes, s.blocks_written)
+      in
+      let same_io = counts sync_v = counts queued_v in
       Vdev.set_mode queued_v Vdev.Direct;
-      reads_match && settled
+      reads_match && settled && same_io
       && Bytes.equal
            (Vdev.read_blocks sync_v 0 sq_blocks)
            (Vdev.read_blocks queued_v 0 sq_blocks))
