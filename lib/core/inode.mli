@@ -35,14 +35,14 @@ val nblocks : block_size:int -> t -> int
 val encode : t -> bytes -> slot:int -> unit
 (** Serialise into slot [slot] of an inode block. *)
 
-val decode : ?pos:int -> bytes -> slot:int -> t option
-(** Read back slot [slot] of the inode block at byte [pos] (default 0)
-    of the buffer; [None] if the slot is unused.  Raises
+val decode : bytes -> slot:int -> t option
+(** Read back slot [slot]; [None] if the slot is unused.  Raises
     {!Types.Corrupt} on a bad magic. *)
 
 val decode_ino : ?pos:int -> bytes -> slot:int -> Types.ino option
-(** The inode number in slot [slot], checking only the magic: what
-    {!decode} would return as [ino], without building the inode. *)
+(** The inode number in slot [slot] of the inode block at byte [pos]
+    (default 0) of the buffer, checking only the magic: what {!decode}
+    would return as [ino], without building the inode. *)
 
 val clear_slot : bytes -> slot:int -> unit
 (** Mark a slot unused. *)

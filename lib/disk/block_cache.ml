@@ -162,10 +162,6 @@ let with_block t ~fetch addr f =
         lend t data f
       end
 
-let read t ~fetch addr =
-  with_block t addr Bytes.copy ~fetch:(fun addr _ buf pos ->
-      Bytes.blit (fetch addr) 0 buf pos t.block_size)
-
 let invalidate t addr =
   check_free t;
   match Hashtbl.find_opt t.table addr with
@@ -214,13 +210,6 @@ let read_range_into t ~fetch addr n buf ~pos =
     | None -> ()
   done;
   fill !run n
-
-let read_range t ~fetch addr n =
-  let bs = t.block_size in
-  let out = Bytes.create (n * bs) in
-  read_range_into t addr n out ~pos:0 ~fetch:(fun a k buf pos ->
-      Bytes.blit (fetch a k) 0 buf pos (k * bs));
-  out
 
 let mem t addr =
   check_free t;

@@ -25,7 +25,7 @@ type fetch = int -> int -> bytes -> int -> unit
 val with_block : t -> fetch:fetch -> int -> (bytes -> 'a) -> 'a
 (** [with_block t ~fetch addr f] is [f] applied to block [addr]'s
     resident buffer, with the hit or miss counted and the LRU order
-    updated exactly as {!read} does; a miss fetches the block (one
+    updated exactly as a one-block {!read_range_into} does; a miss fetches the block (one
     block, [fetch addr 1]) straight into the buffer it then occupies.
     The borrow contract: the buffer is valid only while [f] runs, and
     [f] must not write it or keep it; until [f] returns, every other
@@ -33,11 +33,6 @@ val with_block : t -> fetch:fetch -> int -> (bytes -> 'a) -> 'a
     could evict the entry and recycle its buffer.  With a zero capacity
     [f] gets a fresh buffer.  A hit copies no block and allocates
     nothing on the major heap. *)
-
-val read : t -> fetch:(int -> bytes) -> int -> bytes
-(** [read t ~fetch addr] returns a copy of the block, from cache when
-    possible; on a miss [fetch addr] supplies it from the device below.
-    Counts and LRU order as {!with_block}. *)
 
 val read_range_into : t -> fetch:fetch -> int -> int -> bytes -> pos:int -> unit
 (** [read_range_into t ~fetch addr n buf ~pos] reads [n] consecutive
@@ -47,10 +42,6 @@ val read_range_into : t -> fetch:fetch -> int -> int -> bytes -> pos:int -> unit
     their place in [buf], so a cold segment-sized read still costs one
     device IO; fetched blocks populate the cache, one copy each.  Hits
     are copied out before the preceding missed run is fetched. *)
-
-val read_range : t -> fetch:(int -> int -> bytes) -> int -> int -> bytes
-(** {!read_range_into} a fresh buffer, with a [fetch] that returns the
-    blocks it reads. *)
 
 val put : t -> int -> ?pos:int -> bytes -> unit
 (** [put t addr ~pos b] records the new contents of block [addr], just

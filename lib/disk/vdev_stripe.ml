@@ -26,26 +26,18 @@ let iter_extents t addr n f =
 (* Fan the read across the children and join their tickets: each child
    queue services its extent independently, so the stripe completes at
    the max child completion instead of the sum — this is where stripe
-   parallelism pays under queued IO.  A child's extent of several blocks
-   is strided in the caller's buffer, so it lands in a scratch buffer
-   first; a one-block extent reads in place. *)
+   parallelism pays under queued IO.  A child's extent is strided in the
+   caller's buffer, so it lands in a scratch buffer first. *)
 let submit_read_into ?now t addr n buf ~pos =
   check_range t addr n "read_blocks";
   let bs = t.block_size and nch = Array.length t.children in
   let tickets = ref [] in
   iter_extents t addr n (fun ~child ~caddr ~first ~count ->
+      let tk, ext = Vdev.submit_read ?now t.children.(child) caddr count in
       let at = pos + ((first - addr) * bs) in
-      let tk =
-        if count = 1 then
-          Vdev.submit_read_into ?now t.children.(child) caddr count buf ~pos:at
-        else begin
-          let tk, ext = Vdev.submit_read ?now t.children.(child) caddr count in
-          for i = 0 to count - 1 do
-            Bytes.blit ext (i * bs) buf (at + (i * nch * bs)) bs
-          done;
-          tk
-        end
-      in
+      for i = 0 to count - 1 do
+        Bytes.blit ext (i * bs) buf (at + (i * nch * bs)) bs
+      done;
       tickets := tk :: !tickets);
   Io_queue.Join !tickets
 

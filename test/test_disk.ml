@@ -143,13 +143,27 @@ let test_geometry_io_time () =
   (* One average seek + rotation + 1 second of transfer. *)
   Alcotest.(check bool) "about 1.03s" true (t > 1.0 && t < 1.1)
 
+(* The cache's two reads as a caller that keeps the bytes makes them: a
+   borrowed block copied out, and a range read into a fresh buffer.
+   [fetch] returns the blocks it reads. *)
+let cache_read c ~fetch addr =
+  Block_cache.with_block c addr Bytes.copy ~fetch:(fun a _ buf pos ->
+      let b = fetch a in
+      Bytes.blit b 0 buf pos (Bytes.length b))
+
+let cache_read_range ?(bs = 4096) c ~fetch addr n =
+  let out = Bytes.create (n * bs) in
+  Block_cache.read_range_into c addr n out ~pos:0 ~fetch:(fun a k buf pos ->
+      Bytes.blit (fetch a k) 0 buf pos (k * bs));
+  out
+
 let test_cache_hit_costs_nothing () =
   let d = Disk.create wren in
   Disk.write_block d 2 (block 'c');
   let c = Block_cache.create ~capacity:8 ~block_size:4096 in
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 2);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 2);
   let busy = (Disk.stats d).Io_stats.busy_s in
-  Helpers.check_bytes "cache hit" (block 'c') (Block_cache.read c ~fetch:(Disk.read_block d) 2);
+  Helpers.check_bytes "cache hit" (block 'c') (cache_read c ~fetch:(Disk.read_block d) 2);
   Alcotest.(check (float 0.0)) "no extra disk time" busy (Disk.stats d).Io_stats.busy_s;
   Alcotest.(check int) "one hit" 1 (Block_cache.hits c);
   Alcotest.(check int) "one miss" 1 (Block_cache.misses c)
@@ -157,30 +171,30 @@ let test_cache_hit_costs_nothing () =
 let test_cache_eviction_lru () =
   let d = Disk.create wren in
   let c = Block_cache.create ~capacity:2 ~block_size:4096 in
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 1);
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);  (* touch 0: now 1 is LRU *)
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 2);  (* evicts 1 *)
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 0);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 1);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 0);  (* touch 0: now 1 is LRU *)
+  ignore (cache_read c ~fetch:(Disk.read_block d) 2);  (* evicts 1 *)
+  ignore (cache_read c ~fetch:(Disk.read_block d) 0);
   Alcotest.(check int) "0 stayed cached" 2 (Block_cache.hits c);
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 1);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 1);
   Alcotest.(check int) "1 was evicted" 4 (Block_cache.misses c)
 
 let test_cache_put_and_invalidate () =
   let d = Disk.create wren in
   let c = Block_cache.create ~capacity:4 ~block_size:4096 in
   Block_cache.put c 5 (block 'p');
-  Helpers.check_bytes "put visible" (block 'p') (Block_cache.read c ~fetch:(Disk.read_block d) 5);
+  Helpers.check_bytes "put visible" (block 'p') (cache_read c ~fetch:(Disk.read_block d) 5);
   Block_cache.invalidate c 5;
   Disk.write_block d 5 (block 'q');
-  Helpers.check_bytes "invalidate forces re-read" (block 'q') (Block_cache.read c ~fetch:(Disk.read_block d) 5)
+  Helpers.check_bytes "invalidate forces re-read" (block 'q') (cache_read c ~fetch:(Disk.read_block d) 5)
 
 let test_cache_returns_copies () =
   let d = Disk.create wren in
   let c = Block_cache.create ~capacity:4 ~block_size:4096 in
-  let b = Block_cache.read c ~fetch:(Disk.read_block d) 1 in
+  let b = cache_read c ~fetch:(Disk.read_block d) 1 in
   Bytes.fill b 0 10 'Z';
-  Helpers.check_bytes "cache unpolluted" (block '\000') (Block_cache.read c ~fetch:(Disk.read_block d) 1)
+  Helpers.check_bytes "cache unpolluted" (block '\000') (cache_read c ~fetch:(Disk.read_block d) 1)
 
 (* Eviction from a full cache leaves alone what the cache handed out
    earlier and what a writer still holds. *)
@@ -189,22 +203,22 @@ let test_cache_eviction_keeps_handed_out () =
   Disk.write_block d 0 (block 'a');
   Disk.write_block d 1 (block 'b');
   let c = Block_cache.create ~capacity:1 ~block_size:4096 in
-  let miss = Block_cache.read c ~fetch:(Disk.read_block d) 0 in
-  let hit = Block_cache.read c ~fetch:(Disk.read_block d) 0 in
+  let miss = cache_read c ~fetch:(Disk.read_block d) 0 in
+  let hit = cache_read c ~fetch:(Disk.read_block d) 0 in
   let mine = block 'p' in
   Block_cache.put c 2 mine;
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 1);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 1);
   Helpers.check_bytes "miss result kept" (block 'a') miss;
   Helpers.check_bytes "hit result kept" (block 'a') hit;
   Helpers.check_bytes "writer's buffer kept" (block 'p') mine;
   Helpers.check_bytes "the new entry serves its block" (block 'b')
-    (Block_cache.read c ~fetch:(fun _ -> Alcotest.fail "expected a hit") 1)
+    (cache_read c ~fetch:(fun _ -> Alcotest.fail "expected a hit") 1)
 
 let test_cache_zero_capacity () =
   let d = Disk.create wren in
   let c = Block_cache.create ~capacity:0 ~block_size:4096 in
   Disk.write_block d 0 (block 'z');
-  Helpers.check_bytes "still reads through" (block 'z') (Block_cache.read c ~fetch:(Disk.read_block d) 0);
+  Helpers.check_bytes "still reads through" (block 'z') (cache_read c ~fetch:(Disk.read_block d) 0);
   Alcotest.(check int) "never hits" 0 (Block_cache.hits c)
 
 let test_geometry_presets () =
@@ -224,16 +238,16 @@ let test_geometry_presets () =
 let test_cache_clear_resets_counters () =
   let d = Disk.create wren in
   let c = Block_cache.create ~capacity:8 ~block_size:4096 in
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 1);
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 0);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 1);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 0);
   Alcotest.(check int) "warm hits" 1 (Block_cache.hits c);
   Alcotest.(check int) "warm misses" 2 (Block_cache.misses c);
   Block_cache.clear c;
   Alcotest.(check int) "hits reset" 0 (Block_cache.hits c);
   Alcotest.(check int) "misses reset" 0 (Block_cache.misses c);
   (* The new epoch starts cold: the next read is a miss, not a stale hit. *)
-  ignore (Block_cache.read c ~fetch:(Disk.read_block d) 0);
+  ignore (cache_read c ~fetch:(Disk.read_block d) 0);
   Alcotest.(check int) "cold again" 1 (Block_cache.misses c);
   Alcotest.(check int) "no phantom hits" 0 (Block_cache.hits c)
 
@@ -247,14 +261,14 @@ let test_cache_read_range_coalesces () =
   let expect = Disk.read_blocks d 10 8 in
   let reads0 = (Disk.stats d).Io_stats.reads in
   let c = Block_cache.create ~capacity:32 ~block_size:4096 in
-  let got = Block_cache.read_range c ~fetch:(range_fetch d) 10 8 in
+  let got = cache_read_range c ~fetch:(range_fetch d) 10 8 in
   Helpers.check_bytes "cold range" expect got;
   Alcotest.(check int) "one coalesced device read" (reads0 + 1)
     (Disk.stats d).Io_stats.reads;
   Alcotest.(check int) "eight misses" 8 (Block_cache.misses c);
   Alcotest.(check int) "no hits yet" 0 (Block_cache.hits c);
   let busy = (Disk.stats d).Io_stats.busy_s in
-  let again = Block_cache.read_range c ~fetch:(range_fetch d) 10 8 in
+  let again = cache_read_range c ~fetch:(range_fetch d) 10 8 in
   Helpers.check_bytes "warm range" expect again;
   Alcotest.(check int) "warm read is free" (reads0 + 1) (Disk.stats d).Io_stats.reads;
   Alcotest.(check (float 0.0)) "no extra disk time" busy (Disk.stats d).Io_stats.busy_s;
@@ -266,11 +280,11 @@ let test_cache_read_range_partial_overlap () =
     Disk.write_block d i (block (Char.chr (Char.code 'A' + i)))
   done;
   let c = Block_cache.create ~capacity:32 ~block_size:4096 in
-  ignore (Block_cache.read_range c ~fetch:(range_fetch d) 0 4);
+  ignore (cache_read_range c ~fetch:(range_fetch d) 0 4);
   let expect = Disk.read_blocks d 2 4 in
   let reads1 = (Disk.stats d).Io_stats.reads in
   (* [2,6) overlaps the cached [0,4): two hits, one fetch for [4,6). *)
-  let got = Block_cache.read_range c ~fetch:(range_fetch d) 2 4 in
+  let got = cache_read_range c ~fetch:(range_fetch d) 2 4 in
   Helpers.check_bytes "overlap contents" expect got;
   Alcotest.(check int) "two hits" 2 (Block_cache.hits c);
   Alcotest.(check int) "4 + 2 misses" 6 (Block_cache.misses c);
@@ -679,8 +693,9 @@ let show_cache_op = function
    last contents put or fetched for its address, every access counts one
    hit or one miss, and scribbling on what the cache returned or was
    given never reaches the cache.  A twin cache runs the same ops with
-   each borrow done as a [read]: after every op both must agree on hits,
-   misses and which blocks are resident. *)
+   each borrow done as a one-block [read_range_into] and each one-block
+   read as a borrow: after every op both must agree on hits, misses and
+   which blocks are resident. *)
 let cache_agrees ~capacity ops =
   let c = Block_cache.create ~capacity ~block_size:cache_bs in
   let twin = Block_cache.create ~capacity ~block_size:cache_bs in
@@ -724,15 +739,17 @@ let cache_agrees ~capacity ops =
           Block_cache.put twin addr (junk 1);
           counted 0
       | Read addr ->
-          ignore (Block_cache.read twin ~fetch:(fun a -> twin_fetch a 1) addr);
-          check addr 1 (Block_cache.read c ~fetch:fresh addr) && counted 1
+          Block_cache.with_block twin ~fetch:(fun _ _ _ _ -> ()) addr ignore;
+          check addr 1 (cache_read_range ~bs:cache_bs c ~fetch:fetch_range addr 1)
+          && counted 1
       | Borrow addr ->
-          ignore (Block_cache.read twin ~fetch:(fun a -> twin_fetch a 1) addr);
+          ignore (cache_read_range ~bs:cache_bs twin ~fetch:twin_fetch addr 1);
           let fetch a n buf pos = Bytes.blit (fetch_range a n) 0 buf pos (n * cache_bs) in
           check addr 1 (Block_cache.with_block c ~fetch addr Bytes.copy) && counted 1
       | Range (addr, n) ->
-          ignore (Block_cache.read_range twin ~fetch:twin_fetch addr n);
-          check addr n (Block_cache.read_range c ~fetch:fetch_range addr n) && counted n
+          ignore (cache_read_range ~bs:cache_bs twin ~fetch:twin_fetch addr n);
+          check addr n (cache_read_range ~bs:cache_bs c ~fetch:fetch_range addr n)
+          && counted n
       | Invalidate addr ->
           Block_cache.invalidate c addr;
           Block_cache.invalidate twin addr;
@@ -748,9 +765,7 @@ let test_cache_borrow_forbids_ops () =
   let fetch _ n buf pos = Bytes.fill buf pos (n * 4096) 'f' in
   let ops =
     [
-      ("read", fun () -> ignore (Block_cache.read c ~fetch:(fun _ -> block 'r') 1));
       ("with_block", fun () -> Block_cache.with_block c ~fetch 1 ignore);
-      ("read_range", fun () -> ignore (Block_cache.read_range c ~fetch:(fun _ n -> Bytes.make (n * 4096) 'r') 0 2));
       ("read_range_into", fun () -> Block_cache.read_range_into c ~fetch 0 1 (block 'b') ~pos:0);
       ("put", fun () -> Block_cache.put c 3 (block 'p'));
       ("invalidate", fun () -> Block_cache.invalidate c 0);
@@ -788,7 +803,7 @@ let test_cache_borrow_forbids_ops () =
       | exception Invalid_argument _ -> ())
 
 (* A borrowed hit lends the resident buffer: no 4 KB copy, so nothing
-   reaches the major heap, where a [read] hit's copy goes. *)
+   reaches the major heap, where a [Vdev.read_block] hit's copy goes. *)
 let test_cache_borrowed_hit_no_major_alloc () =
   let vc =
     Lfs_disk.Vdev_cache.create ~capacity:4
@@ -839,14 +854,14 @@ let prop_cache_agrees_with_model =
 let test_cache_defect_case () =
   let c = Block_cache.create ~capacity:2 ~block_size:4096 in
   let fetch_one = function 11 -> block 'k' | 20 -> block 't' | a -> Alcotest.failf "fetch %d" a in
-  ignore (Block_cache.read c ~fetch:fetch_one 11);
-  ignore (Block_cache.read c ~fetch:fetch_one 20);
+  ignore (cache_read c ~fetch:fetch_one 11);
+  ignore (cache_read c ~fetch:fetch_one 20);
   let fetch addr n =
     Alcotest.(check (pair int int)) "one missed run" (10, 1) (addr, n);
     block 'j'
   in
   Helpers.check_bytes "range bytes" (Bytes.cat (block 'j') (block 'k'))
-    (Block_cache.read_range c ~fetch 10 2);
+    (cache_read_range c ~fetch 10 2);
   Alcotest.(check int) "hits" 1 (Block_cache.hits c);
   Alcotest.(check int) "misses" 3 (Block_cache.misses c)
 
