@@ -32,24 +32,47 @@ let pass_size t max_segments =
   | Some n -> max 1 n
   | None -> t.config.Config.segs_per_pass
 
-(* {1 Reading victims} *)
+(* {1 Reading victims}
+
+   A pass reads everything it needs — summaries, inode blocks, live data
+   runs, whole-segment images — into the mount's one-segment buffer
+   [t.clean_buf], filling it in order from the start; a read that no
+   longer fits gets a buffer of its own.  Relocation copies payloads out
+   of it into the log writer's batches, and the pass ends with a flush
+   that writes every head's batch, so no reference into the buffer
+   outlives the pass and the next one starts over at block 0. *)
+
+(* Read [len] blocks from [first] through [t.dev] (so the block cache
+   stays coherent and can serve part of the run); returns the buffer and
+   the byte offset they landed at. *)
+let read_run t first len =
+  Metrics.incr ~by:len t.acct.cleaner_read;
+  let bs = block_size t in
+  let buf, pos =
+    if t.clean_used + len <= t.layout.Layout.seg_blocks then begin
+      let pos = t.clean_used * bs in
+      t.clean_used <- t.clean_used + len;
+      (t.clean_buf, pos)
+    end
+    else (Bytes.create (len * bs), 0)
+  in
+  ignore (Vdev.submit_read_into t.dev first len buf ~pos : Lfs_disk.Io_queue.ticket);
+  (buf, pos)
 
 (* Read [addrs] into [prefetched], coalescing consecutive addresses into
    one ranged read each.  Runs contain exactly the requested blocks (no
    dead filler), so the read accounting still reflects "just the live
-   blocks"; going through [t.dev] keeps the block cache coherent and
-   lets already-cached blocks satisfy part of a run. *)
+   blocks". *)
 let prefetch_runs t ~prefetched addrs =
   let addrs =
     List.sort_uniq Int.compare
       (List.filter (fun a -> not (Hashtbl.mem prefetched a)) addrs)
   in
   let bs = block_size t in
-  let read_run first len =
-    Metrics.incr ~by:len t.acct.cleaner_read;
-    let buf = Vdev.read_blocks t.dev first len in
+  let add_run first len =
+    let buf, pos = read_run t first len in
     for i = 0 to len - 1 do
-      Hashtbl.replace prefetched (first + i) (buf, i * bs)
+      Hashtbl.replace prefetched (first + i) (buf, pos + (i * bs))
     done
   in
   let rec go = function
@@ -58,7 +81,7 @@ let prefetch_runs t ~prefetched addrs =
         let rec run last = function
           | a :: more when a = last + 1 -> run a more
           | tail ->
-              read_run first (last - first + 1);
+              add_run first (last - first + 1);
               go tail
         in
         run first rest
@@ -92,10 +115,9 @@ let read_victim t ~prefetched seg =
   match t.config.Config.cleaner_read with
   | Config.Whole_segment ->
       let first = Layout.seg_first_block t.layout seg in
-      let buf = Vdev.read_blocks t.dev first t.layout.Layout.seg_blocks in
-      Metrics.incr ~by:t.layout.Layout.seg_blocks t.acct.cleaner_read;
+      let buf, pos = read_run t first t.layout.Layout.seg_blocks in
       let bs = block_size t in
-      let off addr = (addr - first) * bs in
+      let off addr = pos + ((addr - first) * bs) in
       victim_entries t ~seg
         ~read:(fun addr -> (buf, off addr))
         ~payload:(fun addr () -> (buf, off addr))
@@ -104,10 +126,7 @@ let read_victim t ~prefetched seg =
          already pulled the block in, and fall back to a single cached
          read otherwise — the device is only ever charged for blocks
          actually needed. *)
-      let read addr =
-        Metrics.incr t.acct.cleaner_read;
-        (Vdev.read_block t.dev addr, 0)
-      in
+      let read addr = read_run t addr 1 in
       let entries =
         victim_entries t ~seg ~read ~payload:(fun addr () ->
             match Hashtbl.find_opt prefetched addr with
@@ -232,6 +251,9 @@ let clean_victims t ~bg victims =
   Metrics.incr
     ~by:(List.length victims)
     (if bg then t.obs.bg_segments else t.obs.fg_segments);
+  t.clean_used <- 0;
+  if Bytes.length t.clean_buf = 0 then
+    t.clean_buf <- Bytes.create (t.layout.Layout.seg_blocks * block_size t);
   let prefetched = Hashtbl.create 64 in
   let live = ref [] in
   let data_addrs = ref [] in

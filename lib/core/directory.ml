@@ -46,7 +46,7 @@ let of_bytes ~block_size b =
       if not (Index.mem index name) then Index.add index name ino
     done;
     let len = Codec.pos c in
-    { block_size; img = Bytes.sub b 0 len; len; count = n; index }
+    { block_size; img = b; len; count = n; index }
   with Codec.Overflow msg -> Types.corrupt "directory: truncated (%s)" msg
 
 let block_size t = t.block_size

@@ -28,7 +28,9 @@ val create : block_size:int -> t
 (** An empty directory whose image is cut into [block_size] blocks. *)
 
 val of_bytes : block_size:int -> bytes -> t
-(** Validate and index an image; [b] is copied, not kept.  When a name
+(** Validate and index an image.  The directory takes [b] as its own
+    image buffer, without a copy: the caller gives it up and must not
+    read, write or keep it afterwards.  When a name
     appears twice the first entry wins.  Bytes past the last entry are
     not part of the image, so the next write-back cuts the file to
     {!length}.  Raises {!Types.Corrupt} on malformed content. *)

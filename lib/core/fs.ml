@@ -634,3 +634,4 @@ let usage_block_addrs t =
   List.init (Seg_usage.nblocks t.usage) (Seg_usage.block_addr t.usage)
 
 let segment_live_bytes t s = Seg_usage.live_bytes t.usage s
+let cleaner_read_buffer t = t.clean_buf

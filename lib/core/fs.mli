@@ -240,3 +240,9 @@ val imap_location : t -> Types.ino -> Types.Iaddr.t
 val imap_block_addr : t -> int -> Types.baddr
 val usage_block_addrs : t -> Types.baddr list
 val segment_live_bytes : t -> int -> int
+
+val cleaner_read_buffer : t -> bytes
+(** The one-segment buffer every cleaner pass reads its victims into,
+    from the start (empty until the mount's first pass).  Nothing
+    refers into it between passes, so overwriting it then changes no
+    file (the tests do exactly that). *)

@@ -150,7 +150,7 @@ type table = {
   addr : int -> Types.baddr;
   set_addr : int -> Types.baddr -> unit;
   dirty : unit -> int list;
-  encode : int -> bytes;
+  encode_into : int -> bytes -> pos:int -> unit;
   clear_dirty : int -> unit;
 }
 
@@ -161,7 +161,7 @@ let imap_table m =
     addr = Inode_map.block_addr m;
     set_addr = Inode_map.set_block_addr m;
     dirty = (fun () -> Inode_map.dirty_blocks m);
-    encode = Inode_map.encode_block m;
+    encode_into = Inode_map.encode_block_into m;
     clear_dirty = Inode_map.clear_block_dirty m;
   }
 
@@ -172,7 +172,7 @@ let usage_table u =
     addr = Seg_usage.block_addr u;
     set_addr = Seg_usage.set_block_addr u;
     dirty = (fun () -> Seg_usage.dirty_blocks u);
-    encode = Seg_usage.encode_block u;
+    encode_into = Seg_usage.encode_block_into u;
     clear_dirty = Seg_usage.clear_block_dirty u;
   }
 
@@ -196,6 +196,11 @@ type t = {
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
   acct : acct;
   zeros : bytes;  (* one block of zeros that reads of holes borrow *)
+  mutable clean_buf : bytes;
+      (* one segment of blocks each cleaner pass reads its victims into,
+         from the start (see {!Clean.read_run}); allocated by the first
+         pass *)
+  mutable clean_used : int;  (* blocks of [clean_buf] the pass has filled *)
   mutable clock : float;
   mutable ops_since_ckpt : int;
   mutable blocks_since_ckpt : int;
@@ -452,17 +457,16 @@ let refresh_pool t =
 
 (* Append a fresh copy of table block [i] and kill the old one.  The
    block self-describes accounting that appending it changes, so its
-   payload is rendered lazily at batch-write time, and rendering clears
-   its dirty flag. *)
+   payload is rendered lazily at batch-write time, straight into the log
+   writer's transfer buffer, and rendering clears its dirty flag. *)
 let rewrite_table_block t tb i =
   let old = tb.addr i in
   let fresh =
     append_block t ~kind:tb.kind ~ino:0 ~blockno:i ~version:0 ~mtime:t.clock
       (Log_writer.Lazy
-         (fun () ->
-           let b = tb.encode i in
-           tb.clear_dirty i;
-           b))
+         (fun buf ~pos ->
+           tb.encode_into i buf ~pos;
+           tb.clear_dirty i))
   in
   tb.set_addr i fresh;
   if old <> Types.nil_addr then kill t old ~bytes:(block_size t)
@@ -624,6 +628,8 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       cleaner_attr;
       acct;
       zeros = Bytes.make layout.Layout.block_size '\000';
+      clean_buf = Bytes.empty;
+      clean_used = 0;
       clock;
       ops_since_ckpt = 0;
       blocks_since_ckpt = 0;

@@ -102,9 +102,9 @@ let dirty_blocks t =
   done;
   !acc
 
-let encode_block t i =
-  let b = Bytes.make t.layout.Layout.block_size '\000' in
-  let c = Codec.writer b in
+let encode_block_into t i b ~pos =
+  Bytes.fill b pos t.layout.Layout.block_size '\000';
+  let c = Codec.at b pos in
   let lo = i * entries_per_block t in
   let hi = min (lo + entries_per_block t) (max_inodes t) in
   for ino = lo to hi - 1 do
@@ -112,8 +112,7 @@ let encode_block t i =
     Codec.put_u32 c t.versions.(ino);
     Codec.put_u32 c 0;
     Codec.put_float c t.atimes.(ino)
-  done;
-  b
+  done
 
 let decode_block t i b =
   let c = Codec.reader b in

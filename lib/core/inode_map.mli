@@ -63,8 +63,9 @@ val dirty_blocks : t -> int list
 val mark_block_dirty : t -> int -> unit
 val clear_block_dirty : t -> int -> unit
 
-val encode_block : t -> int -> bytes
-(** Serialise map block [i] (for writing to the log). *)
+val encode_block_into : t -> int -> bytes -> pos:int -> unit
+(** Serialise map block [i] (for writing to the log) into the block at
+    byte [pos] of the buffer, zeroing it first. *)
 
 val iter_allocated : t -> (Types.ino -> Types.Iaddr.t -> unit) -> unit
 val count_allocated : t -> int

@@ -1,7 +1,7 @@
 module Vdev = Lfs_disk.Vdev
 module Io_queue = Lfs_disk.Io_queue
 
-type payload = Bytes of bytes * int | Lazy of (unit -> bytes)
+type payload = Bytes of bytes * int | Lazy of (bytes -> pos:int -> unit)
 
 type pending = {
   kind : Types.block_kind;
@@ -41,6 +41,9 @@ type t = {
   on_append : Types.block_kind -> seg:int -> mtime:float -> unit;
   on_batch : head:int -> addr:int -> blocks:int -> unit;
   max_batch : int;
+  mutable xfer : bytes;
+      (* the transfer buffer every batch is rendered into and written
+         from, grown to the largest batch written (at most a segment) *)
   sums : int array;
       (* the payload checksum of the block this writer last wrote at each
          log address (index: address - seg_start), -1 when unknown *)
@@ -57,6 +60,7 @@ let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
     on_append;
     on_batch;
     max_batch = Summary.max_entries ~block_size:layout.Layout.block_size;
+    xfer = Bytes.empty;
     sums = Array.make (layout.Layout.nsegs * layout.Layout.seg_blocks) (-1);
     heads =
       Array.map
@@ -101,27 +105,30 @@ let head_stats t i =
   let h = t.heads.(i) in
   { segments = h.stat_segments; blocks = h.stat_blocks; syncs = h.stat_syncs }
 
-(* Copy one payload block into [buf] at byte [dst]. *)
-let place ~bs buf dst payload =
-  let b, pos =
-    match payload with Bytes (b, pos) -> (b, pos) | Lazy f -> (f (), 0)
-  in
-  if pos < 0 || pos + bs > Bytes.length b then
-    invalid_arg "Log_writer: payload is not a whole block";
-  Bytes.blit b pos buf dst bs
+(* Copy or render one payload block into [buf] at byte [dst]. *)
+let place ~bs buf dst = function
+  | Bytes (b, pos) ->
+      if pos < 0 || pos + bs > Bytes.length b then
+        invalid_arg "Log_writer: payload is not a whole block";
+      Bytes.blit b pos buf dst bs
+  | Lazy render -> render buf ~pos:dst
 
 (* Write one head's queued batch (summary + payloads) as one sequential
-   IO.  Payloads are rendered straight into the transfer buffer after
-   the summary slot.  Each block's checksum is the one carried over from
-   its source, or is taken in place right after the copy; it is recorded
-   at the block's new address and folded into the batch's.  The summary
-   goes in last. *)
+   IO from the writer's one transfer buffer.  Payloads are copied or
+   rendered straight into it after the summary slot, so every block the
+   write covers is rewritten first and nothing of an earlier batch goes
+   out.  Each block's checksum is the one carried over from its source,
+   or is taken in place right after the copy; it is recorded at the
+   block's new address and folded into the batch's.  The summary goes
+   in last. *)
 let sync_head t i =
   let h = t.heads.(i) in
   if h.batch_count > 0 then begin
     let bs = t.layout.Layout.block_size in
     let pendings = List.rev h.batch in
-    let buf = Bytes.create ((h.batch_count + 1) * bs) in
+    let len = (h.batch_count + 1) * bs in
+    if Bytes.length t.xfer < len then t.xfer <- Bytes.create len;
+    let buf = t.xfer in
     let addr = Layout.seg_first_block t.layout h.cur_seg + h.batch_slot in
     let first = addr + 1 - t.layout.Layout.seg_start in
     let payload_sum = ref 1 in
@@ -162,8 +169,10 @@ let sync_head t i =
     Summary.encode_into ~block_size:bs summary buf;
     (* Submit the batch as one tagged sequential transfer.  Under Direct
        mode this services immediately (the historical behaviour); under
-       queued IO the write pipelines ahead of the next fsync barrier. *)
-    let tk = Vdev.submit_write t.disk addr buf in
+       queued IO the write pipelines ahead of the next fsync barrier.
+       The device takes the data at submit, so the buffer is free for
+       the next batch as soon as this returns. *)
+    let tk = Vdev.submit_write_from t.disk addr (h.batch_count + 1) buf ~pos:0 in
     h.unflushed <- tk :: h.unflushed;
     h.stat_syncs <- h.stat_syncs + 1;
     t.on_batch ~head:i ~addr ~blocks:(h.batch_count + 1);

@@ -21,6 +21,14 @@
     their blocks self-describe accounting that the append itself
     changes).
 
+    Every batch goes out of one transfer buffer the writer keeps, grown
+    to the largest batch it has written (a summary and at most a
+    segment's payloads).  Payloads are copied, or rendered, straight
+    into it, and it is written with {!Lfs_disk.Vdev.submit_write_from},
+    whose device takes the data at submit; so the buffer is free again
+    when the write call returns, and a batch no larger than an earlier
+    one allocates no block buffer.
+
     Every head always holds a reservation for its next segment
     ({!reserved_segment}); every summary records it, which is how
     roll-forward follows each head's chain across segment boundaries. *)
@@ -31,7 +39,10 @@ type payload =
           offset 0), which the caller leaves untouched until the batch is
           written: the cleaner relocates straight out of its read
           buffers *)
-  | Lazy of (unit -> bytes)  (** one block, rendered at batch-write time *)
+  | Lazy of (bytes -> pos:int -> unit)
+      (** one block, rendered at batch-write time: [render buf ~pos]
+          must write every byte of the block at [pos] of [buf], the
+          writer's transfer buffer, and keep no reference to it *)
 
 type position = {
   seg : int;       (** segment this head is filling *)

@@ -1,7 +1,8 @@
 module Vdev = Lfs_disk.Vdev
 module Io_queue = Lfs_disk.Io_queue
 
-type write = { summary : Summary.t; blocks : (int * bytes) list }
+type decoded = Inodes of (int * Types.ino) list | Records of Dir_log.record list
+type write = { summary : Summary.t; decoded : (int * decoded) list }
 
 type result = {
   writes : write list;
@@ -9,25 +10,6 @@ type result = {
   next_seq : int;
   segments_scanned : int;
 }
-
-(* Whether entry [i] of a summary must be loaded during the scan:
-   recovery reprocesses inodes and directory-log records; data blocks
-   stay where they are and are only referenced by address. *)
-let needs_payload (e : Summary.entry) =
-  match e.Summary.kind with
-  | Types.Inode_block | Types.Dir_log -> true
-  | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap
-  | Types.Seg_usage | Types.Summary ->
-      false
-
-let load_blocks layout disk s =
-  List.concat
-    (List.mapi
-       (fun i e ->
-         if needs_payload e then
-           [ (i, Vdev.read_block disk (Summary.entry_addr s layout i)) ]
-         else [])
-       s.Summary.entries)
 
 (* {1 Reading the log into the reader's own buffers} *)
 
@@ -44,6 +26,33 @@ let reader layout dev =
 let read_block r addr =
   ignore (Vdev.submit_read_into r.dev addr 1 r.block ~pos:0 : Io_queue.ticket);
   r.block
+
+(* Recovery reprocesses inodes and directory-log records; data blocks
+   stay where they are and are only referenced by address.  So the scan
+   reads each inode and dir-log block of a write through the reader's
+   block buffer and keeps only what the digest uses: the ino in each
+   occupied inode slot, and the decoded records. *)
+let decode_payloads r s =
+  List.concat
+    (List.mapi
+       (fun i (e : Summary.entry) ->
+         match e.Summary.kind with
+         | Types.Inode_block ->
+             let b = read_block r (Summary.entry_addr s r.layout i) in
+             let slots = ref [] in
+             for slot = r.layout.Layout.inodes_per_block - 1 downto 0 do
+               match Inode.decode_ino b ~slot with
+               | Some ino -> slots := (slot, ino) :: !slots
+               | None -> ()
+             done;
+             [ (i, Inodes !slots) ]
+         | Types.Dir_log ->
+             let b = read_block r (Summary.entry_addr s r.layout i) in
+             [ (i, Records (Dir_log.decode_block b)) ]
+         | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap
+         | Types.Seg_usage | Types.Summary ->
+             [])
+       s.Summary.entries)
 
 let payload_intact r (s : Summary.t) =
   let n = List.length s.Summary.entries in
@@ -167,7 +176,7 @@ let scan layout disk ~ckpt =
                && s.Summary.seq >= ckpt.Checkpoint.log_seq)
              c.steps)
     |> List.sort (fun a b -> compare a.Summary.seq b.Summary.seq)
-    |> List.map (fun s -> { summary = s; blocks = load_blocks layout disk s })
+    |> List.map (fun s -> { summary = s; decoded = decode_payloads r s })
   in
   let next_seq =
     if cutoff < max_int then cutoff
@@ -257,25 +266,25 @@ let digest layout writes =
       List.iteri
         (fun i (e : Summary.entry) ->
           match e.Summary.kind with
-          | Types.Inode_block ->
-              let payload = List.assoc i w.blocks in
-              let block = Summary.entry_addr w.summary layout i in
-              for slot = 0 to layout.Layout.inodes_per_block - 1 do
-                match Inode.decode_ino payload ~slot with
-                | None -> ()
-                | Some ino ->
-                    Hashtbl.replace latest ino (Types.Iaddr.make ~block ~slot, seq)
-              done
           | Types.Data ->
               incr data_blocks;
               note_version w i e
           | Types.Indirect | Types.Dindirect -> note_version w i e
-          | Types.Dir_log ->
+          | Types.Inode_block | Types.Dir_log | Types.Imap | Types.Seg_usage
+          | Types.Summary ->
+              ())
+        w.summary.Summary.entries;
+      List.iter
+        (fun (i, d) ->
+          match d with
+          | Inodes slots ->
+              let block = Summary.entry_addr w.summary layout i in
               List.iter
-                (fun r -> records := (seq, r) :: !records)
-                (Dir_log.decode_block (List.assoc i w.blocks))
-          | Types.Imap | Types.Seg_usage | Types.Summary -> ())
-        w.summary.Summary.entries)
+                (fun (slot, ino) ->
+                  Hashtbl.replace latest ino (Types.Iaddr.make ~block ~slot, seq))
+                slots
+          | Records rs -> List.iter (fun r -> records := (seq, r) :: !records) rs)
+        w.decoded)
     writes;
   let carried ino = Option.map snd (Hashtbl.find_opt latest ino) in
   {

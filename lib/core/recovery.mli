@@ -24,11 +24,18 @@
 
     The scan is read-only; {!Fs.recover} applies the results. *)
 
+type decoded =
+  | Inodes of (int * Types.ino) list
+      (** an inode block: the ino in each occupied slot, as
+          [(slot, ino)] in slot order *)
+  | Records of Dir_log.record list  (** a dir-log block's records *)
+
 type write = {
   summary : Summary.t;
-  blocks : (int * bytes) list;
-      (** payloads of the inode-block and dir-log entries, keyed by
-          entry index within the summary *)
+  decoded : (int * decoded) list;
+      (** what roll-forward needs of the inode-block and dir-log
+          payloads, keyed by entry index within the summary, in entry
+          order; the scan keeps no payload block *)
 }
 
 type result = {

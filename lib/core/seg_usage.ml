@@ -92,17 +92,16 @@ let block_addr t i = t.block_addrs.(i)
 let set_block_addr t i addr = t.block_addrs.(i) <- addr
 let nblocks t = Array.length t.block_addrs
 
-let encode_block t i =
-  let b = Bytes.make t.layout.Layout.block_size '\000' in
-  let c = Codec.writer b in
+let encode_block_into t i b ~pos =
+  Bytes.fill b pos t.layout.Layout.block_size '\000';
+  let c = Codec.at b pos in
   let lo = i * entries_per_block t in
   let hi = min (lo + entries_per_block t) (nsegs t) in
   for s = lo to hi - 1 do
     Codec.put_u32 c t.live.(s);
     Codec.put_u32 c 0;
     Codec.put_float c t.mtimes.(s)
-  done;
-  b
+  done
 
 let decode_block t i b =
   let c = Codec.reader b in

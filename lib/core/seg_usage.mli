@@ -48,7 +48,9 @@ val set_block_addr : t -> int -> Types.baddr -> unit
 val nblocks : t -> int
 val clear_block_dirty : t -> int -> unit
 val dirty_blocks : t -> int list
-val encode_block : t -> int -> bytes
+val encode_block_into : t -> int -> bytes -> pos:int -> unit
+(** Serialise table block [i] (for writing to the log) into the block at
+    byte [pos] of the buffer, zeroing it first. *)
 
 val utilization_histogram : t -> bins:int -> exclude:(int -> bool) -> Lfs_util.Histogram.t
 (** Distribution of per-segment utilisation (Figures 5, 6, 10), skipping

@@ -8,6 +8,16 @@
    operation raises: any of them could evict the lent entry and hand its
    buffer to another block. *)
 
+(* Block addresses hash to themselves: no generic [caml_hash] or
+   polymorphic compare on the lookup path.  The table is never iterated,
+   so its bucket order cannot show. *)
+module Addr_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (a : int) = a
+end)
+
 type node = {
   addr : int;
   mutable data : bytes;
@@ -18,7 +28,7 @@ type node = {
 type t = {
   capacity : int;
   block_size : int;
-  table : (int, node) Hashtbl.t;
+  table : node Addr_table.t;
   mutable head : node option;  (* most recently used *)
   mutable tail : node option;  (* least recently used *)
   mutable hits : int;
@@ -34,7 +44,7 @@ let create ~capacity ~block_size =
   {
     capacity;
     block_size;
-    table = Hashtbl.create (max 16 capacity);
+    table = Addr_table.create (max 16 capacity);
     head = None;
     tail = None;
     hits = 0;
@@ -88,7 +98,7 @@ let evict_lru t =
   | None -> ()
   | Some n ->
       unlink t n;
-      Hashtbl.remove t.table n.addr;
+      Addr_table.remove t.table n.addr;
       release t n
 
 let fresh_buffer t =
@@ -101,16 +111,16 @@ let fresh_buffer t =
 (* Enter [data] as the contents of [addr], which the table lacks,
    evicting the LRU entry first when the cache is full. *)
 let insert t addr data =
-  if Hashtbl.length t.table >= t.capacity then evict_lru t;
+  if Addr_table.length t.table >= t.capacity then evict_lru t;
   let n = { addr; data; prev = None; next = None } in
-  Hashtbl.replace t.table addr n;
+  Addr_table.replace t.table addr n;
   push_front t n
 
 (* Take a copy of the block at [pos] of [src] as the contents of
    [addr]. *)
 let store t addr ~pos src =
   if t.capacity > 0 then begin
-    match Hashtbl.find_opt t.table addr with
+    match Addr_table.find_opt t.table addr with
     | Some n ->
         Bytes.blit src pos n.data 0 t.block_size;
         touch t n
@@ -137,7 +147,7 @@ let lend t b f =
 
 let with_block t ~fetch addr f =
   check_free t;
-  match Hashtbl.find_opt t.table addr with
+  match Addr_table.find_opt t.table addr with
   | Some n ->
       t.hits <- t.hits + 1;
       touch t n;
@@ -164,10 +174,10 @@ let with_block t ~fetch addr f =
 
 let invalidate t addr =
   check_free t;
-  match Hashtbl.find_opt t.table addr with
+  match Addr_table.find_opt t.table addr with
   | Some n ->
       unlink t n;
-      Hashtbl.remove t.table addr;
+      Addr_table.remove t.table addr;
       release t n
   | None -> ()
 
@@ -194,7 +204,7 @@ let read_range_into t ~fetch addr n buf ~pos =
   in
   let run = ref 0 in
   for i = 0 to n - 1 do
-    match Hashtbl.find_opt t.table (addr + i) with
+    match Addr_table.find_opt t.table (addr + i) with
     | Some node ->
         (* Copy the hit out before the fill: the fill may evict [node]
            and hand its buffer to a block it loads.  Known defect, kept
@@ -213,11 +223,11 @@ let read_range_into t ~fetch addr n buf ~pos =
 
 let mem t addr =
   check_free t;
-  Hashtbl.mem t.table addr
+  Addr_table.mem t.table addr
 
 let clear t =
   check_free t;
-  Hashtbl.reset t.table;
+  Addr_table.reset t.table;
   t.head <- None;
   t.tail <- None;
   t.hits <- 0;

@@ -176,53 +176,61 @@ let consume_countdown t n =
       end
       else t.crash_countdown <- Some k
 
-(* Land one write on the medium: persist the writable prefix, burn the
-   crash countdown, raise if it tripped.  In [Direct] mode this runs at
-   submit time (submission order == service order); in [Queued] mode it
-   is deferred into the elevator's commit, so countdowns burn — and
-   crashes tear — in the order the device actually retires writes. *)
-let perform_write t ~seq addr payload =
+(* Land one write on the medium: persist the writable prefix of the
+   [n] blocks at byte [pos] of [payload], burn the crash countdown,
+   raise if it tripped.  In [Direct] mode this runs at submit time
+   (submission order == service order); in [Queued] mode it is deferred
+   into the elevator's commit, so countdowns burn — and crashes tear —
+   in the order the device actually retires writes. *)
+let perform_write t ~seq addr n payload ~pos =
   if t.crashed then raise Crashed;
   let bs = block_size t in
-  let n = Bytes.length payload / bs in
   let persist = writable_prefix t n in
   for i = 0 to persist - 1 do
     if t.write_seq.(addr + i) <= seq then begin
-      blit_to_store payload (i * bs) t.data ((addr + i) * bs) bs;
+      blit_to_store payload (pos + (i * bs)) t.data ((addr + i) * bs) bs;
       t.write_seq.(addr + i) <- seq
     end
   done;
   consume_countdown t n;
   if t.crashed then raise Crashed
 
-let submit_write_payload ?now t addr payload =
-  let bs = block_size t in
-  let n = Bytes.length payload / bs in
+(* The caller may reuse [payload] once this returns: [Direct] lands it
+   now, [Queued] keeps a copy of the slice until the commit. *)
+let submit_write_payload ?now t addr n payload ~pos =
   t.write_seq_counter <- t.write_seq_counter + 1;
   let seq = t.write_seq_counter in
   match get_mode t with
   | Io_queue.Direct ->
       let tk = enqueue t ?now ~addr ~n () in
-      perform_write t ~seq addr payload;
+      perform_write t ~seq addr n payload ~pos;
       tk
   | Io_queue.Queued _ ->
-      let payload = Bytes.copy payload in
+      let payload = Bytes.sub payload pos (n * block_size t) in
       t.pending <- Seq_map.add seq (addr, payload) t.pending;
       enqueue t ?now ~addr ~n ()
         ~on_commit:(fun () ->
           t.pending <- Seq_map.remove seq t.pending;
-          perform_write t ~seq addr payload)
+          perform_write t ~seq addr n payload ~pos:0)
+
+let submit_write_from ?now t addr n buf ~pos =
+  ensure_alive t;
+  check_range t addr n "write_blocks";
+  let bs = block_size t in
+  if pos < 0 || pos + (n * bs) > Bytes.length buf then
+    invalid_arg
+      (Printf.sprintf "Disk.submit_write_from: %d blocks at byte %d of %d" n pos
+         (Bytes.length buf));
+  t.stats.Io_stats.writes <- t.stats.Io_stats.writes + 1;
+  t.stats.Io_stats.blocks_written <- t.stats.Io_stats.blocks_written + n;
+  submit_write_payload ?now t addr n buf ~pos
 
 let submit_write ?now t addr b =
   ensure_alive t;
   let bs = block_size t in
   if Bytes.length b mod bs <> 0 then
     invalid_arg "Disk.write_blocks: buffer is not a whole number of blocks";
-  let n = Bytes.length b / bs in
-  check_range t addr n "write_blocks";
-  t.stats.Io_stats.writes <- t.stats.Io_stats.writes + 1;
-  t.stats.Io_stats.blocks_written <- t.stats.Io_stats.blocks_written + n;
-  submit_write_payload ?now t addr b
+  submit_write_from ?now t addr (Bytes.length b / bs) b ~pos:0
 
 let write_blocks t addr b = ignore (submit_write t addr b)
 
@@ -239,7 +247,7 @@ let zero_blocks t addr n =
   check_range t addr n "zero_blocks";
   t.stats.Io_stats.writes <- t.stats.Io_stats.writes + 1;
   t.stats.Io_stats.blocks_written <- t.stats.Io_stats.blocks_written + n;
-  ignore (submit_write_payload t addr (Bytes.make (n * block_size t) '\000'))
+  ignore (submit_write_payload t addr n (Bytes.make (n * block_size t) '\000') ~pos:0)
 
 let drain t = Io_queue.drain t.queue
 let pump t ~now = Io_queue.pump t.queue ~now

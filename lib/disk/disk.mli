@@ -85,10 +85,18 @@ val submit_read_into :
 val submit_read : ?now:float -> t -> int -> int -> Io_queue.ticket * bytes
 (** {!submit_read_into} a fresh buffer. *)
 
+val submit_write_from :
+  ?now:float -> t -> int -> int -> bytes -> pos:int -> Io_queue.ticket
+(** [submit_write_from d addr n buf ~pos]: tagged write of the [n]
+    blocks at byte [pos] of [buf].  In [Direct] mode contents (and any
+    crash) land at submit time; in [Queued] mode the device keeps a copy
+    of the slice, which lands when the elevator commits the request, and
+    the ticket resolves at that modelled completion.  Either way the
+    caller may reuse [buf] as soon as this returns.  Raises
+    [Invalid_argument] when the blocks do not fit in [buf]. *)
+
 val submit_write : ?now:float -> t -> int -> bytes -> Io_queue.ticket
-(** Tagged write.  In [Direct] mode contents (and any crash) land at
-    submit time; in [Queued] mode they land when the elevator commits
-    the request, and the ticket resolves at that modelled completion. *)
+(** {!submit_write_from} a whole buffer (a multiple of the block size). *)
 
 val drain : t -> float
 (** Service every outstanding request; returns the final horizon. *)

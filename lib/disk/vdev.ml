@@ -10,6 +10,7 @@ type t = {
   submit_read : ?now:float -> int -> int -> Io_queue.ticket * bytes;
   submit_read_into : ?now:float -> int -> int -> bytes -> pos:int -> Io_queue.ticket;
   submit_write : ?now:float -> int -> bytes -> Io_queue.ticket;
+  submit_write_from : ?now:float -> int -> int -> bytes -> pos:int -> Io_queue.ticket;
   drain : unit -> float;
   pump : now:float -> (int * float) list;
   outstanding_in : lo:int -> hi:int -> int;
@@ -30,19 +31,32 @@ let alloc_submit_read ~block_size read_into ?now addr n =
 let alloc_read_blocks ~block_size read_into addr n =
   snd (alloc_submit_read ~block_size read_into addr n)
 
+let whole_submit_write ~block_size write_from ?now addr b =
+  let len = Bytes.length b in
+  if len mod block_size <> 0 then
+    invalid_arg
+      (Printf.sprintf "Vdev.write_blocks: %d bytes is not a whole number of %d-byte blocks"
+         len block_size);
+  write_from ?now addr (len / block_size) b ~pos:0
+
+let whole_write_blocks ~block_size write_from addr b =
+  ignore (whole_submit_write ~block_size write_from addr b : Io_queue.ticket)
+
 let of_disk d =
   let block_size = Disk.block_size d in
   let read_into ?now addr n buf ~pos = Disk.submit_read_into ?now d addr n buf ~pos in
+  let write_from ?now addr n buf ~pos = Disk.submit_write_from ?now d addr n buf ~pos in
   {
     name = "disk";
     block_size;
     nblocks = Disk.nblocks d;
     read_blocks = alloc_read_blocks ~block_size read_into;
-    write_blocks = (fun addr b -> Disk.write_blocks d addr b);
+    write_blocks = whole_write_blocks ~block_size write_from;
     zero_blocks = (fun addr n -> Disk.zero_blocks d addr n);
     submit_read = alloc_submit_read ~block_size read_into;
     submit_read_into = read_into;
-    submit_write = (fun ?now addr b -> Disk.submit_write ?now d addr b);
+    submit_write = whole_submit_write ~block_size write_from;
+    submit_write_from = write_from;
     drain = (fun () -> Disk.drain d);
     pump = (fun ~now -> Disk.pump d ~now);
     outstanding_in = (fun ~lo ~hi -> Disk.outstanding_in d ~lo ~hi);
@@ -88,6 +102,15 @@ let submit_read_into ?now v addr n buf ~pos =
   v.submit_read_into ?now addr n buf ~pos
 
 let submit_write ?now v addr b = v.submit_write ?now addr b
+
+let submit_write_from ?now v addr n buf ~pos =
+  if n < 0 || pos < 0 || pos + (n * v.block_size) > Bytes.length buf then
+    invalid_arg
+      (Printf.sprintf
+         "Vdev.submit_write_from(%s): %d blocks at byte %d of a %d-byte buffer"
+         v.name n pos (Bytes.length buf));
+  v.submit_write_from ?now addr n buf ~pos
+
 let await = Io_queue.await
 let drain v = v.drain ()
 let pump v ~now = v.pump ~now

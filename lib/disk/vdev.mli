@@ -7,6 +7,14 @@
     block cache ({!Vdev_cache}), a fault injector ({!Vdev_fault}), a
     tiered volume ({!Vdev_tier}), or any stack of them.
 
+    Each layer implements one read and one write, both over a slice of
+    the caller's buffer: [submit_read_into] lands blocks at a byte
+    offset of it, [submit_write_from] takes them from one.  Neither
+    keeps the buffer: a write's data is taken at submit, so the caller
+    may reuse its buffer as soon as the call returns.  The allocating
+    read and whole-buffer write fields are derived from those two, once,
+    in this module.
+
     IO has two faces.  The synchronous [read_blocks]/[write_blocks]/
     [zero_blocks] are thin submit-then-complete wrappers: in the default
     [Direct] mode every transfer is serviced at submit time, so existing
@@ -39,7 +47,10 @@ type t = {
       (** [read_blocks addr n]: [n] contiguous blocks starting at [addr]. *)
   write_blocks : int -> bytes -> unit;
       (** [write_blocks addr b]: [Bytes.length b / block_size] contiguous
-          blocks; length must be a positive multiple of [block_size]. *)
+          blocks; length must be a positive multiple of [block_size].
+          Every layer derives this field and [submit_write] from
+          [submit_write_from] with {!whole_write_blocks} and
+          {!whole_submit_write}. *)
   zero_blocks : int -> int -> unit;
       (** Write zeros: charged and crash-checked like [write_blocks]. *)
   submit_read : ?now:float -> int -> int -> Io_queue.ticket * bytes;
@@ -55,8 +66,17 @@ type t = {
           with [{ lower with ... }] must override this field, or its
           reads bypass it. *)
   submit_write : ?now:float -> int -> bytes -> Io_queue.ticket;
-      (** Tagged write: contents (and any armed crash) land at submit
-          time, the ticket resolves at the modelled completion. *)
+      (** Tagged write of a whole buffer: contents (and any armed crash)
+          land at submit time, the ticket resolves at the modelled
+          completion. *)
+  submit_write_from : ?now:float -> int -> int -> bytes -> pos:int -> Io_queue.ticket;
+      (** [submit_write_from addr n buf ~pos]: the one write each layer
+          implements.  It writes the [n] blocks at byte [pos] of the
+          caller's [buf].  Data at submit: the layer takes what it needs
+          of [buf] before returning (a queued leaf copies the slice), so
+          the caller may overwrite [buf] as soon as the call returns.  A
+          layer built with [{ lower with ... }] must override this
+          field, or its writes bypass it. *)
   drain : unit -> float;
       (** Barrier: service every outstanding request on every leaf;
           returns the latest completion time. *)
@@ -131,6 +151,32 @@ val alloc_read_blocks :
 (** The matching [read_blocks] field. *)
 
 val submit_write : ?now:float -> t -> int -> bytes -> Io_queue.ticket
+
+val submit_write_from :
+  ?now:float -> t -> int -> int -> bytes -> pos:int -> Io_queue.ticket
+(** Raises [Invalid_argument] unless the [n] blocks fit in [buf] from
+    byte [pos].  The caller owns [buf] before and after: no layer keeps
+    or aliases it once the call returns. *)
+
+val whole_submit_write :
+  block_size:int ->
+  (?now:float -> int -> int -> bytes -> pos:int -> Io_queue.ticket) ->
+  ?now:float ->
+  int ->
+  bytes ->
+  Io_queue.ticket
+(** [whole_submit_write ~block_size write_from] is the [submit_write]
+    field of a layer whose [submit_write_from] is [write_from]: it
+    writes every block of the buffer.  Raises [Invalid_argument] when
+    the buffer is not a whole number of blocks. *)
+
+val whole_write_blocks :
+  block_size:int ->
+  (?now:float -> int -> int -> bytes -> pos:int -> Io_queue.ticket) ->
+  int ->
+  bytes ->
+  unit
+(** The matching [write_blocks] field. *)
 
 val await : Io_queue.ticket -> float
 (** Re-export of {!Io_queue.await}: force service of everything the

@@ -20,14 +20,13 @@ let make_view lower cache name =
     Block_cache.read_range_into cache ~fetch:(fetch ?now lower tickets) addr n buf ~pos;
     match !tickets with [] -> Io_queue.Done | ts -> Io_queue.Join ts
   in
-  let submit_write ?now addr b =
-    let n = Bytes.length b / bs in
+  let write_from ?now addr n buf ~pos =
     (* Invalidate first: if the write below is torn, nothing stale
        survives in the cache. *)
     Block_cache.invalidate_range cache addr n;
-    let tk = Vdev.submit_write ?now lower addr b in
+    let tk = Vdev.submit_write_from ?now lower addr n buf ~pos in
     for i = 0 to n - 1 do
-      Block_cache.put cache (addr + i) ~pos:(i * bs) b
+      Block_cache.put cache (addr + i) ~pos:(pos + (i * bs)) buf
     done;
     tk
   in
@@ -39,11 +38,12 @@ let make_view lower cache name =
     lower with
     Vdev.name;
     read_blocks = Vdev.alloc_read_blocks ~block_size:bs read_into;
-    write_blocks = (fun addr b -> ignore (submit_write addr b));
+    write_blocks = Vdev.whole_write_blocks ~block_size:bs write_from;
     zero_blocks;
     submit_read = Vdev.alloc_submit_read ~block_size:bs read_into;
     submit_read_into = read_into;
-    submit_write;
+    submit_write = Vdev.whole_submit_write ~block_size:bs write_from;
+    submit_write_from = write_from;
   }
 
 let create ?(name = "cache") ~capacity lower =

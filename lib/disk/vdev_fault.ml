@@ -68,13 +68,14 @@ let submit_read_into ?now t addr n buf ~pos =
   done;
   tk
 
-(* Write blocks [first, first+count) of the transfer individually so a
-   reordered subset costs the same interface calls either way. *)
-let submit_sub ?now lower bs addr b ~first ~count tickets =
+(* Write blocks [first, first+count) of the transfer, which starts at
+   byte [pos] of [b], individually so a reordered subset costs the same
+   interface calls either way. *)
+let submit_sub ?now lower bs addr b ~pos ~first ~count tickets =
   if count > 0 then
     tickets :=
-      Vdev.submit_write ?now lower (addr + first)
-        (Bytes.sub b (first * bs) (count * bs))
+      Vdev.submit_write_from ?now lower (addr + first) count b
+        ~pos:(pos + (first * bs))
       :: !tickets
 
 (* With a Direct lower stack, crash points are decided here at submit
@@ -89,25 +90,23 @@ let lower_is_queued t =
   | Io_queue.Queued _ -> true
   | Io_queue.Direct -> false
 
-let submit_write ?now t addr b =
+let submit_write_from ?now t addr n b ~pos =
   check_alive t;
   if t.countdown >= 0 && lower_is_queued t then begin
     t.lower.Vdev.plan_crash ~after_blocks:t.countdown;
     t.countdown <- -1
   end;
   let bs = t.lower.Vdev.block_size in
-  let len = Bytes.length b in
-  if len = 0 || len mod bs <> 0 then
-    invalid_arg (Printf.sprintf "Vdev_fault.write_blocks: %d bytes" len);
-  let n = len / bs in
-  let b =
+  if n <= 0 then
+    invalid_arg (Printf.sprintf "Vdev_fault.write_blocks: %d blocks" n);
+  let b, pos =
     (* Apply write-rot on a copy; the caller's buffer stays pristine. *)
     let rec rotted i =
-      if i >= n then b
+      if i >= n then (b, pos)
       else
         match Hashtbl.find_opt t.write_rot (addr + i) with
         | Some rot ->
-            let c = Bytes.copy b in
+            let c = Bytes.sub b pos (n * bs) in
             for j = i to n - 1 do
               match Hashtbl.find_opt t.write_rot (addr + j) with
               | Some rot' ->
@@ -115,7 +114,7 @@ let submit_write ?now t addr b =
                   Hashtbl.remove t.write_rot (addr + j)
               | None -> ()
             done;
-            c
+            (c, 0)
         | None -> rotted (i + 1)
     in
     rotted 0
@@ -125,7 +124,7 @@ let submit_write ?now t addr b =
     (* This write triggers the power cut. *)
     let keep = t.countdown in
     (match t.mode with
-    | Torn -> submit_sub ?now t.lower bs addr b ~first:0 ~count:keep tickets
+    | Torn -> submit_sub ?now t.lower bs addr b ~pos ~first:0 ~count:keep tickets
     | Dropped -> ()
     | Reordered ->
         (* Persist [keep] of the [n] blocks, chosen uniformly: the disk
@@ -133,7 +132,7 @@ let submit_write ?now t addr b =
         let order = Array.init n (fun i -> i) in
         Prng.shuffle t.prng order;
         for k = 0 to keep - 1 do
-          submit_sub ?now t.lower bs addr b ~first:order.(k) ~count:1 tickets
+          submit_sub ?now t.lower bs addr b ~pos ~first:order.(k) ~count:1 tickets
         done);
     t.written <- t.written + keep;
     t.countdown <- -1;
@@ -142,7 +141,7 @@ let submit_write ?now t addr b =
   end
   else begin
     if t.countdown >= 0 then t.countdown <- t.countdown - n;
-    tickets := [ Vdev.submit_write ?now t.lower addr b ];
+    tickets := [ Vdev.submit_write_from ?now t.lower addr n b ~pos ];
     t.written <- t.written + n
   end;
   Io_queue.Join !tickets
@@ -150,11 +149,12 @@ let submit_write ?now t addr b =
 let vdev t =
   let block_size = t.lower.Vdev.block_size in
   let read_into ?now addr n buf ~pos = submit_read_into ?now t addr n buf ~pos in
+  let write_from ?now addr n buf ~pos = submit_write_from ?now t addr n buf ~pos in
   {
     t.lower with
     Vdev.name = Printf.sprintf "fault(%s)" t.lower.Vdev.name;
     read_blocks = Vdev.alloc_read_blocks ~block_size read_into;
-    write_blocks = (fun addr b -> ignore (submit_write t addr b));
+    write_blocks = Vdev.whole_write_blocks ~block_size write_from;
     zero_blocks =
       (fun addr n ->
         (* mkfs path: charged and crash-checked by the layers below, but
@@ -164,7 +164,8 @@ let vdev t =
         t.lower.Vdev.zero_blocks addr n);
     submit_read = Vdev.alloc_submit_read ~block_size read_into;
     submit_read_into = read_into;
-    submit_write = (fun ?now addr b -> submit_write ?now t addr b);
+    submit_write = Vdev.whole_submit_write ~block_size write_from;
+    submit_write_from = write_from;
     plan_crash = (fun ~after_blocks -> plan_crash t ~mode:Torn ~after_blocks ());
     is_crashed = (fun () -> is_crashed t);
     reboot = (fun () -> reboot t);

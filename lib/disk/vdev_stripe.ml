@@ -41,19 +41,21 @@ let submit_read_into ?now t addr n buf ~pos =
       tickets := tk :: !tickets);
   Io_queue.Join !tickets
 
-let submit_write ?now t addr b =
-  let bs = t.block_size and nch = Array.length t.children in
-  if Bytes.length b mod bs <> 0 then
-    invalid_arg "Vdev_stripe.write_blocks: buffer is not a whole number of blocks";
-  let n = Bytes.length b / bs in
+(* A child's extent is strided in the caller's buffer: gather it into a
+   scratch buffer.  The child takes its data at submit, so one scratch
+   buffer serves every child in turn. *)
+let submit_write_from ?now t addr n buf ~pos =
   check_range t addr n "write_blocks";
+  let bs = t.block_size and nch = Array.length t.children in
+  let scratch = Bytes.create ((n + nch - 1) / nch * bs) in
   let tickets = ref [] in
   iter_extents t addr n (fun ~child ~caddr ~first ~count ->
-      let buf = Bytes.create (count * bs) in
       for i = 0 to count - 1 do
-        Bytes.blit b ((first + (i * nch) - addr) * bs) buf (i * bs) bs
+        Bytes.blit buf (pos + ((first + (i * nch) - addr) * bs)) scratch (i * bs) bs
       done;
-      tickets := Vdev.submit_write ?now t.children.(child) caddr buf :: !tickets);
+      tickets :=
+        Vdev.submit_write_from ?now t.children.(child) caddr count scratch ~pos:0
+        :: !tickets);
   Io_queue.Join !tickets
 
 let zero_blocks t addr n =
@@ -84,16 +86,18 @@ let create ?name children =
     match name with Some n -> n | None -> Printf.sprintf "stripe(%d)" nch
   in
   let read_into ?now addr n buf ~pos = submit_read_into ?now t addr n buf ~pos in
+  let write_from ?now addr n buf ~pos = submit_write_from ?now t addr n buf ~pos in
   {
     Vdev.name;
     block_size;
     nblocks = t.nblocks;
     read_blocks = Vdev.alloc_read_blocks ~block_size read_into;
-    write_blocks = (fun addr b -> ignore (submit_write t addr b));
+    write_blocks = Vdev.whole_write_blocks ~block_size write_from;
     zero_blocks = (fun addr n -> zero_blocks t addr n);
     submit_read = Vdev.alloc_submit_read ~block_size read_into;
     submit_read_into = read_into;
-    submit_write = (fun ?now addr b -> submit_write ?now t addr b);
+    submit_write = Vdev.whole_submit_write ~block_size write_from;
+    submit_write_from = write_from;
     drain =
       (fun () ->
         Array.fold_left

@@ -162,16 +162,15 @@ let submit_read_into ?now t addr n buf ~pos =
         :: !tickets);
   Io_queue.Join !tickets
 
-let submit_write ?now t addr b =
-  let bs = t.block_size in
-  if Bytes.length b mod bs <> 0 then
-    invalid_arg "Vdev_tier.write_blocks: buffer is not a whole number of blocks";
-  let n = Bytes.length b / bs in
+let submit_write_from ?now t addr n buf ~pos =
   check_range t addr n "write_blocks";
+  let bs = t.block_size in
   let tickets = ref [] in
   iter_extents t addr n (fun ~dev ~daddr ~first ~count ->
-      let buf = Bytes.sub b ((first - addr) * bs) (count * bs) in
-      tickets := Vdev.submit_write ?now dev daddr buf :: !tickets);
+      tickets :=
+        Vdev.submit_write_from ?now dev daddr count buf
+          ~pos:(pos + ((first - addr) * bs))
+        :: !tickets);
   Io_queue.Join !tickets
 
 let zero_blocks t addr n =
@@ -537,16 +536,18 @@ let vdev ?name t =
     | None -> Printf.sprintf "tier(%s+%s)" t.fast.Vdev.name t.slow.Vdev.name
   in
   let read_into ?now addr n buf ~pos = submit_read_into ?now t addr n buf ~pos in
+  let write_from ?now addr n buf ~pos = submit_write_from ?now t addr n buf ~pos in
   {
     Vdev.name;
     block_size = t.block_size;
     nblocks = t.nblocks;
     read_blocks = Vdev.alloc_read_blocks ~block_size:t.block_size read_into;
-    write_blocks = (fun addr b -> ignore (submit_write t addr b));
+    write_blocks = Vdev.whole_write_blocks ~block_size:t.block_size write_from;
     zero_blocks = (fun addr n -> zero_blocks t addr n);
     submit_read = Vdev.alloc_submit_read ~block_size:t.block_size read_into;
     submit_read_into = read_into;
-    submit_write = (fun ?now addr b -> submit_write ?now t addr b);
+    submit_write = Vdev.whole_submit_write ~block_size:t.block_size write_from;
+    submit_write_from = write_from;
     drain =
       (fun () -> Float.max (Vdev.drain t.fast) (Vdev.drain t.slow));
     pump = (fun ~now -> Vdev.pump t.fast ~now @ Vdev.pump t.slow ~now);

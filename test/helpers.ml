@@ -66,6 +66,19 @@ let encode_summary ~block_size s =
   Lfs_core.Summary.encode_into ~block_size s b;
   b
 
+(* Words [f] adds to the major heap, directly or by promotion.
+   [Gc.counters], not [Gc.quick_stat]: on OCaml 5 the latter's
+   [major_words] only catches up at a minor collection. *)
+let major_words f =
+  Gc.minor ();
+  let major () =
+    let _, _, m = Gc.counters () in
+    m
+  in
+  let before = major () in
+  f ();
+  major () -. before
+
 let check_bytes msg expected actual =
   Alcotest.(check string) msg (Bytes.to_string expected) (Bytes.to_string actual)
 

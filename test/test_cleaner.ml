@@ -362,6 +362,77 @@ let test_live_blocks_reads_less_when_sparse () =
     (Printf.sprintf "live (%d) < whole (%d)" live whole)
     true (live < whole)
 
+(* ----- The pass's read buffer ----- *)
+
+(* A pass reads into the mount's one-segment buffer, so nothing of it
+   may outlive the pass: overwriting the buffer after every operation
+   (each of which may run foreground passes) and every idle step must
+   leave every file byte-exact and the volume clean, under both read
+   policies. *)
+let test_read_buffer_dead_between_passes () =
+  List.iter
+    (fun cleaner_read ->
+      let config = { Helpers.eager_cleaning_config with Config.cleaner_read } in
+      let disk, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
+      let scribble () =
+        let b = Fs.cleaner_read_buffer fs in
+        Bytes.fill b 0 (Bytes.length b) '#'
+      in
+      let prng = Prng.create ~seed:21 in
+      let model = Hashtbl.create 64 in
+      for op = 1 to 600 do
+        let path = Printf.sprintf "/f%d" (Prng.int prng 40) in
+        let data = Helpers.bytes_of_pattern ~seed:op (4096 + Prng.int prng 40_000) in
+        Fs.write_path fs path data;
+        Hashtbl.replace model path data;
+        scribble ();
+        if op mod 5 = 0 then begin
+          ignore (Fs.clean_step fs);
+          scribble ()
+        end
+      done;
+      Alcotest.(check bool) "cleaner ran" true
+        (Helpers.fs_total fs "fs.cleaner.segments_cleaned" > 0);
+      Fs.sync fs;
+      Helpers.check_model fs model;
+      Helpers.fsck_clean fs;
+      Fs.unmount fs;
+      let fs = Fs.mount (Helpers.vdev disk) in
+      Helpers.check_model fs model;
+      Helpers.fsck_clean fs)
+    [ Config.Live_blocks; Config.Whole_segment ]
+
+(* After warm-up, a single-victim live-blocks pass reads every run into
+   the mount's buffer: it adds fewer words to the major heap than the
+   blocks it read would fill, where one buffer per run would add at
+   least that many. *)
+let test_live_blocks_pass_no_run_buffers () =
+  let config =
+    { Helpers.eager_cleaning_config with Config.cleaner_read = Config.Live_blocks }
+  in
+  let _, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
+  for i = 0 to 59 do
+    Fs.write_path fs (Printf.sprintf "/f%d" i) (Bytes.make 16_384 'a')
+  done;
+  for i = 0 to 29 do
+    Fs.write_path fs (Printf.sprintf "/f%d" (2 * i)) (Bytes.make 16_384 'b')
+  done;
+  Fs.sync fs;
+  for _ = 1 to 3 do
+    ignore (Fs.clean_step ~max_segments:1 fs)
+  done;
+  let read0 = Helpers.fs_total fs "fs.cleaner.blocks_read" in
+  let segs0 = Helpers.fs_total fs "fs.cleaner.segments_cleaned" in
+  let words = Helpers.major_words (fun () -> ignore (Fs.clean_step ~max_segments:1 fs)) in
+  let read = Helpers.fs_total fs "fs.cleaner.blocks_read" - read0 in
+  Alcotest.(check int) "one victim" 1
+    (Helpers.fs_total fs "fs.cleaner.segments_cleaned" - segs0);
+  let read_words = float_of_int (read * Helpers.test_config.Config.block_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words < the %d blocks read (%.0f)" words read read_words)
+    true (words < read_words);
+  Helpers.fsck_clean fs
+
 (* ----- Budgeted background cleaning (clean_step) ----- *)
 
 let counter fs name =
@@ -693,6 +764,10 @@ let suite =
       Alcotest.test_case "live breakdown" `Quick test_live_breakdown_sums;
       Alcotest.test_case "live-blocks cleaning safe" `Quick test_live_blocks_cleaning_safe;
       Alcotest.test_case "live-blocks reads less" `Quick test_live_blocks_reads_less_when_sparse;
+      Alcotest.test_case "read buffer dead between passes" `Quick
+        test_read_buffer_dead_between_passes;
+      Alcotest.test_case "live-blocks pass: no run buffers" `Quick
+        test_live_blocks_pass_no_run_buffers;
       Alcotest.test_case "clean_step idle above watermark" `Quick
         test_clean_step_idle_above_watermark;
       Alcotest.test_case "clean_step latch hysteresis" `Quick

@@ -812,20 +812,13 @@ let test_cache_borrowed_hit_no_major_alloc () =
   let view = Lfs_disk.Vdev_cache.vdev vc in
   Lfs_disk.Vdev.write_block view 7 (block 'w');
   let first b = Bytes.get b 0 in
-  (* [Gc.counters], not [Gc.quick_stat]: on OCaml 5 the latter's
-     [major_words] only catches up at a minor collection.  The window
-     allocates too little to trigger one, so no promotion is counted. *)
+  (* The window allocates too little to trigger a minor collection, so
+     no promotion is counted. *)
   let major_words f =
-    Gc.minor ();
-    let major () =
-      let _, _, m = Gc.counters () in
-      m
-    in
-    let before = major () in
-    for _ = 1 to 100 do
-      f ()
-    done;
-    major () -. before
+    Helpers.major_words (fun () ->
+        for _ = 1 to 100 do
+          f ()
+        done)
   in
   let hits0 = Lfs_disk.Vdev_cache.hits vc in
   let borrowed =

@@ -237,13 +237,85 @@ let test_lazy_payload_rendered_at_sync () =
     Log_writer.append env.log ~kind:Types.Imap ~ino:0 ~blockno:0 ~version:0
       ~mtime:1.0
       (Log_writer.Lazy
-         (fun () ->
+         (fun buf ~pos ->
            rendered := true;
-           Bytes.make layout.Layout.block_size 'L'))
+           Bytes.fill buf pos layout.Layout.block_size 'L'))
   in
   Alcotest.(check bool) "not rendered at append" false !rendered;
   Log_writer.sync env.log;
   Alcotest.(check bool) "rendered at sync" true !rendered
+
+(* Every batch goes out of the writer's one transfer buffer.  A batch
+   shorter than the one before writes exactly its own blocks: nothing of
+   the longer batch's tail reaches the disk. *)
+let test_short_batch_after_long () =
+  let env = mk_env () in
+  let bs = layout.Layout.block_size in
+  for i = 0 to 5 do
+    ignore (append env 'L' ~blockno:i)
+  done;
+  Log_writer.sync env.log;
+  let a = append env 's' ~blockno:10 in
+  let b = append env 't' ~blockno:11 in
+  let before = Lfs_disk.Io_stats.copy (Disk.stats env.disk) in
+  Log_writer.sync env.log;
+  let d = Lfs_disk.Io_stats.diff (Disk.stats env.disk) before in
+  Alcotest.(check int) "one write" 1 d.Lfs_disk.Io_stats.writes;
+  Alcotest.(check int) "its summary and two payloads" 3
+    d.Lfs_disk.Io_stats.blocks_written;
+  let s = Summary.decode ~block_size:bs (Disk.read_block env.disk (a - 1)) in
+  Alcotest.(check int) "summary lists two entries" 2
+    (List.length (Option.get s).Summary.entries);
+  Helpers.check_bytes "first payload" (Bytes.make bs 's') (Disk.read_block env.disk a);
+  Helpers.check_bytes "second payload" (Bytes.make bs 't') (Disk.read_block env.disk b);
+  Helpers.check_bytes "nothing past the batch" (Bytes.make (4 * bs) '\000')
+    (Disk.read_blocks env.disk (b + 1) 4)
+
+(* After the first batch, batches allocate no block buffer: 100 batches
+   of 32 blocks (a summary and 31 payloads, one segment each) add less
+   than one batch's worth of words to the major heap. *)
+let test_batches_reuse_transfer_buffer () =
+  let bs = layout.Layout.block_size in
+  let next = ref 0 in
+  let rec pick ~exclude =
+    let s = !next mod layout.Layout.nsegs in
+    incr next;
+    if List.mem s exclude then pick ~exclude else s
+  in
+  let log =
+    Log_writer.create layout
+      (Helpers.vdev (Helpers.fresh_disk ()))
+      ~pick_clean:pick
+      ~on_append:(fun _ ~seg:_ ~mtime:_ -> ())
+      ~on_batch:(fun ~head:_ ~addr:_ ~blocks:_ -> ())
+      ~heads:[| { Log_writer.seg = 0; off = 0; next_seg = 1 } |]
+      ~seq:1
+  in
+  next := 2;
+  let block = Bytes.make bs 'p' in
+  let batch () =
+    for i = 0 to 30 do
+      ignore
+        (Log_writer.append log ~kind:Types.Data ~ino:7 ~blockno:i ~version:0
+           ~mtime:1.0 (Log_writer.Bytes (block, 0)))
+    done;
+    Log_writer.sync log;
+    ignore (Log_writer.barrier log : float)
+  in
+  batch ();
+  let syncs0 = (Log_writer.head_stats log 0).Log_writer.syncs in
+  let words =
+    Helpers.major_words (fun () ->
+        for _ = 1 to 100 do
+          batch ()
+        done)
+  in
+  Alcotest.(check int) "100 batches" (syncs0 + 100)
+    (Log_writer.head_stats log 0).Log_writer.syncs;
+  let one_batch = float_of_int (32 * bs / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words < one batch (%.0f)" words one_batch)
+    true (words < one_batch)
 
 let test_wrong_payload_size_rejected () =
   let env = mk_env () in
@@ -479,6 +551,9 @@ let suite =
       Alcotest.test_case "on_append accounting" `Quick test_on_append_accounting;
       Alcotest.test_case "lazy payload" `Quick test_lazy_payload_rendered_at_sync;
       Alcotest.test_case "payload size checked" `Quick test_wrong_payload_size_rejected;
+      Alcotest.test_case "short batch after long" `Quick test_short_batch_after_long;
+      Alcotest.test_case "batches reuse transfer buffer" `Quick
+        test_batches_reuse_transfer_buffer;
       Alcotest.test_case "addresses unique" `Quick test_addresses_never_reused_within_segment;
       Alcotest.test_case "scan follows chain" `Quick test_scan_follows_chain_across_segments;
       Alcotest.test_case "scan rejects stale" `Quick test_scan_stops_at_stale_summary;

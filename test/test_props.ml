@@ -379,7 +379,10 @@ let prop_torn_write_through_cache =
    submits, awaits and drains must leave exactly the bytes the
    synchronous API leaves, and send the same transfers to the leaves, on
    every composition of the device stack.  Reads into a caller's buffer
-   at any byte offset must match the allocating reads. *)
+   at any byte offset must match the allocating reads, and a write of a
+   slice of a caller's buffer must match the whole-buffer write of a
+   copy, even though the caller overwrites its buffer once the write
+   call returns. *)
 
 module Vdev_fault = Lfs_disk.Vdev_fault
 module Io_queue = Lfs_disk.Io_queue
@@ -390,6 +393,9 @@ type sq_op =
   | Sq_read of int * int
   | Sq_read_into of int * int * int  (* address, blocks, byte offset *)
   | Sq_write of int * int * int
+  | Sq_write_from of int * int * int * int * bool
+      (* address, blocks, seed, byte offset, whether the queued side
+         (else the synchronous one) writes the slice *)
   | Sq_await
   | Sq_drain
 
@@ -397,6 +403,8 @@ let print_sq = function
   | Sq_read (a, l) -> Printf.sprintf "r@%d+%d" a l
   | Sq_read_into (a, l, p) -> Printf.sprintf "ri@%d+%d>%d" a l p
   | Sq_write (a, l, s) -> Printf.sprintf "w@%d+%d#%d" a l s
+  | Sq_write_from (a, l, s, p, q) ->
+      Printf.sprintf "wf%s@%d+%d#%d<%d" (if q then "q" else "s") a l s p
   | Sq_await -> "await"
   | Sq_drain -> "drain"
 
@@ -451,6 +459,13 @@ let arb_sq_prog =
                     (fun a l p -> Sq_read_into (min a (sq_blocks - l), l, p))
                     (int_bound (sq_blocks - 1))
                     (int_range 1 8) (int_bound 5000) );
+                ( 3,
+                  map3
+                    (fun (a, s) (l, p) q ->
+                      Sq_write_from (min a (sq_blocks - l), l, s, p, q))
+                    (pair (int_bound (sq_blocks - 1)) (int_bound 10_000))
+                    (pair (int_range 1 8) (int_range 1 5000))
+                    bool );
                 (1, return Sq_await);
                 (1, return Sq_drain);
               ])))
@@ -483,6 +498,22 @@ let prop_queued_data_equivalence =
                 let data = Helpers.bytes_of_pattern ~seed (len * bs) in
                 Vdev.write_blocks sync_v addr data;
                 tickets := Vdev.submit_write queued_v addr data :: !tickets;
+                true
+            | Sq_write_from (addr, len, seed, pos, queued) ->
+                (* One side writes the slice at [pos] of a larger buffer
+                   and scribbles over the buffer as soon as the call
+                   returns; the other writes a copy of the slice whole.
+                   Data at submit: the scribble reaches neither. *)
+                let n = len * bs in
+                let buf = Helpers.bytes_of_pattern ~seed (pos + n + 7) in
+                let slice = Bytes.sub buf pos n in
+                let from_v, whole_v =
+                  if queued then (queued_v, sync_v) else (sync_v, queued_v)
+                in
+                let tk = Vdev.submit_write_from from_v addr len buf ~pos in
+                Bytes.fill buf 0 (Bytes.length buf) '#';
+                let tk' = Vdev.submit_write whole_v addr slice in
+                tickets := (if queued then tk else tk') :: !tickets;
                 true
             | Sq_read (addr, len) ->
                 let want = Vdev.read_blocks sync_v addr len in

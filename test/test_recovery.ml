@@ -283,26 +283,17 @@ let digest_layout = Layout.compute Helpers.test_config ~disk_blocks:1024
    one dir-log block, [data] data blocks and a copy of each of [inos] in
    one inode block, in that order. *)
 let hand_write ~seq ?(records = []) ?(data = 0) ?(inos = []) () =
-  let bs = digest_layout.Layout.block_size in
   let entry kind = { Summary.kind; ino = 0; blockno = 0; version = 0; mtime = 0.0 } in
   let dirlog =
-    match Dir_log.encode_blocks ~block_size:bs records with
-    | [] -> []
-    | [ b ] -> [ (entry Types.Dir_log, Some b) ]
-    | _ -> Alcotest.fail "hand-built records span blocks"
+    if records = [] then [] else [ (entry Types.Dir_log, Some (Recovery.Records records)) ]
   in
   let inode_block =
     if inos = [] then []
-    else begin
-      let b = Bytes.make bs '\000' in
-      List.iteri
-        (fun slot ino ->
-          Lfs_core.Inode.encode
-            (Lfs_core.Inode.create ~ino ~ftype:Types.Regular ~mtime:0.0)
-            b ~slot)
-        inos;
-      [ (entry Types.Inode_block, Some b) ]
-    end
+    else
+      [
+        ( entry Types.Inode_block,
+          Some (Recovery.Inodes (List.mapi (fun slot ino -> (slot, ino)) inos)) );
+      ]
   in
   let parts =
     dirlog @ List.init data (fun _ -> (entry Types.Data, None)) @ inode_block
@@ -318,9 +309,9 @@ let hand_write ~seq ?(records = []) ?(data = 0) ?(inos = []) () =
         payload_sum = 0;
         entries = List.map fst parts;
       };
-    blocks =
+    decoded =
       List.concat
-        (List.mapi (fun i (_, b) -> Option.to_list (Option.map (fun b -> (i, b)) b)) parts);
+        (List.mapi (fun i (_, d) -> Option.to_list (Option.map (fun d -> (i, d)) d)) parts);
   }
 
 let digest writes = Recovery.digest digest_layout writes

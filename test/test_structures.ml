@@ -217,7 +217,9 @@ let test_imap_block_roundtrip () =
   let disk = Hashtbl.create 8 in
   List.iter
     (fun i ->
-      Hashtbl.replace disk (1000 + i) (Inode_map.encode_block m i);
+      Hashtbl.replace disk (1000 + i) (let b = Bytes.create layout.Layout.block_size in
+         Inode_map.encode_block_into m i b ~pos:0;
+         b);
       Inode_map.set_block_addr m i (1000 + i);
       Inode_map.clear_block_dirty m i)
     (Inode_map.dirty_blocks m);
@@ -291,7 +293,9 @@ let test_usage_block_roundtrip () =
   let store = Hashtbl.create 8 in
   List.iter
     (fun i ->
-      Hashtbl.replace store (500 + i) (Seg_usage.encode_block u i);
+      Hashtbl.replace store (500 + i) (let b = Bytes.create layout.Layout.block_size in
+         Seg_usage.encode_block_into u i b ~pos:0;
+         b);
       Seg_usage.set_block_addr u i (500 + i);
       Seg_usage.clear_block_dirty u i)
     (Seg_usage.dirty_blocks u);
