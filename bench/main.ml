@@ -1493,6 +1493,27 @@ let micro () =
            incr counter;
            Lfs_core.Fs.write fs ino ~off:(4096 * (!counter mod 64)) payload))
   in
+  (* The foreground write path end to end: a 1 KB write, its sync, and
+     the device committing the batch, on a warm mount over a queued
+     device. *)
+  let qdisk = Lfs_disk.Disk.create (Lfs_disk.Geometry.instant ~blocks:16384) in
+  let qdev = Lfs_disk.Vdev.of_disk qdisk in
+  Lfs_core.Fs.format qdev Lfs_core.Config.default;
+  let qfs = Lfs_core.Fs.mount qdev in
+  let qclock = ref 0.0 in
+  Lfs_disk.Disk.set_mode qdisk (Lfs_disk.Io_queue.Queued (fun () -> !qclock));
+  let qino = Lfs_core.Fs.create_path qfs "/small" in
+  let small = Bytes.make 1024 'q' in
+  let qcounter = ref 0 in
+  let test_queued_write_sync =
+    Test.make ~name:"queued-write-sync-1k"
+      (Staged.stage (fun () ->
+           incr qcounter;
+           qclock := !qclock +. 0.001;
+           Lfs_core.Fs.write qfs qino ~off:(1024 * (!qcounter mod 64)) small;
+           Lfs_core.Fs.sync qfs;
+           ignore (Lfs_disk.Disk.pump qdisk ~now:!qclock)))
+  in
   let test_read =
     Test.make ~name:"fs-read-4k"
       (Staged.stage (fun () -> ignore (Lfs_core.Fs.read fs ino ~off:0 ~len:4096)))
@@ -1593,6 +1614,7 @@ let micro () =
     Test.make_grouped ~name:"lfs"
       [
         test_write;
+        test_queued_write_sync;
         test_read;
         test_inode_codec;
         test_inode_load_hit;

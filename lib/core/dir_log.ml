@@ -69,18 +69,13 @@ let decode_record c =
       Rename { odir; oname; ndir; nname; ino }
   | n -> Types.corrupt "dir-log: unknown record tag %d" n
 
-let encode_blocks ~block_size records =
-  let blocks = ref [] in
+let group_blocks ~block_size records =
+  let groups = ref [] in
   let current = ref [] in
   let used = ref 4 (* count field *) in
   let seal () =
     if !current <> [] then begin
-      let b = Bytes.make block_size '\000' in
-      let c = Codec.writer b in
-      let rs = List.rev !current in
-      Codec.put_u32 c (List.length rs);
-      List.iter (encode_record c) rs;
-      blocks := b :: !blocks;
+      groups := List.rev !current :: !groups;
       current := [];
       used := 4
     end
@@ -93,7 +88,13 @@ let encode_blocks ~block_size records =
       used := !used + sz)
     records;
   seal ();
-  List.rev !blocks
+  List.rev !groups
+
+let encode_block_into ~block_size group b ~pos =
+  Bytes.fill b pos block_size '\000';
+  let c = Codec.at b pos in
+  Codec.put_u32 c (List.length group);
+  List.iter (encode_record c) group
 
 let decode_block b =
   let c = Codec.reader b in

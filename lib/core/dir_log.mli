@@ -30,9 +30,15 @@ type record =
       ino : Types.ino;
     }  (** atomic move of [ino] from [odir/oname] to [ndir/nname] *)
 
-val encode_blocks : block_size:int -> record list -> bytes list
-(** Pack records into as many dir-log blocks as needed (order
-    preserved). *)
+val group_blocks : block_size:int -> record list -> record list list
+(** Split records, in order, into as many groups as there are dir-log
+    blocks to hold them: each group fills one block. *)
+
+val encode_block_into : block_size:int -> record list -> bytes -> pos:int -> unit
+(** Render one group of {!group_blocks} as the dir-log block at byte
+    [pos] of the buffer, writing every byte of the block: the log
+    writer renders dir-log blocks this way, straight into its transfer
+    buffer. *)
 
 val decode_block : bytes -> record list
 (** Raises {!Types.Corrupt} on malformed content. *)

@@ -53,12 +53,12 @@ let block_size t = t.block_size
 let length t = t.len
 let to_bytes t = Bytes.sub t.img 0 t.len
 
-let block t blockno =
+let block_into t blockno b =
   let bs = t.block_size in
   let lo = blockno * bs in
-  let b = Bytes.make bs '\000' in
-  Bytes.blit t.img lo b 0 (max 0 (min bs (t.len - lo)));
-  b
+  let n = max 0 (min bs (t.len - lo)) in
+  Bytes.blit t.img lo b 0 n;
+  Bytes.fill b n (bs - n) '\000'
 
 let is_empty t = t.count = 0
 let cardinal t = t.count

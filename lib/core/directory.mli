@@ -10,7 +10,7 @@
     lookups, {!add} appends in place, {!remove} moves the tail down and
     {!replace} overwrites an ino in place.  Each mutator returns the
     numbers of the blocks whose bytes it changed, ascending and without
-    repeats, and the caller writes exactly those blocks ({!block}):
+    repeats, and the caller writes exactly those blocks ({!block_into}):
     - {!add} changes block 0 (the entry count) and every block over
       [\[old length, new length)];
     - {!remove} changes block 0 and each block of the shortened image
@@ -43,9 +43,10 @@ val block_size : t -> int
 val length : t -> int
 (** The image's length in bytes: the directory file's size. *)
 
-val block : t -> int -> bytes
-(** A fresh copy of block [n] of the image, zero-padded to the block
-    size. *)
+val block_into : t -> int -> bytes -> unit
+(** [block_into d n b] copies block [n] of the image into [b],
+    zero-padded to the block size: every byte of [b]'s first block is
+    written. *)
 
 val is_empty : t -> bool
 val cardinal : t -> int

@@ -21,32 +21,39 @@ let read ~block_size ~size ~with_block ~off ~len =
       with_block blockno (fun b -> Bytes.blit b at out pos n));
   out
 
-let write ~block_size ~read_block ~off data put =
+let write ~block_size ~read_block ~blank_block ~off data put =
   check ~off ~len:(Bytes.length data);
   iter ~block_size ~off ~len:(Bytes.length data) (fun blockno ~pos ~at ~n ->
       let b =
-        if n = block_size then Bytes.sub data pos block_size
-        else begin
-          let b = read_block blockno in
-          Bytes.blit data pos b at n;
-          b
-        end
+        if n = block_size then blank_block blockno
+        else read_block blockno
       in
+      Bytes.blit data pos b at n;
       put blockno b ~hi:(off + pos + n))
 
 let blocks ~block_size size = (size + block_size - 1) / block_size
 
-let drop_dirty dirty ino ~first ~size ~block_size =
+let drop_dirty dirty ino ~first ~size ~block_size ~release =
   for blockno = first to blocks ~block_size size - 1 do
-    Hashtbl.remove dirty (ino, blockno)
+    match Hashtbl.find_opt dirty (ino, blockno) with
+    | Some b ->
+        Hashtbl.remove dirty (ino, blockno);
+        release b
+    | None -> ()
   done
 
-let update_dir ~dirty ~ino (inode : Inode.t) fmap dir changed ~put ~free =
-  List.iter (fun blockno -> put blockno (Directory.block dir blockno)) changed;
+let update_dir ~dirty ~ino (inode : Inode.t) fmap dir changed ~blank_block ~put
+    ~release ~free =
+  List.iter
+    (fun blockno ->
+      let b = blank_block blockno in
+      Directory.block_into dir blockno b;
+      put blockno b)
+    changed;
   let block_size = Directory.block_size dir and len = Directory.length dir in
   if len < inode.Inode.size then begin
     let first = blocks ~block_size len in
-    drop_dirty dirty ino ~first ~size:inode.Inode.size ~block_size;
+    drop_dirty dirty ino ~first ~size:inode.Inode.size ~block_size ~release;
     Filemap.truncate fmap ~blocks:first ~free
   end;
   inode.Inode.size <- len

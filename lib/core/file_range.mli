@@ -24,18 +24,21 @@ val read :
 val write :
   block_size:int ->
   read_block:(int -> bytes) ->
+  blank_block:(int -> bytes) ->
   off:int ->
   bytes ->
   (int -> bytes -> hi:int -> unit) ->
   unit
-(** [write ~block_size ~read_block ~off data put] calls [put blockno b
-    ~hi] for each block the range [\[off, off + length data)] touches,
-    first to last: [b] is the block's new contents (a slice of [data]
-    when the range covers the whole block, else [read_block blockno]
-    with [data]'s part copied in, so [read_block] must return a buffer
-    the caller owns) and [hi] the file offset just past
-    the bytes written into it.  Raises {!Types.Fs_error} on a negative
-    [off] before calling anything. *)
+(** [write ~block_size ~read_block ~blank_block ~off data put] calls
+    [put blockno b ~hi] for each block the range
+    [\[off, off + length data)] touches, first to last: [b] is the
+    block's new contents and [hi] the file offset just past the bytes
+    written into it.  When the range covers the whole block, [b] is
+    [blank_block blockno] with [data]'s slice copied over all of it;
+    else [b] is [read_block blockno], the block's current contents, with
+    [data]'s part copied in.  Both must return a buffer the caller owns
+    (the file system's dirty buffer for the block may be one).  Raises
+    {!Types.Fs_error} on a negative [off] before calling anything. *)
 
 val drop_dirty :
   (Types.ino * int, bytes) Hashtbl.t ->
@@ -43,12 +46,13 @@ val drop_dirty :
   first:int ->
   size:int ->
   block_size:int ->
+  release:(bytes -> unit) ->
   unit
 (** Remove file [ino]'s blocks numbered [first] or above from a dirty
-    table keyed by [(ino, blockno)], for a file of [size] bytes: both
-    file systems dirty a block only below the file's size, so this
-    walks only the blocks from [first] up to the one holding byte
-    [size - 1], never the whole table. *)
+    table keyed by [(ino, blockno)], for a file of [size] bytes, and
+    [release] each removed buffer: both file systems dirty a block only
+    below the file's size, so this walks only the blocks from [first]
+    up to the one holding byte [size - 1], never the whole table. *)
 
 val update_dir :
   dirty:(Types.ino * int, bytes) Hashtbl.t ->
@@ -57,14 +61,17 @@ val update_dir :
   Filemap.t ->
   Directory.t ->
   int list ->
+  blank_block:(int -> bytes) ->
   put:(int -> bytes -> unit) ->
+  release:(bytes -> unit) ->
   free:(Types.baddr -> unit) ->
   unit
 (** Write back directory [ino] after a {!Directory} mutator changed
-    the listed blocks: [put blockno b] each, in the given (ascending)
-    order, with [b] a fresh zero-padded copy; then, if the image
-    shrank below the inode's size, drop the dirty blocks past its new
-    end and truncate the block map, [free]ing what it held; then set
-    the inode's size.  What [put] does — dirty the block (LFS) or
-    write it synchronously (FFS) — and the mtime and inode write-back
-    stay with the file system. *)
+    the listed blocks: for each, in the given (ascending) order, render
+    the block, zero-padded, into [blank_block blockno] (a buffer the
+    caller owns) and [put blockno] it; then, if the image shrank below
+    the inode's size, drop the dirty blocks past its new end
+    ({!drop_dirty}, [release]) and truncate the block map, [free]ing
+    what it held; then set the inode's size.  What [put] does — dirty
+    the block (LFS) or write it synchronously (FFS) — and the mtime and
+    inode write-back stay with the file system. *)

@@ -34,18 +34,16 @@ let chunk_of_index t i =
 
 let addr_at b j = Int64.to_int (Bytes.get_int64_le b (j * 8))
 
-let encode_addrs layout addrs lo hi =
-  let b = Bytes.make layout.Layout.block_size '\000' in
+(* Render [addrs.(lo .. lo + K - 1)] as the pointer block at byte [pos]
+   of [buf]; slots past the end of [addrs] read back as nil, not 0. *)
+let encode_addrs_into layout addrs ~lo buf ~pos =
+  let bs = layout.Layout.block_size and kk = layout.Layout.addrs_per_block in
   let n = Array.length addrs in
-  for i = lo to hi - 1 do
-    let v = if i < n then addrs.(i) else Types.nil_addr in
-    Bytes.set_int64_le b ((i - lo) * 8) (Int64.of_int v)
+  for j = 0 to kk - 1 do
+    let v = if lo + j < n then addrs.(lo + j) else Types.nil_addr in
+    Bytes.set_int64_le buf (pos + (j * 8)) (Int64.of_int v)
   done;
-  (* Slots past the mapped range must read back as nil, not 0. *)
-  for i = max lo n to hi - 1 do
-    Bytes.set_int64_le b ((i - lo) * 8) (Int64.of_int Types.nil_addr)
-  done;
-  b
+  Bytes.fill buf (pos + (kk * 8)) (bs - (kk * 8)) '\000'
 
 let create_empty layout _inode =
   {
@@ -216,8 +214,8 @@ let flush t (inode : Inode.t) ~alloc ~free =
     let fresh =
       if range_all_nil t lo hi then Types.nil_addr
       else
-        alloc ~kind:Types.Indirect ~blockno:sblockno_single
-          (encode_addrs t.layout t.map lo hi)
+        alloc ~kind:Types.Indirect ~blockno:sblockno_single (fun buf ~pos ->
+            encode_addrs_into t.layout t.map ~lo buf ~pos)
     in
     if old <> Types.nil_addr then free old;
     t.single_addr <- fresh;
@@ -235,7 +233,7 @@ let flush t (inode : Inode.t) ~alloc ~free =
           if range_all_nil t lo hi then Types.nil_addr
           else
             alloc ~kind:Types.Indirect ~blockno:(sblockno_l1 c)
-              (encode_addrs t.layout t.map lo hi)
+              (fun buf ~pos -> encode_addrs_into t.layout t.map ~lo buf ~pos)
         in
         if old <> Types.nil_addr then free old;
         if old <> fresh then t.l2_dirty <- true;
@@ -248,17 +246,9 @@ let flush t (inode : Inode.t) ~alloc ~free =
     let any_l1 = Array.exists (fun a -> a <> Types.nil_addr) t.l1_addrs in
     let fresh =
       if not any_l1 then Types.nil_addr
-      else begin
-        let b = Bytes.make t.layout.Layout.block_size '\000' in
-        for i = 0 to kk - 1 do
-          let v =
-            if i < Array.length t.l1_addrs then t.l1_addrs.(i)
-            else Types.nil_addr
-          in
-          Bytes.set_int64_le b (i * 8) (Int64.of_int v)
-        done;
-        alloc ~kind:Types.Dindirect ~blockno:sblockno_l2 b
-      end
+      else
+        alloc ~kind:Types.Dindirect ~blockno:sblockno_l2 (fun buf ~pos ->
+            encode_addrs_into t.layout t.l1_addrs ~lo:0 buf ~pos)
     in
     if old <> Types.nil_addr then free old;
     t.l2_addr <- fresh;

@@ -5,7 +5,9 @@
     the addresses of the indirect blocks themselves.  Mutations dirty the
     affected indirect "chunk"; {!flush} rewrites exactly the dirty
     indirect blocks to the log (new copies — this is a no-overwrite file
-    system) and updates the inode's pointers.
+    system) and updates the inode's pointers.  The pointer blocks are
+    rendered from the map, by {!flush}'s [alloc], without a block
+    buffer of the map's own.
 
     Summary-block position encoding for indirect blocks (the [blockno]
     field of a summary entry): data blocks use their non-negative file
@@ -55,12 +57,23 @@ val dirty : t -> bool
 val flush :
   t ->
   Inode.t ->
-  alloc:(kind:Types.block_kind -> blockno:int -> bytes -> Types.baddr) ->
+  alloc:
+    (kind:Types.block_kind ->
+    blockno:int ->
+    (bytes -> pos:int -> unit) ->
+    Types.baddr) ->
   free:(Types.baddr -> unit) ->
   unit
 (** Write dirty indirect blocks via [alloc] (oldest level first), free
     the superseded copies, and update the inode's [indirect] /
-    [dindirect] pointers.  After [flush], [dirty t = false]. *)
+    [dindirect] pointers.  After [flush], [dirty t = false].
+
+    [alloc ~kind ~blockno render] places one pointer block and returns
+    its address; [render buf ~pos] writes the whole block at byte [pos]
+    of [buf] from the map as it stands when called.  The caller may run
+    it at once (into a buffer of its own) or later, as a
+    {!Log_writer.Lazy} payload rendered straight into the log writer's
+    transfer buffer, provided the map is not changed in between. *)
 
 (** {2 Summary-position encoding} *)
 

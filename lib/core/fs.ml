@@ -70,11 +70,34 @@ let with_file_block t h ino blockno f =
         with_block t addr f
       end
 
-(* A copy of file block [blockno] that the caller owns and may write. *)
-let read_file_block t h ino blockno = with_file_block t h ino blockno Bytes.copy
+(* File block [blockno] in a write-buffer block the caller may write:
+   the buffered block itself, changed in place, or the block's bytes in
+   a recycled buffer ({!Fs_state.take_buffer}). *)
+let read_file_block t h ino blockno =
+  match Hashtbl.find_opt t.dirty_data (ino, blockno) with
+  | Some b -> b
+  | None ->
+      let b = take_buffer t in
+      with_file_block t h ino blockno (fun src ->
+          Bytes.blit src 0 b 0 (block_size t));
+      b
 
+(* A write-buffer block for file block [blockno] whose every byte the
+   caller overwrites. *)
+let blank_file_block t ino blockno =
+  match Hashtbl.find_opt t.dirty_data (ino, blockno) with
+  | Some b -> b
+  | None -> take_buffer t
+
+(* Buffer [b] as file block [blockno].  A block already buffered is
+   [b] itself (the two functions above hand it out), so none is
+   replaced. *)
 let put_dirty_block t ino blockno b =
   Hashtbl.replace t.dirty_data (ino, blockno) b
+
+let drop_dirty t ino ~first ~size =
+  File_range.drop_dirty t.dirty_data ino ~first ~size
+    ~block_size:(block_size t) ~release:(give_buffer t)
 
 (* A full write buffer goes to the log, which may call the cleaner. *)
 let flush_if_full t =
@@ -112,7 +135,8 @@ let write t ino ~off data =
         let h = get_file_handle t ino in
         h.inode.Inode.mtime <- tick t;
         File_range.write ~block_size:(block_size t)
-          ~read_block:(read_file_block t h ino) ~off data
+          ~read_block:(read_file_block t h ino)
+          ~blank_block:(blank_file_block t ino) ~off data
           (fun blockno b ~hi ->
             put_dirty_block t ino blockno b;
             (* Grow the size with the buffered prefix so a mid-write
@@ -141,14 +165,14 @@ let truncate_internal t ino ~len =
   if len < 0 then Types.fs_error "negative truncate length";
   let bs = block_size t in
   let keep_blocks = (len + bs - 1) / bs in
-  File_range.drop_dirty t.dirty_data ino ~first:keep_blocks
-    ~size:h.inode.Inode.size ~block_size:bs;
+  drop_dirty t ino ~first:keep_blocks ~size:h.inode.Inode.size;
   Filemap.truncate h.fmap ~blocks:keep_blocks
     ~free:(fun addr -> kill t addr ~bytes:bs);
   if len < h.inode.Inode.size && len mod bs <> 0 then
     (* Zero the tail of the new last block so extends re-read zeros. *)
     File_range.write ~block_size:bs ~read_block:(read_file_block t h ino)
-      ~off:len (Bytes.make (bs - (len mod bs)) '\000')
+      ~blank_block:(blank_file_block t ino) ~off:len
+      (Bytes.make (bs - (len mod bs)) '\000')
       (fun blockno b ~hi:_ -> put_dirty_block t ino blockno b);
   h.inode.Inode.size <- len;
   h.inode.Inode.mtime <- tick t;
@@ -189,7 +213,8 @@ let update_dir t ino f =
   let d = dir_contents t ino in
   let h = get_handle t ino in
   File_range.update_dir ~dirty:t.dirty_data ~ino h.inode h.fmap d (f d)
-    ~put:(put_dirty_block t ino)
+    ~blank_block:(blank_file_block t ino) ~put:(put_dirty_block t ino)
+    ~release:(give_buffer t)
     ~free:(fun addr -> kill t addr ~bytes:(block_size t));
   h.inode.Inode.mtime <- tick t;
   mark_dirty t ino;
@@ -265,8 +290,7 @@ let set_nlink t ino nlink =
 let delete_file t ino =
   let h = get_handle t ino in
   let bs = block_size t in
-  File_range.drop_dirty t.dirty_data ino ~first:0 ~size:h.inode.Inode.size
-    ~block_size:bs;
+  drop_dirty t ino ~first:0 ~size:h.inode.Inode.size;
   Filemap.iter_mapped h.fmap (fun _ addr -> kill t addr ~bytes:bs);
   List.iter
     (fun (_, addr) -> kill t addr ~bytes:bs)
@@ -634,4 +658,5 @@ let usage_block_addrs t =
   List.init (Seg_usage.nblocks t.usage) (Seg_usage.block_addr t.usage)
 
 let segment_live_bytes t s = Seg_usage.live_bytes t.usage s
-let cleaner_read_buffer t = t.clean_buf
+let cleaner_read_buffers t = Array.to_list t.clean_bufs
+let write_buffer_free t = t.wb_free

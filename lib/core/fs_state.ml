@@ -191,16 +191,24 @@ type t = {
       (* the handles the next flush writes: every mutation of a cached
          inode or block map goes through [mark_dirty] *)
   dirty_data : (Types.ino * int, bytes) Hashtbl.t;
+      (* the write buffer: file blocks written since the last flush,
+         each in a block buffer of its own that the write path changes
+         in place *)
+  mutable wb_free : bytes list;
+      (* write-buffer blocks nothing refers to, recycled by
+         [take_buffer]; at most [write_buffer_blocks] of them *)
+  mutable wb_free_n : int;  (* length of [wb_free] *)
   mutable pending_dirops : Dir_log.record list;  (* newest first *)
   pool : Seg_pool.t;
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
   acct : acct;
   zeros : bytes;  (* one block of zeros that reads of holes borrow *)
-  mutable clean_buf : bytes;
-      (* one segment of blocks each cleaner pass reads its victims into,
-         from the start (see {!Clean.read_run}); allocated by the first
-         pass *)
-  mutable clean_used : int;  (* blocks of [clean_buf] the pass has filled *)
+  mutable clean_bufs : bytes array;
+      (* one-segment buffers the cleaner passes read their victims
+         into (see {!Clean.read_run}), each allocated by the first pass
+         that needs it: a whole-segment pass reads victim [i] into
+         buffer [i], a live-blocks pass fills buffer 0 from the start *)
+  mutable clean_used : int;  (* blocks of buffer 0 the pass has filled *)
   mutable clock : float;
   mutable ops_since_ckpt : int;
   mutable blocks_since_ckpt : int;
@@ -329,25 +337,58 @@ let maybe_evict_handles t =
 
 let version_of t ino = Inode_map.version t.imap ino
 
-(* {1 Flushing the file cache to the log} *)
+(* {1 The write buffer's blocks}
+
+   A block enters the write buffer from [take_buffer] and, once it is
+   dropped or has reached the log, goes back through [give_buffer]: a
+   mount whose write buffer has filled once allocates no block buffer
+   for a write. *)
+
+(* A block buffer the caller owns: a recycled one, or a fresh one when
+   none is free.  Its bytes are stale; the caller overwrites them all. *)
+let take_buffer t =
+  match t.wb_free with
+  | b :: rest ->
+      t.wb_free <- rest;
+      t.wb_free_n <- t.wb_free_n - 1;
+      b
+  | [] -> Bytes.create (block_size t)
+
+(* Recycle a block nothing refers to any more. *)
+let give_buffer t b =
+  if t.wb_free_n < t.config.Config.write_buffer_blocks then begin
+    t.wb_free <- b :: t.wb_free;
+    t.wb_free_n <- t.wb_free_n + 1
+  end
+
+(* {1 Flushing the file cache to the log}
+
+   Every flush ends with a {!Log_writer.sync}, which renders each
+   [Lazy] payload the flush appended: metadata blocks are rendered from
+   the live handles, records and maps straight into the writer's
+   transfer buffer, so nothing they read may change before that sync. *)
 
 let flush_dirops t =
   if t.pending_dirops <> [] then begin
     let records = List.rev t.pending_dirops in
     t.pending_dirops <- [];
-    let blocks = Dir_log.encode_blocks ~block_size:(block_size t) records in
+    let block_size = block_size t in
     List.iter
-      (fun b ->
+      (fun group ->
         let (_ : Types.baddr) =
           append_block t ~kind:Types.Dir_log ~ino:0 ~blockno:0 ~version:0
-            ~mtime:t.clock (Log_writer.Bytes (b, 0))
+            ~mtime:t.clock
+            (Log_writer.Lazy (Dir_log.encode_block_into ~block_size group))
         in
         ())
-      blocks
+      (Dir_log.group_blocks ~block_size records)
   end
 
+(* Append every buffered data block; returns their buffers, which the
+   log writer reads until the flush's sync. *)
 let flush_data_blocks t =
-  if Hashtbl.length t.dirty_data > 0 then begin
+  if Hashtbl.length t.dirty_data = 0 then []
+  else begin
     (* Group by inode, ascending block numbers, for sequential layout. *)
     let by_ino = Hashtbl.create 64 in
     Hashtbl.iter
@@ -356,6 +397,7 @@ let flush_data_blocks t =
         Hashtbl.replace by_ino ino ((blockno, b) :: l))
       t.dirty_data;
     let inos = Hashtbl.fold (fun ino _ acc -> ino :: acc) by_ino [] in
+    let written = ref [] in
     List.iter
       (fun ino ->
         let h = get_handle t ino in
@@ -372,10 +414,12 @@ let flush_data_blocks t =
             in
             Filemap.set h.fmap blockno addr;
             if old <> Types.nil_addr then kill t old ~bytes:(block_size t);
-            Hashtbl.remove t.dirty_data (ino, blockno))
+            Hashtbl.remove t.dirty_data (ino, blockno);
+            written := b :: !written)
           blocks;
         mark_dirty t ino)
-      (List.sort Int.compare inos)
+      (List.sort Int.compare inos);
+    !written
   end
 
 let flush_filemaps_and_inodes t =
@@ -396,9 +440,9 @@ let flush_filemaps_and_inodes t =
   List.iter
     (fun (ino, h) ->
       Filemap.flush h.fmap h.inode
-        ~alloc:(fun ~kind ~blockno payload ->
+        ~alloc:(fun ~kind ~blockno render ->
           append_block t ~kind ~ino ~blockno ~version:(version_of t ino)
-            ~mtime:h.inode.Inode.mtime (Log_writer.Bytes (payload, 0)))
+            ~mtime:h.inode.Inode.mtime (Log_writer.Lazy render))
         ~free:(fun addr -> kill t addr ~bytes:(block_size t)))
     pending;
   (* Pack dirty inodes into inode blocks. *)
@@ -410,16 +454,18 @@ let flush_filemaps_and_inodes t =
         let n = min per_block (List.length group) in
         let batch = List.filteri (fun i _ -> i < n) group in
         let rest = List.filteri (fun i _ -> i >= n) group in
-        let b = Bytes.make (block_size t) '\000' in
         let newest =
           List.fold_left
             (fun acc (_, h) -> Float.max acc h.inode.Inode.mtime)
             0.0 batch
         in
-        List.iteri (fun slot (_, h) -> Inode.encode h.inode b ~slot) batch;
+        let render buf ~pos =
+          Bytes.fill buf pos (block_size t) '\000';
+          List.iteri (fun slot (_, h) -> Inode.encode ~pos h.inode buf ~slot) batch
+        in
         let addr =
           append_block t ~kind:Types.Inode_block ~ino:0 ~blockno:0 ~version:0
-            ~mtime:newest (Log_writer.Bytes (b, 0))
+            ~mtime:newest (Log_writer.Lazy render)
         in
         let seg = Layout.seg_of_block t.layout addr in
         List.iteri
@@ -439,9 +485,10 @@ let flush_filemaps_and_inodes t =
 let flush t ~cleaner =
   attributed t ~cleaner (fun () ->
       flush_dirops t;
-      flush_data_blocks t;
+      let written = flush_data_blocks t in
       flush_filemaps_and_inodes t;
-      Log_writer.sync t.log)
+      Log_writer.sync t.log;
+      List.iter (give_buffer t) written)
 
 (* [sync] is the fsync barrier: flush, then await every outstanding log
    write so durability is settled before returning.  Internal flushes
@@ -623,12 +670,14 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       handles = Hashtbl.create 256;
       dirty_inos = Ino_set.empty;
       dirty_data = Hashtbl.create 256;
+      wb_free = [];
+      wb_free_n = 0;
       pending_dirops = [];
       pool;
       cleaner_attr;
       acct;
       zeros = Bytes.make layout.Layout.block_size '\000';
-      clean_buf = Bytes.empty;
+      clean_bufs = [||];
       clean_used = 0;
       clock;
       ops_since_ckpt = 0;

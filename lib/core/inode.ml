@@ -32,8 +32,8 @@ let copy t = { t with direct = Array.copy t.direct }
 
 let nblocks ~block_size t = (t.size + block_size - 1) / block_size
 
-let encode t b ~slot =
-  let c = Codec.at b (slot * slot_size) in
+let encode ?(pos = 0) t b ~slot =
+  let c = Codec.at b (pos + (slot * slot_size)) in
   Codec.put_u8 c slot_magic;
   Codec.put_u8 c (Types.ftype_to_int t.ftype);
   Codec.put_u16 c t.nlink;

@@ -32,8 +32,12 @@ val copy : t -> t
 val nblocks : block_size:int -> t -> int
 (** Number of data blocks implied by [size]. *)
 
-val encode : t -> bytes -> slot:int -> unit
-(** Serialise into slot [slot] of an inode block. *)
+val encode : ?pos:int -> t -> bytes -> slot:int -> unit
+(** Serialise into slot [slot] of the inode block at byte [pos]
+    (default 0) of the buffer.  Only the slot's fields are written: the
+    rest of the slot and the unused slots must already be zero, as in a
+    block the caller zeroed first (the log writer's inode blocks are
+    rendered that way, straight into its transfer buffer). *)
 
 val decode : bytes -> slot:int -> t option
 (** Read back slot [slot]; [None] if the slot is unused.  Raises

@@ -17,9 +17,20 @@
 
     Addresses are assigned at {!append} time so callers can update their
     maps immediately; payloads may be supplied lazily and are rendered at
-    batch-write time (the inode map and segment usage table exploit this:
-    their blocks self-describe accounting that the append itself
-    changes).
+    batch-write time, straight into the transfer buffer.  The inode map
+    and segment usage table need this (their blocks self-describe
+    accounting that the append itself changes); inode, dir-log and
+    indirect blocks use it so that no metadata block has a buffer of its
+    own.  The contract for a [Lazy] payload: it is rendered at the first
+    batch write after its append (a full batch writes at once, so that
+    may be inside a later {!append}) and no later than the next {!sync},
+    and it renders the state it reads at that moment.  The file system
+    appends its metadata during a flush that ends with a {!sync}, so
+    every [Lazy] payload a flush appends is rendered by that flush's own
+    sync, and the flush changes nothing such a payload reads in
+    between.  Likewise a [Bytes] payload's buffer is the writer's to
+    read until that sync: the write buffer recycles a flushed data
+    block only after it.
 
     Every batch goes out of one transfer buffer the writer keeps, grown
     to the largest batch it has written (a summary and at most a

@@ -24,11 +24,15 @@ type t = {
   queue : Io_queue.t;
   mutable crash_countdown : int option;  (* blocks until power cut *)
   mutable crashed : bool;
-  mutable pending : (int * bytes) Seq_map.t;
+  mutable pending : (int * bytes array) Seq_map.t;
       (* queued-mode writes submitted but not yet committed by the
-         elevator: seq -> (addr, payload), so ascending seq is
-         submission order.  Reads overlay these so the FS observes its
-         own writes; a reboot drops them. *)
+         elevator: seq -> (addr, one staged buffer per block), so
+         ascending seq is submission order.  Reads overlay these so the
+         FS observes its own writes; a reboot drops them. *)
+  mutable staging : bytes list;
+      (* free block buffers a queued write stages its blocks in; a
+         commit gives them back, so a device with a steady queue
+         allocates none *)
   mutable write_seq_counter : int;
   write_seq : int array;
       (* per block, the submission seq of the newest committed write:
@@ -73,6 +77,7 @@ let create geometry =
     crash_countdown = None;
     crashed = false;
     pending = Seq_map.empty;
+    staging = [];
     write_seq_counter = 0;
     write_seq = Array.make geometry.Geometry.blocks 0;
   }
@@ -128,12 +133,12 @@ let ensure_alive t = if t.crashed then raise Crashed
 let overlay_pending t ~addr ~n out ~pos =
   let bs = block_size t in
   Seq_map.iter
-    (fun seq (waddr, payload) ->
-      let wn = Bytes.length payload / bs in
-      let lo = max addr waddr and hi = min (addr + n) (waddr + wn) in
+    (fun seq (waddr, staged) ->
+      let lo = max addr waddr
+      and hi = min (addr + n) (waddr + Array.length staged) in
       for blk = lo to hi - 1 do
         if t.write_seq.(blk) <= seq then
-          Bytes.blit payload ((blk - waddr) * bs) out (pos + ((blk - addr) * bs)) bs
+          Bytes.blit staged.(blk - waddr) 0 out (pos + ((blk - addr) * bs)) bs
       done)
     t.pending
 
@@ -176,42 +181,61 @@ let consume_countdown t n =
       end
       else t.crash_countdown <- Some k
 
-(* Land one write on the medium: persist the writable prefix of the
-   [n] blocks at byte [pos] of [payload], burn the crash countdown,
-   raise if it tripped.  In [Direct] mode this runs at submit time
-   (submission order == service order); in [Queued] mode it is deferred
-   into the elevator's commit, so countdowns burn — and crashes tear —
-   in the order the device actually retires writes. *)
-let perform_write t ~seq addr n payload ~pos =
+(* Land one write on the medium: persist the writable prefix of its
+   [n] blocks, burn the crash countdown, raise if it tripped.
+   [land_block i dst] copies the write's block [i] to byte [dst] of the
+   store.  In [Direct] mode this runs at submit time (submission order
+   == service order); in [Queued] mode it is deferred into the
+   elevator's commit, so countdowns burn — and crashes tear — in the
+   order the device actually retires writes. *)
+let perform_write t ~seq addr n land_block =
   if t.crashed then raise Crashed;
   let bs = block_size t in
   let persist = writable_prefix t n in
   for i = 0 to persist - 1 do
     if t.write_seq.(addr + i) <= seq then begin
-      blit_to_store payload (pos + (i * bs)) t.data ((addr + i) * bs) bs;
+      land_block i ((addr + i) * bs);
       t.write_seq.(addr + i) <- seq
     end
   done;
   consume_countdown t n;
   if t.crashed then raise Crashed
 
+(* A free staging block, or a fresh one when every buffer is staged. *)
+let take_staging t =
+  match t.staging with
+  | b :: rest ->
+      t.staging <- rest;
+      b
+  | [] -> Bytes.create (block_size t)
+
 (* The caller may reuse [payload] once this returns: [Direct] lands it
-   now, [Queued] keeps a copy of the slice until the commit. *)
+   now, [Queued] stages a copy of each block until the commit, which
+   lands the blocks and frees their staging buffers. *)
 let submit_write_payload ?now t addr n payload ~pos =
   t.write_seq_counter <- t.write_seq_counter + 1;
   let seq = t.write_seq_counter in
+  let bs = block_size t in
   match get_mode t with
   | Io_queue.Direct ->
       let tk = enqueue t ?now ~addr ~n () in
-      perform_write t ~seq addr n payload ~pos;
+      perform_write t ~seq addr n (fun i dst ->
+          blit_to_store payload (pos + (i * bs)) t.data dst bs);
       tk
   | Io_queue.Queued _ ->
-      let payload = Bytes.sub payload pos (n * block_size t) in
-      t.pending <- Seq_map.add seq (addr, payload) t.pending;
+      let staged =
+        Array.init n (fun i ->
+            let b = take_staging t in
+            Bytes.blit payload (pos + (i * bs)) b 0 bs;
+            b)
+      in
+      t.pending <- Seq_map.add seq (addr, staged) t.pending;
       enqueue t ?now ~addr ~n ()
         ~on_commit:(fun () ->
           t.pending <- Seq_map.remove seq t.pending;
-          perform_write t ~seq addr n payload ~pos:0)
+          perform_write t ~seq addr n (fun i dst ->
+              blit_to_store staged.(i) 0 t.data dst bs);
+          Array.iter (fun b -> t.staging <- b :: t.staging) staged)
 
 let submit_write_from ?now t addr n buf ~pos =
   ensure_alive t;
@@ -249,6 +273,8 @@ let zero_blocks t addr n =
   t.stats.Io_stats.blocks_written <- t.stats.Io_stats.blocks_written + n;
   ignore (submit_write_payload t addr n (Bytes.make (n * block_size t) '\000') ~pos:0)
 
+let staging_free t = t.staging
+
 let drain t = Io_queue.drain t.queue
 let pump t ~now = Io_queue.pump t.queue ~now
 let outstanding_in t ~lo ~hi = Io_queue.outstanding_in t.queue ~lo ~hi
@@ -284,6 +310,7 @@ let snapshot t =
     crash_countdown = t.crash_countdown;
     crashed = t.crashed;
     pending = Seq_map.empty;
+    staging = [];
     write_seq_counter = 0;
     write_seq = Array.make t.geometry.Geometry.blocks 0;
   }

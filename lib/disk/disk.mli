@@ -32,7 +32,16 @@
     contents land, countdowns burn and crashes tear in the order the
     device actually retires writes (C-LOOK), reads stay coherent by
     overlaying submitted-but-uncommitted writes, and a reboot drops
-    whatever the elevator had not yet retired. *)
+    whatever the elevator had not yet retired.
+
+    Queued writes are staged per block: at submit each block is copied
+    into a block buffer taken from the device's free list (a fresh one
+    when the list is empty), the pending write holds those buffers, and
+    the commit lands them and gives them back.  The list therefore
+    grows to the most blocks ever queued at once and no further, and a
+    device whose queue has reached that depth stages a write without
+    allocating.  A reboot or restore drops the pending writes with
+    their buffers. *)
 
 type t
 
@@ -89,14 +98,19 @@ val submit_write_from :
   ?now:float -> t -> int -> int -> bytes -> pos:int -> Io_queue.ticket
 (** [submit_write_from d addr n buf ~pos]: tagged write of the [n]
     blocks at byte [pos] of [buf].  In [Direct] mode contents (and any
-    crash) land at submit time; in [Queued] mode the device keeps a copy
-    of the slice, which lands when the elevator commits the request, and
-    the ticket resolves at that modelled completion.  Either way the
+    crash) land at submit time; in [Queued] mode the device stages a
+    copy of each block (see above), which lands when the elevator
+    commits the request, and the ticket resolves at that modelled
+    completion.  Either way the
     caller may reuse [buf] as soon as this returns.  Raises
     [Invalid_argument] when the blocks do not fit in [buf]. *)
 
 val submit_write : ?now:float -> t -> int -> bytes -> Io_queue.ticket
 (** {!submit_write_from} a whole buffer (a multiple of the block size). *)
+
+val staging_free : t -> bytes list
+(** The free staging buffers (test-only): no pending write holds them,
+    so overwriting them changes nothing a read or a commit sees. *)
 
 val drain : t -> float
 (** Service every outstanding request; returns the final horizon. *)

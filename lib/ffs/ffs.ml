@@ -214,9 +214,11 @@ let get_handle t ino =
    (they are metadata), then the inode. *)
 let flush_fmap_and_inode t h =
   Lfs_core.Filemap.flush h.fmap h.inode
-    ~alloc:(fun ~kind:_ ~blockno:_ payload ->
+    ~alloc:(fun ~kind:_ ~blockno:_ render ->
       let addr = alloc_block t ~near:(ino_block t.layout h.inode.Inode.ino) in
-      Vdev.write_block t.dev addr payload;
+      let b = Bytes.create t.layout.cfg.block_size in
+      render b ~pos:0;
+      Vdev.write_block t.dev addr b;
       addr)
     ~free:(fun addr -> free_block t addr);
   write_inode t h.inode
@@ -334,6 +336,9 @@ let sync t =
   if t.layout.cfg.cluster_writes then flush_data_clustered t else flush_data t;
   flush_bitmaps t
 
+(* A buffer for a block whose every byte the caller overwrites. *)
+let blank_block t _blockno = Bytes.create t.layout.cfg.block_size
+
 let put_dirty_block t ino blockno b =
   Hashtbl.replace t.dirty_data (ino, blockno) b;
   if Hashtbl.length t.dirty_data >= t.layout.cfg.write_buffer_blocks then
@@ -343,7 +348,8 @@ let write t ino ~off data =
   if Bytes.length data > 0 then begin
     let h = get_handle t ino in
     File_range.write ~block_size:t.layout.cfg.block_size
-      ~read_block:(read_file_block t h ino) ~off data
+      ~read_block:(read_file_block t h ino) ~blank_block:(blank_block t) ~off
+      data
       (fun blockno b ~hi ->
         put_dirty_block t ino blockno b;
         h.inode.Inode.size <- max h.inode.Inode.size hi);
@@ -362,12 +368,13 @@ let truncate t ino ~len =
   let bs = t.layout.cfg.block_size in
   let keep = (len + bs - 1) / bs in
   File_range.drop_dirty t.dirty_data ino ~first:keep ~size:h.inode.Inode.size
-    ~block_size:bs;
+    ~block_size:bs ~release:ignore;
   Lfs_core.Filemap.truncate h.fmap ~blocks:keep ~free:(fun a -> free_block t a);
   if len < h.inode.Inode.size && len mod bs <> 0 then
     (* Zero the tail of the new last block so extends re-read zeros. *)
     File_range.write ~block_size:bs ~read_block:(read_file_block t h ino)
-      ~off:len (Bytes.make (bs - (len mod bs)) '\000')
+      ~blank_block:(blank_block t) ~off:len
+      (Bytes.make (bs - (len mod bs)) '\000')
       (fun blockno b ~hi:_ -> put_dirty_block t ino blockno b);
   h.inode.Inode.size <- len;
   h.inode.Inode.mtime <- tick t;
@@ -398,6 +405,7 @@ let update_dir t ino f =
   let d = dir_contents t ino in
   let h = get_handle t ino in
   File_range.update_dir ~dirty:t.dirty_data ~ino h.inode h.fmap d (f d)
+    ~blank_block:(blank_block t) ~release:ignore
     ~put:(fun blockno b ->
       let addr =
         match Lfs_core.Filemap.get h.fmap blockno with
@@ -471,7 +479,7 @@ let unlink_internal t ~dir name ~expect =
       | `File, Types.Regular -> ());
       update_dir t dir (fun d -> Directory.remove d name);
       File_range.drop_dirty t.dirty_data ino ~first:0 ~size:h.inode.Inode.size
-        ~block_size:t.layout.cfg.block_size;
+        ~block_size:t.layout.cfg.block_size ~release:ignore;
       Lfs_core.Filemap.iter_mapped h.fmap (fun _ a -> free_block t a);
       List.iter (fun (_, a) -> free_block t a)
         (Lfs_core.Filemap.indirect_blocks h.fmap);

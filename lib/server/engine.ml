@@ -203,7 +203,7 @@ let run (cfg : config) (fs : Fsops.t) =
   let bg_step = if cfg.bg_clean then fs.Fsops.clean_step else None in
   (* Queued-mode state: in-flight spans, per-tag finish times (recorded
      as the elevator commits each service), and the cleaner latch. *)
-  let inflight : io_span list ref = ref [] in
+  let inflight : io_span Queue.t = Queue.create () in
   let inflight_n = ref 0 in
   let finish_of : (int, float) Hashtbl.t = Hashtbl.create 1024 in
   let bg_busy = ref false in
@@ -299,9 +299,9 @@ let run (cfg : config) (fs : Fsops.t) =
             (* No device IO (cache hits, no-op resolves): CPU only. *)
             Sched.after sched cpu_s (fun () -> op_io_done req)
           else
-            inflight :=
-              !inflight
-              @ [ { lo; hi; cpu_s; started_s = Sched.now sched; kind = Op req } ];
+            Queue.push
+              { lo; hi; cpu_s; started_s = Sched.now sched; kind = Op req }
+              inflight;
           device_progress ();
           start_requests ()
   (* Surface every service the elevator committed since the last call:
@@ -319,39 +319,39 @@ let run (cfg : config) (fs : Fsops.t) =
       started;
     check_inflight ()
   and device_tick () = device_progress ()
+  (* Settle every span whose tag range has drained, in submission
+     order: one pass round the FIFO, the rest going back in their order.
+     Settling only schedules events, so it cannot add to the FIFO while
+     the pass runs. *)
   and check_inflight () =
-    let ready, rest =
-      List.partition
-        (fun sp ->
-          List.for_all
-            (fun d -> Vdev.outstanding_in d ~lo:sp.lo ~hi:sp.hi = 0)
-            devs)
-        !inflight
-    in
-    if ready <> [] then begin
-      inflight := rest;
-      List.iter
-        (fun sp ->
-          let fin = ref (Sched.now sched) in
-          for tag = sp.lo to sp.hi - 1 do
-            (match Hashtbl.find_opt finish_of tag with
-            | Some f -> if f > !fin then fin := f
-            | None -> ());
-            Hashtbl.remove finish_of tag
-          done;
-          match sp.kind with
-          | Op req -> Sched.at sched (!fin +. sp.cpu_s) (fun () -> op_io_done req)
-          | Bg ->
-              let fin = !fin in
-              Sched.at sched fin (fun () -> bg_done sp.started_s fin)
-          | Flush members ->
-              let fin = !fin in
-              Metrics.observe flush_hist (Float.max 0.0 (fin -. sp.started_s));
-              Sched.at sched fin (fun () ->
-                  List.iter complete members;
-                  maybe_start ()))
-        ready
-    end
+    for _ = 1 to Queue.length inflight do
+      let sp = Queue.pop inflight in
+      if
+        List.for_all
+          (fun d -> Vdev.outstanding_in d ~lo:sp.lo ~hi:sp.hi = 0)
+          devs
+      then settle sp
+      else Queue.push sp inflight
+    done
+  and settle sp =
+    let fin = ref (Sched.now sched) in
+    for tag = sp.lo to sp.hi - 1 do
+      (match Hashtbl.find_opt finish_of tag with
+      | Some f -> if f > !fin then fin := f
+      | None -> ());
+      Hashtbl.remove finish_of tag
+    done;
+    match sp.kind with
+    | Op req -> Sched.at sched (!fin +. sp.cpu_s) (fun () -> op_io_done req)
+    | Bg ->
+        let fin = !fin in
+        Sched.at sched fin (fun () -> bg_done sp.started_s fin)
+    | Flush members ->
+        let fin = !fin in
+        Metrics.observe flush_hist (Float.max 0.0 (fin -. sp.started_s));
+        Sched.at sched fin (fun () ->
+            List.iter complete members;
+            maybe_start ())
   and op_io_done req =
     decr inflight_n;
     finish_op req;
@@ -374,9 +374,9 @@ let run (cfg : config) (fs : Fsops.t) =
             incr bg_steps;
             Metrics.incr bg_steps_c;
             bg_busy := true;
-            inflight :=
-              !inflight
-              @ [ { lo; hi; cpu_s = 0.0; started_s = Sched.now sched; kind = Bg } ];
+            Queue.push
+              { lo; hi; cpu_s = 0.0; started_s = Sched.now sched; kind = Bg }
+              inflight;
             device_progress ()
           end
         end
@@ -410,8 +410,9 @@ let run (cfg : config) (fs : Fsops.t) =
       List.iter complete members
     end
     else begin
-      inflight :=
-        !inflight @ [ { lo; hi; cpu_s = 0.0; started_s = t0; kind = Flush members } ];
+      Queue.push
+        { lo; hi; cpu_s = 0.0; started_s = t0; kind = Flush members }
+        inflight;
       device_progress ()
     end
   (* Idle window: no runnable request and no flush due.  Run one

@@ -84,8 +84,10 @@ let check_bytes msg expected actual =
 
 (* A random sequence of file-system operations over a bounded namespace,
    used by integration and property tests.  Returns a model of the
-   expected live files: path -> contents. *)
-let random_ops ?(files = 12) ?(dir_count = 3) ~ops fs prng =
+   expected live files: path -> contents.  [after_op] runs after each
+   operation. *)
+let random_ops ?(files = 12) ?(dir_count = 3) ?(after_op = ignore) ~ops fs prng
+    =
   let model : (string, bytes) Hashtbl.t = Hashtbl.create 16 in
   let dirs = Array.init dir_count (fun d -> Printf.sprintf "/dir%d" d) in
   Array.iter (fun d -> ignore (Fs.mkdir_path fs d)) dirs;
@@ -158,7 +160,8 @@ let random_ops ?(files = 12) ?(dir_count = 3) ~ops fs prng =
         | Some ino ->
             let size = Fs.file_size fs ino in
             ignore (Fs.read fs ino ~off:0 ~len:size)
-        | None -> ())
+        | None -> ());
+    after_op ()
   done;
   model
 

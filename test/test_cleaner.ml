@@ -375,8 +375,9 @@ let test_read_buffer_dead_between_passes () =
       let config = { Helpers.eager_cleaning_config with Config.cleaner_read } in
       let disk, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
       let scribble () =
-        let b = Fs.cleaner_read_buffer fs in
-        Bytes.fill b 0 (Bytes.length b) '#'
+        List.iter
+          (fun b -> Bytes.fill b 0 (Bytes.length b) '#')
+          (Fs.cleaner_read_buffers fs)
       in
       let prng = Prng.create ~seed:21 in
       let model = Hashtbl.create 64 in
@@ -393,6 +394,17 @@ let test_read_buffer_dead_between_passes () =
       done;
       Alcotest.(check bool) "cleaner ran" true
         (Helpers.fs_total fs "fs.cleaner.segments_cleaned" > 0);
+      (* One buffer per victim of a whole-segment pass, reused pass to
+         pass; a live-blocks pass fills one. *)
+      let bufs = List.length (Fs.cleaner_read_buffers fs) in
+      let most =
+        match cleaner_read with
+        | Config.Live_blocks -> 1
+        | Config.Whole_segment -> config.Config.segs_per_pass
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d read buffers, at most %d" bufs most)
+        true (bufs >= 1 && bufs <= most);
       Fs.sync fs;
       Helpers.check_model fs model;
       Helpers.fsck_clean fs;
@@ -403,9 +415,12 @@ let test_read_buffer_dead_between_passes () =
     [ Config.Live_blocks; Config.Whole_segment ]
 
 (* After warm-up, a single-victim live-blocks pass reads every run into
-   the mount's buffer: it adds fewer words to the major heap than the
-   blocks it read would fill, where one buffer per run would add at
-   least that many. *)
+   the mount's buffer and renders its inode and indirect blocks into the
+   log writer's transfer buffer: it adds fewer words to the major heap
+   than the blocks it read would fill, where one buffer per run would
+   add at least that many, and fewer than two blocks (the pass's
+   checkpoint region is one), where one buffer per inode block would
+   add more. *)
 let test_live_blocks_pass_no_run_buffers () =
   let config =
     { Helpers.eager_cleaning_config with Config.cleaner_read = Config.Live_blocks }
@@ -431,6 +446,10 @@ let test_live_blocks_pass_no_run_buffers () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f major words < the %d blocks read (%.0f)" words read read_words)
     true (words < read_words);
+  let two_blocks = float_of_int (2 * Helpers.test_config.Config.block_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words < two blocks (%.0f)" words two_blocks)
+    true (words < two_blocks);
   Helpers.fsck_clean fs
 
 (* ----- Budgeted background cleaning (clean_step) ----- *)

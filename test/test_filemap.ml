@@ -26,7 +26,9 @@ let mk_inode () = Inode.create ~ino:9 ~ftype:Types.Regular ~mtime:1.0
 let mk_store () =
   let store : (Types.baddr, bytes) Hashtbl.t = Hashtbl.create 16 in
   let next = ref 5000 in
-  let alloc ~kind:_ ~blockno:_ payload =
+  let alloc ~kind:_ ~blockno:_ render =
+    let payload = Bytes.create layout.Layout.block_size in
+    render payload ~pos:0;
     incr next;
     Hashtbl.replace store !next payload;
     !next

@@ -367,6 +367,98 @@ let test_random_ops_model ~seed () =
   Helpers.check_model fs2 model;
   Helpers.fsck_clean fs2
 
+(* ----- Recycled buffers ----- *)
+
+(* Overwrite every buffer the disk and the mount keep free for reuse. *)
+let scribble_free disk fs =
+  List.iter
+    (fun b -> Bytes.fill b 0 (Bytes.length b) '#')
+    (Disk.staging_free disk @ Fs.write_buffer_free fs)
+
+(* The disk's free staging blocks and the mount's free write-buffer
+   blocks are dead: overwriting them after every operation of a random
+   run (whole-file and partial writes, creates, truncates, unlinks,
+   renames, syncs and cleaner steps) leaves every file byte-exact and
+   the volume clean, before and after a remount, whether the device
+   lands writes at submit (Direct) or queues them until the elevator
+   commits them (Queued). *)
+let test_recycled_buffers_dead ~queued () =
+  let disk, fs =
+    Helpers.fresh_fs ~blocks:2048 ~config:Helpers.eager_cleaning_config ()
+  in
+  let now = ref 0.0 in
+  if queued then Disk.set_mode disk (Lfs_disk.Io_queue.Queued (fun () -> !now));
+  let ops = ref 0 in
+  let after_op () =
+    incr ops;
+    now := !now +. 0.01;
+    if !ops mod 7 = 0 then Fs.sync fs;
+    if !ops mod 11 = 0 then ignore (Fs.clean_step fs : int);
+    (* Commit part of the queue, leaving later writes pending. *)
+    if queued && !ops mod 3 = 0 then ignore (Disk.pump disk ~now:!now);
+    scribble_free disk fs
+  in
+  let prng = Prng.create ~seed:(if queued then 41 else 40) in
+  let model = Helpers.random_ops ~ops:400 ~after_op fs prng in
+  Alcotest.(check bool) "cleaner ran" true
+    (Helpers.fs_total fs "fs.cleaner.segments_cleaned" > 0);
+  Alcotest.(check bool) "write buffers recycled" true
+    (Fs.write_buffer_free fs <> []);
+  if queued then
+    Alcotest.(check bool) "staging blocks recycled" true
+      (Disk.staging_free disk <> []);
+  Helpers.check_model fs model;
+  Helpers.fsck_clean fs;
+  Fs.unmount fs;
+  ignore (Disk.drain disk : float);
+  Disk.set_mode disk Lfs_disk.Io_queue.Direct;
+  let fs = Fs.mount (Helpers.vdev disk) in
+  Helpers.check_model fs model;
+  Helpers.fsck_clean fs
+
+(* On a warm mount over a queued device, a small synced write takes its
+   write-buffer block and its log batch's staging blocks from recycled
+   buffers, and its inode block is rendered into the log writer's
+   transfer buffer: 100 cycles of a 1 KB write and a sync add fewer
+   words to the major heap than one block, where a block buffer per
+   cycle would add 100. *)
+let test_no_block_buffer_per_write () =
+  let config =
+    {
+      Helpers.test_config with
+      Lfs_core.Config.checkpoint_interval_ops = 0;
+      checkpoint_interval_blocks = 0;
+    }
+  in
+  let disk, fs = Helpers.fresh_fs ~blocks:4096 ~config () in
+  let now = ref 0.0 in
+  Disk.set_mode disk (Lfs_disk.Io_queue.Queued (fun () -> !now));
+  let ino = Fs.create_path fs "/small" in
+  let data = Bytes.make 1024 'w' in
+  let cycle i =
+    now := !now +. 0.01;
+    Fs.write fs ino ~off:(1024 * (i mod 16)) data;
+    Fs.sync fs;
+    ignore (Disk.pump disk ~now:!now)
+  in
+  for i = 1 to 50 do
+    cycle i
+  done;
+  let words =
+    Helpers.major_words (fun () ->
+        for i = 1 to 100 do
+          cycle i
+        done)
+  in
+  let bound = float_of_int (config.Lfs_core.Config.block_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words in 100 cycles < one block (%.0f)" words
+       bound)
+    true (words < bound);
+  ignore (Disk.drain disk : float);
+  Helpers.check_bytes "contents" (Bytes.make 16_384 'w')
+    (Fs.read fs ino ~off:0 ~len:16_384)
+
 let suite =
   ( "fs",
     [
@@ -407,4 +499,10 @@ let suite =
       Alcotest.test_case "random ops model (seed 1)" `Quick (test_random_ops_model ~seed:1);
       Alcotest.test_case "random ops model (seed 2)" `Quick (test_random_ops_model ~seed:2);
       Alcotest.test_case "random ops model (seed 3)" `Quick (test_random_ops_model ~seed:3);
+      Alcotest.test_case "recycled buffers dead (direct)" `Quick
+        (test_recycled_buffers_dead ~queued:false);
+      Alcotest.test_case "recycled buffers dead (queued)" `Quick
+        (test_recycled_buffers_dead ~queued:true);
+      Alcotest.test_case "no block buffer per foreground write" `Quick
+        test_no_block_buffer_per_write;
     ] )

@@ -499,8 +499,10 @@ let test_drop_dirty_trims_tail () =
     Hashtbl.replace dirty (5, blockno) Bytes.empty;
     Hashtbl.replace dirty (6, blockno) Bytes.empty
   done;
+  let released = ref 0 in
   Lfs_core.File_range.drop_dirty dirty 5 ~first:4 ~size:(10 * 512 - 100)
-    ~block_size:512;
+    ~block_size:512 ~release:(fun _ -> incr released);
+  Alcotest.(check int) "every dropped buffer released" 6 !released;
   Hashtbl.iter
     (fun (ino, blockno) _ ->
       if ino = 5 && blockno >= 4 then
@@ -517,11 +519,22 @@ let dirlog_records =
     Dir_log.Rename { odir = 1; oname = "a"; ndir = 2; nname = "b"; ino = 9 };
   ]
 
+(* Each group of records rendered as a dir-log block at a nonzero
+   offset of a scribbled buffer, then cut out. *)
+let encode_blocks ~block_size records =
+  List.map
+    (fun group ->
+      let buf = Bytes.make (block_size + 100) '#' in
+      Dir_log.encode_block_into ~block_size group buf ~pos:100;
+      Bytes.sub buf 100 block_size)
+    (Dir_log.group_blocks ~block_size records)
+
 let test_dirlog_roundtrip () =
-  match Dir_log.encode_blocks ~block_size:1024 dirlog_records with
+  match encode_blocks ~block_size:1024 dirlog_records with
   | [ b ] ->
       Alcotest.(check bool) "records preserved" true
-        (Dir_log.decode_block b = dirlog_records)
+        (Dir_log.decode_block b = dirlog_records);
+      Alcotest.(check char) "zero-padded" '\000' (Bytes.get b 1023)
   | blocks -> Alcotest.failf "expected 1 block, got %d" (List.length blocks)
 
 let test_dirlog_splits_blocks () =
@@ -529,14 +542,14 @@ let test_dirlog_splits_blocks () =
     List.init 100 (fun i ->
         Dir_log.Add { dir = 1; name = Printf.sprintf "file-%04d" i; ino = i; nlink = 1; fresh = true })
   in
-  let blocks = Dir_log.encode_blocks ~block_size:256 many in
+  let blocks = encode_blocks ~block_size:256 many in
   Alcotest.(check bool) "multiple blocks" true (List.length blocks > 1);
   let decoded = List.concat_map Dir_log.decode_block blocks in
   Alcotest.(check bool) "order preserved" true (decoded = many)
 
 let test_dirlog_empty () =
   Alcotest.(check int) "no blocks for no records" 0
-    (List.length (Dir_log.encode_blocks ~block_size:1024 []))
+    (List.length (encode_blocks ~block_size:1024 []))
 
 (* ----- Checkpoint regions ----- *)
 
