@@ -18,9 +18,14 @@ let region_addr layout region =
   | 1 -> layout.Layout.ckpt_b
   | n -> invalid_arg (Printf.sprintf "Checkpoint: region %d" n)
 
-let write layout disk ~region t =
+let buffer layout =
+  Bytes.create (layout.Layout.ckpt_blocks * layout.Layout.block_size)
+
+let write layout disk ~buf:b ~region t =
   let size = layout.Layout.ckpt_blocks * layout.Layout.block_size in
-  let b = Bytes.make size '\000' in
+  if Bytes.length b <> size then
+    invalid_arg "Checkpoint.write: buffer is not a region";
+  Bytes.fill b 0 size '\000';
   let c = Codec.at b 8 in
   Codec.put_u32 c magic;
   Codec.put_float c t.timestamp;

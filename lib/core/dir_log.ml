@@ -96,10 +96,11 @@ let encode_block_into ~block_size group b ~pos =
   Codec.put_u32 c (List.length group);
   List.iter (encode_record c) group
 
-let decode_block b =
-  let c = Codec.reader b in
+let decode_block ?(pos = 0) b =
+  let c = Codec.at b pos in
   let n = Codec.get_u32 c in
-  if n > Bytes.length b then Types.corrupt "dir-log: impossible record count %d" n;
+  if n > Bytes.length b - pos then
+    Types.corrupt "dir-log: impossible record count %d" n;
   List.init n (fun _ -> decode_record c)
 
 let pp_record ppf = function

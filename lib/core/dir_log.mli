@@ -40,7 +40,8 @@ val encode_block_into : block_size:int -> record list -> bytes -> pos:int -> uni
     writer renders dir-log blocks this way, straight into its transfer
     buffer. *)
 
-val decode_block : bytes -> record list
-(** Raises {!Types.Corrupt} on malformed content. *)
+val decode_block : ?pos:int -> bytes -> record list
+(** The records of the dir-log block at byte [pos] (default 0) of the
+    buffer.  Raises {!Types.Corrupt} on malformed content. *)
 
 val pp_record : Format.formatter -> record -> unit

@@ -23,6 +23,7 @@ type recovery_report = {
   data_blocks_recovered : int;
   dirops_applied : int;
   segments_scanned : int;
+  blocks_verified : int;
 }
 
 let root = Types.root_ino
@@ -578,6 +579,7 @@ let recover ?config ?metrics ?tier disk =
       data_blocks_recovered = d.Recovery.data_blocks;
       dirops_applied = List.length d.Recovery.dirops;
       segments_scanned = scan.Recovery.segments_scanned;
+      blocks_verified = scan.Recovery.blocks_verified;
     } )
 
 (* {1 Introspection} *)

@@ -51,6 +51,10 @@ type recovery_report = {
   data_blocks_recovered : int;
   dirops_applied : int;
   segments_scanned : int;
+  blocks_verified : int;
+      (** payload blocks roll-forward read and checksummed: those of the
+          writes at or above the durability watermark, up to and
+          including a torn one *)
 }
 
 val recover :

@@ -203,6 +203,7 @@ type t = {
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
   acct : acct;
   zeros : bytes;  (* one block of zeros that reads of holes borrow *)
+  ckpt_buf : bytes;  (* the checkpoint region every checkpoint renders *)
   mutable clean_bufs : bytes array;
       (* one-segment buffers the cleaner passes read their victims
          into (see {!Clean.read_run}), each allocated by the first pass
@@ -560,7 +561,8 @@ let checkpoint t =
               Array.init (Seg_usage.nblocks t.usage) (Seg_usage.block_addr t.usage);
           }
         in
-        Checkpoint.write t.layout t.disk ~region:t.ckpt_region region;
+        Checkpoint.write t.layout t.disk ~buf:t.ckpt_buf ~region:t.ckpt_region
+          region;
         t.ckpt_region <- 1 - t.ckpt_region;
         t.ops_since_ckpt <- 0;
         t.blocks_since_ckpt <- 0;
@@ -677,6 +679,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       cleaner_attr;
       acct;
       zeros = Bytes.make layout.Layout.block_size '\000';
+      ckpt_buf = Checkpoint.buffer layout;
       clean_bufs = [||];
       clean_used = 0;
       clock;
@@ -726,6 +729,8 @@ let open_volume ~caller ~roll_forward ?config ?metrics ?tier disk =
             tails = ck.Checkpoint.heads;
             next_seq = ck.Checkpoint.log_seq;
             segments_scanned = 0;
+            watermark = ck.Checkpoint.log_seq;
+            blocks_verified = 0;
           }
       in
       let read = Vdev.read_block disk in

@@ -49,7 +49,12 @@ type t = {
          log address (index: address - seg_start), -1 when unknown *)
   heads : head array;
   mutable seq : int;  (* shared across heads: one global log order *)
+  in_flight : (int * Io_queue.ticket) Queue.t;
+      (* (seq, ticket) of every batch write, across heads, that had not
+         completed when last looked at, oldest first *)
 }
+
+let watermark_hook = ref Fun.id
 
 let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
   if Array.length heads = 0 then invalid_arg "Log_writer: no heads";
@@ -80,6 +85,7 @@ let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
           })
         heads;
     seq;
+    in_flight = Queue.create ();
   }
 
 let nheads t = Array.length t.heads
@@ -112,6 +118,21 @@ let place ~bs buf dst = function
         invalid_arg "Log_writer: payload is not a whole block";
       Bytes.blit b pos buf dst bs
   | Lazy render -> render buf ~pos:dst
+
+(* The seq of the oldest batch write, on any head, that has not
+   completed, or [t.seq] when every one has: each earlier batch is on
+   the medium.  Completed writes leave the front of [in_flight] as they
+   are found. *)
+let durable_below t =
+  let rec oldest () =
+    match Queue.peek_opt t.in_flight with
+    | Some (_, tk) when Io_queue.completed tk ->
+        ignore (Queue.pop t.in_flight);
+        oldest ()
+    | Some (seq, _) -> seq
+    | None -> t.seq
+  in
+  oldest ()
 
 (* Write one head's queued batch (summary + payloads) as one sequential
    IO from the writer's one transfer buffer.  Payloads are copied or
@@ -163,6 +184,7 @@ let sync_head t i =
         next_seg = h.next_seg;
         timestamp = h.timestamp;
         payload_sum = !payload_sum;
+        durable_below = !watermark_hook (durable_below t);
         entries;
       }
     in
@@ -174,6 +196,7 @@ let sync_head t i =
        the next batch as soon as this returns. *)
     let tk = Vdev.submit_write_from t.disk addr (h.batch_count + 1) buf ~pos:0 in
     h.unflushed <- tk :: h.unflushed;
+    if not (Io_queue.completed tk) then Queue.push (t.seq, tk) t.in_flight;
     h.stat_syncs <- h.stat_syncs + 1;
     t.on_batch ~head:i ~addr ~blocks:(h.batch_count + 1);
     t.seq <- t.seq + 1;

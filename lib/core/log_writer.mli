@@ -40,6 +40,14 @@
     when the write call returns, and a batch no larger than an earlier
     one allocates no block buffer.
 
+    Every summary records the writer's durability watermark
+    ([durable_below], see {!Summary.t}): the seq of the oldest batch
+    write, on any head, whose device ticket had not completed when the
+    summary was encoded ({!Lfs_disk.Io_queue.completed}), or the
+    summary's own seq when every earlier write had.  Under Direct
+    device mode every write completes at submit, so each summary
+    vouches for every write before it.
+
     Every head always holds a reservation for its next segment
     ({!reserved_segment}); every summary records it, which is how
     roll-forward follows each head's chain across segment boundaries. *)
@@ -110,14 +118,22 @@ val append :
     writer was created (an earlier mount, or recovery), or a head has
     reopened [from]'s segment since.  A caller that passes [~from] for
     bytes that differ from what this writer wrote there gets a batch that
-    fails its payload check at roll-forward.  That includes a block that
-    rotted on the medium between its write and its relocation: the
-    relocating batch carries the sum of the bytes first written, so fsck
-    reports the relocated block, and roll-forward treats the batch as
-    torn and stops there.  The cleaner checkpoints at the end of every
-    pass, so such a stop undoes only that pass's relocations, whose
-    victims still hold their blocks.  Raises [Invalid_argument] if
-    [from] is not in the log area. *)
+    fails its payload check.  That includes a block that rotted on the
+    medium between its write and its relocation: the relocating batch
+    carries the sum of the bytes first written, so fsck reports the
+    relocated block.  Roll-forward checks payloads only of writes a
+    later summary does not vouch for (see {!Summary.t}'s
+    [durable_below]): a completed relocating batch is rolled forward,
+    rot and all, and fsck goes on reporting the block at its new
+    address.  Raises [Invalid_argument] if [from] is not in the log
+    area. *)
+
+val watermark_hook : (int -> int) ref
+(** Test hook, the identity outside tests: maps the [durable_below] the
+    writer computes for a summary to the one it records.  [succ] claims
+    one write too many durable, which a crash sweep must catch;
+    [Fun.const 0] claims nothing, as a summary written before the field
+    existed. *)
 
 val sync : t -> unit
 (** Submit every head's buffered batch to disk, each as one tagged

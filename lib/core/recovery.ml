@@ -9,6 +9,8 @@ type result = {
   tails : Log_writer.position array;
   next_seq : int;
   segments_scanned : int;
+  watermark : int;
+  blocks_verified : int;
 }
 
 (* {1 Reading the log into the reader's own buffers} *)
@@ -17,7 +19,7 @@ type reader = {
   dev : Vdev.t;
   layout : Layout.t;
   block : bytes;  (* one block: the summary being walked *)
-  mutable payload : bytes;  (* grown to the largest payload verified *)
+  mutable payload : bytes;  (* grown to the largest payload read *)
 }
 
 let reader layout dev =
@@ -27,63 +29,95 @@ let read_block r addr =
   ignore (Vdev.submit_read_into r.dev addr 1 r.block ~pos:0 : Io_queue.ticket);
   r.block
 
-(* Recovery reprocesses inodes and directory-log records; data blocks
-   stay where they are and are only referenced by address.  So the scan
-   reads each inode and dir-log block of a write through the reader's
-   block buffer and keeps only what the digest uses: the ino in each
-   occupied inode slot, and the decoded records. *)
-let decode_payloads r s =
-  List.concat
-    (List.mapi
-       (fun i (e : Summary.entry) ->
-         match e.Summary.kind with
-         | Types.Inode_block ->
-             let b = read_block r (Summary.entry_addr s r.layout i) in
-             let slots = ref [] in
-             for slot = r.layout.Layout.inodes_per_block - 1 downto 0 do
-               match Inode.decode_ino b ~slot with
-               | Some ino -> slots := (slot, ino) :: !slots
-               | None -> ()
-             done;
-             [ (i, Inodes !slots) ]
-         | Types.Dir_log ->
-             let b = read_block r (Summary.entry_addr s r.layout i) in
-             [ (i, Records (Dir_log.decode_block b)) ]
-         | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap
-         | Types.Seg_usage | Types.Summary ->
-             [])
-       s.Summary.entries)
-
-let payload_intact r (s : Summary.t) =
-  let n = List.length s.Summary.entries in
+(* Payload blocks [first, first + n) of the write into the payload
+   buffer, block [first] at byte 0. *)
+let read_payload r s ~first ~n =
   let len = n * r.layout.Layout.block_size in
   if Bytes.length r.payload < len then r.payload <- Bytes.create len;
   ignore
-    (Vdev.submit_read_into r.dev (Summary.entry_addr s r.layout 0) n r.payload
-       ~pos:0
-      : Io_queue.ticket);
-  Summary.payload_checksum ~len r.payload = s.Summary.payload_sum
+    (Vdev.submit_read_into r.dev (Summary.entry_addr s r.layout first) n
+       r.payload ~pos:0
+      : Io_queue.ticket)
 
-(* One head's chain walk.  [steps] are the intact summaries in walk
-   order (strictly increasing seq); [torn] is the first summary whose
-   payload failed its checksum, which ends the chain. *)
-type chain = {
-  steps : Summary.t list;
-  torn : Summary.t option;
-  scanned : int;
-}
+let payload_intact r (s : Summary.t) =
+  let n = List.length s.Summary.entries in
+  read_payload r s ~first:0 ~n;
+  Summary.payload_checksum ~len:(n * r.layout.Layout.block_size) r.payload
+  = s.Summary.payload_sum
 
-let walk_chain layout r ~ckpt ~start_seg =
+(* Recovery reprocesses inodes and directory-log records; data blocks
+   stay where they are and are only referenced by address.  So of each
+   write the scan keeps only what the digest uses of its inode and
+   dir-log blocks: the ino in each occupied inode slot, and the decoded
+   records.  [decode_entry] takes them from the block at byte [pos] of
+   the payload buffer. *)
+let decode_entry r (e : Summary.entry) ~pos =
+  match e.Summary.kind with
+  | Types.Inode_block ->
+      let slots = ref [] in
+      for slot = r.layout.Layout.inodes_per_block - 1 downto 0 do
+        match Inode.decode_ino ~pos r.payload ~slot with
+        | Some ino -> slots := (slot, ino) :: !slots
+        | None -> ()
+      done;
+      Some (Inodes !slots)
+  | Types.Dir_log -> Some (Records (Dir_log.decode_block ~pos r.payload))
+  | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap
+  | Types.Seg_usage | Types.Summary ->
+      None
+
+let is_metadata (e : Summary.entry) =
+  match e.Summary.kind with
+  | Types.Inode_block | Types.Dir_log -> true
+  | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap
+  | Types.Seg_usage | Types.Summary ->
+      false
+
+(* The decoded inode and dir-log blocks of a write, in entry order.
+   With [in_buffer] its whole payload is already in the payload buffer
+   (it was just verified); otherwise each run of adjacent inode and
+   dir-log blocks is read there in one read, and no data block is
+   read. *)
+let decode_payloads r s ~in_buffer =
+  let bs = r.layout.Layout.block_size in
+  let es = Array.of_list s.Summary.entries in
+  let n = Array.length es in
+  let decoded = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    if not (is_metadata es.(!i)) then incr i
+    else begin
+      let first = !i in
+      while !i < n && is_metadata es.(!i) do
+        incr i
+      done;
+      let base = if in_buffer then 0 else first in
+      if not in_buffer then read_payload r s ~first ~n:(!i - first);
+      for k = first to !i - 1 do
+        Option.iter
+          (fun d -> decoded := (k, d) :: !decoded)
+          (decode_entry r es.(k) ~pos:((k - base) * bs))
+      done
+    end
+  done;
+  List.rev !decoded
+
+(* One head's chain walk: the summaries it accepts, in walk order
+   (strictly increasing seq), and the segments it entered. *)
+type chain = { steps : Summary.t list; scanned : int }
+
+let walk_chain layout r ~start_seg =
   let seg_blocks = layout.Layout.seg_blocks in
   let steps = ref [] in
-  let torn = ref None in
   let scanned = ref 0 in
   let visited = Hashtbl.create 16 in
-  (* [last_seq] grows strictly along the walk; summaries written before
-     the checkpoint (or left over from a segment's previous life) fail
-     this floor or the walker's self-identification test and end the
-     walk.  A segment is always entered at slot 0, so remembering the
-     segments entered is enough to break a [next_seg] cycle. *)
+  (* [last_seq] grows strictly along the walk; summaries left over from
+     a segment's previous life fail this floor or the walker's
+     self-identification test and end the walk.  Summaries written
+     before the checkpoint pass, and carry the walk through the
+     checkpoint's tail segment; [scan] sets them aside.  A segment is
+     always entered at slot 0, so remembering the segments entered is
+     enough to break a [next_seg] cycle. *)
   let last_seq = ref 0 in
   let rec walk_segment seg =
     if not (Hashtbl.mem visited seg) then begin
@@ -94,24 +128,12 @@ let walk_chain layout r ~ckpt ~start_seg =
         ~read:(fun slot -> (read_block r (first + slot), 0))
         (fun s ->
           s.Summary.seq > !last_seq
-          &&
-          (* Every post-checkpoint write must verify its payload
-             checksum: with queued submission the device commits blocks
-             out of submission order, so a crash can persist a later
-             summary while an earlier write's payload never made it.
-             The first torn write ends this chain — and, because the
-             fsync barrier spans every head, truncates all chains at its
-             sequence number (see [scan]). *)
-          let intact =
-            s.Summary.seq < ckpt.Checkpoint.log_seq || payload_intact r s
-          in
-          if not intact then torn := Some s
-          else begin
-            steps := s :: !steps;
-            last_seq := s.Summary.seq;
-            if Summary.next_slot s > seg_blocks - 2 then exhausted := Some s
-          end;
-          intact);
+          && begin
+               steps := s :: !steps;
+               last_seq := s.Summary.seq;
+               if Summary.next_slot s > seg_blocks - 2 then exhausted := Some s;
+               true
+             end);
       (* Segment exhausted: follow the head's thread. *)
       match !exhausted with
       | None -> ()
@@ -121,69 +143,79 @@ let walk_chain layout r ~ckpt ~start_seg =
           then walk_segment s.Summary.next_seg
     end
   in
-  (* Start from the head of the checkpoint's tail segment: writes earlier
-     in that segment predate the checkpoint and are skipped by the seq
-     filter, but they carry the chain to the post-checkpoint tail. *)
+  (* Start from the head of the checkpoint's tail segment. *)
   incr scanned;
   walk_segment start_seg;
-  { steps = List.rev !steps; torn = !torn; scanned = !scanned }
+  { steps = List.rev !steps; scanned = !scanned }
 
 let scan layout disk ~ckpt =
   let r = reader layout disk in
+  let log_seq = ckpt.Checkpoint.log_seq in
   let chains =
     Array.map
-      (fun (h : Log_writer.position) ->
-        walk_chain layout r ~ckpt ~start_seg:h.seg)
+      (fun (h : Log_writer.position) -> walk_chain layout r ~start_seg:h.seg)
       ckpt.Checkpoint.heads
   in
-  (* The durability frontier is global: a completed fsync barrier awaits
-     every head's unflushed batches, so nothing with a sequence number at
-     or beyond the earliest torn write was ever acknowledged — and a
-     surviving write there may reference payloads (in another head's
-     chain) that never made it.  Truncate every chain at that point. *)
-  let cutoff =
+  (* The durability watermark.  A summary on the medium was written, so
+     its claim holds whether or not its own payload made it: every
+     write below the largest claim is on the medium, and only writes at
+     or above it can be torn — or missing, since with queued submission
+     the device commits blocks out of submission order.  The checkpoint
+     vouches for everything before [log_seq]. *)
+  let watermark =
     Array.fold_left
       (fun acc c ->
-        match c.torn with Some s -> min acc s.Summary.seq | None -> acc)
-      max_int chains
+        List.fold_left (fun acc s -> max acc s.Summary.durable_below) acc c.steps)
+      log_seq chains
   in
+  (* Roll forward in log order, merging the chains by the shared
+     sequence number.  A write at or above the watermark must verify
+     its payload checksum; the first that fails is the torn write, and
+     because a completed fsync barrier awaits every head's unflushed
+     batches, nothing at or beyond its sequence number (in any chain)
+     was ever acknowledged — and a surviving write there may reference
+     payloads, in another head's chain, that never made it.  So that
+     sequence number is a global [cutoff]. *)
+  let verified = ref 0 in
+  let rec roll acc = function
+    | [] -> (List.rev acc, max_int)
+    | (s : Summary.t) :: rest ->
+        let check = s.Summary.seq >= watermark in
+        if check then verified := !verified + List.length s.Summary.entries;
+        if check && not (payload_intact r s) then (List.rev acc, s.Summary.seq)
+        else
+          let w = { summary = s; decoded = decode_payloads r s ~in_buffer:check } in
+          roll (w :: acc) rest
+  in
+  let writes, cutoff =
+    Array.to_list chains
+    |> List.concat_map (fun c ->
+           List.filter (fun s -> s.Summary.seq >= log_seq) c.steps)
+    |> List.sort (fun a b -> compare a.Summary.seq b.Summary.seq)
+    |> roll []
+  in
+  (* Each head resumes at its first summary at or past the cutoff, or
+     just past its last one. *)
   let tails =
     Array.mapi
       (fun i c ->
-        let h = ckpt.Checkpoint.heads.(i) in
-        let kept, rejected =
-          List.partition (fun s -> s.Summary.seq < cutoff) c.steps
-        in
         let tail_at (s : Summary.t) ~off =
           { Log_writer.seg = s.Summary.seg; off; next_seg = s.Summary.next_seg }
         in
-        match (rejected, c.torn) with
-        | s :: _, _ | [], Some s -> tail_at s ~off:s.Summary.slot
-        | [], None -> (
-            match List.rev kept with
+        match List.find_opt (fun s -> s.Summary.seq >= cutoff) c.steps with
+        | Some s -> tail_at s ~off:s.Summary.slot
+        | None -> (
+            match List.rev c.steps with
             | s :: _ -> tail_at s ~off:(Summary.next_slot s)
-            | [] -> h))
+            | [] -> ckpt.Checkpoint.heads.(i)))
       chains
-  in
-  (* Roll-forward merges the chains back into one log order by the
-     shared sequence number. *)
-  let writes =
-    Array.to_list chains
-    |> List.concat_map (fun c ->
-           List.filter
-             (fun s ->
-               s.Summary.seq < cutoff
-               && s.Summary.seq >= ckpt.Checkpoint.log_seq)
-             c.steps)
-    |> List.sort (fun a b -> compare a.Summary.seq b.Summary.seq)
-    |> List.map (fun s -> { summary = s; decoded = decode_payloads r s })
   in
   let next_seq =
     if cutoff < max_int then cutoff
     else
       List.fold_left
         (fun acc w -> max acc (w.summary.Summary.seq + 1))
-        ckpt.Checkpoint.log_seq writes
+        log_seq writes
   in
   {
     writes;
@@ -191,6 +223,8 @@ let scan layout disk ~ckpt =
     next_seq;
     segments_scanned =
       Array.fold_left (fun acc c -> acc + c.scanned) 0 chains;
+    watermark;
+    blocks_verified = !verified;
   }
 
 (* {1 The roll-forward digest} *)

@@ -4,23 +4,35 @@
     each head's summary chain — within a segment with
     {!Summary.walk_segment}, and across segments by following the
     [next_seg] pointer every summary records.  On top of the walker's
-    checks (intact, self-identifying, fits its segment) a write is
+    checks (intact, self-identifying, fits its segment) a summary is
     accepted only if its sequence number strictly increases along its
-    chain.  The chains are then merged back into one log order by the
-    shared sequence number.
+    chain.
 
-    Only inode-block and directory-log payloads are read (data blocks
-    are referenced in place), which is what makes recovery time scale
-    with the number of files recovered rather than bytes written
-    (Table 3).  Every post-checkpoint write additionally verifies its
-    payload checksum: under queued submission the device commits blocks
-    out of submission order, so a crash can persist a later summary
-    while an earlier write's payload never made it.  The first torn
-    write truncates the log {e globally} — the fsync barrier spans every
-    head, so nothing at or beyond its sequence number (in any chain) was
-    acknowledged durable, and a later write in one chain may reference
-    torn payloads in another.  Every chain is cut at that sequence
-    number and each head's tail points at its first discarded summary.
+    The chains' summaries give the durability watermark [W]: the
+    largest [durable_below] any of them claims, and at least the
+    checkpoint's [log_seq].  Every write below [W] completed on the
+    device before some summary on the medium was written, so it cannot
+    be torn: of it the scan reads only its inode and dir-log blocks, one
+    read per run of adjacent ones, and references its data blocks in
+    place — recovery time then scales with the files recovered, not the
+    bytes written (Table 3).  Writes at or above [W] were in flight at
+    the crash: under queued submission the device commits blocks out of
+    submission order, so a later summary can persist while an earlier
+    write's payload never made it.  Each of them verifies its payload
+    checksum, in log order, and its inode and dir-log blocks are
+    decoded from the payload just read.  The first that fails is the
+    torn write and truncates the log {e globally} — the fsync barrier
+    spans every head, so nothing at or beyond its sequence number (in
+    any chain) was acknowledged durable, and a later write in one chain
+    may reference torn payloads in another.  Every chain is cut at that
+    sequence number and each head's tail points at its first discarded
+    summary.
+
+    A block that rots on the medium below [W] is therefore not a torn
+    write: its write is rolled forward, and {!Fsck}'s integrity pass,
+    which verifies every write, reports the block.  Summaries written
+    before the watermark existed read [durable_below = 0], so [W] is
+    [log_seq] and every write is verified.
 
     The scan is read-only; {!Fs.recover} applies the results. *)
 
@@ -49,6 +61,11 @@ type result = {
           indexed by head *)
   next_seq : int;       (** sequence number for the next write *)
   segments_scanned : int;
+  watermark : int;
+      (** [W]: writes from here on had their payloads verified *)
+  blocks_verified : int;
+      (** payload blocks read and checksummed: those of the writes at
+          or above [watermark], up to and including a torn one *)
 }
 
 val scan : Layout.t -> Lfs_disk.Vdev.t -> ckpt:Checkpoint.t -> result
@@ -71,7 +88,7 @@ val read_block : reader -> Types.baddr -> bytes
 
 val payload_intact : reader -> Summary.t -> bool
 (** Whether the payload blocks of the summary's write, read into the
-    reader's payload buffer (grown to the largest write checked), match
+    reader's payload buffer (grown to the largest payload read), match
     its [payload_sum]. *)
 
 (** {1 The roll-forward digest}

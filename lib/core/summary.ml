@@ -16,6 +16,7 @@ type t = {
   next_seg : int;
   timestamp : float;
   payload_sum : int;
+  durable_below : int;
   entries : entry list;
 }
 
@@ -43,6 +44,7 @@ let encode_into ~block_size t b =
   Codec.put_float c t.timestamp;
   Codec.put_u32 c t.payload_sum;
   Codec.put_u32 c n;
+  Codec.put_u32 c t.durable_below;
   Codec.seek c header_size;
   List.iter
     (fun e ->
@@ -78,6 +80,7 @@ let decode ?(pos = 0) ?block_size b =
       let timestamp = Codec.get_float c in
       let payload_sum = Codec.get_u32 c in
       let n = Codec.get_u32 c in
+      let durable_below = Codec.get_u32 c in
       if n > max_entries ~block_size then None
       else begin
         Codec.seek c (pos + header_size);
@@ -90,7 +93,17 @@ let decode ?(pos = 0) ?block_size b =
               let mtime = Codec.get_float c in
               { kind; ino; blockno; version; mtime })
         in
-        Some { seq; seg; slot; next_seg; timestamp; payload_sum; entries }
+        Some
+          {
+            seq;
+            seg;
+            slot;
+            next_seg;
+            timestamp;
+            payload_sum;
+            durable_below;
+            entries;
+          }
       end
     end
   end

@@ -6,8 +6,15 @@
     blocks without reading inodes.  Summaries also carry the write
     sequence number and a pointer to the next segment in the log thread,
     which is what lets crash recovery follow the log past the last
-    checkpoint, and a checksum over the payload so torn writes are
-    detected and ignored. *)
+    checkpoint, a checksum over the payload so torn writes are detected
+    and ignored, and a durability watermark that tells recovery which
+    earlier writes it need not check for tearing.
+
+    The header takes 52 of the block's first 64 bytes: the header
+    checksum and a pad word, then magic, [seq], [seg], [slot],
+    [next_seg] (8 bytes), [timestamp] (8), [payload_sum], the entry
+    count and [durable_below]; entries start at byte 64.  A summary
+    written before [durable_below] existed reads 0 there. *)
 
 type entry = {
   kind : Types.block_kind;
@@ -26,6 +33,15 @@ type t = {
   next_seg : int;     (** reserved successor segment of the log thread *)
   timestamp : float;
   payload_sum : int;  (** Adler-32 of the payload blocks that follow *)
+  durable_below : int;
+      (** the writer's claim that every log write with a smaller [seq]
+          had completed on the device when this summary was encoded:
+          the [seq] of the oldest write still in flight then, or this
+          summary's own [seq] when none was.  Only ever [<= seq].  The
+          claim holds whether or not this write's own payload lands, so
+          roll-forward trusts the largest claim among the summaries it
+          finds and checks payloads only from there on; 0 claims
+          nothing, and every payload is checked *)
   entries : entry list;
 }
 

@@ -23,6 +23,9 @@ type t = {
   stats : Io_stats.t;
   queue : Io_queue.t;
   mutable crash_countdown : int option;  (* blocks until power cut *)
+  mutable crash_scatter : int option;
+      (* seed of the blocks the interrupted write lands; [None]: a
+         prefix *)
   mutable crashed : bool;
   mutable pending : (int * bytes array) Seq_map.t;
       (* queued-mode writes submitted but not yet committed by the
@@ -75,6 +78,7 @@ let create geometry =
     stats;
     queue = Io_queue.create ~service:(service_fn geometry) ~stats;
     crash_countdown = None;
+    crash_scatter = None;
     crashed = false;
     pending = Seq_map.empty;
     staging = [];
@@ -192,12 +196,26 @@ let perform_write t ~seq addr n land_block =
   if t.crashed then raise Crashed;
   let bs = block_size t in
   let persist = writable_prefix t n in
-  for i = 0 to persist - 1 do
+  let persist_block i =
     if t.write_seq.(addr + i) <= seq then begin
       land_block i ((addr + i) * bs);
       t.write_seq.(addr + i) <- seq
     end
-  done;
+  in
+  (match t.crash_scatter with
+  | Some seed when persist < n ->
+      (* The write the power cut interrupts lands [persist] of its
+         blocks, chosen pseudo-randomly: the disk scheduled its sectors
+         freely. *)
+      let order = Array.init n Fun.id in
+      Lfs_util.Prng.shuffle (Lfs_util.Prng.create ~seed) order;
+      for k = 0 to persist - 1 do
+        persist_block order.(k)
+      done
+  | Some _ | None ->
+      for i = 0 to persist - 1 do
+        persist_block i
+      done);
   consume_countdown t n;
   if t.crashed then raise Crashed
 
@@ -280,15 +298,17 @@ let pump t ~now = Io_queue.pump t.queue ~now
 let outstanding_in t ~lo ~hi = Io_queue.outstanding_in t.queue ~lo ~hi
 let queue_depth t = Io_queue.depth t.queue
 
-let plan_crash t ~after_blocks =
+let plan_crash ?scatter t ~after_blocks =
   assert (after_blocks >= 0);
-  t.crash_countdown <- Some after_blocks
+  t.crash_countdown <- Some after_blocks;
+  t.crash_scatter <- scatter
 
 let is_crashed t = t.crashed
 
 let reboot t =
   t.crashed <- false;
   t.crash_countdown <- None;
+  t.crash_scatter <- None;
   (* Submitted-but-uncommitted writes die with the power: only what the
      elevator actually retired is on the medium. *)
   t.pending <- Seq_map.empty;
@@ -308,6 +328,7 @@ let snapshot t =
     stats;
     queue;
     crash_countdown = t.crash_countdown;
+    crash_scatter = t.crash_scatter;
     crashed = t.crashed;
     pending = Seq_map.empty;
     staging = [];
@@ -336,6 +357,7 @@ let restore t ~from =
   Io_queue.set_head t.queue (Io_queue.head from.queue);
   Io_queue.set_horizon t.queue (Io_queue.horizon from.queue);
   t.crash_countdown <- from.crash_countdown;
+  t.crash_scatter <- from.crash_scatter;
   t.crashed <- from.crashed
 
 (* Image files hold the blocks in address order; both directions stream

@@ -121,10 +121,11 @@ val pump : t -> now:float -> (int * float) list
 val outstanding_in : t -> lo:int -> hi:int -> int
 val queue_depth : t -> int
 
-val plan_crash : t -> after_blocks:int -> unit
+val plan_crash : ?scatter:int -> t -> after_blocks:int -> unit
 (** Arm a power cut after [after_blocks] more blocks have been written.
-    The triggering write persists only its first [after_blocks] remaining
-    blocks (a torn write). *)
+    The triggering write persists only [after_blocks] of its remaining
+    blocks: its first ones (a torn write), or with [scatter] a subset
+    chosen pseudo-randomly from that seed (a reordered write). *)
 
 val is_crashed : t -> bool
 

@@ -163,3 +163,8 @@ let outstanding_in t ~lo ~hi =
     | Seq.Cons _ | Seq.Nil -> n
   in
   count 0 (By_tag.to_seq_from lo t.by_tag)
+
+let rec completed = function
+  | Done -> true
+  | Tag (q, tag) -> outstanding_in q ~lo:tag ~hi:(tag + 1) = 0
+  | Join ts -> List.for_all completed ts

@@ -68,6 +68,11 @@ val pump : t -> now:float -> (int * float) list
 val outstanding_in : t -> lo:int -> hi:int -> int
 (** Number of not-yet-serviced requests with tag in [\[lo, hi)]. *)
 
+val completed : ticket -> bool
+(** Whether everything the ticket covers has been serviced, without
+    forcing any service: [Done] always, a [Join] when all its members
+    are.  A serviced write has reached the medium. *)
+
 val mode : t -> mode
 val set_mode : t -> mode -> unit
 val head : t -> int

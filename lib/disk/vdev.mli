@@ -90,7 +90,8 @@ type t = {
   stats : unit -> Io_stats.t;
       (** Cumulative statistics of the device (a live view for single
           devices; an aggregated snapshot for composites). *)
-  plan_crash : after_blocks:int -> unit;
+  plan_crash : after_blocks:int -> scatter:int option -> unit;
+      (** As {!Disk.plan_crash}, for a leaf device *)
   is_crashed : unit -> bool;
   reboot : unit -> unit;
 }
@@ -193,7 +194,7 @@ val next_tag : unit -> int
     reads to learn the tag range of every leaf transfer it submitted. *)
 
 val stats : t -> Io_stats.t
-val plan_crash : t -> after_blocks:int -> unit
+val plan_crash : ?scatter:int -> t -> after_blocks:int -> unit
 val is_crashed : t -> bool
 val reboot : t -> unit
 

@@ -84,7 +84,9 @@ let submit_sub ?now lower bs addr b ~pos ~first ~count tickets =
    the elevator retires writes in C-LOOK order, not submission order, so
    a submit-time countdown would tear a block the device had already
    retired: the countdown is handed down to the leaf device, which burns
-   it at commit and tears the write the power cut actually interrupts. *)
+   it at commit and tears the write the power cut actually interrupts —
+   a prefix of it, or under [Reordered] a subset drawn from a seed this
+   layer picks. *)
 let lower_is_queued t =
   match t.lower.Vdev.get_mode () with
   | Io_queue.Queued _ -> true
@@ -93,7 +95,12 @@ let lower_is_queued t =
 let submit_write_from ?now t addr n b ~pos =
   check_alive t;
   if t.countdown >= 0 && lower_is_queued t then begin
-    t.lower.Vdev.plan_crash ~after_blocks:t.countdown;
+    let scatter =
+      match t.mode with
+      | Reordered -> Some (Prng.int t.prng 0x3fff_ffff)
+      | Torn | Dropped -> None
+    in
+    t.lower.Vdev.plan_crash ~after_blocks:t.countdown ~scatter;
     t.countdown <- -1
   end;
   let bs = t.lower.Vdev.block_size in
@@ -166,7 +173,8 @@ let vdev t =
     submit_read_into = read_into;
     submit_write = Vdev.whole_submit_write ~block_size write_from;
     submit_write_from = write_from;
-    plan_crash = (fun ~after_blocks -> plan_crash t ~mode:Torn ~after_blocks ());
+    plan_crash =
+      (fun ~after_blocks ~scatter:_ -> plan_crash t ~mode:Torn ~after_blocks ());
     is_crashed = (fun () -> is_crashed t);
     reboot = (fun () -> reboot t);
   }

@@ -51,10 +51,11 @@ val plan_crash : t -> ?mode:mode -> after_blocks:int -> unit -> unit
     to [mode] (default {!Torn}: its first [after_blocks] remaining
     blocks).
 
-    [mode] applies only while the lower stack is [Direct].  When the
-    lower stack is [Queued], the next write hands the countdown to the
-    leaf {!Disk}, which burns it in commit order and always tears a
-    prefix: a [Dropped] or [Reordered] plan then behaves as {!Torn}. *)
+    When the lower stack is [Queued], the next write hands the
+    countdown to the leaf {!Disk}, which burns it in commit order: a
+    {!Reordered} plan lands a pseudo-random subset of the write the cut
+    interrupts (a scatter seed drawn from this layer's seed), and a
+    [Dropped] plan behaves as {!Torn}. *)
 
 val reboot : t -> unit
 (** Clear the crashed state and disarm any plan; surviving contents are

@@ -7,6 +7,8 @@ type params = { file_kb : int; data_mb : int; disk_mb : int; cpu : Cpu_model.t }
 type result = {
   params : params;
   recovery_s : float;
+  disk_s : float;
+  cpu_s : float;
   files_recovered : int;
   writes_replayed : int;
   segments_scanned : int;
@@ -57,14 +59,18 @@ let measure p disk =
   let after = Lfs_disk.Vdev.stats disk in
   let disk_s = (Io_stats.diff after before).Io_stats.busy_s in
   (* Roll-forward work per inode is lighter than a full syscall: charge
-     half the per-operation cost, plus per-block handling. *)
+     half the per-operation cost, plus the handling of each payload
+     block it reads and checksums.  Data blocks it only references by
+     address cost nothing. *)
   let cpu_s =
     Cpu_model.cost p.cpu ~ops:(report.Fs.inodes_recovered / 2)
-      ~blocks:report.Fs.data_blocks_recovered
+      ~blocks:report.Fs.blocks_verified
   in
   {
     params = p;
     recovery_s = disk_s +. cpu_s;
+    disk_s;
+    cpu_s;
     files_recovered = report.Fs.inodes_recovered;
     writes_replayed = report.Fs.writes_replayed;
     segments_scanned = report.Fs.segments_scanned;

@@ -11,7 +11,11 @@ type params = {
 
 type result = {
   params : params;
-  recovery_s : float;       (** modelled disk time + CPU time *)
+  recovery_s : float;       (** [disk_s +. cpu_s] *)
+  disk_s : float;  (** modelled device busy time of the recovery *)
+  cpu_s : float;
+      (** modelled CPU time: half an operation per inode recovered,
+          plus one block's handling per payload block verified *)
   files_recovered : int;
   writes_replayed : int;
   segments_scanned : int;

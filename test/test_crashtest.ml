@@ -186,6 +186,33 @@ let test_write_rot_detected () =
   Alcotest.(check bool) "rewrite heals" true
     (Bytes.equal payload (Vdev.read_blocks dev 7 1))
 
+(* The durability watermark is what lets roll-forward skip checking a
+   write's payload, so a writer that claims one write too many durable
+   must be caught.  A torn prefix of a log write is self-consistent
+   (each inode follows the blocks it points at), so a sweep catches
+   the overclaim where a cut lands a subset of the write instead: an
+   inode block reaches the medium without all of its data.  Under
+   Direct every summary then vouches for its own write, and the
+   reordered cuts of the crash sweep find it; with four transfers in
+   flight the model check's reordered cuts find a summary vouching for
+   an earlier write the cut interrupted. *)
+let test_overclaimed_watermark_caught () =
+  let module Log_writer = Lfs_core.Log_writer in
+  let module S = (val Lfs_spec.Spec.subject lfs) in
+  let module R = Lfs_model.Refine.Make (S) in
+  let saved = !Log_writer.watermark_hook in
+  Log_writer.watermark_hook := succ;
+  Fun.protect ~finally:(fun () -> Log_writer.watermark_hook := saved)
+  @@ fun () ->
+  let r = Crashtest.run ~seed:3 lfs (Crashtest.script ~seed:3 ()) in
+  Alcotest.(check bool) "the Direct sweep fails a reordered cut" true
+    (List.exists
+       (fun (f : Crashtest.failure) -> f.mode = Vdev_fault.Reordered)
+       (r.Crashtest.fsck_failures @ r.Crashtest.oracle_failures));
+  let q = R.check_seq ~io_depth:4 ~seed:4 ~seq:0 () in
+  Alcotest.(check bool) "the io-depth 4 model check diverges" false
+    (Lfs_model.Refine.seq_clean q)
+
 let suite =
   ( "crashtest",
     [
@@ -204,4 +231,6 @@ let suite =
         test_checkpoint_bitrot_fallback;
       Alcotest.test_case "write bit-rot reaches the medium once" `Quick
         test_write_rot_detected;
+      Alcotest.test_case "an overclaimed watermark is caught" `Quick
+        test_overclaimed_watermark_caught;
     ] )

@@ -91,6 +91,25 @@ let test_crash_tears_write () =
   Helpers.check_bytes "prefix persisted" (block 'A') (Disk.read_block d 0);
   Helpers.check_bytes "suffix lost" (block '\000') (Disk.read_block d 1)
 
+(* With a scatter seed the interrupted write lands as many blocks as
+   the countdown allows, but not necessarily its first ones. *)
+let test_crash_scatters_write () =
+  let landed seed =
+    let d = Disk.create wren in
+    Disk.plan_crash ~scatter:seed d ~after_blocks:3;
+    (match
+       Disk.write_blocks d 0 (Bytes.concat Bytes.empty (List.init 8 (fun _ -> block 'S')))
+     with
+    | () -> Alcotest.fail "write should crash"
+    | exception Disk.Crashed -> ());
+    Disk.reboot d;
+    List.filter (fun a -> Bytes.equal (Disk.read_block d a) (block 'S')) (List.init 8 Fun.id)
+  in
+  let subsets = List.map landed [ 1; 2; 3; 4; 5; 6 ] in
+  List.iter (fun l -> Alcotest.(check int) "three blocks landed" 3 (List.length l)) subsets;
+  Alcotest.(check bool) "not always the prefix" true
+    (List.exists (fun l -> l <> [ 0; 1; 2 ]) subsets)
+
 let test_crash_blocks_io_until_reboot () =
   let d = Disk.create wren in
   Disk.plan_crash d ~after_blocks:0;
@@ -890,6 +909,7 @@ let suite =
       Alcotest.test_case "stats counts" `Quick test_stats_counts;
       Alcotest.test_case "stats diff" `Quick test_stats_diff;
       Alcotest.test_case "crash tears write" `Quick test_crash_tears_write;
+      Alcotest.test_case "scattered crash lands a subset" `Quick test_crash_scatters_write;
       Alcotest.test_case "crash blocks io" `Quick test_crash_blocks_io_until_reboot;
       Alcotest.test_case "snapshot restore" `Quick test_snapshot_restore;
       Alcotest.test_case "snapshot independent" `Quick test_snapshot_independent;

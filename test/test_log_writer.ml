@@ -387,6 +387,7 @@ let test_scan_stops_at_stale_summary () =
         next_seg = 5;
         timestamp = 0.0;
         payload_sum = Summary.payload_checksum (Bytes.create 0);
+        durable_below = 0;
         entries = [];
       }
   in
@@ -500,13 +501,42 @@ let test_scan_merges_two_chains_by_seq () =
         tl.Log_writer.seg)
     result.Lfs_core.Recovery.tails
 
+(* Each summary records the oldest batch write, on any head, still in
+   flight when it was encoded — or its own seq when none was.  Direct
+   writes complete at submit; queued ones when the device services
+   them. *)
+let test_summary_records_watermark () =
+  let env = mk_env ~heads:2 () in
+  let batch head =
+    let a = append env 'w' ~head in
+    Log_writer.sync env.log;
+    (Option.get (Summary.decode (Disk.read_block env.disk (a - 1))))
+      .Summary.durable_below
+  in
+  let batches heads = List.map batch heads in
+  Alcotest.(check (list int)) "direct: each vouches for all before it" [ 1; 2 ]
+    (batches [ 0; 1 ]);
+  Disk.set_mode env.disk (Lfs_disk.Io_queue.Queued (fun () -> 0.0));
+  Alcotest.(check (list int)) "queued: the oldest in flight" [ 3; 3; 3 ]
+    (batches [ 0; 1; 0 ]);
+  ignore (Disk.drain env.disk : float);
+  Alcotest.(check int) "serviced: all before it" 6 (batch 1);
+  ignore (Log_writer.barrier env.log : float);
+  Alcotest.(check int) "after a barrier: all before it" 7 (batch 0)
+
 let test_scan_torn_write_truncates_all_chains () =
   let env = mk_env ~heads:2 () in
+  (* The batches pipeline under queued submission with no barrier, so
+     no summary can vouch for an earlier write: a power cut may leave
+     any of them torn while later ones landed. *)
+  Disk.set_mode env.disk (Lfs_disk.Io_queue.Queued (fun () -> 0.0));
   let addrs = ref [] in
   for i = 0 to 9 do
     addrs := append env 't' ~head:(i mod 2) ~blockno:i :: !addrs;
     Log_writer.sync env.log
   done;
+  ignore (Disk.drain env.disk : float);
+  Disk.set_mode env.disk Lfs_disk.Io_queue.Direct;
   let addrs = Array.of_list (List.rev !addrs) in
   (* Tear the payload of the 5th batch (head 0, seq 5): everything from
      seq 5 on must be discarded in BOTH chains, because the global
@@ -524,6 +554,8 @@ let test_scan_torn_write_truncates_all_chains () =
     }
   in
   let result = Lfs_core.Recovery.scan layout (Helpers.vdev env.disk) ~ckpt in
+  Alcotest.(check int) "no summary vouches for an earlier write" 1
+    result.Lfs_core.Recovery.watermark;
   Alcotest.(check int) "only the 4 pre-torn writes survive" 4
     (List.length result.Lfs_core.Recovery.writes);
   Alcotest.(check int) "next_seq is the torn write's" 5
@@ -563,5 +595,7 @@ let suite =
       Alcotest.test_case "barrier covers heads" `Quick test_barrier_covers_all_heads;
       Alcotest.test_case "head stats" `Quick test_head_stats_attribute_traffic;
       Alcotest.test_case "scan merges chains" `Quick test_scan_merges_two_chains_by_seq;
+      Alcotest.test_case "summary records the watermark" `Quick
+        test_summary_records_watermark;
       Alcotest.test_case "torn write cuts all chains" `Quick test_scan_torn_write_truncates_all_chains;
     ] )

@@ -275,6 +275,157 @@ let test_recovery_report_counts () =
   Alcotest.(check bool) "dirops for each create" true (report.Fs.dirops_applied >= 10);
   Alcotest.(check bool) "data blocks seen" true (report.Fs.data_blocks_recovered >= 10)
 
+(* {2 The durability watermark} *)
+
+(* A view of [dev] that counts every block read through it. *)
+let counting dev =
+  let reads = Hashtbl.create 64 in
+  let read_into ?now addr n buf ~pos =
+    for a = addr to addr + n - 1 do
+      Hashtbl.replace reads a (1 + Option.value ~default:0 (Hashtbl.find_opt reads a))
+    done;
+    Vdev.submit_read_into ?now dev addr n buf ~pos
+  in
+  let block_size = dev.Vdev.block_size in
+  ( {
+      dev with
+      Vdev.submit_read_into = read_into;
+      read_blocks = Vdev.alloc_read_blocks ~block_size read_into;
+      submit_read = Vdev.alloc_submit_read ~block_size read_into;
+    },
+    reads )
+
+let scan_latest dev =
+  let layout = (Lfs_core.Superblock.load dev).Lfs_core.Superblock.layout in
+  let _, ckpt = Option.get (Checkpoint.read_latest layout dev) in
+  (layout, ckpt)
+
+let is_metadata (e : Summary.entry) =
+  e.Summary.kind = Types.Inode_block || e.Summary.kind = Types.Dir_log
+
+(* Under Direct every completed write is vouched for by the next
+   summary, so roll-forward checks only the write the power cut tore:
+   of every other write it reads the summary and the inode and dir-log
+   blocks, and no data block.  Every block read once: the summaries the
+   walk accepts, the one block that ends it, the surviving writes'
+   inode and dir-log blocks, and the torn write's payload. *)
+let test_watermark_reads_only_metadata () =
+  let disk, fs = Helpers.fresh_fs () in
+  Fs.write_path fs "/old" (Bytes.make 6000 'o');
+  Fs.checkpoint fs;
+  let contents i = Helpers.bytes_of_pattern ~seed:i (3000 + (2500 * i)) in
+  for i = 0 to 7 do
+    Fs.write_path fs (Printf.sprintf "/w%d" i) (contents i);
+    Fs.sync fs
+  done;
+  Fs.write_path fs "/torn" (Bytes.make 30_000 't');
+  Helpers.plan_crash disk ~after_blocks:3;
+  (match Fs.sync fs with () -> () | exception Disk.Crashed -> ());
+  Helpers.reboot disk;
+  let dev = Helpers.vdev disk in
+  let layout, ckpt = scan_latest dev in
+  let view, reads = counting dev in
+  let r = Recovery.scan layout view ~ckpt in
+  let tail = r.Recovery.tails.(0) in
+  let torn =
+    Option.get
+      (Summary.decode
+         (Vdev.read_block dev
+            (Layout.seg_first_block layout tail.Log_writer.seg + tail.Log_writer.off)))
+  in
+  Alcotest.(check int) "the torn write is the cutoff" torn.Summary.seq
+    r.Recovery.next_seq;
+  Alcotest.(check int) "the watermark is the torn write" torn.Summary.seq
+    r.Recovery.watermark;
+  Alcotest.(check bool) "several writes survive" true
+    (List.length r.Recovery.writes >= 8);
+  let n_torn = List.length torn.Summary.entries in
+  Alcotest.(check int) "only the torn payload was verified" n_torn
+    r.Recovery.blocks_verified;
+  let expect = Hashtbl.create 64 in
+  List.iter
+    (fun w ->
+      List.iteri
+        (fun i e ->
+          if is_metadata e then
+            Hashtbl.replace expect (Summary.entry_addr w.Recovery.summary layout i) ())
+        w.Recovery.summary.Summary.entries)
+    r.Recovery.writes;
+  for i = 0 to n_torn - 1 do
+    Hashtbl.replace expect (Summary.entry_addr torn layout i) ()
+  done;
+  let metadata = Hashtbl.length expect in
+  let others = ref [] in
+  Hashtbl.iter
+    (fun a n ->
+      Alcotest.(check int) (Printf.sprintf "block %d read once" a) 1 n;
+      if not (Hashtbl.mem expect a) then others := a :: !others)
+    reads;
+  Hashtbl.iter
+    (fun a () ->
+      Alcotest.(check bool) (Printf.sprintf "block %d read" a) true (Hashtbl.mem reads a))
+    expect;
+  List.iter
+    (fun w ->
+      List.iteri
+        (fun i e ->
+          if not (is_metadata e) then
+            Alcotest.(check bool) "no data block below the watermark read" false
+              (Hashtbl.mem reads (Summary.entry_addr w.Recovery.summary layout i)))
+        w.Recovery.summary.Summary.entries)
+    r.Recovery.writes;
+  let summaries =
+    List.filter (fun a -> Summary.decode (Vdev.read_block dev a) <> None) !others
+  in
+  Alcotest.(check int) "the rest are summaries and the walk's end"
+    (List.length summaries + 1) (List.length !others);
+  Alcotest.(check int) "blocks read = summaries + metadata + torn payload"
+    (List.length summaries + 1 + metadata)
+    (Hashtbl.length reads);
+  let fs2, report = Fs.recover dev in
+  Alcotest.(check int) "the report counts the verified blocks" n_torn
+    report.Fs.blocks_verified;
+  Helpers.check_bytes "/old" (Bytes.make 6000 'o') (Option.get (Fs.read_path fs2 "/old"));
+  for i = 0 to 7 do
+    Helpers.check_bytes (Printf.sprintf "/w%d" i) (contents i)
+      (Option.get (Fs.read_path fs2 (Printf.sprintf "/w%d" i)))
+  done;
+  (match Fs.read_path fs2 "/torn" with
+  | None -> ()
+  | Some b -> Helpers.check_bytes "/torn, if present" (Bytes.make 30_000 't') b);
+  Helpers.fsck_clean fs2
+
+(* Summaries that claim nothing ([durable_below = 0], as on a volume
+   written before the field existed) leave the watermark at the
+   checkpoint: every write's payload is read and checked. *)
+let test_watermark_zero_verifies_every_write () =
+  let run hook =
+    let saved = !Log_writer.watermark_hook in
+    Log_writer.watermark_hook := hook;
+    Fun.protect ~finally:(fun () -> Log_writer.watermark_hook := saved)
+    @@ fun () ->
+    let disk, fs = Helpers.fresh_fs () in
+    Fs.checkpoint fs;
+    for i = 0 to 5 do
+      Fs.write_path fs (Printf.sprintf "/z%d" i) (Bytes.make 7000 'z');
+      Fs.sync fs
+    done;
+    let dev = Helpers.vdev disk in
+    let layout, ckpt = scan_latest dev in
+    let r = Recovery.scan layout dev ~ckpt in
+    let entries w = List.length w.Recovery.summary.Summary.entries in
+    (ckpt, r, List.fold_left (fun acc w -> acc + entries w) 0 r.Recovery.writes,
+     entries (List.hd (List.rev r.Recovery.writes)))
+  in
+  let ckpt, r, total, _ = run (Fun.const 0) in
+  Alcotest.(check int) "no claim: the watermark is the checkpoint's"
+    ckpt.Checkpoint.log_seq r.Recovery.watermark;
+  Alcotest.(check int) "every payload block verified" total r.Recovery.blocks_verified;
+  let _, r, total', last = run Fun.id in
+  Alcotest.(check int) "the same log" total total';
+  Alcotest.(check int) "with claims, only the last write is verified" last
+    r.Recovery.blocks_verified
+
 (* {2 The roll-forward digest, from hand-built log writes} *)
 
 let digest_layout = Layout.compute Helpers.test_config ~disk_blocks:1024
@@ -307,6 +458,7 @@ let hand_write ~seq ?(records = []) ?(data = 0) ?(inos = []) () =
         next_seg = seq + 1;
         timestamp = 0.0;
         payload_sum = 0;
+        durable_below = 0;
         entries = List.map fst parts;
       };
     decoded =
@@ -459,6 +611,7 @@ let stale_summary layout ~(at : Log_writer.position) ~seq ~payload_sum entries =
       next_seg = at.Log_writer.next_seg;
       timestamp = 0.0;
       payload_sum;
+      durable_below = 0;
       entries;
     }
 
@@ -526,7 +679,7 @@ let test_stale_summary_past_tail_cleaner () =
        [ entry Types.Inode_block; entry Types.Data ]);
   (* Move the head on to its reservation, as if it had filled segment 0,
      so segment 0 — the only one with live data — becomes the victim. *)
-  Checkpoint.write layout dev ~region
+  Checkpoint.write layout dev ~buf:(Checkpoint.buffer layout) ~region
     {
       ck with
       Checkpoint.heads = [| { Log_writer.seg = 1; off = 0; next_seg = 2 } |];
@@ -552,8 +705,8 @@ let test_checkpoint_tie_takes_newer_log () =
   let at seq = { ck with Checkpoint.timestamp = 5.0; log_seq = seq } in
   List.iter
     (fun (seq0, seq1, newest) ->
-      Checkpoint.write layout dev ~region:0 (at seq0);
-      Checkpoint.write layout dev ~region:1 (at seq1);
+      Checkpoint.write layout dev ~buf:(Checkpoint.buffer layout) ~region:0 (at seq0);
+      Checkpoint.write layout dev ~buf:(Checkpoint.buffer layout) ~region:1 (at seq1);
       let region, _ = Option.get (Checkpoint.read_latest layout dev) in
       Alcotest.(check int)
         (Printf.sprintf "seq %d vs %d" seq0 seq1)
@@ -626,6 +779,10 @@ let suite =
       Alcotest.test_case "crash torture (seed 43)" `Quick (test_crash_torture ~seed:43);
       Alcotest.test_case "crash torture (seed 44)" `Quick (test_crash_torture ~seed:44);
       Alcotest.test_case "report counts" `Quick test_recovery_report_counts;
+      Alcotest.test_case "watermark: only metadata below it" `Quick
+        test_watermark_reads_only_metadata;
+      Alcotest.test_case "watermark: zero verifies every write" `Quick
+        test_watermark_zero_verifies_every_write;
       Alcotest.test_case "digest: stale fresh add" `Quick test_digest_stale_fresh_add;
       Alcotest.test_case "digest: remove survives reuse" `Quick
         test_digest_remove_survives_reuse;
