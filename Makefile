@@ -77,6 +77,12 @@ ci:
 	  done; \
 	  cmp ci-model-a.json ci-model-b.json; \
 	done
+	# Every cut of seed 2's sequences on the single-volume recipes: its
+	# sequence 4 frees, reuses and renames over an ino between two syncs,
+	# which the strided sweeps above never cut.
+	set -e; for fs in lfs lfs:heads=2 lfs:tier:25:promote=2; do \
+	  $(LFS_TOOL) modelcheck --fs $$fs --seqs 5 --stride 1 --seed 2 > /dev/null; \
+	done
 	rm -f ci-serve-a.json ci-serve-b.json ci-model-a.json ci-model-b.json
 
 # Behaviour gate for refactors: export REV (git archive, so the checkout

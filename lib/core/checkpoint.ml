@@ -1,5 +1,6 @@
 module Codec = Lfs_util.Bytes_codec
 module Checksum = Lfs_util.Checksum
+module Buf_pool = Lfs_util.Buf_pool
 module Vdev = Lfs_disk.Vdev
 
 type t = {
@@ -18,13 +19,11 @@ let region_addr layout region =
   | 1 -> layout.Layout.ckpt_b
   | n -> invalid_arg (Printf.sprintf "Checkpoint: region %d" n)
 
-let buffer layout =
-  Bytes.create (layout.Layout.ckpt_blocks * layout.Layout.block_size)
-
-let write layout disk ~buf:b ~region t =
+let write layout disk ~scratch ~region t =
   let size = layout.Layout.ckpt_blocks * layout.Layout.block_size in
+  let b = Buf_pool.Scratch.take scratch size in
   if Bytes.length b <> size then
-    invalid_arg "Checkpoint.write: buffer is not a region";
+    invalid_arg "Checkpoint.write: scratch buffer is not a region";
   Bytes.fill b 0 size '\000';
   let c = Codec.at b 8 in
   Codec.put_u32 c magic;
@@ -45,7 +44,8 @@ let write layout disk ~buf:b ~region t =
   let c0 = Codec.writer b in
   Codec.put_u32 c0 sum;
   Codec.put_u32 c0 0;
-  Vdev.write_blocks disk (region_addr layout region) b
+  Vdev.write_blocks disk (region_addr layout region) b;
+  Buf_pool.Scratch.give scratch
 
 let read layout disk ~region =
   let b =

@@ -19,15 +19,12 @@ type t = {
   usage_addrs : Types.baddr array;
 }
 
-val buffer : Layout.t -> bytes
-(** A buffer the size of a checkpoint region, for {!write}. *)
-
-val write : Layout.t -> Lfs_disk.Vdev.t -> buf:bytes -> region:int -> t -> unit
+val write :
+  Layout.t -> Lfs_disk.Vdev.t -> scratch:Lfs_util.Buf_pool.Scratch.t ->
+  region:int -> t -> unit
 (** Serialise to region 0 (at [layout.ckpt_a]) or 1 ([ckpt_b]), rendered
-    into [buf], a {!buffer}: a mount passes the one it keeps for every
-    checkpoint, which the device has taken the data from when this
-    returns.  Raises [Invalid_argument] if [buf] is not a region's
-    size. *)
+    into [scratch] (a mount keeps one for every checkpoint).  Raises
+    [Invalid_argument] if it has served a request larger than a region. *)
 
 val read : Layout.t -> Lfs_disk.Vdev.t -> region:int -> t option
 (** [None] if the region is invalid (never written, or torn). *)

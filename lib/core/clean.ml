@@ -34,25 +34,12 @@ let pass_size t max_segments =
 
 (* {1 Reading victims}
 
-   A pass reads everything it needs into the mount's one-segment
-   buffers [t.clean_bufs], each allocated on first use.  A whole-segment
-   pass reads victim [i] into buffer [i].  A live-blocks pass reads
-   summaries, inode blocks and live data runs into buffer 0, filling it
-   in order from the start; a read that no longer fits gets a buffer of
-   its own.  Relocation copies payloads out of them into the log
-   writer's batches, and the pass ends with a flush that writes every
-   head's batch, so no reference into the buffers outlives the pass and
-   the next one starts over. *)
-
-(* The mount's one-segment read buffer [i]. *)
-let clean_buf t i =
-  let n = Array.length t.clean_bufs in
-  if i >= n then
-    t.clean_bufs <-
-      Array.append t.clean_bufs
-        (Array.init (i + 1 - n) (fun _ ->
-             Bytes.create (t.layout.Layout.seg_blocks * block_size t)));
-  t.clean_bufs.(i)
+   A pass reads everything it needs (whole victims, or summaries, inode
+   blocks and live data runs) into one-segment buffers from the mount's
+   pool [t.victim_bufs], filling each from the start.  Relocation copies
+   payloads out of them into the log writer's batches, and the pass
+   ends with a flush that writes every head's batch, so no reference
+   into the buffers outlives the pass, which then gives them back. *)
 
 (* Read [len] blocks from [first] through [t.dev] (so the block cache
    stays coherent and can serve part of the run) into [buf] at byte
@@ -61,19 +48,17 @@ let read_into t first len buf ~pos =
   Metrics.incr ~by:len t.acct.cleaner_read;
   ignore (Vdev.submit_read_into t.dev first len buf ~pos : Lfs_disk.Io_queue.ticket)
 
-(* Read [len] blocks from [first] into the next free blocks of buffer 0,
-   or a buffer of their own when they no longer fit; returns the buffer
-   and the byte offset they landed at. *)
+(* Read [len] blocks (at most a segment) from [first] into the pass's
+   newest buffer, or a newly taken one when they do not fit; returns the
+   buffer and the byte offset they landed at. *)
 let read_run t first len =
-  let bs = block_size t in
-  let buf, pos =
-    if t.clean_used + len <= t.layout.Layout.seg_blocks then begin
-      let pos = t.clean_used * bs in
-      t.clean_used <- t.clean_used + len;
-      (clean_buf t 0, pos)
-    end
-    else (Bytes.create (len * bs), 0)
-  in
+  (match t.pass_bufs with
+  | _ :: _ when t.pass_used + len <= t.layout.Layout.seg_blocks -> ()
+  | _ ->
+      t.pass_bufs <- Buf_pool.take t.victim_bufs :: t.pass_bufs;
+      t.pass_used <- 0);
+  let buf = List.hd t.pass_bufs and pos = t.pass_used * block_size t in
+  t.pass_used <- t.pass_used + len;
   read_into t first len buf ~pos;
   (buf, pos)
 
@@ -126,17 +111,15 @@ let victim_entries t ~seg ~read ~payload =
       true);
   List.rev !results
 
-(* The entries of the pass's victim [i] under the mount's read policy:
+(* The entries of a victim of the pass under the mount's read policy:
    the whole segment in one read, or only what liveness checks and
    relocation need (Section 3.4's untried idea). *)
-let read_victim t ~prefetched i seg =
+let read_victim t ~prefetched seg =
   match t.config.Config.cleaner_read with
   | Config.Whole_segment ->
       let first = Layout.seg_first_block t.layout seg in
-      let buf = clean_buf t i in
-      read_into t first t.layout.Layout.seg_blocks buf ~pos:0;
-      let bs = block_size t in
-      let off addr = (addr - first) * bs in
+      let buf, pos = read_run t first t.layout.Layout.seg_blocks in
+      let off addr = pos + ((addr - first) * block_size t) in
       victim_entries t ~seg
         ~read:(fun addr -> (buf, off addr))
         ~payload:(fun addr () -> (buf, off addr))
@@ -270,12 +253,12 @@ let clean_victims t ~bg victims =
   Metrics.incr
     ~by:(List.length victims)
     (if bg then t.obs.bg_segments else t.obs.fg_segments);
-  t.clean_used <- 0;
+  t.pass_bufs <- [];
   let prefetched = Hashtbl.create 64 in
   let live = ref [] in
   let data_addrs = ref [] in
-  List.iteri
-    (fun i seg ->
+  List.iter
+    (fun seg ->
       let u = Seg_usage.utilization t.usage seg in
       Metrics.dist_add t.obs.victim_u u;
       Metrics.observe t.obs.victim_fill u;
@@ -291,7 +274,7 @@ let clean_victims t ~bg victims =
                 | _ -> ());
                 live := (item, e.Summary.mtime) :: !live)
               (classify_live t e addr payload))
-          (read_victim t ~prefetched i seg))
+          (read_victim t ~prefetched seg))
     victims;
   (* Live data payloads are only read at relocation time; now that the
      live set is known, fetch it as coalesced runs across all victims so
@@ -306,6 +289,8 @@ let clean_victims t ~bg victims =
   attributed t ~cleaner:true (fun () ->
       List.iter (relocate_item t) ordered;
       flush t ~cleaner:true);
+  List.iter (Buf_pool.give t.victim_bufs) t.pass_bufs;
+  t.pass_bufs <- [];
   (* Everything live has been relocated; the victims must be empty. *)
   List.iter
     (fun seg ->

@@ -73,12 +73,12 @@ let with_file_block t h ino blockno f =
 
 (* File block [blockno] in a write-buffer block the caller may write:
    the buffered block itself, changed in place, or the block's bytes in
-   a recycled buffer ({!Fs_state.take_buffer}). *)
+   a block taken from the write buffer's pool. *)
 let read_file_block t h ino blockno =
   match Hashtbl.find_opt t.dirty_data (ino, blockno) with
   | Some b -> b
   | None ->
-      let b = take_buffer t in
+      let b = Buf_pool.take t.wb_blocks in
       with_file_block t h ino blockno (fun src ->
           Bytes.blit src 0 b 0 (block_size t));
       b
@@ -88,7 +88,7 @@ let read_file_block t h ino blockno =
 let blank_file_block t ino blockno =
   match Hashtbl.find_opt t.dirty_data (ino, blockno) with
   | Some b -> b
-  | None -> take_buffer t
+  | None -> Buf_pool.take t.wb_blocks
 
 (* Buffer [b] as file block [blockno].  A block already buffered is
    [b] itself (the two functions above hand it out), so none is
@@ -98,7 +98,7 @@ let put_dirty_block t ino blockno b =
 
 let drop_dirty t ino ~first ~size =
   File_range.drop_dirty t.dirty_data ino ~first ~size
-    ~block_size:(block_size t) ~release:(give_buffer t)
+    ~block_size:(block_size t) ~release:(Buf_pool.give t.wb_blocks)
 
 (* A full write buffer goes to the log, which may call the cleaner. *)
 let flush_if_full t =
@@ -215,7 +215,7 @@ let update_dir t ino f =
   let h = get_handle t ino in
   File_range.update_dir ~dirty:t.dirty_data ~ino h.inode h.fmap d (f d)
     ~blank_block:(blank_file_block t ino) ~put:(put_dirty_block t ino)
-    ~release:(give_buffer t)
+    ~release:(Buf_pool.give t.wb_blocks)
     ~free:(fun addr -> kill t addr ~bytes:(block_size t));
   h.inode.Inode.mtime <- tick t;
   mark_dirty t ino;
@@ -484,37 +484,39 @@ let ensure_no_entry t ~dir name ino =
   if lookup t ~dir name = Some ino then
     update_dir t dir (fun d -> Directory.remove d name)
 
-let replay_add t ~stale_add ~dir ~name ~ino ~nlink =
+let replay_add t ~stale ~dir ~name ~ino ~nlink =
   if dir_live t dir then
     (* A stale fresh create would alias two names to the dead
        incarnation's inode — left live when its Remove was suppressed to
        protect a durable rename destination; like a create whose inode
        never reached the log (the paper's one uncompletable operation),
        its entry drops. *)
-    if inode_live t ino && not stale_add then begin
+    if inode_live t ino && not stale then begin
       ensure_entry t ~dir name ino;
       set_nlink t ino nlink
     end
     else ensure_no_entry t ~dir name ino
 
 (* A rename onto an existing name queues (Remove old-dst, Rename) as one
-   operation.  When the renamed inode never survived to the log, the
+   operation.  When the renamed inode never survived to the log (and no
+   later Remove freed it: then it died, and the rename did happen), the
    Rename is skipped and the Remove must be suppressed too, or an
-   unacknowledged rename would destroy its durable destination — unless
-   the removed ino was reused by a later create that did survive
-   ([survives_reuse]): then the entry must drop, or two names would
-   alias one inode. *)
-let replay_remove t ~survives_reuse ~renamed_over ~dir ~name ~ino ~nlink =
+   unacknowledged rename would destroy its durable destination.  A
+   Remove whose ino holds another incarnation ([other]: a later create
+   reused it and survived, or the removed one was a lost incarnation)
+   drops only its entry, or a live file would lose its inode. *)
+let replay_remove t ~other ~renamed_over ~dir ~name ~ino ~nlink =
   let covered_by_dead_rename =
     (match renamed_over with
-    | Some (Dir_log.Rename { ndir; nname; ino = rino; _ }) ->
-        ndir = dir && nname = name && not (inode_live t rino)
+    | Some { Recovery.op = Dir_log.Rename r; stale; freed_later; _ } ->
+        r.ndir = dir && r.nname = name
+        && not ((inode_live t r.ino && not stale) || freed_later)
     | _ -> false)
-    && not survives_reuse
+    && not other
   in
   if not covered_by_dead_rename then begin
     if dir_live t dir then ensure_no_entry t ~dir name ino;
-    if inode_live t ino && not survives_reuse then
+    if inode_live t ino && not other then
       if nlink <= 0 then delete_file t ino else set_nlink t ino nlink
   end
 
@@ -524,15 +526,14 @@ let replay_dirops t dirops =
     | (d : Recovery.dirop) :: rest ->
         (match d.Recovery.op with
         | Dir_log.Add { dir; name; ino; nlink; fresh = _ } ->
-            replay_add t ~stale_add:d.Recovery.stale_add ~dir ~name ~ino ~nlink
+            replay_add t ~stale:d.Recovery.stale ~dir ~name ~ino ~nlink
         | Dir_log.Remove { dir; name; ino; nlink } ->
-            let renamed_over =
-              match rest with n :: _ -> Some n.Recovery.op | [] -> None
-            in
-            replay_remove t ~survives_reuse:d.Recovery.survives_reuse
+            let renamed_over = match rest with n :: _ -> Some n | [] -> None in
+            replay_remove t
+              ~other:(d.Recovery.stale || d.Recovery.survives_reuse)
               ~renamed_over ~dir ~name ~ino ~nlink
         | Dir_log.Rename { odir; oname; ndir; nname; ino } ->
-            if inode_live t ino then begin
+            if inode_live t ino && not d.Recovery.stale then begin
               if dir_live t odir then ensure_no_entry t ~dir:odir oname ino;
               if dir_live t ndir then ensure_entry t ~dir:ndir nname ino
             end);
@@ -660,5 +661,3 @@ let usage_block_addrs t =
   List.init (Seg_usage.nblocks t.usage) (Seg_usage.block_addr t.usage)
 
 let segment_live_bytes t s = Seg_usage.live_bytes t.usage s
-let cleaner_read_buffers t = Array.to_list t.clean_bufs
-let write_buffer_free t = t.wb_free

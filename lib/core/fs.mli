@@ -245,13 +245,3 @@ val imap_block_addr : t -> int -> Types.baddr
 val usage_block_addrs : t -> Types.baddr list
 val segment_live_bytes : t -> int -> int
 
-val cleaner_read_buffers : t -> bytes list
-(** The one-segment buffers cleaner passes read their victims into
-    (none until a pass needs one; a whole-segment pass of k victims
-    uses k of them).  Nothing refers into them between passes, so
-    overwriting them then changes no file (the tests do exactly
-    that). *)
-
-val write_buffer_free : t -> bytes list
-(** The recycled write-buffer blocks no dirty block or pending log
-    batch holds (test-only): overwriting them changes no file. *)

@@ -8,6 +8,7 @@ module Vdev_cache = Lfs_disk.Vdev_cache
 module Vdev_tier = Lfs_disk.Vdev_tier
 module Io_stats = Lfs_disk.Io_stats
 module Prng = Lfs_util.Prng
+module Buf_pool = Lfs_util.Buf_pool
 module Metrics = Lfs_obs.Metrics
 
 (* A cached inode and block map.  Whether the log's copy is stale is
@@ -194,22 +195,16 @@ type t = {
       (* the write buffer: file blocks written since the last flush,
          each in a block buffer of its own that the write path changes
          in place *)
-  mutable wb_free : bytes list;
-      (* write-buffer blocks nothing refers to, recycled by
-         [take_buffer]; at most [write_buffer_blocks] of them *)
-  mutable wb_free_n : int;  (* length of [wb_free] *)
+  wb_blocks : Buf_pool.t;  (* given back once dropped or logged *)
   mutable pending_dirops : Dir_log.record list;  (* newest first *)
   pool : Seg_pool.t;
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
   acct : acct;
   zeros : bytes;  (* one block of zeros that reads of holes borrow *)
-  ckpt_buf : bytes;  (* the checkpoint region every checkpoint renders *)
-  mutable clean_bufs : bytes array;
-      (* one-segment buffers the cleaner passes read their victims
-         into (see {!Clean.read_run}), each allocated by the first pass
-         that needs it: a whole-segment pass reads victim [i] into
-         buffer [i], a live-blocks pass fills buffer 0 from the start *)
-  mutable clean_used : int;  (* blocks of buffer 0 the pass has filled *)
+  ckpt_buf : Buf_pool.Scratch.t;  (* the region a checkpoint renders *)
+  victim_bufs : Buf_pool.t;  (* one segment each: see {!Clean.read_run} *)
+  mutable pass_bufs : bytes list;  (* taken by this pass, newest first *)
+  mutable pass_used : int;  (* blocks of the newest the pass has filled *)
   mutable clock : float;
   mutable ops_since_ckpt : int;
   mutable blocks_since_ckpt : int;
@@ -338,30 +333,6 @@ let maybe_evict_handles t =
 
 let version_of t ino = Inode_map.version t.imap ino
 
-(* {1 The write buffer's blocks}
-
-   A block enters the write buffer from [take_buffer] and, once it is
-   dropped or has reached the log, goes back through [give_buffer]: a
-   mount whose write buffer has filled once allocates no block buffer
-   for a write. *)
-
-(* A block buffer the caller owns: a recycled one, or a fresh one when
-   none is free.  Its bytes are stale; the caller overwrites them all. *)
-let take_buffer t =
-  match t.wb_free with
-  | b :: rest ->
-      t.wb_free <- rest;
-      t.wb_free_n <- t.wb_free_n - 1;
-      b
-  | [] -> Bytes.create (block_size t)
-
-(* Recycle a block nothing refers to any more. *)
-let give_buffer t b =
-  if t.wb_free_n < t.config.Config.write_buffer_blocks then begin
-    t.wb_free <- b :: t.wb_free;
-    t.wb_free_n <- t.wb_free_n + 1
-  end
-
 (* {1 Flushing the file cache to the log}
 
    Every flush ends with a {!Log_writer.sync}, which renders each
@@ -489,7 +460,7 @@ let flush t ~cleaner =
       let written = flush_data_blocks t in
       flush_filemaps_and_inodes t;
       Log_writer.sync t.log;
-      List.iter (give_buffer t) written)
+      List.iter (Buf_pool.give t.wb_blocks) written)
 
 (* [sync] is the fsync barrier: flush, then await every outstanding log
    write so durability is settled before returning.  Internal flushes
@@ -561,8 +532,8 @@ let checkpoint t =
               Array.init (Seg_usage.nblocks t.usage) (Seg_usage.block_addr t.usage);
           }
         in
-        Checkpoint.write t.layout t.disk ~buf:t.ckpt_buf ~region:t.ckpt_region
-          region;
+        Checkpoint.write t.layout t.disk ~scratch:t.ckpt_buf
+          ~region:t.ckpt_region region;
         t.ckpt_region <- 1 - t.ckpt_region;
         t.ops_since_ckpt <- 0;
         t.blocks_since_ckpt <- 0;
@@ -672,16 +643,20 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       handles = Hashtbl.create 256;
       dirty_inos = Ino_set.empty;
       dirty_data = Hashtbl.create 256;
-      wb_free = [];
-      wb_free_n = 0;
+      wb_blocks =
+        Buf_pool.create ~bound:config.Config.write_buffer_blocks
+          layout.Layout.block_size;
       pending_dirops = [];
       pool;
       cleaner_attr;
       acct;
       zeros = Bytes.make layout.Layout.block_size '\000';
-      ckpt_buf = Checkpoint.buffer layout;
-      clean_bufs = [||];
-      clean_used = 0;
+      ckpt_buf = Buf_pool.Scratch.create ();
+      victim_bufs =
+        Buf_pool.create ~bound:config.Config.segs_per_pass
+          (layout.Layout.seg_blocks * layout.Layout.block_size);
+      pass_bufs = [];
+      pass_used = 0;
       clock;
       ops_since_ckpt = 0;
       blocks_since_ckpt = 0;

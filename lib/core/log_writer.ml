@@ -41,7 +41,7 @@ type t = {
   on_append : Types.block_kind -> seg:int -> mtime:float -> unit;
   on_batch : head:int -> addr:int -> blocks:int -> unit;
   max_batch : int;
-  mutable xfer : bytes;
+  xfer : Lfs_util.Buf_pool.Scratch.t;
       (* the transfer buffer every batch is rendered into and written
          from, grown to the largest batch written (at most a segment) *)
   sums : int array;
@@ -65,7 +65,7 @@ let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
     on_append;
     on_batch;
     max_batch = Summary.max_entries ~block_size:layout.Layout.block_size;
-    xfer = Bytes.empty;
+    xfer = Lfs_util.Buf_pool.Scratch.create ();
     sums = Array.make (layout.Layout.nsegs * layout.Layout.seg_blocks) (-1);
     heads =
       Array.map
@@ -98,9 +98,6 @@ let position ?(head = 0) t =
   { seg = h.cur_seg; off = h.cur_off; next_seg = h.next_seg }
 
 let positions t = Array.init (Array.length t.heads) (fun i -> position ~head:i t)
-
-let pending_blocks t =
-  Array.fold_left (fun acc h -> acc + h.batch_count) 0 t.heads
 
 (* Every segment some head is writing into or holds reserved.  These must
    never be offered to the cleaner, the demoter, or reuse. *)
@@ -148,8 +145,7 @@ let sync_head t i =
     let bs = t.layout.Layout.block_size in
     let pendings = List.rev h.batch in
     let len = (h.batch_count + 1) * bs in
-    if Bytes.length t.xfer < len then t.xfer <- Bytes.create len;
-    let buf = t.xfer in
+    let buf = Lfs_util.Buf_pool.Scratch.take t.xfer len in
     let addr = Layout.seg_first_block t.layout h.cur_seg + h.batch_slot in
     let first = addr + 1 - t.layout.Layout.seg_start in
     let payload_sum = ref 1 in
@@ -195,6 +191,7 @@ let sync_head t i =
        The device takes the data at submit, so the buffer is free for
        the next batch as soon as this returns. *)
     let tk = Vdev.submit_write_from t.disk addr (h.batch_count + 1) buf ~pos:0 in
+    Lfs_util.Buf_pool.Scratch.give t.xfer;
     h.unflushed <- tk :: h.unflushed;
     if not (Io_queue.completed tk) then Queue.push (t.seq, tk) t.in_flight;
     h.stat_syncs <- h.stat_syncs + 1;

@@ -167,7 +167,4 @@ val active_segments : t -> int list
 val seq : t -> int
 (** Sequence number the next batch (from any head) will carry. *)
 
-val pending_blocks : t -> int
-(** Queued payload blocks not yet written, summed over all heads. *)
-
 val head_stats : t -> int -> head_stats

@@ -30,30 +30,23 @@ let link t ~dir name ino =
   Fs.link t.fs ~dir name ino;
   journal t (Nvram.Link { dir; name; ino })
 
+let entry t ~dir name =
+  match Fs.lookup t.fs ~dir name with
+  | Some ino -> ino
+  | None -> Types.fs_error "nvram_fs: no such entry %S" name
+
 let unlink t ~dir name =
-  let ino =
-    match Fs.lookup t.fs ~dir name with
-    | Some ino -> ino
-    | None -> Types.fs_error "nvram_fs: no such entry %S" name
-  in
+  let ino = entry t ~dir name in
   Fs.unlink t.fs ~dir name;
   journal t (Nvram.Unlink { dir; name; ino })
 
 let rmdir t ~dir name =
-  let ino =
-    match Fs.lookup t.fs ~dir name with
-    | Some ino -> ino
-    | None -> Types.fs_error "nvram_fs: no such entry %S" name
-  in
+  let ino = entry t ~dir name in
   Fs.rmdir t.fs ~dir name;
   journal t (Nvram.Rmdir { dir; name; ino })
 
 let rename t ~odir oname ~ndir nname =
-  let ino =
-    match Fs.lookup t.fs ~dir:odir oname with
-    | Some ino -> ino
-    | None -> Types.fs_error "nvram_fs: no such entry %S" oname
-  in
+  let ino = entry t ~dir:odir oname in
   Fs.rename t.fs ~odir oname ~ndir nname;
   journal t (Nvram.Rename { odir; oname; ndir; nname; ino })
 
@@ -66,25 +59,22 @@ let truncate t ino ~len =
   journal t (Nvram.Truncate { ino; len })
 
 let read t ino ~off ~len = Fs.read t.fs ino ~off ~len
-let resolve t path = Fs.resolve t.fs path
 
-let write_path t path data =
-  match Fs.resolve t.fs path with
-  | Some ino ->
-      truncate t ino ~len:0;
-      write t ino ~off:0 data
-  | None ->
-      (* Resolve the parent so the create is journalled too. *)
-      let dir_path = Filename.dirname path in
-      let dir =
-        match Fs.resolve t.fs dir_path with
-        | Some d -> d
-        | None -> Types.fs_error "nvram_fs: missing directory %s" dir_path
-      in
-      let ino = create t ~dir (Filename.basename path) in
-      write t ino ~off:0 data
+(* The path helpers over the journalled primitives, so a path's create
+   is journalled too. *)
+include Fs_intf.Paths (struct
+  type nonrec t = t
 
-let read_path t path = Fs.read_path t.fs path
+  let root = Fs.root
+  let lookup t ~dir name = Fs.lookup t.fs ~dir name
+  let create = create and mkdir = mkdir and write = write and read = read
+  let file_size t ino = Fs.file_size t.fs ino
+
+  (* [write_path] empties the file it finds or creates: a file it just
+     created is empty already, and its truncate is neither run nor
+     journalled. *)
+  let truncate t ino ~len = if len <> file_size t ino then truncate t ino ~len
+end)
 
 (* Replay applies each record, in order, to the state it originally
    executed against: the journal is cleared at every checkpoint, so

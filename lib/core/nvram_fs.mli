@@ -33,9 +33,9 @@ val rename : t -> odir:Types.ino -> string -> ndir:Types.ino -> string -> unit
 val write : t -> Types.ino -> off:int -> bytes -> unit
 val truncate : t -> Types.ino -> len:int -> unit
 val read : t -> Types.ino -> off:int -> len:int -> bytes
-val resolve : t -> string -> Types.ino option
-val write_path : t -> string -> bytes -> unit
-val read_path : t -> string -> bytes option
+
+include Fs_intf.PATHS with type t := t
+(** {!Fs_intf.Paths} over the journalled operations above. *)
 
 val checkpoint : t -> unit
 (** Make everything durable on disk and clear the journal. *)

@@ -1,5 +1,6 @@
 module Vdev = Lfs_disk.Vdev
 module Io_queue = Lfs_disk.Io_queue
+module Scratch = Lfs_util.Buf_pool.Scratch
 
 type decoded = Inodes of (int * Types.ino) list | Records of Dir_log.record list
 type write = { summary : Summary.t; decoded : (int * decoded) list }
@@ -19,49 +20,56 @@ type reader = {
   dev : Vdev.t;
   layout : Layout.t;
   block : bytes;  (* one block: the summary being walked *)
-  mutable payload : bytes;  (* grown to the largest payload read *)
+  payload : Scratch.t;  (* grown to the largest payload read *)
 }
 
 let reader layout dev =
-  { dev; layout; block = Bytes.create layout.Layout.block_size; payload = Bytes.empty }
+  let payload = Scratch.create () in
+  { dev; layout; block = Bytes.create layout.Layout.block_size; payload }
 
 let read_block r addr =
   ignore (Vdev.submit_read_into r.dev addr 1 r.block ~pos:0 : Io_queue.ticket);
   r.block
 
 (* Payload blocks [first, first + n) of the write into the payload
-   buffer, block [first] at byte 0. *)
+   buffer, block [first] at byte 0; the caller gives the buffer back. *)
 let read_payload r s ~first ~n =
-  let len = n * r.layout.Layout.block_size in
-  if Bytes.length r.payload < len then r.payload <- Bytes.create len;
+  let b = Scratch.take r.payload (n * r.layout.Layout.block_size) in
   ignore
-    (Vdev.submit_read_into r.dev (Summary.entry_addr s r.layout first) n
-       r.payload ~pos:0
-      : Io_queue.ticket)
+    (Vdev.submit_read_into r.dev (Summary.entry_addr s r.layout first) n b
+       ~pos:0
+      : Io_queue.ticket);
+  b
 
-let payload_intact r (s : Summary.t) =
+(* The write's whole payload, and whether it matches [payload_sum]. *)
+let whole_payload r (s : Summary.t) =
   let n = List.length s.Summary.entries in
-  read_payload r s ~first:0 ~n;
-  Summary.payload_checksum ~len:(n * r.layout.Layout.block_size) r.payload
-  = s.Summary.payload_sum
+  let b = read_payload r s ~first:0 ~n in
+  let sum = Summary.payload_checksum ~len:(n * r.layout.Layout.block_size) b in
+  (b, sum = s.Summary.payload_sum)
+
+let payload_intact r s =
+  let _, intact = whole_payload r s in
+  Scratch.give r.payload;
+  intact
 
 (* Recovery reprocesses inodes and directory-log records; data blocks
    stay where they are and are only referenced by address.  So of each
    write the scan keeps only what the digest uses of its inode and
    dir-log blocks: the ino in each occupied inode slot, and the decoded
    records.  [decode_entry] takes them from the block at byte [pos] of
-   the payload buffer. *)
-let decode_entry r (e : Summary.entry) ~pos =
+   [b]. *)
+let decode_entry r (e : Summary.entry) b ~pos =
   match e.Summary.kind with
   | Types.Inode_block ->
       let slots = ref [] in
       for slot = r.layout.Layout.inodes_per_block - 1 downto 0 do
-        match Inode.decode_ino ~pos r.payload ~slot with
+        match Inode.decode_ino ~pos b ~slot with
         | Some ino -> slots := (slot, ino) :: !slots
         | None -> ()
       done;
       Some (Inodes !slots)
-  | Types.Dir_log -> Some (Records (Dir_log.decode_block ~pos r.payload))
+  | Types.Dir_log -> Some (Records (Dir_log.decode_block ~pos b))
   | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap
   | Types.Seg_usage | Types.Summary ->
       None
@@ -74,11 +82,10 @@ let is_metadata (e : Summary.entry) =
       false
 
 (* The decoded inode and dir-log blocks of a write, in entry order.
-   With [in_buffer] its whole payload is already in the payload buffer
-   (it was just verified); otherwise each run of adjacent inode and
-   dir-log blocks is read there in one read, and no data block is
-   read. *)
-let decode_payloads r s ~in_buffer =
+   With [whole] its whole payload is already in [buf] (it was just
+   verified); otherwise each run of adjacent inode and dir-log
+   blocks is read there in one read, and no data block is read. *)
+let decode_payloads r s ~whole buf =
   let bs = r.layout.Layout.block_size in
   let es = Array.of_list s.Summary.entries in
   let n = Array.length es in
@@ -91,12 +98,13 @@ let decode_payloads r s ~in_buffer =
       while !i < n && is_metadata es.(!i) do
         incr i
       done;
-      let base = if in_buffer then 0 else first in
-      if not in_buffer then read_payload r s ~first ~n:(!i - first);
+      let b, base =
+        if whole then (buf, 0) else (read_payload r s ~first ~n:(!i - first), first)
+      in
       for k = first to !i - 1 do
         Option.iter
           (fun d -> decoded := (k, d) :: !decoded)
-          (decode_entry r es.(k) ~pos:((k - base) * bs))
+          (decode_entry r es.(k) b ~pos:((k - base) * bs))
       done
     end
   done;
@@ -182,10 +190,11 @@ let scan layout disk ~ckpt =
     | (s : Summary.t) :: rest ->
         let check = s.Summary.seq >= watermark in
         if check then verified := !verified + List.length s.Summary.entries;
-        if check && not (payload_intact r s) then (List.rev acc, s.Summary.seq)
-        else
-          let w = { summary = s; decoded = decode_payloads r s ~in_buffer:check } in
-          roll (w :: acc) rest
+        let whole, intact = if check then whole_payload r s else (Bytes.empty, true) in
+        let decoded = if intact then decode_payloads r s ~whole:check whole else [] in
+        Scratch.give r.payload;
+        if not intact then (List.rev acc, s.Summary.seq)
+        else roll ({ summary = s; decoded } :: acc) rest
   in
   let writes, cutoff =
     Array.to_list chains
@@ -229,7 +238,12 @@ let scan layout disk ~ckpt =
 
 (* {1 The roll-forward digest} *)
 
-type dirop = { op : Dir_log.record; stale_add : bool; survives_reuse : bool }
+type dirop = {
+  op : Dir_log.record;
+  stale : bool;
+  survives_reuse : bool;
+  freed_later : bool;
+}
 
 type digest = {
   inodes : (Types.ino * Types.Iaddr.t) list;
@@ -250,39 +264,51 @@ let dirop_facts ~carried records =
   let n = Array.length records in
   (* A fresh [Add] of an ino an earlier [Remove] freed, whose only
      recovered copy predates the [Add]: that copy is the dead
-     incarnation, and the create's own inode never reached the log. *)
-  let stale_add = Array.make n false in
-  let freed = Hashtbl.create 16 in
+     incarnation, and the create's own inode never reached the log.
+     Every later record of the lost incarnation (its links, renames and
+     removes, up to the [Remove] that frees it) is stale too: the ino
+     it names holds the older incarnation, which it must not touch. *)
+  let stale = Array.make n false in
+  let lost = Hashtbl.create 16 in  (* freed ino -> its incarnation is lost *)
   for i = 0 to n - 1 do
     match records.(i) with
-    | seq, Dir_log.Add { ino; fresh = true; _ } ->
-        stale_add.(i) <-
-          Hashtbl.mem freed ino
-          && (match carried ino with Some s -> s < seq | None -> true)
-    | _, Dir_log.Remove { ino; nlink; _ } when nlink <= 0 ->
-        Hashtbl.replace freed ino ()
-    | _ -> ()
+    | seq, Dir_log.Add { ino; fresh = true; _ } when Hashtbl.mem lost ino ->
+        stale.(i) <- (match carried ino with Some s -> s < seq | None -> true);
+        Hashtbl.replace lost ino stale.(i)
+    | _, (Dir_log.Add { ino; _ } | Dir_log.Rename { ino; _ }) ->
+        stale.(i) <- Hashtbl.find_opt lost ino = Some true
+    | _, Dir_log.Remove { ino; nlink; _ } ->
+        stale.(i) <- Hashtbl.find_opt lost ino = Some true;
+        if nlink <= 0 then Hashtbl.replace lost ino false
   done;
   (* A [Remove] whose ino a later fresh [Add] re-creates, and that new
-     incarnation reached the log: the inode belongs to the new file. *)
+     incarnation reached the log: the inode belongs to the new file.  A
+     [Rename] whose incarnation a later [Remove] frees: the file died,
+     which is why no copy of it need be recovered. *)
   let survives_reuse = Array.make n false in
+  let freed_later = Array.make n false in
   let next_fresh_add = Hashtbl.create 16 in
+  let next_free = Hashtbl.create 16 in
   for i = n - 1 downto 0 do
     match records.(i) with
     | seq, Dir_log.Add { ino; fresh = true; _ } ->
-        Hashtbl.replace next_fresh_add ino seq
-    | _, Dir_log.Remove { ino; _ } ->
+        Hashtbl.replace next_fresh_add ino seq;
+        Hashtbl.remove next_free ino
+    | _, Dir_log.Remove { ino; nlink; _ } ->
         survives_reuse.(i) <-
           (match (Hashtbl.find_opt next_fresh_add ino, carried ino) with
           | Some add_seq, Some s -> s >= add_seq
-          | _ -> false)
-    | _ -> ()
+          | _ -> false);
+        if nlink <= 0 then Hashtbl.replace next_free ino ()
+    | _, Dir_log.Rename { ino; _ } -> freed_later.(i) <- Hashtbl.mem next_free ino
+    | _, Dir_log.Add _ -> ()
   done;
   List.init n (fun i ->
       {
         op = snd records.(i);
-        stale_add = stale_add.(i);
+        stale = stale.(i);
         survives_reuse = survives_reuse.(i);
+        freed_later = freed_later.(i);
       })
 
 let digest layout writes =

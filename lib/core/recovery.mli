@@ -98,15 +98,19 @@ val payload_intact : reader -> Summary.t -> bool
 
 type dirop = {
   op : Dir_log.record;
-  stale_add : bool;
+  stale : bool;
       (** an [Add] with [fresh] whose ino an earlier [Remove] freed, and
           whose latest recovered copy predates it (or none exists): the
           copy is the dead incarnation, and the create never reached the
-          log *)
+          log; or a later record of that lost incarnation (up to the
+          [Remove] that frees it), which must leave the ino's inode alone *)
   survives_reuse : bool;
       (** a [Remove] whose ino a later fresh [Add] re-creates, with a
           recovered copy at or after that [Add]: the ino belongs to the
           new file, which the [Remove] must not touch *)
+  freed_later : bool;
+      (** a [Rename] whose inode a later [Remove] frees: a missing copy
+          of it says the file died, not that the rename was lost *)
 }
 
 type digest = {

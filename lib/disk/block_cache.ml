@@ -2,7 +2,7 @@
    entries plus a hash table for lookup.  Every entry's buffer belongs to
    the cache: blocks are copied or fetched in, and blitted out or lent
    to a [with_block] callback.  A buffer whose entry leaves (eviction,
-   invalidation) goes to a free list of at most [capacity] buffers, and
+   invalidation) goes back to a pool of at most [capacity] buffers, and
    the next new entry reuses it, so a warm cache fills without
    allocating.  While a buffer is lent, [borrowed] is set and every
    operation raises: any of them could evict the lent entry and hand its
@@ -33,8 +33,7 @@ type t = {
   mutable tail : node option;  (* least recently used *)
   mutable hits : int;
   mutable misses : int;
-  free : bytes array;  (* [free.(0 .. nfree - 1)] are unused buffers *)
-  mutable nfree : int;
+  bufs : Lfs_util.Buf_pool.t;  (* the buffers of departed entries *)
   mutable borrowed : bool;
 }
 
@@ -49,8 +48,7 @@ let create ~capacity ~block_size =
     tail = None;
     hits = 0;
     misses = 0;
-    free = Array.make (max 0 capacity) Bytes.empty;
-    nfree = 0;
+    bufs = Lfs_util.Buf_pool.create ~bound:capacity block_size;
     borrowed = false;
   }
 
@@ -80,33 +78,16 @@ let touch t n =
       unlink t n;
       push_front t n
 
-let give_back t b =
-  if t.nfree < t.capacity then begin
-    t.free.(t.nfree) <- b;
-    t.nfree <- t.nfree + 1
-  end
-
-(* Give [n]'s buffer back: nothing may read [n.data] afterwards.  A node
-   that already gave it back (see the defect in [read_range_into]) has
-   none. *)
-let release t n =
-  if n.data != Bytes.empty then give_back t n.data;
+(* Drop entry [n] and give its buffer back: nothing may read [n.data]
+   afterwards.  A node that already gave it back (see the defect in
+   [read_range_into]) has none. *)
+let drop t n =
+  unlink t n;
+  Addr_table.remove t.table n.addr;
+  if n.data != Bytes.empty then Lfs_util.Buf_pool.give t.bufs n.data;
   n.data <- Bytes.empty
 
-let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Addr_table.remove t.table n.addr;
-      release t n
-
-let fresh_buffer t =
-  if t.nfree = 0 then Bytes.create t.block_size
-  else begin
-    t.nfree <- t.nfree - 1;
-    t.free.(t.nfree)
-  end
+let evict_lru t = match t.tail with Some n -> drop t n | None -> ()
 
 (* Enter [data] as the contents of [addr], which the table lacks,
    evicting the LRU entry first when the cache is full. *)
@@ -125,7 +106,7 @@ let store t addr ~pos src =
         Bytes.blit src pos n.data 0 t.block_size;
         touch t n
     | None ->
-        let data = fresh_buffer t in
+        let data = Lfs_util.Buf_pool.take t.bufs in
         Bytes.blit src pos data 0 t.block_size;
         insert t addr data
   end
@@ -160,26 +141,17 @@ let with_block t ~fetch addr f =
         lend t b f
       end
       else begin
-        (* The fetch fills the entry's own buffer; a failed fetch leaves
-           the cache as it was. *)
-        let data = fresh_buffer t in
-        (match fetch addr 1 data 0 with
-        | () -> ()
-        | exception e ->
-            give_back t data;
-            raise e);
+        (* The fetch fills the entry's own buffer; a failed fetch drops
+           it and leaves the table as it was. *)
+        let data = Lfs_util.Buf_pool.take t.bufs in
+        fetch addr 1 data 0;
         insert t addr data;
         lend t data f
       end
 
 let invalidate t addr =
   check_free t;
-  match Addr_table.find_opt t.table addr with
-  | Some n ->
-      unlink t n;
-      Addr_table.remove t.table addr;
-      release t n
-  | None -> ()
+  match Addr_table.find_opt t.table addr with Some n -> drop t n | None -> ()
 
 let invalidate_range t addr n =
   for a = addr to addr + n - 1 do

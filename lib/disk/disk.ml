@@ -32,8 +32,8 @@ type t = {
          elevator: seq -> (addr, one staged buffer per block), so
          ascending seq is submission order.  Reads overlay these so the
          FS observes its own writes; a reboot drops them. *)
-  mutable staging : bytes list;
-      (* free block buffers a queued write stages its blocks in; a
+  stage_bufs : Lfs_util.Buf_pool.t;
+      (* the block buffers a queued write stages its blocks in; a
          commit gives them back, so a device with a steady queue
          allocates none *)
   mutable write_seq_counter : int;
@@ -81,7 +81,7 @@ let create geometry =
     crash_scatter = None;
     crashed = false;
     pending = Seq_map.empty;
-    staging = [];
+    stage_bufs = Lfs_util.Buf_pool.create geometry.Geometry.block_size;
     write_seq_counter = 0;
     write_seq = Array.make geometry.Geometry.blocks 0;
   }
@@ -219,14 +219,6 @@ let perform_write t ~seq addr n land_block =
   consume_countdown t n;
   if t.crashed then raise Crashed
 
-(* A free staging block, or a fresh one when every buffer is staged. *)
-let take_staging t =
-  match t.staging with
-  | b :: rest ->
-      t.staging <- rest;
-      b
-  | [] -> Bytes.create (block_size t)
-
 (* The caller may reuse [payload] once this returns: [Direct] lands it
    now, [Queued] stages a copy of each block until the commit, which
    lands the blocks and frees their staging buffers. *)
@@ -243,7 +235,7 @@ let submit_write_payload ?now t addr n payload ~pos =
   | Io_queue.Queued _ ->
       let staged =
         Array.init n (fun i ->
-            let b = take_staging t in
+            let b = Lfs_util.Buf_pool.take t.stage_bufs in
             Bytes.blit payload (pos + (i * bs)) b 0 bs;
             b)
       in
@@ -253,7 +245,7 @@ let submit_write_payload ?now t addr n payload ~pos =
           t.pending <- Seq_map.remove seq t.pending;
           perform_write t ~seq addr n (fun i dst ->
               blit_to_store staged.(i) 0 t.data dst bs);
-          Array.iter (fun b -> t.staging <- b :: t.staging) staged)
+          Array.iter (Lfs_util.Buf_pool.give t.stage_bufs) staged)
 
 let submit_write_from ?now t addr n buf ~pos =
   ensure_alive t;
@@ -291,8 +283,6 @@ let zero_blocks t addr n =
   t.stats.Io_stats.blocks_written <- t.stats.Io_stats.blocks_written + n;
   ignore (submit_write_payload t addr n (Bytes.make (n * block_size t) '\000') ~pos:0)
 
-let staging_free t = t.staging
-
 let drain t = Io_queue.drain t.queue
 let pump t ~now = Io_queue.pump t.queue ~now
 let outstanding_in t ~lo ~hi = Io_queue.outstanding_in t.queue ~lo ~hi
@@ -314,27 +304,6 @@ let reboot t =
   t.pending <- Seq_map.empty;
   Io_queue.reset t.queue;
   Io_queue.set_head t.queue (-1)
-
-let snapshot t =
-  let stats = Io_stats.copy t.stats in
-  let data = store_create (Bigarray.Array1.dim t.data) in
-  Bigarray.Array1.blit t.data data;
-  let queue = Io_queue.create ~service:(service_fn t.geometry) ~stats in
-  Io_queue.set_head queue (Io_queue.head t.queue);
-  Io_queue.set_horizon queue (Io_queue.horizon t.queue);
-  {
-    geometry = t.geometry;
-    data;
-    stats;
-    queue;
-    crash_countdown = t.crash_countdown;
-    crash_scatter = t.crash_scatter;
-    crashed = t.crashed;
-    pending = Seq_map.empty;
-    staging = [];
-    write_seq_counter = 0;
-    write_seq = Array.make t.geometry.Geometry.blocks 0;
-  }
 
 let restore t ~from =
   if t.geometry <> from.geometry then
@@ -359,6 +328,11 @@ let restore t ~from =
   t.crash_countdown <- from.crash_countdown;
   t.crash_scatter <- from.crash_scatter;
   t.crashed <- from.crashed
+
+let snapshot t =
+  let copy = create t.geometry in
+  restore copy ~from:t;
+  copy
 
 (* Image files hold the blocks in address order; both directions stream
    through one buffer of at most [io_chunk_blocks] blocks. *)

@@ -34,14 +34,12 @@
     overlaying submitted-but-uncommitted writes, and a reboot drops
     whatever the elevator had not yet retired.
 
-    Queued writes are staged per block: at submit each block is copied
-    into a block buffer taken from the device's free list (a fresh one
-    when the list is empty), the pending write holds those buffers, and
-    the commit lands them and gives them back.  The list therefore
-    grows to the most blocks ever queued at once and no further, and a
-    device whose queue has reached that depth stages a write without
-    allocating.  A reboot or restore drops the pending writes with
-    their buffers. *)
+    Queued writes are staged per block, in buffers from the device's
+    unbounded {!Lfs_util.Buf_pool}: the pending write holds them, and
+    the commit lands and gives them back.  The pool grows to the most
+    blocks ever queued at once, and a device whose queue has reached
+    that depth stages a write without allocating.  A reboot or restore
+    drops the pending writes with their buffers. *)
 
 type t
 
@@ -107,10 +105,6 @@ val submit_write_from :
 
 val submit_write : ?now:float -> t -> int -> bytes -> Io_queue.ticket
 (** {!submit_write_from} a whole buffer (a multiple of the block size). *)
-
-val staging_free : t -> bytes list
-(** The free staging buffers (test-only): no pending write holds them,
-    so overwriting them changes nothing a read or a commit sees. *)
 
 val drain : t -> float
 (** Service every outstanding request; returns the final horizon. *)

@@ -1,7 +1,10 @@
+module Scratch = Lfs_util.Buf_pool.Scratch
+
 type t = {
   children : Vdev.t array;
   block_size : int;
   nblocks : int;
+  scratch : Scratch.t;  (* where a child's strided extent is gathered *)
 }
 
 let check_range t addr n what =
@@ -27,27 +30,29 @@ let iter_extents t addr n f =
    queue services its extent independently, so the stripe completes at
    the max child completion instead of the sum — this is where stripe
    parallelism pays under queued IO.  A child's extent is strided in the
-   caller's buffer, so it lands in a scratch buffer first. *)
+   caller's buffer, so it lands in the scratch buffer first. *)
 let submit_read_into ?now t addr n buf ~pos =
   check_range t addr n "read_blocks";
   let bs = t.block_size and nch = Array.length t.children in
   let tickets = ref [] in
   iter_extents t addr n (fun ~child ~caddr ~first ~count ->
-      let tk, ext = Vdev.submit_read ?now t.children.(child) caddr count in
+      let ext = Scratch.take t.scratch (count * bs) in
+      let tk = Vdev.submit_read_into ?now t.children.(child) caddr count ext ~pos:0 in
       let at = pos + ((first - addr) * bs) in
       for i = 0 to count - 1 do
         Bytes.blit ext (i * bs) buf (at + (i * nch * bs)) bs
       done;
+      Scratch.give t.scratch;
       tickets := tk :: !tickets);
   Io_queue.Join !tickets
 
-(* A child's extent is strided in the caller's buffer: gather it into a
-   scratch buffer.  The child takes its data at submit, so one scratch
-   buffer serves every child in turn. *)
+(* A child's extent is strided in the caller's buffer: gather it into
+   the stripe's scratch buffer.  The child takes its data at submit, so
+   the buffer serves every child in turn, and every later write. *)
 let submit_write_from ?now t addr n buf ~pos =
   check_range t addr n "write_blocks";
   let bs = t.block_size and nch = Array.length t.children in
-  let scratch = Bytes.create ((n + nch - 1) / nch * bs) in
+  let scratch = Scratch.take t.scratch ((n + nch - 1) / nch * bs) in
   let tickets = ref [] in
   iter_extents t addr n (fun ~child ~caddr ~first ~count ->
       for i = 0 to count - 1 do
@@ -56,6 +61,7 @@ let submit_write_from ?now t addr n buf ~pos =
       tickets :=
         Vdev.submit_write_from ?now t.children.(child) caddr count scratch ~pos:0
         :: !tickets);
+  Scratch.give t.scratch;
   Io_queue.Join !tickets
 
 let zero_blocks t addr n =
@@ -81,7 +87,8 @@ let create ?name children =
   let per_child =
     Array.fold_left (fun m c -> min m (Vdev.nblocks c)) max_int children
   in
-  let t = { children; block_size; nblocks = nch * per_child } in
+  let scratch = Scratch.create () in
+  let t = { children; block_size; nblocks = nch * per_child; scratch } in
   let name =
     match name with Some n -> n | None -> Printf.sprintf "stripe(%d)" nch
   in

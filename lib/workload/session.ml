@@ -2,14 +2,6 @@ module Prng = Lfs_util.Prng
 
 type op_class = Create | Write | Read | Delete
 
-let op_class_name = function
-  | Create -> "create"
-  | Write -> "write"
-  | Read -> "read"
-  | Delete -> "delete"
-
-let op_classes = [ Create; Write; Read; Delete ]
-
 type op = { cls : op_class; name : string; path : string; size : int }
 
 type t = {

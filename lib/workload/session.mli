@@ -11,10 +11,6 @@
 
 type op_class = Create | Write | Read | Delete
 
-val op_class_name : op_class -> string
-val op_classes : op_class list
-(** All classes, in a fixed order (for per-class metrics). *)
-
 type op = {
   cls : op_class;
   name : string;  (** leaf name inside the session directory *)

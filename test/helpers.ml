@@ -31,6 +31,14 @@ let eager_cleaning_config =
 
 let fresh_disk ?blocks () = Disk.create (test_geometry ?blocks ())
 
+(* [f x] with {!Lfs_util.Buf_pool.poison} set, and unset however it
+   ends: any buffer read or written after its give fails the run. *)
+let poisoned f x =
+  Lfs_util.Buf_pool.poison := true;
+  Fun.protect
+    ~finally:(fun () -> Lfs_util.Buf_pool.poison := false)
+    (fun () -> f x)
+
 (* Tests keep the concrete [Disk.t] (for [snapshot] and [stats]) and
    hand the file system a [Vdev] view of it.  [Fs] puts its own block
    cache over that view, so every crash and recovery test crosses a

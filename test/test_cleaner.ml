@@ -364,21 +364,17 @@ let test_live_blocks_reads_less_when_sparse () =
 
 (* ----- The pass's read buffer ----- *)
 
-(* A pass reads into the mount's one-segment buffer, so nothing of it
-   may outlive the pass: overwriting the buffer after every operation
-   (each of which may run foreground passes) and every idle step must
-   leave every file byte-exact and the volume clean, under both read
-   policies. *)
-let test_read_buffer_dead_between_passes () =
+(* A pass reads into one-segment buffers it gives back at its end, so
+   nothing of them may outlive the pass: with buffer poisoning on,
+   random writes (each of which may run foreground passes) and idle
+   steps must leave every file byte-exact and the volume clean, under
+   both read policies. *)
+let test_read_buffer_dead_between_passes =
+  Helpers.poisoned @@ fun () ->
   List.iter
     (fun cleaner_read ->
       let config = { Helpers.eager_cleaning_config with Config.cleaner_read } in
       let disk, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
-      let scribble () =
-        List.iter
-          (fun b -> Bytes.fill b 0 (Bytes.length b) '#')
-          (Fs.cleaner_read_buffers fs)
-      in
       let prng = Prng.create ~seed:21 in
       let model = Hashtbl.create 64 in
       for op = 1 to 600 do
@@ -386,25 +382,10 @@ let test_read_buffer_dead_between_passes () =
         let data = Helpers.bytes_of_pattern ~seed:op (4096 + Prng.int prng 40_000) in
         Fs.write_path fs path data;
         Hashtbl.replace model path data;
-        scribble ();
-        if op mod 5 = 0 then begin
-          ignore (Fs.clean_step fs);
-          scribble ()
-        end
+        if op mod 5 = 0 then ignore (Fs.clean_step fs)
       done;
       Alcotest.(check bool) "cleaner ran" true
         (Helpers.fs_total fs "fs.cleaner.segments_cleaned" > 0);
-      (* One buffer per victim of a whole-segment pass, reused pass to
-         pass; a live-blocks pass fills one. *)
-      let bufs = List.length (Fs.cleaner_read_buffers fs) in
-      let most =
-        match cleaner_read with
-        | Config.Live_blocks -> 1
-        | Config.Whole_segment -> config.Config.segs_per_pass
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d read buffers, at most %d" bufs most)
-        true (bufs >= 1 && bufs <= most);
       Fs.sync fs;
       Helpers.check_model fs model;
       Helpers.fsck_clean fs;

@@ -27,8 +27,10 @@ let test_smallfile_every_point () =
    Seed 3 is the run that exposed the inode-reuse resurrection bug in
    roll-forward (a durably unlinked file's content reappearing when its
    inode number was reallocated but the new inode never reached the
-   log), so it stays pinned here as a regression. *)
-let test_script_seeds () =
+   log), so it stays pinned here as a regression.  Buffer poisoning is
+   on: a recycled buffer used after its give diverges the sweep. *)
+let test_script_seeds =
+  Helpers.poisoned @@ fun () ->
   List.iter
     (fun seed ->
       check_clean (Crashtest.run ~seed lfs (Crashtest.script ~seed ())))

@@ -649,26 +649,6 @@ let test_store_queued_overlay () =
   Helpers.check_bytes "committed" expect (snd (Disk.submit_read d 39 5));
   ignore (Disk.drain d)
 
-(* Staging blocks a commit gave back are free: overwriting them between
-   a later submit and its commit changes neither what a read overlays
-   nor what the commit lands. *)
-let test_queued_overlay_scribbled_free_list () =
-  let d = Disk.create wren in
-  Disk.set_mode d (Io_queue.Queued (fun () -> 0.0));
-  ignore (Disk.submit_write d 10 (Bytes.concat Bytes.empty [ block 'x'; block 'x'; block 'x' ]));
-  ignore (Disk.drain d);
-  Alcotest.(check int) "commit gave its staging blocks back" 3
-    (List.length (Disk.staging_free d));
-  ignore (Disk.submit_write d 20 (Bytes.concat Bytes.empty [ block 'a'; block 'b' ]));
-  Alcotest.(check int) "the submit staged in recycled blocks" 1
-    (List.length (Disk.staging_free d));
-  List.iter (fun b -> Bytes.fill b 0 (Bytes.length b) '#') (Disk.staging_free d);
-  let expect = Bytes.concat Bytes.empty [ block 'a'; block 'b' ] in
-  Helpers.check_bytes "overlay before commit" expect (snd (Disk.submit_read d 20 2));
-  ignore (Disk.drain d);
-  Helpers.check_bytes "committed" expect (snd (Disk.submit_read d 20 2));
-  ignore (Disk.drain d)
-
 let vm_rss_kb () =
   match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
   | exception Sys_error _ -> None
@@ -942,8 +922,6 @@ let suite =
       Alcotest.test_case "store: unwritten blocks read zero" `Quick test_store_unwritten_reads_zero;
       Alcotest.test_case "store: snapshot, restore, save/load" `Quick test_store_round_trips;
       Alcotest.test_case "store: queued overlay" `Quick test_store_queued_overlay;
-      Alcotest.test_case "store: queued overlay, scribbled free list" `Quick
-        test_queued_overlay_scribbled_free_list;
       Alcotest.test_case "store: sparse memory" `Quick test_store_sparse_memory;
       Alcotest.test_case "cache defect case [10, 12)" `Quick test_cache_defect_case;
       Alcotest.test_case "cache borrow forbids other ops" `Quick test_cache_borrow_forbids_ops;

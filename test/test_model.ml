@@ -336,8 +336,10 @@ let test_fsck_flags_truncated_chain () =
 
 (* Every composition of log heads, tiering and sharding refines the
    model: shapes that no single-feature subject could express, built by
-   the same recipe the tools use. *)
-let test_recipe_product_refines () =
+   the same recipe the tools use, under buffer poisoning so a recycled
+   buffer used after its give diverges the sweep. *)
+let test_recipe_product_refines =
+  Helpers.poisoned @@ fun () ->
   List.iter
     (fun spec ->
       let module S = (val Spec.subject (Spec.of_string spec)) in
@@ -347,11 +349,45 @@ let test_recipe_product_refines () =
       Alcotest.(check bool) (spec ^ " probed cuts") true (r.Refine.crashes > 0);
       check_clean r)
     [
+      "lfs";
+      "lfs:heads=2";
+      "lfs:tier:25:promote=2";
       "lfs:heads=2:tier:25:promote=2";
+      "shard:2:by_hash";
       "shard:2:by_hash:heads=2";
       "shard:2:by_hash:tier:25:promote=2";
+      "shard:2:by_hash:heads=2:tier:25:promote=2";
       "shard:2:by_subtree:heads=2:tier:25:promote=2";
     ]
+
+(* Seed 2's sequence 4 frees ino 2 (remove /f0), reuses it for /f2,
+   renames /d3/f2 over /f2 and removes /f2, all between two syncs, with
+   short-lived files reusing inos in between.  The renamed file never
+   reached the log because it died, not because of the crash, so the
+   rename-over's Remove of /f2 must apply; and the later creates and
+   removes that reuse ino 2 name a lost incarnation that must not touch
+   ino 2.  Roll-forward used to keep /f2's entry and then free its
+   inode ("no such inode 2" in the orphan walk). *)
+let test_rename_over_reused_ino () =
+  check_clean (RL.check_seq ~io_depth:4 ~stride:1 ~seed:2 ~seq:4 ())
+
+(* /src is renamed over a synced /dst, then /g is created (reusing
+   /dst's freed ino) and removed, all in one flush; an 11-block file
+   before it places the flush so that cuts 24-26 keep its dir-log
+   records but not /src's inode.  The rename never completed, so /dst
+   keeps its ino, and /g's create and remove name a lost incarnation
+   that must leave that ino alone (it used to free it under /dst). *)
+let test_lost_incarnation_after_dead_rename () =
+  let write path n c = M.Write { path; off = 0; data = Bytes.make n c } in
+  check_clean
+    (RL.check_ops ~io_depth:4 ~stride:1 ~seed:11
+       M.
+         [
+           Create "/dst"; write "/dst" 100 'd'; Sync;
+           Create "/pad"; write "/pad" (11 * 4096) 'p'; Sync;
+           Create "/src"; write "/src" 100 's'; Rename { src = "/src"; dst = "/dst" };
+           Create "/g"; Remove "/g"; Sync;
+         ])
 
 let suite =
   ( "model",
@@ -379,4 +415,8 @@ let suite =
         test_fsck_flags_truncated_chain;
       Alcotest.test_case "recipe product refines the model" `Quick
         test_recipe_product_refines;
+      Alcotest.test_case "rename over a reused ino" `Quick
+        test_rename_over_reused_ino;
+      Alcotest.test_case "lost incarnation after a dead rename" `Quick
+        test_lost_incarnation_after_dead_rename;
     ] )

@@ -114,7 +114,7 @@ let check_against_model fs model =
 let prop_model_agreement =
   QCheck.Test.make ~count:60 ~name:"fs agrees with model under arbitrary ops"
     arb_ops
-    (fun ops ->
+    (Helpers.poisoned @@ fun ops ->
       let _, fs = Helpers.fresh_fs ~blocks:2048 () in
       let model = List.fold_left (apply fs) [] ops in
       check_against_model fs model
@@ -123,7 +123,7 @@ let prop_model_agreement =
 let prop_remount_preserves =
   QCheck.Test.make ~count:40 ~name:"remount preserves arbitrary op results"
     arb_ops
-    (fun ops ->
+    (Helpers.poisoned @@ fun ops ->
       let disk, fs = Helpers.fresh_fs ~blocks:2048 () in
       let model = List.fold_left (apply fs) [] ops in
       Fs.unmount fs;
@@ -133,7 +133,7 @@ let prop_remount_preserves =
 let prop_recovery_after_sync_preserves =
   QCheck.Test.make ~count:40
     ~name:"roll-forward preserves synced arbitrary op results" arb_ops
-    (fun ops ->
+    (Helpers.poisoned @@ fun ops ->
       let disk, fs = Helpers.fresh_fs ~blocks:2048 () in
       let model = List.fold_left (apply fs) [] ops in
       Fs.sync fs;
@@ -147,7 +147,7 @@ let prop_recovery_after_sync_preserves =
 let prop_nvram_no_loss =
   QCheck.Test.make ~count:40 ~name:"nvram loses nothing across a crash"
     arb_ops
-    (fun ops ->
+    (Helpers.poisoned @@ fun ops ->
       let disk, fs0 = Helpers.fresh_fs ~blocks:2048 () in
       let nvram = Lfs_core.Nvram.create () in
       let nfs = Lfs_core.Nvram_fs.wrap fs0 nvram in
@@ -242,7 +242,7 @@ let arb_stripe_writes =
 let prop_stripe_matches_single_disk =
   QCheck.Test.make ~count:60
     ~name:"striped vdev stores the same bytes as one disk" arb_stripe_writes
-    (fun writes ->
+    (Helpers.poisoned @@ fun writes ->
       let striped =
         Vdev_stripe.create
           (Array.init stripe_width (fun _ ->
@@ -295,7 +295,7 @@ let prop_cached_stack_matches_raw =
   QCheck.Test.make ~count:80
     ~name:"Vdev_cache serves identical bytes and accounts every block"
     arb_cache_ops
-    (fun ops ->
+    (Helpers.poisoned @@ fun ops ->
       let mk () = Disk.create (Geometry.instant ~blocks:cache_prop_blocks) in
       let raw = Vdev.of_disk (mk ()) in
       let cache = Vdev_cache.create ~capacity:32 (Vdev.of_disk (mk ())) in
@@ -370,8 +370,9 @@ let arb_torn =
 let prop_torn_write_through_cache =
   QCheck.Test.make ~count:60
     ~name:"torn writes keep a Vdev_cache coherent" arb_torn
-    (check_torn_write (fun disk ->
-         Vdev_cache.vdev (Vdev_cache.create ~capacity:64 (Vdev.of_disk disk))))
+    (Helpers.poisoned
+       (check_torn_write (fun disk ->
+            Vdev_cache.vdev (Vdev_cache.create ~capacity:64 (Vdev.of_disk disk)))))
 
 (* ----- Submit/complete vs synchronous data equivalence ----- *)
 
@@ -482,7 +483,7 @@ let prop_queued_data_equivalence =
   QCheck.Test.make ~count:100
     ~name:"queued submit/await programs are data-equivalent to the sync path"
     arb_sq_prog
-    (fun (comp, ops) ->
+    (Helpers.poisoned @@ fun (comp, ops) ->
       let sync_v = sq_stack comp in
       let queued_v = sq_stack comp in
       let now = ref 0.0 in
@@ -692,7 +693,7 @@ let prop_dirty_set =
        ~print:(fun ops -> String.concat "; " (List.map print_dop ops))
        ~shrink:QCheck.Shrink.list
        QCheck.Gen.(list_size (int_range 1 120) dop_gen))
-    (fun ops ->
+    (Helpers.poisoned @@ fun ops ->
       let disk = Helpers.fresh_disk ~blocks:1024 () in
       Fs.format (Helpers.vdev disk) Helpers.eager_cleaning_config;
       let fs = ref (Fs.mount (Helpers.vdev disk)) in

@@ -469,7 +469,7 @@ let hand_write ~seq ?(records = []) ?(data = 0) ?(inos = []) () =
 let digest writes = Recovery.digest digest_layout writes
 
 let facts d =
-  List.map (fun o -> (o.Recovery.stale_add, o.Recovery.survives_reuse)) d.Recovery.dirops
+  List.map (fun o -> (o.Recovery.stale, o.Recovery.survives_reuse)) d.Recovery.dirops
 
 let dir = Types.root_ino
 let remove ?(nlink = 0) name ino = Dir_log.Remove { dir; name; ino; nlink }
@@ -531,6 +531,37 @@ let test_digest_remove_survives_reuse () =
   Alcotest.(check (list (pair int int))) "the latest copy of 5 wins"
     [ (5, Types.Iaddr.to_int copy12) ]
     (List.map (fun (i, a) -> (i, Types.Iaddr.to_int a)) d.Recovery.inodes)
+
+(* A create that reuses a freed ino and never reached the log leaves
+   the ino's older copy in place; every later record of the lost
+   incarnation (its rename, its remove, and a create reusing the ino
+   again) is stale with it. *)
+let test_digest_lost_incarnation () =
+  let rename = Dir_log.Rename { odir = dir; oname = "b"; ndir = dir; nname = "c"; ino = 5 } in
+  let d =
+    digest
+      [
+        hand_write ~seq:9 ~inos:[ 5 ] ();
+        hand_write ~seq:10 ~records:[ remove "a" 5; add "b" 5; rename; remove "c" 5; add "d" 5 ] ();
+      ]
+  in
+  Alcotest.(check (list (pair bool bool))) "the lost incarnation's records are stale"
+    [ (false, false); (true, false); (true, false); (true, false); (true, false) ]
+    (facts d)
+
+(* A rename whose file a later Remove frees died inside the window: no
+   copy of it is expected, so replay must not take the rename for one
+   that never reached the log. *)
+let test_digest_rename_freed_later () =
+  let rename = Dir_log.Rename { odir = dir; oname = "src"; ndir = dir; nname = "dst"; ino = 7 } in
+  let freed_later records =
+    List.map (fun o -> o.Recovery.freed_later) (digest [ hand_write ~seq:10 ~records () ]).Recovery.dirops
+  in
+  Alcotest.(check (list bool)) "removed after the rename"
+    [ false; false; true; false ]
+    (freed_later [ add "src" 7; remove "dst" 6; rename; remove "dst" 7 ]);
+  Alcotest.(check (list bool)) "still alive" [ false; false; false ]
+    (freed_later [ add "src" 7; remove "dst" 6; rename ])
 
 (* A rename onto an existing name logs (Remove old-dst, Rename); replay
    looks at the pair, so the digest keeps them adjacent in log order even
@@ -679,7 +710,7 @@ let test_stale_summary_past_tail_cleaner () =
        [ entry Types.Inode_block; entry Types.Data ]);
   (* Move the head on to its reservation, as if it had filled segment 0,
      so segment 0 — the only one with live data — becomes the victim. *)
-  Checkpoint.write layout dev ~buf:(Checkpoint.buffer layout) ~region
+  Checkpoint.write layout dev ~scratch:(Lfs_util.Buf_pool.Scratch.create ()) ~region
     {
       ck with
       Checkpoint.heads = [| { Log_writer.seg = 1; off = 0; next_seg = 2 } |];
@@ -705,8 +736,8 @@ let test_checkpoint_tie_takes_newer_log () =
   let at seq = { ck with Checkpoint.timestamp = 5.0; log_seq = seq } in
   List.iter
     (fun (seq0, seq1, newest) ->
-      Checkpoint.write layout dev ~buf:(Checkpoint.buffer layout) ~region:0 (at seq0);
-      Checkpoint.write layout dev ~buf:(Checkpoint.buffer layout) ~region:1 (at seq1);
+      Checkpoint.write layout dev ~scratch:(Lfs_util.Buf_pool.Scratch.create ()) ~region:0 (at seq0);
+      Checkpoint.write layout dev ~scratch:(Lfs_util.Buf_pool.Scratch.create ()) ~region:1 (at seq1);
       let region, _ = Option.get (Checkpoint.read_latest layout dev) in
       Alcotest.(check int)
         (Printf.sprintf "seq %d vs %d" seq0 seq1)
@@ -786,6 +817,10 @@ let suite =
       Alcotest.test_case "digest: stale fresh add" `Quick test_digest_stale_fresh_add;
       Alcotest.test_case "digest: remove survives reuse" `Quick
         test_digest_remove_survives_reuse;
+      Alcotest.test_case "digest: a lost incarnation's records are stale" `Quick
+        test_digest_lost_incarnation;
+      Alcotest.test_case "digest: a rename whose file dies later" `Quick
+        test_digest_rename_freed_later;
       Alcotest.test_case "digest: remove then rename" `Quick
         test_digest_remove_then_rename;
       Alcotest.test_case "digest matches the report" `Quick test_digest_matches_report;

@@ -580,7 +580,7 @@ let test_checkpoint_roundtrip () =
       usage_addrs = Array.make ckpt_layout.Layout.usage_blocks 44;
     }
   in
-  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~buf:(Checkpoint.buffer ckpt_layout) ~region:0 fixture;
+  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~scratch:(Lfs_util.Buf_pool.Scratch.create ()) ~region:0 fixture;
   (match Checkpoint.read ckpt_layout (Helpers.vdev disk) ~region:0 with
   | Some c -> Alcotest.(check bool) "roundtrip" true (c = fixture)
   | None -> Alcotest.fail "should read back");
@@ -603,7 +603,7 @@ let test_checkpoint_multihead_roundtrip () =
       usage_addrs = Array.make ckpt_layout.Layout.usage_blocks 44;
     }
   in
-  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~buf:(Checkpoint.buffer ckpt_layout) ~region:0 fixture;
+  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~scratch:(Lfs_util.Buf_pool.Scratch.create ()) ~region:0 fixture;
   match Checkpoint.read ckpt_layout (Helpers.vdev disk) ~region:0 with
   | Some c -> Alcotest.(check bool) "heads roundtrip" true (c = fixture)
   | None -> Alcotest.fail "should read back"
@@ -613,8 +613,8 @@ let test_checkpoint_latest_wins () =
   let mk ts = { ckpt_fixture with Checkpoint.timestamp = ts;
                 imap_addrs = Array.make ckpt_layout.Layout.imap_blocks 1;
                 usage_addrs = Array.make ckpt_layout.Layout.usage_blocks 2 } in
-  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~buf:(Checkpoint.buffer ckpt_layout) ~region:0 (mk 10.0);
-  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~buf:(Checkpoint.buffer ckpt_layout) ~region:1 (mk 20.0);
+  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~scratch:(Lfs_util.Buf_pool.Scratch.create ()) ~region:0 (mk 10.0);
+  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~scratch:(Lfs_util.Buf_pool.Scratch.create ()) ~region:1 (mk 20.0);
   (match Checkpoint.read_latest ckpt_layout (Helpers.vdev disk) with
   | Some (1, c) -> Alcotest.(check (float 0.0)) "newest" 20.0 c.Checkpoint.timestamp
   | Some (r, _) -> Alcotest.failf "wrong region %d" r
@@ -629,7 +629,7 @@ let test_checkpoint_torn_write_invalid () =
       usage_addrs = Array.make ckpt_layout.Layout.usage_blocks 2;
     }
   in
-  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~buf:(Checkpoint.buffer ckpt_layout) ~region:0 fixture;
+  Checkpoint.write ckpt_layout (Helpers.vdev disk) ~scratch:(Lfs_util.Buf_pool.Scratch.create ()) ~region:0 fixture;
   (* Corrupt one byte, as a torn multi-block region write would. *)
   let addr = ckpt_layout.Layout.ckpt_a in
   let b = Disk.read_block disk addr in

@@ -5,6 +5,7 @@ module Stats = Lfs_util.Stats
 module Histogram = Lfs_util.Histogram
 module Table = Lfs_util.Table
 module Checksum = Lfs_util.Checksum
+module Buf_pool = Lfs_util.Buf_pool
 
 let test_prng_deterministic () =
   let a = Prng.create ~seed:42 and b = Prng.create ~seed:42 in
@@ -403,6 +404,76 @@ let test_io_stats_reset () =
   Io_stats.reset s;
   Alcotest.(check bool) "reset zeroes" true (stats_equal s (Io_stats.create ()))
 
+(* ----- Buf_pool ----- *)
+
+let test_pool_reuses () =
+  let p = Buf_pool.create 16 in
+  let a = Buf_pool.take p in
+  Alcotest.(check int) "pool size" 16 (Bytes.length a);
+  Buf_pool.give p a;
+  Alcotest.(check bool) "a take after a give reuses it" true (Buf_pool.take p == a);
+  Alcotest.(check bool) "an empty pool allocates" true (Buf_pool.take p != a);
+  Alcotest.check_raises "a buffer of another size"
+    (Invalid_argument "Buf_pool.give: 8 bytes, not 16")
+    (fun () -> Buf_pool.give p (Bytes.create 8))
+
+let test_pool_bound () =
+  let p = Buf_pool.create ~bound:1 16 in
+  let a = Bytes.create 16 and b = Bytes.create 16 in
+  Buf_pool.give p a;
+  Buf_pool.give p b;
+  Alcotest.(check bool) "the give within the bound is kept" true (Buf_pool.take p == a);
+  Alcotest.(check bool) "the give past the bound was dropped" true
+    (Buf_pool.take p != b);
+  let z = Buf_pool.create ~bound:0 16 in
+  Buf_pool.give z a;
+  Alcotest.(check bool) "a zero bound keeps nothing" true (Buf_pool.take z != a)
+
+(* Under poison a give fills the buffer, and a take of it checks the
+   fill: one byte written after the give is caught, by either shape. *)
+let test_pool_poison () =
+  Fun.protect ~finally:(fun () -> Buf_pool.poison := false) @@ fun () ->
+  Buf_pool.poison := true;
+  let p = Buf_pool.create 37 in
+  let a = Buf_pool.take p in
+  Bytes.fill a 0 37 'y';
+  Buf_pool.give p a;
+  Alcotest.(check bool) "the give overwrote every byte" true
+    (Bytes.for_all (fun c -> c <> 'y') a);
+  Alcotest.(check bool) "an intact poisoned buffer is taken" true (Buf_pool.take p == a);
+  let caught f =
+    match f () with _ -> false | exception Failure _ -> true
+  in
+  Buf_pool.give p a;
+  Bytes.set a 33 'x';
+  Alcotest.(check bool) "a write after the give is caught" true
+    (caught (fun () -> Buf_pool.take p));
+  let s = Buf_pool.Scratch.create () in
+  let b = Buf_pool.Scratch.take s 20 in
+  Buf_pool.Scratch.give s;
+  Bytes.set b 3 'x';
+  Alcotest.(check bool) "scratch: a write after the give is caught" true
+    (caught (fun () -> Buf_pool.Scratch.take s 10));
+  (* A buffer given without poison is not checked when taken with it. *)
+  Buf_pool.poison := false;
+  let c = Buf_pool.take p in
+  Buf_pool.give p c;
+  Bytes.set c 0 'x';
+  Buf_pool.poison := true;
+  Alcotest.(check bool) "unpoisoned give, unchecked take" true (Buf_pool.take p == c)
+
+let test_scratch_grows () =
+  let s = Buf_pool.Scratch.create () in
+  let a = Buf_pool.Scratch.take s 10 in
+  Alcotest.(check int) "first take" 10 (Bytes.length a);
+  Buf_pool.Scratch.give s;
+  Alcotest.(check bool) "a smaller take reuses it" true (Buf_pool.Scratch.take s 4 == a);
+  Buf_pool.Scratch.give s;
+  let b = Buf_pool.Scratch.take s 30 in
+  Alcotest.(check int) "grown to the largest request" 30 (Bytes.length b);
+  Buf_pool.Scratch.give s;
+  Alcotest.(check bool) "and kept" true (Buf_pool.Scratch.take s 12 == b)
+
 let suite =
   ( "util",
     [
@@ -436,6 +507,10 @@ let suite =
       Alcotest.test_case "plot empty series" `Quick test_plot_empty_series;
       Alcotest.test_case "io_stats merge zero" `Quick test_io_stats_merge_zero;
       Alcotest.test_case "io_stats reset" `Quick test_io_stats_reset;
+      Alcotest.test_case "buf_pool take reuses a give" `Quick test_pool_reuses;
+      Alcotest.test_case "buf_pool give past the bound drops" `Quick test_pool_bound;
+      Alcotest.test_case "buf_pool poison catches a late write" `Quick test_pool_poison;
+      Alcotest.test_case "buf_pool scratch grows" `Quick test_scratch_grows;
       QCheck_alcotest.to_alcotest prop_checksum_matches_reference;
       QCheck_alcotest.to_alcotest prop_combine_matches_reference;
       QCheck_alcotest.to_alcotest prop_codec_roundtrip;
