@@ -5,7 +5,7 @@
      dune exec bench/main.exe            # everything except `micro`
      dune exec bench/main.exe -- fig4 table2 ...
      dune exec bench/main.exe -- quick   # reduced sweeps for smoke runs
-     dune exec bench/main.exe -- micro   # Bechamel micro-benchmarks
+     dune exec bench/main.exe -- micro   # timed micro-benchmarks
      dune exec bench/main.exe -- --metrics fig8 stripe
                                          # dump the Lfs_obs registry at
                                          # phase boundaries
@@ -18,7 +18,7 @@ module Plot = Lfs_util.Plot
 module Histogram = Lfs_util.Histogram
 module Sim = Lfs_sim.Simulator
 module Access = Lfs_sim.Access
-module Csim = Lfs_sim.Config_sim
+module Config = Lfs_core.Config
 module W = Lfs_workload
 
 let quick = ref false
@@ -74,9 +74,9 @@ let sim_base () =
     { Sim.default_params with warmup_writes = 600_000; measured_writes = 200_000 }
   else Sim.default_params
 
-let greedy_in = { Sim.selection = Csim.Greedy; grouping = Csim.In_order }
-let greedy_age = { Sim.selection = Csim.Greedy; grouping = Csim.Age_sort }
-let cb_age = { Sim.selection = Csim.Cost_benefit; grouping = Csim.Age_sort }
+let greedy_in = { Sim.selection = Config.Greedy; grouping = Config.In_order }
+let greedy_age = { Sim.selection = Config.Greedy; grouping = Config.Age_sort }
+let cb_age = { Sim.selection = Config.Cost_benefit; grouping = Config.Age_sort }
 
 let sweep params =
   let points = if !quick then 5 else 8 in
@@ -630,16 +630,16 @@ let ablate () =
        (fun (sel, grp) ->
          let r = Sim.run { base with policy = { selection = sel; grouping = grp } } in
          [
-           Csim.selection_name sel;
-           Csim.grouping_name grp;
+           Config.cleaning_policy_name sel;
+           Config.grouping_policy_name grp;
            Table.fmt_float r.Sim.write_cost;
            Table.fmt_float r.Sim.avg_cleaned_u;
          ])
        [
-         (Csim.Greedy, Csim.In_order);
-         (Csim.Greedy, Csim.Age_sort);
-         (Csim.Cost_benefit, Csim.In_order);
-         (Csim.Cost_benefit, Csim.Age_sort);
+         (Config.Greedy, Config.In_order);
+         (Config.Greedy, Config.Age_sort);
+         (Config.Cost_benefit, Config.In_order);
+         (Config.Cost_benefit, Config.Age_sort);
        ]);
   (* "We tried varying the degree of locality (e.g. 95% of accesses to
      5% of data) and found that performance got worse and worse as the
@@ -653,14 +653,14 @@ let ablate () =
               {
                 base with
                 pattern;
-                policy = { selection = sel; grouping = Csim.Age_sort };
+                policy = { selection = sel; grouping = Config.Age_sort };
               })
              .Sim.write_cost
          in
          [
            label;
-           Table.fmt_float (run Csim.Greedy);
-           Table.fmt_float (run Csim.Cost_benefit);
+           Table.fmt_float (run Config.Greedy);
+           Table.fmt_float (run Config.Cost_benefit);
          ])
        [
          ("uniform", Access.Uniform);
@@ -1486,23 +1486,36 @@ let writecost () =
   if failures <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
+(* Micro-benchmarks                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Median time per call of [f] over [rounds] timed rounds of [steps]
+   calls.  Each case's [steps] make a round last 10-30 ms on a shared
+   2-core x86-64 container: long enough to take its share of the GC
+   work, so the median is steady enough to compare commits by. *)
+let time_per_call ~rounds ~steps f =
+  let per_step =
+    Array.init rounds (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to steps do
+          f ()
+        done;
+        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int steps)
+  in
+  Array.sort compare per_step;
+  per_step.(rounds / 2)
+
 let micro () =
-  header "Micro-benchmarks (Bechamel)" "(implementation-level, not in the paper)";
-  let open Bechamel in
+  header "Micro-benchmarks" "(implementation-level, not in the paper)";
   let disk = Lfs_disk.Vdev.of_disk (Lfs_disk.Disk.create (Lfs_disk.Geometry.instant ~blocks:16384)) in
   Lfs_core.Fs.format disk Lfs_core.Config.default;
   let fs = Lfs_core.Fs.mount disk in
   let ino = Lfs_core.Fs.create_path fs "/bench" in
   let payload = Bytes.make 4096 'b' in
   let counter = ref 0 in
-  let test_write =
-    Test.make ~name:"fs-write-4k"
-      (Staged.stage (fun () ->
-           incr counter;
-           Lfs_core.Fs.write fs ino ~off:(4096 * (!counter mod 64)) payload))
+  let fs_write () =
+    incr counter;
+    Lfs_core.Fs.write fs ino ~off:(4096 * (!counter mod 64)) payload
   in
   (* The foreground write path end to end: a 1 KB write, its sync, and
      the device committing the batch, on a warm mount over a queued
@@ -1523,20 +1536,12 @@ let micro () =
     Lfs_core.Fs.sync qfs;
     ignore (Lfs_disk.Disk.pump qdisk ~now:!qclock)
   in
-  let test_queued_write_sync =
-    Test.make ~name:"queued-write-sync-1k" (Staged.stage queued_write_sync)
-  in
-  let test_read =
-    Test.make ~name:"fs-read-4k"
-      (Staged.stage (fun () -> ignore (Lfs_core.Fs.read fs ino ~off:0 ~len:4096)))
-  in
+  let fs_read () = ignore (Lfs_core.Fs.read fs ino ~off:0 ~len:4096) in
   let b = Bytes.make 4096 '\000' in
   let inode = Lfs_core.Inode.create ~ino:7 ~ftype:Lfs_core.Types.Regular ~mtime:1.0 in
-  let test_inode_codec =
-    Test.make ~name:"inode-encode-decode"
-      (Staged.stage (fun () ->
-           Lfs_core.Inode.encode inode b ~slot:3;
-           ignore (Lfs_core.Inode.decode b ~slot:3)))
+  let inode_codec () =
+    Lfs_core.Inode.encode inode b ~slot:3;
+    ignore (Lfs_core.Inode.decode b ~slot:3)
   in
   (* A warm cache lends the inode block to the decoder: no copy. *)
   let cache =
@@ -1547,12 +1552,10 @@ let micro () =
   let iblock = Bytes.make 4096 '\000' in
   Lfs_core.Inode.encode inode iblock ~slot:3;
   Lfs_disk.Vdev.write_block (Lfs_disk.Vdev_cache.vdev cache) 9 iblock;
-  let test_inode_load_hit =
-    Test.make ~name:"inode-load-hit"
-      (Staged.stage (fun () ->
-           ignore
-             (Lfs_disk.Vdev_cache.with_block cache 9 (fun blk ->
-                  Option.get (Lfs_core.Inode.decode blk ~slot:3)))))
+  let inode_load_hit () =
+    ignore
+      (Lfs_disk.Vdev_cache.with_block cache 9 (fun blk ->
+           Option.get (Lfs_core.Inode.decode blk ~slot:3)))
   in
   (* Roll-forward's check of one 64-block write: read into the reader's
      buffer, then checksum. *)
@@ -1576,21 +1579,11 @@ let micro () =
     }
   in
   let reader = Lfs_core.Recovery.reader layout disk in
-  let test_payload_verify =
-    Test.make ~name:"payload-verify-64"
-      (Staged.stage (fun () ->
-           assert (Lfs_core.Recovery.payload_intact reader summary)))
-  in
-  let test_checksum =
-    Test.make ~name:"adler32-4k"
-      (Staged.stage (fun () -> ignore (Lfs_util.Checksum.adler32 payload)))
-  in
+  let payload_verify () = assert (Lfs_core.Recovery.payload_intact reader summary) in
+  let checksum () = ignore (Lfs_util.Checksum.adler32 payload) in
   (* One full log batch: the payload of 32 blocks that a summary covers. *)
   let batch = Bytes.init (32 * 4096) (fun i -> Char.chr (i * 131 land 0xff)) in
-  let test_checksum_batch =
-    Test.make ~name:"adler32-128k"
-      (Staged.stage (fun () -> ignore (Lfs_util.Checksum.adler32 batch)))
-  in
+  let checksum_batch () = ignore (Lfs_util.Checksum.adler32 batch) in
   let module Directory = Lfs_core.Directory in
   let names = Array.init 1000 (fun i -> Printf.sprintf "entry%d" i) in
   let dir = Directory.create ~block_size:4096 in
@@ -1598,79 +1591,41 @@ let micro () =
     ignore (Directory.add dir names.(i) (i + 2))
   done;
   let dirb = Directory.to_bytes dir in
-  let test_dir_codec =
-    Test.make ~name:"directory-decode-100"
-      (Staged.stage (fun () ->
-           ignore (Directory.of_bytes ~block_size:4096 dirb)))
+  let dir_codec () = ignore (Directory.of_bytes ~block_size:4096 dirb) in
+  let dir_add_lookup () =
+    let d = Directory.create ~block_size:4096 in
+    Array.iteri (fun i name -> ignore (Directory.add d name (i + 2))) names;
+    Array.iter (fun name -> ignore (Directory.find d name)) names
   in
-  let test_dir_add_lookup =
-    Test.make ~name:"directory-add-lookup-1000"
-      (Staged.stage (fun () ->
-           let d = Directory.create ~block_size:4096 in
-           Array.iteri (fun i name -> ignore (Directory.add d name (i + 2))) names;
-           Array.iter (fun name -> ignore (Directory.find d name)) names))
+  let sim () =
+    ignore
+      (Sim.run
+         {
+           Sim.default_params with
+           nsegs = 64;
+           blocks_per_seg = 32;
+           warmup_writes = 1000;
+           measured_writes = 0;
+         })
   in
-  let test_sim =
-    Test.make ~name:"simulator-1k-writes"
-      (Staged.stage (fun () ->
-           ignore
-             (Sim.run
-                {
-                  Sim.default_params with
-                  nsegs = 64;
-                  blocks_per_seg = 32;
-                  warmup_writes = 1000;
-                  measured_writes = 0;
-                })))
-  in
-  let tests =
-    Test.make_grouped ~name:"lfs"
-      [
-        test_write;
-        test_queued_write_sync;
-        test_read;
-        test_inode_codec;
-        test_inode_load_hit;
-        test_payload_verify;
-        test_checksum;
-        test_checksum_batch;
-        test_dir_codec;
-        test_dir_add_lookup;
-        test_sim;
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some (est :: _) -> rows := (name, est) :: !rows
-      | Some [] | None -> ())
-    results;
+  let rounds = 15 in
   List.iter
-    (fun (name, est) -> Printf.printf "  %-32s %14.1f ns/op\n" name est)
-    (List.sort compare !rows);
-  (* The OLS estimate of the write path swings with where its GC work
-     lands among the samples; rounds long enough to take their share of
-     it give a steadier number to compare commits by. *)
-  let rounds = 15 and steps = 2000 in
-  let per_step =
-    Array.init rounds (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to steps do
-          queued_write_sync ()
-        done;
-        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int steps)
-  in
-  Array.sort compare per_step;
-  Printf.printf "  %-32s %14.1f ns/op (median of %d timed rounds of %d)\n"
-    "queued-write-sync-1k, timed" per_step.(rounds / 2) rounds steps
+    (fun (name, steps, f) ->
+      Printf.printf "  %-32s %14.1f ns/op (median of %d rounds of %d)\n%!" name
+        (time_per_call ~rounds ~steps f) rounds steps)
+    [
+      ("adler32-128k", 1_000, checksum_batch);
+      ("adler32-4k", 30_000, checksum);
+      ("directory-add-lookup-1000", 50, dir_add_lookup);
+      ("directory-decode-100", 2_000, dir_codec);
+      ("fs-read-4k", 100_000, fs_read);
+      ("fs-write-4k", 50_000, fs_write);
+      ("inode-encode-decode", 30_000, inode_codec);
+      ("inode-load-hit", 50_000, inode_load_hit);
+      ("payload-verify-64", 500, payload_verify);
+      ("queued-write-sync-1k", 2_000, queued_write_sync);
+      ("simulator-1k-writes", 100, sim);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)

@@ -9,7 +9,7 @@ open Cmdliner
 
 module Sim = Lfs_sim.Simulator
 module Access = Lfs_sim.Access
-module Csim = Lfs_sim.Config_sim
+module Config = Lfs_core.Config
 
 let pattern_conv =
   let parse = function
@@ -22,19 +22,19 @@ let pattern_conv =
 
 let policy_conv =
   let parse = function
-    | "greedy" -> Ok Csim.Greedy
-    | "cost-benefit" -> Ok Csim.Cost_benefit
+    | "greedy" -> Ok Config.Greedy
+    | "cost-benefit" -> Ok Config.Cost_benefit
     | s -> Error (`Msg (Printf.sprintf "unknown policy %S (greedy | cost-benefit)" s))
   in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Csim.selection_name p))
+  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Config.cleaning_policy_name p))
 
 let grouping_conv =
   let parse = function
-    | "in-order" -> Ok Csim.In_order
-    | "age-sort" -> Ok Csim.Age_sort
+    | "in-order" -> Ok Config.In_order
+    | "age-sort" -> Ok Config.Age_sort
     | s -> Error (`Msg (Printf.sprintf "unknown grouping %S (in-order | age-sort)" s))
   in
-  Arg.conv (parse, fun ppf g -> Format.pp_print_string ppf (Csim.grouping_name g))
+  Arg.conv (parse, fun ppf g -> Format.pp_print_string ppf (Config.grouping_policy_name g))
 
 let run utilization pattern policy grouping nsegs spseg writes sweep histogram seed =
   let params =
@@ -60,8 +60,8 @@ let run utilization pattern policy grouping nsegs spseg writes sweep histogram s
   else begin
     let r = Sim.run params in
     Printf.printf "pattern: %s, policy: %s + %s\n" (Access.name pattern)
-      (Csim.selection_name policy)
-      (Csim.grouping_name grouping);
+      (Config.cleaning_policy_name policy)
+      (Config.grouping_policy_name grouping);
     Printf.printf "write cost      %.3f\n" r.Sim.write_cost;
     Printf.printf "avg cleaned u   %.3f\n" r.Sim.avg_cleaned_u;
     Printf.printf "segments cleaned %d\n" r.Sim.segments_cleaned;
@@ -82,10 +82,10 @@ let cmd =
     Arg.(value & opt pattern_conv Access.Uniform & info [ "pattern" ] ~doc:"Access pattern")
   in
   let policy =
-    Arg.(value & opt policy_conv Csim.Greedy & info [ "policy" ] ~doc:"Victim selection policy")
+    Arg.(value & opt policy_conv Config.Greedy & info [ "policy" ] ~doc:"Victim selection policy")
   in
   let grouping =
-    Arg.(value & opt grouping_conv Csim.In_order & info [ "grouping" ] ~doc:"Live-block grouping")
+    Arg.(value & opt grouping_conv Config.In_order & info [ "grouping" ] ~doc:"Live-block grouping")
   in
   let nsegs = Arg.(value & opt int 256 & info [ "segments" ] ~doc:"Number of segments") in
   let spseg = Arg.(value & opt int 256 & info [ "blocks-per-segment" ] ~doc:"4 KB files per segment") in

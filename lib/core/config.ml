@@ -111,6 +111,8 @@ let cleaning_policy_name = function
   | Age_only -> "age-only"
   | Random_victim -> "random"
 
+let grouping_policy_name = function In_order -> "in-order" | Age_sort -> "age-sort"
+
 let cleaner_read_policy_name = function
   | Whole_segment -> "whole-segment"
   | Live_blocks -> "live-blocks"

@@ -86,4 +86,5 @@ val validate : t -> disk_blocks:int -> unit
     (fewer than 4 segments, zero inodes, thresholds inverted...). *)
 
 val cleaning_policy_name : cleaning_policy -> string
+val grouping_policy_name : grouping_policy -> string
 val cleaner_read_policy_name : cleaner_read_policy -> string

@@ -17,15 +17,15 @@ external blit_from_store : store -> int -> bytes -> int -> int -> unit
   = "lfs_disk_blit_store_to_bytes"
 [@@noalloc]
 
+type cut = Prefix | Nothing | Subset of int
+
 type t = {
   geometry : Geometry.t;
   data : store;
   stats : Io_stats.t;
   queue : Io_queue.t;
   mutable crash_countdown : int option;  (* blocks until power cut *)
-  mutable crash_scatter : int option;
-      (* seed of the blocks the interrupted write lands; [None]: a
-         prefix *)
+  mutable crash_cut : cut;  (* what the write the cut interrupts lands *)
   mutable crashed : bool;
   mutable pending : (int * bytes array) Seq_map.t;
       (* queued-mode writes submitted but not yet committed by the
@@ -78,7 +78,7 @@ let create geometry =
     stats;
     queue = Io_queue.create ~service:(service_fn geometry) ~stats;
     crash_countdown = None;
-    crash_scatter = None;
+    crash_cut = Prefix;
     crashed = false;
     pending = Seq_map.empty;
     stage_bufs = Lfs_util.Buf_pool.create geometry.Geometry.block_size;
@@ -167,57 +167,50 @@ let submit_read ?now t addr n =
 let read_blocks t addr n = snd (submit_read t addr n)
 let read_block t addr = read_blocks t addr 1
 
-(* How many of the next [n] blocks may still be persisted before the
-   armed crash triggers.  Returns [n] when no crash is armed. *)
-let writable_prefix t n =
-  match t.crash_countdown with
-  | None -> n
-  | Some k -> min k n
-
-let consume_countdown t n =
-  match t.crash_countdown with
-  | None -> ()
-  | Some k ->
-      let k = k - n in
-      if k <= 0 then begin
-        t.crash_countdown <- None;
-        t.crashed <- true
-      end
-      else t.crash_countdown <- Some k
-
-(* Land one write on the medium: persist the writable prefix of its
-   [n] blocks, burn the crash countdown, raise if it tripped.
-   [land_block i dst] copies the write's block [i] to byte [dst] of the
-   store.  In [Direct] mode this runs at submit time (submission order
-   == service order); in [Queued] mode it is deferred into the
-   elevator's commit, so countdowns burn — and crashes tear — in the
-   order the device actually retires writes. *)
+(* Land one write on the medium, and apply an armed power cut: the one
+   place that decides what a cut leaves.  A write of [n] blocks with [k
+   <= n] blocks left on the countdown is the one the cut interrupts: it
+   lands the [k]-block prefix, nothing, or [k] of its blocks drawn from
+   the seed, as the plan says, and the device crashes.  [land_block i
+   dst] copies the write's block [i] to byte [dst] of the store.  In
+   [Direct] mode this runs at submit time (submission order == service
+   order); in [Queued] mode it is deferred into the elevator's commit,
+   so countdowns burn, and cuts land, in the order the device actually
+   retires writes. *)
 let perform_write t ~seq addr n land_block =
   if t.crashed then raise Crashed;
   let bs = block_size t in
-  let persist = writable_prefix t n in
   let persist_block i =
     if t.write_seq.(addr + i) <= seq then begin
       land_block i ((addr + i) * bs);
       t.write_seq.(addr + i) <- seq
     end
   in
-  (match t.crash_scatter with
-  | Some seed when persist < n ->
-      (* The write the power cut interrupts lands [persist] of its
-         blocks, chosen pseudo-randomly: the disk scheduled its sectors
-         freely. *)
-      let order = Array.init n Fun.id in
-      Lfs_util.Prng.shuffle (Lfs_util.Prng.create ~seed) order;
-      for k = 0 to persist - 1 do
-        persist_block order.(k)
-      done
-  | Some _ | None ->
-      for i = 0 to persist - 1 do
+  match t.crash_countdown with
+  | Some k when k <= n ->
+      (match t.crash_cut with
+      | Prefix ->
+          for i = 0 to k - 1 do
+            persist_block i
+          done
+      | Nothing -> ()
+      | Subset seed ->
+          (* The disk scheduled the write's sectors freely. *)
+          let order = Array.init n Fun.id in
+          Lfs_util.Prng.shuffle (Lfs_util.Prng.create ~seed) order;
+          for j = 0 to k - 1 do
+            persist_block order.(j)
+          done);
+      t.crash_countdown <- None;
+      t.crashed <- true;
+      raise Crashed
+  | armed -> (
+      for i = 0 to n - 1 do
         persist_block i
-      done);
-  consume_countdown t n;
-  if t.crashed then raise Crashed
+      done;
+      match armed with
+      | Some k -> t.crash_countdown <- Some (k - n)
+      | None -> ())
 
 (* The caller may reuse [payload] once this returns: [Direct] lands it
    now, [Queued] stages a copy of each block until the commit, which
@@ -288,17 +281,18 @@ let pump t ~now = Io_queue.pump t.queue ~now
 let outstanding_in t ~lo ~hi = Io_queue.outstanding_in t.queue ~lo ~hi
 let queue_depth t = Io_queue.depth t.queue
 
-let plan_crash ?scatter t ~after_blocks =
-  assert (after_blocks >= 0);
+let plan_crash ?(cut = Prefix) t ~after_blocks =
+  if after_blocks < 0 then
+    invalid_arg (Printf.sprintf "Disk.plan_crash: %d blocks" after_blocks);
   t.crash_countdown <- Some after_blocks;
-  t.crash_scatter <- scatter
+  t.crash_cut <- cut
 
 let is_crashed t = t.crashed
 
 let reboot t =
   t.crashed <- false;
   t.crash_countdown <- None;
-  t.crash_scatter <- None;
+  t.crash_cut <- Prefix;
   (* Submitted-but-uncommitted writes die with the power: only what the
      elevator actually retired is on the medium. *)
   t.pending <- Seq_map.empty;
@@ -326,7 +320,7 @@ let restore t ~from =
   Io_queue.set_head t.queue (Io_queue.head from.queue);
   Io_queue.set_horizon t.queue (Io_queue.horizon from.queue);
   t.crash_countdown <- from.crash_countdown;
-  t.crash_scatter <- from.crash_scatter;
+  t.crash_cut <- from.crash_cut;
   t.crashed <- from.crashed
 
 let snapshot t =

@@ -21,18 +21,23 @@
     drained, or pumped.
 
     Crash injection: {!plan_crash} arms a countdown of blocks after which
-    the device "loses power": the offending write is torn (a prefix may
-    reach the medium) and {!Crashed} is raised.  All subsequent IO raises
-    {!Crashed} until {!reboot}.  This lets tests cut power at any point
-    of a checkpoint or segment write and exercise recovery.
+    the device "loses power".  The write the countdown runs out in is
+    the one the cut interrupts: it lands a prefix of itself, nothing, or
+    a seeded subset of its blocks, as the plan's {!cut} says, and
+    {!Crashed} is raised.  All subsequent IO raises {!Crashed} until
+    {!reboot}.  This is the only place in the device stack that decides
+    what a power cut leaves on the medium: {!Vdev_fault} maps its crash
+    modes to a {!cut} and arms the leaf.
 
-    In [Direct] mode, persistence, countdowns and service coincide with
-    submission, so crash points are independent of queueing.  In
-    [Queued] mode the data plane is deferred to the elevator's commit:
-    contents land, countdowns burn and crashes tear in the order the
-    device actually retires writes (C-LOOK), reads stay coherent by
-    overlaying submitted-but-uncommitted writes, and a reboot drops
-    whatever the elevator had not yet retired.
+    The countdown burns as the device commits writes.  In [Direct] mode
+    persistence, countdowns and service coincide with submission, so
+    crash points are independent of queueing.  In [Queued] mode the data
+    plane is deferred to the elevator's commit: contents land,
+    countdowns burn and cuts land in the order the device actually
+    retires writes (C-LOOK), reads stay coherent by overlaying
+    submitted-but-uncommitted writes, and a reboot drops whatever the
+    elevator had not yet retired.  Either way the interrupted write is
+    charged in full in modelled time and {!Io_stats}.
 
     Queued writes are staged per block, in buffers from the device's
     unbounded {!Lfs_util.Buf_pool}: the pending write holds them, and
@@ -42,6 +47,15 @@
     drops the pending writes with their buffers. *)
 
 type t
+
+(** What the write a power cut interrupts lands, when [k] blocks were
+    left on the countdown. *)
+type cut =
+  | Prefix  (** its first [k] blocks (a torn write) *)
+  | Nothing  (** none of it (a dropped write) *)
+  | Subset of int
+      (** [k] of its blocks, drawn pseudo-randomly from this seed (a
+          reordered write) *)
 
 exception Crashed
 (** Raised by IO once an armed crash has triggered (and by the write that
@@ -115,11 +129,11 @@ val pump : t -> now:float -> (int * float) list
 val outstanding_in : t -> lo:int -> hi:int -> int
 val queue_depth : t -> int
 
-val plan_crash : ?scatter:int -> t -> after_blocks:int -> unit
-(** Arm a power cut after [after_blocks] more blocks have been written.
-    The triggering write persists only [after_blocks] of its remaining
-    blocks: its first ones (a torn write), or with [scatter] a subset
-    chosen pseudo-randomly from that seed (a reordered write). *)
+val plan_crash : ?cut:cut -> t -> after_blocks:int -> unit
+(** Arm a power cut after [after_blocks] more blocks have been
+    committed.  The write that reaches the count lands what [cut]
+    (default [Prefix]) says of it, then the device crashes.  Raises
+    [Invalid_argument] when [after_blocks] is negative. *)
 
 val is_crashed : t -> bool
 

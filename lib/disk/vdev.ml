@@ -1,4 +1,5 @@
 type mode = Io_queue.mode = Direct | Queued of (unit -> float)
+type cut = Disk.cut = Prefix | Nothing | Subset of int
 
 type t = {
   name : string;
@@ -17,7 +18,7 @@ type t = {
   set_mode : mode -> unit;
   get_mode : unit -> mode;
   stats : unit -> Io_stats.t;
-  plan_crash : after_blocks:int -> scatter:int option -> unit;
+  plan_crash : after_blocks:int -> cut:cut -> unit;
   is_crashed : unit -> bool;
   reboot : unit -> unit;
 }
@@ -63,8 +64,7 @@ let of_disk d =
     set_mode = (fun m -> Disk.set_mode d m);
     get_mode = (fun () -> Disk.get_mode d);
     stats = (fun () -> Disk.stats d);
-    plan_crash =
-      (fun ~after_blocks ~scatter -> Disk.plan_crash ?scatter d ~after_blocks);
+    plan_crash = (fun ~after_blocks ~cut -> Disk.plan_crash ~cut d ~after_blocks);
     is_crashed = (fun () -> Disk.is_crashed d);
     reboot = (fun () -> Disk.reboot d);
   }
@@ -120,7 +120,7 @@ let set_mode v m = v.set_mode m
 let get_mode v = v.get_mode ()
 let next_tag = Io_queue.next_tag
 let stats v = v.stats ()
-let plan_crash ?scatter v ~after_blocks = v.plan_crash ~after_blocks ~scatter
+let plan_crash ?(cut = Prefix) v ~after_blocks = v.plan_crash ~after_blocks ~cut
 let is_crashed v = v.is_crashed ()
 let reboot v = v.reboot ()
 

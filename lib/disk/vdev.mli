@@ -27,17 +27,21 @@
     transfers and settle at barriers ({!drain}, {!await}).
 
     Crash plumbing: a power cut is armed on a leaf {!Disk} (via
-    {!of_disk}) or on a {!Vdev_fault} layer, and once it fires every IO
-    to that device raises {!Crashed} until [reboot].  In [Direct] mode
-    the countdown burns at submit time, in submission order; in
-    [Queued] mode it burns as the leaf's elevator commits writes, so
-    the cut tears whichever write C-LOOK retires at that point.
-    {!Vdev_cache} forwards crash plumbing to its child.  The composites
+    {!of_disk}), directly or through a {!Vdev_fault} layer, which only
+    maps its crash mode to a {!cut}.  The leaf alone burns the countdown
+    and decides what the interrupted write leaves, as it commits writes:
+    at submit time in [Direct] mode, in C-LOOK order as the elevator
+    retires them in [Queued] mode.  Once the cut fires every IO to that
+    device raises {!Crashed} until [reboot].  {!Vdev_cache} and
+    {!Vdev_fault} forward crash plumbing to their child.  The composites
     {!Vdev_stripe} and {!Vdev_tier} keep no crash state: their
-    [plan_crash] raises [Invalid_argument], [is_crashed] reports
-    whether any child crashed and [reboot] reboots every child. *)
+    [plan_crash] raises [Invalid_argument], [is_crashed] reports whether
+    any child crashed and [reboot] reboots every child. *)
 
 type mode = Io_queue.mode = Direct | Queued of (unit -> float)
+
+type cut = Disk.cut = Prefix | Nothing | Subset of int
+(** What the write a power cut interrupts lands (see {!Disk.cut}). *)
 
 type t = {
   name : string;  (** for traces and error messages, e.g. ["disk"], ["stripe(4)"] *)
@@ -90,7 +94,7 @@ type t = {
   stats : unit -> Io_stats.t;
       (** Cumulative statistics of the device (a live view for single
           devices; an aggregated snapshot for composites). *)
-  plan_crash : after_blocks:int -> scatter:int option -> unit;
+  plan_crash : after_blocks:int -> cut:cut -> unit;
       (** As {!Disk.plan_crash}, for a leaf device *)
   is_crashed : unit -> bool;
   reboot : unit -> unit;
@@ -194,7 +198,10 @@ val next_tag : unit -> int
     reads to learn the tag range of every leaf transfer it submitted. *)
 
 val stats : t -> Io_stats.t
-val plan_crash : ?scatter:int -> t -> after_blocks:int -> unit
+
+val plan_crash : ?cut:cut -> t -> after_blocks:int -> unit
+(** [cut] defaults to [Prefix]. *)
+
 val is_crashed : t -> bool
 val reboot : t -> unit
 

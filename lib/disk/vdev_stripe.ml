@@ -124,7 +124,7 @@ let create ?name children =
     get_mode = (fun () -> Vdev.get_mode t.children.(0));
     stats = (fun () -> stats t);
     plan_crash =
-      (fun ~after_blocks:_ ~scatter:_ ->
+      (fun ~after_blocks:_ ~cut:_ ->
         invalid_arg
           (Printf.sprintf "%s: arm power cuts on a child device, not the stripe"
              name));

@@ -561,7 +561,7 @@ let vdev ?name t =
     get_mode = (fun () -> Vdev.get_mode t.fast);
     stats = (fun () -> stats t);
     plan_crash =
-      (fun ~after_blocks:_ ~scatter:_ ->
+      (fun ~after_blocks:_ ~cut:_ ->
         invalid_arg
           (Printf.sprintf
              "%s: arm power cuts on the fast or slow child, not the tier" name));

@@ -1,9 +1,11 @@
 module Prng = Lfs_util.Prng
 module Histogram = Lfs_util.Histogram
+module Config = Lfs_core.Config
+module Cleaner = Lfs_core.Cleaner
 
 type policy = {
-  selection : Config_sim.selection;
-  grouping : Config_sim.grouping;
+  selection : Config.cleaning_policy;
+  grouping : Config.grouping_policy;
 }
 
 type params = {
@@ -30,7 +32,7 @@ let default_params =
     blocks_per_seg = 256;
     utilization = 0.75;
     pattern = Access.Uniform;
-    policy = { selection = Config_sim.Greedy; grouping = Config_sim.In_order };
+    policy = { selection = Config.Greedy; grouping = Config.In_order };
     clean_low = 2;
     clean_high = 6;
     segs_per_pass = 4;
@@ -123,21 +125,21 @@ let candidates st =
   done;
   !acc
 
+(* The file system's policies, over the simulator's segments: a
+   segment's age is the time since its usage-table stamp. *)
 let select_victims st cands =
-  let score =
-    match st.p.policy.selection with
-    | Config_sim.Greedy -> fun seg -> -.seg_u st seg
-    | Config_sim.Cost_benefit ->
-        fun seg ->
-          let u = seg_u st seg in
-          if u = 0.0 then infinity
-          else
-            Config_sim.benefit_cost ~u
-              ~age:(Float.max 0.0 (st.now -. st.seg_youngest.(seg)))
+  let candidates =
+    List.map
+      (fun seg ->
+        {
+          Cleaner.seg;
+          u = seg_u st seg;
+          age = Float.max 0.0 (st.now -. st.seg_youngest.(seg));
+        })
+      cands
   in
-  let scored = List.map (fun seg -> (score seg, seg)) cands in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare b a) scored in
-  List.filteri (fun i _ -> i < st.p.segs_per_pass) (List.map snd sorted)
+  Cleaner.select ~policy:st.p.policy.selection ~candidates
+    ~count:st.p.segs_per_pass ()
 
 let cleaner_emit st (file, time) =
   if st.out_seg = -1 || st.out_off >= spseg st then begin
@@ -186,10 +188,8 @@ let clean st =
         push_free st seg)
       victims;
     let ordered =
-      match st.p.policy.grouping with
-      | Config_sim.In_order -> List.rev !live
-      | Config_sim.Age_sort ->
-          List.sort (fun (_, a) (_, b) -> compare a b) (List.rev !live)
+      Cleaner.order_for_grouping ~grouping:st.p.policy.grouping
+        (List.rev_map (fun ((_, time) as blk) -> (blk, st.now -. time)) !live)
     in
     List.iter (cleaner_emit st) ordered
   done

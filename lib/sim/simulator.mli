@@ -10,9 +10,14 @@
     the segment-utilisation distribution seen by the cleaner
     (Figures 4-7). *)
 
+(** The file system's cleaning policies ({!Lfs_core.Cleaner.select}
+    picks victims, {!Lfs_core.Cleaner.order_for_grouping} orders their
+    live blocks); a segment's age is the time since it was last
+    written, a block's the time since it was.  [Random_victim] is not
+    simulated: {!run} raises [Invalid_argument] for it. *)
 type policy = {
-  selection : Config_sim.selection;
-  grouping : Config_sim.grouping;
+  selection : Lfs_core.Config.cleaning_policy;
+  grouping : Lfs_core.Config.grouping_policy;
 }
 
 type params = {

@@ -91,12 +91,12 @@ let test_crash_tears_write () =
   Helpers.check_bytes "prefix persisted" (block 'A') (Disk.read_block d 0);
   Helpers.check_bytes "suffix lost" (block '\000') (Disk.read_block d 1)
 
-(* With a scatter seed the interrupted write lands as many blocks as
+(* With a [Subset] cut the interrupted write lands as many blocks as
    the countdown allows, but not necessarily its first ones. *)
 let test_crash_scatters_write () =
   let landed seed =
     let d = Disk.create wren in
-    Disk.plan_crash ~scatter:seed d ~after_blocks:3;
+    Disk.plan_crash ~cut:(Disk.Subset seed) d ~after_blocks:3;
     (match
        Disk.write_blocks d 0 (Bytes.concat Bytes.empty (List.init 8 (fun _ -> block 'S')))
      with
@@ -109,6 +109,43 @@ let test_crash_scatters_write () =
   List.iter (fun l -> Alcotest.(check int) "three blocks landed" 3 (List.length l)) subsets;
   Alcotest.(check bool) "not always the prefix" true
     (List.exists (fun l -> l <> [ 0; 1; 2 ]) subsets)
+
+(* A power cut has one engine: the leaf applies it as it commits, so
+   one write list leaves the same medium under Direct and under Queued,
+   in every crash mode at every cut.  Ascending addresses keep the
+   elevator's C-LOOK order equal to submission order. *)
+let test_cut_same_in_both_io_modes () =
+  let module Vdev = Lfs_disk.Vdev in
+  let module Vdev_fault = Lfs_disk.Vdev_fault in
+  let writes = [ (2, 1); (3, 4); (7, 2); (9, 5); (14, 1); (15, 3) ] in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 writes in
+  let medium ~queued mode cut =
+    let d = Disk.create (Geometry.instant ~blocks:32) in
+    let fault = Vdev_fault.create ~seed:7 (Vdev.of_disk d) in
+    let dev = Vdev_fault.vdev fault in
+    if queued then Vdev.set_mode dev (Vdev.Queued (fun () -> 0.0));
+    Vdev_fault.plan_crash fault ~mode ~after_blocks:cut ();
+    (match
+       List.iter
+         (fun (addr, n) ->
+           Vdev.write_blocks dev addr (Helpers.bytes_of_pattern ~seed:addr (n * 4096)))
+         writes;
+       Vdev.drain dev
+     with
+    | _ -> Alcotest.failf "cut %d never fired" cut
+    | exception Vdev.Crashed -> ());
+    Vdev_fault.reboot fault;
+    Vdev.set_mode dev Vdev.Direct;
+    List.init 32 (fun a -> Digest.to_hex (Digest.bytes (Disk.read_block d a)))
+  in
+  List.iter
+    (fun mode ->
+      for cut = 0 to total do
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s cut %d: block digests" (Vdev_fault.mode_name mode) cut)
+          (medium ~queued:false mode cut) (medium ~queued:true mode cut)
+      done)
+    [ Vdev_fault.Torn; Dropped; Reordered ]
 
 let test_crash_blocks_io_until_reboot () =
   let d = Disk.create wren in
@@ -890,6 +927,7 @@ let suite =
       Alcotest.test_case "stats diff" `Quick test_stats_diff;
       Alcotest.test_case "crash tears write" `Quick test_crash_tears_write;
       Alcotest.test_case "scattered crash lands a subset" `Quick test_crash_scatters_write;
+      Alcotest.test_case "cut same in both IO modes" `Quick test_cut_same_in_both_io_modes;
       Alcotest.test_case "crash blocks io" `Quick test_crash_blocks_io_until_reboot;
       Alcotest.test_case "snapshot restore" `Quick test_snapshot_restore;
       Alcotest.test_case "snapshot independent" `Quick test_snapshot_independent;

@@ -576,8 +576,8 @@ let test_digest_remove_then_rename () =
       ]
   in
   Alcotest.(check (list string)) "log order"
-    (List.map (Fmt.to_to_string Dir_log.pp_record) [ add "src" 7; remove "dst" 6; rename ])
-    (List.map (fun o -> Fmt.to_to_string Dir_log.pp_record o.Recovery.op) d.Recovery.dirops);
+    (List.map (Format.asprintf "%a" Dir_log.pp_record) [ add "src" 7; remove "dst" 6; rename ])
+    (List.map (fun o -> Format.asprintf "%a" Dir_log.pp_record o.Recovery.op) d.Recovery.dirops);
   Alcotest.(check (list (pair bool bool))) "no reuse, nothing stale"
     [ (false, false); (false, false); (false, false) ]
     (facts d)

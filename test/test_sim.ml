@@ -3,7 +3,7 @@
 
 module Sim = Lfs_sim.Simulator
 module Access = Lfs_sim.Access
-module Csim = Lfs_sim.Config_sim
+module Config = Lfs_core.Config
 module Wc = Lfs_sim.Write_cost
 module Prng = Lfs_util.Prng
 
@@ -88,11 +88,11 @@ let test_sim_cost_benefit_beats_greedy_hot_cold () =
     }
   in
   let greedy =
-    Sim.run { base with policy = { selection = Csim.Greedy; grouping = Csim.Age_sort } }
+    Sim.run { base with policy = { selection = Config.Greedy; grouping = Config.Age_sort } }
   in
   let cb =
     Sim.run
-      { base with policy = { selection = Csim.Cost_benefit; grouping = Csim.Age_sort } }
+      { base with policy = { selection = Config.Cost_benefit; grouping = Config.Age_sort } }
   in
   Alcotest.(check bool)
     (Printf.sprintf "cost-benefit (%.2f) < greedy (%.2f)" cb.Sim.write_cost
