@@ -65,12 +65,14 @@ ci:
 	  done; \
 	  cmp ci-serve-a.json ci-serve-b.json; \
 	done
-	# Crash consistency over the product: a device-level crash sweep and
-	# a model refinement check with io-depth 4 in flight, each gated on
-	# zero divergences; the refinement report must also be
-	# byte-identical for equal seeds.
+	# Crash consistency over the product: device-level crash sweeps (the
+	# script workload every 7th cut, the smallfile workload, roll-forward's
+	# many-small-files shape, at every cut) and a model refinement check
+	# with io-depth 4 in flight, each gated on zero divergences; the
+	# refinement report must also be byte-identical for equal seeds.
 	set -e; for fs in $(PRODUCT); do \
 	  $(LFS_TOOL) crashtest --fs $$fs --workload script --stride 7 --seed 1; \
+	  $(LFS_TOOL) crashtest --fs $$fs --workload smallfile --stride 1 --seed 1; \
 	  for run in a b; do \
 	    $(LFS_TOOL) modelcheck --fs $$fs --seqs 3 --stride 5 --seed 1 \
 	      --json > ci-model-$$run.json; \

@@ -17,6 +17,12 @@ type stat = {
   st_version : int;
 }
 
+type recovery_phase = {
+  phase : string;
+  disk_s : float;
+  reads : int;
+}
+
 type recovery_report = {
   writes_replayed : int;
   inodes_recovered : int;
@@ -24,6 +30,7 @@ type recovery_report = {
   dirops_applied : int;
   segments_scanned : int;
   blocks_verified : int;
+  phases : recovery_phase list;
 }
 
 let root = Types.root_ino
@@ -247,6 +254,7 @@ let new_inode t ~ftype =
     { inode; fmap = Filemap.create_empty t.layout inode; content };
   mark_dirty t ino;
   Inode_map.set_location t.imap ino placeholder_iaddr;
+  Inode_map.set_ftype t.imap ino ftype;
   ino
 
 let create_node t ~dir name ~ftype =
@@ -403,9 +411,11 @@ let format disk cfg =
   checkpoint t
 
 let mount ?config ?metrics ?tier disk =
-  fst
-    (open_volume ~caller:"Fs.mount" ~roll_forward:false ?config ?metrics ?tier
-       disk)
+  let t, _, _ =
+    open_volume ~caller:"Fs.mount" ~roll_forward:false ?config ?metrics ?tier
+      disk
+  in
+  t
 
 let unmount t = checkpoint t
 
@@ -416,8 +426,10 @@ let unmount t = checkpoint t
    old one did not comes alive.  A block it maps from the window carries
    its version, which a free or truncation since the checkpoint may have
    bumped: without it the cleaner would take the inode's live blocks
-   for dead. *)
-let reaccount_inode t ~versions (ino, new_iaddr) =
+   for dead.  The new copy's handle is built from the copy the scan
+   decoded ([latest]), so its block is not read again; the type word
+   follows it. *)
+let reaccount_inode t ~versions ~latest (ino, new_iaddr) =
   let bs = block_size t in
   let old_iaddr = Inode_map.location t.imap ino in
   let old_map = Hashtbl.create 64 in
@@ -434,8 +446,9 @@ let reaccount_inode t ~versions (ino, new_iaddr) =
            (Filemap.indirect_blocks old_fmap));
   kill_inode t old_iaddr;
   Inode_map.set_location t.imap ino new_iaddr;
-  let h = load_handle t ino in
+  let h = handle_of_inode t (Hashtbl.find latest ino) in
   Hashtbl.replace t.handles ino h;
+  Inode_map.set_ftype t.imap ino h.inode.Inode.ftype;
   (let carried = ref None in
    let note a =
      if !carried = None then carried := Hashtbl.find_opt versions a
@@ -546,13 +559,21 @@ let replay_dirops t dirops =
    inside the recovery window, so its [Add] was skipped.  Walk the
    surviving namespace and delete every allocated inode nothing
    references; anything else would fail fsck's reachability and nlink
-   accounting forever after. *)
+   accounting forever after.  The walk descends only into directories,
+   and the inode map's type word says which entries are: an inode is
+   loaded only for a directory, or where the word is unknown, so the
+   files the log since the checkpoint does not name stay on disk. *)
 let drop_orphans t =
   let reachable = Hashtbl.create 64 in
+  let is_dir ino =
+    match Inode_map.ftype t.imap ino with
+    | Some ftype -> ftype = Types.Directory
+    | None -> (get_handle t ino).inode.Inode.ftype = Types.Directory
+  in
   let rec mark ino =
     if not (Hashtbl.mem reachable ino) then begin
       Hashtbl.replace reachable ino ();
-      if (get_handle t ino).inode.Inode.ftype = Types.Directory then
+      if is_dir ino then
         List.iter (fun (_, child) -> mark child) (readdir t ino)
     end
   in
@@ -563,16 +584,36 @@ let drop_orphans t =
   List.iter (delete_file t) !orphans
 
 let recover ?config ?metrics ?tier disk =
-  let t, scan =
+  let t, scan, opened =
     open_volume ~caller:"Fs.recover" ~roll_forward:true ?config ?metrics ?tier
       disk
   in
   let d = Recovery.digest t.layout scan.Recovery.writes in
-  List.iter (reaccount_inode t ~versions:d.Recovery.versions) d.Recovery.inodes;
-  replay_dirops t d.Recovery.dirops;
-  drop_orphans t;
+  let phase name f = (name, snd (with_io t.disk f)) in
+  let reaccount =
+    phase "reaccount" (fun () ->
+        List.iter
+          (reaccount_inode t ~versions:d.Recovery.versions
+             ~latest:scan.Recovery.latest_inodes)
+          d.Recovery.inodes)
+  in
+  let replay =
+    phase "replay" (fun () ->
+        replay_dirops t d.Recovery.dirops;
+        drop_orphans t)
+  in
   refresh_pool t;
-  checkpoint t;
+  let closing = phase "checkpoint" (fun () -> checkpoint t) in
+  let phases =
+    List.map
+      (fun (phase, (io : Io_stats.t)) ->
+        {
+          phase;
+          disk_s = io.Io_stats.busy_s;
+          reads = io.Io_stats.reads;
+        })
+      (opened @ [ reaccount; replay; closing ])
+  in
   ( t,
     {
       writes_replayed = List.length scan.Recovery.writes;
@@ -581,6 +622,7 @@ let recover ?config ?metrics ?tier disk =
       dirops_applied = List.length d.Recovery.dirops;
       segments_scanned = scan.Recovery.segments_scanned;
       blocks_verified = scan.Recovery.blocks_verified;
+      phases;
     } )
 
 (* {1 Introspection} *)
@@ -655,6 +697,7 @@ let cached_inos t = Hashtbl.fold (fun ino _ acc -> ino :: acc) t.handles []
 let dirty_inos t = Ino_set.elements t.dirty_inos
 
 let imap_location t ino = Inode_map.location t.imap ino
+let imap_ftype t ino = Inode_map.ftype t.imap ino
 let imap_block_addr t i = Inode_map.block_addr t.imap i
 
 let usage_block_addrs t =

@@ -45,6 +45,18 @@ val mount :
     regimes and tier verification in {!Fsck}.  Raises {!Types.Corrupt}
     if no valid checkpoint. *)
 
+type recovery_phase = {
+  phase : string;
+      (** ["scan"]: the log scan ({!Recovery.scan}); ["tables"]: the
+          inode map and usage table loads; ["reaccount"]: incorporating
+          the recovered inodes; ["replay"]: the directory-log replay and
+          the orphan sweep; ["checkpoint"]: the closing checkpoint *)
+  disk_s : float;  (** modelled device busy time *)
+  reads : int;  (** read operations *)
+}
+(** One phase of a roll-forward, from the device's {!Lfs_disk.Io_stats}
+    around it. *)
+
 type recovery_report = {
   writes_replayed : int;
   inodes_recovered : int;
@@ -52,9 +64,11 @@ type recovery_report = {
   dirops_applied : int;
   segments_scanned : int;
   blocks_verified : int;
-      (** payload blocks roll-forward read and checksummed: those of the
-          writes at or above the durability watermark, up to and
-          including a torn one *)
+      (** payload blocks roll-forward actually read and checksummed, of
+          the writes at or above the durability watermark up to and
+          including a torn one: a torn write whose last block fails its
+          summary's [tail_sum] counts that one block *)
+  phases : recovery_phase list;  (** the five phases, in order *)
 }
 
 val recover :
@@ -241,6 +255,10 @@ val dirty_inos : t -> Types.ino list
     on-disk copy. *)
 
 val imap_location : t -> Types.ino -> Types.Iaddr.t
+
+val imap_ftype : t -> Types.ino -> Types.ftype option
+(** The inode map's type word for the ino ({!Inode_map.ftype}). *)
+
 val imap_block_addr : t -> int -> Types.baddr
 val usage_block_addrs : t -> Types.baddr list
 val segment_live_bytes : t -> int -> int

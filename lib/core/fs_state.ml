@@ -296,6 +296,12 @@ let decode_inode t iaddr =
   with_block t (Types.Iaddr.block iaddr) (fun b ->
       Inode.decode b ~slot:(Types.Iaddr.slot iaddr))
 
+(* A handle over a decoded inode: its block map loaded, no directory
+   contents yet. *)
+let handle_of_inode t inode =
+  let fmap = Filemap.load ~with_block:(with_block t) t.layout inode in
+  { inode; fmap; content = None }
+
 let load_handle t ino =
   let iaddr = Inode_map.location t.imap ino in
   if Types.Iaddr.is_nil iaddr then Types.fs_error "no such inode %d" ino;
@@ -306,8 +312,7 @@ let load_handle t ino =
   | Some inode ->
       if inode.Inode.ino <> ino then
         Types.corrupt "inode %d: slot holds inode %d" ino inode.Inode.ino;
-      let fmap = Filemap.load ~with_block:(with_block t) t.layout inode in
-      { inode; fmap; content = None }
+      handle_of_inode t inode
 
 let get_handle t ino =
   match Hashtbl.find_opt t.handles ino with
@@ -676,13 +681,21 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
   refresh_pool t;
   t
 
+(* [f ()], and the activity it caused on [disk]. *)
+let with_io disk f =
+  let before = Io_stats.copy (Vdev.stats disk) in
+  let x = f () in
+  (x, Io_stats.diff (Vdev.stats disk) before)
+
 (* The one way onto a formatted volume, for [mount] and [recover]:
    superblock, geometry guard, newest checkpoint region, then where the
    heads stand — at the checkpoint, or past it with [roll_forward], whose
    scan reads the log before the tables load — then the inode map and
    usage table.  Segments holding post-checkpoint writes look clean in
    the checkpoint's usage table but contain the data being recovered;
-   they stay out of the pool until the adjusted table says so. *)
+   they stay out of the pool until the adjusted table says so.  Also
+   returns the device activity of the scan and of the table loads, by
+   phase name. *)
 let open_volume ~caller ~roll_forward ?config ?metrics ?tier disk =
   let sb = Superblock.load disk in
   let layout = sb.Superblock.layout in
@@ -696,24 +709,27 @@ let open_volume ~caller ~roll_forward ?config ?metrics ?tier disk =
   match Checkpoint.read_latest layout disk with
   | None -> Types.corrupt "no valid checkpoint region: not a formatted LFS"
   | Some (region, ck) ->
-      let log =
-        if roll_forward then Recovery.scan layout disk ~ckpt:ck
-        else
-          {
-            Recovery.writes = [];
-            tails = ck.Checkpoint.heads;
-            next_seq = ck.Checkpoint.log_seq;
-            segments_scanned = 0;
-            watermark = ck.Checkpoint.log_seq;
-            blocks_verified = 0;
-          }
+      let log, scan_io =
+        with_io disk (fun () ->
+            if roll_forward then Recovery.scan layout disk ~ckpt:ck
+            else
+              {
+                Recovery.writes = [];
+                latest_inodes = Hashtbl.create 1;
+                tails = ck.Checkpoint.heads;
+                next_seq = ck.Checkpoint.log_seq;
+                segments_scanned = 0;
+                watermark = ck.Checkpoint.log_seq;
+                blocks_verified = 0;
+              })
       in
-      let read = Vdev.read_block disk in
-      let imap =
-        Inode_map.load layout ~read ~block_addrs:ck.Checkpoint.imap_addrs
-      in
-      let usage =
-        Seg_usage.load layout ~read ~block_addrs:ck.Checkpoint.usage_addrs
+      let read = Vdev.read_blocks disk in
+      let (imap, usage), tables_io =
+        with_io disk (fun () ->
+            let imap =
+              Inode_map.load layout ~read ~block_addrs:ck.Checkpoint.imap_addrs
+            in
+            (imap, Seg_usage.load layout ~read ~block_addrs:ck.Checkpoint.usage_addrs))
       in
       let newest_ts =
         List.fold_left
@@ -730,4 +746,4 @@ let open_volume ~caller ~roll_forward ?config ?metrics ?tier disk =
         (fun w -> Hashtbl.replace touched w.Recovery.summary.Summary.seg ())
         log.Recovery.writes;
       Seg_pool.withhold t.pool (Hashtbl.mem touched);
-      (t, log)
+      (t, log, [ ("scan", scan_io); ("tables", tables_io) ])

@@ -44,6 +44,17 @@ let check fs =
       (match inode.Inode.ftype with
       | Types.Regular -> incr files
       | Types.Directory -> incr directories);
+      (* Roll-forward's orphan sweep trusts a known type word: a
+         directory the map calls regular would lose its subtree. *)
+      (match Fs.imap_ftype fs ino with
+      | Some ftype when ftype <> inode.Inode.ftype ->
+          let name = function
+            | Types.Regular -> "regular"
+            | Types.Directory -> "directory"
+          in
+          error "inode %d: inode map's type word says %s, inode says %s" ino
+            (name ftype) (name inode.Inode.ftype)
+      | Some _ | None -> ());
       let iaddr = Fs.imap_location fs ino in
       claim (Types.Iaddr.block iaddr) ~bytes:layout.Layout.inode_size
         (Printf.sprintf "inode %d" ino);
@@ -85,7 +96,10 @@ let check fs =
      previous life fail its self-identification test or, here, a
      sequence floor, and end the walk), and each write stores an
      Adler-32 over its payload blocks.  A live block whose covering
-     write fails its checksum has rotted or was torn; a live block no
+     write fails its checksum has rotted or was torn.  A write whose
+     payload matches but whose last block does not match a nonzero
+     [tail_sum] has a lying summary: roll-forward would cut the log
+     there.  A live block no
      chain reaches means the summary chain itself was truncated or
      corrupted.  Structural checks above can all pass in both cases —
      the block pointers are fine, the bytes are not. *)
@@ -101,7 +115,16 @@ let check fs =
         && begin
              last_seq := s.Summary.seq;
              let n = List.length s.Summary.entries in
-             let ok = Recovery.payload_intact r s in
+             let ok =
+               match Recovery.check_payload r s with
+               | Recovery.Intact -> true
+               | Recovery.Torn -> false
+               | Recovery.Bad_tail_sum ->
+                   error "segment %d slot %d: write %d's last block does not \
+                          match its summary's tail_sum"
+                     seg s.Summary.slot s.Summary.seq;
+                   true
+             in
              for i = 0 to n - 1 do
                Hashtbl.replace covered (first + s.Summary.slot + 1 + i) ok
              done;

@@ -62,8 +62,8 @@ let decode_ino ?(pos = 0) b ~slot =
     Some (Codec.get_u32 c)
   end
 
-let decode b ~slot =
-  let c = Codec.at b (slot * slot_size) in
+let decode ?(pos = 0) b ~slot =
+  let c = Codec.at b (pos + (slot * slot_size)) in
   if not (slot_used c ~slot) then None
   else begin
     let ftype = Types.ftype_of_int (Codec.get_u8 c) in

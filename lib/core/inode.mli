@@ -39,8 +39,9 @@ val encode : ?pos:int -> t -> bytes -> slot:int -> unit
     block the caller zeroed first (the log writer's inode blocks are
     rendered that way, straight into its transfer buffer). *)
 
-val decode : bytes -> slot:int -> t option
-(** Read back slot [slot]; [None] if the slot is unused.  Raises
+val decode : ?pos:int -> bytes -> slot:int -> t option
+(** Read back slot [slot] of the inode block at byte [pos] (default 0)
+    of the buffer; [None] if the slot is unused.  Raises
     {!Types.Corrupt} on a bad magic. *)
 
 val decode_ino : ?pos:int -> bytes -> slot:int -> Types.ino option

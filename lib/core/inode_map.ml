@@ -4,6 +4,7 @@ type t = {
   layout : Layout.t;
   locations : int array;   (* Iaddr.to_int; -1 = free *)
   versions : int array;
+  ftypes : Bytes.t;        (* type word per ino: 0 unknown, 1 file, 2 dir *)
   atimes : float array;
   block_addrs : int array; (* map-block index -> current log address *)
   dirty : bool array;      (* per map block *)
@@ -18,6 +19,7 @@ let create layout =
     layout;
     locations = Array.make n (Types.Iaddr.to_int Types.Iaddr.nil);
     versions = Array.make n 0;
+    ftypes = Bytes.make n '\000';
     atimes = Array.make n 0.0;
     block_addrs = Array.make layout.Layout.imap_blocks Types.nil_addr;
     dirty = Array.make layout.Layout.imap_blocks true;
@@ -42,6 +44,13 @@ let atime t ino =
   check_ino t ino;
   t.atimes.(ino)
 
+let ftype t ino =
+  check_ino t ino;
+  match Bytes.get t.ftypes ino with
+  | '\001' -> Some Types.Regular
+  | '\002' -> Some Types.Directory
+  | _ -> None
+
 let is_allocated t ino = not (Types.Iaddr.is_nil (location t ino))
 
 let block_of_ino t ino = ino / entries_per_block t
@@ -53,6 +62,12 @@ let mark_ino_dirty t ino = mark_block_dirty t (block_of_ino t ino)
 let set_location t ino iaddr =
   check_ino t ino;
   t.locations.(ino) <- Types.Iaddr.to_int iaddr;
+  mark_ino_dirty t ino
+
+let set_ftype t ino ftype =
+  check_ino t ino;
+  Bytes.set t.ftypes ino
+    (match ftype with Types.Regular -> '\001' | Types.Directory -> '\002');
   mark_ino_dirty t ino
 
 let set_atime t ino time =
@@ -78,6 +93,7 @@ let free t ino =
   check_ino t ino;
   t.locations.(ino) <- Types.Iaddr.to_int Types.Iaddr.nil;
   t.versions.(ino) <- t.versions.(ino) + 1;
+  Bytes.set t.ftypes ino '\000';
   if ino < t.alloc_hint then t.alloc_hint <- ino;
   mark_ino_dirty t ino
 
@@ -110,18 +126,20 @@ let encode_block_into t i b ~pos =
   for ino = lo to hi - 1 do
     Codec.put_int c t.locations.(ino);
     Codec.put_u32 c t.versions.(ino);
-    Codec.put_u32 c 0;
+    Codec.put_u32 c (Char.code (Bytes.get t.ftypes ino));
     Codec.put_float c t.atimes.(ino)
   done
 
-let decode_block t i b =
-  let c = Codec.reader b in
+let decode_block t i b ~pos =
+  let c = Codec.at b pos in
   let lo = i * entries_per_block t in
   let hi = min (lo + entries_per_block t) (max_inodes t) in
   for ino = lo to hi - 1 do
     t.locations.(ino) <- Codec.get_int c;
     t.versions.(ino) <- Codec.get_u32 c;
-    ignore (Codec.get_u32 c);
+    (* A word this map does not know reads as unknown. *)
+    let w = Codec.get_u32 c in
+    Bytes.set t.ftypes ino (if w <= 2 then Char.chr w else '\000');
     t.atimes.(ino) <- Codec.get_float c
   done
 
@@ -130,12 +148,9 @@ let load layout ~read ~block_addrs =
     Types.corrupt "inode map: checkpoint has %d block addresses, layout wants %d"
       (Array.length block_addrs) layout.Layout.imap_blocks;
   let t = create layout in
-  Array.iteri
-    (fun i addr ->
-      t.block_addrs.(i) <- addr;
-      if addr <> Types.nil_addr then decode_block t i (read addr);
-      t.dirty.(i) <- false)
-    block_addrs;
+  Array.blit block_addrs 0 t.block_addrs 0 (Array.length block_addrs);
+  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  Layout.read_runs layout ~read block_addrs (decode_block t);
   t
 
 let iter_allocated t f =

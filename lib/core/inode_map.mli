@@ -6,6 +6,12 @@
     the unique identifier the cleaner uses to discard dead blocks without
     reading inodes), and the time of last access.
 
+    Each entry also carries a type word: 0 unknown, 1 regular file, 2
+    directory.  It lets roll-forward's orphan sweep walk the namespace
+    without loading the inode of every file in it.  The word sits in
+    what was an unused u32 of the entry, written 0 before it existed,
+    so a map from such an image reads every type as unknown.
+
     The map is divided into blocks written to the log; the checkpoint
     region records every block's address.  The whole map is kept in
     memory ("inode maps are compact enough to keep the active portions
@@ -17,8 +23,12 @@ val create : Layout.t -> t
 (** Fresh map: every inode free, all versions 0, all blocks dirty. *)
 
 val load :
-  Layout.t -> read:(Types.baddr -> bytes) -> block_addrs:Types.baddr array -> t
-(** Rebuild from the blocks recorded in a checkpoint. *)
+  Layout.t ->
+  read:(Types.baddr -> int -> bytes) ->
+  block_addrs:Types.baddr array ->
+  t
+(** Rebuild from the blocks recorded in a checkpoint, reading each run of
+    adjacent blocks with one [read addr n] ({!Layout.read_runs}). *)
 
 val max_inodes : t -> int
 
@@ -30,6 +40,14 @@ val atime : t -> Types.ino -> float
 
 val is_allocated : t -> Types.ino -> bool
 
+val ftype : t -> Types.ino -> Types.ftype option
+(** The entry's type word; [None] when it is 0 (unknown). *)
+
+val set_ftype : t -> Types.ino -> Types.ftype -> unit
+(** Set the type word.  Every allocated inode's word must match its
+    inode's [ftype] or be unknown: the orphan sweep trusts a known
+    word, and {!Fsck} checks it. *)
+
 val set_location : t -> Types.ino -> Types.Iaddr.t -> unit
 val set_atime : t -> Types.ino -> float -> unit
 
@@ -39,8 +57,9 @@ val allocate : t -> Types.ino
     remains free until {!set_location} is called. *)
 
 val free : t -> Types.ino -> unit
-(** Release the inode: location becomes nil and the version is bumped,
-    invalidating the uid of every block the file owned. *)
+(** Release the inode: location becomes nil, the type word unknown, and
+    the version is bumped, invalidating the uid of every block the file
+    owned. *)
 
 val bump_version : t -> Types.ino -> unit
 (** Version bump without freeing (truncate to length zero). *)

@@ -75,3 +75,21 @@ let pp ppf t =
     "layout: %d segs x %d blk (start %d), ckpt %d+%d blk @ %d/%d, imap %d blk, usage %d blk"
     t.nsegs t.seg_blocks t.seg_start t.ckpt_blocks t.ckpt_blocks t.ckpt_a
     t.ckpt_b t.imap_blocks t.usage_blocks
+
+let read_runs t ~read addrs f =
+  let n = Array.length addrs in
+  let i = ref 0 in
+  while !i < n do
+    if addrs.(!i) = Types.nil_addr then incr i
+    else begin
+      let first = !i in
+      incr i;
+      while !i < n && addrs.(!i) = addrs.(!i - 1) + 1 do
+        incr i
+      done;
+      let b = read addrs.(first) (!i - first) in
+      for k = first to !i - 1 do
+        f k b ~pos:((k - first) * t.block_size)
+      done
+    end
+  done

@@ -41,4 +41,17 @@ val seg_of_block : t -> int -> int
 val max_file_blocks : t -> int
 (** Largest file representable: 10 direct + single + double indirect. *)
 
+val read_runs :
+  t ->
+  read:(int -> int -> bytes) ->
+  int array ->
+  (int -> bytes -> pos:int -> unit) ->
+  unit
+(** [read_runs l ~read addrs f] loads a table ({!Inode_map},
+    {!Seg_usage}) whose block [i] sits at [addrs.(i)]: nil addresses
+    are skipped, and each run of table blocks [i, i + 1, ...] at
+    adjacent addresses is read with one [read addr n] (the [n] blocks
+    from [addr]), in table order.  [f i b ~pos] then decodes table block
+    [i] from byte [pos] of its run's buffer. *)
+
 val pp : Format.formatter -> t -> unit

@@ -148,7 +148,7 @@ let sync_head t i =
     let buf = Lfs_util.Buf_pool.Scratch.take t.xfer len in
     let addr = Layout.seg_first_block t.layout h.cur_seg + h.batch_slot in
     let first = addr + 1 - t.layout.Layout.seg_start in
-    let payload_sum = ref 1 in
+    let payload_sum = ref 1 and tail_sum = ref 0 in
     List.iteri
       (fun k p ->
         let dst = (k + 1) * bs in
@@ -158,6 +158,7 @@ let sync_head t i =
           else Summary.payload_checksum ~pos:dst ~len:bs buf
         in
         t.sums.(first + k) <- sum;
+        tail_sum := sum;
         payload_sum := Lfs_util.Checksum.combine !payload_sum sum ~len2:bs)
       pendings;
     let entries =
@@ -181,6 +182,7 @@ let sync_head t i =
         timestamp = h.timestamp;
         payload_sum = !payload_sum;
         durable_below = !watermark_hook (durable_below t);
+        tail_sum = !tail_sum;
         entries;
       }
     in

@@ -1,12 +1,14 @@
 module Vdev = Lfs_disk.Vdev
 module Io_queue = Lfs_disk.Io_queue
 module Scratch = Lfs_util.Buf_pool.Scratch
+module Checksum = Lfs_util.Checksum
 
 type decoded = Inodes of (int * Types.ino) list | Records of Dir_log.record list
 type write = { summary : Summary.t; decoded : (int * decoded) list }
 
 type result = {
   writes : write list;
+  latest_inodes : (Types.ino, Inode.t) Hashtbl.t;
   tails : Log_writer.position array;
   next_seq : int;
   segments_scanned : int;
@@ -31,44 +33,85 @@ let read_block r addr =
   ignore (Vdev.submit_read_into r.dev addr 1 r.block ~pos:0 : Io_queue.ticket);
   r.block
 
+(* Payload blocks [first, first + n) of the write into [b] at byte
+   [pos]. *)
+let read_into r s ~first ~n b ~pos =
+  if n > 0 then
+    ignore
+      (Vdev.submit_read_into r.dev (Summary.entry_addr s r.layout first) n b ~pos
+        : Io_queue.ticket)
+
 (* Payload blocks [first, first + n) of the write into the payload
    buffer, block [first] at byte 0; the caller gives the buffer back. *)
 let read_payload r s ~first ~n =
   let b = Scratch.take r.payload (n * r.layout.Layout.block_size) in
-  ignore
-    (Vdev.submit_read_into r.dev (Summary.entry_addr s r.layout first) n b
-       ~pos:0
-      : Io_queue.ticket);
+  read_into r s ~first ~n b ~pos:0;
   b
 
-(* The write's whole payload, and whether it matches [payload_sum]. *)
-let whole_payload r (s : Summary.t) =
+type payload_check = Intact | Torn | Bad_tail_sum
+
+let check_payload r (s : Summary.t) =
+  let bs = r.layout.Layout.block_size in
   let n = List.length s.Summary.entries in
   let b = read_payload r s ~first:0 ~n in
-  let sum = Summary.payload_checksum ~len:(n * r.layout.Layout.block_size) b in
-  (b, sum = s.Summary.payload_sum)
-
-let payload_intact r s =
-  let _, intact = whole_payload r s in
+  let check =
+    if Summary.payload_checksum ~len:(n * bs) b <> s.Summary.payload_sum then Torn
+    else if
+      s.Summary.tail_sum <> 0 && n > 0
+      && Summary.payload_checksum ~pos:((n - 1) * bs) ~len:bs b <> s.Summary.tail_sum
+    then Bad_tail_sum
+    else Intact
+  in
   Scratch.give r.payload;
-  intact
+  check
+
+(* Verify a write at or above the watermark, reading each payload block
+   once.  With a [tail_sum] its last block is read first: a torn write
+   seldom lands its tail, so one block read proves most torn writes
+   torn.  On a match the rest is read into the same buffer and the
+   tail's sum folded in, so a write is accepted only on its whole
+   payload's checksum, as without one.  The whole payload is in the
+   returned buffer when it verifies; the caller gives the buffer back.
+   [verified] counts the blocks checksummed. *)
+let verified_payload r (s : Summary.t) ~verified =
+  let bs = r.layout.Layout.block_size in
+  let n = List.length s.Summary.entries in
+  let b = Scratch.take r.payload (n * bs) in
+  let sum_of ~first ~k =
+    read_into r s ~first ~n:k b ~pos:(first * bs);
+    verified := !verified + k;
+    Summary.payload_checksum ~pos:(first * bs) ~len:(k * bs) b
+  in
+  let sum =
+    if s.Summary.tail_sum = 0 || n = 0 then Some (sum_of ~first:0 ~k:n)
+    else
+      let tail = sum_of ~first:(n - 1) ~k:1 in
+      if tail <> s.Summary.tail_sum then None
+      else Some (Checksum.combine (sum_of ~first:0 ~k:(n - 1)) tail ~len2:bs)
+  in
+  if sum = Some s.Summary.payload_sum then Some b else None
 
 (* Recovery reprocesses inodes and directory-log records; data blocks
    stay where they are and are only referenced by address.  So of each
    write the scan keeps only what the digest uses of its inode and
    dir-log blocks: the ino in each occupied inode slot, and the decoded
    records.  [decode_entry] takes them from the block at byte [pos] of
-   [b]. *)
-let decode_entry r (e : Summary.entry) b ~pos =
+   [b].  Each decoded inode also replaces its ino's copy in [latest]:
+   the writes are decoded in log order, so [latest] ends with every
+   ino's latest copy, which {!Fs.recover} takes instead of reading the
+   block again. *)
+let decode_entry r ~latest (e : Summary.entry) b ~pos =
   match e.Summary.kind with
   | Types.Inode_block ->
       let slots = ref [] in
-      for slot = r.layout.Layout.inodes_per_block - 1 downto 0 do
-        match Inode.decode_ino ~pos b ~slot with
-        | Some ino -> slots := (slot, ino) :: !slots
+      for slot = 0 to r.layout.Layout.inodes_per_block - 1 do
+        match Inode.decode ~pos b ~slot with
+        | Some inode ->
+            Hashtbl.replace latest inode.Inode.ino inode;
+            slots := (slot, inode.Inode.ino) :: !slots
         | None -> ()
       done;
-      Some (Inodes !slots)
+      Some (Inodes (List.rev !slots))
   | Types.Dir_log -> Some (Records (Dir_log.decode_block ~pos b))
   | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap
   | Types.Seg_usage | Types.Summary ->
@@ -82,10 +125,11 @@ let is_metadata (e : Summary.entry) =
       false
 
 (* The decoded inode and dir-log blocks of a write, in entry order.
-   With [whole] its whole payload is already in [buf] (it was just
-   verified); otherwise each run of adjacent inode and dir-log
-   blocks is read there in one read, and no data block is read. *)
-let decode_payloads r s ~whole buf =
+   With [whole] its whole payload is already in that buffer (it was
+   just verified); otherwise each run of adjacent inode and dir-log
+   blocks is read into the payload buffer in one read, and no data
+   block is read. *)
+let decode_payloads r ~latest s ~whole =
   let bs = r.layout.Layout.block_size in
   let es = Array.of_list s.Summary.entries in
   let n = Array.length es in
@@ -99,12 +143,14 @@ let decode_payloads r s ~whole buf =
         incr i
       done;
       let b, base =
-        if whole then (buf, 0) else (read_payload r s ~first ~n:(!i - first), first)
+        match whole with
+        | Some buf -> (buf, 0)
+        | None -> (read_payload r s ~first ~n:(!i - first), first)
       in
       for k = first to !i - 1 do
         Option.iter
           (fun d -> decoded := (k, d) :: !decoded)
-          (decode_entry r es.(k) b ~pos:((k - base) * bs))
+          (decode_entry r ~latest es.(k) b ~pos:((k - base) * bs))
       done
     end
   done;
@@ -185,16 +231,22 @@ let scan layout disk ~ckpt =
      payloads, in another head's chain, that never made it.  So that
      sequence number is a global [cutoff]. *)
   let verified = ref 0 in
+  let latest = Hashtbl.create 64 in
   let rec roll acc = function
     | [] -> (List.rev acc, max_int)
-    | (s : Summary.t) :: rest ->
-        let check = s.Summary.seq >= watermark in
-        if check then verified := !verified + List.length s.Summary.entries;
-        let whole, intact = if check then whole_payload r s else (Bytes.empty, true) in
-        let decoded = if intact then decode_payloads r s ~whole:check whole else [] in
+    | (s : Summary.t) :: rest -> (
+        let decoded =
+          if s.Summary.seq < watermark then
+            Some (decode_payloads r ~latest s ~whole:None)
+          else
+            Option.map
+              (fun b -> decode_payloads r ~latest s ~whole:(Some b))
+              (verified_payload r s ~verified)
+        in
         Scratch.give r.payload;
-        if not intact then (List.rev acc, s.Summary.seq)
-        else roll ({ summary = s; decoded } :: acc) rest
+        match decoded with
+        | None -> (List.rev acc, s.Summary.seq)
+        | Some decoded -> roll ({ summary = s; decoded } :: acc) rest)
   in
   let writes, cutoff =
     Array.to_list chains
@@ -228,6 +280,7 @@ let scan layout disk ~ckpt =
   in
   {
     writes;
+    latest_inodes = latest;
     tails;
     next_seq;
     segments_scanned =

@@ -19,9 +19,14 @@
     the crash: under queued submission the device commits blocks out of
     submission order, so a later summary can persist while an earlier
     write's payload never made it.  Each of them verifies its payload
-    checksum, in log order, and its inode and dir-log blocks are
-    decoded from the payload just read.  The first that fails is the
-    torn write and truncates the log {e globally} — the fsync barrier
+    checksum, in log order, reading each payload block once: the last
+    block first when the summary carries a [tail_sum], which alone
+    proves most torn writes torn (a torn write seldom lands its tail),
+    then the rest into the same buffer with the tail's sum folded in,
+    so a write is accepted only on its whole payload's checksum.  Its
+    inode and dir-log blocks are decoded from the payload just read.
+    The first that fails is the torn write and truncates the log
+    {e globally} — the fsync barrier
     spans every head, so nothing at or beyond its sequence number (in
     any chain) was acknowledged durable, and a later write in one chain
     may reference torn payloads in another.  Every chain is cut at that
@@ -33,6 +38,15 @@
     which verifies every write, reports the block.  Summaries written
     before the watermark existed read [durable_below = 0], so [W] is
     [log_seq] and every write is verified.
+
+    Every inode the scan decodes replaces its ino's entry in
+    [latest_inodes], so the scan ends holding the latest copy of each
+    recovered inode, decoded: {!Fs.recover} builds the inode's handle
+    from it without reading its block again.  Its closing orphan sweep
+    walks the namespace by the inode map's type words
+    ({!Inode_map.ftype}), loading only directories' inodes, so
+    roll-forward reads no inode of a file the log since the checkpoint
+    does not name.
 
     The scan is read-only; {!Fs.recover} applies the results. *)
 
@@ -56,6 +70,10 @@ type result = {
           below the torn-write cutoff, merged across chains into
           ascending sequence order — the data roll-forward must
           reprocess *)
+  latest_inodes : (Types.ino, Inode.t) Hashtbl.t;
+      (** the latest copy in [writes] of each inode they carry (the one
+          {!digest} lists): one entry per ino, whatever the number of
+          copies *)
   tails : Log_writer.position array;
       (** where each head resumes, with the reservation in force there,
           indexed by head *)
@@ -64,8 +82,10 @@ type result = {
   watermark : int;
       (** [W]: writes from here on had their payloads verified *)
   blocks_verified : int;
-      (** payload blocks read and checksummed: those of the writes at
-          or above [watermark], up to and including a torn one *)
+      (** payload blocks actually read and checksummed, of the writes at
+          or above [watermark] up to and including a torn one: a torn
+          write whose last block fails its [tail_sum] counts that one
+          block *)
 }
 
 val scan : Layout.t -> Lfs_disk.Vdev.t -> ckpt:Checkpoint.t -> result
@@ -86,10 +106,17 @@ val read_block : reader -> Types.baddr -> bytes
 (** The block at an address, in the reader's one-block buffer: valid
     until the reader's next [read_block]. *)
 
-val payload_intact : reader -> Summary.t -> bool
-(** Whether the payload blocks of the summary's write, read into the
-    reader's payload buffer (grown to the largest payload read), match
-    its [payload_sum]. *)
+type payload_check =
+  | Intact
+  | Torn  (** the payload does not match [payload_sum] *)
+  | Bad_tail_sum
+      (** the payload matches [payload_sum] but its last block does not
+          match a nonzero [tail_sum]: the summary itself is wrong *)
+
+val check_payload : reader -> Summary.t -> payload_check
+(** The payload blocks of the summary's write, read whole into the
+    reader's payload buffer (grown to the largest payload read), against
+    its [payload_sum] and [tail_sum]. *)
 
 (** {1 The roll-forward digest}
 

@@ -103,8 +103,8 @@ let encode_block_into t i b ~pos =
     Codec.put_float c t.mtimes.(s)
   done
 
-let decode_block t i b =
-  let c = Codec.reader b in
+let decode_block t i b ~pos =
+  let c = Codec.at b pos in
   let lo = i * entries_per_block t in
   let hi = min (lo + entries_per_block t) (nsegs t) in
   for s = lo to hi - 1 do
@@ -119,12 +119,9 @@ let load layout ~read ~block_addrs =
       "segment usage table: checkpoint has %d block addresses, layout wants %d"
       (Array.length block_addrs) layout.Layout.usage_blocks;
   let t = create layout in
-  Array.iteri
-    (fun i addr ->
-      t.block_addrs.(i) <- addr;
-      if addr <> Types.nil_addr then decode_block t i (read addr);
-      t.dirty.(i) <- false)
-    block_addrs;
+  Array.blit block_addrs 0 t.block_addrs 0 (Array.length block_addrs);
+  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  Layout.read_runs layout ~read block_addrs (decode_block t);
   t
 
 let utilization_histogram t ~bins ~exclude =

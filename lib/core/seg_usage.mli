@@ -14,7 +14,12 @@ val create : Layout.t -> t
 (** All segments empty (zero live bytes, zero mtime). *)
 
 val load :
-  Layout.t -> read:(Types.baddr -> bytes) -> block_addrs:Types.baddr array -> t
+  Layout.t ->
+  read:(Types.baddr -> int -> bytes) ->
+  block_addrs:Types.baddr array ->
+  t
+(** Rebuild from the blocks recorded in a checkpoint, reading each run of
+    adjacent blocks with one [read addr n] ({!Layout.read_runs}). *)
 
 val nsegs : t -> int
 

@@ -17,6 +17,7 @@ type t = {
   timestamp : float;
   payload_sum : int;
   durable_below : int;
+  tail_sum : int;
   entries : entry list;
 }
 
@@ -45,6 +46,7 @@ let encode_into ~block_size t b =
   Codec.put_u32 c t.payload_sum;
   Codec.put_u32 c n;
   Codec.put_u32 c t.durable_below;
+  Codec.put_u32 c t.tail_sum;
   Codec.seek c header_size;
   List.iter
     (fun e ->
@@ -81,6 +83,7 @@ let decode ?(pos = 0) ?block_size b =
       let payload_sum = Codec.get_u32 c in
       let n = Codec.get_u32 c in
       let durable_below = Codec.get_u32 c in
+      let tail_sum = Codec.get_u32 c in
       if n > max_entries ~block_size then None
       else begin
         Codec.seek c (pos + header_size);
@@ -102,6 +105,7 @@ let decode ?(pos = 0) ?block_size b =
             timestamp;
             payload_sum;
             durable_below;
+            tail_sum;
             entries;
           }
       end

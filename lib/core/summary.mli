@@ -10,11 +10,12 @@
     and ignored, and a durability watermark that tells recovery which
     earlier writes it need not check for tearing.
 
-    The header takes 52 of the block's first 64 bytes: the header
+    The header takes 56 of the block's first 64 bytes: the header
     checksum and a pad word, then magic, [seq], [seg], [slot],
     [next_seg] (8 bytes), [timestamp] (8), [payload_sum], the entry
-    count and [durable_below]; entries start at byte 64.  A summary
-    written before [durable_below] existed reads 0 there. *)
+    count, [durable_below] and [tail_sum]; entries start at byte 64.  A
+    summary written before [durable_below] or [tail_sum] existed reads 0
+    there. *)
 
 type entry = {
   kind : Types.block_kind;
@@ -42,6 +43,12 @@ type t = {
           roll-forward trusts the largest claim among the summaries it
           finds and checks payloads only from there on; 0 claims
           nothing, and every payload is checked *)
+  tail_sum : int;
+      (** Adler-32 of the write's last payload block alone.  Roll-forward
+          reads that block first: a torn write seldom lands its tail, so
+          a mismatch proves it torn after one block read.  A match proves
+          nothing on its own: the whole payload is still checked against
+          [payload_sum].  0 claims nothing *)
   entries : entry list;
 }
 

@@ -12,6 +12,7 @@ type result = {
   files_recovered : int;
   writes_replayed : int;
   segments_scanned : int;
+  phases : Fs.recovery_phase list;
 }
 
 (* 1 KB blocks so a 1 KB file costs ~1 KB of log, as in Sprite; the
@@ -74,6 +75,7 @@ let measure p disk =
     files_recovered = report.Fs.inodes_recovered;
     writes_replayed = report.Fs.writes_replayed;
     segments_scanned = report.Fs.segments_scanned;
+    phases = report.Fs.phases;
   }
 
 let run p =

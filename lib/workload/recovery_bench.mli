@@ -19,6 +19,8 @@ type result = {
   files_recovered : int;
   writes_replayed : int;
   segments_scanned : int;
+  phases : Lfs_core.Fs.recovery_phase list;
+      (** the roll-forward's disk time and reads, phase by phase *)
 }
 
 val run : params -> result

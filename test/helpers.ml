@@ -201,3 +201,92 @@ let last_block_entries ~block_size entries =
       (4, []) entries
   in
   (List.rev names, lo)
+
+(* {2 Rewriting an image in place}
+
+   Test surgery on a volume's log, applied to an unmounted device: the
+   bytes of some logged blocks change, and [reseal] makes the writes
+   that carry them consistent again, as if the writer had logged the
+   new bytes. *)
+
+module Summary = Lfs_core.Summary
+module Layout = Lfs_core.Layout
+
+let layout_of dev = (Lfs_core.Superblock.load dev).Lfs_core.Superblock.layout
+
+(* The summaries of every segment's current chain, from slot 0 while
+   the seq grows. *)
+let chain_summaries dev =
+  let layout = layout_of dev in
+  List.concat
+    (List.init layout.Layout.nsegs (fun seg ->
+         let first = Layout.seg_first_block layout seg in
+         let acc = ref [] and last = ref (-1) in
+         Summary.walk_segment layout ~seg
+           ~read:(fun slot -> (Vdev.read_block dev (first + slot), 0))
+           (fun s ->
+             s.Summary.seq > !last
+             && begin
+                  last := s.Summary.seq;
+                  acc := s :: !acc;
+                  true
+                end);
+         !acc))
+
+(* Write summary [s] back at its slot. *)
+let write_summary dev s =
+  let layout = layout_of dev in
+  let bs = layout.Layout.block_size in
+  Vdev.write_block dev
+    (Layout.seg_first_block layout s.Summary.seg + s.Summary.slot)
+    (encode_summary ~block_size:bs s)
+
+(* Recompute the payload and tail sums of every write whose payload
+   holds a block in [addrs], and write its summary back. *)
+let reseal dev addrs =
+  let layout = layout_of dev in
+  let bs = layout.Layout.block_size in
+  List.iter
+    (fun s ->
+      let n = List.length s.Summary.entries in
+      let covers a =
+        let first = Summary.entry_addr s layout 0 in
+        a >= first && a < first + n
+      in
+      if n > 0 && List.exists covers addrs then begin
+        let payload = Vdev.read_blocks dev (Summary.entry_addr s layout 0) n in
+        write_summary dev
+          {
+            s with
+            Summary.payload_sum = Summary.payload_checksum payload;
+            tail_sum = Summary.payload_checksum ~pos:((n - 1) * bs) ~len:bs payload;
+          }
+      end)
+    (chain_summaries dev)
+
+(* Rewrite the type word of every inode-map entry the latest checkpoint
+   names: [f ino word] is the new word (0 unknown, 1 regular, 2
+   directory). *)
+let rewrite_imap_words dev f =
+  let layout = layout_of dev in
+  let _, ck = Option.get (Lfs_core.Checkpoint.read_latest layout dev) in
+  let per = layout.Layout.imap_entries_per_block in
+  let changed = ref [] in
+  Array.iteri
+    (fun i addr ->
+      if addr <> Types.nil_addr then begin
+        let b = Vdev.read_block dev addr in
+        for e = 0 to per - 1 do
+          let ino = (i * per) + e in
+          (* An entry is location (8 bytes), version (4), type word (4),
+             atime (8). *)
+          let off = (e * 24) + 12 in
+          if ino < layout.Layout.max_inodes then
+            Bytes.set_int32_le b off
+              (Int32.of_int (f ino (Int32.to_int (Bytes.get_int32_le b off))))
+        done;
+        Vdev.write_block dev addr b;
+        changed := addr :: !changed
+      end)
+    ck.Lfs_core.Checkpoint.imap_addrs;
+  reseal dev !changed

@@ -75,6 +75,40 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* [r] has exactly one error, and it mentions [what]. *)
+let expect_one_error what r =
+  match r.Fsck.errors with
+  | [ e ] ->
+      let n = String.length what in
+      let rec has i = i + n <= String.length e && (String.sub e i n = what || has (i + 1)) in
+      if not (has 0) then Alcotest.failf "error %S does not mention %S" e what
+  | es -> Alcotest.failf "expected one error about %s, got %d" what (List.length es)
+
+(* A directory the inode map calls a regular file: roll-forward's orphan
+   sweep would not descend into it and would delete its subtree. *)
+let test_detects_wrong_type_word () =
+  let disk, fs = Helpers.fresh_fs () in
+  ignore (Fs.mkdir_path fs "/d");
+  Fs.write_path fs "/d/f" (Bytes.make 100 'f');
+  let d = Option.get (Fs.resolve fs "/d") in
+  Fs.checkpoint fs;
+  Helpers.rewrite_imap_words (Helpers.vdev disk) (fun ino w -> if ino = d then 1 else w);
+  expect_one_error "type word" (Fsck.check (Fs.mount (Helpers.vdev disk)))
+
+(* A summary whose [tail_sum] does not match its write's last block,
+   though the payload matches [payload_sum]: roll-forward would cut the
+   log at that write. *)
+let test_detects_bad_tail_sum () =
+  let disk, fs = Helpers.fresh_fs () in
+  Fs.write_path fs "/a" (Bytes.make 9000 'a');
+  Fs.checkpoint fs;
+  let dev = Helpers.vdev disk in
+  let s =
+    List.find (fun s -> s.Helpers.Summary.tail_sum <> 0) (Helpers.chain_summaries dev)
+  in
+  Helpers.write_summary dev { s with Helpers.Summary.tail_sum = s.Helpers.Summary.tail_sum lxor 1 };
+  expect_one_error "tail_sum" (Fsck.check (Fs.mount dev))
+
 let test_report_printable () =
   let _, fs = Helpers.fresh_fs () in
   Fs.write_path fs "/x" (Bytes.of_string "y");
@@ -89,5 +123,7 @@ let suite =
       Alcotest.test_case "corrupt directory" `Quick test_detects_corrupt_directory;
       Alcotest.test_case "usage mismatch" `Quick test_detects_usage_mismatch;
       Alcotest.test_case "dangling imap entry" `Quick test_detects_dangling_imap_entry;
+      Alcotest.test_case "wrong type word" `Quick test_detects_wrong_type_word;
+      Alcotest.test_case "bad tail_sum" `Quick test_detects_bad_tail_sum;
       Alcotest.test_case "report printable" `Quick test_report_printable;
     ] )

@@ -388,6 +388,7 @@ let test_scan_stops_at_stale_summary () =
         timestamp = 0.0;
         payload_sum = Summary.payload_checksum (Bytes.create 0);
         durable_below = 0;
+        tail_sum = 0;
         entries = [];
       }
   in

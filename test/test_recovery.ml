@@ -306,9 +306,11 @@ let is_metadata (e : Summary.entry) =
 (* Under Direct every completed write is vouched for by the next
    summary, so roll-forward checks only the write the power cut tore:
    of every other write it reads the summary and the inode and dir-log
-   blocks, and no data block.  Every block read once: the summaries the
-   walk accepts, the one block that ends it, the surviving writes'
-   inode and dir-log blocks, and the torn write's payload. *)
+   blocks, and no data block.  Of the torn write, whose tail never
+   landed, it reads the last block alone.  Every block read once: the
+   summaries the walk accepts, the one block that ends it, the
+   surviving writes' inode and dir-log blocks, and the torn write's
+   last block. *)
 let test_watermark_reads_only_metadata () =
   let disk, fs = Helpers.fresh_fs () in
   Fs.write_path fs "/old" (Bytes.make 6000 'o');
@@ -340,7 +342,8 @@ let test_watermark_reads_only_metadata () =
   Alcotest.(check bool) "several writes survive" true
     (List.length r.Recovery.writes >= 8);
   let n_torn = List.length torn.Summary.entries in
-  Alcotest.(check int) "only the torn payload was verified" n_torn
+  Alcotest.(check bool) "the torn write has several blocks" true (n_torn > 3);
+  Alcotest.(check int) "only the torn write's last block was verified" 1
     r.Recovery.blocks_verified;
   let expect = Hashtbl.create 64 in
   List.iter
@@ -351,9 +354,7 @@ let test_watermark_reads_only_metadata () =
             Hashtbl.replace expect (Summary.entry_addr w.Recovery.summary layout i) ())
         w.Recovery.summary.Summary.entries)
     r.Recovery.writes;
-  for i = 0 to n_torn - 1 do
-    Hashtbl.replace expect (Summary.entry_addr torn layout i) ()
-  done;
+  Hashtbl.replace expect (Summary.entry_addr torn layout (n_torn - 1)) ();
   let metadata = Hashtbl.length expect in
   let others = ref [] in
   Hashtbl.iter
@@ -379,11 +380,11 @@ let test_watermark_reads_only_metadata () =
   in
   Alcotest.(check int) "the rest are summaries and the walk's end"
     (List.length summaries + 1) (List.length !others);
-  Alcotest.(check int) "blocks read = summaries + metadata + torn payload"
+  Alcotest.(check int) "blocks read = summaries + metadata + torn tail"
     (List.length summaries + 1 + metadata)
     (Hashtbl.length reads);
   let fs2, report = Fs.recover dev in
-  Alcotest.(check int) "the report counts the verified blocks" n_torn
+  Alcotest.(check int) "the report counts the verified blocks" 1
     report.Fs.blocks_verified;
   Helpers.check_bytes "/old" (Bytes.make 6000 'o') (Option.get (Fs.read_path fs2 "/old"));
   for i = 0 to 7 do
@@ -426,6 +427,228 @@ let test_watermark_zero_verifies_every_write () =
   Alcotest.(check int) "with claims, only the last write is verified" last
     r.Recovery.blocks_verified
 
+(* {2 The tail-first tear check} *)
+
+let big_batch_config =
+  { Helpers.test_config with seg_blocks = 256; write_buffer_blocks = 256 }
+
+(* A volume whose first write after its checkpoint fills a whole summary
+   (161 entries), cut by [cut] once [after_blocks] blocks are written;
+   rebooted, with the address of that write's summary. *)
+let cut_full_write ?cut ~after_blocks () =
+  let disk, fs = Helpers.fresh_fs ~blocks:4096 ~config:big_batch_config () in
+  Fs.checkpoint fs;
+  Vdev.plan_crash ?cut (Helpers.vdev disk) ~after_blocks;
+  (match
+     Fs.write_path fs "/big" (Helpers.bytes_of_pattern ~seed:7 (200 * 4096));
+     Fs.sync fs
+   with
+  | () -> Alcotest.fail "the power cut never came"
+  | exception Disk.Crashed -> ());
+  Helpers.reboot disk;
+  let dev = Helpers.vdev disk in
+  let layout, ckpt = scan_latest dev in
+  let h = ckpt.Checkpoint.heads.(0) in
+  (dev, layout, ckpt, Layout.seg_first_block layout h.Log_writer.seg + h.Log_writer.off)
+
+(* The blocks of [s]'s payload that [reads] counts, with their counts. *)
+let payload_reads layout reads (s : Summary.t) =
+  let first = Summary.entry_addr s layout 0 in
+  Hashtbl.fold
+    (fun a n acc ->
+      if a >= first && a < first + List.length s.Summary.entries then (a - first, n) :: acc
+      else acc)
+    reads []
+  |> List.sort compare
+
+let full = Summary.max_entries ~block_size:4096
+
+(* A torn write seldom lands its tail: reading that block alone proves
+   the write torn, and none of the rest of it is read. *)
+let test_torn_full_write_reads_one_block () =
+  let dev, layout, ckpt, addr = cut_full_write ~after_blocks:4 () in
+  let torn = Option.get (Summary.decode (Vdev.read_block dev addr)) in
+  Alcotest.(check int) "a full write" full (List.length torn.Summary.entries);
+  let view, reads = counting dev in
+  let r = Recovery.scan layout view ~ckpt in
+  Alcotest.(check int) "cut at the torn write" torn.Summary.seq r.Recovery.next_seq;
+  Alcotest.(check int) "one block checksummed" 1 r.Recovery.blocks_verified;
+  Alcotest.(check (list (pair int int))) "of its payload, the last block, once"
+    [ (full - 1, 1) ] (payload_reads layout reads torn);
+  let fs2, report = Fs.recover dev in
+  Alcotest.(check int) "the report agrees" 1 report.Fs.blocks_verified;
+  Alcotest.(check bool) "the torn file is absent" true (Fs.resolve fs2 "/big" = None);
+  Helpers.fsck_clean fs2
+
+(* A reordered cut can land the summary and the tail but not a block
+   between: the tail's match proves nothing, and the whole payload's
+   checksum still cuts the write. *)
+let test_tail_without_middle_is_cut () =
+  (* The write is the summary and [full] payload blocks; a [Subset] cut
+     one block short drops one of them, which the seed picks. *)
+  let rec landed_tail seed =
+    if seed > 64 then Alcotest.fail "no seed drops a middle block"
+    else
+      let dev, layout, ckpt, addr =
+        cut_full_write ~cut:(Disk.Subset seed) ~after_blocks:full ()
+      in
+      match Summary.decode (Vdev.read_block dev addr) with
+      | Some s
+        when Summary.payload_checksum
+               (Vdev.read_block dev (Summary.entry_addr s layout (full - 1)))
+             = s.Summary.tail_sum ->
+          (dev, layout, ckpt, s)
+      | Some _ | None -> landed_tail (seed + 1)
+  in
+  let dev, layout, ckpt, s = landed_tail 1 in
+  Alcotest.(check bool) "the payload as landed fails its checksum" true
+    (Summary.payload_checksum
+       (Vdev.read_blocks dev (Summary.entry_addr s layout 0) full)
+    <> s.Summary.payload_sum);
+  let view, reads = counting dev in
+  let r = Recovery.scan layout view ~ckpt in
+  Alcotest.(check int) "cut at that write" s.Summary.seq r.Recovery.next_seq;
+  Alcotest.(check int) "no write survives" 0 (List.length r.Recovery.writes);
+  Alcotest.(check int) "its whole payload checksummed" full r.Recovery.blocks_verified;
+  Alcotest.(check (list (pair int int))) "each payload block read once"
+    (List.init full (fun i -> (i, 1)))
+    (payload_reads layout reads s);
+  let fs2, _ = Fs.recover dev in
+  Alcotest.(check bool) "the torn file is absent" true (Fs.resolve fs2 "/big" = None);
+  Helpers.fsck_clean fs2
+
+(* A summary that carries no [tail_sum], as one written before the field
+   existed: the write takes the whole-payload check. *)
+let test_zero_tail_sum_checks_whole_payload () =
+  let dev, layout, ckpt, addr = cut_full_write ~after_blocks:4 () in
+  let torn = Option.get (Summary.decode (Vdev.read_block dev addr)) in
+  Helpers.write_summary dev { torn with Summary.tail_sum = 0 };
+  let view, reads = counting dev in
+  let r = Recovery.scan layout view ~ckpt in
+  Alcotest.(check int) "still cut" torn.Summary.seq r.Recovery.next_seq;
+  Alcotest.(check int) "its whole payload checksummed" full r.Recovery.blocks_verified;
+  Alcotest.(check (list (pair int int))) "each payload block read once"
+    (List.init full (fun i -> (i, 1)))
+    (payload_reads layout reads torn);
+  Helpers.fsck_clean (fst (Fs.recover dev))
+
+(* {2 Reads of inode blocks} *)
+
+(* Every block some segment's chain logs as an inode block. *)
+let inode_blocks dev layout =
+  let blocks = Hashtbl.create 64 in
+  List.iter
+    (fun s ->
+      List.iteri
+        (fun i (e : Summary.entry) ->
+          if e.Summary.kind = Types.Inode_block then
+            Hashtbl.replace blocks (Summary.entry_addr s layout i) ())
+        s.Summary.entries)
+    (Helpers.chain_summaries dev);
+  blocks
+
+(* The scan decodes every inode it reads, and roll-forward builds each
+   recovered inode's handle from the scan's copy: no inode block is read
+   twice in one recovery, whether the scan or a later phase reads it. *)
+let test_inode_blocks_read_once ~seed () =
+  let disk, fs = Helpers.fresh_fs () in
+  let prng = Prng.create ~seed in
+  ignore (Helpers.random_ops ~ops:40 fs prng : (string, bytes) Hashtbl.t);
+  Fs.checkpoint fs;
+  for i = 0 to 29 do
+    let path = Printf.sprintf "/dir%d/f%d" (i mod 3) (Prng.int prng 12) in
+    Fs.write_path fs path (Helpers.bytes_of_pattern ~seed:i (1 + Prng.int prng 9000));
+    if i mod 7 = 6 then Fs.sync fs
+  done;
+  Helpers.plan_crash disk ~after_blocks:(20 + Prng.int prng 20);
+  (match Fs.sync fs with () -> () | exception Disk.Crashed -> ());
+  Helpers.reboot disk;
+  let dev = Helpers.vdev disk in
+  let blocks = inode_blocks dev (Helpers.layout_of dev) in
+  let view, reads = counting dev in
+  let fs2, report = Fs.recover view in
+  Alcotest.(check bool) "inodes recovered" true (report.Fs.inodes_recovered > 0);
+  Hashtbl.iter
+    (fun a n ->
+      if Hashtbl.mem blocks a && n > 1 then
+        Alcotest.failf "inode block %d read %d times" a n)
+    reads;
+  Helpers.fsck_clean fs2
+
+(* Recovery reads what the log since the checkpoint names.  The orphan
+   sweep walks the namespace by the inode map's type words, so the
+   inodes of 2,000 files synced before the checkpoint stay unread. *)
+let test_recover_skips_untouched_inodes () =
+  let config = { Helpers.test_config with max_inodes = 2560 } in
+  let disk, fs = Helpers.fresh_fs ~blocks:4096 ~config () in
+  let dirs = List.init 4 (fun d -> Printf.sprintf "/d%d" d) in
+  List.iter (fun d -> ignore (Fs.mkdir_path fs d : Types.ino)) dirs;
+  let files = List.init 2000 (fun i -> Printf.sprintf "/d%d/f%d" (i mod 4) i) in
+  List.iter (fun f -> ignore (Fs.create_path fs f : Types.ino)) files;
+  Fs.checkpoint fs;
+  let block path = Types.Iaddr.block (Fs.imap_location fs (Option.get (Fs.resolve fs path))) in
+  let dir_blocks = List.map block ("/" :: dirs) in
+  let untouched =
+    List.sort_uniq compare (List.map block files)
+    |> List.filter (fun b -> not (List.mem b dir_blocks))
+  in
+  ignore (Fs.mkdir_path fs "/new" : Types.ino);
+  for i = 0 to 9 do
+    Fs.write_path fs (Printf.sprintf "/new/g%d" i) (Bytes.make 100 'g')
+  done;
+  Fs.sync fs;
+  let view, reads = counting (Helpers.vdev disk) in
+  let fs2, report = Fs.recover view in
+  Alcotest.(check bool) "most of the files' inode blocks hold no directory" true
+    (List.length untouched > 50);
+  Alcotest.(check int) "recovered: /, /new and its files" 12 report.Fs.inodes_recovered;
+  List.iter
+    (fun b ->
+      if Hashtbl.mem reads b then Alcotest.failf "read inode block %d of untouched files" b)
+    untouched;
+  List.iter
+    (fun f -> Alcotest.(check bool) f true (Fs.resolve fs2 f <> None))
+    [ "/d0/f0"; "/d3/f1999"; "/new/g9" ];
+  Helpers.fsck_clean fs2
+
+(* A volume written before the inode map had type words reads them all
+   as unknown: the orphan sweep loads those inodes to learn their types,
+   and the recovered volume is the same. *)
+let test_recover_with_unknown_type_words () =
+  let run ~strip =
+    let disk, fs = Helpers.fresh_fs () in
+    let prng = Prng.create ~seed:17 in
+    let model = Helpers.random_ops ~ops:60 fs prng in
+    Fs.checkpoint fs;
+    ignore (Fs.mkdir_path fs "/late" : Types.ino);
+    ignore (Fs.mkdir_path fs "/late/sub" : Types.ino);
+    for i = 0 to 5 do
+      let path = Printf.sprintf "/late/sub/h%d" i in
+      let data = Helpers.bytes_of_pattern ~seed:(100 + i) (500 * (i + 1)) in
+      Fs.write_path fs path data;
+      Hashtbl.replace model path data
+    done;
+    Hashtbl.iter
+      (fun path _ ->
+        if Prng.int prng 4 = 0 then begin
+          Fs.unlink fs ~dir:(Option.get (Fs.resolve fs (Filename.dirname path)))
+            (Filename.basename path);
+          Hashtbl.remove model path
+        end)
+      (Hashtbl.copy model);
+    Fs.sync fs;
+    let dev = Helpers.vdev disk in
+    if strip then Helpers.rewrite_imap_words dev (fun _ _ -> 0);
+    let fs2, _ = Fs.recover dev in
+    Helpers.check_model fs2 model;
+    Helpers.fsck_clean fs2;
+    let names = ref [] in
+    Fs.iter_files fs2 (fun ino inode -> names := (ino, inode.Lfs_core.Inode.size) :: !names);
+    List.sort compare !names
+  in
+  Alcotest.(check (list (pair int int))) "the same files" (run ~strip:false)
+    (run ~strip:true)
+
 (* {2 The roll-forward digest, from hand-built log writes} *)
 
 let digest_layout = Layout.compute Helpers.test_config ~disk_blocks:1024
@@ -459,6 +682,7 @@ let hand_write ~seq ?(records = []) ?(data = 0) ?(inos = []) () =
         timestamp = 0.0;
         payload_sum = 0;
         durable_below = 0;
+        tail_sum = 0;
         entries = List.map fst parts;
       };
     decoded =
@@ -643,6 +867,7 @@ let stale_summary layout ~(at : Log_writer.position) ~seq ~payload_sum entries =
       timestamp = 0.0;
       payload_sum;
       durable_below = 0;
+      tail_sum = 0;
       entries;
     }
 
@@ -814,6 +1039,20 @@ let suite =
         test_watermark_reads_only_metadata;
       Alcotest.test_case "watermark: zero verifies every write" `Quick
         test_watermark_zero_verifies_every_write;
+      Alcotest.test_case "tail: a torn full write reads one block" `Quick
+        test_torn_full_write_reads_one_block;
+      Alcotest.test_case "tail: a landed tail without its middle is cut" `Quick
+        test_tail_without_middle_is_cut;
+      Alcotest.test_case "tail: zero tail_sum checks the whole payload" `Quick
+        test_zero_tail_sum_checks_whole_payload;
+      Alcotest.test_case "inode blocks read once (seed 3)" `Quick
+        (test_inode_blocks_read_once ~seed:3);
+      Alcotest.test_case "inode blocks read once (seed 4)" `Quick
+        (test_inode_blocks_read_once ~seed:4);
+      Alcotest.test_case "untouched files' inodes unread" `Quick
+        test_recover_skips_untouched_inodes;
+      Alcotest.test_case "unknown type words recover the same" `Quick
+        test_recover_with_unknown_type_words;
       Alcotest.test_case "digest: stale fresh add" `Quick test_digest_stale_fresh_add;
       Alcotest.test_case "digest: remove survives reuse" `Quick
         test_digest_remove_survives_reuse;

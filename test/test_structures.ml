@@ -138,6 +138,7 @@ let summary_fixture =
     timestamp = 123.0;
     payload_sum = 0xabcdef;
     durable_below = 14;
+    tail_sum = 0xDEAD;
     entries =
       [
         { Summary.kind = Types.Data; ino = 4; blockno = 2; version = 1; mtime = 50.0 };
@@ -199,21 +200,48 @@ let test_imap_allocate_free () =
   Inode_map.free m a;
   Alcotest.(check bool) "freed slot reusable" true (Inode_map.allocate m = a)
 
+(* A table store's [read addr n]: the [n] blocks from [addr], joined. *)
+let read_run store addr n =
+  Bytes.concat Bytes.empty (List.init n (fun k -> Hashtbl.find store (addr + k)))
+
 let test_imap_version_bumps () =
   let m = Inode_map.create layout in
   let i = Inode_map.allocate m in
   Inode_map.set_location m i (Types.Iaddr.make ~block:5 ~slot:3);
+  Inode_map.set_ftype m i Types.Directory;
   let v0 = Inode_map.version m i in
   Inode_map.bump_version m i;
   Alcotest.(check int) "bump" (v0 + 1) (Inode_map.version m i);
   Inode_map.free m i;
-  Alcotest.(check int) "free bumps too" (v0 + 2) (Inode_map.version m i)
+  Alcotest.(check int) "free bumps too" (v0 + 2) (Inode_map.version m i);
+  Alcotest.(check bool) "free clears the type word" true (Inode_map.ftype m i = None)
+
+(* A table's blocks load with one read per run of adjacent addresses,
+   skipping nil ones, each block decoded from its place in its run. *)
+let test_table_read_runs () =
+  let nil = Types.nil_addr in
+  let addrs = [| 5; 6; nil; 9; 10; 11; 3; nil |] in
+  let bs = layout.Layout.block_size in
+  let reads = ref [] and decoded = ref [] in
+  let read addr n =
+    reads := (addr, n) :: !reads;
+    Bytes.init (n * bs) (fun i -> Char.chr (addr + (i / bs)))
+  in
+  Layout.read_runs layout ~read addrs (fun i b ~pos ->
+      decoded := (i, Char.code (Bytes.get b pos)) :: !decoded);
+  Alcotest.(check (list (pair int int))) "one read per run" [ (5, 2); (9, 3); (3, 1) ]
+    (List.rev !reads);
+  Alcotest.(check (list (pair int int))) "each block from its place"
+    [ (0, 5); (1, 6); (3, 9); (4, 10); (5, 11); (6, 3) ]
+    (List.rev !decoded)
 
 let test_imap_block_roundtrip () =
   let m = Inode_map.create layout in
   for i = 1 to 40 do
     let ino = Inode_map.allocate m in
     Inode_map.set_location m ino (Types.Iaddr.make ~block:(200 + i) ~slot:(i mod 8));
+    if i mod 3 > 0 then
+      Inode_map.set_ftype m ino (if i mod 3 = 1 then Types.Regular else Types.Directory);
     Inode_map.set_atime m ino (float_of_int i)
   done;
   (* Write the dirty blocks out the way a checkpoint does. *)
@@ -228,13 +256,14 @@ let test_imap_block_roundtrip () =
     (Inode_map.dirty_blocks m);
   Alcotest.(check bool) "no dirty blocks left" true (Inode_map.dirty_blocks m = []);
   let addrs = Array.init (Inode_map.nblocks m) (Inode_map.block_addr m) in
-  let m' = Inode_map.load layout ~read:(Hashtbl.find disk) ~block_addrs:addrs in
+  let m' = Inode_map.load layout ~read:(read_run disk) ~block_addrs:addrs in
   for ino = 0 to Inode_map.max_inodes m - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "ino %d location" ino)
       true
       (Types.Iaddr.equal (Inode_map.location m ino) (Inode_map.location m' ino));
-    Alcotest.(check int) "version" (Inode_map.version m ino) (Inode_map.version m' ino)
+    Alcotest.(check int) "version" (Inode_map.version m ino) (Inode_map.version m' ino);
+    Alcotest.(check bool) "type word" true (Inode_map.ftype m ino = Inode_map.ftype m' ino)
   done
 
 let test_imap_full () =
@@ -303,7 +332,7 @@ let test_usage_block_roundtrip () =
       Seg_usage.clear_block_dirty u i)
     (Seg_usage.dirty_blocks u);
   let addrs = Array.init (Seg_usage.nblocks u) (Seg_usage.block_addr u) in
-  let u' = Seg_usage.load layout ~read:(Hashtbl.find store) ~block_addrs:addrs in
+  let u' = Seg_usage.load layout ~read:(read_run store) ~block_addrs:addrs in
   for s = 0 to Seg_usage.nsegs u - 1 do
     Alcotest.(check int) "live" (Seg_usage.live_bytes u s) (Seg_usage.live_bytes u' s);
     Alcotest.(check (float 0.0)) "mtime" (Seg_usage.mtime u s) (Seg_usage.mtime u' s)
@@ -711,6 +740,7 @@ let suite =
       Alcotest.test_case "summary payload checksum" `Quick test_summary_payload_checksum;
       Alcotest.test_case "imap allocate/free" `Quick test_imap_allocate_free;
       Alcotest.test_case "imap version bumps" `Quick test_imap_version_bumps;
+      Alcotest.test_case "table blocks read in runs" `Quick test_table_read_runs;
       Alcotest.test_case "imap block roundtrip" `Quick test_imap_block_roundtrip;
       Alcotest.test_case "imap full" `Quick test_imap_full;
       Alcotest.test_case "imap dirty tracking" `Quick test_imap_dirty_tracking;
