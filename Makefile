@@ -48,9 +48,11 @@ ci:
 	dune build @bench/perf/smoke
 	dune exec bench/main.exe -- quick
 	# Image stats: exercise a small image (geometry chosen so the cleaner
-	# engages); --check fails on any NaN/negative metric.
+	# engages); --check fails on any NaN/negative metric.  Then roll it
+	# forward once, printing the recovery's per-phase disk time and reads.
 	$(LFS_TOOL) mkfs ci-stats.img --blocks 1024 --segment-blocks 64
 	$(LFS_TOOL) stats ci-stats.img --exercise 120 --json --check > /dev/null
+	$(LFS_TOOL) recover ci-stats.img
 	rm -f ci-stats.img
 	# Every recipe: served, exercised with metric validation, and served
 	# again with idle-time cleaning over an 8-deep device queue — twice,

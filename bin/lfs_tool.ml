@@ -270,10 +270,14 @@ let recover_cmd =
     Fs.unmount fs;
     Disk.save_file disk image;
     Printf.printf
-      "recovered: %d log writes, %d inodes, %d data blocks, %d dirops (%d segments scanned)\n"
+      "recovered: %d log writes, %d inodes, %d data blocks, %d dirops (%d segments scanned, %d blocks verified)\n"
       report.Fs.writes_replayed report.Fs.inodes_recovered
       report.Fs.data_blocks_recovered report.Fs.dirops_applied
-      report.Fs.segments_scanned
+      report.Fs.segments_scanned report.Fs.blocks_verified;
+    List.iter
+      (fun (p : Fs.recovery_phase) ->
+        Printf.printf "  %-10s %8.3f s disk, %d reads\n" p.Fs.phase p.Fs.disk_s p.Fs.reads)
+      report.Fs.phases
   in
   Cmd.v (Cmd.info "recover" ~doc:"Roll the log forward from the last checkpoint")
     Term.(const run $ image)

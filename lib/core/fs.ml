@@ -427,9 +427,10 @@ let unmount t = checkpoint t
    its version, which a free or truncation since the checkpoint may have
    bumped: without it the cleaner would take the inode's live blocks
    for dead.  The new copy's handle is built from the copy the scan
-   decoded ([latest]), so its block is not read again; the type word
-   follows it. *)
-let reaccount_inode t ~versions ~latest (ino, new_iaddr) =
+   decoded ([latest]), so its block is not read again, and its block
+   map from the indirect blocks the scan read ([indirect]) where the
+   window wrote them; the type word follows it. *)
+let reaccount_inode t ~versions ~latest ~indirect (ino, new_iaddr) =
   let bs = block_size t in
   let old_iaddr = Inode_map.location t.imap ino in
   let old_map = Hashtbl.create 64 in
@@ -446,7 +447,12 @@ let reaccount_inode t ~versions ~latest (ino, new_iaddr) =
            (Filemap.indirect_blocks old_fmap));
   kill_inode t old_iaddr;
   Inode_map.set_location t.imap ino new_iaddr;
-  let h = handle_of_inode t (Hashtbl.find latest ino) in
+  let with_block addr f =
+    match Hashtbl.find_opt indirect addr with
+    | Some b -> f b
+    | None -> with_block t addr f
+  in
+  let h = handle_of_inode ~with_block t (Hashtbl.find latest ino) in
   Hashtbl.replace t.handles ino h;
   Inode_map.set_ftype t.imap ino h.inode.Inode.ftype;
   (let carried = ref None in
@@ -594,7 +600,8 @@ let recover ?config ?metrics ?tier disk =
     phase "reaccount" (fun () ->
         List.iter
           (reaccount_inode t ~versions:d.Recovery.versions
-             ~latest:scan.Recovery.latest_inodes)
+             ~latest:scan.Recovery.latest_inodes
+             ~indirect:scan.Recovery.indirect_blocks)
           d.Recovery.inodes)
   in
   let replay =

@@ -64,10 +64,11 @@ type recovery_report = {
   dirops_applied : int;
   segments_scanned : int;
   blocks_verified : int;
-      (** payload blocks roll-forward actually read and checksummed, of
-          the writes at or above the durability watermark up to and
-          including a torn one: a torn write whose last block fails its
-          summary's [tail_sum] counts that one block *)
+      (** payload blocks roll-forward checksummed, of the writes at or
+          above the durability watermark up to and including a torn one,
+          whether the scan's walk or its check read them: a torn write
+          whose last block fails its summary's [tail_sum] counts that one
+          block *)
   phases : recovery_phase list;  (** the five phases, in order *)
 }
 

@@ -297,9 +297,11 @@ let decode_inode t iaddr =
       Inode.decode b ~slot:(Types.Iaddr.slot iaddr))
 
 (* A handle over a decoded inode: its block map loaded, no directory
-   contents yet. *)
-let handle_of_inode t inode =
-  let fmap = Filemap.load ~with_block:(with_block t) t.layout inode in
+   contents yet.  [with_block] (default: through the cache) lends the
+   map's indirect blocks. *)
+let handle_of_inode ?with_block:lend t inode =
+  let with_block = Option.value lend ~default:(with_block t) in
+  let fmap = Filemap.load ~with_block t.layout inode in
   { inode; fmap; content = None }
 
 let load_handle t ino =
@@ -716,6 +718,7 @@ let open_volume ~caller ~roll_forward ?config ?metrics ?tier disk =
               {
                 Recovery.writes = [];
                 latest_inodes = Hashtbl.create 1;
+                indirect_blocks = Hashtbl.create 1;
                 tails = ck.Checkpoint.heads;
                 next_seq = ck.Checkpoint.log_seq;
                 segments_scanned = 0;

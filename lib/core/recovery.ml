@@ -9,6 +9,7 @@ type write = { summary : Summary.t; decoded : (int * decoded) list }
 type result = {
   writes : write list;
   latest_inodes : (Types.ino, Inode.t) Hashtbl.t;
+  indirect_blocks : (Types.baddr, bytes) Hashtbl.t;
   tails : Log_writer.position array;
   next_seq : int;
   segments_scanned : int;
@@ -41,19 +42,13 @@ let read_into r s ~first ~n b ~pos =
       (Vdev.submit_read_into r.dev (Summary.entry_addr s r.layout first) n b ~pos
         : Io_queue.ticket)
 
-(* Payload blocks [first, first + n) of the write into the payload
-   buffer, block [first] at byte 0; the caller gives the buffer back. *)
-let read_payload r s ~first ~n =
-  let b = Scratch.take r.payload (n * r.layout.Layout.block_size) in
-  read_into r s ~first ~n b ~pos:0;
-  b
-
 type payload_check = Intact | Torn | Bad_tail_sum
 
 let check_payload r (s : Summary.t) =
   let bs = r.layout.Layout.block_size in
   let n = List.length s.Summary.entries in
-  let b = read_payload r s ~first:0 ~n in
+  let b = Scratch.take r.payload (n * bs) in
+  read_into r s ~first:0 ~n b ~pos:0;
   let check =
     if Summary.payload_checksum ~len:(n * bs) b <> s.Summary.payload_sum then Torn
     else if
@@ -65,20 +60,150 @@ let check_payload r (s : Summary.t) =
   Scratch.give r.payload;
   check
 
+(* {1 The walk} *)
+
+(* What roll-forward needs of a write besides its summary: the inode and
+   dir-log blocks it decodes, and the indirect blocks {!Fs.recover}
+   rebuilds recovered files' block maps from.  Data blocks are only
+   referenced by address.  A flush appends dir-log, data, indirect and
+   inode blocks in that order, so these sit in a run right behind the
+   summary or in one that ends the write. *)
+let kept (e : Summary.entry) =
+  match e.Summary.kind with
+  | Types.Inode_block | Types.Dir_log | Types.Indirect | Types.Dindirect -> true
+  | Types.Data | Types.Imap | Types.Seg_usage | Types.Summary -> false
+
+(* A run of adjacent kept entries [first, first + n) of a write, as the
+   walk read it: entry [first] at byte 0 of [buf]. *)
+type run = { first : int; n : int; buf : bytes }
+
+(* A summary the walk accepted and the runs it read of its write, in
+   entry order.  Nothing of the runs is decoded before the roll knows
+   the write landed. *)
+type step = { accepted : Summary.t; runs : run list }
+
+(* Read the kept runs of an accepted summary's write in ascending order,
+   one transfer each.  A leading run sits right behind the summary, so
+   it costs no seek.  A run that ends the write is read together with
+   the block just past it when a summary may sit there: that is the
+   block the walk reads next, and [ahead] gets its address and its
+   place in the run's buffer. *)
+let read_runs r (s : Summary.t) ~ahead =
+  let bs = r.layout.Layout.block_size in
+  let es = Array.of_list s.Summary.entries in
+  let n = Array.length es in
+  let runs = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    if not (kept es.(!i)) then incr i
+    else begin
+      let first = !i in
+      while !i < n && kept es.(!i) do
+        incr i
+      done;
+      let k = !i - first in
+      let fused = !i = n && Summary.next_slot s <= r.layout.Layout.seg_blocks - 2 in
+      let buf = Bytes.create ((if fused then k + 1 else k) * bs) in
+      read_into r s ~first ~n:(Bytes.length buf / bs) buf ~pos:0;
+      if fused then ahead := Some (Summary.entry_addr s r.layout n, buf, k * bs);
+      runs := { first; n = k; buf } :: !runs
+    end
+  done;
+  List.rev !runs
+
+(* One head's chain walk: the steps it accepts, in walk order (strictly
+   increasing seq), and the segments it entered. *)
+type chain = { steps : step list; scanned : int }
+
+(* Walk a head's chain from its checkpointed position: its segment from
+   the checkpoint's offset, or, when no summary fits there any more,
+   the segment the writer went on to.  Everything the checkpoint
+   vouches for lies behind that position, so the walk reads none of it.
+   [floor] is the checkpoint's [log_seq]: every write since has a seq at
+   least that, and it grows strictly along the walk, so a summary left
+   from a segment's previous life fails it or the walker's
+   self-identification test and ends the walk.  A segment entered again
+   could only show summaries the walk has passed or ones from before
+   the checkpoint, all below that floor, so remembering the segments
+   entered is enough to break a [next_seg] cycle. *)
+let walk_chain r ~floor (start : Log_writer.position) =
+  let layout = r.layout in
+  let seg_blocks = layout.Layout.seg_blocks in
+  let steps = ref [] and scanned = ref 1 in
+  let visited = Hashtbl.create 16 in
+  let last_seq = ref (floor - 1) in
+  let ahead = ref None in
+  let rec enter seg ~from =
+    if not (Hashtbl.mem visited seg) then begin
+      Hashtbl.replace visited seg ();
+      let first = Layout.seg_first_block layout seg in
+      let exhausted = ref None in
+      if from > seg_blocks - 2 then exhausted := Some start.Log_writer.next_seg
+      else
+        Summary.walk_segment layout ~seg ~from
+          ~read:(fun slot ->
+            match !ahead with
+            | Some (addr, buf, pos) when addr = first + slot ->
+                ahead := None;
+                (buf, pos)
+            | Some _ | None -> (read_block r (first + slot), 0))
+          (fun s ->
+            s.Summary.seq > !last_seq
+            && begin
+                 steps := { accepted = s; runs = read_runs r s ~ahead } :: !steps;
+                 last_seq := s.Summary.seq;
+                 if Summary.next_slot s > seg_blocks - 2 then
+                   exhausted := Some s.Summary.next_seg;
+                 true
+               end);
+      (* Segment exhausted: follow the head's thread. *)
+      Option.iter
+        (fun next ->
+          incr scanned;
+          if next >= 0 && next < layout.Layout.nsegs then enter next ~from:0)
+        !exhausted
+    end
+  in
+  enter start.Log_writer.seg ~from:start.Log_writer.off;
+  { steps = List.rev !steps; scanned = !scanned }
+
+(* {1 Verifying and decoding a walked write} *)
+
+(* Payload blocks [first, first + k) of a walked write into [b], block
+   [i] at byte [i * block_size]: copied from the walk's runs where it
+   read them, read from the device otherwise, one read per gap. *)
+let fill r st b ~first ~k =
+  let bs = r.layout.Layout.block_size in
+  let next = ref first in
+  let read_to stop =
+    read_into r st.accepted ~first:!next ~n:(stop - !next) b ~pos:(!next * bs);
+    next := stop
+  in
+  List.iter
+    (fun run ->
+      let lo = max run.first !next and hi = min (run.first + run.n) (first + k) in
+      if lo < hi then begin
+        read_to lo;
+        Bytes.blit run.buf ((lo - run.first) * bs) b (lo * bs) ((hi - lo) * bs);
+        next := hi
+      end)
+    st.runs;
+  read_to (first + k)
+
 (* Verify a write at or above the watermark, reading each payload block
-   once.  With a [tail_sum] its last block is read first: a torn write
-   seldom lands its tail, so one block read proves most torn writes
-   torn.  On a match the rest is read into the same buffer and the
-   tail's sum folded in, so a write is accepted only on its whole
-   payload's checksum, as without one.  The whole payload is in the
-   returned buffer when it verifies; the caller gives the buffer back.
-   [verified] counts the blocks checksummed. *)
-let verified_payload r (s : Summary.t) ~verified =
+   the walk has not read, once.  With a [tail_sum] its last block is
+   summed first: a torn write seldom lands its tail, so one block proves
+   most torn writes torn.  On a match the rest is filled into the same
+   buffer and the tail's sum folded in, so a write is accepted only on
+   its whole payload's checksum, as without one.  [verified] counts the
+   blocks checksummed. *)
+let verify r st ~verified =
+  let s = st.accepted in
   let bs = r.layout.Layout.block_size in
   let n = List.length s.Summary.entries in
   let b = Scratch.take r.payload (n * bs) in
   let sum_of ~first ~k =
-    read_into r s ~first ~n:k b ~pos:(first * bs);
+    fill r st b ~first ~k;
     verified := !verified + k;
     Summary.payload_checksum ~pos:(first * bs) ~len:(k * bs) b
   in
@@ -89,127 +214,51 @@ let verified_payload r (s : Summary.t) ~verified =
       if tail <> s.Summary.tail_sum then None
       else Some (Checksum.combine (sum_of ~first:0 ~k:(n - 1)) tail ~len2:bs)
   in
-  if sum = Some s.Summary.payload_sum then Some b else None
+  Scratch.give r.payload;
+  sum = Some s.Summary.payload_sum
 
 (* Recovery reprocesses inodes and directory-log records; data blocks
    stay where they are and are only referenced by address.  So of each
    write the scan keeps only what the digest uses of its inode and
-   dir-log blocks: the ino in each occupied inode slot, and the decoded
-   records.  [decode_entry] takes them from the block at byte [pos] of
-   [b].  Each decoded inode also replaces its ino's copy in [latest]:
-   the writes are decoded in log order, so [latest] ends with every
-   ino's latest copy, which {!Fs.recover} takes instead of reading the
-   block again. *)
-let decode_entry r ~latest (e : Summary.entry) b ~pos =
-  match e.Summary.kind with
-  | Types.Inode_block ->
-      let slots = ref [] in
-      for slot = 0 to r.layout.Layout.inodes_per_block - 1 do
-        match Inode.decode ~pos b ~slot with
-        | Some inode ->
-            Hashtbl.replace latest inode.Inode.ino inode;
-            slots := (slot, inode.Inode.ino) :: !slots
-        | None -> ()
-      done;
-      Some (Inodes (List.rev !slots))
-  | Types.Dir_log -> Some (Records (Dir_log.decode_block ~pos b))
-  | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap
-  | Types.Seg_usage | Types.Summary ->
-      None
-
-let is_metadata (e : Summary.entry) =
-  match e.Summary.kind with
-  | Types.Inode_block | Types.Dir_log -> true
-  | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap
-  | Types.Seg_usage | Types.Summary ->
-      false
-
-(* The decoded inode and dir-log blocks of a write, in entry order.
-   With [whole] its whole payload is already in that buffer (it was
-   just verified); otherwise each run of adjacent inode and dir-log
-   blocks is read into the payload buffer in one read, and no data
-   block is read. *)
-let decode_payloads r ~latest s ~whole =
+   dir-log blocks (the ino in each occupied inode slot, and the decoded
+   records) and its indirect blocks, by address in [indirect].  Each
+   decoded inode also replaces its ino's copy in [latest]: the writes
+   are decoded in log order, so [latest] ends with every ino's latest
+   copy, which {!Fs.recover} takes instead of reading the block again. *)
+let decode_runs r ~latest ~indirect st =
   let bs = r.layout.Layout.block_size in
+  let s = st.accepted in
   let es = Array.of_list s.Summary.entries in
-  let n = Array.length es in
   let decoded = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if not (is_metadata es.(!i)) then incr i
-    else begin
-      let first = !i in
-      while !i < n && is_metadata es.(!i) do
-        incr i
-      done;
-      let b, base =
-        match whole with
-        | Some buf -> (buf, 0)
-        | None -> (read_payload r s ~first ~n:(!i - first), first)
-      in
-      for k = first to !i - 1 do
-        Option.iter
-          (fun d -> decoded := (k, d) :: !decoded)
-          (decode_entry r ~latest es.(k) b ~pos:((k - base) * bs))
-      done
-    end
-  done;
+  List.iter
+    (fun run ->
+      for k = 0 to run.n - 1 do
+        let i = run.first + k and pos = k * bs in
+        match es.(i).Summary.kind with
+        | Types.Inode_block ->
+            let slots = ref [] in
+            for slot = 0 to r.layout.Layout.inodes_per_block - 1 do
+              match Inode.decode ~pos run.buf ~slot with
+              | Some inode ->
+                  Hashtbl.replace latest inode.Inode.ino inode;
+                  slots := (slot, inode.Inode.ino) :: !slots
+              | None -> ()
+            done;
+            decoded := (i, Inodes (List.rev !slots)) :: !decoded
+        | Types.Dir_log ->
+            decoded := (i, Records (Dir_log.decode_block ~pos run.buf)) :: !decoded
+        | Types.Indirect | Types.Dindirect ->
+            Hashtbl.replace indirect (Summary.entry_addr s r.layout i)
+              (Bytes.sub run.buf pos bs)
+        | Types.Data | Types.Imap | Types.Seg_usage | Types.Summary -> ()
+      done)
+    st.runs;
   List.rev !decoded
-
-(* One head's chain walk: the summaries it accepts, in walk order
-   (strictly increasing seq), and the segments it entered. *)
-type chain = { steps : Summary.t list; scanned : int }
-
-let walk_chain layout r ~start_seg =
-  let seg_blocks = layout.Layout.seg_blocks in
-  let steps = ref [] in
-  let scanned = ref 0 in
-  let visited = Hashtbl.create 16 in
-  (* [last_seq] grows strictly along the walk; summaries left over from
-     a segment's previous life fail this floor or the walker's
-     self-identification test and end the walk.  Summaries written
-     before the checkpoint pass, and carry the walk through the
-     checkpoint's tail segment; [scan] sets them aside.  A segment is
-     always entered at slot 0, so remembering the segments entered is
-     enough to break a [next_seg] cycle. *)
-  let last_seq = ref 0 in
-  let rec walk_segment seg =
-    if not (Hashtbl.mem visited seg) then begin
-      Hashtbl.replace visited seg ();
-      let first = Layout.seg_first_block layout seg in
-      let exhausted = ref None in
-      Summary.walk_segment layout ~seg
-        ~read:(fun slot -> (read_block r (first + slot), 0))
-        (fun s ->
-          s.Summary.seq > !last_seq
-          && begin
-               steps := s :: !steps;
-               last_seq := s.Summary.seq;
-               if Summary.next_slot s > seg_blocks - 2 then exhausted := Some s;
-               true
-             end);
-      (* Segment exhausted: follow the head's thread. *)
-      match !exhausted with
-      | None -> ()
-      | Some s ->
-          incr scanned;
-          if s.Summary.next_seg >= 0 && s.Summary.next_seg < layout.Layout.nsegs
-          then walk_segment s.Summary.next_seg
-    end
-  in
-  (* Start from the head of the checkpoint's tail segment. *)
-  incr scanned;
-  walk_segment start_seg;
-  { steps = List.rev !steps; scanned = !scanned }
 
 let scan layout disk ~ckpt =
   let r = reader layout disk in
   let log_seq = ckpt.Checkpoint.log_seq in
-  let chains =
-    Array.map
-      (fun (h : Log_writer.position) -> walk_chain layout r ~start_seg:h.seg)
-      ckpt.Checkpoint.heads
-  in
+  let chains = Array.map (walk_chain r ~floor:log_seq) ckpt.Checkpoint.heads in
   (* The durability watermark.  A summary on the medium was written, so
      its claim holds whether or not its own payload made it: every
      write below the largest claim is on the medium, and only writes at
@@ -219,40 +268,36 @@ let scan layout disk ~ckpt =
   let watermark =
     Array.fold_left
       (fun acc c ->
-        List.fold_left (fun acc s -> max acc s.Summary.durable_below) acc c.steps)
+        List.fold_left
+          (fun acc st -> max acc st.accepted.Summary.durable_below)
+          acc c.steps)
       log_seq chains
   in
   (* Roll forward in log order, merging the chains by the shared
-     sequence number.  A write at or above the watermark must verify
-     its payload checksum; the first that fails is the torn write, and
-     because a completed fsync barrier awaits every head's unflushed
-     batches, nothing at or beyond its sequence number (in any chain)
-     was ever acknowledged — and a surviving write there may reference
-     payloads, in another head's chain, that never made it.  So that
-     sequence number is a global [cutoff]. *)
+     sequence number.  A write below the watermark is decoded from the
+     runs the walk read: the roll reads nothing for it.  A write at or
+     above the watermark must verify its payload checksum first; the
+     first that fails is the torn write, and because a completed fsync
+     barrier awaits every head's unflushed batches, nothing at or beyond
+     its sequence number (in any chain) was ever acknowledged — and a
+     surviving write there may reference payloads, in another head's
+     chain, that never made it.  So that sequence number is a global
+     [cutoff]. *)
   let verified = ref 0 in
-  let latest = Hashtbl.create 64 in
+  let latest = Hashtbl.create 64 and indirect = Hashtbl.create 16 in
   let rec roll acc = function
     | [] -> (List.rev acc, max_int)
-    | (s : Summary.t) :: rest -> (
-        let decoded =
-          if s.Summary.seq < watermark then
-            Some (decode_payloads r ~latest s ~whole:None)
-          else
-            Option.map
-              (fun b -> decode_payloads r ~latest s ~whole:(Some b))
-              (verified_payload r s ~verified)
-        in
-        Scratch.give r.payload;
-        match decoded with
-        | None -> (List.rev acc, s.Summary.seq)
-        | Some decoded -> roll ({ summary = s; decoded } :: acc) rest)
+    | st :: rest ->
+        let s = st.accepted in
+        if s.Summary.seq >= watermark && not (verify r st ~verified) then
+          (List.rev acc, s.Summary.seq)
+        else
+          roll ({ summary = s; decoded = decode_runs r ~latest ~indirect st } :: acc) rest
   in
   let writes, cutoff =
     Array.to_list chains
-    |> List.concat_map (fun c ->
-           List.filter (fun s -> s.Summary.seq >= log_seq) c.steps)
-    |> List.sort (fun a b -> compare a.Summary.seq b.Summary.seq)
+    |> List.concat_map (fun c -> c.steps)
+    |> List.sort (fun a b -> compare a.accepted.Summary.seq b.accepted.Summary.seq)
     |> roll []
   in
   (* Each head resumes at its first summary at or past the cutoff, or
@@ -263,11 +308,11 @@ let scan layout disk ~ckpt =
         let tail_at (s : Summary.t) ~off =
           { Log_writer.seg = s.Summary.seg; off; next_seg = s.Summary.next_seg }
         in
-        match List.find_opt (fun s -> s.Summary.seq >= cutoff) c.steps with
-        | Some s -> tail_at s ~off:s.Summary.slot
+        match List.find_opt (fun st -> st.accepted.Summary.seq >= cutoff) c.steps with
+        | Some st -> tail_at st.accepted ~off:st.accepted.Summary.slot
         | None -> (
             match List.rev c.steps with
-            | s :: _ -> tail_at s ~off:(Summary.next_slot s)
+            | st :: _ -> tail_at st.accepted ~off:(Summary.next_slot st.accepted)
             | [] -> ckpt.Checkpoint.heads.(i)))
       chains
   in
@@ -281,6 +326,7 @@ let scan layout disk ~ckpt =
   {
     writes;
     latest_inodes = latest;
+    indirect_blocks = indirect;
     tails;
     next_seq;
     segments_scanned =

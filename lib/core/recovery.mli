@@ -1,50 +1,66 @@
 (** Crash recovery: the log scan behind roll-forward (Section 4.2).
 
-    Starting from the checkpoint's per-head log positions, the scan walks
-    each head's summary chain — within a segment with
-    {!Summary.walk_segment}, and across segments by following the
-    [next_seg] pointer every summary records.  On top of the walker's
-    checks (intact, self-identifying, fits its segment) a summary is
-    accepted only if its sequence number strictly increases along its
-    chain.
+    The scan walks each head's summary chain once, forward, from the
+    checkpoint's position for that head: the checkpoint's segment from
+    the checkpoint's offset ({!Summary.walk_segment}'s [from]), or the
+    reserved [next_seg] from slot 0 when no summary fits past that
+    offset, since the writer's next batch went there; and across
+    segments by following the [next_seg] pointer every summary records.
+    So it reads no summary written before the checkpoint.  On top of
+    the walker's checks (intact, self-identifying, fits its segment) a
+    summary is accepted only if its sequence number is at least the
+    checkpoint's [log_seq] and strictly increases along its chain: a
+    stale summary from a segment's previous life ends the walk.
+
+    When the walk accepts a summary it reads that write's inode,
+    dir-log and indirect blocks, one transfer per run of adjacent ones,
+    in address order, and no data block.  A flush appends dir-log, data,
+    indirect and inode blocks in that order, so these runs sit right
+    behind the summary (read without a seek) or end the write: a run
+    that ends the write is read in one transfer together with the block
+    just past it when a summary may sit there, and the walk decodes the
+    next summary from that buffer instead of reading the block again.
+    The runs are kept per write, undecoded.
 
     The chains' summaries give the durability watermark [W]: the
     largest [durable_below] any of them claims, and at least the
     checkpoint's [log_seq].  Every write below [W] completed on the
     device before some summary on the medium was written, so it cannot
-    be torn: of it the scan reads only its inode and dir-log blocks, one
-    read per run of adjacent ones, and references its data blocks in
-    place — recovery time then scales with the files recovered, not the
-    bytes written (Table 3).  Writes at or above [W] were in flight at
-    the crash: under queued submission the device commits blocks out of
-    submission order, so a later summary can persist while an earlier
-    write's payload never made it.  Each of them verifies its payload
-    checksum, in log order, reading each payload block once: the last
-    block first when the summary carries a [tail_sum], which alone
-    proves most torn writes torn (a torn write seldom lands its tail),
-    then the rest into the same buffer with the tail's sum folded in,
-    so a write is accepted only on its whole payload's checksum.  Its
-    inode and dir-log blocks are decoded from the payload just read.
-    The first that fails is the torn write and truncates the log
-    {e globally} — the fsync barrier
-    spans every head, so nothing at or beyond its sequence number (in
-    any chain) was acknowledged durable, and a later write in one chain
-    may reference torn payloads in another.  Every chain is cut at that
-    sequence number and each head's tail points at its first discarded
-    summary.
+    be torn: the roll decodes its runs and reads nothing for it, and
+    references its data blocks in place — recovery time then scales
+    with the files recovered, not the bytes written (Table 3).  Writes
+    at or above [W] were in flight at the crash: under queued
+    submission the device commits blocks out of submission order, so a
+    later summary can persist while an earlier write's payload never
+    made it.  Each of them verifies its payload checksum, in log order,
+    taking every block the walk already read from its runs and reading
+    only the others, each once: the last block first when the summary
+    carries a [tail_sum], which alone proves most torn writes torn (a
+    torn write seldom lands its tail), then the rest with the tail's
+    sum folded in, so a write is accepted only on its whole payload's
+    checksum.  Its runs are decoded only once it verifies, so a torn
+    write's garbage is never decoded.  No block is read twice in one
+    scan.  The first write that fails is the torn write and truncates
+    the log {e globally} — the fsync barrier spans every head, so
+    nothing at or beyond its sequence number (in any chain) was
+    acknowledged durable, and a later write in one chain may reference
+    torn payloads in another.  Every chain is cut at that sequence
+    number and each head's tail points at its first discarded summary.
 
     A block that rots on the medium below [W] is therefore not a torn
     write: its write is rolled forward, and {!Fsck}'s integrity pass,
-    which verifies every write, reports the block.  Summaries written
+    which verifies every write, reports the block; a rotted dir-log
+    block makes {!Fs.recover} raise [Types.Corrupt].  Summaries written
     before the watermark existed read [durable_below = 0], so [W] is
     [log_seq] and every write is verified.
 
     Every inode the scan decodes replaces its ino's entry in
     [latest_inodes], so the scan ends holding the latest copy of each
-    recovered inode, decoded: {!Fs.recover} builds the inode's handle
-    from it without reading its block again.  Its closing orphan sweep
-    walks the namespace by the inode map's type words
-    ({!Inode_map.ftype}), loading only directories' inodes, so
+    recovered inode, decoded, and the indirect blocks of the writes it
+    rolls forward: {!Fs.recover} builds each recovered inode's handle
+    from these without reading its block or its indirect blocks again.
+    Its closing orphan sweep walks the namespace by the inode map's type
+    words ({!Inode_map.ftype}), loading only directories' inodes, so
     roll-forward reads no inode of a file the log since the checkpoint
     does not name.
 
@@ -74,6 +90,9 @@ type result = {
       (** the latest copy in [writes] of each inode they carry (the one
           {!digest} lists): one entry per ino, whatever the number of
           copies *)
+  indirect_blocks : (Types.baddr, bytes) Hashtbl.t;
+      (** every indirect and double-indirect block of [writes], one
+          block each, by address, as the scan read it *)
   tails : Log_writer.position array;
       (** where each head resumes, with the reservation in force there,
           indexed by head *)
@@ -83,9 +102,9 @@ type result = {
       (** [W]: writes from here on had their payloads verified *)
   blocks_verified : int;
       (** payload blocks actually read and checksummed, of the writes at
-          or above [watermark] up to and including a torn one: a torn
-          write whose last block fails its [tail_sum] counts that one
-          block *)
+          or above [watermark] up to and including a torn one, whether
+          the walk or the check read them: a torn write whose last block
+          fails its [tail_sum] counts that one block *)
 }
 
 val scan : Layout.t -> Lfs_disk.Vdev.t -> ckpt:Checkpoint.t -> result
@@ -95,8 +114,8 @@ val scan : Layout.t -> Lfs_disk.Vdev.t -> ckpt:Checkpoint.t -> result
 
     The scan and [Fsck]'s integrity pass read summaries and verify
     payloads the same way: through {!Lfs_disk.Vdev.submit_read_into}
-    into buffers a [reader] owns, so a scan allocates no block per
-    summary or per write. *)
+    into buffers a [reader] owns.  Only the scan's kept runs get
+    buffers of their own, held until the roll has decoded them. *)
 
 type reader
 

@@ -118,7 +118,7 @@ let entry_addr t layout i = Layout.seg_first_block layout t.seg + t.slot + 1 + i
 
 let next_slot t = t.slot + 1 + List.length t.entries
 
-let walk_segment layout ~seg ~read visit =
+let walk_segment layout ~seg ?(from = 0) ~read visit =
   let seg_blocks = layout.Layout.seg_blocks
   and block_size = layout.Layout.block_size in
   let rec walk slot =
@@ -131,4 +131,4 @@ let walk_segment layout ~seg ~read visit =
           if visit s then walk (next_slot s)
       | Some _ | None -> ()
   in
-  walk 0
+  walk from

@@ -79,9 +79,12 @@ val next_slot : t -> int
 (** Segment slot just past this write ([slot + 1 + entries]). *)
 
 val walk_segment :
-  Layout.t -> seg:int -> read:(int -> bytes * int) -> (t -> bool) -> unit
+  Layout.t -> seg:int -> ?from:int -> read:(int -> bytes * int) -> (t -> bool) -> unit
 (** The one walk of a segment's summary chain, shared by the cleaner,
-    roll-forward and fsck.  Starting at slot 0, [read slot] gives the
+    roll-forward and fsck.  Starting at slot [from] (default 0: the
+    cleaner and fsck walk a whole segment; roll-forward enters the
+    checkpoint's segment where the checkpoint left its head, so it reads
+    no summary written before the checkpoint), [read slot] gives the
     block at that slot of segment [seg] as a buffer and the block's byte
     offset in it (decoded in place before [visit] runs and not kept, so
     [read] may return one buffer every time); the walk ends at the

@@ -277,10 +277,12 @@ let test_recovery_report_counts () =
 
 (* {2 The durability watermark} *)
 
-(* A view of [dev] that counts every block read through it. *)
-let counting dev =
-  let reads = Hashtbl.create 64 in
+(* A view of [dev] that counts every block read through it, and logs
+   every read as (address, blocks). *)
+let recording dev =
+  let reads = Hashtbl.create 64 and log = ref [] in
   let read_into ?now addr n buf ~pos =
+    log := (addr, n) :: !log;
     for a = addr to addr + n - 1 do
       Hashtbl.replace reads a (1 + Option.value ~default:0 (Hashtbl.find_opt reads a))
     done;
@@ -293,24 +295,51 @@ let counting dev =
       read_blocks = Vdev.alloc_read_blocks ~block_size read_into;
       submit_read = Vdev.alloc_submit_read ~block_size read_into;
     },
-    reads )
+    reads,
+    log )
+
+let counting dev =
+  let view, reads, _ = recording dev in
+  (view, reads)
+
+(* The reads [reads] counts in segment [seg], as slots. *)
+let slots_read layout reads seg =
+  let first = Layout.seg_first_block layout seg in
+  Hashtbl.fold
+    (fun a _ acc ->
+      if a >= first && a < first + layout.Layout.seg_blocks then (a - first) :: acc
+      else acc)
+    reads []
+  |> List.sort compare
 
 let scan_latest dev =
   let layout = (Lfs_core.Superblock.load dev).Lfs_core.Superblock.layout in
   let _, ckpt = Option.get (Checkpoint.read_latest layout dev) in
   (layout, ckpt)
 
+(* The blocks the walk reads of every write it accepts: inode, dir-log
+   and indirect blocks. *)
 let is_metadata (e : Summary.entry) =
-  e.Summary.kind = Types.Inode_block || e.Summary.kind = Types.Dir_log
+  match e.Summary.kind with
+  | Types.Inode_block | Types.Dir_log | Types.Indirect | Types.Dindirect -> true
+  | Types.Data | Types.Imap | Types.Seg_usage | Types.Summary -> false
+
+(* The addresses of [s]'s payload blocks [is_metadata] picks. *)
+let metadata_addrs layout (s : Summary.t) =
+  List.concat
+    (List.mapi
+       (fun i e -> if is_metadata e then [ Summary.entry_addr s layout i ] else [])
+       s.Summary.entries)
 
 (* Under Direct every completed write is vouched for by the next
    summary, so roll-forward checks only the write the power cut tore:
    of every other write it reads the summary and the inode and dir-log
-   blocks, and no data block.  Of the torn write, whose tail never
-   landed, it reads the last block alone.  Every block read once: the
-   summaries the walk accepts, the one block that ends it, the
-   surviving writes' inode and dir-log blocks, and the torn write's
-   last block. *)
+   blocks, and no data block.  The walk reads the torn write's inode and
+   dir-log blocks too, before the watermark says it is in flight; of the
+   rest of it, whose tail never landed, the check reads the last block
+   alone.  Every block read once: the summaries the walk accepts, the
+   one block that ends it, every walked write's inode and dir-log
+   blocks, and the torn write's last block. *)
 let test_watermark_reads_only_metadata () =
   let disk, fs = Helpers.fresh_fs () in
   Fs.write_path fs "/old" (Bytes.make 6000 'o');
@@ -347,13 +376,8 @@ let test_watermark_reads_only_metadata () =
     r.Recovery.blocks_verified;
   let expect = Hashtbl.create 64 in
   List.iter
-    (fun w ->
-      List.iteri
-        (fun i e ->
-          if is_metadata e then
-            Hashtbl.replace expect (Summary.entry_addr w.Recovery.summary layout i) ())
-        w.Recovery.summary.Summary.entries)
-    r.Recovery.writes;
+    (fun s -> List.iter (fun a -> Hashtbl.replace expect a ()) (metadata_addrs layout s))
+    (torn :: List.map (fun w -> w.Recovery.summary) r.Recovery.writes);
   Hashtbl.replace expect (Summary.entry_addr torn layout (n_torn - 1)) ();
   let metadata = Hashtbl.length expect in
   let others = ref [] in
@@ -463,8 +487,9 @@ let payload_reads layout reads (s : Summary.t) =
 
 let full = Summary.max_entries ~block_size:4096
 
-(* A torn write seldom lands its tail: reading that block alone proves
-   the write torn, and none of the rest of it is read. *)
+(* A torn write seldom lands its tail: checking that block alone proves
+   the write torn.  Of the rest of it only the metadata runs the walk
+   reads ahead of the watermark are read, each once. *)
 let test_torn_full_write_reads_one_block () =
   let dev, layout, ckpt, addr = cut_full_write ~after_blocks:4 () in
   let torn = Option.get (Summary.decode (Vdev.read_block dev addr)) in
@@ -473,8 +498,13 @@ let test_torn_full_write_reads_one_block () =
   let r = Recovery.scan layout view ~ckpt in
   Alcotest.(check int) "cut at the torn write" torn.Summary.seq r.Recovery.next_seq;
   Alcotest.(check int) "one block checksummed" 1 r.Recovery.blocks_verified;
-  Alcotest.(check (list (pair int int))) "of its payload, the last block, once"
-    [ (full - 1, 1) ] (payload_reads layout reads torn);
+  let first = Summary.entry_addr torn layout 0 in
+  Alcotest.(check (list (pair int int)))
+    "of its payload, its metadata runs and its last block, each once"
+    (List.sort_uniq compare
+       ((full - 1) :: List.map (fun a -> a - first) (metadata_addrs layout torn))
+    |> List.map (fun i -> (i, 1)))
+    (payload_reads layout reads torn);
   let fs2, report = Fs.recover dev in
   Alcotest.(check int) "the report agrees" 1 report.Fs.blocks_verified;
   Alcotest.(check bool) "the torn file is absent" true (Fs.resolve fs2 "/big" = None);
@@ -574,6 +604,130 @@ let test_inode_blocks_read_once ~seed () =
         Alcotest.failf "inode block %d read %d times" a n)
     reads;
   Helpers.fsck_clean fs2
+
+(* {2 The scan's read plan, over random logs} *)
+
+(* The runs of adjacent blocks of [s]'s write that the walk reads. *)
+let metadata_runs (s : Summary.t) =
+  fst
+    (List.fold_left
+       (fun (runs, prev) e ->
+         let m = is_metadata e in
+         ((if m && not prev then runs + 1 else runs), m))
+       (0, false) s.Summary.entries)
+
+(* A random op sequence with a cleaner step after every sync, then a
+   checkpoint and a second sequence whose checkpoints are syncs, then a
+   sync and a cleaner step (whose survivors go to the second head, when
+   there is one) that a power cut [cut] blocks in interrupts, under
+   Direct or queued submission, with one or two heads; then one scan
+   through a recording view.  It reads no block twice, nothing of a
+   head's segment below the checkpoint's offset, and no data block of a
+   write below the watermark.  Its reads number at most one per summary
+   position walked (every summary it read, and one walk end per segment
+   entered) plus one per run of inode, dir-log and indirect blocks of a
+   write since the checkpoint, plus, for a write at or above the
+   watermark, the tail and the gaps between its runs that its check
+   reads. *)
+let read_plan_holds ((before, window), (cut, queued, heads)) =
+  let config = { Helpers.eager_cleaning_config with Config.log_heads = heads } in
+  let disk, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
+  let now = ref 0.0 in
+  if queued then Disk.set_mode disk (Lfs_disk.Io_queue.Queued (fun () -> !now));
+  let step ~clean model op =
+    let model = Test_props.apply fs model op in
+    if clean && op = Test_props.Sync then ignore (Fs.clean_step fs : int);
+    now := !now +. 0.01;
+    if queued then ignore (Disk.pump disk ~now:!now);
+    model
+  in
+  let model = List.fold_left (step ~clean:true) [] before in
+  Fs.checkpoint fs;
+  ignore
+    (List.fold_left (step ~clean:false) model
+       (List.map (fun op -> if op = Test_props.Checkpoint then Test_props.Sync else op) window));
+  Helpers.plan_crash disk ~after_blocks:cut;
+  (match
+     Fs.sync fs;
+     ignore (Fs.clean_step fs : int);
+     ignore (Disk.drain disk : float)
+   with
+  | () -> ()
+  | exception Disk.Crashed -> ());
+  Helpers.reboot disk;
+  Disk.set_mode disk Lfs_disk.Io_queue.Direct;
+  let dev = Helpers.vdev disk in
+  let layout, ckpt = scan_latest dev in
+  let view, reads, log = recording dev in
+  let r = Recovery.scan layout view ~ckpt in
+  let twice = Hashtbl.fold (fun a n acc -> if n > 1 then a :: acc else acc) reads [] in
+  let below_offset =
+    Array.to_list ckpt.Checkpoint.heads
+    |> List.concat_map (fun (h : Log_writer.position) ->
+           List.filter (fun slot -> slot < h.Log_writer.off) (slots_read layout reads h.Log_writer.seg))
+  in
+  let data_below =
+    List.concat_map
+      (fun w ->
+        let s = w.Recovery.summary in
+        if s.Summary.seq >= r.Recovery.watermark then []
+        else
+          List.concat
+            (List.mapi
+               (fun i (e : Summary.entry) ->
+                 let a = Summary.entry_addr s layout i in
+                 if e.Summary.kind = Types.Data && Hashtbl.mem reads a then [ a ] else [])
+               s.Summary.entries))
+      r.Recovery.writes
+  in
+  let summaries =
+    Hashtbl.fold
+      (fun a _ acc ->
+        match Summary.decode (Vdev.read_block dev a) with
+        | Some s
+          when s.Summary.seg >= 0 && s.Summary.seg < layout.Layout.nsegs
+               && Layout.seg_first_block layout s.Summary.seg + s.Summary.slot = a ->
+            s :: acc
+        | Some _ | None -> acc)
+      reads []
+  in
+  let bound =
+    List.fold_left
+      (fun acc s ->
+        let runs = metadata_runs s in
+        acc + 1
+        + (if s.Summary.seq >= ckpt.Checkpoint.log_seq then runs else 0)
+        + if s.Summary.seq >= r.Recovery.watermark then runs + 2 else 0)
+      r.Recovery.segments_scanned summaries
+  in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  if twice <> [] then fail "blocks read twice: %s" (String.concat ", " (List.map string_of_int twice))
+  else if below_offset <> [] then
+    fail "slots below a checkpoint offset read: %s"
+      (String.concat ", " (List.map string_of_int below_offset))
+  else if data_below <> [] then
+    fail "data blocks below the watermark read: %s"
+      (String.concat ", " (List.map string_of_int data_below))
+  else if List.length !log > bound then
+    fail "%d reads, over the bound %d" (List.length !log) bound
+  else true
+
+let prop_read_plan =
+  QCheck.Test.make ~count:60
+    ~name:"scan reads each block once and no data below the watermark"
+    (QCheck.make
+       ~print:(fun ((before, window), (cut, queued, heads)) ->
+         let ops l = String.concat "; " (List.map Test_props.print_op l) in
+         Printf.sprintf "cut %d, %s, %d head(s): %s; checkpoint; %s" cut
+           (if queued then "queued" else "direct")
+           heads (ops before) (ops window))
+       QCheck.Gen.(
+         pair
+           (pair
+              (list_size (int_range 0 20) Test_props.op_gen)
+              (list_size (int_range 1 40) Test_props.op_gen))
+           (triple (int_range 1 60) bool (int_range 1 2))))
+    (Helpers.poisoned read_plan_holds)
 
 (* Recovery reads what the log since the checkpoint names.  The orphan
    sweep walks the namespace by the inode map's type words, so the
@@ -950,6 +1104,134 @@ let test_stale_summary_past_tail_cleaner () =
     (Option.get (Fs.read_path fs "/f"));
   Helpers.fsck_clean fs
 
+(* {2 Where the walk starts} *)
+
+(* The walk enters the checkpoint's segment at the checkpoint's offset:
+   of the writes before it in that segment, it reads nothing. *)
+let test_walk_starts_at_checkpoint_offset () =
+  let config = { Helpers.test_config with Config.seg_blocks = 64 } in
+  let disk, fs = Helpers.fresh_fs ~config () in
+  for i = 0 to 3 do
+    Fs.write_path fs (Printf.sprintf "/pre%d" i) (Bytes.make 1500 'p');
+    Fs.sync fs
+  done;
+  Fs.checkpoint fs;
+  let post i = Helpers.bytes_of_pattern ~seed:i (2000 + (700 * i)) in
+  for i = 0 to 3 do
+    Fs.write_path fs (Printf.sprintf "/post%d" i) (post i);
+    Fs.sync fs
+  done;
+  let dev = Helpers.vdev disk in
+  let layout, ckpt = scan_latest dev in
+  let h = ckpt.Checkpoint.heads.(0) in
+  let before =
+    List.filter
+      (fun s -> s.Summary.seg = h.Log_writer.seg && s.Summary.seq < ckpt.Checkpoint.log_seq)
+      (Helpers.chain_summaries dev)
+  in
+  Alcotest.(check bool) "several writes before the checkpoint in its segment" true
+    (List.length before >= 4);
+  let view, reads = counting dev in
+  let r = Recovery.scan layout view ~ckpt in
+  Alcotest.(check bool) "the writes since the checkpoint" true
+    (List.length r.Recovery.writes >= 4
+    && List.for_all
+         (fun w -> w.Recovery.summary.Summary.seq >= ckpt.Checkpoint.log_seq)
+         r.Recovery.writes);
+  List.iter
+    (fun slot ->
+      if slot < h.Log_writer.off then
+        Alcotest.failf "read slot %d, below the checkpoint's offset %d" slot
+          h.Log_writer.off)
+    (slots_read layout reads h.Log_writer.seg);
+  let fs2, _ = Fs.recover dev in
+  for i = 0 to 3 do
+    Helpers.check_bytes (Printf.sprintf "/pre%d" i) (Bytes.make 1500 'p')
+      (Option.get (Fs.read_path fs2 (Printf.sprintf "/pre%d" i)));
+    Helpers.check_bytes (Printf.sprintf "/post%d" i) (post i)
+      (Option.get (Fs.read_path fs2 (Printf.sprintf "/post%d" i)))
+  done;
+  Helpers.fsck_clean fs2
+
+(* A checkpoint whose head has no room left for a summary and a block:
+   the writer's next batch goes to the reserved segment, and so does
+   the walk, without reading the checkpoint's segment at all. *)
+let test_walk_from_exhausted_head () =
+  (* A first file whose size puts the checkpoint's head past the last
+     slot that can hold a summary. *)
+  let rec exhausted k =
+    if k > 64 then Alcotest.fail "no file size exhausts the head"
+    else
+      let disk, fs = Helpers.fresh_fs () in
+      Fs.write_path fs "/pre" (Helpers.bytes_of_pattern ~seed:1 (k * 4096));
+      Fs.checkpoint fs;
+      let layout, ckpt = scan_latest (Helpers.vdev disk) in
+      let h = ckpt.Checkpoint.heads.(0) in
+      if h.Log_writer.off > layout.Layout.seg_blocks - 2 then (disk, fs, k, layout, ckpt)
+      else exhausted (k + 1)
+  in
+  let disk, fs, k, layout, ckpt = exhausted 1 in
+  let h = ckpt.Checkpoint.heads.(0) in
+  let post i = Helpers.bytes_of_pattern ~seed:(10 + i) (1000 + (900 * i)) in
+  for i = 0 to 4 do
+    Fs.write_path fs (Printf.sprintf "/post%d" i) (post i);
+    Fs.sync fs
+  done;
+  let dev = Helpers.vdev disk in
+  let view, reads = counting dev in
+  let r = Recovery.scan layout view ~ckpt in
+  Alcotest.(check (list int)) "nothing of the checkpoint's segment read" []
+    (slots_read layout reads h.Log_writer.seg);
+  Alcotest.(check bool) "the synced writes, all in the reserved segment" true
+    (List.length r.Recovery.writes >= 5
+    && List.for_all
+         (fun w -> w.Recovery.summary.Summary.seg = h.Log_writer.next_seg)
+         r.Recovery.writes);
+  let fs2, report = Fs.recover dev in
+  Alcotest.(check int) "every write replayed" (List.length r.Recovery.writes)
+    report.Fs.writes_replayed;
+  Helpers.check_bytes "/pre" (Helpers.bytes_of_pattern ~seed:1 (k * 4096))
+    (Option.get (Fs.read_path fs2 "/pre"));
+  for i = 0 to 4 do
+    Helpers.check_bytes (Printf.sprintf "/post%d" i) (post i)
+      (Option.get (Fs.read_path fs2 (Printf.sprintf "/post%d" i)))
+  done;
+  Helpers.fsck_clean fs2
+
+(* A summary left from the segment's previous life at the checkpoint's
+   offset, as new as a summary before the checkpoint can be, self-
+   identifying and with a payload checksum that matches what lies
+   behind it: the seq floor alone rejects it, and the walk ends there
+   having read that one block of the segment. *)
+let test_stale_summary_at_checkpoint_offset () =
+  let disk, fs = Helpers.fresh_fs () in
+  let dev = Helpers.vdev disk in
+  let layout = Fs.layout fs in
+  Fs.write_path fs "/a" (Bytes.make 5000 'a');
+  Fs.sync fs;
+  Fs.checkpoint fs;
+  let _, ck = Option.get (Checkpoint.read_latest layout dev) in
+  let h = ck.Checkpoint.heads.(0) in
+  Alcotest.(check bool) "room at the offset" true
+    (h.Log_writer.off > 0 && h.Log_writer.off <= layout.Layout.seg_blocks - 2);
+  let at = Layout.seg_first_block layout h.Log_writer.seg + h.Log_writer.off in
+  plant dev layout h
+    (stale_summary layout ~at:h ~seq:(ck.Checkpoint.log_seq - 1)
+       ~payload_sum:(Summary.payload_checksum (Vdev.read_block dev (at + 1)))
+       [ entry Types.Data ]);
+  let view, reads = counting dev in
+  let r = Recovery.scan layout view ~ckpt:ck in
+  Alcotest.(check int) "no write rolled forward" 0 (List.length r.Recovery.writes);
+  Alcotest.(check bool) "the head resumes at the checkpoint's position" true
+    (r.Recovery.tails.(0) = h);
+  Alcotest.(check (list int)) "of its segment, the block at the offset alone"
+    [ h.Log_writer.off ]
+    (slots_read layout reads h.Log_writer.seg);
+  let fs2, report = Fs.recover dev in
+  Alcotest.(check int) "nothing replayed" 0 report.Fs.writes_replayed;
+  Helpers.check_bytes "/a" (Bytes.make 5000 'a') (Option.get (Fs.read_path fs2 "/a"));
+  Helpers.fsck_clean fs2
+
 (* Two checkpoints with only cleaning between them share a timestamp
    (the logical clock ticks on operations); the one written later has the
    higher log sequence number and must win on reboot, or the volume
@@ -1045,10 +1327,17 @@ let suite =
         test_tail_without_middle_is_cut;
       Alcotest.test_case "tail: zero tail_sum checks the whole payload" `Quick
         test_zero_tail_sum_checks_whole_payload;
+      Alcotest.test_case "walk: starts at the checkpoint's offset" `Quick
+        test_walk_starts_at_checkpoint_offset;
+      Alcotest.test_case "walk: an exhausted head starts at next_seg" `Quick
+        test_walk_from_exhausted_head;
+      Alcotest.test_case "walk: a stale summary at the offset ends it" `Quick
+        test_stale_summary_at_checkpoint_offset;
       Alcotest.test_case "inode blocks read once (seed 3)" `Quick
         (test_inode_blocks_read_once ~seed:3);
       Alcotest.test_case "inode blocks read once (seed 4)" `Quick
         (test_inode_blocks_read_once ~seed:4);
+      QCheck_alcotest.to_alcotest prop_read_plan;
       Alcotest.test_case "untouched files' inodes unread" `Quick
         test_recover_skips_untouched_inodes;
       Alcotest.test_case "unknown type words recover the same" `Quick
