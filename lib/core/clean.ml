@@ -41,12 +41,15 @@ let pass_size t max_segments =
    ends with a flush that writes every head's batch, so no reference
    into the buffers outlives the pass, which then gives them back. *)
 
-(* Read [len] blocks from [first] through [t.dev] (so the block cache
-   stays coherent and can serve part of the run) into [buf] at byte
-   [pos]. *)
+(* Read [len] blocks from [first] into [buf] at byte [pos]: resident
+   blocks come from the block cache, missed runs from the device, and
+   nothing enters the cache — the pass reads victims into its own
+   memory (Section 3.3), so they push no client block out. *)
 let read_into t first len buf ~pos =
   Metrics.incr ~by:len t.acct.cleaner_read;
-  ignore (Vdev.submit_read_into t.dev first len buf ~pos : Lfs_disk.Io_queue.ticket)
+  ignore
+    (Vdev_cache.submit_read_no_fill t.cache first len buf ~pos
+      : Lfs_disk.Io_queue.ticket)
 
 (* Read [len] blocks (at most a segment) from [first] into the pass's
    newest buffer, or a newly taken one when they do not fit; returns the
@@ -125,7 +128,7 @@ let read_victim t ~prefetched seg =
         ~payload:(fun addr () -> (buf, off addr))
   | Config.Live_blocks ->
       (* Payload thunks serve from [prefetched] when a coalescing pass
-         already pulled the block in, and fall back to a single cached
+         already pulled the block in, and fall back to a single-block
          read otherwise — the device is only ever charged for blocks
          actually needed. *)
       let read addr = read_run t addr 1 in

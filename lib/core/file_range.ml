@@ -14,11 +14,50 @@ let iter ~block_size ~off ~len f =
     pos := !pos + n
   done
 
-let read ~block_size ~size ~with_block ~off ~len =
+type block = Buffered of bytes | Hole | Mapped of Types.baddr
+
+let locate dirty fmap ino blockno =
+  match Hashtbl.find_opt dirty (ino, blockno) with
+  | Some b -> Buffered b
+  | None ->
+      let addr = Filemap.get fmap blockno in
+      if addr = Types.nil_addr then Hole else Mapped addr
+
+let read ~block_size ~size ~locate ~read_run ~off ~len =
   check ~off ~len;
   let out = Bytes.create (max 0 (min len (size - off))) in
+  (* The pending run: [run_n] blocks from disk address [run_addr], whose
+     [run_len] bytes from byte [run_skip] of the first land at byte
+     [run_pos] of [out].  Only the range's first block can start past
+     byte 0 and only its last can end short, so a run is one slice of
+     [out]. *)
+  let run_addr = ref Types.nil_addr and run_n = ref 0 in
+  let run_skip = ref 0 and run_pos = ref 0 and run_len = ref 0 in
+  let flush () =
+    if !run_n > 0 then begin
+      read_run !run_addr !run_n ~skip:!run_skip out ~pos:!run_pos ~len:!run_len;
+      run_n := 0
+    end
+  in
   iter ~block_size ~off ~len:(Bytes.length out) (fun blockno ~pos ~at ~n ->
-      with_block blockno (fun b -> Bytes.blit b at out pos n));
+      match locate blockno with
+      | Mapped addr ->
+          if !run_n = 0 || addr <> !run_addr + !run_n then begin
+            flush ();
+            run_addr := addr;
+            run_skip := at;
+            run_pos := pos;
+            run_len := 0
+          end;
+          incr run_n;
+          run_len := !run_len + n
+      | Buffered b ->
+          flush ();
+          Bytes.blit b at out pos n
+      | Hole ->
+          flush ();
+          Bytes.fill out pos n '\000');
+  flush ();
   out
 
 let write ~block_size ~read_block ~blank_block ~off data put =

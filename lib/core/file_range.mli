@@ -1,4 +1,4 @@
-(** Byte ranges of a file, walked block by block.
+(** Byte ranges of a file, walked block by block (reads: run by run).
 
     The read walk, the read-modify-write walk and the write-back of a
     changed directory, shared by {!Fs} and [Lfs_ffs.Ffs].  Each
@@ -7,19 +7,36 @@
     so where a block goes — the LFS write buffer, the FFS dirty table,
     a synchronous FFS directory write — stays with the file system. *)
 
+type block =
+  | Buffered of bytes  (** the write buffer's copy *)
+  | Hole  (** never written: reads as zeros *)
+  | Mapped of Types.baddr  (** on disk at this address *)
+(** Where a file block's current contents are. *)
+
+val locate :
+  (Types.ino * int, bytes) Hashtbl.t -> Filemap.t -> Types.ino -> int -> block
+(** [locate dirty fmap ino blockno]: file [ino]'s block [blockno] is
+    [Buffered] when the dirty table keyed by [(ino, blockno)] holds it,
+    else where its block map points. *)
+
 val read :
   block_size:int ->
   size:int ->
-  with_block:(int -> (bytes -> unit) -> unit) ->
+  locate:(int -> block) ->
+  read_run:(Types.baddr -> int -> skip:int -> bytes -> pos:int -> len:int -> unit) ->
   off:int ->
   len:int ->
   bytes
 (** The bytes of [\[off, off + len)] that lie below [size], in order;
-    reads past [size] are cut short.  [with_block blockno f] applies
-    [f] to file block [blockno]; the buffer may be borrowed (a cache's
-    resident block, a shared zero block) and valid only inside [f],
-    which only blits out of it.  Raises {!Types.Fs_error} on a negative
-    [off] or [len]. *)
+    reads past [size] are cut short.  The result is the only buffer the
+    walk allocates.  [locate blockno] says where file block [blockno]
+    is.  Each maximal run of on-disk blocks at consecutive addresses is
+    one [read_run addr n ~skip out ~pos ~len]: copy [len] bytes of the
+    [n] blocks from [addr], starting at byte [skip] of the first, into
+    the result at byte [pos].  A buffered block or a hole ends a run;
+    only the range's first block gives a nonzero [skip] and only its
+    last a [len] short of the run's end.  Raises {!Types.Fs_error} on a
+    negative [off] or [len]. *)
 
 val write :
   block_size:int ->

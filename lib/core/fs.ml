@@ -64,30 +64,43 @@ let drop_caches t =
 
 (* {1 File block IO} *)
 
-(* Apply [f] to file block [blockno]: the buffered copy, the cached
-   disk block (borrowed, see {!Fs_state.with_block}) or, for a hole, the
-   shared zero block — so [f] only reads. *)
-let with_file_block t h ino blockno f =
-  match Hashtbl.find_opt t.dirty_data (ino, blockno) with
-  | Some b -> f b
-  | None ->
-      let addr = Filemap.get h.fmap blockno in
-      if addr = Types.nil_addr then f t.zeros
-      else begin
-        Tier_policy.note_read t addr;
-        with_block t addr f
-      end
+(* Demand reads of file blocks, each block noted by the tier policy.  A
+   run is one read through the cached view: straight into [out] when
+   the range covers its every block, else into the mount's scratch,
+   whose covered bytes are then copied out — so a partly read last
+   block costs no transfer of its own.  A run's blocks sit in one log
+   write, between two summaries, so the scratch never outgrows a
+   segment. *)
+let read_run t addr n ~skip out ~pos ~len =
+  for i = 0 to n - 1 do
+    Tier_policy.note_read t (addr + i)
+  done;
+  let submit buf ~pos =
+    ignore (Vdev.submit_read_into t.dev addr n buf ~pos : Lfs_disk.Io_queue.ticket)
+  in
+  let bs = block_size t in
+  if skip = 0 && len = n * bs then submit out ~pos
+  else begin
+    let b = Buf_pool.Scratch.take t.edge_buf (n * bs) in
+    submit b ~pos:0;
+    Bytes.blit b skip out pos len;
+    Buf_pool.Scratch.give t.edge_buf
+  end
 
 (* File block [blockno] in a write-buffer block the caller may write:
    the buffered block itself, changed in place, or the block's bytes in
    a block taken from the write buffer's pool. *)
 let read_file_block t h ino blockno =
-  match Hashtbl.find_opt t.dirty_data (ino, blockno) with
-  | Some b -> b
-  | None ->
+  match File_range.locate t.dirty_data h.fmap ino blockno with
+  | File_range.Buffered b -> b
+  | File_range.Hole ->
       let b = Buf_pool.take t.wb_blocks in
-      with_file_block t h ino blockno (fun src ->
-          Bytes.blit src 0 b 0 (block_size t));
+      Bytes.fill b 0 (block_size t) '\000';
+      b
+  | File_range.Mapped addr ->
+      let b = Buf_pool.take t.wb_blocks in
+      Tier_policy.note_read t addr;
+      with_block t addr (fun src -> Bytes.blit src 0 b 0 (block_size t));
       b
 
 (* A write-buffer block for file block [blockno] whose every byte the
@@ -160,7 +173,8 @@ let read_any t ino ~off ~len =
   let h = get_handle t ino in
   let out =
     File_range.read ~block_size:(block_size t) ~size:h.inode.Inode.size
-      ~with_block:(with_file_block t h ino) ~off ~len
+      ~locate:(File_range.locate t.dirty_data h.fmap ino)
+      ~read_run:(read_run t) ~off ~len
   in
   Inode_map.set_atime t.imap ino t.clock;
   out
@@ -699,6 +713,8 @@ let iter_files t f =
 let with_handle t ino f =
   let h = get_handle t ino in
   f h.inode h.fmap
+
+let block_cached t addr = Vdev_cache.mem t.cache addr
 
 let cached_inos t = Hashtbl.fold (fun ino _ acc -> ino :: acc) t.handles []
 let dirty_inos t = Ino_set.elements t.dirty_inos

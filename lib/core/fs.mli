@@ -250,6 +250,10 @@ val with_handle : t -> Types.ino -> (Inode.t -> Filemap.t -> 'a) -> 'a
 val cached_inos : t -> Types.ino list
 (** The inos whose inode and block map are cached, in no order. *)
 
+val block_cached : t -> Types.baddr -> bool
+(** Whether the block cache holds block [addr]; no count or LRU
+    change. *)
+
 val dirty_inos : t -> Types.ino list
 (** The dirty set, ascending: the cached inodes and block maps the next
     flush writes to the log.  A cached handle outside it matches its

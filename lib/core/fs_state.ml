@@ -200,8 +200,8 @@ type t = {
   pool : Seg_pool.t;
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
   acct : acct;
-  zeros : bytes;  (* one block of zeros that reads of holes borrow *)
   ckpt_buf : Buf_pool.Scratch.t;  (* the region a checkpoint renders *)
+  edge_buf : Buf_pool.Scratch.t;  (* a file read's part-covered run: see {!Fs.read_run} *)
   victim_bufs : Buf_pool.t;  (* one segment each: see {!Clean.read_run} *)
   mutable pass_bufs : bytes list;  (* taken by this pass, newest first *)
   mutable pass_used : int;  (* blocks of the newest the pass has filled *)
@@ -657,8 +657,8 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       pool;
       cleaner_attr;
       acct;
-      zeros = Bytes.make layout.Layout.block_size '\000';
       ckpt_buf = Buf_pool.Scratch.create ();
+      edge_buf = Buf_pool.Scratch.create ();
       victim_bufs =
         Buf_pool.create ~bound:config.Config.segs_per_pass
           (layout.Layout.seg_blocks * layout.Layout.block_size);

@@ -20,7 +20,7 @@ end)
 
 type node = {
   addr : int;
-  mutable data : bytes;
+  data : bytes;
   mutable prev : node option;
   mutable next : node option;
 }
@@ -79,13 +79,11 @@ let touch t n =
       push_front t n
 
 (* Drop entry [n] and give its buffer back: nothing may read [n.data]
-   afterwards.  A node that already gave it back (see the defect in
-   [read_range_into]) has none. *)
+   afterwards. *)
 let drop t n =
   unlink t n;
   Addr_table.remove t.table n.addr;
-  if n.data != Bytes.empty then Lfs_util.Buf_pool.give t.bufs n.data;
-  n.data <- Bytes.empty
+  Lfs_util.Buf_pool.give t.bufs n.data
 
 let evict_lru t = match t.tail with Some n -> drop t n | None -> ()
 
@@ -98,21 +96,18 @@ let insert t addr data =
   push_front t n
 
 (* Take a copy of the block at [pos] of [src] as the contents of
-   [addr]. *)
+   [addr], which the table lacks. *)
 let store t addr ~pos src =
   if t.capacity > 0 then begin
-    match Addr_table.find_opt t.table addr with
-    | Some n ->
-        Bytes.blit src pos n.data 0 t.block_size;
-        touch t n
-    | None ->
-        let data = Lfs_util.Buf_pool.take t.bufs in
-        Bytes.blit src pos data 0 t.block_size;
-        insert t addr data
+    let data = Lfs_util.Buf_pool.take t.bufs in
+    Bytes.blit src pos data 0 t.block_size;
+    insert t addr data
   end
 
 let put t addr ?(pos = 0) src =
   check_free t;
+  if Addr_table.mem t.table addr then
+    invalid_arg "Block_cache.put: block resident (invalidate it first)";
   store t addr ~pos src
 
 (* Lend [b] to [f]: no operation may run until [f] returns. *)
@@ -158,40 +153,38 @@ let invalidate_range t addr n =
     invalidate t a
   done
 
-let read_range_into t ~fetch addr n buf ~pos =
+let read_range_into ?(fill = true) t ~fetch addr n buf ~pos =
   check_free t;
   let bs = t.block_size in
   (* [lo, hi) is a maximal run of missing blocks: fetch it with one call
      below, straight into [buf], so a cold multi-block read still costs
-     a single device IO.  Each fetched block is copied once, into the
-     cache. *)
-  let fill lo hi =
+     a single device IO.  A filling read copies each fetched block once,
+     into the cache. *)
+  let fetch_run lo hi =
     if hi > lo then begin
       t.misses <- t.misses + (hi - lo);
       fetch (addr + lo) (hi - lo) buf (pos + (lo * bs));
-      for k = lo to hi - 1 do
-        store t (addr + k) ~pos:(pos + (k * bs)) buf
-      done
+      if fill then
+        for k = lo to hi - 1 do
+          store t (addr + k) ~pos:(pos + (k * bs)) buf
+        done
     end
   in
   let run = ref 0 in
   for i = 0 to n - 1 do
     match Addr_table.find_opt t.table (addr + i) with
     | Some node ->
-        (* Copy the hit out before the fill: the fill may evict [node]
-           and hand its buffer to a block it loads.  Known defect, kept
-           for identical results: when the fill evicts [node], the
-           [touch] below relinks a node the table no longer holds, the
-           LRU list loses every other entry, and the table outgrows
-           [capacity] from then on. *)
+        (* Copy the hit out and touch it before the run in front of it
+           is fetched: the fill then evicts the hit only as the true LRU
+           entry, through [drop], like any other. *)
         Bytes.blit node.data 0 buf (pos + (i * bs)) bs;
-        fill !run i;
-        run := i + 1;
         t.hits <- t.hits + 1;
-        touch t node
+        if fill then touch t node;
+        fetch_run !run i;
+        run := i + 1
     | None -> ()
   done;
-  fill !run n
+  fetch_run !run n
 
 let mem t addr =
   check_free t;

@@ -1,9 +1,11 @@
-(** An LRU buffer cache over single-block reads.
+(** An exact-LRU block cache: it never holds more than its capacity,
+    and eviction always takes the least recently used block.
 
     Models the main-memory file cache of Section 2.1: repeated reads of
-    hot metadata blocks (packed inodes, directories, indirect blocks)
-    cost no disk time.  Writers must call {!put} (write-through update)
-    or {!invalidate} so the cache never returns stale data.
+    hot blocks (packed inodes, directories, indirect blocks, file data)
+    cost no disk time.  Writers must {!invalidate} a block before
+    writing it and may {!put} its new contents after (write-through),
+    so the cache never returns stale data.
 
     The cache owns what it stores: a block enters by one copy (or by a
     fetch straight into the buffer it will occupy), and nothing the
@@ -34,18 +36,33 @@ val with_block : t -> fetch:fetch -> int -> (bytes -> 'a) -> 'a
     [f] gets a fresh buffer.  A hit copies no block and allocates
     nothing on the major heap. *)
 
-val read_range_into : t -> fetch:fetch -> int -> int -> bytes -> pos:int -> unit
+val read_range_into :
+  ?fill:bool -> t -> fetch:fetch -> int -> int -> bytes -> pos:int -> unit
 (** [read_range_into t ~fetch addr n buf ~pos] reads [n] consecutive
     blocks into [buf] at byte [pos], serving each from the cache when
     present and counting a hit or miss per block.  Maximal runs of
     missing blocks are fetched with a single [fetch] call, straight into
     their place in [buf], so a cold segment-sized read still costs one
-    device IO; fetched blocks populate the cache, one copy each.  Hits
-    are copied out before the preceding missed run is fetched. *)
+    device IO.
+
+    The LRU order is exact: each hit is copied out and moved to the
+    front before the missed run in front of it is fetched, and fetched
+    blocks then enter the cache, one copy each, evicting only true LRU
+    entries.  The cache never holds more than its capacity.
+
+    With [~fill:false] (the cleaner's reads: Section 3.3 reads victims
+    into memory, not into the file cache) hits are copied out without
+    moving in the LRU order and fetched blocks land only in [buf]: the
+    cache's contents and order stay as they were, and only the hit and
+    miss counters move. *)
 
 val put : t -> int -> ?pos:int -> bytes -> unit
 (** [put t addr ~pos b] records the new contents of block [addr], just
-    written: the block at byte [pos] (default 0) of [b], copied. *)
+    written: the block at byte [pos] (default 0) of [b], copied, as the
+    most recently used entry.  [addr] must not be resident: a writer
+    invalidates the range before writing it (see {!Vdev_cache}), so a
+    torn write leaves nothing stale.  Raises [Invalid_argument] when it
+    is. *)
 
 val invalidate : t -> int -> unit
 val invalidate_range : t -> int -> int -> unit

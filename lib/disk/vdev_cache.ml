@@ -10,16 +10,17 @@ type t = {
 let fetch ?now lower tickets addr n buf pos =
   tickets := Vdev.submit_read_into ?now lower addr n buf ~pos :: !tickets
 
+(* Cache hits complete at submit time (a [Done] ticket); misses forward
+   to the lower device and join its tickets. *)
+let read_into ?fill ?now lower cache addr n buf ~pos =
+  if Vdev.is_crashed lower then raise Vdev.Crashed;
+  let tickets = ref [] in
+  Block_cache.read_range_into ?fill cache ~fetch:(fetch ?now lower tickets) addr n buf ~pos;
+  match !tickets with [] -> Io_queue.Done | ts -> Io_queue.Join ts
+
 let make_view lower cache name =
   let bs = Vdev.block_size lower in
-  (* Cache hits complete at submit time (a [Done] ticket); misses
-     forward to the lower device and join its tickets. *)
-  let read_into ?now addr n buf ~pos =
-    if Vdev.is_crashed lower then raise Vdev.Crashed;
-    let tickets = ref [] in
-    Block_cache.read_range_into cache ~fetch:(fetch ?now lower tickets) addr n buf ~pos;
-    match !tickets with [] -> Io_queue.Done | ts -> Io_queue.Join ts
-  in
+  let read_into ?now addr n buf ~pos = read_into ?now lower cache addr n buf ~pos in
   let write_from ?now addr n buf ~pos =
     (* Invalidate first: if the write below is torn, nothing stale
        survives in the cache. *)
@@ -58,6 +59,11 @@ let vdev t = t.view
 let with_block t addr f =
   if Vdev.is_crashed t.lower then raise Vdev.Crashed;
   Block_cache.with_block t.cache ~fetch:t.fetch_block addr f
+
+let submit_read_no_fill ?now t addr n buf ~pos =
+  read_into ~fill:false ?now t.lower t.cache addr n buf ~pos
+
+let mem t addr = Block_cache.mem t.cache addr
 let hits t = Block_cache.hits t.cache
 let misses t = Block_cache.misses t.cache
 

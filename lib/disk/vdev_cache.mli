@@ -6,7 +6,9 @@
     reads consult and populate it too, with maximal runs of missing
     blocks fetched in one lower IO, straight into the caller's buffer),
     and writes update the device and then the cache.  {!with_block}
-    lends a resident block to a decoder without copying it.
+    lends a resident block to a decoder without copying it, and
+    {!submit_read_no_fill} reads for the cleaner without filling the
+    cache.
 
     Crash coherence: a write first invalidates the affected range, then
     forwards, and only re-populates the cache on success — so a torn
@@ -30,6 +32,19 @@ val with_block : t -> int -> (bytes -> 'a) -> 'a
     borrow contract holds: the buffer is valid only inside [f], [f] must
     not write or keep it, and any IO through the view from inside [f]
     raises [Invalid_argument]. *)
+
+val submit_read_no_fill :
+  ?now:float -> t -> int -> int -> bytes -> pos:int -> Io_queue.ticket
+(** [submit_read_no_fill t addr n buf ~pos] reads as the view's
+    [submit_read_into] does (resident blocks copied out, each maximal
+    missed run one lower IO straight into [buf], a hit or miss counted
+    per block) but leaves the cache as it was: no miss enters it and no
+    hit moves in the LRU order ({!Block_cache.read_range_into}
+    [~fill:false]).  The cleaner reads victims with it, so a pass does
+    not push client blocks out of the cache. *)
+
+val mem : t -> int -> bool
+(** Whether block [addr] is resident ({!Block_cache.mem}). *)
 
 val hits : t -> int
 val misses : t -> int

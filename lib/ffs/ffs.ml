@@ -226,12 +226,10 @@ let flush_fmap_and_inode t h =
 (* {1 Data IO} *)
 
 let read_file_block t h ino blockno =
-  match Hashtbl.find_opt t.dirty_data (ino, blockno) with
-  | Some b -> Bytes.copy b
-  | None ->
-      let addr = Lfs_core.Filemap.get h.fmap blockno in
-      if addr = Types.nil_addr then Bytes.make t.layout.cfg.block_size '\000'
-      else Vdev.read_block t.dev addr
+  match File_range.locate t.dirty_data h.fmap ino blockno with
+  | File_range.Buffered b -> Bytes.copy b
+  | File_range.Hole -> Bytes.make t.layout.cfg.block_size '\000'
+  | File_range.Mapped addr -> Vdev.read_block t.dev addr
 
 let flush_data t =
   if Hashtbl.length t.dirty_data > 0 then begin
@@ -356,11 +354,20 @@ let write t ino ~off data =
     h.inode.Inode.mtime <- tick t
   end
 
+(* One transfer per block, even along a run of consecutive addresses:
+   this FFS does no read clustering. *)
 let read t ino ~off ~len =
   let h = get_handle t ino in
-  File_range.read ~block_size:t.layout.cfg.block_size ~size:h.inode.Inode.size
-    ~with_block:(fun blockno f -> f (read_file_block t h ino blockno))
-    ~off ~len
+  let bs = t.layout.cfg.block_size in
+  let rec read_run addr n ~skip out ~pos ~len =
+    if n > 0 then begin
+      let k = min (bs - skip) len in
+      Vdev_cache.with_block t.cache addr (fun b -> Bytes.blit b skip out pos k);
+      read_run (addr + 1) (n - 1) ~skip:0 out ~pos:(pos + k) ~len:(len - k)
+    end
+  in
+  File_range.read ~block_size:bs ~size:h.inode.Inode.size
+    ~locate:(File_range.locate t.dirty_data h.fmap ino) ~read_run ~off ~len
 
 let truncate t ino ~len =
   let h = get_handle t ino in

@@ -64,9 +64,28 @@ let fsck_clean fs =
   if not (Lfs_core.Fsck.is_clean r) then
     Alcotest.failf "fsck: %a" Lfs_core.Fsck.pp_report r
 
+(* Printable pseudo-random bytes, a function of [seed] and [len].  The
+   crash sweeps ask for the same patterns once per cut, so each is made
+   once and every call gets a copy the caller may change.  The memo is
+   emptied whenever it passes 8 MB: the random-op generators draw a
+   fresh (seed, len) nearly every time, and keeping those would cost
+   the suite hundreds of MB. *)
+let patterns = Hashtbl.create 64
+let pattern_bytes = ref 0
+
 let bytes_of_pattern ~seed len =
-  let prng = Prng.create ~seed in
-  Bytes.init len (fun _ -> Char.chr (32 + Prng.int prng 95))
+  match Hashtbl.find_opt patterns (seed, len) with
+  | Some b -> Bytes.copy b
+  | None ->
+      let prng = Prng.create ~seed in
+      let b = Bytes.init len (fun _ -> Char.chr (32 + Prng.int prng 95)) in
+      if !pattern_bytes + len > 8 lsl 20 then begin
+        Hashtbl.reset patterns;
+        pattern_bytes := 0
+      end;
+      Hashtbl.replace patterns (seed, len) b;
+      pattern_bytes := !pattern_bytes + len;
+      Bytes.copy b
 
 (* A summary rendered into a block of its own. *)
 let encode_summary ~block_size s =

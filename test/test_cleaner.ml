@@ -737,10 +737,71 @@ let test_rotted_block_relocated () =
   Helpers.check_bytes "/keep survives" keep (Option.get (Fs.read_path fs2 "/keep"));
   Alcotest.(check bool) "fsck reports the relocated block" true (reports moved fs2)
 
+(* A pass reads its victims into its own buffers, not into the block
+   cache (Section 3.3): under either read policy no block of a victim
+   becomes resident, and no block resident before the pass is evicted,
+   although the client blocks nearly fill the cache and a whole victim
+   would not fit beside them. *)
+let test_pass_leaves_cache_alone policy () =
+  let module Layout = Lfs_core.Layout in
+  let config =
+    Config.with_policy ~cleaning:Config.Greedy
+      { Helpers.eager_cleaning_config with Config.cleaner_read = policy; cache_blocks = 136 }
+  in
+  let _, fs = Helpers.fresh_fs ~config () in
+  let bs = 4096 in
+  let client i = Printf.sprintf "/c%d" i in
+  let contents i = Bytes.make (16 * bs) (Char.chr (Char.code 'a' + i)) in
+  for i = 0 to 5 do
+    Fs.write_path fs (client i) (contents i)
+  done;
+  Fs.sync fs;
+  (* A victim: a dead file beside a small live one. *)
+  Fs.write_path fs "/g" (Bytes.make (24 * bs) 'g');
+  Fs.write_path fs "/k" (Bytes.make bs 'k');
+  Fs.sync fs;
+  Fs.unlink fs ~dir:Fs.root "g";
+  Fs.checkpoint fs;
+  Fs.drop_caches fs;
+  for i = 0 to 5 do
+    Helpers.check_bytes "client file" (contents i) (Option.get (Fs.read_path fs (client i)))
+  done;
+  let layout = Fs.layout fs in
+  let nblocks = Lfs_disk.Vdev.nblocks (List.hd (Fs.devices fs)) in
+  let resident () = List.filter (Fs.block_cached fs) (List.init nblocks Fun.id) in
+  let live () = List.init layout.Layout.nsegs (Fs.segment_live_bytes fs) in
+  let before = resident () and live_before = live () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d resident blocks leave no room for a segment" (List.length before))
+    true
+    (List.length before + layout.Layout.seg_blocks > config.Config.cache_blocks);
+  ignore (Fs.clean_step ~max_segments:1 fs : int);
+  let after = resident () in
+  let victims =
+    List.concat
+      (List.mapi
+         (fun seg (b, a) -> if b > 0 && a = 0 then [ seg ] else [])
+         (List.combine live_before (live ())))
+  in
+  Alcotest.(check int) "one victim cleaned" 1 (List.length victims);
+  Alcotest.(check (list int)) "no resident block evicted" []
+    (List.filter (fun a -> not (List.mem a after)) before);
+  Alcotest.(check (list int)) "no victim block entered the cache" []
+    (List.filter
+       (fun a -> List.mem (Layout.seg_of_block layout a) victims && not (List.mem a before))
+       after);
+  Helpers.check_bytes "the victim's live file" (Bytes.make bs 'k')
+    (Option.get (Fs.read_path fs "/k"));
+  Helpers.fsck_clean fs
+
 let suite =
   ( "cleaner",
     [
       Alcotest.test_case "benefit/cost formula" `Quick test_benefit_cost_formula;
+      Alcotest.test_case "pass leaves the cache alone (whole segment)" `Quick
+        (test_pass_leaves_cache_alone Config.Whole_segment);
+      Alcotest.test_case "pass leaves the cache alone (live blocks)" `Quick
+        (test_pass_leaves_cache_alone Config.Live_blocks);
       Alcotest.test_case "greedy least-utilised" `Quick test_greedy_picks_least_utilized;
       Alcotest.test_case "cost-benefit old cold" `Quick test_cost_benefit_prefers_old_cold;
       Alcotest.test_case "empties first" `Quick test_empty_segments_always_first;

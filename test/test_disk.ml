@@ -241,6 +241,11 @@ let test_cache_put_and_invalidate () =
   let c = Block_cache.create ~capacity:4 ~block_size:4096 in
   Block_cache.put c 5 (block 'p');
   Helpers.check_bytes "put visible" (block 'p') (cache_read c ~fetch:(Disk.read_block d) 5);
+  (match Block_cache.put c 5 (block 'r') with
+  | () -> Alcotest.fail "a put over a resident block must raise"
+  | exception Invalid_argument _ -> ());
+  Helpers.check_bytes "refused put changed nothing" (block 'p')
+    (cache_read c ~fetch:(Disk.read_block d) 5);
   Block_cache.invalidate c 5;
   Disk.write_block d 5 (block 'q');
   Helpers.check_bytes "invalidate forces re-read" (block 'q') (cache_read c ~fetch:(Disk.read_block d) 5)
@@ -748,7 +753,8 @@ let show_cache_op = function
    contents on every fetch.  Every block returned or lent must equal the
    last contents put or fetched for its address, every access counts one
    hit or one miss, and scribbling on what the cache returned or was
-   given never reaches the cache.  A twin cache runs the same ops with
+   given never reaches the cache, and the cache never holds more than
+   [capacity] blocks.  A twin cache runs the same ops with
    each borrow done as a one-block [read_range_into] and each one-block
    read as a borrow: after every op both must agree on hits, misses and
    which blocks are resident. *)
@@ -763,6 +769,9 @@ let cache_agrees ~capacity ops =
     && List.for_all
          (fun a -> Block_cache.mem c a = Block_cache.mem twin a)
          (List.init 8 Fun.id)
+  in
+  let resident () =
+    List.length (List.filter (Block_cache.mem c) (List.init 8 Fun.id))
   in
   let model = Hashtbl.create 16 in
   let stamp = ref 0 in
@@ -788,10 +797,13 @@ let cache_agrees ~capacity ops =
       let counted n = Block_cache.hits c + Block_cache.misses c = accesses + n in
       (match op with
       | Put (addr, pos) ->
+          (* A writer invalidates before it puts, as [Vdev_cache] does. *)
           let src = Bytes.make (2 * cache_bs) '?' in
           Bytes.blit (fresh addr) 0 src pos cache_bs;
+          Block_cache.invalidate c addr;
           Block_cache.put c addr ~pos src;
           Bytes.fill src 0 (2 * cache_bs) '#';
+          Block_cache.invalidate twin addr;
           Block_cache.put twin addr (junk 1);
           counted 0
       | Read addr ->
@@ -810,7 +822,8 @@ let cache_agrees ~capacity ops =
           Block_cache.invalidate c addr;
           Block_cache.invalidate twin addr;
           counted 0)
-      && same_as_twin ())
+      && same_as_twin ()
+      && resident () <= capacity)
     ops
 
 (* While a block is lent, every cache operation raises (any of them could
@@ -896,11 +909,12 @@ let prop_cache_agrees_with_model =
     QCheck.(make ~print:(Print.list show_cache_op) Gen.(list_size (int_range 1 60) cache_op_gen))
     (fun ops -> List.for_all (fun capacity -> cache_agrees ~capacity ops) [ 0; 1; 2; 3; 4 ])
 
-(* The documented LRU defect's case: a capacity-2 cache reads [10, 12)
-   with 11 as its LRU tail, so fetching 10 evicts 11 before the hit on
-   11 is counted.  The bytes are right; the counts are today's (the LRU
-   fix keeps them and changes what stays resident). *)
-let test_cache_defect_case () =
+(* The case the old range read got wrong: a capacity-2 cache reads
+   [10, 12) with 11 as its LRU tail.  The hit on 11 is touched before
+   10 is fetched, so the fetch evicts 20, the true LRU entry, and the
+   cache ends holding exactly 10 and 11 (the old order evicted 11,
+   relinked it anyway and kept three blocks). *)
+let test_cache_lru_range_case () =
   let c = Block_cache.create ~capacity:2 ~block_size:4096 in
   let fetch_one = function 11 -> block 'k' | 20 -> block 't' | a -> Alcotest.failf "fetch %d" a in
   ignore (cache_read c ~fetch:fetch_one 11);
@@ -912,7 +926,13 @@ let test_cache_defect_case () =
   Helpers.check_bytes "range bytes" (Bytes.cat (block 'j') (block 'k'))
     (cache_read_range c ~fetch 10 2);
   Alcotest.(check int) "hits" 1 (Block_cache.hits c);
-  Alcotest.(check int) "misses" 3 (Block_cache.misses c)
+  Alcotest.(check int) "misses" 3 (Block_cache.misses c);
+  Alcotest.(check (list int)) "resident: exactly 10 and 11" [ 10; 11 ]
+    (List.filter (Block_cache.mem c) [ 10; 11; 20 ]);
+  (* Both stay readable as hits: the LRU list holds every entry. *)
+  Helpers.check_bytes "10 again" (block 'j') (cache_read c ~fetch:fetch_one 10);
+  Helpers.check_bytes "11 again" (block 'k') (cache_read c ~fetch:fetch_one 11);
+  Alcotest.(check int) "two more hits" 3 (Block_cache.hits c)
 
 let suite =
   ( "disk",
@@ -961,7 +981,7 @@ let suite =
       Alcotest.test_case "store: snapshot, restore, save/load" `Quick test_store_round_trips;
       Alcotest.test_case "store: queued overlay" `Quick test_store_queued_overlay;
       Alcotest.test_case "store: sparse memory" `Quick test_store_sparse_memory;
-      Alcotest.test_case "cache defect case [10, 12)" `Quick test_cache_defect_case;
+      Alcotest.test_case "cache defect case [10, 12)" `Quick test_cache_lru_range_case;
       Alcotest.test_case "cache borrow forbids other ops" `Quick test_cache_borrow_forbids_ops;
       Alcotest.test_case "cache borrowed hit: no major alloc" `Quick
         test_cache_borrowed_hit_no_major_alloc;

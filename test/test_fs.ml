@@ -447,6 +447,44 @@ let test_no_block_buffer_per_write () =
   Helpers.check_bytes "contents" (Bytes.make 16_384 'w')
     (Fs.read fs ino ~off:0 ~len:16_384)
 
+(* A file's blocks at consecutive log addresses come back from a cold
+   cache in one device read per run: whole blocks, a range that ends
+   part-way into its last block, and one that starts part-way into its
+   first.  A block in the write buffer ends a run. *)
+let test_read_run_one_transfer () =
+  let disk, fs = Helpers.fresh_fs () in
+  let k = 8 and bs = 4096 in
+  let data = Helpers.bytes_of_pattern ~seed:3 (k * bs) in
+  let ino = Fs.create fs ~dir:Fs.root "run" in
+  Fs.write fs ino ~off:0 data;
+  Fs.sync fs;
+  let addrs =
+    Fs.with_handle fs ino (fun _ fmap -> List.init k (Lfs_core.Filemap.get fmap))
+  in
+  Alcotest.(check (list int)) "laid out at consecutive addresses"
+    (List.init k (fun i -> List.hd addrs + i))
+    addrs;
+  let cold_read ~off ~len =
+    Fs.drop_caches fs;
+    ignore (Fs.file_size fs ino : int);
+    let before = Lfs_disk.Io_stats.copy (Disk.stats disk) in
+    let got = Fs.read fs ino ~off ~len in
+    let d = Lfs_disk.Io_stats.diff (Disk.stats disk) before in
+    Helpers.check_bytes "bytes" (Bytes.sub data off len) got;
+    (d.Lfs_disk.Io_stats.reads, d.Lfs_disk.Io_stats.blocks_read)
+  in
+  let reads = Alcotest.(check (pair int int)) in
+  reads "whole blocks: one read" (1, k) (cold_read ~off:0 ~len:(k * bs));
+  reads "short last block: one read" (1, k) (cold_read ~off:0 ~len:((k * bs) - 100));
+  reads "short first block: one read" (1, k - 1)
+    (cold_read ~off:(bs + 10) ~len:((k - 1) * bs - 10));
+  Fs.drop_caches fs;
+  Fs.write fs ino ~off:(3 * bs) (Bytes.sub data (3 * bs) 10);
+  let before = Lfs_disk.Io_stats.copy (Disk.stats disk) in
+  Helpers.check_bytes "around a buffered block" data (Fs.read fs ino ~off:0 ~len:(k * bs));
+  Alcotest.(check int) "a buffered block splits the run" 2
+    (Lfs_disk.Io_stats.diff (Disk.stats disk) before).Lfs_disk.Io_stats.reads
+
 let suite =
   ( "fs",
     [
@@ -455,6 +493,7 @@ let suite =
       Alcotest.test_case "write/read multiblock" `Quick test_write_read_multiblock;
       Alcotest.test_case "write at offset" `Quick test_write_at_offset;
       Alcotest.test_case "sparse holes" `Quick test_sparse_hole_reads_zero;
+      Alcotest.test_case "read: a run is one transfer" `Quick test_read_run_one_transfer;
       Alcotest.test_case "read past eof" `Quick test_read_past_eof_truncated;
       Alcotest.test_case "empty write" `Quick test_empty_write_noop;
       Alcotest.test_case "truncate shrinks" `Quick test_truncate_shrinks;
