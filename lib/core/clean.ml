@@ -34,12 +34,12 @@ let pass_size t max_segments =
 
 (* {1 Reading victims}
 
-   A pass reads everything it needs (whole victims, or summaries, inode
-   blocks and live data runs) into one-segment buffers from the mount's
-   pool [t.victim_bufs], filling each from the start.  Relocation copies
-   payloads out of them into the log writer's batches, and the pass
-   ends with a flush that writes every head's batch, so no reference
-   into the buffers outlives the pass, which then gives them back. *)
+   A pass reads each victim into a one-segment buffer of its own from
+   the mount's pool [t.victim_bufs], every block at its slot's offset.
+   Relocation copies payloads out of them into the log writer's
+   batches, and the pass ends with a flush that writes every head's
+   batch, so no reference into the buffers outlives the pass, which
+   then gives them back. *)
 
 (* Read [len] blocks from [first] into [buf] at byte [pos]: resident
    blocks come from the block cache, missed runs from the device, and
@@ -51,103 +51,84 @@ let read_into t first len buf ~pos =
     (Vdev_cache.submit_read_no_fill t.cache first len buf ~pos
       : Lfs_disk.Io_queue.ticket)
 
-(* Read [len] blocks (at most a segment) from [first] into the pass's
-   newest buffer, or a newly taken one when they do not fit; returns the
-   buffer and the byte offset they landed at. *)
-let read_run t first len =
-  (match t.pass_bufs with
-  | _ :: _ when t.pass_used + len <= t.layout.Layout.seg_blocks -> ()
-  | _ ->
-      t.pass_bufs <- Buf_pool.take t.victim_bufs :: t.pass_bufs;
-      t.pass_used <- 0);
-  let buf = List.hd t.pass_bufs and pos = t.pass_used * block_size t in
-  t.pass_used <- t.pass_used + len;
-  read_into t first len buf ~pos;
-  (buf, pos)
+(* Liveness tests of Section 3.3 for a data block: version (uid) first —
+   a stale version discards the block with no further IO — then the
+   block pointer. *)
+let current_version t (e : Summary.entry) =
+  Inode_map.is_allocated t.imap e.Summary.ino
+  && Inode_map.version t.imap e.Summary.ino = e.Summary.version
 
-(* Read [addrs] into [prefetched], coalescing consecutive addresses into
-   one ranged read each.  Runs contain exactly the requested blocks (no
-   dead filler), so the read accounting still reflects "just the live
-   blocks". *)
-let prefetch_runs t ~prefetched addrs =
-  let addrs =
-    List.sort_uniq Int.compare
-      (List.filter (fun a -> not (Hashtbl.mem prefetched a)) addrs)
-  in
-  let bs = block_size t in
-  let add_run first len =
-    let buf, pos = read_run t first len in
-    for i = 0 to len - 1 do
-      Hashtbl.replace prefetched (first + i) (buf, pos + (i * bs))
-    done
-  in
-  let rec go = function
-    | [] -> ()
-    | first :: rest ->
-        let rec run last = function
-          | a :: more when a = last + 1 -> run a more
-          | tail ->
-              add_run first (last - first + 1);
-              go tail
-        in
-        run first rest
-  in
-  go addrs
+let data_live t (e : Summary.entry) addr =
+  current_version t e
+  && Filemap.get (get_handle t e.Summary.ino).fmap e.Summary.blockno = addr
 
-(* Every log write a victim's summary chain describes, as (entry,
-   address, payload thunk) triples; [read] and a payload thunk each give
-   a block as a buffer and the block's byte offset in it.  The cleaner
-   applies no sequence rule: a stale summary from a previous life of the
-   segment, sitting where the chain continues, is walked too, and the
-   entries it describes simply fail the liveness checks. *)
-let victim_entries t ~seg ~read ~payload =
-  let first = Layout.seg_first_block t.layout seg in
-  let results = ref [] in
+(* Under [Live_blocks], read the blocks of write [s] that classification
+   and relocation need (every inode block, and each data block that is
+   still live) as ascending runs of consecutive slots.  A run that ends
+   the write also takes the next summary slot when the walk will read it
+   next, so that summary comes in the same transfer.  Returns the
+   summary slot so read, or -1. *)
+let read_needed t s ~read =
+  let next = Summary.next_slot s in
+  let fetched = ref (-1) and start = ref (-1) in
+  (* Read the open run, which ends just before [stop]. *)
+  let close stop =
+    if !start >= 0 then begin
+      let len =
+        if stop = next && next <= t.layout.Layout.seg_blocks - 2 then begin
+          fetched := next;
+          stop - !start + 1
+        end
+        else stop - !start
+      in
+      read !start len;
+      start := -1
+    end
+  in
+  List.iteri
+    (fun i (e : Summary.entry) ->
+      let slot = s.Summary.slot + 1 + i in
+      let needed =
+        match e.Summary.kind with
+        | Types.Inode_block -> true
+        | Types.Data -> data_live t e (Summary.entry_addr s t.layout i)
+        | _ -> false
+      in
+      if needed then (if !start < 0 then start := slot) else close slot)
+    s.Summary.entries;
+  close next;
+  !fetched
+
+(* A victim's log writes, as (entry, address, payload thunk) triples, a
+   thunk giving its block as the victim's buffer and the block's byte
+   offset there.  The mount's read policy decides what is read: the
+   whole segment in one transfer, or (Section 3.4's untried idea) one
+   ascending sweep of the summary chain and, write by write, only the
+   blocks {!read_needed} picks.  The cleaner applies no sequence rule:
+   a stale summary from a previous life of the segment, sitting where
+   the chain continues, is walked too, and the entries it describes
+   simply fail the liveness checks. *)
+let read_victim t seg =
+  let first = Layout.seg_first_block t.layout seg and bs = block_size t in
+  let buf = Buf_pool.take t.victim_bufs in
+  t.pass_bufs <- buf :: t.pass_bufs;
+  let read slot len = read_into t (first + slot) len buf ~pos:(slot * bs) in
+  let whole = t.config.Config.cleaner_read = Config.Whole_segment in
+  if whole then read 0 t.layout.Layout.seg_blocks;
+  let fetched = ref (-1) and results = ref [] in
   Summary.walk_segment t.layout ~seg
-    ~read:(fun slot -> read (first + slot))
+    ~read:(fun slot ->
+      if (not whole) && slot <> !fetched then read slot 1;
+      (buf, slot * bs))
     (fun s ->
+      if not whole then fetched := read_needed t s ~read;
       List.iteri
         (fun i e ->
-          let addr = first + s.Summary.slot + 1 + i in
-          results := (e, addr, payload addr) :: !results)
+          let addr = Summary.entry_addr s t.layout i in
+          results := (e, addr, fun () -> (buf, (addr - first) * bs)) :: !results)
         s.Summary.entries;
       true);
   List.rev !results
-
-(* The entries of a victim of the pass under the mount's read policy:
-   the whole segment in one read, or only what liveness checks and
-   relocation need (Section 3.4's untried idea). *)
-let read_victim t ~prefetched seg =
-  match t.config.Config.cleaner_read with
-  | Config.Whole_segment ->
-      let first = Layout.seg_first_block t.layout seg in
-      let buf, pos = read_run t first t.layout.Layout.seg_blocks in
-      let off addr = pos + ((addr - first) * block_size t) in
-      victim_entries t ~seg
-        ~read:(fun addr -> (buf, off addr))
-        ~payload:(fun addr () -> (buf, off addr))
-  | Config.Live_blocks ->
-      (* Payload thunks serve from [prefetched] when a coalescing pass
-         already pulled the block in, and fall back to a single-block
-         read otherwise — the device is only ever charged for blocks
-         actually needed. *)
-      let read addr = read_run t addr 1 in
-      let entries =
-        victim_entries t ~seg ~read ~payload:(fun addr () ->
-            match Hashtbl.find_opt prefetched addr with
-            | Some slice -> slice
-            | None -> read addr)
-      in
-      (* Classification decodes inode blocks immediately; pull them in
-         as coalesced runs before it starts. *)
-      prefetch_runs t ~prefetched
-        (List.filter_map
-           (fun ((e : Summary.entry), addr, _) ->
-             match e.Summary.kind with
-             | Types.Inode_block -> Some addr
-             | _ -> None)
-           entries);
-      entries
 
 (* {1 Liveness and relocation} *)
 
@@ -158,30 +139,20 @@ type live_item =
       blockno : int;
       version : int;
       payload : unit -> bytes * int;
-          (** the block as a buffer and its byte offset there:
-              whole-segment cleaning hands out the segment image,
-              live-blocks cleaning a prefetched run or a block read on
-              demand *)
+          (** the block as the victim's buffer and its byte offset
+              there *)
       mtime : float;
     }
   | Live_indirect of { ino : Types.ino; sblockno : int }
   | Live_inode of Types.ino
   | Live_table_block of table * int
 
-(* Liveness tests of Section 3.3: version (uid) first — a stale version
-   discards the block with no further IO — then the block pointer. *)
+(* The live items an entry of a victim stands for (Section 3.3). *)
 let classify_live t (e : Summary.entry) addr payload =
-  let current_version () =
-    Inode_map.is_allocated t.imap e.Summary.ino
-    && Inode_map.version t.imap e.Summary.ino = e.Summary.version
-  in
   match e.Summary.kind with
   | Types.Summary | Types.Dir_log -> []
   | Types.Data ->
-      if
-        current_version ()
-        && Filemap.get (get_handle t e.Summary.ino).fmap e.Summary.blockno = addr
-      then
+      if data_live t e addr then
         [
           Live_data
             {
@@ -196,7 +167,7 @@ let classify_live t (e : Summary.entry) addr payload =
       else []
   | Types.Indirect | Types.Dindirect ->
       if
-        current_version ()
+        current_version t e
         && Filemap.indirect_addr (get_handle t e.Summary.ino).fmap
              ~sblockno:e.Summary.blockno
            = addr
@@ -257,9 +228,7 @@ let clean_victims t ~bg victims =
     ~by:(List.length victims)
     (if bg then t.obs.bg_segments else t.obs.fg_segments);
   t.pass_bufs <- [];
-  let prefetched = Hashtbl.create 64 in
   let live = ref [] in
-  let data_addrs = ref [] in
   List.iter
     (fun seg ->
       let u = Seg_usage.utilization t.usage seg in
@@ -271,20 +240,10 @@ let clean_victims t ~bg victims =
         List.iter
           (fun (e, addr, payload) ->
             List.iter
-              (fun item ->
-                (match item with
-                | Live_data _ -> data_addrs := addr :: !data_addrs
-                | _ -> ());
-                live := (item, e.Summary.mtime) :: !live)
+              (fun item -> live := (item, e.Summary.mtime) :: !live)
               (classify_live t e addr payload))
-          (read_victim t ~prefetched seg))
+          (read_victim t seg))
     victims;
-  (* Live data payloads are only read at relocation time; now that the
-     live set is known, fetch it as coalesced runs across all victims so
-     the thunks hit [prefetched] instead of seeking block by block. *)
-  (match t.config.Config.cleaner_read with
-  | Config.Live_blocks -> prefetch_runs t ~prefetched !data_addrs
-  | Config.Whole_segment -> ());
   let ordered =
     Cleaner.order_for_grouping ~grouping:t.config.Config.grouping_policy
       (List.rev !live)

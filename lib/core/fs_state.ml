@@ -202,9 +202,8 @@ type t = {
   acct : acct;
   ckpt_buf : Buf_pool.Scratch.t;  (* the region a checkpoint renders *)
   edge_buf : Buf_pool.Scratch.t;  (* a file read's part-covered run: see {!Fs.read_run} *)
-  victim_bufs : Buf_pool.t;  (* one segment each: see {!Clean.read_run} *)
-  mutable pass_bufs : bytes list;  (* taken by this pass, newest first *)
-  mutable pass_used : int;  (* blocks of the newest the pass has filled *)
+  victim_bufs : Buf_pool.t;  (* one segment each: see {!Clean.read_victim} *)
+  mutable pass_bufs : bytes list;  (* taken by this pass, one per victim *)
   mutable clock : float;
   mutable ops_since_ckpt : int;
   mutable blocks_since_ckpt : int;
@@ -663,7 +662,6 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
         Buf_pool.create ~bound:config.Config.segs_per_pass
           (layout.Layout.seg_blocks * layout.Layout.block_size);
       pass_bufs = [];
-      pass_used = 0;
       clock;
       ops_since_ckpt = 0;
       blocks_since_ckpt = 0;

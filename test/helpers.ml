@@ -45,6 +45,27 @@ let poisoned f x =
    wrapped device stack. *)
 let vdev disk = Vdev.of_disk disk
 
+(* A view of [dev] that counts every block read through it, and logs
+   every read as (address, blocks), newest first. *)
+let recording dev =
+  let reads = Hashtbl.create 64 and log = ref [] in
+  let read_into ?now addr n buf ~pos =
+    log := (addr, n) :: !log;
+    for a = addr to addr + n - 1 do
+      Hashtbl.replace reads a (1 + Option.value ~default:0 (Hashtbl.find_opt reads a))
+    done;
+    Vdev.submit_read_into ?now dev addr n buf ~pos
+  in
+  let block_size = dev.Vdev.block_size in
+  ( {
+      dev with
+      Vdev.submit_read_into = read_into;
+      read_blocks = Vdev.alloc_read_blocks ~block_size read_into;
+      submit_read = Vdev.alloc_submit_read ~block_size read_into;
+    },
+    reads,
+    log )
+
 (* Crash plumbing goes through the vdev view, not the raw disk: fault
    scheduling composes through wrapped device stacks instead of
    reaching under them. *)

@@ -518,12 +518,16 @@ let test_clean_step_respects_budget () =
 
 (* Property: the cleaner's read policy is an I/O strategy, not a
    semantic one — the same workload leaves the same live data whether
-   victims are read wholesale or block-by-block through the cache. *)
+   victims are read wholesale or only in the blocks that classification
+   and relocation need.  A stop watermark near the segment count makes
+   [Fs.clean] run passes until they free nothing.  The live-blocks runs
+   are pinned to the blocks they read and relocate: a reader that drops
+   a needed block or reads a dead one changes the first. *)
 let test_read_policy_equivalence () =
   List.iter
-    (fun seed ->
+    (fun (seed, blocks_read, blocks_relocated) ->
       let run cleaner_read =
-        let config = { Helpers.test_config with Config.cleaner_read } in
+        let config = { Helpers.test_config with Config.cleaner_read; clean_stop = 60 } in
         let _, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
         let prng = Prng.create ~seed in
         let model = Helpers.random_ops ~ops:300 fs prng in
@@ -545,8 +549,19 @@ let test_read_policy_equivalence () =
       let live fs = (Fs.live_breakdown fs).Fs.total_bytes in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: identical live bytes" seed)
-        (live fs_whole) (live fs_live))
-    [ 1; 2; 3 ]
+        (live fs_whole) (live fs_live);
+      let total fs name = Helpers.fs_total fs name in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: same blocks relocated" seed)
+        (total fs_whole "fs.log.blocks_cleaner")
+        (total fs_live "fs.log.blocks_cleaner");
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: live-blocks blocks read" seed)
+        blocks_read (total fs_live "fs.cleaner.blocks_read");
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: live-blocks blocks relocated" seed)
+        blocks_relocated (total fs_live "fs.log.blocks_cleaner"))
+    [ (1, 242, 207); (2, 305, 263); (3, 290, 247) ]
 
 let test_checkpoint_by_blocks () =
   let config =
@@ -794,6 +809,127 @@ let test_pass_leaves_cache_alone policy () =
     (Option.get (Fs.read_path fs "/k"));
   Helpers.fsck_clean fs
 
+(* One live-blocks victim is read in one ascending sweep.  With no
+   block cache and every handle loaded beforehand, every read of a
+   one-victim step reaches the device: the reads must ascend without
+   overlap, cover exactly the summaries the chain walk reads, the
+   victim's inode blocks and its live data blocks, and a write whose
+   last block is read must bring the next summary in the same
+   transfer. *)
+let test_live_blocks_sweep () =
+  let module Layout = Lfs_core.Layout in
+  let module Summary = Lfs_core.Summary in
+  let module Types = Lfs_core.Types in
+  let config =
+    Config.with_policy ~cleaning:Config.Greedy
+      { Helpers.eager_cleaning_config with
+        Config.cleaner_read = Config.Live_blocks; cache_blocks = 0 }
+  in
+  let disk = Helpers.fresh_disk ~blocks:2048 () in
+  let view, _, log = Helpers.recording (Helpers.vdev disk) in
+  Fs.format view config;
+  let fs = Fs.mount view in
+  let bs = 4096 in
+  (* One segment of several writes: files written and synced one by
+     one, then some deleted and some partly overwritten. *)
+  for i = 0 to 5 do
+    Fs.write_path fs (Printf.sprintf "/f%d" i) (Bytes.make ((i + 1) * bs) 'a');
+    Fs.sync fs
+  done;
+  Fs.unlink fs ~dir:Fs.root "f1";
+  Fs.unlink fs ~dir:Fs.root "f4";
+  Fs.write fs (Option.get (Fs.resolve fs "/f5")) ~off:0 (Bytes.make bs 'b');
+  Fs.write fs (Option.get (Fs.resolve fs "/f3")) ~off:(3 * bs) (Bytes.make bs 'b');
+  Fs.write_path fs "/pad" (Bytes.make (40 * bs) 'p');
+  Fs.unlink fs ~dir:Fs.root "pad";
+  Fs.checkpoint fs;
+  let layout = Fs.layout fs in
+  let live_inos = Hashtbl.create 16 in
+  Fs.iter_files fs (fun ino _ -> Hashtbl.replace live_inos ino ());
+  (* What the sweep must read of [seg], as addresses, and the writes it
+     walks. *)
+  let expected seg =
+    let first = Layout.seg_first_block layout seg in
+    let walked = ref [] and summaries = ref [] in
+    Summary.walk_segment layout ~seg
+      ~read:(fun slot ->
+        walked := (first + slot) :: !walked;
+        (Lfs_disk.Disk.read_blocks disk (first + slot) 1, 0))
+      (fun s ->
+        summaries := s :: !summaries;
+        true);
+    let needed (s : Summary.t) =
+      List.concat
+        (List.mapi
+           (fun i (e : Summary.entry) ->
+             let addr = Summary.entry_addr s layout i in
+             match e.Summary.kind with
+             | Types.Inode_block -> [ addr ]
+             | Types.Data
+               when Hashtbl.mem live_inos e.Summary.ino
+                    && Fs.with_handle fs e.Summary.ino (fun _ fm ->
+                           Lfs_core.Filemap.get fm e.Summary.blockno = addr) ->
+                 [ addr ]
+             | _ -> [])
+           s.Summary.entries)
+    in
+    ( List.sort_uniq compare (!walked @ List.concat_map needed !summaries),
+      List.rev !summaries,
+      needed )
+  in
+  let live () = List.init layout.Layout.nsegs (Fs.segment_live_bytes fs) in
+  let live_before = live () in
+  let plans = List.mapi (fun seg b -> if b > 0 then Some (expected seg) else None) live_before in
+  log := [];
+  ignore (Fs.clean_step ~max_segments:1 fs : int);
+  let reads = List.rev !log in
+  let victim =
+    match
+      List.filter_map Fun.id
+        (List.mapi
+           (fun seg (b, a) -> if b > 0 && a = 0 then Some seg else None)
+           (List.combine live_before (live ())))
+    with
+    | [ v ] -> v
+    | vs -> Alcotest.failf "%d victims cleaned, expected one" (List.length vs)
+  in
+  let blocks, summaries, needed = Option.get (List.nth plans victim) in
+  let pp = String.concat " " (List.map (fun (a, n) -> Printf.sprintf "%d+%d" a n) reads) in
+  let rec ascending = function
+    | (a, n) :: ((b, _) :: _ as rest) -> a + n <= b && ascending rest
+    | _ -> true
+  in
+  Alcotest.(check bool) ("reads ascend without overlap: " ^ pp) true (ascending reads);
+  let read_blocks =
+    List.concat_map (fun (a, n) -> List.init n (fun i -> a + i)) reads
+  in
+  Alcotest.(check (list int)) "no block is read twice"
+    (List.sort_uniq compare read_blocks) (List.sort compare read_blocks);
+  Alcotest.(check (list int)) "summaries, inode blocks and live data, nothing else"
+    blocks (List.sort compare read_blocks);
+  (* Every write whose last block is read and whose next summary the walk
+     reads: one transfer covers both. *)
+  let seg_blocks = layout.Layout.seg_blocks in
+  let fused =
+    List.filter
+      (fun (s : Summary.t) ->
+        let n = List.length s.Summary.entries in
+        n > 0
+        && Summary.next_slot s <= seg_blocks - 2
+        && List.mem (Summary.entry_addr s layout (n - 1)) (needed s))
+      summaries
+  in
+  Alcotest.(check bool) "the victim has a write whose last block is read" true (fused <> []);
+  List.iter
+    (fun (s : Summary.t) ->
+      let last = Summary.entry_addr s layout (List.length s.Summary.entries - 1) in
+      Alcotest.(check bool)
+        (Printf.sprintf "block %d and the next summary in one transfer: %s" last pp)
+        true
+        (List.exists (fun (a, n) -> a <= last && last + 1 < a + n) reads))
+    fused;
+  Helpers.fsck_clean fs
+
 let suite =
   ( "cleaner",
     [
@@ -829,6 +965,8 @@ let suite =
       Alcotest.test_case "live-blocks reads less" `Quick test_live_blocks_reads_less_when_sparse;
       Alcotest.test_case "read buffer dead between passes" `Quick
         test_read_buffer_dead_between_passes;
+      Alcotest.test_case "live-blocks victim: one ascending sweep" `Quick
+        test_live_blocks_sweep;
       Alcotest.test_case "live-blocks pass: no run buffers" `Quick
         test_live_blocks_pass_no_run_buffers;
       Alcotest.test_case "clean_step idle above watermark" `Quick

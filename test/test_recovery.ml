@@ -277,26 +277,7 @@ let test_recovery_report_counts () =
 
 (* {2 The durability watermark} *)
 
-(* A view of [dev] that counts every block read through it, and logs
-   every read as (address, blocks). *)
-let recording dev =
-  let reads = Hashtbl.create 64 and log = ref [] in
-  let read_into ?now addr n buf ~pos =
-    log := (addr, n) :: !log;
-    for a = addr to addr + n - 1 do
-      Hashtbl.replace reads a (1 + Option.value ~default:0 (Hashtbl.find_opt reads a))
-    done;
-    Vdev.submit_read_into ?now dev addr n buf ~pos
-  in
-  let block_size = dev.Vdev.block_size in
-  ( {
-      dev with
-      Vdev.submit_read_into = read_into;
-      read_blocks = Vdev.alloc_read_blocks ~block_size read_into;
-      submit_read = Vdev.alloc_submit_read ~block_size read_into;
-    },
-    reads,
-    log )
+let recording = Helpers.recording
 
 let counting dev =
   let view, reads, _ = recording dev in
