@@ -419,6 +419,19 @@ let fig10 () =
         [ ("/user6", user6.W.Production.histogram) ]
   | [] -> ()
 
+(* The metadata kinds' share of a per-kind log-bandwidth breakdown, in
+   which inode and dir-log bytes carried in summaries count under their
+   own kinds ({!Lfs_core.Fs_stats.log_bandwidth_fraction}). *)
+let metadata_share bw =
+  List.fold_left
+    (fun acc (k, f) ->
+      match k with
+      | Lfs_core.Types.Inode_block | Lfs_core.Types.Imap | Lfs_core.Types.Seg_usage
+      | Lfs_core.Types.Summary | Lfs_core.Types.Dir_log ->
+          acc +. f
+      | Lfs_core.Types.Data | Lfs_core.Types.Indirect | Lfs_core.Types.Dindirect -> acc)
+    0.0 bw
+
 let table4 () =
   header "Table 4 - disk space and log bandwidth by block type (/user6)"
     ">99% of live data is file data + indirect blocks; metadata is a \
@@ -438,20 +451,7 @@ let table4 () =
                Printf.sprintf "%.1f%%" (100.0 *. List.assoc kind bw);
              ])
            Lfs_core.Types.all_block_kinds);
-      let meta_bw =
-        List.fold_left
-          (fun acc (k, f) ->
-            match k with
-            | Lfs_core.Types.Inode_block | Lfs_core.Types.Imap
-            | Lfs_core.Types.Seg_usage | Lfs_core.Types.Summary
-            | Lfs_core.Types.Dir_log ->
-                acc +. f
-            | Lfs_core.Types.Data | Lfs_core.Types.Indirect
-            | Lfs_core.Types.Dindirect ->
-                acc)
-          0.0 bw
-      in
-      Printf.printf "Metadata share of log bandwidth: %s\n" (pct meta_bw)
+      Printf.printf "Metadata share of log bandwidth: %s\n" (pct (metadata_share bw))
   | [] -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -749,22 +749,9 @@ let ablate () =
            }
          in
          let r = W.Production.run ~scale:0.5 spec in
-         let meta =
-           List.fold_left
-             (fun acc (k, f) ->
-               match k with
-               | Lfs_core.Types.Inode_block | Lfs_core.Types.Imap
-               | Lfs_core.Types.Seg_usage | Lfs_core.Types.Summary
-               | Lfs_core.Types.Dir_log ->
-                   acc +. f
-               | Lfs_core.Types.Data | Lfs_core.Types.Indirect
-               | Lfs_core.Types.Dindirect ->
-                   acc)
-             0.0 r.W.Production.log_bandwidth
-         in
          [
            string_of_int interval;
-           pct meta;
+           pct (metadata_share r.W.Production.log_bandwidth);
            Table.fmt_float r.W.Production.write_cost;
          ])
        [ 25; 100; 500; 2000 ])
@@ -1595,6 +1582,8 @@ let micro () =
       durable_below = 0;
       tail_sum = 0;
       entries = List.init 64 (fun _ -> entry);
+      records = [];
+      inodes = [];
     }
   in
   let reader = Lfs_core.Recovery.reader layout disk in

@@ -99,37 +99,6 @@ let read_needed t s ~read =
   close next;
   !fetched
 
-(* A victim's log writes, as (entry, address, payload thunk) triples, a
-   thunk giving its block as the victim's buffer and the block's byte
-   offset there.  The mount's read policy decides what is read: the
-   whole segment in one transfer, or (Section 3.4's untried idea) one
-   ascending sweep of the summary chain and, write by write, only the
-   blocks {!read_needed} picks.  The cleaner applies no sequence rule:
-   a stale summary from a previous life of the segment, sitting where
-   the chain continues, is walked too, and the entries it describes
-   simply fail the liveness checks. *)
-let read_victim t seg =
-  let first = Layout.seg_first_block t.layout seg and bs = block_size t in
-  let buf = Buf_pool.take t.victim_bufs in
-  t.pass_bufs <- buf :: t.pass_bufs;
-  let read slot len = read_into t (first + slot) len buf ~pos:(slot * bs) in
-  let whole = t.config.Config.cleaner_read = Config.Whole_segment in
-  if whole then read 0 t.layout.Layout.seg_blocks;
-  let fetched = ref (-1) and results = ref [] in
-  Summary.walk_segment t.layout ~seg
-    ~read:(fun slot ->
-      if (not whole) && slot <> !fetched then read slot 1;
-      (buf, slot * bs))
-    (fun s ->
-      if not whole then fetched := read_needed t s ~read;
-      List.iteri
-        (fun i e ->
-          let addr = Summary.entry_addr s t.layout i in
-          results := (e, addr, fun () -> (buf, (addr - first) * bs)) :: !results)
-        s.Summary.entries;
-      true);
-  List.rev !results
-
 (* {1 Liveness and relocation} *)
 
 type live_item =
@@ -146,6 +115,12 @@ type live_item =
   | Live_indirect of { ino : Types.ino; sblockno : int }
   | Live_inode of Types.ino
   | Live_table_block of table * int
+
+(* Whether the inode map places [ino] at [iaddr]. *)
+let inode_live t ino iaddr =
+  ino >= 0
+  && ino < Inode_map.max_inodes t.imap
+  && Types.Iaddr.equal (Inode_map.location t.imap ino) iaddr
 
 (* The live items an entry of a victim stands for (Section 3.3). *)
 let classify_live t (e : Summary.entry) addr payload =
@@ -180,13 +155,8 @@ let classify_live t (e : Summary.entry) addr payload =
         match Inode.decode_ino b ~pos ~slot with
         | None -> ()
         | Some ino ->
-            if
-              ino >= 0
-              && ino < Inode_map.max_inodes t.imap
-              && Types.Iaddr.equal
-                   (Inode_map.location t.imap ino)
-                   (Types.Iaddr.make ~block:addr ~slot)
-            then acc := Live_inode ino :: !acc
+            if inode_live t ino (Types.Iaddr.make ~block:addr ~slot) then
+              acc := Live_inode ino :: !acc
       done;
       List.rev !acc
   | Types.Imap | Types.Seg_usage ->
@@ -195,6 +165,51 @@ let classify_live t (e : Summary.entry) addr payload =
       if i >= 0 && i < tb.nblocks && tb.addr i = addr then
         [ Live_table_block (tb, i) ]
       else []
+
+(* A victim's live items (Section 3.3), each with the mtime its
+   relocation is grouped by.  The mount's read policy decides what is
+   read: the whole segment in one transfer, or (Section 3.4's untried
+   idea) one ascending sweep of the summary chain and, write by write,
+   only the blocks {!read_needed} picks.  An inline inode is classified
+   from the summary the walk already holds, at the summary's own
+   address.  The cleaner applies no sequence rule: a stale summary from
+   a previous life of the segment, sitting where the chain continues, is
+   walked too, and the entries it describes simply fail the liveness
+   checks. *)
+let read_victim t seg =
+  let first = Layout.seg_first_block t.layout seg and bs = block_size t in
+  let buf = Buf_pool.take t.victim_bufs in
+  t.pass_bufs <- buf :: t.pass_bufs;
+  let read slot len = read_into t (first + slot) len buf ~pos:(slot * bs) in
+  let whole = t.config.Config.cleaner_read = Config.Whole_segment in
+  if whole then read 0 t.layout.Layout.seg_blocks;
+  let fetched = ref (-1) and walked = ref [] in
+  Summary.walk_segment t.layout ~seg
+    ~read:(fun slot ->
+      if (not whole) && slot <> !fetched then read slot 1;
+      (buf, slot * bs))
+    (fun s ->
+      if not whole then fetched := read_needed t s ~read;
+      walked := s :: !walked;
+      true);
+  (* Classified once the walk is done, so the handles liveness loads
+     are read after the victim. *)
+  List.concat_map
+    (fun s ->
+      List.concat
+        (List.mapi
+           (fun i (e : Summary.entry) ->
+             let addr = Summary.entry_addr s t.layout i in
+             classify_live t e addr (fun () -> (buf, (addr - first) * bs))
+             |> List.map (fun item -> (item, e.Summary.mtime)))
+           s.Summary.entries)
+      @ List.filter_map
+          (fun (iaddr, (inode : Inode.t)) ->
+            if inode_live t inode.Inode.ino iaddr then
+              Some (Live_inode inode.Inode.ino, inode.Inode.mtime)
+            else None)
+          (Summary.inline_inodes s t.layout))
+    (List.rev !walked)
 
 let relocate_item t item =
   match item with
@@ -237,12 +252,7 @@ let clean_victims t ~bg victims =
       Metrics.observe t.obs.victim_age
         (Float.max 0.0 (t.clock -. Seg_usage.mtime t.usage seg));
       if Seg_usage.live_bytes t.usage seg > 0 then
-        List.iter
-          (fun (e, addr, payload) ->
-            List.iter
-              (fun item -> live := (item, e.Summary.mtime) :: !live)
-              (classify_live t e addr payload))
-          (read_victim t seg))
+        live := List.rev_append (read_victim t seg) !live)
     victims;
   let ordered =
     Cleaner.order_for_grouping ~grouping:t.config.Config.grouping_policy
@@ -276,10 +286,11 @@ let bg_max_u = 0.95
    scanned once by [drive]; cleaned victims are subtracted so later
    passes never re-walk the whole usage table.  Utilisation and age are
    still re-read per pass (relocation changes both).  Returns
-   [(cleaned, freed)]: how many victims the pass consumed and the net
-   change in clean segments — a pass can clean a victim yet free nothing
-   this step (the relocation rolled the log into a fresh segment) while
-   still compacting. *)
+   [(cleaned, freed, slack)]: how many victims the pass consumed, the
+   net change in clean segments — a pass can clean a victim yet free
+   nothing this step (the relocation rolled the log into a fresh
+   segment) while still compacting — and the victims' free space, in
+   segments, as the usage table gave it. *)
 let clean_pass t ~bg ~max_victims ~candidates =
   op_span t (if bg then t.obs.bg_busy else t.obs.fg_busy) @@ fun () ->
   let before = clean_segment_count t in
@@ -317,14 +328,19 @@ let clean_pass t ~bg ~max_victims ~candidates =
         else false)
       victims
   in
-  if victims = [] then (0, 0)
+  if victims = [] then (0, 0, 0.0)
   else begin
+    let slack =
+      List.fold_left
+        (fun acc s -> acc +. 1.0 -. Seg_usage.utilization t.usage s)
+        0.0 victims
+    in
     clean_victims t ~bg victims;
     (* Persist the pass: victims only become reusable once the
        checkpoint no longer references their old contents. *)
     checkpoint t;
     candidates := List.filter (fun s -> not (List.mem s victims)) !candidates;
-    (List.length victims, clean_segment_count t - before)
+    (List.length victims, clean_segment_count t - before, slack)
   end
 
 (* {1 Running the cleaner} *)
@@ -351,7 +367,7 @@ let clean t =
             while
               !continue_cleaning && clean_segment_count t < clean_stop_effective t
             do
-              let _, freed =
+              let _, freed, _ =
                 clean_pass t ~bg:false
                   ~max_victims:t.config.Config.segs_per_pass ~candidates
               in
@@ -400,21 +416,34 @@ let bg_pending t =
   end
   else 0
 
+(* Background passes that free nothing net, one after another with no
+   file-system change in between, whose victims held this much free
+   space between them, in segments, are churning: the log space each
+   relocation and its checkpoint take eats what its victim held free,
+   and with nothing else changing the pool would never rise. *)
+let bg_churn_slack = 2.0
+
 let bg_clean_step t ~max_victims =
   if t.in_cleaner || bg_pending t = 0 then 0
   else
     drive t (fun candidates ->
-        let cleaned, _freed = clean_pass t ~bg:true ~max_victims ~candidates in
-        if cleaned = 0 then begin
+        let cleaned, freed, slack = clean_pass t ~bg:true ~max_victims ~candidates in
+        (* Every change ticks the clock: a pass after one starts anew. *)
+        if freed > 0 || t.clock <> t.bg_clock then t.bg_slack <- 0.0;
+        if freed <= 0 then t.bg_slack <- t.bg_slack +. slack;
+        t.bg_clock <- t.clock;
+        if cleaned = 0 || t.bg_slack >= bg_churn_slack then begin
           (* Nothing worth cleaning: every remaining dirty segment is
-             pinned, nearly fully live, or over budget.  Disengage so an
-             idle caller stops spinning — the watermarks may simply be
-             unreachable at this utilisation; the latch re-arms when the
-             pool next drains below the low watermark.  (A pass that
-             cleaned a victim but freed nothing net still compacted — the
-             log just rolled into a fresh segment — so it keeps the latch
-             engaged.) *)
+             pinned, nearly fully live, or over budget; or the passes
+             only churn.  Disengage so an idle caller stops spinning —
+             the watermarks may simply be unreachable at this
+             utilisation; the latch re-arms when the pool next drains
+             below the low watermark.  (A pass that cleaned a victim but
+             freed nothing net may still have compacted — the log just
+             rolled into a fresh segment — so one such pass keeps the
+             latch engaged.) *)
           t.bg_active <- false;
+          t.bg_slack <- 0.0;
           0
         end
         else bg_pending t)

@@ -96,6 +96,24 @@ let encode_block_into ~block_size group b ~pos =
   Codec.put_u32 c (List.length group);
   List.iter (encode_record c) group
 
+let records_size records =
+  List.fold_left (fun acc r -> acc + record_size r) 0 records
+
+let encode_records_into b ~pos records =
+  let c = Codec.at b pos in
+  List.iter (encode_record c) records
+
+let decode_records b ~pos ~len =
+  let c = Codec.at b pos in
+  let stop = pos + len in
+  let rec go acc =
+    if Codec.pos c = stop then List.rev acc
+    else if Codec.pos c > stop then
+      Types.corrupt "dir-log: records overrun their %d bytes" len
+    else go (decode_record c :: acc)
+  in
+  go []
+
 let decode_block ?(pos = 0) b =
   let c = Codec.at b pos in
   let n = Codec.get_u32 c in

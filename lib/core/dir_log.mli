@@ -44,4 +44,17 @@ val decode_block : ?pos:int -> bytes -> record list
 (** The records of the dir-log block at byte [pos] (default 0) of the
     buffer.  Raises {!Types.Corrupt} on malformed content. *)
 
+val records_size : record list -> int
+(** Bytes the records take in their encoding, with no count field. *)
+
+val encode_records_into : bytes -> pos:int -> record list -> unit
+(** Render the records back to back from byte [pos] of the buffer: the
+    encoding a summary carries its inline records in. *)
+
+val decode_records : bytes -> pos:int -> len:int -> record list
+(** The records {!encode_records_into} rendered into the [len] bytes
+    from [pos].  Raises {!Types.Corrupt} unless they parse to exactly
+    [len] bytes (a read past the buffer raises
+    {!Lfs_util.Bytes_codec.Overflow}). *)
+
 val pp_record : Format.formatter -> record -> unit

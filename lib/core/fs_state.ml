@@ -110,6 +110,10 @@ let make_obs ?metrics () =
 type acct = {
   log_blocks : Metrics.counter array;  (* appended, by [block_kind_to_int] *)
   log_cleaner : Metrics.counter;  (* of those, appended by the cleaner *)
+  inline_inode_bytes : Metrics.counter;
+  inline_record_bytes : Metrics.counter;
+      (* inode and dir-log bytes carried in summaries: {!Fs_stats}
+         counts them under their own kinds, not the summaries' *)
   cleaner_read : Metrics.counter;
   self_emptied : Metrics.counter;  (* segments whose last live byte died *)
   checkpoints : Metrics.counter;
@@ -128,6 +132,8 @@ let make_acct m =
     Array.init (List.length Types.all_block_kinds) (fun i ->
         c (kind_name (Types.block_kind_of_int i)))
   in
+  let inline_inode_bytes = c (Fs_stats.inline_bytes_name Types.Inode_block) in
+  let inline_record_bytes = c (Fs_stats.inline_bytes_name Types.Dir_log) in
   let cleaner_read = c "cleaner.blocks_read" in
   g "cleaner.segments_cleaned" (fun () ->
       total "cleaner.fg.segments" +. total "cleaner.bg.segments"
@@ -136,7 +142,15 @@ let make_acct m =
   g "cleaner.avg_cleaned_u" (fun () -> Fs_stats.avg_cleaned_u_nonempty m);
   g "write_cost" (fun () -> Fs_stats.write_cost m);
   let checkpoints = c "checkpoints" in
-  { log_blocks; log_cleaner; cleaner_read; self_emptied; checkpoints }
+  {
+    log_blocks;
+    log_cleaner;
+    inline_inode_bytes;
+    inline_record_bytes;
+    cleaner_read;
+    self_emptied;
+    checkpoints;
+  }
 
 let note_written acct kind ~cleaner =
   Metrics.incr acct.log_blocks.(Types.block_kind_to_int kind);
@@ -210,6 +224,10 @@ type t = {
   mutable ckpt_region : int;  (* region to write next *)
   mutable in_cleaner : bool;
   mutable bg_active : bool;  (* background cleaner engaged (hysteresis latch) *)
+  mutable bg_slack : float;
+      (* victims' free space, in segments, of the background passes
+         since the pool last rose or the clock last moved *)
+  mutable bg_clock : float;  (* the clock at the last background pass *)
   mutable in_checkpoint : bool;
   mutable checkpoint_hook : unit -> unit;
   log_batch_hook : (blocks:int -> unit) ref;
@@ -262,26 +280,27 @@ let kill_inode t iaddr =
     && not (Types.Iaddr.equal iaddr placeholder_iaddr)
   then kill t (Types.Iaddr.block iaddr) ~bytes:t.layout.Layout.inode_size
 
-(* Every log append goes through here so traffic is attributed — and
-   routed by temperature (Section 3.5): fresh foreground data to head 0,
-   cleaner survivors to the cold head(s).  With more than two heads the
-   survivors spread into age bins, [demote_age_s] wide, so data that has
-   already proven cold lands apart from the merely lukewarm.  [from] is
-   as in {!Log_writer.append}. *)
+(* Every log write is routed by temperature (Section 3.5): fresh
+   foreground data to head 0, cleaner survivors to the cold head(s).
+   With more than two heads the survivors spread into age bins,
+   [demote_age_s] wide, so data that has already proven cold lands apart
+   from the merely lukewarm. *)
+let head_for t ~mtime =
+  let n = Log_writer.nheads t.log in
+  if n = 1 || not !(t.cleaner_attr) then 0
+  else if n = 2 then 1
+  else
+    let age = Float.max 0.0 (t.clock -. mtime) in
+    let bin = int_of_float (age /. Float.max 1.0 t.config.Config.demote_age_s) in
+    1 + min (n - 2) bin
+
+(* Every log append goes through here so traffic is attributed.  [from]
+   is as in {!Log_writer.append}. *)
 let append_block ?from t ~kind ~ino ~blockno ~version ~mtime payload =
   note_written t.acct kind ~cleaner:!(t.cleaner_attr);
   t.blocks_since_ckpt <- t.blocks_since_ckpt + 1;
-  let head =
-    let n = Log_writer.nheads t.log in
-    if n = 1 || not !(t.cleaner_attr) then 0
-    else if n = 2 then 1
-    else
-      let age = Float.max 0.0 (t.clock -. mtime) in
-      let bin = int_of_float (age /. Float.max 1.0 t.config.Config.demote_age_s) in
-      1 + min (n - 2) bin
-  in
-  Log_writer.append ~head ?from t.log ~kind ~ino ~blockno ~version ~mtime
-    payload
+  Log_writer.append ~head:(head_for t ~mtime) ?from t.log ~kind ~ino ~blockno
+    ~version ~mtime payload
 
 (* Run [f] with its appends attributed to the cleaner or not. *)
 let attributed t ~cleaner f =
@@ -344,22 +363,32 @@ let version_of t ino = Inode_map.version t.imap ino
    Every flush ends with a {!Log_writer.sync}, which renders each
    [Lazy] payload the flush appended: metadata blocks are rendered from
    the live handles, records and maps straight into the writer's
-   transfer buffer, so nothing they read may change before that sync. *)
+   transfer buffer, so nothing they read may change before that sync.
+
+   The placement rule for a flush's small metadata, all or nothing per
+   kind: its directory-operation records ride in the summary of the
+   batch they open when they all fit there, and so do its dirty inodes
+   in the summary of the batch that ends the flush; otherwise they take
+   dir-log and inode blocks ({!Log_writer.inline_records}). *)
 
 let flush_dirops t =
   if t.pending_dirops <> [] then begin
     let records = List.rev t.pending_dirops in
     t.pending_dirops <- [];
     let block_size = block_size t in
-    List.iter
-      (fun group ->
-        let (_ : Types.baddr) =
-          append_block t ~kind:Types.Dir_log ~ino:0 ~blockno:0 ~version:0
-            ~mtime:t.clock
-            (Log_writer.Lazy (Dir_log.encode_block_into ~block_size group))
-        in
-        ())
-      (Dir_log.group_blocks ~block_size records)
+    let mtime = t.clock in
+    if Log_writer.inline_records ~head:(head_for t ~mtime) t.log ~mtime records
+    then
+      Metrics.incr ~by:(Dir_log.records_size records) t.acct.inline_record_bytes
+    else
+      List.iter
+        (fun group ->
+          let (_ : Types.baddr) =
+            append_block t ~kind:Types.Dir_log ~ino:0 ~blockno:0 ~version:0
+              ~mtime (Log_writer.Lazy (Dir_log.encode_block_into ~block_size group))
+          in
+          ())
+        (Dir_log.group_blocks ~block_size records)
   end
 
 (* Append every buffered data block; returns their buffers, which the
@@ -423,40 +452,51 @@ let flush_filemaps_and_inodes t =
             ~mtime:h.inode.Inode.mtime (Log_writer.Lazy render))
         ~free:(fun addr -> kill t addr ~bytes:(block_size t)))
     pending;
-  (* Pack dirty inodes into inode blocks. *)
-  let per_block = t.layout.Layout.inodes_per_block in
+  (* Each inode's new copy goes live at [block], slots from [first] on:
+     in the summary that ends the flush when they all fit there, else
+     packed into inode blocks. *)
   let inode_size = t.layout.Layout.inode_size in
+  let newest group =
+    List.fold_left (fun acc (_, h) -> Float.max acc h.inode.Inode.mtime) 0.0 group
+  in
+  let place group (block, first) =
+    let seg = Layout.seg_of_block t.layout block in
+    List.iteri
+      (fun i (ino, h) ->
+        kill_inode t (Inode_map.location t.imap ino);
+        Seg_usage.add_live t.usage seg ~bytes:inode_size ~mtime:h.inode.Inode.mtime;
+        Inode_map.set_location t.imap ino
+          (Types.Iaddr.make ~block ~slot:(first + i));
+        t.dirty_inos <- Ino_set.remove ino t.dirty_inos)
+      group
+  in
+  let per_block = t.layout.Layout.inodes_per_block in
   let rec pack = function
     | [] -> ()
     | group ->
         let n = min per_block (List.length group) in
         let batch = List.filteri (fun i _ -> i < n) group in
         let rest = List.filteri (fun i _ -> i >= n) group in
-        let newest =
-          List.fold_left
-            (fun acc (_, h) -> Float.max acc h.inode.Inode.mtime)
-            0.0 batch
-        in
         let render buf ~pos =
           Bytes.fill buf pos (block_size t) '\000';
           List.iteri (fun slot (_, h) -> Inode.encode ~pos h.inode buf ~slot) batch
         in
         let addr =
           append_block t ~kind:Types.Inode_block ~ino:0 ~blockno:0 ~version:0
-            ~mtime:newest (Log_writer.Lazy render)
+            ~mtime:(newest batch) (Log_writer.Lazy render)
         in
-        let seg = Layout.seg_of_block t.layout addr in
-        List.iteri
-          (fun slot (ino, h) ->
-            kill_inode t (Inode_map.location t.imap ino);
-            Seg_usage.add_live t.usage seg ~bytes:inode_size
-              ~mtime:h.inode.Inode.mtime;
-            Inode_map.set_location t.imap ino (Types.Iaddr.make ~block:addr ~slot);
-            t.dirty_inos <- Ino_set.remove ino t.dirty_inos)
-          batch;
+        place batch (addr, 0);
         pack rest
   in
-  pack pending
+  let mtime = newest pending in
+  match
+    Log_writer.inline_inodes ~head:(head_for t ~mtime) t.log ~mtime
+      (List.map (fun (_, h) -> h.inode) pending)
+  with
+  | Some at ->
+      Metrics.incr ~by:(List.length pending * inode_size) t.acct.inline_inode_bytes;
+      place pending at
+  | None -> pack pending
 
 (* Flush order matters for recovery: directory-log records first, then
    data, then indirect blocks, then inodes (Section 4.2). *)
@@ -668,6 +708,8 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
       ckpt_region;
       in_cleaner = false;
       bg_active = false;
+      bg_slack = 0.0;
+      bg_clock = neg_infinity;
       in_checkpoint = false;
       checkpoint_hook = (fun () -> ());
       log_batch_hook;

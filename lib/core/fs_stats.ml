@@ -22,7 +22,20 @@ let empty_fraction m =
   if cleaned = 0.0 then 0.0
   else total m "fs.cleaner.segments_cleaned_empty" /. cleaned
 
-let log_bandwidth_fraction m kind =
+let inline_bytes_name kind = "log.inline_bytes." ^ Types.block_kind_name kind
+
+(* Inode and dir-log bytes a summary carries count as their own kinds'
+   share of the summary's block. *)
+let log_bandwidth_fraction ~block_size m kind =
   let all = total m "fs.log.blocks_new" +. total m "fs.log.blocks_cleaner" in
+  let inline k = total m ("fs." ^ inline_bytes_name k) /. float_of_int block_size in
+  let blocks = total m ("fs.log.blocks." ^ Types.block_kind_name kind) in
   if all = 0.0 then 0.0
-  else total m ("fs.log.blocks." ^ Types.block_kind_name kind) /. all
+  else
+    (match kind with
+    | Types.Inode_block | Types.Dir_log -> blocks +. inline kind
+    | Types.Summary -> blocks -. inline Types.Inode_block -. inline Types.Dir_log
+    | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap | Types.Seg_usage
+      ->
+        blocks)
+    /. all

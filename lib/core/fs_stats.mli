@@ -26,6 +26,14 @@ val empty_fraction : Lfs_obs.Metrics.t -> float
 (** Fraction of the segments cleaned that were empty (Table 2); [0.0]
     when none was cleaned. *)
 
-val log_bandwidth_fraction : Lfs_obs.Metrics.t -> Types.block_kind -> float
+val inline_bytes_name : Types.block_kind -> string
+(** The counter, under [fs.], of the bytes of a kind (inodes or dir-log
+    records) written inside summary blocks rather than in blocks of
+    their own. *)
+
+val log_bandwidth_fraction :
+  block_size:int -> Lfs_obs.Metrics.t -> Types.block_kind -> float
 (** Fraction of all log blocks of the given kind (Table 4, "Log
-    bandwidth" column). *)
+    bandwidth" column).  Inode and dir-log bytes carried in summaries
+    count, in blocks of [block_size], under their own kinds and not
+    under the summaries'. *)

@@ -107,29 +107,36 @@ let check fs =
   let covered : (Types.baddr, bool) Hashtbl.t = Hashtbl.create 1024 in
   for seg = 0 to layout.Layout.nsegs - 1 do
     let first = Layout.seg_first_block layout seg in
-    let last_seq = ref (-1) in
-    Summary.walk_segment layout ~seg
-      ~read:(fun slot -> (Recovery.read_block r (first + slot), 0))
-      (fun s ->
-        s.Summary.seq > !last_seq
-        && begin
-             last_seq := s.Summary.seq;
-             let n = List.length s.Summary.entries in
-             let ok =
-               match Recovery.check_payload r s with
-               | Recovery.Intact -> true
-               | Recovery.Torn -> false
-               | Recovery.Bad_tail_sum ->
-                   error "segment %d slot %d: write %d's last block does not \
-                          match its summary's tail_sum"
-                     seg s.Summary.slot s.Summary.seq;
-                   true
-             in
-             for i = 0 to n - 1 do
-               Hashtbl.replace covered (first + s.Summary.slot + 1 + i) ok
-             done;
-             true
-           end)
+    let last_seq = ref (-1) and slot = ref 0 in
+    try
+      Summary.walk_segment layout ~seg
+        ~read:(fun at ->
+          slot := at;
+          (Recovery.read_block r (first + at), 0))
+        (fun s ->
+          s.Summary.seq > !last_seq
+          && begin
+               last_seq := s.Summary.seq;
+               (* Inline inodes live in the summary block itself, which
+                  its own checksum covers. *)
+               Hashtbl.replace covered (first + s.Summary.slot) true;
+               let n = List.length s.Summary.entries in
+               let ok =
+                 match Recovery.check_payload r s with
+                 | Recovery.Intact -> true
+                 | Recovery.Torn -> false
+                 | Recovery.Bad_tail_sum ->
+                     error "segment %d slot %d: write %d's last block does not \
+                            match its summary's tail_sum"
+                       seg s.Summary.slot s.Summary.seq;
+                     true
+               in
+               for i = 0 to n - 1 do
+                 Hashtbl.replace covered (first + s.Summary.slot + 1 + i) ok
+               done;
+               true
+             end)
+    with Types.Corrupt m -> error "segment %d slot %d: %s" seg !slot m
   done;
   Hashtbl.iter
     (fun addr what ->

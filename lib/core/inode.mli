@@ -21,6 +21,9 @@ type t = {
   mutable dindirect : Types.baddr;
 }
 
+val slot_size : int
+(** Bytes per on-disk inode slot ({!Layout.inode_size}). *)
+
 val ndirect : int
 (** Number of direct block pointers (10, as in the paper). *)
 

@@ -16,7 +16,7 @@ type t = {
   addrs_per_block : int;
 }
 
-let inode_size = 128
+let inode_size = Inode.slot_size
 let imap_entry_size = 24
 let usage_entry_size = 16
 let ckpt_header_size = 96

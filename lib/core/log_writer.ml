@@ -25,7 +25,13 @@ type head = {
   mutable next_seg : int;
   mutable batch : pending list;  (* newest first *)
   mutable batch_count : int;
-  mutable batch_slot : int;      (* slot reserved for the batch summary *)
+  mutable batch_slot : int;
+      (* slot reserved for the batch summary; -1 while no batch is open *)
+  mutable records : Dir_log.record list;
+      (* carried in the open batch's summary, in log order *)
+  mutable record_bytes : int;
+  mutable inodes : Inode.t list;
+      (* carried in the open batch's summary, in slot order *)
   mutable timestamp : float;
   mutable unflushed : Io_queue.ticket list;
       (* batch writes submitted but not yet confirmed by a barrier *)
@@ -40,7 +46,6 @@ type t = {
   pick_clean : exclude:int list -> int;
   on_append : Types.block_kind -> seg:int -> mtime:float -> unit;
   on_batch : head:int -> addr:int -> blocks:int -> unit;
-  max_batch : int;
   xfer : Lfs_util.Buf_pool.Scratch.t;
       (* the transfer buffer every batch is rendered into and written
          from, grown to the largest batch written (at most a segment) *)
@@ -64,7 +69,6 @@ let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
     pick_clean;
     on_append;
     on_batch;
-    max_batch = Summary.max_entries ~block_size:layout.Layout.block_size;
     xfer = Lfs_util.Buf_pool.Scratch.create ();
     sums = Array.make (layout.Layout.nsegs * layout.Layout.seg_blocks) (-1);
     heads =
@@ -77,6 +81,9 @@ let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
             batch = [];
             batch_count = 0;
             batch_slot = -1;
+            records = [];
+            record_bytes = 0;
+            inodes = [];
             timestamp = 0.0;
             unflushed = [];
             stat_segments = 0;
@@ -131,17 +138,29 @@ let durable_below t =
   in
   oldest ()
 
-(* Write one head's queued batch (summary + payloads) as one sequential
+(* Whether [h]'s batch summary (the open batch's, or a fresh one's when
+   none is open: that batch is empty) can take [more] more payload
+   blocks, [record_bytes] more of records and [inodes] more inline
+   inodes beside what it holds. *)
+let fits t h ?(more = 0) ?(record_bytes = 0) ?(inodes = 0) () =
+  Summary.fits ~block_size:t.layout.Layout.block_size
+    ~entries:(h.batch_count + more)
+    ~record_bytes:(h.record_bytes + record_bytes)
+    ~inodes:(List.length h.inodes + inodes)
+
+(* Write one head's open batch (summary + payloads) as one sequential
    IO from the writer's one transfer buffer.  Payloads are copied or
    rendered straight into it after the summary slot, so every block the
    write covers is rewritten first and nothing of an earlier batch goes
    out.  Each block's checksum is the one carried over from its source,
    or is taken in place right after the copy; it is recorded at the
    block's new address and folded into the batch's.  The summary goes
-   in last. *)
+   in last, its inline records and inodes rendered into it before its
+   checksum is taken.  A batch may carry only inline metadata: then
+   the write is its summary alone. *)
 let sync_head t i =
   let h = t.heads.(i) in
-  if h.batch_count > 0 then begin
+  if h.batch_slot >= 0 then begin
     let bs = t.layout.Layout.block_size in
     let pendings = List.rev h.batch in
     let len = (h.batch_count + 1) * bs in
@@ -184,6 +203,8 @@ let sync_head t i =
         durable_below = !watermark_hook (durable_below t);
         tail_sum = !tail_sum;
         entries;
+        records = h.records;
+        inodes = h.inodes;
       }
     in
     Summary.encode_into ~block_size:bs summary buf;
@@ -201,7 +222,10 @@ let sync_head t i =
     t.seq <- t.seq + 1;
     h.batch <- [];
     h.batch_count <- 0;
-    h.batch_slot <- -1
+    h.batch_slot <- -1;
+    h.records <- [];
+    h.record_bytes <- 0;
+    h.inodes <- []
   end
 
 let sync t = Array.iteri (fun i _ -> sync_head t i) t.heads
@@ -229,7 +253,7 @@ let unflushed_batches t =
 
 let advance_segment t i =
   let h = t.heads.(i) in
-  assert (h.batch_count = 0);
+  assert (h.batch_slot < 0);
   let from = h.next_seg in
   (* Exclude every head's current and reserved segment: two heads must
      never be handed the same clean segment. *)
@@ -243,14 +267,54 @@ let advance_segment t i =
     t.layout.Layout.seg_blocks (-1);
   h.stat_segments <- h.stat_segments + 1
 
-(* An open batch needs one more payload slot; a new batch additionally
-   needs its summary slot. *)
+(* Open a batch on head [i] unless one is: its summary slot, where a
+   summary and one payload block still fit. *)
+let open_batch t i =
+  let h = t.heads.(i) in
+  if h.batch_slot < 0 then begin
+    if h.cur_off + 2 > t.layout.Layout.seg_blocks then advance_segment t i;
+    h.batch_slot <- h.cur_off;
+    h.cur_off <- h.cur_off + 1
+  end
+
+(* An open batch takes one more payload block while the segment has a
+   slot for it and its summary can describe it beside what it carries
+   inline; otherwise it is written first. *)
 let ensure_room t i =
   let h = t.heads.(i) in
-  let need = if h.batch_count = 0 then 2 else 1 in
-  if h.cur_off + need > t.layout.Layout.seg_blocks then begin
-    sync_head t i;
-    advance_segment t i
+  if
+    h.batch_slot >= 0
+    && (h.cur_off >= t.layout.Layout.seg_blocks
+       || not (fits t h ~more:1 ()))
+  then sync_head t i;
+  open_batch t i
+
+let note_mtime h mtime = if mtime > h.timestamp then h.timestamp <- mtime
+
+let inline_records ?(head = 0) t ~mtime records =
+  let h = t.heads.(head) in
+  let record_bytes = Dir_log.records_size records in
+  records <> []
+  && fits t h ~record_bytes ()
+  && begin
+       open_batch t head;
+       h.records <- h.records @ records;
+       h.record_bytes <- h.record_bytes + record_bytes;
+       note_mtime h mtime;
+       true
+     end
+
+let inline_inodes ?(head = 0) t ~mtime inodes =
+  let h = t.heads.(head) in
+  let k = List.length inodes in
+  if k = 0 || not (fits t h ~inodes:k ()) then None
+  else begin
+    open_batch t head;
+    h.inodes <- inodes @ h.inodes;
+    note_mtime h mtime;
+    Some
+      ( Layout.seg_first_block t.layout h.cur_seg + h.batch_slot,
+        t.layout.Layout.inodes_per_block - List.length h.inodes )
   end
 
 let append ?(head = 0) ?from t ~kind ~ino ~blockno ~version ~mtime payload =
@@ -265,17 +329,15 @@ let append ?(head = 0) ?from t ~kind ~ino ~blockno ~version ~mtime payload =
         t.sums.(k)
   in
   let h = t.heads.(head) in
-  if h.batch_count = 0 then begin
-    h.batch_slot <- h.cur_off;
-    h.cur_off <- h.cur_off + 1
-  end;
   let addr = Layout.seg_first_block t.layout h.cur_seg + h.cur_off in
   h.cur_off <- h.cur_off + 1;
   h.batch <- { kind; ino; blockno; version; mtime; payload; sum } :: h.batch;
   h.batch_count <- h.batch_count + 1;
   h.stat_blocks <- h.stat_blocks + 1;
-  if mtime > h.timestamp then h.timestamp <- mtime;
+  note_mtime h mtime;
   t.on_append kind ~seg:h.cur_seg ~mtime;
-  if h.batch_count >= t.max_batch || h.cur_off >= t.layout.Layout.seg_blocks
+  if
+    h.cur_off >= t.layout.Layout.seg_blocks
+    || not (fits t h ~more:1 ())
   then sync_head t head;
   addr

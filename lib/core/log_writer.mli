@@ -32,6 +32,16 @@
     read until that sync: the write buffer recycles a flushed data
     block only after it.
 
+    A batch's summary also carries the flush's small metadata when it
+    fits there ({!Summary.fits}): {!inline_records} and
+    {!inline_inodes} place directory-operation records and inodes in the
+    open batch's summary instead of in blocks of their own.  The writer
+    owns that layout: the inline inodes take the summary's last inode
+    slots, so they have addresses at once, and are rendered, like a
+    [Lazy] payload, into the summary before its checksum is taken at
+    batch-write time.  An append the summary could no longer describe
+    beside them writes the batch first and opens a new one.
+
     Every batch goes out of one transfer buffer the writer keeps, grown
     to the largest batch it has written (a summary and at most a
     segment's payloads).  Payloads are copied, or rendered, straight
@@ -127,6 +137,24 @@ val append :
     rot and all, and fsck goes on reporting the block at its new
     address.  Raises [Invalid_argument] if [from] is not in the log
     area. *)
+
+val inline_records :
+  ?head:int -> t -> mtime:float -> Dir_log.record list -> bool
+(** Carry the records in the summary of [head]'s open batch (opening
+    one when none is), after any it carries already, if they all fit
+    beside its entries and what it carries inline; [false], and nothing
+    placed, if they do not (or there are none).  [mtime] counts toward
+    the summary's timestamp. *)
+
+val inline_inodes :
+  ?head:int -> t -> mtime:float -> Inode.t list -> (Types.baddr * int) option
+(** Carry the inodes in the summary of [head]'s open batch (opening one
+    when none is), if they all fit beside its entries and what it
+    carries inline: [Some (block, slot)] puts the [i]-th inode at
+    [Types.Iaddr.make ~block ~slot:(slot + i)], [block] being the
+    summary's address.  [None], and nothing placed, if they do not (or
+    there are none).  Each inode is rendered as it stands at the batch
+    write, under the [Lazy] payload contract. *)
 
 val watermark_hook : (int -> int) ref
 (** Test hook, the identity outside tests: maps the [durable_below] the

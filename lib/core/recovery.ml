@@ -4,7 +4,7 @@ module Scratch = Lfs_util.Buf_pool.Scratch
 module Checksum = Lfs_util.Checksum
 
 type decoded = Inodes of (int * Types.ino) list | Records of Dir_log.record list
-type write = { summary : Summary.t; decoded : (int * decoded) list }
+type write = { summary : Summary.t; decoded : (Types.baddr * decoded) list }
 
 type result = {
   writes : write list;
@@ -220,16 +220,22 @@ let verify r st ~verified =
 (* Recovery reprocesses inodes and directory-log records; data blocks
    stay where they are and are only referenced by address.  So of each
    write the scan keeps only what the digest uses of its inode and
-   dir-log blocks (the ino in each occupied inode slot, and the decoded
-   records) and its indirect blocks, by address in [indirect].  Each
-   decoded inode also replaces its ino's copy in [latest]: the writes
-   are decoded in log order, so [latest] ends with every ino's latest
-   copy, which {!Fs.recover} takes instead of reading the block again. *)
+   dir-log blocks and of its summary's inline records and inodes (the
+   ino in each occupied inode slot, and the decoded records) and its
+   indirect blocks, by address in [indirect].  The summary's records
+   come before its entries' and its inodes after them.  Each decoded
+   inode also replaces its ino's copy in [latest]: the writes are
+   decoded in log order, so [latest] ends with every ino's latest copy,
+   which {!Fs.recover} takes instead of reading the block again. *)
 let decode_runs r ~latest ~indirect st =
   let bs = r.layout.Layout.block_size in
   let s = st.accepted in
   let es = Array.of_list s.Summary.entries in
+  let at_summary = Summary.addr s r.layout in
+  let addr i = Summary.entry_addr s r.layout i in
   let decoded = ref [] in
+  if s.Summary.records <> [] then
+    decoded := [ (at_summary, Records s.Summary.records) ];
   List.iter
     (fun run ->
       for k = 0 to run.n - 1 do
@@ -244,15 +250,25 @@ let decode_runs r ~latest ~indirect st =
                   slots := (slot, inode.Inode.ino) :: !slots
               | None -> ()
             done;
-            decoded := (i, Inodes (List.rev !slots)) :: !decoded
+            decoded := (addr i, Inodes (List.rev !slots)) :: !decoded
         | Types.Dir_log ->
-            decoded := (i, Records (Dir_log.decode_block ~pos run.buf)) :: !decoded
+            decoded := (addr i, Records (Dir_log.decode_block ~pos run.buf)) :: !decoded
         | Types.Indirect | Types.Dindirect ->
-            Hashtbl.replace indirect (Summary.entry_addr s r.layout i)
-              (Bytes.sub run.buf pos bs)
+            Hashtbl.replace indirect (addr i) (Bytes.sub run.buf pos bs)
         | Types.Data | Types.Imap | Types.Seg_usage | Types.Summary -> ()
       done)
     st.runs;
+  (match Summary.inline_inodes s r.layout with
+  | [] -> ()
+  | inline ->
+      let slots =
+        List.map
+          (fun (iaddr, (inode : Inode.t)) ->
+            Hashtbl.replace latest inode.Inode.ino inode;
+            (Types.Iaddr.slot iaddr, inode.Inode.ino))
+          inline
+      in
+      decoded := (at_summary, Inodes slots) :: !decoded);
   List.rev !decoded
 
 let scan layout disk ~ckpt =
@@ -434,10 +450,9 @@ let digest layout writes =
               ())
         w.summary.Summary.entries;
       List.iter
-        (fun (i, d) ->
+        (fun (block, d) ->
           match d with
           | Inodes slots ->
-              let block = Summary.entry_addr w.summary layout i in
               List.iter
                 (fun (slot, ino) ->
                   Hashtbl.replace latest ino (Types.Iaddr.make ~block ~slot, seq))

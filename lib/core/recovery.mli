@@ -14,7 +14,8 @@
 
     When the walk accepts a summary it reads that write's inode,
     dir-log and indirect blocks, one transfer per run of adjacent ones,
-    in address order, and no data block.  A flush appends dir-log, data,
+    in address order, and no data block; the records and inodes the
+    summary carries inline come with the summary itself.  A flush appends dir-log, data,
     indirect and inode blocks in that order, so these runs sit right
     behind the summary (read without a seek) or end the write: a run
     that ends the write is read in one transfer together with the block
@@ -68,16 +69,19 @@
 
 type decoded =
   | Inodes of (int * Types.ino) list
-      (** an inode block: the ino in each occupied slot, as
-          [(slot, ino)] in slot order *)
-  | Records of Dir_log.record list  (** a dir-log block's records *)
+      (** an inode block, or the inodes a summary carries: the ino in
+          each occupied slot, as [(slot, ino)] in slot order *)
+  | Records of Dir_log.record list
+      (** a dir-log block's records, or those a summary carries *)
 
 type write = {
   summary : Summary.t;
-  decoded : (int * decoded) list;
+  decoded : (Types.baddr * decoded) list;
       (** what roll-forward needs of the inode-block and dir-log
-          payloads, keyed by entry index within the summary, in entry
-          order; the scan keeps no payload block *)
+          payloads and of the summary's inline records and inodes,
+          keyed by block address (the summary's own for what it
+          carries), in log order: the summary's records, the entries',
+          then the summary's inodes.  The scan keeps no payload block *)
 }
 
 type result = {

@@ -19,6 +19,8 @@ type t = {
   durable_below : int;
   tail_sum : int;
   entries : entry list;
+  records : Dir_log.record list;
+  inodes : Inode.t list;
 }
 
 let magic = 0x5355_4D31 (* "SUM1" *)
@@ -27,12 +29,25 @@ let entry_size = 25
 
 let max_entries ~block_size = (block_size - header_size) / entry_size
 
+(* The slot of the first of [k] inline inodes: they fill the block's
+   last [k] inode slots. *)
+let first_inline_slot ~block_size k = (block_size / Inode.slot_size) - k
+
+let fits ~block_size ~entries ~record_bytes ~inodes =
+  entries >= 0 && record_bytes >= 0 && inodes >= 0
+  && inodes <= block_size / Inode.slot_size
+  && header_size + (entries * entry_size) + record_bytes
+     <= first_inline_slot ~block_size inodes * Inode.slot_size
+
 let encode_into ~block_size t b =
-  let n = List.length t.entries in
-  if n > max_entries ~block_size then
+  let n = List.length t.entries and k = List.length t.inodes in
+  let record_bytes = Dir_log.records_size t.records in
+  if not (fits ~block_size ~entries:n ~record_bytes ~inodes:k) then
     invalid_arg
-      (Printf.sprintf "Summary.encode_into: %d entries exceed capacity %d" n
-         (max_entries ~block_size));
+      (Printf.sprintf
+         "Summary.encode_into: %d entries, %d record bytes and %d inodes \
+          overflow a %d-byte block"
+         n record_bytes k block_size);
   if Bytes.length b < block_size then
     invalid_arg "Summary.encode_into: buffer shorter than a block";
   Bytes.fill b 0 block_size '\000';
@@ -47,6 +62,8 @@ let encode_into ~block_size t b =
   Codec.put_u32 c n;
   Codec.put_u32 c t.durable_below;
   Codec.put_u32 c t.tail_sum;
+  Codec.put_u32 c k;
+  Codec.put_u32 c record_bytes;
   Codec.seek c header_size;
   List.iter
     (fun e ->
@@ -56,24 +73,57 @@ let encode_into ~block_size t b =
       Codec.put_u32 c e.version;
       Codec.put_float c e.mtime)
     t.entries;
+  Dir_log.encode_records_into b ~pos:(Codec.pos c) t.records;
+  let first = first_inline_slot ~block_size k in
+  List.iteri (fun i inode -> Inode.encode inode b ~slot:(first + i)) t.inodes;
   let sum = Checksum.adler32 ~pos:8 ~len:(block_size - 8) b in
   let c0 = Codec.writer b in
   Codec.put_u32 c0 sum;
   Codec.put_u32 c0 0
 
+(* The entries, records and inline inodes of a summary whose header has
+   passed its checks.  A block that passes its checksum was written by
+   [encode_into], so a failure here is a malformed summary, never a torn
+   one: every failure is a [Types.Corrupt]. *)
+let decode_body b ~pos ~block_size ~n ~k ~record_bytes =
+  let c = Codec.at b (pos + header_size) in
+  match
+    let entries =
+      List.init n (fun _ ->
+          let kind = Types.block_kind_of_int (Codec.get_u8 c) in
+          let ino = Codec.get_u32 c in
+          let blockno = Codec.get_int c in
+          let version = Codec.get_u32 c in
+          let mtime = Codec.get_float c in
+          { kind; ino; blockno; version; mtime })
+    in
+    let records = Dir_log.decode_records b ~pos:(Codec.pos c) ~len:record_bytes in
+    let first = first_inline_slot ~block_size k in
+    let inodes =
+      List.init k (fun i ->
+          match Inode.decode ~pos b ~slot:(first + i) with
+          | Some inode -> inode
+          | None -> Types.corrupt "summary: inline inode slot %d is empty" (first + i))
+    in
+    (entries, records, inodes)
+  with
+  | body -> body
+  | exception (Codec.Overflow m | Invalid_argument m) ->
+      Types.corrupt "summary: malformed body: %s" m
+
 let decode ?(pos = 0) ?block_size b =
   let block_size =
     match block_size with Some n -> n | None -> Bytes.length b - pos
   in
-  let c0 = Codec.at b pos in
-  let stored = Codec.get_u32 c0 in
-  let _pad = Codec.get_u32 c0 in
-  let sum = Checksum.adler32 ~pos:(pos + 8) ~len:(block_size - 8) b in
-  if stored <> sum then None
-  else begin
+  if pos < 0 || block_size < header_size || pos + block_size > Bytes.length b
+  then None
+  else
+    let c0 = Codec.at b pos in
+    let stored = Codec.get_u32 c0 in
+    let _pad = Codec.get_u32 c0 in
+    let sum = Checksum.adler32 ~pos:(pos + 8) ~len:(block_size - 8) b in
     let c = Codec.at b (pos + 8) in
-    let m = Codec.get_u32 c in
-    if m <> magic then None
+    if stored <> sum || Codec.get_u32 c <> magic then None
     else begin
       let seq = Codec.get_u32 c in
       let seg = Codec.get_u32 c in
@@ -84,17 +134,17 @@ let decode ?(pos = 0) ?block_size b =
       let n = Codec.get_u32 c in
       let durable_below = Codec.get_u32 c in
       let tail_sum = Codec.get_u32 c in
+      let k = Codec.get_u32 c in
+      let record_bytes = Codec.get_u32 c in
       if n > max_entries ~block_size then None
-      else begin
-        Codec.seek c (pos + header_size);
-        let entries =
-          List.init n (fun _ ->
-              let kind = Types.block_kind_of_int (Codec.get_u8 c) in
-              let ino = Codec.get_u32 c in
-              let blockno = Codec.get_int c in
-              let version = Codec.get_u32 c in
-              let mtime = Codec.get_float c in
-              { kind; ino; blockno; version; mtime })
+      else if not (fits ~block_size ~entries:n ~record_bytes ~inodes:k) then
+        Types.corrupt
+          "summary of seg %d slot %d: %d record bytes and %d inline inodes \
+           overlap its %d entries"
+          seg slot record_bytes k n
+      else
+        let entries, records, inodes =
+          decode_body b ~pos ~block_size ~n ~k ~record_bytes
         in
         Some
           {
@@ -107,14 +157,25 @@ let decode ?(pos = 0) ?block_size b =
             durable_below;
             tail_sum;
             entries;
+            records;
+            inodes;
           }
-      end
     end
-  end
 
 let payload_checksum = Checksum.adler32
 
 let entry_addr t layout i = Layout.seg_first_block layout t.seg + t.slot + 1 + i
+
+let addr t layout = Layout.seg_first_block layout t.seg + t.slot
+
+let inline_inodes t layout =
+  let block = addr t layout in
+  let first =
+    first_inline_slot ~block_size:layout.Layout.block_size (List.length t.inodes)
+  in
+  List.mapi
+    (fun i inode -> (Types.Iaddr.make ~block ~slot:(first + i), inode))
+    t.inodes
 
 let next_slot t = t.slot + 1 + List.length t.entries
 

@@ -10,12 +10,20 @@
     and ignored, and a durability watermark that tells recovery which
     earlier writes it need not check for tearing.
 
-    The header takes 56 of the block's first 64 bytes: the header
-    checksum and a pad word, then magic, [seq], [seg], [slot],
-    [next_seg] (8 bytes), [timestamp] (8), [payload_sum], the entry
-    count, [durable_below] and [tail_sum]; entries start at byte 64.  A
-    summary written before [durable_below] or [tail_sum] existed reads 0
-    there. *)
+    A summary also carries the write's own small metadata when it fits
+    beside the entries: the flush's directory-operation records and its
+    dirty inodes, which would otherwise take a dir-log block and an
+    inode block of their own (see {!fits}).
+
+    The block holds, in order: the 64-byte header (the header checksum
+    and a pad word, then magic, [seq], [seg], [slot], [next_seg] (8
+    bytes), [timestamp] (8), [payload_sum], the entry count,
+    [durable_below], [tail_sum], the inline inode count [k] and the
+    records' byte length); the entries, 25 bytes each; the records, in
+    {!Dir_log}'s record encoding; free space; and the [k] inline inodes
+    in the block's last [k] inode slots, so an inode there decodes with
+    {!Inode.decode} at its slot, as in an inode block.  The header
+    checksum covers the whole block. *)
 
 type entry = {
   kind : Types.block_kind;
@@ -50,23 +58,49 @@ type t = {
           nothing on its own: the whole payload is still checked against
           [payload_sum].  0 claims nothing *)
   entries : entry list;
+  records : Dir_log.record list;
+      (** directory-operation records carried in the summary, in log
+          order: they precede every record of the write's dir-log
+          blocks *)
+  inodes : Inode.t list;
+      (** inodes carried in the summary, in slot order: the last
+          [List.length inodes] inode slots of the block.  They are newer
+          than every inode of the write's inode blocks *)
 }
 
 val max_entries : block_size:int -> int
-(** How many payload blocks one summary block can describe. *)
+(** How many payload blocks one summary block can describe when it
+    carries nothing inline. *)
+
+val fits : block_size:int -> entries:int -> record_bytes:int -> inodes:int -> bool
+(** The one placement rule: whether a summary with this many entries,
+    this many bytes of records and this many inline inodes fits its
+    block with no two regions overlapping. *)
 
 val encode_into : block_size:int -> t -> bytes -> unit
 (** Render the summary block into the first [block_size] bytes of a
     buffer (the log writer's transfer buffer, whose first block is the
     summary slot); the rest of the buffer is left alone.  Raises
-    [Invalid_argument] if there are more entries than {!max_entries} or
-    the buffer is shorter than a block. *)
+    [Invalid_argument] if the summary does not {!fits} its block or the
+    buffer is shorter than a block. *)
 
 val decode : ?pos:int -> ?block_size:int -> bytes -> t option
 (** Decode the [block_size]-byte block at byte [pos] of the buffer
     (defaults: 0 and the rest of the buffer), in place.  [None] when the
-    block is not a valid summary (bad magic or header checksum) — the
-    normal way a log scan terminates. *)
+    block is not a valid summary (bad magic or header checksum, too many
+    entries, or the block lies outside the buffer) — the normal way a
+    log scan terminates.  Raises {!Types.Corrupt} when the block passes
+    its checksum but its content is malformed: inline regions that
+    overlap the entries or each other, an unknown block kind, records
+    that do not parse to exactly their length, or an empty inline inode
+    slot.  Raises nothing else. *)
+
+val addr : t -> Layout.t -> Types.baddr
+(** Disk address of the summary block itself. *)
+
+val inline_inodes : t -> Layout.t -> (Types.Iaddr.t * Inode.t) list
+(** Each inline inode with its address: the summary block and its
+    slot. *)
 
 val payload_checksum : ?pos:int -> ?len:int -> bytes -> int
 (** Checksum to store in / compare against [payload_sum], over [len]

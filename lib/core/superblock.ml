@@ -5,7 +5,7 @@ module Vdev = Lfs_disk.Vdev
 type t = { config : Config.t; layout : Layout.t }
 
 let magic = 0x4C46_5331 (* "LFS1" *)
-let format_version = 4
+let format_version = 5
 
 let create config ~disk_blocks =
   { config; layout = Layout.compute config ~disk_blocks }

@@ -255,7 +255,9 @@ let run ?(scale = 1.0) ?(policy = Lfs_core.Config.Cost_benefit)
   let total name = int_of_float (Metrics.float_value window name) in
   let log_bandwidth =
     List.map
-      (fun k -> (k, Fs_stats.log_bandwidth_fraction window k))
+      (fun k ->
+        (k, Fs_stats.log_bandwidth_fraction
+             ~block_size:config.Lfs_core.Config.block_size window k))
       Types.all_block_kinds
   in
   let avg_file_size =

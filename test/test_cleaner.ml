@@ -347,7 +347,7 @@ let test_live_blocks_reads_less_when_sparse () =
     let _, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
     (* Interleave long-lived crumbs with churning files so victim
        segments keep a little live data instead of self-emptying. *)
-    for i = 0 to 299 do
+    for i = 0 to 349 do
       Fs.write_path fs (Printf.sprintf "/stable%d" i) (Bytes.make 4096 's');
       Fs.write_path fs
         (Printf.sprintf "/churn%d" (i mod 40))
@@ -561,7 +561,7 @@ let test_read_policy_equivalence () =
       Alcotest.(check int)
         (Printf.sprintf "seed %d: live-blocks blocks relocated" seed)
         blocks_relocated (total fs_live "fs.log.blocks_cleaner"))
-    [ (1, 242, 207); (2, 305, 263); (3, 290, 247) ]
+    [ (1, 221, 200); (2, 277, 255); (3, 275, 248) ]
 
 let test_checkpoint_by_blocks () =
   let config =
@@ -815,7 +815,8 @@ let test_pass_leaves_cache_alone policy () =
    overlap, cover exactly the summaries the chain walk reads, the
    victim's inode blocks and its live data blocks, and a write whose
    last block is read must bring the next summary in the same
-   transfer. *)
+   transfer.  A write whose live inodes ride in its summary costs no
+   read beyond that summary. *)
 let test_live_blocks_sweep () =
   let module Layout = Lfs_core.Layout in
   let module Summary = Lfs_core.Summary in
@@ -847,7 +848,9 @@ let test_live_blocks_sweep () =
   let live_inos = Hashtbl.create 16 in
   Fs.iter_files fs (fun ino _ -> Hashtbl.replace live_inos ino ());
   (* What the sweep must read of [seg], as addresses, and the writes it
-     walks. *)
+     walks, each with the blocks it must read of the write and the
+     live inodes it carries inline: all as they stand before the
+     pass. *)
   let expected seg =
     let first = Layout.seg_first_block layout seg in
     let walked = ref [] and summaries = ref [] in
@@ -873,9 +876,15 @@ let test_live_blocks_sweep () =
              | _ -> [])
            s.Summary.entries)
     in
-    ( List.sort_uniq compare (!walked @ List.concat_map needed !summaries),
-      List.rev !summaries,
-      needed )
+    let inline_live (s : Summary.t) =
+      List.filter
+        (fun (iaddr, (inode : Lfs_core.Inode.t)) ->
+          Hashtbl.mem live_inos inode.Lfs_core.Inode.ino
+          && Types.Iaddr.equal (Fs.imap_location fs inode.Lfs_core.Inode.ino) iaddr)
+        (Summary.inline_inodes s layout)
+    in
+    let writes = List.rev_map (fun s -> (s, needed s, inline_live s)) !summaries in
+    (List.sort_uniq compare (!walked @ List.concat_map needed !summaries), writes)
   in
   let live () = List.init layout.Layout.nsegs (Fs.segment_live_bytes fs) in
   let live_before = live () in
@@ -893,7 +902,7 @@ let test_live_blocks_sweep () =
     | [ v ] -> v
     | vs -> Alcotest.failf "%d victims cleaned, expected one" (List.length vs)
   in
-  let blocks, summaries, needed = Option.get (List.nth plans victim) in
+  let blocks, writes = Option.get (List.nth plans victim) in
   let pp = String.concat " " (List.map (fun (a, n) -> Printf.sprintf "%d+%d" a n) reads) in
   let rec ascending = function
     | (a, n) :: ((b, _) :: _ as rest) -> a + n <= b && ascending rest
@@ -911,13 +920,16 @@ let test_live_blocks_sweep () =
      reads: one transfer covers both. *)
   let seg_blocks = layout.Layout.seg_blocks in
   let fused =
-    List.filter
-      (fun (s : Summary.t) ->
+    List.filter_map
+      (fun ((s : Summary.t), needed, _) ->
         let n = List.length s.Summary.entries in
-        n > 0
-        && Summary.next_slot s <= seg_blocks - 2
-        && List.mem (Summary.entry_addr s layout (n - 1)) (needed s))
-      summaries
+        if
+          n > 0
+          && Summary.next_slot s <= seg_blocks - 2
+          && List.mem (Summary.entry_addr s layout (n - 1)) needed
+        then Some s
+        else None)
+      writes
   in
   Alcotest.(check bool) "the victim has a write whose last block is read" true (fused <> []);
   List.iter
@@ -928,12 +940,73 @@ let test_live_blocks_sweep () =
         true
         (List.exists (fun (a, n) -> a <= last && last + 1 < a + n) reads))
     fused;
+  (* [blocks] holds no inline inode's block but its summary's, so the
+     reads' equality above is the claim. *)
+  Alcotest.(check bool) "the victim has a write whose live inode rides in its summary"
+    true
+    (List.exists (fun (_, _, inline) -> inline <> []) writes);
+  Helpers.fsck_clean fs
+
+(* ----- A victim whose only live bytes are inline inodes ----- *)
+
+(* Inodes that ride in a summary are live bytes of the summary's own
+   segment: a victim that keeps nothing else live is still read,
+   classified and emptied, under either read policy, and its inodes
+   survive the move with the usage table matching fsck's claims. *)
+let test_inline_inode_victim cleaner_read () =
+  let module Layout = Lfs_core.Layout in
+  let module Types = Lfs_core.Types in
+  let config =
+    Config.with_policy ~cleaning:Config.Greedy
+      { Helpers.eager_cleaning_config with Config.cleaner_read }
+  in
+  let _, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
+  let layout = Fs.layout fs in
+  let bs = layout.Layout.block_size in
+  let files = List.init 4 (fun i -> Printf.sprintf "/f%d" i) in
+  let ino p = Option.get (Fs.resolve fs p) in
+  List.iter (fun p -> Fs.write_path fs p (Bytes.make bs 'f')) files;
+  Fs.write_path fs "/pad0" (Bytes.make (40 * bs) 'p');
+  Fs.sync fs;
+  (* Only the inodes change: the flush is a summary carrying them. *)
+  List.iter (fun p -> Fs.truncate fs (ino p) ~len:(2 * bs)) files;
+  Fs.sync fs;
+  let at = Fs.imap_location fs (ino "/f0") in
+  let seg = Layout.seg_of_block layout (Types.Iaddr.block at) in
+  (* Everything else the segment holds dies, written from beyond it. *)
+  Fs.write_path fs "/pad1" (Bytes.make (40 * bs) 'p');
+  Fs.sync fs;
+  Fs.unlink fs ~dir:Fs.root "pad0";
+  Fs.unlink fs ~dir:Fs.root "pad1";
+  Fs.checkpoint fs;
+  List.iter
+    (fun p ->
+      Alcotest.(check int) (p ^ "'s inode rides in that summary") seg
+        (Layout.seg_of_block layout (Types.Iaddr.block (Fs.imap_location fs (ino p)))))
+    files;
+  Alcotest.(check int) "the inline inodes are all it keeps live"
+    (4 * layout.Layout.inode_size) (Fs.segment_live_bytes fs seg);
+  ignore (Fs.clean_step ~max_segments:1 fs : int);
+  Alcotest.(check int) "the victim is emptied" 0 (Fs.segment_live_bytes fs seg);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p ^ "'s inode moved") false
+        (Types.Iaddr.equal at (Fs.imap_location fs (ino p)));
+      Alcotest.(check int) (p ^ " keeps its size") (2 * bs) (Fs.file_size fs (ino p));
+      Helpers.check_bytes (p ^ " keeps its data")
+        (Bytes.cat (Bytes.make bs 'f') (Bytes.make bs '\000'))
+        (Option.get (Fs.read_path fs p)))
+    files;
   Helpers.fsck_clean fs
 
 let suite =
   ( "cleaner",
     [
       Alcotest.test_case "benefit/cost formula" `Quick test_benefit_cost_formula;
+      Alcotest.test_case "inline-inode victim (whole segment)" `Quick
+        (test_inline_inode_victim Config.Whole_segment);
+      Alcotest.test_case "inline-inode victim (live blocks)" `Quick
+        (test_inline_inode_victim Config.Live_blocks);
       Alcotest.test_case "pass leaves the cache alone (whole segment)" `Quick
         (test_pass_leaves_cache_alone Config.Whole_segment);
       Alcotest.test_case "pass leaves the cache alone (live blocks)" `Quick

@@ -404,12 +404,13 @@ let test_recycled_buffers_dead ~queued =
   Helpers.check_model fs model;
   Helpers.fsck_clean fs
 
-(* On a warm mount over a queued device, a small synced write takes its
+(* On a warm mount over a queued device (its block cache full, so new
+   entries reuse departed ones' buffers), a small synced write takes its
    write-buffer block and its log batch's staging blocks from recycled
-   buffers, and its inode block is rendered into the log writer's
-   transfer buffer: 100 cycles of a 1 KB write and a sync add fewer
-   words to the major heap than one block, where a block buffer per
-   cycle would add 100. *)
+   buffers, and its inode is rendered into the log writer's transfer
+   buffer: 100 cycles of a 1 KB write and a sync add fewer words to the
+   major heap than one block, where a block buffer per cycle would add
+   100. *)
 let test_no_block_buffer_per_write () =
   let config =
     {
@@ -429,7 +430,9 @@ let test_no_block_buffer_per_write () =
     Fs.sync fs;
     ignore (Disk.pump disk ~now:!now)
   in
-  for i = 1 to 50 do
+  (* Each cycle writes two blocks (the summary, carrying the inode, and
+     the data block), so this fills the 128-block cache. *)
+  for i = 1 to 100 do
     cycle i
   done;
   let words =

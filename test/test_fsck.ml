@@ -109,6 +109,76 @@ let test_detects_bad_tail_sum () =
   Helpers.write_summary dev { s with Helpers.Summary.tail_sum = s.Helpers.Summary.tail_sum lxor 1 };
   expect_one_error "tail_sum" (Fsck.check (Fs.mount dev))
 
+(* The block [f] rewrites in place, resealed under the header checksum
+   summaries and the superblock share: an Adler-32 of bytes [8, bs) in
+   the first four. *)
+let patch_block dev addr f =
+  let b = Lfs_disk.Vdev.read_block dev addr in
+  f b;
+  let sum = Lfs_util.Checksum.adler32 ~pos:8 ~len:(Bytes.length b - 8) b in
+  Bytes.set_int32_le b 0 (Int32.of_int sum);
+  Lfs_disk.Vdev.write_block dev addr b
+
+(* The summary block carrying [path]'s inode, and the inode's slot. *)
+let inline_home fs path =
+  let at = Fs.imap_location fs (Option.get (Fs.resolve fs path)) in
+  (Types.Iaddr.block at, Types.Iaddr.slot at)
+
+(* An inode riding in a summary is claimed on the summary's block: fsck
+   finds the volume clean, since the usage table counts it there, and a
+   summary that no longer passes its checksum leaves the inode's block
+   uncovered by any chain. *)
+let test_inline_inode_claimed_on_summary () =
+  let disk, fs = Helpers.fresh_fs () in
+  Fs.write_path fs "/a" (Bytes.make 3000 'a');
+  Fs.checkpoint fs;
+  Helpers.fsck_clean fs;
+  let dev = Helpers.vdev disk in
+  let block, slot = inline_home fs "/a" in
+  (match Lfs_core.Summary.decode (Lfs_disk.Vdev.read_block dev block) with
+  | Some s ->
+      Alcotest.(check bool) "the inode's block is a summary carrying it" true
+        (List.exists
+           (fun (ia, _) -> Types.Iaddr.slot ia = slot)
+           (Lfs_core.Summary.inline_inodes s (Fs.layout fs)))
+  | None -> Alcotest.fail "the inode's block is not a summary");
+  let b = Lfs_disk.Vdev.read_block dev block in
+  (* A byte of the inode's mtime: the inode still decodes. *)
+  let at = (slot * Lfs_core.Inode.slot_size) + 20 in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+  Lfs_disk.Vdev.write_block dev block b;
+  let r = Fsck.check (Fs.mount dev) in
+  let ino = Option.get (Fs.resolve fs "/a") in
+  let needle = Printf.sprintf "inode %d: block %d not covered" ino block in
+  if not (List.exists (fun e -> contains ~needle e) r.Fsck.errors) then
+    Alcotest.failf "no error mentions %S" needle
+
+(* A summary that passes its checksum but whose inline inode slots
+   overlap its entry table is malformed: fsck says so. *)
+let test_detects_inline_overlap () =
+  let disk, fs = Helpers.fresh_fs () in
+  Fs.write_path fs "/a" (Bytes.make 3000 'a');
+  Fs.checkpoint fs;
+  let dev = Helpers.vdev disk in
+  let block, _ = inline_home fs "/a" in
+  (* The header's inline inode count: every slot, the first included. *)
+  patch_block dev block (fun b ->
+      Bytes.set_int32_le b 56 (Int32.of_int (Fs.layout fs).Lfs_core.Layout.inodes_per_block));
+  let r = Fsck.check (Fs.mount dev) in
+  if not (List.exists (fun e -> contains ~needle:"overlap" e) r.Fsck.errors) then
+    Alcotest.failf "no error reports the overlap: %s" (String.concat "; " r.Fsck.errors)
+
+(* A volume of the previous format (version 4: no inline metadata in
+   its summaries) is refused with a typed error, not misread. *)
+let test_refuses_format_4 () =
+  let disk, _ = Helpers.fresh_fs () in
+  let dev = Helpers.vdev disk in
+  patch_block dev 0 (fun b -> Bytes.set_int32_le b 12 4l);
+  match Fs.mount dev with
+  | _ -> Alcotest.fail "a version-4 superblock mounted"
+  | exception Types.Corrupt m ->
+      if not (contains ~needle:"version 4" m) then Alcotest.failf "unexpected: %s" m
+
 let test_report_printable () =
   let _, fs = Helpers.fresh_fs () in
   Fs.write_path fs "/x" (Bytes.of_string "y");
@@ -125,5 +195,9 @@ let suite =
       Alcotest.test_case "dangling imap entry" `Quick test_detects_dangling_imap_entry;
       Alcotest.test_case "wrong type word" `Quick test_detects_wrong_type_word;
       Alcotest.test_case "bad tail_sum" `Quick test_detects_bad_tail_sum;
+      Alcotest.test_case "inline inode claimed on its summary" `Quick
+        test_inline_inode_claimed_on_summary;
+      Alcotest.test_case "inline overlap" `Quick test_detects_inline_overlap;
+      Alcotest.test_case "format 4 refused" `Quick test_refuses_format_4;
       Alcotest.test_case "report printable" `Quick test_report_printable;
     ] )

@@ -390,6 +390,8 @@ let test_scan_stops_at_stale_summary () =
         durable_below = 0;
         tail_sum = 0;
         entries = [];
+        records = [];
+        inodes = [];
       }
   in
   Disk.write_block env.disk (Layout.seg_first_block layout 0 + 2) stale;

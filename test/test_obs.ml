@@ -338,8 +338,8 @@ let test_accounting_identities () =
     {
       Helpers.test_config with
       Lfs_core.Config.clean_stop = 30;
-      bg_clean_start = 20;
-      bg_clean_stop = 24;
+      bg_clean_start = 25;
+      bg_clean_stop = 28;
     }
   in
   let _, fs = Helpers.fresh_fs ~blocks:2048 ~config () in

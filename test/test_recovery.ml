@@ -133,15 +133,23 @@ let test_recover_multiple_checkpoint_cycles () =
 
 let test_recover_create_without_inode_drops_entry () =
   (* The paper's one uncompletable operation: a directory entry whose
-     inode never reached the log is removed during roll-forward.  We
-     build it by tearing the flush right after the dir-log block. *)
-  let disk, fs = Helpers.fresh_fs () in
+     inode never reached the log is removed during roll-forward.  A
+     flush's dir-log records ride in its first write and its inodes in
+     its last, so we build it by tearing the second of a flush's two
+     writes: the first (a summary describing about 160 blocks) lands,
+     the second does not. *)
+  let config = { Helpers.test_config with seg_blocks = 256; write_buffer_blocks = 256 } in
+  let disk, fs = Helpers.fresh_fs ~blocks:4096 ~config () in
   Fs.checkpoint fs;
   ignore (Fs.create fs ~dir:Fs.root "phantom");
-  Helpers.plan_crash disk ~after_blocks:2;  (* summary + dirlog, then power cut *)
+  Fs.write_path fs "/big" (Bytes.make (200 * 4096) 'b');
+  Helpers.plan_crash disk ~after_blocks:170;
   (match Fs.sync fs with () -> () | exception Disk.Crashed -> ());
+  Alcotest.(check bool) "the power cut came" true (Disk.is_crashed disk);
   Helpers.reboot disk;
-  let fs2, _ = Fs.recover (Helpers.vdev disk) in
+  let fs2, report = Fs.recover (Helpers.vdev disk) in
+  Alcotest.(check int) "the first write, with both creates, replayed" 2
+    report.Fs.dirops_applied;
   Alcotest.(check (option int)) "phantom dropped" None (Fs.resolve fs2 "/phantom");
   Helpers.fsck_clean fs2
 
@@ -438,8 +446,9 @@ let big_batch_config =
   { Helpers.test_config with seg_blocks = 256; write_buffer_blocks = 256 }
 
 (* A volume whose first write after its checkpoint fills a whole summary
-   (161 entries), cut by [cut] once [after_blocks] blocks are written;
-   rebooted, with the address of that write's summary. *)
+   ({!full} entries beside the create's record), cut by [cut] once
+   [after_blocks] blocks are written; rebooted, with the address of that
+   write's summary. *)
 let cut_full_write ?cut ~after_blocks () =
   let disk, fs = Helpers.fresh_fs ~blocks:4096 ~config:big_batch_config () in
   Fs.checkpoint fs;
@@ -466,7 +475,19 @@ let payload_reads layout reads (s : Summary.t) =
     reads []
   |> List.sort compare
 
-let full = Summary.max_entries ~block_size:4096
+(* The payload blocks of a full write of [/big]'s flush: its summary
+   carries the create's dir-log record. *)
+let full =
+  let record_bytes =
+    Dir_log.records_size
+      [ Dir_log.Add { dir = Types.root_ino; name = "big"; ino = 2; nlink = 1; fresh = true } ]
+  in
+  let rec most n =
+    if Summary.fits ~block_size:4096 ~entries:(n + 1) ~record_bytes ~inodes:0 then
+      most (n + 1)
+    else n
+  in
+  most 0
 
 (* A torn write seldom lands its tail: checking that block alone proves
    the write torn.  Of the rest of it only the metadata runs the walk
@@ -807,22 +828,26 @@ let hand_write ~seq ?(records = []) ?(data = 0) ?(inos = []) () =
   let parts =
     dirlog @ List.init data (fun _ -> (entry Types.Data, None)) @ inode_block
   in
+  let summary =
+    {
+      Summary.seq;
+      seg = seq;
+      slot = 0;
+      next_seg = seq + 1;
+      timestamp = 0.0;
+      payload_sum = 0;
+      durable_below = 0;
+      tail_sum = 0;
+      entries = List.map fst parts;
+      records = [];
+      inodes = [];
+    }
+  in
+  let at i d = (Summary.entry_addr summary digest_layout i, d) in
   {
-    Recovery.summary =
-      {
-        Summary.seq;
-        seg = seq;
-        slot = 0;
-        next_seg = seq + 1;
-        timestamp = 0.0;
-        payload_sum = 0;
-        durable_below = 0;
-        tail_sum = 0;
-        entries = List.map fst parts;
-      };
+    Recovery.summary;
     decoded =
-      List.concat
-        (List.mapi (fun i (_, d) -> Option.to_list (Option.map (fun d -> (i, d)) d)) parts);
+      List.concat (List.mapi (fun i (_, d) -> Option.to_list (Option.map (at i) d)) parts);
   }
 
 let digest writes = Recovery.digest digest_layout writes
@@ -1004,6 +1029,8 @@ let stale_summary layout ~(at : Log_writer.position) ~seq ~payload_sum entries =
       durable_below = 0;
       tail_sum = 0;
       entries;
+      records = [];
+      inodes = [];
     }
 
 let entry kind =
@@ -1080,7 +1107,7 @@ let test_stale_summary_past_tail_cleaner () =
   let before = read () in
   ignore (Fs.clean_step ~max_segments:1 fs);
   Alcotest.(check int) "segment 0 cleaned" 0 (Fs.segment_live_bytes fs 0);
-  Alcotest.(check int) "blocks the cleaner read" 12 (read () - before);
+  Alcotest.(check int) "blocks the cleaner read" 10 (read () - before);
   Helpers.check_bytes "file survives" (Bytes.make 5000 'f')
     (Option.get (Fs.read_path fs "/f"));
   Helpers.fsck_clean fs
@@ -1261,6 +1288,66 @@ let test_recover_reused_ino_version () =
     (Option.get (Fs.read_path fs2 "/b"));
   Helpers.fsck_clean fs2
 
+(* {2 Cuts inside a write whose summary carries inodes and records} *)
+
+module SL = (val Lfs_spec.Spec.subject (Lfs_spec.Spec.of_string "lfs"))
+module RL = Lfs_model.Refine.Make (SL)
+
+(* The last sync's flush is one write: its summary carries the create's
+   and the rename's records and the dirty inodes, before the root
+   directory's block and [/b]'s data.  Power cut inside that write, torn
+   (a prefix lands: the summary, inline metadata and all, without all of
+   its payload) and dropped, under Direct and at io-depth 4: recovery
+   must give a namespace the model accepts, and fsck finds it clean. *)
+let test_cut_inside_inline_write () =
+  let module M = Lfs_model.Fs_model in
+  let ops =
+    [
+      M.Create "/a";
+      M.Write { path = "/a"; off = 0; data = Bytes.make 8192 'a' };
+      M.Sync;
+      M.Create "/b";
+      M.Write { path = "/b"; off = 0; data = Bytes.make 8192 'b' };
+      M.Rename { src = "/a"; dst = "/c" };
+      M.Sync;
+    ]
+  in
+  List.iter
+    (fun io_depth ->
+      let reference = RL.once ~blocks:1024 ~seed:0 (RL.scripted ~io_depth ops) in
+      let dev = List.hd reference.RL.devs in
+      let last =
+        List.fold_left
+          (fun acc (s : Summary.t) ->
+            if s.Summary.seq > acc.Summary.seq then s else acc)
+          (List.hd (Helpers.chain_summaries dev))
+          (Helpers.chain_summaries dev)
+      in
+      Alcotest.(check int) "the last write carries both records" 2
+        (List.length last.Summary.records);
+      Alcotest.(check bool) "and inodes" true (last.Summary.inodes <> []);
+      let n = List.length last.Summary.entries in
+      Alcotest.(check bool) "and a payload" true (n >= 2);
+      (* It is the run's last [n + 1] blocks; a cut at [c] lands [c] of
+         the run's blocks before the power goes. *)
+      let cuts = List.init n (fun i -> reference.RL.total - n + i) in
+      let modes seed = List.map (Lfs_model.Refine.mode_for ~seed) cuts in
+      let rec pick seed =
+        if
+          List.mem Lfs_disk.Vdev_fault.Torn (modes seed)
+          && List.mem Lfs_disk.Vdev_fault.Dropped (modes seed)
+        then seed
+        else pick (seed + 1)
+      in
+      let seed = pick 0 in
+      let r = RL.check_ops ~io_depth ~cuts ~seed ops in
+      if not (Lfs_model.Refine.seq_clean r) then
+        Alcotest.failf "io-depth %d: %a" io_depth Lfs_model.Refine.pp_seq_report r;
+      Alcotest.(check int)
+        (Printf.sprintf "io-depth %d: every cut crashed" io_depth)
+        n r.Lfs_model.Refine.crashes)
+    [ 1; 4 ]
+
 (* A mkdir whose parent update fills the write buffer flushes the new
    directory's inode before the directory is initialised; that copy
    must already be a parseable (empty) directory. *)
@@ -1281,6 +1368,8 @@ let suite =
   ( "recovery",
     [
       Alcotest.test_case "nothing to do" `Quick test_recover_nothing_to_do;
+      Alcotest.test_case "cuts inside a write with inline metadata" `Quick
+        test_cut_inside_inline_write;
       Alcotest.test_case "new file" `Quick test_recover_new_file;
       Alcotest.test_case "overwrite" `Quick test_recover_overwrite;
       Alcotest.test_case "delete" `Quick test_recover_delete;

@@ -145,6 +145,8 @@ let summary_fixture =
         { Summary.kind = Types.Inode_block; ino = 0; blockno = 0; version = 0; mtime = 60.0 };
         { Summary.kind = Types.Indirect; ino = 4; blockno = -2; version = 1; mtime = 55.0 };
       ];
+    records = [];
+    inodes = [];
   }
 
 let test_summary_roundtrip () =
@@ -152,6 +154,68 @@ let test_summary_roundtrip () =
   match Summary.decode b with
   | None -> Alcotest.fail "should decode"
   | Some s -> Alcotest.(check bool) "equal" true (s = summary_fixture)
+
+(* A summary carrying a flush's records and two inodes inline, in the
+   last two of a 1 KB block's eight inode slots. *)
+let inline_fixture =
+  let inode ino =
+    let i = Inode.create ~ino ~ftype:Types.Regular ~mtime:(float_of_int ino) in
+    i.Inode.size <- 1000 * ino;
+    i.Inode.direct.(0) <- 77 + ino;
+    i
+  in
+  {
+    summary_fixture with
+    Summary.records =
+      [
+        Dir_log.Add { dir = 1; name = "new"; ino = 4; nlink = 1; fresh = true };
+        Dir_log.Remove { dir = 1; name = "old"; ino = 5; nlink = 0 };
+        Dir_log.Rename { odir = 1; oname = "a"; ndir = 2; nname = "b"; ino = 6 };
+      ];
+    inodes = [ inode 4; inode 6 ];
+  }
+
+let test_summary_inline_roundtrip () =
+  let b = Helpers.encode_summary ~block_size:1024 inline_fixture in
+  (match Summary.decode b with
+  | None -> Alcotest.fail "should decode"
+  | Some s -> Alcotest.(check bool) "equal" true (s = inline_fixture));
+  (* The inline inodes sit in the block's last slots, where an inode
+     block's decoder finds them. *)
+  Alcotest.(check (list int)) "slots 6 and 7" [ 4; 6 ]
+    (List.map
+       (fun slot -> (Option.get (Inode.decode b ~slot)).Inode.ino)
+       [ 6; 7 ]);
+  Alcotest.(check (list (pair int int))) "their addresses"
+    (List.map
+       (fun slot -> (Layout.seg_first_block layout 3 + 5, layout.Layout.inodes_per_block - slot))
+       [ 2; 1 ])
+    (List.map
+       (fun (ia, _) -> (Types.Iaddr.block ia, Types.Iaddr.slot ia))
+       (Summary.inline_inodes inline_fixture layout))
+
+let test_summary_inline_capacity () =
+  Alcotest.(check bool) "entries up to the inline slots fit" true
+    (Summary.fits ~block_size:1024 ~entries:28 ~record_bytes:0 ~inodes:2);
+  Alcotest.(check bool) "one more overlaps them" false
+    (Summary.fits ~block_size:1024 ~entries:29 ~record_bytes:0 ~inodes:2);
+  (* 64 + 28 * 25 = 764 bytes, and the two slots start at byte 768. *)
+  Alcotest.(check bool) "records fill the room left" true
+    (Summary.fits ~block_size:1024 ~entries:28 ~record_bytes:4 ~inodes:2);
+  Alcotest.(check bool) "and no more" false
+    (Summary.fits ~block_size:1024 ~entries:28 ~record_bytes:5 ~inodes:2);
+  Alcotest.(check bool) "no more inodes than slots" false
+    (Summary.fits ~block_size:1024 ~entries:0 ~record_bytes:0 ~inodes:9);
+  let entries =
+    List.init 29 (fun i ->
+        { Summary.kind = Types.Data; ino = i; blockno = i; version = 0; mtime = 0.0 })
+  in
+  match
+    Helpers.encode_summary ~block_size:1024
+      { inline_fixture with Summary.entries; records = [] }
+  with
+  | _ -> Alcotest.fail "should reject"
+  | exception Invalid_argument _ -> ()
 
 let test_summary_detects_corruption () =
   let b = Helpers.encode_summary ~block_size:1024 summary_fixture in
@@ -716,6 +780,34 @@ let prop_summary_roundtrip =
       let s = { summary_fixture with Summary.entries } in
       Summary.decode (Helpers.encode_summary ~block_size:1024 s) = Some s)
 
+(* The header checksum of a summary at byte 0, taken again: what a
+   malformed body needs to reach the decoder's structural checks. *)
+let reseal b =
+  let sum = Lfs_util.Checksum.adler32 ~pos:8 ~len:(Bytes.length b - 8) b in
+  Bytes.set_int32_le b 0 (Int32.of_int sum)
+
+(* The decoder is total: over a summary with inline records and inodes,
+   any byte flips and any truncation, with the checksum taken again
+   before or after the cut or not at all, give a value, [None] or
+   [Types.Corrupt], never another exception. *)
+let prop_summary_decoder_total =
+  QCheck.Test.make ~count:1000 ~name:"summary decoder is total"
+    QCheck.(
+      triple
+        (small_list (pair (int_bound 1023) (int_bound 255)))
+        (option (int_bound 1024))
+        (int_bound 2))
+    (fun (flips, cut, resealed) ->
+      let b = Helpers.encode_summary ~block_size:1024 inline_fixture in
+      List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) flips;
+      if resealed = 1 then reseal b;
+      let b = match cut with Some n -> Bytes.sub b 0 n | None -> b in
+      if resealed = 2 && Bytes.length b >= 8 then reseal b;
+      match Summary.decode b with
+      | Some s -> flips <> [] || cut <> None || s = inline_fixture
+      | None -> flips <> [] || cut <> None
+      | exception Types.Corrupt _ -> true)
+
 let suite =
   ( "structures",
     [
@@ -733,6 +825,8 @@ let suite =
       Alcotest.test_case "inode bad magic" `Quick test_inode_bad_magic;
       Alcotest.test_case "inode nblocks" `Quick test_inode_nblocks;
       Alcotest.test_case "summary roundtrip" `Quick test_summary_roundtrip;
+      Alcotest.test_case "summary inline roundtrip" `Quick test_summary_inline_roundtrip;
+      Alcotest.test_case "summary inline capacity" `Quick test_summary_inline_capacity;
       Alcotest.test_case "summary corruption" `Quick test_summary_detects_corruption;
       Alcotest.test_case "summary garbage" `Quick test_summary_garbage_rejected;
       Alcotest.test_case "summary capacity" `Quick test_summary_capacity_enforced;
@@ -775,4 +869,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_directory_roundtrip;
       QCheck_alcotest.to_alcotest prop_directory_model;
       QCheck_alcotest.to_alcotest prop_summary_roundtrip;
+      QCheck_alcotest.to_alcotest prop_summary_decoder_total;
     ] )
