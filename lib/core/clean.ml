@@ -62,43 +62,6 @@ let data_live t (e : Summary.entry) addr =
   current_version t e
   && Filemap.get (get_handle t e.Summary.ino).fmap e.Summary.blockno = addr
 
-(* Under [Live_blocks], read the blocks of write [s] that classification
-   and relocation need (every inode block, and each data block that is
-   still live) as ascending runs of consecutive slots.  A run that ends
-   the write also takes the next summary slot when the walk will read it
-   next, so that summary comes in the same transfer.  Returns the
-   summary slot so read, or -1. *)
-let read_needed t s ~read =
-  let next = Summary.next_slot s in
-  let fetched = ref (-1) and start = ref (-1) in
-  (* Read the open run, which ends just before [stop]. *)
-  let close stop =
-    if !start >= 0 then begin
-      let len =
-        if stop = next && next <= t.layout.Layout.seg_blocks - 2 then begin
-          fetched := next;
-          stop - !start + 1
-        end
-        else stop - !start
-      in
-      read !start len;
-      start := -1
-    end
-  in
-  List.iteri
-    (fun i (e : Summary.entry) ->
-      let slot = s.Summary.slot + 1 + i in
-      let needed =
-        match e.Summary.kind with
-        | Types.Inode_block -> true
-        | Types.Data -> data_live t e (Summary.entry_addr s t.layout i)
-        | _ -> false
-      in
-      if needed then (if !start < 0 then start := slot) else close slot)
-    s.Summary.entries;
-  close next;
-  !fetched
-
 (* {1 Liveness and relocation} *)
 
 type live_item =
@@ -169,29 +132,44 @@ let classify_live t (e : Summary.entry) addr payload =
 (* A victim's live items (Section 3.3), each with the mtime its
    relocation is grouped by.  The mount's read policy decides what is
    read: the whole segment in one transfer, or (Section 3.4's untried
-   idea) one ascending sweep of the summary chain and, write by write,
-   only the blocks {!read_needed} picks.  An inline inode is classified
-   from the summary the walk already holds, at the summary's own
-   address.  The cleaner applies no sequence rule: a stale summary from
-   a previous life of the segment, sitting where the chain continues, is
-   walked too, and the entries it describes simply fail the liveness
-   checks. *)
+   idea) one ascending sweep of the summary chain that reads, write by
+   write, only each inode block and each still-live data block, by
+   {!Summary.walk_segment}'s read rule.  Either way every block lands
+   at its slot's offset of the victim's buffer.  An inline inode is
+   classified from the summary the walk already holds, at the
+   summary's own address.  The cleaner applies no sequence rule: a
+   stale summary from a previous life of the segment, sitting where the
+   chain continues, is walked too, and the entries it describes simply
+   fail the liveness checks. *)
 let read_victim t seg =
   let first = Layout.seg_first_block t.layout seg and bs = block_size t in
   let buf = Buf_pool.take t.victim_bufs in
   t.pass_bufs <- buf :: t.pass_bufs;
-  let read slot len = read_into t (first + slot) len buf ~pos:(slot * bs) in
   let whole = t.config.Config.cleaner_read = Config.Whole_segment in
-  if whole then read 0 t.layout.Layout.seg_blocks;
-  let fetched = ref (-1) and walked = ref [] in
-  Summary.walk_segment t.layout ~seg
-    ~read:(fun slot ->
-      if (not whole) && slot <> !fetched then read slot 1;
-      (buf, slot * bs))
-    (fun s ->
-      if not whole then fetched := read_needed t s ~read;
-      walked := s :: !walked;
-      true);
+  if whole then read_into t first t.layout.Layout.seg_blocks buf ~pos:0;
+  let read slot len =
+    if not whole then read_into t (first + slot) len buf ~pos:(slot * bs);
+    (buf, slot * bs)
+  in
+  let need s i (e : Summary.entry) =
+    (not whole)
+    &&
+    match e.Summary.kind with
+    | Types.Inode_block -> true
+    | Types.Data -> data_live t e (Summary.entry_addr s t.layout i)
+    | _ -> false
+  in
+  let walked = ref [] in
+  ignore
+    (Summary.walk_segment t.layout ~seg
+       ~read:(fun slot -> read slot 1)
+       ~need
+       ~read_run:(fun s run ->
+         read (s.Summary.slot + 1 + run.Summary.first) run.Summary.blocks)
+       (fun s ->
+         walked := s :: !walked;
+         true)
+      : bool);
   (* Classified once the walk is done, so the handles liveness loads
      are read after the victim. *)
   List.concat_map

@@ -103,39 +103,55 @@ let check fs =
      chain reaches means the summary chain itself was truncated or
      corrupted.  Structural checks above can all pass in both cases —
      the block pointers are fine, the bytes are not. *)
-  let r = Recovery.reader layout (List.hd (Fs.devices fs)) in
+  let dev = List.hd (Fs.devices fs) in
+  let block = Bytes.create bs and payload = Lfs_util.Buf_pool.Scratch.create () in
+  let read addr n b =
+    if n > 0 then
+      ignore (Lfs_disk.Vdev.submit_read_into dev addr n b ~pos:0 : Lfs_disk.Io_queue.ticket)
+  in
+  (* Whether a write's payload, read whole in one transfer, matches its
+     summary's [payload_sum]; a match whose last block fails a nonzero
+     [tail_sum] is reported here. *)
+  let payload_intact (s : Summary.t) =
+    let n = List.length s.Summary.entries in
+    let b = Lfs_util.Buf_pool.Scratch.take payload (n * bs) in
+    read (Summary.entry_addr s layout 0) n b;
+    let intact = Summary.payload_checksum ~len:(n * bs) b = s.Summary.payload_sum in
+    if
+      intact && s.Summary.tail_sum <> 0 && n > 0
+      && Summary.payload_checksum ~pos:((n - 1) * bs) ~len:bs b <> s.Summary.tail_sum
+    then
+      error "segment %d slot %d: write %d's last block does not match its summary's \
+             tail_sum"
+        s.Summary.seg s.Summary.slot s.Summary.seq;
+    Lfs_util.Buf_pool.Scratch.give payload;
+    intact
+  in
   let covered : (Types.baddr, bool) Hashtbl.t = Hashtbl.create 1024 in
   for seg = 0 to layout.Layout.nsegs - 1 do
     let first = Layout.seg_first_block layout seg in
     let last_seq = ref (-1) and slot = ref 0 in
     try
-      Summary.walk_segment layout ~seg
-        ~read:(fun at ->
-          slot := at;
-          (Recovery.read_block r (first + at), 0))
-        (fun s ->
-          s.Summary.seq > !last_seq
-          && begin
-               last_seq := s.Summary.seq;
-               (* Inline inodes live in the summary block itself, which
-                  its own checksum covers. *)
-               Hashtbl.replace covered (first + s.Summary.slot) true;
-               let n = List.length s.Summary.entries in
-               let ok =
-                 match Recovery.check_payload r s with
-                 | Recovery.Intact -> true
-                 | Recovery.Torn -> false
-                 | Recovery.Bad_tail_sum ->
-                     error "segment %d slot %d: write %d's last block does not \
-                            match its summary's tail_sum"
-                       seg s.Summary.slot s.Summary.seq;
-                     true
-               in
-               for i = 0 to n - 1 do
-                 Hashtbl.replace covered (first + s.Summary.slot + 1 + i) ok
-               done;
-               true
-             end)
+      ignore
+        (Summary.walk_segment layout ~seg
+           ~read:(fun at ->
+             slot := at;
+             read (first + at) 1 block;
+             (block, 0))
+           (fun s ->
+             s.Summary.seq > !last_seq
+             && begin
+                  last_seq := s.Summary.seq;
+                  (* Inline inodes live in the summary block itself, which
+                     its own checksum covers. *)
+                  Hashtbl.replace covered (first + s.Summary.slot) true;
+                  let ok = payload_intact s in
+                  for i = 0 to List.length s.Summary.entries - 1 do
+                    Hashtbl.replace covered (first + s.Summary.slot + 1 + i) ok
+                  done;
+                  true
+                end)
+          : bool)
     with Types.Corrupt m -> error "segment %d slot %d: %s" seg !slot m
   done;
   Hashtbl.iter

@@ -17,18 +17,14 @@ type result = {
   blocks_verified : int;
 }
 
-(* {1 Reading the log into the reader's own buffers} *)
+(* {1 Reading the log into the scan's own buffers} *)
 
 type reader = {
   dev : Vdev.t;
   layout : Layout.t;
   block : bytes;  (* one block: the summary being walked *)
-  payload : Scratch.t;  (* grown to the largest payload read *)
+  payload : Scratch.t;  (* grown to the largest payload verified *)
 }
-
-let reader layout dev =
-  let payload = Scratch.create () in
-  { dev; layout; block = Bytes.create layout.Layout.block_size; payload }
 
 let read_block r addr =
   ignore (Vdev.submit_read_into r.dev addr 1 r.block ~pos:0 : Io_queue.ticket);
@@ -41,24 +37,6 @@ let read_into r s ~first ~n b ~pos =
     ignore
       (Vdev.submit_read_into r.dev (Summary.entry_addr s r.layout first) n b ~pos
         : Io_queue.ticket)
-
-type payload_check = Intact | Torn | Bad_tail_sum
-
-let check_payload r (s : Summary.t) =
-  let bs = r.layout.Layout.block_size in
-  let n = List.length s.Summary.entries in
-  let b = Scratch.take r.payload (n * bs) in
-  read_into r s ~first:0 ~n b ~pos:0;
-  let check =
-    if Summary.payload_checksum ~len:(n * bs) b <> s.Summary.payload_sum then Torn
-    else if
-      s.Summary.tail_sum <> 0 && n > 0
-      && Summary.payload_checksum ~pos:((n - 1) * bs) ~len:bs b <> s.Summary.tail_sum
-    then Bad_tail_sum
-    else Intact
-  in
-  Scratch.give r.payload;
-  check
 
 (* {1 The walk} *)
 
@@ -78,90 +56,65 @@ let kept (e : Summary.entry) =
 type run = { first : int; n : int; buf : bytes }
 
 (* A summary the walk accepted and the runs it read of its write, in
-   entry order.  Nothing of the runs is decoded before the roll knows
-   the write landed. *)
-type step = { accepted : Summary.t; runs : run list }
-
-(* Read the kept runs of an accepted summary's write in ascending order,
-   one transfer each.  A leading run sits right behind the summary, so
-   it costs no seek.  A run that ends the write is read together with
-   the block just past it when a summary may sit there: that is the
-   block the walk reads next, and [ahead] gets its address and its
-   place in the run's buffer. *)
-let read_runs r (s : Summary.t) ~ahead =
-  let bs = r.layout.Layout.block_size in
-  let es = Array.of_list s.Summary.entries in
-  let n = Array.length es in
-  let runs = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if not (kept es.(!i)) then incr i
-    else begin
-      let first = !i in
-      while !i < n && kept es.(!i) do
-        incr i
-      done;
-      let k = !i - first in
-      let fused = !i = n && Summary.next_slot s <= r.layout.Layout.seg_blocks - 2 in
-      let buf = Bytes.create ((if fused then k + 1 else k) * bs) in
-      read_into r s ~first ~n:(Bytes.length buf / bs) buf ~pos:0;
-      if fused then ahead := Some (Summary.entry_addr s r.layout n, buf, k * bs);
-      runs := { first; n = k; buf } :: !runs
-    end
-  done;
-  List.rev !runs
+   entry order (appended as the walker reads them).  Nothing of the
+   runs is decoded before the roll knows the write landed. *)
+type step = { accepted : Summary.t; mutable runs : run list }
 
 (* One head's chain walk: the steps it accepts, in walk order (strictly
    increasing seq), and the segments it entered. *)
 type chain = { steps : step list; scanned : int }
 
 (* Walk a head's chain from its checkpointed position: its segment from
-   the checkpoint's offset, or, when no summary fits there any more,
+   the checkpoint's offset, or, when that segment is exhausted there,
    the segment the writer went on to.  Everything the checkpoint
    vouches for lies behind that position, so the walk reads none of it.
    [floor] is the checkpoint's [log_seq]: every write since has a seq at
    least that, and it grows strictly along the walk, so a summary left
    from a segment's previous life fails it or the walker's
-   self-identification test and ends the walk.  A segment entered again
-   could only show summaries the walk has passed or ones from before
-   the checkpoint, all below that floor, so remembering the segments
+   self-identification test and ends the walk.  Each accepted write's
+   [kept] runs are read into buffers of their own, by the walker's read
+   rule ({!Summary.walk_segment}).  A segment entered again could only
+   show summaries the walk has passed or ones from before the
+   checkpoint, all below that floor, so remembering the segments
    entered is enough to break a [next_seg] cycle. *)
 let walk_chain r ~floor (start : Log_writer.position) =
   let layout = r.layout in
-  let seg_blocks = layout.Layout.seg_blocks in
+  let bs = layout.Layout.block_size in
   let steps = ref [] and scanned = ref 1 in
   let visited = Hashtbl.create 16 in
-  let last_seq = ref (floor - 1) in
-  let ahead = ref None in
+  let last_seq = ref (floor - 1) and hop = ref start.Log_writer.next_seg in
+  (* Called only for the write of the step [visit] just pushed. *)
+  let read_run s (run : Summary.run) =
+    let buf = Bytes.create (run.Summary.blocks * bs) in
+    read_into r s ~first:run.Summary.first ~n:run.Summary.blocks buf ~pos:0;
+    let st = List.hd !steps in
+    st.runs <- st.runs @ [ { first = run.Summary.first; n = run.Summary.n; buf } ];
+    (buf, 0)
+  in
   let rec enter seg ~from =
     if not (Hashtbl.mem visited seg) then begin
       Hashtbl.replace visited seg ();
       let first = Layout.seg_first_block layout seg in
-      let exhausted = ref None in
-      if from > seg_blocks - 2 then exhausted := Some start.Log_writer.next_seg
-      else
+      let exhausted =
         Summary.walk_segment layout ~seg ~from
-          ~read:(fun slot ->
-            match !ahead with
-            | Some (addr, buf, pos) when addr = first + slot ->
-                ahead := None;
-                (buf, pos)
-            | Some _ | None -> (read_block r (first + slot), 0))
+          ~read:(fun slot -> (read_block r (first + slot), 0))
+          ~need:(fun _ _ e -> kept e)
+          ~read_run
           (fun s ->
             s.Summary.seq > !last_seq
             && begin
-                 steps := { accepted = s; runs = read_runs r s ~ahead } :: !steps;
+                 steps := { accepted = s; runs = [] } :: !steps;
                  last_seq := s.Summary.seq;
-                 if Summary.next_slot s > seg_blocks - 2 then
-                   exhausted := Some s.Summary.next_seg;
+                 hop := s.Summary.next_seg;
                  true
-               end);
-      (* Segment exhausted: follow the head's thread. *)
-      Option.iter
-        (fun next ->
-          incr scanned;
-          if next >= 0 && next < layout.Layout.nsegs then enter next ~from:0)
-        !exhausted
+               end)
+      in
+      (* Follow the head's thread from the last summary accepted, or
+         from the checkpoint's reservation when there was none. *)
+      if exhausted then begin
+        incr scanned;
+        if !hop >= 0 && !hop < layout.Layout.nsegs then enter !hop ~from:0
+      end
     end
   in
   enter start.Log_writer.seg ~from:start.Log_writer.off;
@@ -272,7 +225,10 @@ let decode_runs r ~latest ~indirect st =
   List.rev !decoded
 
 let scan layout disk ~ckpt =
-  let r = reader layout disk in
+  let r =
+    { dev = disk; layout; block = Bytes.create layout.Layout.block_size;
+      payload = Scratch.create () }
+  in
   let log_seq = ckpt.Checkpoint.log_seq in
   let chains = Array.map (walk_chain r ~floor:log_seq) ckpt.Checkpoint.heads in
   (* The durability watermark.  A summary on the medium was written, so

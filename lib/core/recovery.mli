@@ -3,25 +3,24 @@
     The scan walks each head's summary chain once, forward, from the
     checkpoint's position for that head: the checkpoint's segment from
     the checkpoint's offset ({!Summary.walk_segment}'s [from]), or the
-    reserved [next_seg] from slot 0 when no summary fits past that
-    offset, since the writer's next batch went there; and across
-    segments by following the [next_seg] pointer every summary records.
-    So it reads no summary written before the checkpoint.  On top of
+    reserved [next_seg] from slot 0 when the walk finds that segment
+    exhausted there, since the writer's next batch went there; and
+    across segments by following the [next_seg] pointer of the last
+    summary accepted in a segment the walk exhausts.  So it reads no
+    summary written before the checkpoint.  On top of
     the walker's checks (intact, self-identifying, fits its segment) a
     summary is accepted only if its sequence number is at least the
     checkpoint's [log_seq] and strictly increases along its chain: a
     stale summary from a segment's previous life ends the walk.
 
     When the walk accepts a summary it reads that write's inode,
-    dir-log and indirect blocks, one transfer per run of adjacent ones,
-    in address order, and no data block; the records and inodes the
-    summary carries inline come with the summary itself.  A flush appends dir-log, data,
-    indirect and inode blocks in that order, so these runs sit right
-    behind the summary (read without a seek) or end the write: a run
-    that ends the write is read in one transfer together with the block
-    just past it when a summary may sit there, and the walk decodes the
-    next summary from that buffer instead of reading the block again.
-    The runs are kept per write, undecoded.
+    dir-log and indirect blocks and no data block, as
+    {!Summary.walk_segment} reads the entries a caller needs; the
+    records and inodes the summary carries inline come with the summary
+    itself.  A flush appends dir-log, data, indirect and inode blocks in
+    that order, so these runs sit right behind the summary (read
+    without a seek) or end the write.  The runs are kept per write,
+    undecoded, in buffers of their own.
 
     The chains' summaries give the durability watermark [W]: the
     largest [durable_below] any of them claims, and at least the
@@ -113,33 +112,6 @@ type result = {
 
 val scan : Layout.t -> Lfs_disk.Vdev.t -> ckpt:Checkpoint.t -> result
 (** Follow every head's chain from [ckpt]'s positions until each ends. *)
-
-(** {1 The payload verifier}
-
-    The scan and [Fsck]'s integrity pass read summaries and verify
-    payloads the same way: through {!Lfs_disk.Vdev.submit_read_into}
-    into buffers a [reader] owns.  Only the scan's kept runs get
-    buffers of their own, held until the roll has decoded them. *)
-
-type reader
-
-val reader : Layout.t -> Lfs_disk.Vdev.t -> reader
-
-val read_block : reader -> Types.baddr -> bytes
-(** The block at an address, in the reader's one-block buffer: valid
-    until the reader's next [read_block]. *)
-
-type payload_check =
-  | Intact
-  | Torn  (** the payload does not match [payload_sum] *)
-  | Bad_tail_sum
-      (** the payload matches [payload_sum] but its last block does not
-          match a nonzero [tail_sum]: the summary itself is wrong *)
-
-val check_payload : reader -> Summary.t -> payload_check
-(** The payload blocks of the summary's write, read whole into the
-    reader's payload buffer (grown to the largest payload read), against
-    its [payload_sum] and [tail_sum]. *)
 
 (** {1 The roll-forward digest}
 

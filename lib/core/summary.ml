@@ -179,17 +179,50 @@ let inline_inodes t layout =
 
 let next_slot t = t.slot + 1 + List.length t.entries
 
-let walk_segment layout ~seg ?(from = 0) ~read visit =
+type run = { first : int; n : int; blocks : int }
+
+let walk_segment layout ~seg ?(from = 0) ~read ?(need = fun _ _ _ -> false)
+    ?(read_run = fun _ _ -> invalid_arg "Summary.walk_segment: need without read_run")
+    visit =
   let seg_blocks = layout.Layout.seg_blocks
   and block_size = layout.Layout.block_size in
-  let rec walk slot =
-    if slot <= seg_blocks - 2 then
-      let b, pos = read slot in
-      match decode ~pos ~block_size b with
-      | Some s
-        when s.seg = seg && s.slot = slot
-             && slot + 1 + List.length s.entries <= seg_blocks ->
-          if visit s then walk (next_slot s)
-      | Some _ | None -> ()
+  (* Whether a summary can sit at a slot: it and one payload block fit. *)
+  let holds_summary slot = slot <= seg_blocks - 2 in
+  (* The runs [need] picks of [s]'s write, each read once the entry
+     that ends it is known; the next summary's block when the last run
+     brought it along. *)
+  let read_write s =
+    let count = List.length s.entries in
+    let start = ref (-1) and ahead = ref None in
+    let close stop =
+      if !start >= 0 then begin
+        let n = stop - !start in
+        let fused = stop = count && holds_summary (next_slot s) in
+        let buf, pos =
+          read_run s { first = !start; n; blocks = (if fused then n + 1 else n) }
+        in
+        if fused then ahead := Some (buf, pos + (n * block_size));
+        start := -1
+      end
+    in
+    List.iteri
+      (fun i e -> if need s i e then (if !start < 0 then start := i) else close i)
+      s.entries;
+    close count;
+    !ahead
   in
-  walk from
+  let rec walk slot ahead =
+    (not (holds_summary slot))
+    ||
+    let b, pos = match ahead with Some block -> block | None -> read slot in
+    match decode ~pos ~block_size b with
+    | Some s
+      when s.seg = seg && s.slot = slot
+           && slot + 1 + List.length s.entries <= seg_blocks ->
+        visit s
+        &&
+        let ahead = read_write s in
+        walk (next_slot s) ahead
+    | Some _ | None -> false
+  in
+  walk from None

@@ -112,22 +112,55 @@ val entry_addr : t -> Layout.t -> int -> Types.baddr
 val next_slot : t -> int
 (** Segment slot just past this write ([slot + 1 + entries]). *)
 
+type run = {
+  first : int;   (** index of the run's first entry *)
+  n : int;       (** entries in the run *)
+  blocks : int;  (** blocks the transfer reads: [n], or [n + 1] with the next summary *)
+}
+(** A run of consecutive entries of a write, read in one transfer. *)
+
 val walk_segment :
-  Layout.t -> seg:int -> ?from:int -> read:(int -> bytes * int) -> (t -> bool) -> unit
-(** The one walk of a segment's summary chain, shared by the cleaner,
-    roll-forward and fsck.  Starting at slot [from] (default 0: the
-    cleaner and fsck walk a whole segment; roll-forward enters the
-    checkpoint's segment where the checkpoint left its head, so it reads
-    no summary written before the checkpoint), [read slot] gives the
-    block at that slot of segment [seg] as a buffer and the block's byte
-    offset in it (decoded in place before [visit] runs and not kept, so
-    [read] may return one buffer every time); the walk ends at the
-    first block
-    that does not decode, does not identify itself as ([seg], that slot),
-    or describes a write that would not fit in the segment.  Each summary
-    that passes is handed to [visit], and the walk goes on just past its
-    write while [visit] returns [true] and a summary plus one payload
-    block still fit.  Callers add their own rules in [visit]: a sequence
-    floor, a payload checksum, a hop to [next_seg].  Stale summaries from
-    a segment's previous life pass these checks when they happen to sit
-    where the chain continues; only a caller's rule can reject them. *)
+  Layout.t ->
+  seg:int ->
+  ?from:int ->
+  read:(int -> bytes * int) ->
+  ?need:(t -> int -> entry -> bool) ->
+  ?read_run:(t -> run -> bytes * int) ->
+  (t -> bool) ->
+  bool
+(** The one walk of a segment's summary chain and the one reader of its
+    writes, shared by the cleaner, roll-forward and fsck.
+
+    {b The chain.}  Starting at slot [from] (default 0: the cleaner and
+    fsck walk a whole segment; roll-forward enters the checkpoint's
+    segment where the checkpoint left its head, so it reads no summary
+    written before the checkpoint), the walk decodes the summary at each
+    slot and hands it to [visit]; it ends at the first block that does
+    not decode, does not identify itself as ([seg], that slot), or
+    describes a write that would not fit in the segment, and when
+    [visit] returns [false].  Otherwise it goes on just past the
+    summary's write.  A summary can sit at a slot only if it and one
+    payload block still fit the segment; a walk that reaches a slot
+    where none can has {e exhausted} the segment, and only then does it
+    return [true] (roll-forward then follows [next_seg]).  Callers add
+    their own rules in [visit]: a sequence floor, a payload checksum.
+    Stale summaries from a segment's previous life pass the walker's
+    checks when they happen to sit where the chain continues; only a
+    caller's rule can reject them.
+
+    {b The reads.}  [read slot] gives the block at that slot of segment
+    [seg] as a buffer and the block's byte offset in it; it is decoded
+    in place and not kept, so [read] may return one buffer every time.
+    For each summary [visit] accepts, and only then, the walk reads the
+    entries [need s i e] picks ([i] the entry's index; default: none),
+    as ascending runs of consecutive entries.  [need] runs entry by
+    entry in order, and each run is read, by [read_run s run], as soon
+    as the first entry after it that [need] rejects is known, or the
+    write ends.  [read_run] (required once [need] picks an entry)
+    reads the run's [blocks] blocks starting at
+    entry [run.first] and returns the buffer and the byte offset of
+    that entry there; the buffer is the caller's to keep.  {e Fusion}:
+    a run that ends the write also takes the next slot when a summary
+    can sit there ([blocks = n + 1]), and the walk decodes the next
+    summary from that buffer instead of calling [read].  Every other
+    summary comes from [read]. *)

@@ -262,15 +262,17 @@ let chain_summaries dev =
     (List.init layout.Layout.nsegs (fun seg ->
          let first = Layout.seg_first_block layout seg in
          let acc = ref [] and last = ref (-1) in
-         Summary.walk_segment layout ~seg
-           ~read:(fun slot -> (Vdev.read_block dev (first + slot), 0))
-           (fun s ->
-             s.Summary.seq > !last
-             && begin
-                  last := s.Summary.seq;
-                  acc := s :: !acc;
-                  true
-                end);
+         ignore
+           (Summary.walk_segment layout ~seg
+              ~read:(fun slot -> (Vdev.read_block dev (first + slot), 0))
+              (fun s ->
+                s.Summary.seq > !last
+                && begin
+                     last := s.Summary.seq;
+                     acc := s :: !acc;
+                     true
+                   end)
+             : bool);
          !acc))
 
 (* Write summary [s] back at its slot. *)

@@ -606,24 +606,26 @@ let writes_verify dev layout =
   for seg = 0 to layout.Layout.nsegs - 1 do
     let first = Layout.seg_first_block layout seg in
     let last_seq = ref (-1) in
-    Summary.walk_segment layout ~seg
-      ~read:(fun slot -> (Lfs_disk.Vdev.read_block dev (first + slot), 0))
-      (fun s ->
-        s.Summary.seq > !last_seq
-        && begin
-             last_seq := s.Summary.seq;
-             let n = List.length s.Summary.entries in
-             let payload =
-               Lfs_disk.Vdev.read_blocks dev (first + s.Summary.slot + 1) n
-             in
-             Alcotest.(check int)
-               (Printf.sprintf "segment %d slot %d: payload checksum" seg
-                  s.Summary.slot)
-               s.Summary.payload_sum
-               (Summary.payload_checksum payload);
-             incr checked;
-             true
-           end)
+    ignore
+      (Summary.walk_segment layout ~seg
+         ~read:(fun slot -> (Lfs_disk.Vdev.read_block dev (first + slot), 0))
+         (fun s ->
+           s.Summary.seq > !last_seq
+           && begin
+                last_seq := s.Summary.seq;
+                let n = List.length s.Summary.entries in
+                let payload =
+                  Lfs_disk.Vdev.read_blocks dev (first + s.Summary.slot + 1) n
+                in
+                Alcotest.(check int)
+                  (Printf.sprintf "segment %d slot %d: payload checksum" seg
+                     s.Summary.slot)
+                  s.Summary.payload_sum
+                  (Summary.payload_checksum payload);
+                incr checked;
+                true
+              end)
+        : bool)
   done;
   !checked
 
@@ -854,13 +856,15 @@ let test_live_blocks_sweep () =
   let expected seg =
     let first = Layout.seg_first_block layout seg in
     let walked = ref [] and summaries = ref [] in
-    Summary.walk_segment layout ~seg
-      ~read:(fun slot ->
-        walked := (first + slot) :: !walked;
-        (Lfs_disk.Disk.read_blocks disk (first + slot) 1, 0))
-      (fun s ->
-        summaries := s :: !summaries;
-        true);
+    ignore
+      (Summary.walk_segment layout ~seg
+         ~read:(fun slot ->
+           walked := (first + slot) :: !walked;
+           (Lfs_disk.Disk.read_blocks disk (first + slot) 1, 0))
+         (fun s ->
+           summaries := s :: !summaries;
+           true)
+        : bool);
     let needed (s : Summary.t) =
       List.concat
         (List.mapi
@@ -947,6 +951,50 @@ let test_live_blocks_sweep () =
     (List.exists (fun (_, _, inline) -> inline <> []) writes);
   Helpers.fsck_clean fs
 
+(* One whole-segment victim is read in one transfer.  With no block
+   cache and every handle loaded beforehand, a one-victim step's only
+   read is the victim, all [seg_blocks] blocks of it from its first
+   block: the summary walk and the liveness checks read nothing more. *)
+let test_whole_segment_one_transfer () =
+  let module Layout = Lfs_core.Layout in
+  let config =
+    Config.with_policy ~cleaning:Config.Greedy
+      { Helpers.eager_cleaning_config with
+        Config.cleaner_read = Config.Whole_segment; cache_blocks = 0 }
+  in
+  let disk = Helpers.fresh_disk ~blocks:2048 () in
+  let view, _, log = Helpers.recording (Helpers.vdev disk) in
+  Fs.format view config;
+  let fs = Fs.mount view in
+  let bs = 4096 in
+  for i = 0 to 5 do
+    Fs.write_path fs (Printf.sprintf "/f%d" i) (Bytes.make ((i + 1) * bs) 'a');
+    Fs.sync fs
+  done;
+  Fs.unlink fs ~dir:Fs.root "f1";
+  Fs.unlink fs ~dir:Fs.root "f4";
+  Fs.write fs (Option.get (Fs.resolve fs "/f5")) ~off:0 (Bytes.make bs 'b');
+  Fs.write_path fs "/pad" (Bytes.make (40 * bs) 'p');
+  Fs.unlink fs ~dir:Fs.root "pad";
+  Fs.checkpoint fs;
+  Fs.iter_files fs (fun _ _ -> ());
+  let layout = Fs.layout fs in
+  let live () = List.init layout.Layout.nsegs (Fs.segment_live_bytes fs) in
+  let live_before = live () in
+  log := [];
+  ignore (Fs.clean_step ~max_segments:1 fs : int);
+  let victims =
+    List.filter_map Fun.id
+      (List.mapi
+         (fun seg (b, a) -> if b > 0 && a = 0 then Some seg else None)
+         (List.combine live_before (live ())))
+  in
+  Alcotest.(check (list (pair int int))) "the victim, whole, in one transfer"
+    (List.map (fun seg -> (Layout.seg_first_block layout seg, layout.Layout.seg_blocks)) victims)
+    (List.rev !log);
+  Alcotest.(check int) "one victim cleaned" 1 (List.length victims);
+  Helpers.fsck_clean fs
+
 (* ----- A victim whose only live bytes are inline inodes ----- *)
 
 (* Inodes that ride in a summary are live bytes of the summary's own
@@ -1003,6 +1051,8 @@ let suite =
   ( "cleaner",
     [
       Alcotest.test_case "benefit/cost formula" `Quick test_benefit_cost_formula;
+      Alcotest.test_case "whole-segment victim: one transfer" `Quick
+        test_whole_segment_one_transfer;
       Alcotest.test_case "inline-inode victim (whole segment)" `Quick
         (test_inline_inode_victim Config.Whole_segment);
       Alcotest.test_case "inline-inode victim (live blocks)" `Quick

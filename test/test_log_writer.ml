@@ -115,19 +115,21 @@ let test_payload_checksum_matches () =
 let covering_write env addr =
   let first = Layout.seg_first_block layout (Layout.seg_of_block layout addr) in
   let found = ref None in
-  Summary.walk_segment layout
-    ~seg:(Layout.seg_of_block layout addr)
-    ~read:(fun slot -> (Disk.read_block env.disk (first + slot), 0))
-    (fun s ->
-      let n = List.length s.Summary.entries in
-      let start = first + s.Summary.slot + 1 in
-      if addr >= start && addr < start + n then begin
-        let payload = Disk.read_blocks env.disk start n in
-        found :=
-          Some (s, Summary.payload_checksum payload = s.Summary.payload_sum);
-        false
-      end
-      else true);
+  ignore
+    (Summary.walk_segment layout
+       ~seg:(Layout.seg_of_block layout addr)
+       ~read:(fun slot -> (Disk.read_block env.disk (first + slot), 0))
+       (fun s ->
+         let n = List.length s.Summary.entries in
+         let start = first + s.Summary.slot + 1 in
+         if addr >= start && addr < start + n then begin
+           let payload = Disk.read_blocks env.disk start n in
+           found :=
+             Some (s, Summary.payload_checksum payload = s.Summary.payload_sum);
+           false
+         end
+         else true)
+      : bool);
   match !found with
   | Some w -> w
   | None -> Alcotest.failf "no write covers block %d" addr

@@ -731,6 +731,68 @@ let prop_read_plan =
            (triple (int_range 1 60) bool (int_range 1 2))))
     (Helpers.poisoned read_plan_holds)
 
+(* The scan's exact transfers after one fixed-seed torn crash: random
+   ops with a cleaner step after each sync, a checkpoint, more writes
+   across several segments, then a power cut inside a sync.  Under
+   Direct submission, or queued with about four transfers kept in
+   flight, with one head or two.  The reads, as [(addr, blocks)] in
+   issue order, are pinned by their number and a digest of the list:
+   a change to the scan that splits, merges or reorders a transfer
+   shows here, where the read-plan property above only bounds the
+   count. *)
+let scan_transfers ~queued ~heads =
+  let config = { Helpers.eager_cleaning_config with Config.log_heads = heads } in
+  let disk, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
+  let dev = Helpers.vdev disk in
+  let now = ref 0.0 in
+  if queued then Disk.set_mode disk (Lfs_disk.Io_queue.Queued (fun () -> !now));
+  let settle () =
+    if queued then
+      while Vdev.outstanding_in dev ~lo:0 ~hi:max_int > 4 do
+        now := !now +. 1.0;
+        ignore (Disk.pump disk ~now:!now)
+      done
+  in
+  let prng = Prng.create ~seed:11 in
+  ignore (Helpers.random_ops ~ops:30 fs prng : (string, bytes) Hashtbl.t);
+  Fs.sync fs;
+  ignore (Fs.clean_step fs : int);
+  settle ();
+  Fs.checkpoint fs;
+  for i = 0 to 79 do
+    let path = Printf.sprintf "/w%d/f%d" (i mod 3) (Prng.int prng 24) in
+    if i < 3 then ignore (Fs.mkdir_path fs (Printf.sprintf "/w%d" i) : Types.ino);
+    Fs.write_path fs path (Helpers.bytes_of_pattern ~seed:i (1 + Prng.int prng 60000));
+    if i mod 7 = 6 then Fs.sync fs;
+    settle ()
+  done;
+  Helpers.plan_crash disk ~after_blocks:12;
+  (match
+     Fs.sync fs;
+     ignore (Fs.clean_step fs : int);
+     ignore (Disk.drain disk : float)
+   with
+  | () -> ()
+  | exception Disk.Crashed -> ());
+  Helpers.reboot disk;
+  Disk.set_mode disk Lfs_disk.Io_queue.Direct;
+  let layout, ckpt = scan_latest dev in
+  let view, _, log = recording dev in
+  let r = Recovery.scan layout view ~ckpt in
+  let reads = List.rev !log in
+  let listing =
+    String.concat " " (List.map (fun (a, n) -> Printf.sprintf "%d+%d" a n) reads)
+  in
+  (r, List.length reads, Digest.to_hex (Digest.string listing), listing)
+
+let test_scan_transfers_pinned ~queued ~heads ~count ~digest () =
+  let r, n, d, listing = scan_transfers ~queued ~heads in
+  Alcotest.(check bool) "a write in flight at the cut is checked" true
+    (r.Recovery.blocks_verified > 0);
+  Alcotest.(check bool) "the chains span segments" true (r.Recovery.segments_scanned > heads);
+  Alcotest.(check int) ("transfers: " ^ listing) count n;
+  Alcotest.(check string) ("transfer list digest: " ^ listing) digest d
+
 (* Recovery reads what the log since the checkpoint names.  The orphan
    sweep walks the namespace by the inode map's type words, so the
    inodes of 2,000 files synced before the checkpoint stay unread. *)
@@ -1408,6 +1470,14 @@ let suite =
       Alcotest.test_case "inode blocks read once (seed 4)" `Quick
         (test_inode_blocks_read_once ~seed:4);
       QCheck_alcotest.to_alcotest prop_read_plan;
+      Alcotest.test_case "scan transfers pinned (direct, 1 head)" `Quick
+        (test_scan_transfers_pinned ~queued:false ~heads:1 ~count:74 ~digest:"b5f6bcb3135f31bb5a5861dfe960a236");
+      Alcotest.test_case "scan transfers pinned (direct, 2 heads)" `Quick
+        (test_scan_transfers_pinned ~queued:false ~heads:2 ~count:76 ~digest:"dc77a0973d986e9c317bab2014636fa5");
+      Alcotest.test_case "scan transfers pinned (io-depth 4, 1 head)" `Quick
+        (test_scan_transfers_pinned ~queued:true ~heads:1 ~count:74 ~digest:"75387d1bce993f3659e87bc1e311bc03");
+      Alcotest.test_case "scan transfers pinned (io-depth 4, 2 heads)" `Quick
+        (test_scan_transfers_pinned ~queued:true ~heads:2 ~count:73 ~digest:"d3b2adf08bbf2741e96dfa0f7788ab13");
       Alcotest.test_case "untouched files' inodes unread" `Quick
         test_recover_skips_untouched_inodes;
       Alcotest.test_case "unknown type words recover the same" `Quick
