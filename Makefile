@@ -71,7 +71,9 @@ ci:
 	# script workload every 7th cut, the smallfile workload, roll-forward's
 	# many-small-files shape, at every cut) and a model refinement check
 	# with io-depth 4 in flight, each gated on zero divergences; the
-	# refinement report must also be byte-identical for equal seeds.
+	# refinement report must also be byte-identical for equal seeds, and
+	# on lfs some idle step must have run a cleaning pass, so cuts land
+	# inside and after passes that left their victims uncheckpointed.
 	set -e; for fs in $(PRODUCT); do \
 	  $(LFS_TOOL) crashtest --fs $$fs --workload script --stride 7 --seed 1; \
 	  $(LFS_TOOL) crashtest --fs $$fs --workload smallfile --stride 1 --seed 1; \
@@ -80,6 +82,10 @@ ci:
 	      --json > ci-model-$$run.json; \
 	  done; \
 	  cmp ci-model-a.json ci-model-b.json; \
+	  if [ "$$fs" = lfs ]; then \
+	    grep -q '"total_idle_passes":[1-9]' ci-model-a.json || { \
+	      echo "modelcheck: no idle step ran a cleaning pass on lfs" >&2; exit 1; }; \
+	  fi; \
 	done
 	# Every cut of seed 2's sequences on the single-volume recipes: its
 	# sequence 4 frees, reuses and renames over an ino between two syncs,

@@ -465,6 +465,9 @@ let modelcheck_cmd =
         (fun acc r -> acc + List.length r.Refine.divergences)
         0 reports
     in
+    let idle_passes =
+      List.fold_left (fun acc (r : Refine.seq_report) -> acc + r.idle_passes) 0 reports
+    in
     let subject =
       match reports with r :: _ -> r.Refine.subject | [] -> "?"
     in
@@ -479,9 +482,9 @@ let modelcheck_cmd =
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_string b
             (Printf.sprintf
-               "{\"seq\":%d,\"ops\":%d,\"space\":%d,\"points\":%d,\"crashes\":%d,\"divergences\":["
+               "{\"seq\":%d,\"ops\":%d,\"space\":%d,\"points\":%d,\"crashes\":%d,\"idle_passes\":%d,\"divergences\":["
                r.Refine.seq r.Refine.ops r.Refine.total_blocks r.Refine.points
-               r.Refine.crashes);
+               r.Refine.crashes r.Refine.idle_passes);
           List.iteri
             (fun j (d : Refine.divergence) ->
               if j > 0 then Buffer.add_char b ',';
@@ -492,16 +495,20 @@ let modelcheck_cmd =
           Buffer.add_string b "]}")
         reports;
       Buffer.add_string b
-        (Printf.sprintf "],\"total_divergences\":%d}\n" total_divs);
+        (Printf.sprintf "],\"total_idle_passes\":%d,\"total_divergences\":%d}\n"
+           idle_passes total_divs);
       print_string (Buffer.contents b)
     end
     else begin
       List.iter (fun r -> Format.printf "%a@." Refine.pp_seq_report r) reports;
       let points = List.fold_left (fun a r -> a + r.Refine.points) 0 reports in
-      Format.printf "modelcheck: %d sequence%s, %d crash points, %d divergence%s — %s@."
+      Format.printf
+        "modelcheck: %d sequence%s, %d crash points, %d idle pass%s, %d divergence%s — %s@."
         (List.length reports)
         (if List.length reports = 1 then "" else "s")
-        points total_divs
+        points idle_passes
+        (if idle_passes = 1 then "" else "es")
+        total_divs
         (if total_divs = 1 then "" else "s")
         (if total_divs = 0 then "PASS" else "FAIL")
     end;

@@ -314,9 +314,16 @@ let clean_pass t ~bg ~max_victims ~candidates =
         0.0 victims
     in
     clean_victims t ~bg victims;
-    (* Persist the pass: victims only become reusable once the
-       checkpoint no longer references their old contents. *)
-    checkpoint t;
+    (* Persist the pass once the pool needs its victims: they only
+       become reusable when a checkpoint no longer references their old
+       contents (Section 4.1).  While the pool sits more than one flush
+       above the foreground trigger, a background pass leaves its
+       victims clean but not handed out, and one later checkpoint (an
+       idle step's restock, or a pass nearer the line) writes the
+       tables for several passes.  The old contents stay untouched until
+       then, so a crash still rolls forward from the last checkpoint. *)
+    if (not bg) || Seg_pool.length t.pool < clean_start_effective t + flush_need t
+    then checkpoint t;
     candidates := List.filter (fun s -> not (List.mem s victims)) !candidates;
     (List.length victims, clean_segment_count t - before, slack)
   end
@@ -397,8 +404,8 @@ let bg_pending t =
 (* Background passes that free nothing net, one after another with no
    file-system change in between, whose victims held this much free
    space between them, in segments, are churning: the log space each
-   relocation and its checkpoint take eats what its victim held free,
-   and with nothing else changing the pool would never rise. *)
+   relocation (and any checkpoint) takes eats what its victim held
+   free, and with nothing else changing the pool would never rise. *)
 let bg_churn_slack = 2.0
 
 let bg_clean_step t ~max_victims =
@@ -429,22 +436,27 @@ let bg_clean_step t ~max_victims =
 (* An idle step first serves the compaction watermarks (clean space is
    the scarcer resource), then spends leftover idleness demoting cold
    segments off the fast tier.  It also restocks the reusable pool:
-   segments that emptied since the last checkpoint only become reusable
-   once a checkpoint stops referencing their contents, and when the
-   clean pool is already above the bg watermarks no pass runs to
-   provide one — left alone, the pool drains until a foreground write
-   hits the emergency [clean] stall.  Paying for the checkpoint here
-   keeps it in the idle window. *)
+   segments that emptied since the last checkpoint (by themselves, or
+   as victims of passes with headroom) only become reusable once a
+   checkpoint stops referencing their contents, and no pass may come
+   along to write one — left alone, the pool drains until a foreground
+   write hits the emergency [clean] stall.  Paying for the checkpoint
+   here keeps it in the idle window. *)
 let clean_step ?max_segments t =
   (* The gap must clear 2 per write head because the pool's refresh
      always excludes every head's current and reserved segment — a
      smaller gap means a checkpoint would recover nothing, and firing on
-     it would checkpoint on every idle step, forever. *)
+     it would checkpoint on every idle step, forever.  A restocking step
+     runs no pass, so no one step pays for both. *)
   if
     (not t.in_cleaner)
     && Seg_pool.length t.pool < bg_clean_stop_effective t
     && clean_segment_count t - Seg_pool.length t.pool > 2 * t.config.Config.log_heads
-  then checkpoint t;
-  let max_victims = pass_size t max_segments in
-  let owed = bg_clean_step t ~max_victims in
-  if owed > 0 then owed else Tier_policy.demote_step t ~max_victims
+  then begin
+    checkpoint t;
+    bg_pending t
+  end
+  else
+    let max_victims = pass_size t max_segments in
+    let owed = bg_clean_step t ~max_victims in
+    if owed > 0 then owed else Tier_policy.demote_step t ~max_victims

@@ -49,6 +49,7 @@ let tick t =
 let sync = Fs_state.sync
 let checkpoint = Fs_state.checkpoint
 let clean_segment_count = Fs_state.clean_segment_count
+let reusable_segment_count t = Seg_pool.length t.Fs_state.pool
 let clean = Clean.clean
 let clean_step = Clean.clean_step
 

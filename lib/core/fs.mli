@@ -171,9 +171,14 @@ val clean_step : ?max_segments:int -> t -> int
     hysteresis: a step only does work once the clean pool has dropped
     below the low watermark, and steps keep reporting work until the
     pool refills to the high one.  Cleans at most [max_segments] victims
-    (default [segs_per_pass]) and checkpoints, then returns how many
-    segments are still owed — [0] means "nothing to do right now", so a
-    scheduler can stop polling until the next idle window.  Work done
+    (default [segs_per_pass]), then returns how many segments are still
+    owed — [0] means "nothing to do right now", so a scheduler can stop
+    polling until the next idle window.  The pass checkpoints only when
+    the reusable pool is within one flush of the foreground trigger;
+    otherwise its victims wait, clean, for a later checkpoint.  A step
+    that finds the reusable pool below the high watermark and more than
+    two segments per write head waiting (clean, not yet reusable)
+    writes that checkpoint instead of cleaning.  Work done
     here is attributed to [fs.cleaner.bg.*] instead of [fs.cleaner.fg.*]
     and never shows up in [fs.cleaner.stall_s]. *)
 
@@ -198,6 +203,12 @@ val tier : t -> Lfs_disk.Vdev_tier.t option
 (** The tiered volume handed to {!mount}/{!recover}, if any. *)
 
 val clean_segment_count : t -> int
+
+val reusable_segment_count : t -> int
+(** Segments the log may write next ({!Seg_pool.length}): those clean at
+    the last checkpoint and not pinned.  A segment cleaned since then
+    counts in {!clean_segment_count} but not here until the next
+    checkpoint. *)
 
 val drop_caches : t -> unit
 (** Flush, then forget cached inodes, block maps and directory contents,

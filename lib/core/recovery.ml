@@ -254,23 +254,29 @@ let scan layout disk ~ckpt =
      its sequence number (in any chain) was ever acknowledged — and a
      surviving write there may reference payloads, in another head's
      chain, that never made it.  So that sequence number is a global
-     [cutoff]. *)
+     [cutoff].  Every write takes the next sequence number, so a number
+     no chain holds is a write that never landed at all (its summary
+     with it), and it is the cutoff too: a later write in another
+     head's chain may point into it. *)
   let verified = ref 0 in
   let latest = Hashtbl.create 64 and indirect = Hashtbl.create 16 in
-  let rec roll acc = function
+  let rec roll acc expect = function
     | [] -> (List.rev acc, max_int)
     | st :: rest ->
         let s = st.accepted in
-        if s.Summary.seq >= watermark && not (verify r st ~verified) then
+        if s.Summary.seq <> expect then (List.rev acc, expect)
+        else if s.Summary.seq >= watermark && not (verify r st ~verified) then
           (List.rev acc, s.Summary.seq)
         else
-          roll ({ summary = s; decoded = decode_runs r ~latest ~indirect st } :: acc) rest
+          roll
+            ({ summary = s; decoded = decode_runs r ~latest ~indirect st } :: acc)
+            (expect + 1) rest
   in
   let writes, cutoff =
     Array.to_list chains
     |> List.concat_map (fun c -> c.steps)
     |> List.sort (fun a b -> compare a.accepted.Summary.seq b.accepted.Summary.seq)
-    |> roll []
+    |> roll [] log_seq
   in
   (* Each head resumes at its first summary at or past the cutoff, or
      just past its last one. *)

@@ -46,6 +46,10 @@
     acknowledged durable, and a later write in one chain may reference
     torn payloads in another.  Every chain is cut at that sequence
     number and each head's tail points at its first discarded summary.
+    Every write takes the next sequence number, so a number that no
+    chain holds (counting from the checkpoint's [log_seq]) is a write
+    that never landed, summary and all; it cuts the chains the same
+    way.
 
     A block that rots on the medium below [W] is therefore not a torn
     write: its write is rolled forward, and {!Fsck}'s integrity pass,

@@ -51,6 +51,7 @@ type op =
   | Remove of string
   | Rmdir of string
   | Sync
+  | Idle
 
 let pp_op ppf = function
   | Mkdir p -> Format.fprintf ppf "mkdir %s" p
@@ -62,6 +63,7 @@ let pp_op ppf = function
   | Remove p -> Format.fprintf ppf "remove %s" p
   | Rmdir p -> Format.fprintf ppf "rmdir %s" p
   | Sync -> Format.fprintf ppf "sync"
+  | Idle -> Format.fprintf ppf "idle"
 
 let op_to_string op = Format.asprintf "%a" pp_op op
 
@@ -160,7 +162,7 @@ let step st op =
           else Ok (Smap.remove p st, [ Edir (p, false) ])
       | Some (File _) -> err "rmdir %s: not a directory" p
       | None -> err "rmdir %s: no such directory" p)
-  | Sync -> Ok (st, [])
+  | Sync | Idle -> Ok (st, [])
 
 (* ------------------------------------------------------------------ *)
 (* The refinement oracle                                               *)

@@ -40,6 +40,9 @@ type op =
   | Remove of string
   | Rmdir of string
   | Sync
+  | Idle
+      (** an idle window: the backend may run one budgeted cleaning
+          step; no effect on the namespace *)
 
 val pp_op : Format.formatter -> op -> unit
 val op_to_string : op -> string

@@ -79,6 +79,7 @@ let sequence ~seed ~seq ~nops =
         (* deliberately dubious: a path under a pooled dir name that may
            not exist — model and backend must agree on the rejection *)
         Fs_model.Create ("/" ^ pick dir_names ^ "/" ^ pick file_names)
+    | n when n < 92 -> Fs_model.Idle
     | _ -> Fs_model.Sync
   in
   let ops = ref [] in

@@ -15,7 +15,9 @@
    acceptance must match {!Fs_model.step} acceptance exactly); with
    [io_depth > 1] the devices run in queued submission, the driver keeps
    about [io_depth] transfers in flight via {!Lfs_disk.Vdev.pump}, and
-   every generated [Sync] is a group-commit barrier.  [recorded] runs
+   every generated [Sync] is a group-commit barrier.  An [Idle] op runs
+   the subject's idle step (one budgeted cleaning step, nothing on
+   FFS), so cuts land inside and after background passes.  [recorded] runs
    any {!Fsops} workload under a {!Fs_model.Recorder} — the serving
    engine ([check_engine]) and the crashtest workloads, which run at
    io-depth 1 (Direct). *)
@@ -45,6 +47,7 @@ type seq_report = {
   total_blocks : int;
   points : int;
   crashes : int;
+  idle_passes : int;
   divergences : divergence list;
 }
 
@@ -55,8 +58,9 @@ let pp_divergence ppf d =
 
 let pp_seq_report ppf r =
   Format.fprintf ppf
-    "modelcheck: subject=%s seed=%d seq=%d ops=%d space=%d points=%d crashes=%d"
-    r.subject r.seed r.seq r.ops r.total_blocks r.points r.crashes;
+    "modelcheck: subject=%s seed=%d seq=%d ops=%d space=%d points=%d crashes=%d \
+     idle_passes=%d"
+    r.subject r.seed r.seq r.ops r.total_blocks r.points r.crashes r.idle_passes;
   List.iteri
     (fun i d ->
       if i < 10 then Format.fprintf ppf "@\n  DIVERGENCE %a" pp_divergence d
@@ -91,8 +95,14 @@ let select_points ?cuts ~stride total =
       List.rev pts
 
 (* What a run leaves for the oracle: the ops issued ([upto]), the last
-   completed sync barrier ([durable]) and the numbered model events. *)
-type trace = { upto : int; durable : int; events : (int * Fs_model.event) list }
+   completed sync barrier ([durable]) and the numbered model events;
+   and, for the report, how many idle steps ran a cleaning pass. *)
+type trace = {
+  upto : int;
+  durable : int;
+  events : (int * Fs_model.event) list;
+  idle_passes : int;
+}
 
 module Make (S : Lfs_spec.Spec.SUBJECT) = struct
   module Ops = Fsops.Make (S)
@@ -127,9 +137,10 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
         done)
       devs
 
-  (* One op against the backend.  Logical rejections surface as
-     {!Types.Fs_error}; anything else escapes. *)
-  let exec (fsops : Fsops.t) op =
+  (* One op against the backend; [idle] is the subject's idle step.
+     Logical rejections surface as {!Types.Fs_error}; anything else
+     escapes. *)
+  let exec (fsops : Fsops.t) ~idle op =
     let dir_ino p =
       match fsops.Fsops.resolve p with
       | Some ino -> ino
@@ -156,12 +167,13 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
     | Fs_model.Rmdir p ->
         fsops.Fsops.rmdir ~dir:(dir_ino (Fs_model.parent p)) (Fs_model.leaf p)
     | Fs_model.Sync -> fsops.Fsops.sync ()
+    | Fs_model.Idle -> idle ()
 
   (* A workload to sweep.  [driver ()] sets up fresh shadow state and
      returns the function that runs the workload on a mounted volume and
      its devices, and the function that reads the shadow's trace — also
      after a power cut stopped the run part-way. *)
-  type driver = unit -> (Fsops.t -> Vdev.t list -> unit) * (unit -> trace)
+  type driver = unit -> (S.t -> Vdev.t list -> unit) * (unit -> trace)
 
   (* Run a model op sequence, shadowing each op with {!Fs_model.step}.
      Events are recorded *before* execution (a crash mid-op may persist
@@ -172,8 +184,8 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
      completes too. *)
   let scripted ~io_depth ops () =
     let st = ref Fs_model.empty and events_rev = ref [] in
-    let opn = ref 0 and durable = ref 0 in
-    let step fsops op =
+    let opn = ref 0 and durable = ref 0 and idle_passes = ref 0 in
+    let step fsops ~idle op =
       incr opn;
       let n = !opn in
       let expected = Fs_model.step !st op in
@@ -182,7 +194,7 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
       | Error _ -> ());
       let actual =
         try
-          exec fsops op;
+          exec fsops ~idle op;
           Ok ()
         with Types.Fs_error m -> Error m
       in
@@ -203,30 +215,40 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
                                 accepted"
                   n (Fs_model.op_to_string op) m))
     in
-    let run fsops devs =
+    let run fs devs =
+      let fsops = make_fsops fs in
+      let idle () = if S.idle fs then incr idle_passes in
       let now = ref 0.0 in
       let queued = io_depth > 1 in
       if queued then
         List.iter (fun d -> Vdev.set_mode d (Vdev.Queued (fun () -> !now))) devs;
       List.iter
         (fun op ->
-          step fsops op;
+          step fsops ~idle op;
           if queued then settle ~now ~io_depth devs)
         ops;
       fsops.Fsops.sync ();
       durable := !opn
     in
-    (run, fun () -> { upto = !opn; durable = !durable; events = List.rev !events_rev })
+    ( run,
+      fun () ->
+        {
+          upto = !opn;
+          durable = !durable;
+          events = List.rev !events_rev;
+          idle_passes = !idle_passes;
+        } )
 
   (* Run an {!Fsops} workload under a {!Fs_model.Recorder}. *)
   let recorded workload () =
     let r = Fs_model.Recorder.create ~root:S.root in
-    ( (fun fsops _devs -> workload (Fs_model.Recorder.instrument r fsops)),
+    ( (fun fs _devs -> workload (Fs_model.Recorder.instrument r (make_fsops fs))),
       fun () ->
         {
           upto = Fs_model.Recorder.op r;
           durable = Fs_model.Recorder.durable r;
           events = Fs_model.Recorder.events r;
+          idle_passes = 0;
         } )
 
   type run = {
@@ -252,8 +274,7 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
     let run, trace = driver () in
     let crashed =
       try
-        let fs = S.mount devs in
-        run (make_fsops fs) devs;
+        run (S.mount devs) devs;
         false
       with Vdev.Crashed -> true
     in
@@ -271,7 +292,7 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
     }
 
   (* Reboot, recover, fsck, walk, refinement-check.  [None] = clean. *)
-  let verify { trace = { upto; durable; events }; fault; devs; _ } =
+  let verify { trace = { upto; durable; events; _ }; fault; devs; _ } =
     let bs = (List.hd devs).Vdev.block_size in
     Vdev_fault.reboot fault;
     match (try Ok (S.recover devs) with e -> Error e) with
@@ -312,7 +333,7 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
       divergences :=
         { cut; mode = mode_for ~seed cut; stage; detail } :: !divergences
     in
-    let report ~ops ~total ~points ~crashes =
+    let report ~ops ~total ~points ~crashes ~idle_passes =
       {
         subject = S.subject_name;
         seed;
@@ -321,13 +342,14 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
         total_blocks = total;
         points;
         crashes;
+        idle_passes;
         divergences = List.rev !divergences;
       }
     in
     match once ~blocks ~seed driver with
     | exception Semantics m ->
         div (-1) "semantics" m;
-        report ~ops:0 ~total:0 ~points:0 ~crashes:0
+        report ~ops:0 ~total:0 ~points:0 ~crashes:0 ~idle_passes:0
     | reference ->
         let points = select_points ?cuts ~stride reference.total in
         let crashes = ref 0 in
@@ -346,6 +368,7 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
           points;
         report ~ops:reference.trace.upto ~total:reference.total
           ~points:(List.length points) ~crashes:!crashes
+          ~idle_passes:reference.trace.idle_passes
 
   let check_ops ?blocks ?(io_depth = 4) ?stride ?cuts ?(seed = 0) ?(seq = 0)
       ops =

@@ -257,11 +257,15 @@ module type SUBJECT = sig
   val async_writes : bool
   val ndevices : int
   val fsck_errors : t -> string list
+  val idle : t -> bool
 end
 
 (* Small configurations keep segments and write buffers tight so even a
    short workload crosses many flush and checkpoint boundaries — the
-   interesting crash points. *)
+   interesting crash points.  The background watermarks sit above any
+   subject's segment count, so an idle step cleans whenever a victim
+   qualifies, and the pool's headroom leaves most such passes
+   uncheckpointed. *)
 let small_config =
   {
     Config.default with
@@ -271,6 +275,8 @@ let small_config =
     clean_start = 3;
     clean_stop = 6;
     segs_per_pass = 3;
+    bg_clean_start = 1000;
+    bg_clean_stop = 1001;
     cache_blocks = 128;
   }
 
@@ -303,6 +309,7 @@ let subject spec : (module SUBJECT) =
         let recover = mount
         let checkpoint = Ffs.sync
         let fsck_errors _ = []
+        let idle _ = false
       end)
   | Lfs r -> (
       (* A tight demotion age makes short tiered workloads migrate, and
@@ -324,6 +331,11 @@ let subject spec : (module SUBJECT) =
       in
       let demote fs = ignore (Fs.demote_step ~max_segments:1 fs) in
       let fsck fs = (Fsck.check fs).Fsck.errors in
+      (* An idle step is the recipe's [clean_step ~max_segments:1]; it
+         ran a pass when some member's background pass count moved. *)
+      let bg_passes fs =
+        Lfs_obs.Metrics.float_value (Fs.metrics fs) "fs.cleaner.bg.passes"
+      in
       match r.shard with
       | None ->
           (module struct
@@ -341,6 +353,11 @@ let subject spec : (module SUBJECT) =
               Fs.sync fs
 
             let fsck_errors = fsck
+
+            let idle fs =
+              let before = bg_passes fs in
+              ignore (Fs.clean_step ~max_segments:1 fs : int);
+              bg_passes fs <> before
           end)
       | Some s ->
           (* Device [i * per_member] starts shard [i]'s group, so device
@@ -379,4 +396,9 @@ let subject spec : (module SUBJECT) =
               List.concat
                 (each t (fun i fs ->
                      List.map (Printf.sprintf "shard%d: %s" i) (fsck fs)))
+
+            let idle t =
+              let before = each t (fun _ fs -> bg_passes fs) in
+              ignore (Shard_router.clean_step ~max_segments:1 t : int);
+              each t (fun _ fs -> bg_passes fs) <> before
           end))

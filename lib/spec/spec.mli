@@ -91,12 +91,19 @@ module type SUBJECT = sig
   val fsck_errors : t -> string list
   (** Structural-consistency errors; [[]] means clean.  Subjects with no
       checker return [[]]. *)
+
+  val idle : t -> bool
+  (** An idle window: the recipe's [clean_step ~max_segments:1] (every
+      member's, on a sharded recipe); [true] when it ran a cleaning
+      pass.  FFS has no cleaner: a no-op, [false]. *)
 end
 
 val small_config : Lfs_core.Config.t
 (** The tight LFS config subjects are built on: 32-block segments and
     16-block write buffers, so even a short workload crosses many flush
-    and checkpoint boundaries — the interesting crash points. *)
+    and checkpoint boundaries — the interesting crash points; and
+    background watermarks above the segment count, so an idle step
+    cleans whenever a victim qualifies. *)
 
 val subject : t -> (module SUBJECT)
 (** The recipe as a harness subject named {!to_string}, on

@@ -514,6 +514,187 @@ let test_clean_step_respects_budget () =
     true (cleaned <= 1);
   Helpers.fsck_clean fs
 
+(* ----- When a background pass checkpoints ----- *)
+
+(* Segments cleaned since the last checkpoint: clean in the usage
+   table, not yet in the reusable pool. *)
+let waiting fs = Fs.clean_segment_count fs - Fs.reusable_segment_count fs
+
+(* Forty 16 KB files, every other one rewritten: the log's first
+   segments are left half dead, so a pass has victims to compact. *)
+let half_dead fs =
+  for round = 0 to 1 do
+    for i = 0 to 39 do
+      if round = 0 || i mod 2 = 0 then
+        Fs.write_path fs (Printf.sprintf "/h%d" i)
+          (Helpers.bytes_of_pattern ~seed:((100 * round) + i) 16_384)
+    done
+  done;
+  Fs.sync fs
+
+let test_bg_pass_with_headroom_skips_checkpoint () =
+  let _, fs = Helpers.fresh_fs ~blocks:2048 ~config:Helpers.eager_cleaning_config () in
+  half_dead fs;
+  Fs.checkpoint fs;
+  let checkpoints = ref 0 in
+  Fs.on_checkpoint fs (fun () -> incr checkpoints);
+  let pool0 = Fs.reusable_segment_count fs and waiting0 = waiting fs in
+  let segs0 = counter fs "fs.cleaner.bg.segments" in
+  ignore (Fs.clean_step ~max_segments:1 fs : int);
+  let cleaned = counter fs "fs.cleaner.bg.segments" - segs0 in
+  Alcotest.(check int) "the step cleaned one victim" 1 cleaned;
+  Alcotest.(check int) "the pass wrote no checkpoint" 0 !checkpoints;
+  Alcotest.(check bool) "nothing was handed to the pool" true
+    (Fs.reusable_segment_count fs <= pool0);
+  Alcotest.(check bool)
+    (Printf.sprintf "the victim waits outside the pool (%d -> %d)" waiting0 (waiting fs))
+    true
+    (waiting fs >= waiting0 + cleaned);
+  let pool1 = Fs.reusable_segment_count fs in
+  Fs.checkpoint fs;
+  Alcotest.(check bool) "the next checkpoint hands it out" true
+    (Fs.reusable_segment_count fs >= pool1 + cleaned);
+  Helpers.fsck_clean fs
+
+(* [Helpers.test_config] flushes at most two segments' worth and its
+   foreground trigger sits at four reusable segments, so the headroom
+   line is six. *)
+let test_bg_pass_at_headroom_line_checkpoints () =
+  let _, fs = Helpers.fresh_fs ~blocks:2048 ~config:bg_config () in
+  drain_to fs ~pool:5;
+  Fs.checkpoint fs;
+  let pool = Fs.reusable_segment_count fs in
+  Alcotest.(check bool) (Printf.sprintf "pool %d: under the line" pool) true (pool < 6);
+  let checkpoints = ref 0 in
+  Fs.on_checkpoint fs (fun () -> incr checkpoints);
+  let passes0 = counter fs "fs.cleaner.bg.passes"
+  and fg0 = counter fs "fs.cleaner.fg.passes" in
+  ignore (Fs.clean_step ~max_segments:1 fs : int);
+  Alcotest.(check int) "a background pass ran" (passes0 + 1)
+    (counter fs "fs.cleaner.bg.passes");
+  Alcotest.(check int) "no foreground pass" fg0 (counter fs "fs.cleaner.fg.passes");
+  Alcotest.(check int) "the pass wrote one checkpoint" 1 !checkpoints;
+  Helpers.fsck_clean fs
+
+(* Passes that leave their victims uncheckpointed, among synced
+   writes, then a power cut anywhere in that stretch, or after it.
+   Half-dead files, a checkpoint, then new synced files, each followed
+   by a one-victim idle step, until three passes ran (with one head the
+   restock rule checkpoints once three segments wait, between the
+   second pass and the third).  Recovery must keep every file whose
+   sync returned, and fsck must be clean.  Under Direct submission, or
+   queued with about four transfers in flight. *)
+let uncheckpointed_passes_power_cut ~heads ~queued () =
+  let config = { Helpers.eager_cleaning_config with Config.log_heads = heads } in
+  let module Disk = Lfs_disk.Disk in
+  let run ?cut () =
+    let disk, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
+    let dev = Helpers.vdev disk in
+    let now = ref 0.0 in
+    if queued then Disk.set_mode disk (Lfs_disk.Io_queue.Queued (fun () -> !now));
+    let settle () =
+      if queued then
+        while Lfs_disk.Vdev.outstanding_in dev ~lo:0 ~hi:max_int > 4 do
+          now := !now +. 1.0;
+          ignore (Disk.pump disk ~now:!now)
+        done
+    in
+    half_dead fs;
+    Fs.checkpoint fs;
+    let synced = Hashtbl.create 64 in
+    for i = 0 to 39 do
+      Hashtbl.replace synced (Printf.sprintf "/h%d" i)
+        (Helpers.bytes_of_pattern ~seed:(if i mod 2 = 0 then 100 + i else i) 16_384)
+    done;
+    let passes = ref 0 and last_ckpt = ref 0 and steps = ref 0 in
+    Fs.on_checkpoint fs (fun () -> last_ckpt := !passes);
+    let start = (Disk.stats disk).Lfs_disk.Io_stats.blocks_written in
+    Option.iter (fun c -> Helpers.plan_crash disk ~after_blocks:c) cut;
+    (try
+       while !passes < 3 && !steps < 40 do
+         incr steps;
+         let path = Printf.sprintf "/n%d" !steps in
+         let data = Helpers.bytes_of_pattern ~seed:(1000 + !steps) 9_000 in
+         Fs.write_path fs path data;
+         Fs.sync fs;
+         Hashtbl.replace synced path data;
+         let p0 = counter fs "fs.cleaner.bg.passes" in
+         ignore (Fs.clean_step ~max_segments:1 fs : int);
+         passes := !passes + counter fs "fs.cleaner.bg.passes" - p0;
+         settle ()
+       done
+     with Disk.Crashed -> ());
+    let written = (Disk.stats disk).Lfs_disk.Io_stats.blocks_written - start in
+    Helpers.reboot disk;
+    Disk.set_mode disk Lfs_disk.Io_queue.Direct;
+    let fs2, _ = Fs.recover dev in
+    Hashtbl.iter
+      (fun path data ->
+        match Fs.read_path fs2 path with
+        | Some got -> Helpers.check_bytes (path ^ " survives") data got
+        | None -> Alcotest.failf "%s (synced) lost at cut %s" path
+                    (match cut with Some c -> string_of_int c | None -> "none"))
+      synced;
+    Helpers.fsck_clean fs2;
+    (!passes, !last_ckpt, written)
+  in
+  let passes, last_ckpt, written = run () in
+  Alcotest.(check int) "three passes ran" 3 passes;
+  Alcotest.(check bool)
+    (Printf.sprintf "passes after the last checkpoint: %d" (passes - last_ckpt))
+    true
+    (passes - last_ckpt >= if heads = 1 then 1 else 3);
+  let cut = ref 0 in
+  while !cut < written do
+    ignore (run ~cut:!cut ());
+    cut := !cut + 5
+  done
+
+(* [hotcold-80]'s shape at test scale: 16 KB files filling 80% of the
+   log, 90% of overwrites to the hottest 10% of files, and one
+   single-victim idle step after each.  A segment's write buffer puts
+   the foreground trigger at five reusable segments.  The passes that
+   come within one flush of it checkpoint, so every step leaves the
+   pool above the trigger and no overwrite stalls on a foreground pass.
+   (Passes that never checkpoint, leaving it to the restock rule, let
+   the pool sink to the trigger here.) *)
+let test_one_victim_steps_keep_foreground_out () =
+  let config =
+    { Helpers.test_config with
+      Config.cleaner_read = Config.Live_blocks;
+      write_buffer_blocks = 32;
+      bg_clean_start = 10;
+      bg_clean_stop = 12 }
+  in
+  let _, fs = Helpers.fresh_fs ~blocks:2048 ~config () in
+  let layout = Fs.layout fs in
+  let capacity = layout.Lfs_core.Layout.nsegs * layout.Lfs_core.Layout.seg_blocks in
+  let nfiles = int_of_float (0.80 *. float_of_int capacity) / 5 in
+  let nhot = nfiles / 10 in
+  let path i = Printf.sprintf "/f%d" i in
+  for i = 0 to nfiles - 1 do
+    Fs.write_path fs (path i) (Helpers.bytes_of_pattern ~seed:i 16_384)
+  done;
+  Fs.sync fs;
+  let prng = Prng.create ~seed:1 in
+  let low = ref max_int in
+  for k = 1 to 2000 do
+    let i =
+      if Prng.bernoulli prng ~p:0.9 then Prng.int prng nhot
+      else nhot + Prng.int prng (nfiles - nhot)
+    in
+    Fs.write_path fs (path i) (Bytes.make 16_384 (Char.chr (97 + (k mod 26))));
+    ignore (Fs.clean_step ~max_segments:1 fs : int);
+    low := min !low (Fs.reusable_segment_count fs)
+  done;
+  Alcotest.(check bool) "background passes ran" true
+    (counter fs "fs.cleaner.bg.passes" > 1000);
+  Alcotest.(check bool)
+    (Printf.sprintf "lowest pool after a step (%d) above the trigger" !low)
+    true (!low > 5);
+  Alcotest.(check int) "no foreground pass" 0 (counter fs "fs.cleaner.fg.passes");
+  Helpers.fsck_clean fs
+
 (* ----- Whole-segment vs live-blocks equivalence ----- *)
 
 (* Property: the cleaner's read policy is an I/O strategy, not a
@@ -686,17 +867,16 @@ let live_blocks = { Helpers.test_config with Config.cleaner_read = Config.Live_b
    relocated under the checksum recorded when it was written, not one
    taken over the rotted bytes, so the relocating write fails its
    payload check.  fsck reports the block at its new address; summing
-   the rotted bytes afresh would have hidden the rot.  If the pass's
-   checkpoint never becomes durable (here: its region is unreadable,
-   as after a torn checkpoint write), roll-forward runs from the
-   previous checkpoint.  The pass's later batches vouch for the
-   relocating write (it completed before they were written), so
-   roll-forward does not check its payload: the relocation is rolled
-   forward, rot and all, nothing synced before the pass is lost, and
-   fsck goes on reporting the block at its new address. *)
+   the rotted bytes afresh would have hidden the rot.  The pool has
+   headroom, so the background pass writes no checkpoint and a power
+   cut rolls forward from the one before it.  A later synced write
+   vouches for the relocating write (it completed before the later
+   batch was written), so roll-forward does not check its payload: the
+   relocation is rolled forward, rot and all, nothing synced before
+   the pass is lost, and fsck goes on reporting the block at its new
+   address. *)
 let test_rotted_block_relocated () =
   let module Vdev_fault = Lfs_disk.Vdev_fault in
-  let module Layout = Lfs_core.Layout in
   let fault =
     Vdev_fault.create ~seed:3
       (Lfs_disk.Vdev.of_disk
@@ -732,7 +912,7 @@ let test_rotted_block_relocated () =
   ignore (Fs.clean_step ~max_segments:64 fs);
   let moved = addr fs in
   Alcotest.(check bool) "the rotted block was relocated" true (moved <> old);
-  Alcotest.(check int) "the pass wrote one checkpoint" 1 !checkpoints;
+  Alcotest.(check int) "the pass wrote no checkpoint" 0 !checkpoints;
   let reports block fs =
     let msg = Printf.sprintf "block %d fails its write's payload checksum" block in
     List.exists
@@ -745,10 +925,8 @@ let test_rotted_block_relocated () =
       (Lfs_core.Fsck.check fs).Lfs_core.Fsck.errors
   in
   Alcotest.(check bool) "fsck reports the relocated block" true (reports moved fs);
-  let layout = Fs.layout fs in
-  let region, _ = Option.get (Lfs_core.Checkpoint.read_latest layout dev) in
-  Vdev_fault.rot_read fault
-    ~addr:(if region = 0 then layout.Layout.ckpt_a else layout.Layout.ckpt_b);
+  Fs.write_path fs "/later" (Bytes.make 100 'l');
+  Fs.sync fs;
   let fs2, _ = Fs.recover dev in
   Alcotest.(check int) "the relocation was rolled forward" moved (addr fs2);
   Helpers.check_bytes "/keep survives" keep (Option.get (Fs.read_path fs2 "/keep"));
@@ -1100,6 +1278,20 @@ let suite =
         test_clean_step_refills_to_high_watermark;
       Alcotest.test_case "clean_step respects budget" `Quick
         test_clean_step_respects_budget;
+      Alcotest.test_case "bg pass with headroom: no checkpoint" `Quick
+        test_bg_pass_with_headroom_skips_checkpoint;
+      Alcotest.test_case "bg pass at the headroom line checkpoints" `Quick
+        test_bg_pass_at_headroom_line_checkpoints;
+      Alcotest.test_case "uncheckpointed passes: power cut, direct" `Quick
+        (uncheckpointed_passes_power_cut ~heads:1 ~queued:false);
+      Alcotest.test_case "uncheckpointed passes: power cut, io-depth 4" `Quick
+        (uncheckpointed_passes_power_cut ~heads:1 ~queued:true);
+      Alcotest.test_case "uncheckpointed passes: power cut, two heads, direct" `Quick
+        (uncheckpointed_passes_power_cut ~heads:2 ~queued:false);
+      Alcotest.test_case "uncheckpointed passes: power cut, two heads, io-depth 4" `Quick
+        (uncheckpointed_passes_power_cut ~heads:2 ~queued:true);
+      Alcotest.test_case "one-victim steps at 80%: no foreground pass" `Quick
+        test_one_victim_steps_keep_foreground_out;
       Alcotest.test_case "carried sums: live blocks" `Quick
         (carried_sums_verify ~tier:false live_blocks);
       Alcotest.test_case "carried sums: whole segment" `Quick

@@ -269,6 +269,19 @@ let test_refinement_heads2 () =
   if not (Refine.seq_clean r) then
     Alcotest.failf "refinement not clean:@\n%a" Refine.pp_seq_report r
 
+(* Regression: roll-forward merges the heads' chains by sequence
+   number, and a write that never landed leaves a number no chain
+   holds.  A later write in another head's chain may point into it:
+   here an idle pass's survivors, written to the cold head and still in
+   flight, are named by the hot head's next synced inode, which lands.
+   The missing number must end the roll, or the recovered file points
+   at blocks that were never written.  Every cut of the sequence. *)
+let test_refinement_heads2_idle_pass () =
+  let r = RH2.check_seq ~io_depth:4 ~stride:1 ~seed:1 ~seq:1 () in
+  Alcotest.(check bool) "an idle step ran a pass" true (r.Refine.idle_passes > 0);
+  if not (Refine.seq_clean r) then
+    Alcotest.failf "refinement not clean:@\n%a" Refine.pp_seq_report r
+
 (* Regression: an idle clean step restocks the reusable pool with a
    checkpoint only when that would recover a segment.  The threshold
    ignored the extra heads' pinned segments, so once a multi-head
@@ -312,4 +325,6 @@ let suite =
         test_refinement_heads2;
       Alcotest.test_case "idle clean steps come to rest" `Quick
         test_idle_steps_settle;
+      Alcotest.test_case "a write missing from every chain ends the roll" `Quick
+        test_refinement_heads2_idle_pass;
     ] )
