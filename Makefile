@@ -39,6 +39,19 @@ PRODUCT := lfs lfs:heads=2 lfs:tier:25:promote=2 lfs:heads=2:tier:25:promote=2 \
 SPECS := $(PRODUCT) ffs lfs:tier:25 shard:4:by_subtree
 
 LFS_TOOL := _build/default/bin/lfs_tool.exe
+PERF := _build/default/bench/perf/perf.exe
+
+# The committed trajectory, BENCH_perf.json: the repository benchmark's
+# four workloads at seed 1 (`perf all --seed 1`, minimum length), one
+# entry each with its exact modelled strings, `attempted`, `failed` and
+# `correct`, and under `host` the host metrics, which no comparison
+# reads.  PERF_JSON turns perf's result files into that object;
+# PERF_MODELLED drops the host part for the comparison.
+PERF_JSON := jq -S -s '{seed: 1, workloads: (map({key: .workload, value: \
+	{correct, attempted, failed, modelled, host: (.modelled as $$m | .metrics \
+	| with_entries(select(.key as $$k | $$m | has($$k) | not)) | map_values(.value))}}) \
+	| from_entries)}'
+PERF_MODELLED := jq -S 'del(.workloads[].host)'
 
 ci:
 	dune build @all
@@ -46,6 +59,9 @@ ci:
 	# The repository benchmark at 1/20 scale: fails if tracing perturbs
 	# any modelled result.
 	dune build @bench/perf/smoke
+	# The trajectory: every modelled result of `perf all --seed 1` must
+	# equal BENCH_perf.json's exactly.
+	$(MAKE) --no-print-directory bench-check
 	dune exec bench/main.exe -- quick
 	# Image stats: exercise a small image (geometry chosen so the cleaner
 	# engages); --check fails on any NaN/negative metric.  Then roll it
@@ -94,6 +110,26 @@ ci:
 	  $(LFS_TOOL) modelcheck --fs $$fs --seqs 5 --stride 1 --seed 2 > /dev/null; \
 	done
 	rm -f ci-serve-a.json ci-serve-b.json ci-model-a.json ci-model-b.json
+
+# Rewrite BENCH_perf.json from this tree; a change that moves a modelled
+# value commits the new file and explains the move in CHANGES.md.
+bench-baseline:
+	dune build bench/perf/perf.exe
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(PERF) all --seed 1 --out "$$tmp" > /dev/null; \
+	$(PERF_JSON) "$$tmp"/*.json > BENCH_perf.json
+
+# Fail when any modelled result of `perf all --seed 1`, or its attempted,
+# failed or correct count, differs from BENCH_perf.json (~6 s).
+bench-check:
+	dune build bench/perf/perf.exe
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(PERF) all --seed 1 --out "$$tmp/out" > /dev/null; \
+	$(PERF_JSON) "$$tmp"/out/*.json > "$$tmp/now.json"; \
+	diff <($(PERF_MODELLED) BENCH_perf.json) <($(PERF_MODELLED) "$$tmp/now.json") || { \
+	  echo "bench-check: modelled results differ from BENCH_perf.json" \
+	    "(make bench-baseline rewrites it; explain the move in CHANGES.md)" >&2; exit 1; }
+	@echo "bench-check: modelled results equal BENCH_perf.json"
 
 # Behaviour gate for refactors: export REV (git archive, so the checkout
 # is untouched), build it, and require byte-identical serve JSON (plain,
@@ -164,4 +200,4 @@ same:
 clean:
 	dune clean
 
-.PHONY: all test bench bench-quick micro examples verify ci same clean
+.PHONY: all test bench bench-quick micro examples verify ci bench-baseline bench-check same clean
