@@ -696,7 +696,15 @@ let serve_cmd =
           ~doc:"Overload policy: $(b,block) the client or $(b,shed) the request")
   in
   let window =
-    Arg.(value & opt float 0.01 & info [ "window" ] ~docv:"S" ~doc:"Group-commit batch window, modelled seconds")
+    Arg.(
+      value & opt float 0.01
+      & info [ "window" ] ~docv:"S"
+          ~doc:
+            "Longest a group-commit batch waits before it flushes, in \
+             modelled seconds.  At $(b,--io-depth) 1 every batch waits this \
+             long; above 1 a batch flushes at once when no flush is in \
+             flight, otherwise when the flush ahead completes, and never \
+             later than this")
   in
   let max_batch =
     Arg.(value & opt int 32 & info [ "max-batch" ] ~docv:"B" ~doc:"Flush early at this many batched requests")

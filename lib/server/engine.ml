@@ -115,6 +115,7 @@ let run (cfg : config) (fs : Fsops.t) =
     Metrics.histogram ~lo:1.0 ~hi:1e6 m "server.log_batch.blocks"
   in
   let flush_hist = Metrics.histogram m "server.flush.busy_s" in
+  let wait_hist = Metrics.histogram m "server.batch.wait_s" in
   let qdepth_hist =
     Metrics.histogram ~lo:1.0 ~hi:1e4 m "server.queue.depth_at_admit"
   in
@@ -187,7 +188,8 @@ let run (cfg : config) (fs : Fsops.t) =
   let blocked : request Queue.t = Queue.create () in
   let rr = ref 0 in
   let server_busy = ref false in
-  let batch : request list ref = ref [] in
+  (* The open batch, newest first, each member with its join time. *)
+  let batch : (request * float) list ref = ref [] in
   let batch_n = ref 0 in
   let batch_epoch = ref 0 in
   let flush_due = ref false in
@@ -201,10 +203,12 @@ let run (cfg : config) (fs : Fsops.t) =
   let last_completion = ref 0.0 in
   let bg_steps = ref 0 in
   let bg_step = if cfg.bg_clean then fs.Fsops.clean_step else None in
-  (* Queued-mode state: in-flight spans, per-tag finish times (recorded
-     as the elevator commits each service), and the cleaner latch. *)
+  (* Queued-mode state: in-flight spans (and how many are group-commit
+     flushes), per-tag finish times (recorded as the elevator commits
+     each service), and the cleaner latch. *)
   let inflight : io_span Queue.t = Queue.create () in
   let inflight_n = ref 0 in
+  let flushes_inflight = ref 0 in
   let finish_of : (int, float) Hashtbl.t = Hashtbl.create 1024 in
   let bg_busy = ref false in
   let bg_last = ref neg_infinity in
@@ -350,7 +354,11 @@ let run (cfg : config) (fs : Fsops.t) =
         let fin = !fin in
         Metrics.observe flush_hist (Float.max 0.0 (fin -. sp.started_s));
         Sched.at sched fin (fun () ->
+            decr flushes_inflight;
             List.iter complete members;
+            (* The batch that formed behind the last flush in flight
+               starts now rather than at its deadline. *)
+            if !flushes_inflight = 0 && !batch_n > 0 then flush_due := true;
             maybe_start ())
   and op_io_done req =
     decr inflight_n;
@@ -385,16 +393,7 @@ let run (cfg : config) (fs : Fsops.t) =
     Metrics.observe bg_busy_hist (Float.max 0.0 (fin -. started_s));
     maybe_start ()
   and start_flush_queued () =
-    flush_due := false;
-    incr batch_epoch;
-    let members = List.rev !batch in
-    let n = !batch_n in
-    batch := [];
-    batch_n := 0;
-    incr flushes;
-    batched_reqs := !batched_reqs + n;
-    Metrics.incr flushes_c;
-    Metrics.observe batch_hist (float_of_int n);
+    let members = take_batch () in
     (* The shared sync is the fsync barrier for the batch's own log
        writes (and any cleaning it triggered) — bracket its tags and
        complete the members when exactly that IO has drained.  Other
@@ -410,6 +409,7 @@ let run (cfg : config) (fs : Fsops.t) =
       List.iter complete members
     end
     else begin
+      incr flushes_inflight;
       Queue.push
         { lo; hi; cpu_s = 0.0; started_s = t0; kind = Flush members }
         inflight;
@@ -455,16 +455,19 @@ let run (cfg : config) (fs : Fsops.t) =
     go !rr 0
   and finish_op req =
     if group_commit && is_durable req.op.Session.cls then begin
-      if !batch_n = 0 then begin
-        (* First member opens the batch and arms its window deadline;
-           the epoch cookie lets an early (max-size) flush invalidate
-           the stale deadline. *)
+      (* Queued, a member that finds no flush in flight leads: its batch
+         flushes at once.  Otherwise the first member arms the window
+         deadline; the epoch cookie lets an earlier flush (at
+         [max_batch], or when the flush ahead completes) invalidate the
+         stale deadline. *)
+      let lead = queued && !flushes_inflight = 0 in
+      if !batch_n = 0 && not lead then begin
         let epoch = !batch_epoch in
         Sched.after sched cfg.batch_window_s (fun () -> deadline epoch)
       end;
-      batch := req :: !batch;
+      batch := (req, Sched.now sched) :: !batch;
       incr batch_n;
-      if !batch_n >= cfg.max_batch then flush_due := true
+      if lead || !batch_n >= cfg.max_batch then flush_due := true
     end
     else complete req
   and service_done req =
@@ -481,16 +484,7 @@ let run (cfg : config) (fs : Fsops.t) =
       else start_flush ()
   and start_flush () =
     server_busy := true;
-    flush_due := false;
-    incr batch_epoch;
-    let members = List.rev !batch in
-    let n = !batch_n in
-    batch := [];
-    batch_n := 0;
-    incr flushes;
-    batched_reqs := !batched_reqs + n;
-    Metrics.incr flushes_c;
-    Metrics.observe batch_hist (float_of_int n);
+    let members = take_batch () in
     (* One shared sync makes the whole batch durable; its disk time is
        paid once, and every member's completion waits for it. *)
     let d0 = disk_busy () in
@@ -501,6 +495,28 @@ let run (cfg : config) (fs : Fsops.t) =
         List.iter complete members;
         server_busy := false;
         maybe_start ())
+  (* Close the open batch as its flush starts: count the flush, record
+     each member's wait since it joined, and return the members in join
+     order. *)
+  and take_batch () =
+    flush_due := false;
+    incr batch_epoch;
+    let now = Sched.now sched in
+    let members =
+      List.rev_map
+        (fun (req, joined) ->
+          Metrics.observe wait_hist (now -. joined);
+          req)
+        !batch
+    in
+    let n = !batch_n in
+    batch := [];
+    batch_n := 0;
+    incr flushes;
+    batched_reqs := !batched_reqs + n;
+    Metrics.incr flushes_c;
+    Metrics.observe batch_hist (float_of_int n);
+    members
   and admit req =
     Queue.push req queues.(req.client);
     incr queued_total;

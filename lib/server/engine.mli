@@ -22,17 +22,25 @@
     - {e group commit}: on a log-structured backend
       ([Fsops.async_writes]), durable requests (create/write/delete) do
       not complete at service end — they join the open batch, which is
-      flushed by one shared [sync] when the batch window expires or
-      [max_batch] requests have joined.  The flush's modelled disk time
-      is paid once and its completion stamps every member, so the
-      per-op write cost falls as concurrency grows.  On a synchronous
-      backend (FFS) each durable op pays its own disk time in service
-      and completes immediately — the paper's contrast.
+      flushed by one shared [sync].  The flush's modelled disk time is
+      paid once and its completion stamps every member, so the per-op
+      write cost falls as concurrency grows.  At [io_depth > 1] a
+      member that joins while no flush is in flight leads: its batch
+      flushes at once.  Members that join while a flush is in flight
+      form the next batch, which starts at the earliest of: the last
+      flush in flight completing, the window deadline
+      ([batch_window_s] after its first member joined), or [max_batch]
+      members.  So the window is a cap on the wait, and batches form
+      only while the device is already writing one.  The serial path
+      ([io_depth = 1]) keeps the historical rule: a batch flushes when
+      its window expires or [max_batch] requests have joined.  On a
+      synchronous backend (FFS) each durable op pays its own disk time
+      in service and completes immediately — the paper's contrast.
 
     Every request records a latency span (submit to completion, queueing
     and flush wait included) into per-class histograms of a fresh
-    {!Lfs_obs.Metrics} registry, alongside batch-size and queue-depth
-    instruments; the registry's JSON render is the deterministic
+    {!Lfs_obs.Metrics} registry, alongside batch-size, batch-wait and
+    queue-depth instruments; the registry's JSON render is the deterministic
     artifact the CI check compares byte-for-byte across equal seeds. *)
 
 module Cpu_model := Lfs_workload.Cpu_model
@@ -50,7 +58,10 @@ type config = {
   think_mean_s : float;  (** mean of the exponential think time *)
   queue_depth : int;  (** admission bound on waiting requests *)
   policy : policy;
-  batch_window_s : float;  (** group-commit window from first join *)
+  batch_window_s : float;
+      (** the longest a group-commit batch waits, from its first join,
+          before it flushes; at [io_depth = 1] every batch waits it
+          out *)
   max_batch : int;  (** flush early at this many requests *)
   session_files : int;  (** per-client working-set size *)
   write_size : int;  (** max bytes of one write/read *)
@@ -93,7 +104,9 @@ type result = {
   metrics : Lfs_obs.Metrics.t;
       (** [server.*] instruments: per-class latency histograms
           ([server.latency.<class>.s], with p50/p95/p99 in the summary),
-          [server.batch.requests], [server.log_batch.blocks] (from
+          [server.batch.requests], [server.batch.wait_s] (each durable
+          request's modelled time from joining a batch to that batch's
+          flush start), [server.log_batch.blocks] (from
           {!Lfs_core.Fs.on_log_batch}), [server.flush.busy_s],
           [server.queue.depth_at_admit], and end-of-run gauges
           (throughput, elapsed, disk seconds per op, ...). *)

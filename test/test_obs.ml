@@ -318,6 +318,50 @@ let test_fs_metrics_cover_layers () =
   Alcotest.(check bool) "vdev layer registered" true
     (Metrics.float_value m "vdev.disk.blocks_written" = float_of_int dev_writes)
 
+(* A checkpoint first flushes buffered writes, but its [fs.checkpoint.*]
+   samples count only what it writes itself, its table blocks and its
+   region: the same blocks and busy time as a checkpoint of the same
+   state taken once those writes were synced. *)
+let test_checkpoint_counts_own_blocks () =
+  let module Io_stats = Lfs_disk.Io_stats in
+  let run ~sync_first =
+    let disk = Lfs_disk.Disk.create (Lfs_disk.Geometry.wren_iv ~blocks:2048) in
+    Fs.format (Helpers.vdev disk) Helpers.test_config;
+    let fs = Fs.mount (Helpers.vdev disk) in
+    List.iter
+      (fun name ->
+        let ino = Fs.create fs ~dir:Fs.root name in
+        Fs.write fs ino ~off:0 (Bytes.make 3000 'x'))
+      [ "a"; "b"; "c" ];
+    if sync_first then Fs.sync fs;
+    let summed name =
+      match Metrics.value (Fs.metrics fs) name with
+      | Some (Metrics.Summary { count; sum; _ }) -> (count, sum)
+      | _ -> Alcotest.failf "%s: expected a histogram" name
+    in
+    let n0, blocks0 = summed "fs.checkpoint.blocks" in
+    let _, busy0 = summed "fs.checkpoint.busy_s" in
+    let before = Io_stats.copy (Lfs_disk.Disk.stats disk) in
+    Fs.checkpoint fs;
+    let dev = Io_stats.diff (Lfs_disk.Disk.stats disk) before in
+    let n1, blocks1 = summed "fs.checkpoint.blocks" in
+    let _, busy1 = summed "fs.checkpoint.busy_s" in
+    Alcotest.(check int) "one sample" (n0 + 1) n1;
+    (dev, blocks1 -. blocks0, busy1 -. busy0)
+  in
+  let dev, blocks, busy = run ~sync_first:false in
+  let own, own_blocks, own_busy = run ~sync_first:true in
+  Alcotest.(check (float 0.0)) "synced first: the sample is the device's"
+    (float_of_int own.Io_stats.blocks_written) own_blocks;
+  Alcotest.(check (float 1e-12)) "synced first: busy time is the device's"
+    own.Io_stats.busy_s own_busy;
+  Alcotest.(check bool) "the flush wrote data" true
+    (dev.Io_stats.blocks_written > own.Io_stats.blocks_written);
+  Alcotest.(check (float 0.0)) "buffered: only the checkpoint's blocks"
+    own_blocks blocks;
+  Alcotest.(check (float 1e-12)) "buffered: only their busy time" own_busy busy;
+  Alcotest.(check bool) "busy time is modelled" true (busy > 0.0)
+
 let test_fs_metrics_validate_clean () =
   let _, fs = Helpers.fresh_fs ~blocks:2048 () in
   exercise fs;
@@ -422,5 +466,7 @@ let suite =
       Alcotest.test_case "fs write-cost gauge agrees" `Quick test_fs_write_cost_gauge_agrees;
       Alcotest.test_case "fs metrics cover layers" `Quick test_fs_metrics_cover_layers;
       Alcotest.test_case "fs metrics validate clean" `Quick test_fs_metrics_validate_clean;
+      Alcotest.test_case "checkpoint counts only its own blocks" `Quick
+        test_checkpoint_counts_own_blocks;
       Alcotest.test_case "accounting identities" `Quick test_accounting_identities;
     ] )

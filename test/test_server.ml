@@ -455,6 +455,90 @@ let test_engine_io_depth_restores_mode () =
         (Vdev.outstanding_in d ~lo:0 ~hi:max_int))
     fs.Fsops.devices
 
+(* ----- Queued group commit: a flush starts at once when none is in flight ----- *)
+
+(* (count, sum, max) of one of a run's histograms. *)
+let summary r name =
+  match Metrics.value r.Engine.metrics name with
+  | Some (Metrics.Summary { count; sum; vmax; _ }) -> (count, sum, vmax)
+  | _ -> Alcotest.failf "%s: expected a histogram" name
+
+let vmax r name =
+  let _, _, v = summary r name in
+  v
+
+(* One client whose first request is a write, on an idle device: queued,
+   the write leads its own flush at once; on the serial path it still
+   waits out the window. *)
+let test_lone_write_flushes_at_once () =
+  let first_is_write seed =
+    let s =
+      Session.create ~client:0 ~seed ~files:small_cfg.Engine.session_files
+        ~write_size:small_cfg.Engine.write_size ()
+    in
+    (Session.next s).Session.cls = Session.Write
+  in
+  let seed = List.find first_is_write (List.init 100 Fun.id) in
+  let run io_depth =
+    Engine.run
+      { small_cfg with Engine.clients = 1; ops_per_client = 1; seed; io_depth }
+      (Fsops.fresh_lfs (engine_geom ()))
+  in
+  let window = small_cfg.Engine.batch_window_s in
+  let r = run 4 in
+  let count, _, wait = summary r "server.batch.wait_s" in
+  Alcotest.(check int) "one member waited" 1 count;
+  Alcotest.(check (float 0.0)) "no batch wait" 0.0 wait;
+  let lat = vmax r "server.latency.write.s" in
+  let flush = vmax r "server.flush.busy_s" in
+  Alcotest.(check bool)
+    (Printf.sprintf "latency %.4f s below window + flush (%.4f s)" lat
+       (window +. flush))
+    true
+    (lat < window +. flush);
+  Alcotest.(check (float 1e-12)) "the serial path waits the window" window
+    (vmax (run 1) "server.batch.wait_s")
+
+(* Writes that join while a flush is in flight start their flush when it
+   completes, well before a long window's deadline. *)
+let test_followers_start_at_completion () =
+  let window = 0.05 in
+  let r =
+    Engine.run
+      { small_cfg with Engine.clients = 8; think_mean_s = 0.02; io_depth = 4;
+        batch_window_s = window }
+      (Fsops.fresh_lfs (engine_geom ()))
+  in
+  let _, waited, wait = summary r "server.batch.wait_s" in
+  let flush = vmax r "server.flush.busy_s" in
+  Alcotest.(check bool) "some member waited for the flush ahead" true
+    (waited > 0.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "longest wait %.4f s within the longest flush %.4f s" wait
+       flush)
+    true
+    (wait <= flush +. 1e-12);
+  Alcotest.(check bool) "before the deadline" true (wait < window);
+  Alcotest.(check bool) "followers batch together" true
+    (vmax r "server.batch.requests" > 1.0)
+
+(* [max_batch] still caps a batch that forms behind an in-flight flush. *)
+let test_max_batch_still_flushes_early () =
+  let run max_batch =
+    Engine.run
+      { small_cfg with Engine.clients = 16; think_mean_s = 0.005; io_depth = 4;
+        batch_window_s = 1.0; max_batch }
+      (Fsops.fresh_lfs (engine_geom ()))
+  in
+  let uncapped = run 32 and capped = run 2 in
+  let largest r = vmax r "server.batch.requests" in
+  Alcotest.(check bool) "uncapped batches grow past 2" true (largest uncapped > 2.0);
+  Alcotest.(check (float 0.0)) "capped at 2" 2.0 (largest capped);
+  Alcotest.(check int) "everything completes" uncapped.Engine.completed
+    capped.Engine.completed;
+  Alcotest.(check bool) "more, smaller flushes" true
+    (capped.Engine.flushes > uncapped.Engine.flushes)
+
 let suite =
   ( "server",
     [
@@ -480,4 +564,10 @@ let suite =
         test_engine_io_depth_overlaps;
       Alcotest.test_case "io-depth restores direct mode" `Quick
         test_engine_io_depth_restores_mode;
+      Alcotest.test_case "lone write flushes at once" `Quick
+        test_lone_write_flushes_at_once;
+      Alcotest.test_case "followers start at flush completion" `Quick
+        test_followers_start_at_completion;
+      Alcotest.test_case "max_batch still flushes early" `Quick
+        test_max_batch_still_flushes_early;
     ] )
