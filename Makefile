@@ -52,6 +52,9 @@ PERF_JSON := jq -S -s '{seed: 1, workloads: (map({key: .workload, value: \
 	| with_entries(select(.key as $$k | $$m | has($$k) | not)) | map_values(.value))}}) \
 	| from_entries)}'
 PERF_MODELLED := jq -S 'del(.workloads[].host)'
+# Run `perf all --seed 1` into $tmp/out and print the result in
+# BENCH_perf.json's form (inside a recipe that sets tmp).
+PERF_NOW := $(PERF) all --seed 1 --out "$$tmp/out" > /dev/null; $(PERF_JSON) "$$tmp"/out/*.json
 
 ci:
 	dune build @all
@@ -116,16 +119,14 @@ ci:
 bench-baseline:
 	dune build bench/perf/perf.exe
 	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(PERF) all --seed 1 --out "$$tmp" > /dev/null; \
-	$(PERF_JSON) "$$tmp"/*.json > BENCH_perf.json
+	$(PERF_NOW) > BENCH_perf.json
 
 # Fail when any modelled result of `perf all --seed 1`, or its attempted,
 # failed or correct count, differs from BENCH_perf.json (~6 s).
 bench-check:
 	dune build bench/perf/perf.exe
 	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(PERF) all --seed 1 --out "$$tmp/out" > /dev/null; \
-	$(PERF_JSON) "$$tmp"/out/*.json > "$$tmp/now.json"; \
+	$(PERF_NOW) > "$$tmp/now.json"; \
 	diff <($(PERF_MODELLED) BENCH_perf.json) <($(PERF_MODELLED) "$$tmp/now.json") || { \
 	  echo "bench-check: modelled results differ from BENCH_perf.json" \
 	    "(make bench-baseline rewrites it; explain the move in CHANGES.md)" >&2; exit 1; }

@@ -700,9 +700,10 @@ let serve_cmd =
       value & opt float 0.01
       & info [ "window" ] ~docv:"S"
           ~doc:
-            "Longest a group-commit batch waits before it flushes, in \
-             modelled seconds.  At $(b,--io-depth) 1 every batch waits this \
-             long; above 1 a batch flushes at once when no flush is in \
+            "Group-commit window, in modelled seconds.  At $(b,--io-depth) \
+             1 a batch collects members for this long unless \
+             $(b,--max-batch) fills it first.  Above 1 it is the longest a \
+             batch waits: a batch flushes at once when no flush is in \
              flight, otherwise when the flush ahead completes, and never \
              later than this")
   in

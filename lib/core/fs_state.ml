@@ -540,23 +540,14 @@ let checkpoint t =
   if t.in_checkpoint then ()
   else begin
     t.in_checkpoint <- true;
-    let before = ref None in
     Fun.protect
-      ~finally:(fun () ->
-        t.in_checkpoint <- false;
-        Option.iter
-          (fun before ->
-            let d = Io_stats.diff (Vdev.stats t.disk) before in
-            Metrics.observe t.obs.ckpt_busy d.Io_stats.busy_s;
-            Metrics.observe t.obs.ckpt_blocks
-              (float_of_int d.Io_stats.blocks_written))
-          !before)
+      ~finally:(fun () -> t.in_checkpoint <- false)
       (fun () ->
         flush t ~cleaner:false;
         (* The checkpoint's own IO starts here: the flush above wrote
            foreground data.  (On a queued device that data's service
            time is charged when the barrier below retires it.) *)
-        before := Some (Io_stats.copy (Vdev.stats t.disk));
+        let before = Io_stats.copy (Vdev.stats t.disk) in
         (* A batch may auto-sync mid-cycle, in which case the cycle's
            later appends re-dirty already-written table blocks — so
            cycles repeat until a whole cycle lands in one batch and
@@ -593,7 +584,11 @@ let checkpoint t =
         Metrics.incr t.acct.checkpoints;
         refresh_pool t;
         maybe_evict_handles t;
-        t.checkpoint_hook ())
+        t.checkpoint_hook ();
+        let d = Io_stats.diff (Vdev.stats t.disk) before in
+        Metrics.observe t.obs.ckpt_busy d.Io_stats.busy_s;
+        Metrics.observe t.obs.ckpt_blocks
+          (float_of_int d.Io_stats.blocks_written))
   end
 
 (* Scored segments a pass may take — cleaning or demotion: live, not

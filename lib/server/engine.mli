@@ -59,9 +59,11 @@ type config = {
   queue_depth : int;  (** admission bound on waiting requests *)
   policy : policy;
   batch_window_s : float;
-      (** the longest a group-commit batch waits, from its first join,
-          before it flushes; at [io_depth = 1] every batch waits it
-          out *)
+      (** the group-commit window, from a batch's first join.  At
+          [io_depth > 1] it is the longest a batch waits before it
+          flushes.  At [io_depth = 1] a batch collects members for the
+          whole window (then flushes once the server is free) unless
+          [max_batch] members join first. *)
   max_batch : int;  (** flush early at this many requests *)
   session_files : int;  (** per-client working-set size *)
   write_size : int;  (** max bytes of one write/read *)
