@@ -88,14 +88,19 @@ ci:
 	done
 	# Crash consistency over the product: device-level crash sweeps (the
 	# script workload every 7th cut, the smallfile workload, roll-forward's
-	# many-small-files shape, at every cut) and a model refinement check
-	# with io-depth 4 in flight, each gated on zero divergences; the
-	# refinement report must also be byte-identical for equal seeds, and
-	# on lfs some idle step must have run a cleaning pass, so cuts land
-	# inside and after passes that left their victims uncheckpointed.
+	# many-small-files shape, at every cut), the serving engine's own load
+	# cut at every device write at io-depths 1 and 4, and a model
+	# refinement check with io-depth 4 in flight, each gated on zero
+	# divergences; the refinement report must also be byte-identical for
+	# equal seeds, and on lfs some idle step must have run a cleaning
+	# pass, so cuts land inside and after passes that left their victims
+	# uncheckpointed.
 	set -e; for fs in $(PRODUCT); do \
 	  $(LFS_TOOL) crashtest --fs $$fs --workload script --stride 7 --seed 1; \
 	  $(LFS_TOOL) crashtest --fs $$fs --workload smallfile --stride 1 --seed 1; \
+	  for d in 1 4; do \
+	    $(LFS_TOOL) modelcheck --fs $$fs --engine --stride 1 --seed 1 --io-depth $$d; \
+	  done; \
 	  for run in a b; do \
 	    $(LFS_TOOL) modelcheck --fs $$fs --seqs 3 --stride 5 --seed 1 \
 	      --json > ci-model-$$run.json; \

@@ -38,6 +38,14 @@ let header title paper =
 
 let pct x = Printf.sprintf "%.0f%%" (100.0 *. x)
 
+(* A latency histogram's 95th or 99th percentile, in ms; [nan] when the
+   registry has no such histogram. *)
+let latency_ms m name q =
+  match Lfs_obs.Metrics.value m name with
+  | Some (Lfs_obs.Metrics.Summary { p95; p99; _ }) ->
+      1000.0 *. (match q with `P95 -> p95 | `P99 -> p99)
+  | _ -> Float.nan
+
 (* ------------------------------------------------------------------ *)
 (* Figure 3: analytic write cost vs u                                   *)
 (* ------------------------------------------------------------------ *)
@@ -838,10 +846,10 @@ let stripe () =
 (* ------------------------------------------------------------------ *)
 
 (* Sweep client counts over LFS and FFS behind the request-serving
-   engine.  Group commit is the whole story: LFS batches the durable
-   requests of concurrent sessions into shared log flushes, so its
-   modelled disk time per op falls as concurrency grows, while FFS pays
-   synchronous metadata IO per request and saturates. *)
+   engine.  LFS batches the durable requests of concurrent sessions into
+   shared log flushes, while FFS pays synchronous metadata IO per request
+   and saturates.  The closing line reports each system's disk time per
+   op at the smallest and largest client count, as measured. *)
 let server () =
   header
     "Server - throughput and tail latency vs client count (serving engine)"
@@ -852,12 +860,7 @@ let server () =
   let module Engine = Lfs_server.Engine in
   let sweep = if !quick then [ 1; 4; 8 ] else [ 1; 2; 4; 8; 16 ] in
   let ops = if !quick then 50 else 100 in
-  let p95_write m =
-    match Lfs_obs.Metrics.value m "server.latency.write.s" with
-    | Some (Lfs_obs.Metrics.Summary { p95; _ }) -> p95
-    | _ -> Float.nan
-  in
-  let row fresh clients =
+  let run fresh clients =
     let fs = fresh (Lfs_disk.Geometry.wren_iv ~blocks:16384) in
     let cfg =
       { Engine.default with Engine.clients; ops_per_client = ops }
@@ -866,18 +869,24 @@ let server () =
     dump_metrics
       ~title:(Printf.sprintf "server %s N=%d" r.Engine.fs_name clients)
       (Some r.Engine.metrics);
+    (clients, r)
+  in
+  let disk_ms r = 1000.0 *. r.Engine.disk_s /. float_of_int r.Engine.completed in
+  let row (clients, r) =
     [
       r.Engine.fs_name;
       string_of_int clients;
       Printf.sprintf "%.1f" r.Engine.throughput_ops_s;
-      Printf.sprintf "%.2f"
-        (1000.0 *. r.Engine.disk_s /. float_of_int r.Engine.completed);
+      Printf.sprintf "%.2f" (disk_ms r);
       (if Float.is_nan r.Engine.mean_batch then "-"
        else Printf.sprintf "%.2f" r.Engine.mean_batch);
-      Printf.sprintf "%.1f" (1000.0 *. p95_write r.Engine.metrics);
+      Printf.sprintf "%.1f"
+        (latency_ms r.Engine.metrics "server.latency.write.s" `P95);
       string_of_int r.Engine.shed;
     ]
   in
+  let lfs = List.map (run W.Fsops.fresh_lfs) sweep in
+  let ffs = List.map (run W.Fsops.fresh_ffs) sweep in
   Table.print
     ~title:
       (Printf.sprintf "%d ops/client, 50 ms think, group-commit window 10 ms"
@@ -885,11 +894,13 @@ let server () =
     ~header:
       [ "system"; "clients"; "ops/s"; "disk ms/op"; "mean batch";
         "p95 write ms"; "shed" ]
-    (List.map (row W.Fsops.fresh_lfs) sweep
-    @ List.map (row W.Fsops.fresh_ffs) sweep);
-  print_endline
-    "LFS disk ms/op falls as clients grow (bigger batches per flush);\n\
-     FFS disk ms/op grows with queueing on synchronous writes."
+    (List.map row (lfs @ ffs));
+  let last l = List.nth l (List.length l - 1) in
+  Printf.printf
+    "disk ms/op from %d to %d clients: LFS %.2f -> %.2f, FFS %.2f -> %.2f.\n"
+    (List.hd sweep) (last sweep)
+    (disk_ms (snd (List.hd lfs))) (disk_ms (snd (last lfs)))
+    (disk_ms (snd (List.hd ffs))) (disk_ms (snd (last ffs)))
 
 (* ------------------------------------------------------------------ *)
 (* IO depth: overlapped device requests through the submit/complete     *)
@@ -897,12 +908,11 @@ let server () =
 (* ------------------------------------------------------------------ *)
 
 (* Same offered load at every depth (think-time bound, the server has
-   headroom), so the comparison isolates queueing: at depth 1 every
-   request's IO serialises behind the single server slot; at depth N up
-   to N requests overlap their transfers through the per-device C-LOOK
-   elevator and group-commit flushes become fsync barriers that await
-   only their own log writes.  The win is in the latency tails, not the
-   throughput. *)
+   headroom), so the comparison isolates queueing: at depth 1 one
+   request at a time has IO in flight, beside any group-commit flush or
+   idle cleaner step; at depth N up to N requests overlap their
+   transfers through the per-device C-LOOK elevator.  The win is in the
+   latency tails, not the throughput. *)
 let iodepth () =
   header
     "Server - request latency vs IO depth (submit/complete pipeline)"
@@ -915,12 +925,6 @@ let iodepth () =
   let sweep = if !quick then [ 1; 4; 32 ] else [ 1; 2; 4; 8; 16; 32 ] in
   let ops = if !quick then 50 else 100 in
   let clients = 16 in
-  let pct m name q =
-    match Metrics.value m name with
-    | Some (Metrics.Summary { p95; p99; _ }) ->
-        1000.0 *. (if q = `P95 then p95 else p99)
-    | _ -> Float.nan
-  in
   let gauge m name =
     match Metrics.value m name with
     | Some (Metrics.Float f) -> f
@@ -943,9 +947,9 @@ let iodepth () =
     [
       string_of_int io_depth;
       Printf.sprintf "%.1f" r.Engine.throughput_ops_s;
-      Printf.sprintf "%.1f" (pct m "server.latency.write.s" `P95);
-      Printf.sprintf "%.1f" (pct m "server.latency.write.s" `P99);
-      Printf.sprintf "%.1f" (pct m "server.latency.read.s" `P95);
+      Printf.sprintf "%.1f" (latency_ms m "server.latency.write.s" `P95);
+      Printf.sprintf "%.1f" (latency_ms m "server.latency.write.s" `P99);
+      Printf.sprintf "%.1f" (latency_ms m "server.latency.read.s" `P95);
       Printf.sprintf "%.3f" (gauge m "server.dev.queue_wait_s");
       Printf.sprintf "%.0f" (gauge m "server.dev.max_queue_depth");
     ]
@@ -960,9 +964,7 @@ let iodepth () =
         "dev wait s"; "dev max q" ]
     (List.map row sweep);
   print_endline
-    "depth 1 is the serial-equivalent path (zero device queue wait by \
-     construction);\ndeeper pipelines cut p95/p99 while throughput stays \
-     think-time bound."
+    "deeper pipelines cut p95/p99 while throughput stays think-time bound."
 
 (* ------------------------------------------------------------------ *)
 (* Sharding: serve throughput vs shard count at equal total capacity    *)
@@ -1144,12 +1146,6 @@ let server_bgclean () =
   let counter m name =
     match Metrics.value m name with Some (Metrics.Int n) -> n | _ -> 0
   in
-  let write_pct m q =
-    match Metrics.value m "server.latency.write.s" with
-    | Some (Metrics.Summary { p95; p99; _ }) ->
-        1000.0 *. (if q = `P95 then p95 else p99)
-    | _ -> Float.nan
-  in
   let conserve = ref [] in
   let row ~bg =
     let fs = prefill () in
@@ -1186,8 +1182,10 @@ let server_bgclean () =
       Printf.sprintf "%.1f" r.Engine.throughput_ops_s;
       Printf.sprintf "%.2f"
         (1000.0 *. r.Engine.disk_s /. float_of_int r.Engine.completed);
-      Printf.sprintf "%.1f" (write_pct r.Engine.metrics `P95);
-      Printf.sprintf "%.1f" (write_pct r.Engine.metrics `P99);
+      Printf.sprintf "%.1f"
+        (latency_ms r.Engine.metrics "server.latency.write.s" `P95);
+      Printf.sprintf "%.1f"
+        (latency_ms r.Engine.metrics "server.latency.write.s" `P99);
       string_of_int fg_passes;
       string_of_int fg_segs;
       string_of_int bg_segs;

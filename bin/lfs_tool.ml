@@ -700,12 +700,10 @@ let serve_cmd =
       value & opt float 0.01
       & info [ "window" ] ~docv:"S"
           ~doc:
-            "Group-commit window, in modelled seconds.  At $(b,--io-depth) \
-             1 a batch collects members for this long unless \
-             $(b,--max-batch) fills it first.  Above 1 it is the longest a \
-             batch waits: a batch flushes at once when no flush is in \
-             flight, otherwise when the flush ahead completes, and never \
-             later than this")
+            "Group-commit window, in modelled seconds: the longest a batch \
+             waits.  A batch flushes at once when no flush is in flight, \
+             otherwise when the flush ahead completes or $(b,--max-batch) \
+             fills it, and never later than this")
   in
   let max_batch =
     Arg.(value & opt int 32 & info [ "max-batch" ] ~docv:"B" ~doc:"Flush early at this many batched requests")
@@ -727,10 +725,11 @@ let serve_cmd =
       value & opt int 1
       & info [ "io-depth" ] ~docv:"N"
           ~doc:
-            "Device requests kept in flight together.  $(b,1) serves \
-             strictly serially (the historical timings); larger values \
-             overlap request IO through the per-device elevator, with \
-             group-commit flushes acting as fsync barriers")
+            "Requests with device IO in flight together; larger values \
+             overlap request IO through the per-device elevator.  \
+             Group-commit flushes (fsync barriers on their own log \
+             writes) and idle cleaner steps run beside the requests at \
+             every depth")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the metrics registry as JSON (byte-identical for equal seeds)")

@@ -19,8 +19,8 @@
    the subject's idle step (one budgeted cleaning step, nothing on
    FFS), so cuts land inside and after background passes.  [recorded] runs
    any {!Fsops} workload under a {!Fs_model.Recorder} — the serving
-   engine ([check_engine]) and the crashtest workloads, which run at
-   io-depth 1 (Direct). *)
+   engine ([check_engine], which runs its own queued pipeline at the
+   config's [io_depth]) and the crashtest workloads, which run Direct. *)
 
 module Prng = Lfs_util.Prng
 module Disk = Lfs_disk.Disk

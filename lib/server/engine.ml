@@ -31,7 +31,7 @@ type config = {
   bg_clean : bool;
       (* clean in idle windows, paced by the FS's background watermarks *)
   io_depth : int;
-      (* device requests kept in flight; 1 = the serial-equivalent path *)
+      (* requests with device IO in flight together *)
 }
 
 let default =
@@ -53,7 +53,7 @@ let default =
 
 type request = { client : int; op : Session.op; submit : float }
 
-(* Queued-mode bookkeeping: the contiguous range of leaf tags a piece of
+(* In-flight bookkeeping: the contiguous range of leaf tags a piece of
    work submitted on the single-threaded data plane.  The work's IO is
    finished once no tag in [lo, hi) is outstanding, at the latest of
    their service finish times. *)
@@ -158,18 +158,14 @@ let run (cfg : config) (fs : Fsops.t) =
      every device at once. *)
   let devs = fs.Fsops.devices in
   let io0 = Fsops.io_stats fs in
-  let disk_busy () = (Fsops.io_stats fs).Io_stats.busy_s in
 
-  (* io_depth > 1 switches the device stack to queued submission: sync
+  (* The device stack runs queued submission for the whole run: sync
      calls submit without waiting, device completions become events on
      the shared clock, and up to [io_depth] requests keep their IO in
-     flight together.  Depth 1 keeps the historical serial path (and its
-     exact timings). *)
-  let queued = cfg.io_depth > 1 in
-  if queued then
-    List.iter
-      (fun d -> Vdev.set_mode d (Vdev.Queued (fun () -> Sched.now sched)))
-      devs;
+     flight together. *)
+  List.iter
+    (fun d -> Vdev.set_mode d (Vdev.Queued (fun () -> Sched.now sched)))
+    devs;
 
   let group_commit = fs.Fsops.async_writes in
   let block_size = Vdev.block_size (List.hd devs) in
@@ -187,7 +183,6 @@ let run (cfg : config) (fs : Fsops.t) =
   let queued_total = ref 0 in
   let blocked : request Queue.t = Queue.create () in
   let rr = ref 0 in
-  let server_busy = ref false in
   (* The open batch, newest first, each member with its join time. *)
   let batch : (request * float) list ref = ref [] in
   let batch_n = ref 0 in
@@ -203,9 +198,9 @@ let run (cfg : config) (fs : Fsops.t) =
   let last_completion = ref 0.0 in
   let bg_steps = ref 0 in
   let bg_step = if cfg.bg_clean then fs.Fsops.clean_step else None in
-  (* Queued-mode state: in-flight spans (and how many are group-commit
-     flushes), per-tag finish times (recorded as the elevator commits
-     each service), and the cleaner latch. *)
+  (* In-flight spans (and how many are group-commit flushes), per-tag
+     finish times (recorded as the elevator commits each service), and
+     the cleaner latch. *)
   let inflight : io_span Queue.t = Queue.create () in
   let inflight_n = ref 0 in
   let flushes_inflight = ref 0 in
@@ -265,33 +260,18 @@ let run (cfg : config) (fs : Fsops.t) =
   in
   let set_qdepth () = Metrics.set qdepth_g (float_of_int !queued_total) in
 
+  (* A due flush starts immediately (it does not occupy a request
+     slot), then the request slots are refilled up to [io_depth].  Each
+     start runs the op's data plane instantly and brackets its leaf
+     tags; the op finishes when its tag range drains. *)
   let rec maybe_start () =
-    if queued then maybe_start_queued ()
-    else if not !server_busy then
-      if !flush_due && !batch_n > 0 then start_flush ()
-      else
-        match pick_next () with
-        | None -> maybe_bg_clean ()
-        | Some req ->
-            server_busy := true;
-            admit_blocked ();
-            let d0 = disk_busy () in
-            let blocks = perform req in
-            let disk_s = disk_busy () -. d0 in
-            let cpu_s = Cpu_model.cost cfg.cpu ~ops:1 ~blocks in
-            Sched.after sched (cpu_s +. disk_s) (fun () -> service_done req)
-  (* Queued pipeline: a due flush starts immediately (it does not occupy
-     a service slot), then the request slots are refilled up to
-     [io_depth].  Each start runs the op's data plane instantly and
-     brackets its leaf tags; the op finishes when its tag range drains. *)
-  and maybe_start_queued () =
-    if !flush_due && !batch_n > 0 then start_flush_queued ();
+    if !flush_due && !batch_n > 0 then start_flush ();
     start_requests ()
   and start_requests () =
     if !inflight_n < cfg.io_depth then
       match pick_next () with
       | None ->
-          if !inflight_n = 0 && not !bg_busy then maybe_bg_clean_queued ()
+          if !inflight_n = 0 && not !bg_busy then maybe_bg_clean ()
       | Some req ->
           incr inflight_n;
           admit_blocked ();
@@ -369,7 +349,7 @@ let run (cfg : config) (fs : Fsops.t) =
      read-in overlaps write-out, and foreground arrivals keep starting
      while it runs.  At most one step per modelled instant, so a
      zero-cost geometry cannot spin the clock in place. *)
-  and maybe_bg_clean_queued () =
+  and maybe_bg_clean () =
     match bg_step with
     | None -> ()
     | Some step ->
@@ -392,7 +372,7 @@ let run (cfg : config) (fs : Fsops.t) =
     bg_busy := false;
     Metrics.observe bg_busy_hist (Float.max 0.0 (fin -. started_s));
     maybe_start ()
-  and start_flush_queued () =
+  and start_flush () =
     let members = take_batch () in
     (* The shared sync is the fsync barrier for the batch's own log
        writes (and any cleaning it triggered) — bracket its tags and
@@ -415,28 +395,6 @@ let run (cfg : config) (fs : Fsops.t) =
         inflight;
       device_progress ()
     end
-  (* Idle window: no runnable request and no flush due.  Run one
-     budgeted cleaner step on the modelled clock — the FS's watermark
-     hysteresis decides whether there is anything to do.  The step
-     itself is synchronous; its disk time occupies the server, so
-     requests arriving meanwhile queue up and preempt further steps
-     (the next step only runs if the queue is empty again). *)
-  and maybe_bg_clean () =
-    match bg_step with
-    | None -> ()
-    | Some step ->
-        let d0 = disk_busy () in
-        let (_ : int) = step ~max_segments:1 in
-        let disk_s = disk_busy () -. d0 in
-        if disk_s > 0.0 then begin
-          incr bg_steps;
-          Metrics.incr bg_steps_c;
-          Metrics.observe bg_busy_hist disk_s;
-          server_busy := true;
-          Sched.after sched disk_s (fun () ->
-              server_busy := false;
-              maybe_start ())
-        end
   (* Round-robin across per-client FIFOs from the cursor: each dequeue
      hands the next turn to the following client, so a hot session gets
      at most one request in before everyone else is offered a slot. *)
@@ -455,12 +413,11 @@ let run (cfg : config) (fs : Fsops.t) =
     go !rr 0
   and finish_op req =
     if group_commit && is_durable req.op.Session.cls then begin
-      (* Queued, a member that finds no flush in flight leads: its batch
-         flushes at once.  Otherwise the first member arms the window
-         deadline; the epoch cookie lets an earlier flush (at
-         [max_batch], or when the flush ahead completes) invalidate the
-         stale deadline. *)
-      let lead = queued && !flushes_inflight = 0 in
+      (* A member that finds no flush in flight leads: its batch flushes
+         at once.  Otherwise the first member arms the window deadline;
+         the epoch cookie lets an earlier flush (at [max_batch], or when
+         the flush ahead completes) invalidate the stale deadline. *)
+      let lead = !flushes_inflight = 0 in
       if !batch_n = 0 && not lead then begin
         let epoch = !batch_epoch in
         Sched.after sched cfg.batch_window_s (fun () -> deadline epoch)
@@ -470,31 +427,11 @@ let run (cfg : config) (fs : Fsops.t) =
       if lead || !batch_n >= cfg.max_batch then flush_due := true
     end
     else complete req
-  and service_done req =
-    finish_op req;
-    server_busy := false;
-    maybe_start ()
   and deadline epoch =
-    if epoch = !batch_epoch && !batch_n > 0 then
-      if queued then begin
-        start_flush_queued ();
-        start_requests ()
-      end
-      else if !server_busy then flush_due := true
-      else start_flush ()
-  and start_flush () =
-    server_busy := true;
-    let members = take_batch () in
-    (* One shared sync makes the whole batch durable; its disk time is
-       paid once, and every member's completion waits for it. *)
-    let d0 = disk_busy () in
-    fs.Fsops.sync ();
-    let disk_s = disk_busy () -. d0 in
-    Metrics.observe flush_hist disk_s;
-    Sched.after sched disk_s (fun () ->
-        List.iter complete members;
-        server_busy := false;
-        maybe_start ())
+    if epoch = !batch_epoch && !batch_n > 0 then begin
+      start_flush ();
+      start_requests ()
+    end
   (* Close the open batch as its flush starts: count the flush, record
      each member's wait since it joined, and return the members in join
      order. *)
@@ -567,18 +504,16 @@ let run (cfg : config) (fs : Fsops.t) =
     schedule_arrival c
   done;
   (* Settle any stragglers on the device clock and hand the stack back
-     in the mode we found it — even when a fault layer cuts the power
-     mid-run ([Vdev.Crashed] escaping the scheduler): a crash harness
-     recovers on the same devices, and mounting against a dead elevator
-     stuck in queued mode would wedge it. *)
+     in Direct mode — even when a fault layer cuts the power mid-run
+     ([Vdev.Crashed] escaping the scheduler): a crash harness recovers on
+     the same devices, and mounting against a dead elevator stuck in
+     queued mode would wedge it. *)
   Fun.protect
     ~finally:(fun () ->
-      if queued then begin
-        List.iter
-          (fun d -> try ignore (Vdev.drain d) with Vdev.Crashed -> ())
-          devs;
-        List.iter (fun d -> Vdev.set_mode d Vdev.Direct) devs
-      end)
+      List.iter
+        (fun d -> try ignore (Vdev.drain d) with Vdev.Crashed -> ())
+        devs;
+      List.iter (fun d -> Vdev.set_mode d Vdev.Direct) devs)
     (fun () ->
       Sched.run sched;
       fs.Fsops.sync ());

@@ -16,26 +16,23 @@
       silent) or {e blocks} the client — a blocked client stalls its
       stream until both a global slot and its own share free, in
       arrival order;
-    - {e fair dequeue}: the single server picks the next request
-      round-robin across per-client FIFOs, so one hot session cannot
-      starve the rest;
+    - {e fair dequeue}: the server picks the next request round-robin
+      across per-client FIFOs, so one hot session cannot starve the
+      rest;
     - {e group commit}: on a log-structured backend
       ([Fsops.async_writes]), durable requests (create/write/delete) do
       not complete at service end — they join the open batch, which is
       flushed by one shared [sync].  The flush's modelled disk time is
-      paid once and its completion stamps every member, so the per-op
-      write cost falls as concurrency grows.  At [io_depth > 1] a
-      member that joins while no flush is in flight leads: its batch
-      flushes at once.  Members that join while a flush is in flight
-      form the next batch, which starts at the earliest of: the last
-      flush in flight completing, the window deadline
-      ([batch_window_s] after its first member joined), or [max_batch]
-      members.  So the window is a cap on the wait, and batches form
-      only while the device is already writing one.  The serial path
-      ([io_depth = 1]) keeps the historical rule: a batch flushes when
-      its window expires or [max_batch] requests have joined.  On a
-      synchronous backend (FFS) each durable op pays its own disk time
-      in service and completes immediately — the paper's contrast.
+      paid once and its completion stamps every member.  A member that
+      joins while no flush is in flight leads: its batch flushes at
+      once.  Members that join while a flush is in flight form the next
+      batch, which starts at the earliest of: the last flush in flight
+      completing, the window deadline ([batch_window_s] after its first
+      member joined), or [max_batch] members.  So the window is a cap on
+      the wait, and batches form only while the device is already
+      writing one.  On a synchronous backend (FFS) each durable op pays
+      its own disk time in service and completes immediately — the
+      paper's contrast.
 
     Every request records a latency span (submit to completion, queueing
     and flush wait included) into per-class histograms of a fresh
@@ -59,29 +56,25 @@ type config = {
   queue_depth : int;  (** admission bound on waiting requests *)
   policy : policy;
   batch_window_s : float;
-      (** the group-commit window, from a batch's first join.  At
-          [io_depth > 1] it is the longest a batch waits before it
-          flushes.  At [io_depth = 1] a batch collects members for the
-          whole window (then flushes once the server is free) unless
-          [max_batch] members join first. *)
+      (** the longest a group-commit batch waits, from its first join,
+          before it flushes *)
   max_batch : int;  (** flush early at this many requests *)
   session_files : int;  (** per-client working-set size *)
   write_size : int;  (** max bytes of one write/read *)
   cpu : Cpu_model.t;
   bg_clean : bool;
       (** run budgeted {!Lfs_workload.Fsops.clean_step} passes in idle
-          windows (empty queue, no flush due), paced by the FS's
-          background watermarks and preempted by arrivals; no-op on
-          backends without a cleaner *)
+          windows (no request waiting or in flight), paced by the FS's
+          background watermarks; arrivals keep starting while a step's
+          IO is in flight.  No-op on backends without a cleaner *)
   io_depth : int;
-      (** device requests kept in flight together.  [1] (the default)
-          serves strictly serially over the Direct device mode,
-          reproducing the historical timings exactly.  [> 1] switches
-          the device stack to queued submission for the run: up to
-          [io_depth] requests overlap their IO, the per-device C-LOOK
-          elevator orders outstanding transfers, group-commit flushes
-          become fsync barriers ({!Lfs_disk.Vdev.drain}), and idle-window
-          cleaner passes overlap with foreground service. *)
+      (** requests with device IO in flight together.  The device stack
+          runs queued submission for the whole run: the per-device
+          C-LOOK elevator orders outstanding transfers, and device
+          completions are events on the shared clock.  Group-commit
+          flushes are fsync barriers that await only their own log
+          writes, and with idle cleaner steps they run beside the
+          requests, not counted against [io_depth]. *)
 }
 
 val default : config
