@@ -89,7 +89,8 @@ ci:
 	# Crash consistency over the product: device-level crash sweeps (the
 	# script workload every 7th cut, the smallfile workload, roll-forward's
 	# many-small-files shape, at every cut), the serving engine's own load
-	# cut at every device write at io-depths 1 and 4, and a model
+	# cut at every device write at io-depths 1 and 4, plain and with
+	# idle-time cleaning (on lfs some idle step must have cleaned), and a model
 	# refinement check with io-depth 4 in flight, each gated on zero
 	# divergences; the refinement report must also be byte-identical for
 	# equal seeds, and on lfs some idle step must have run a cleaning
@@ -100,6 +101,12 @@ ci:
 	  $(LFS_TOOL) crashtest --fs $$fs --workload smallfile --stride 1 --seed 1; \
 	  for d in 1 4; do \
 	    $(LFS_TOOL) modelcheck --fs $$fs --engine --stride 1 --seed 1 --io-depth $$d; \
+	    $(LFS_TOOL) modelcheck --fs $$fs --engine --bg-clean --stride 1 --seed 1 \
+	      --io-depth $$d --json > ci-model-bg.json; \
+	    if [ "$$fs" = lfs ]; then \
+	      grep -q '"total_idle_passes":[1-9]' ci-model-bg.json || { \
+	        echo "modelcheck --engine --bg-clean: no idle step cleaned on lfs" >&2; exit 1; }; \
+	    fi; \
 	  done; \
 	  for run in a b; do \
 	    $(LFS_TOOL) modelcheck --fs $$fs --seqs 3 --stride 5 --seed 1 \
@@ -117,7 +124,7 @@ ci:
 	set -e; for fs in lfs lfs:heads=2 lfs:tier:25:promote=2; do \
 	  $(LFS_TOOL) modelcheck --fs $$fs --seqs 5 --stride 1 --seed 2 > /dev/null; \
 	done
-	rm -f ci-serve-a.json ci-serve-b.json ci-model-a.json ci-model-b.json
+	rm -f ci-serve-a.json ci-serve-b.json ci-model-a.json ci-model-b.json ci-model-bg.json
 
 # Rewrite BENCH_perf.json from this tree; a change that moves a modelled
 # value commits the new file and explains the move in CHANGES.md.

@@ -428,6 +428,17 @@ let modelcheck_cmd =
             "Check the request-serving engine's own generated load (group \
              commit, admission control) instead of random op sequences.")
   in
+  let bg_clean =
+    Arg.(
+      value & flag
+      & info [ "bg-clean" ]
+          ~doc:
+            "With $(b,--engine): run the subject's idle step (one \
+             budgeted cleaning pass) in the engine's idle windows, as \
+             $(b,serve --bg-clean) does, so cuts land inside and after \
+             background passes; the report's idle passes count the steps \
+             that cleaned.")
+  in
   let json =
     Arg.(
       value & flag
@@ -440,7 +451,8 @@ let modelcheck_cmd =
       & info [ "allow-failures" ]
           ~doc:"Exit 0 even when divergences were found (for the FFS demo).")
   in
-  let run spec seed seqs ops stride io_depth blocks engine json allow_failures =
+  let run spec seed seqs ops stride io_depth blocks engine bg_clean json
+      allow_failures =
     let module Refine = Lfs_model.Refine in
     let module S = (val Spec.subject spec) in
     let module R = Refine.Make (S) in
@@ -454,6 +466,7 @@ let modelcheck_cmd =
               ops_per_client = 15;
               seed;
               io_depth;
+              bg_clean;
             };
         ]
       else
@@ -525,7 +538,7 @@ let modelcheck_cmd =
           frontier and the crash operation")
     Term.(
       const run $ fs_kind $ seed $ seqs $ ops $ stride $ io_depth $ blocks
-      $ engine $ json $ allow_failures)
+      $ engine $ bg_clean $ json $ allow_failures)
 
 (* The stats/serve exercise, phrased against the shared driver record so
    it runs on any backend a spec can name. *)

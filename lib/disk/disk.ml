@@ -112,7 +112,7 @@ let check_range t addr n what =
 (* Enqueue the transfer on the time plane.  [Direct] services it on the
    spot — submission order, zero wait, the historical synchronous
    timings; [Queued] leaves it for await/drain/pump. *)
-let enqueue ?on_commit t ?now ~addr ~n () =
+let enqueue ?on_commit ?read t ?now ~addr ~n () =
   let now =
     match now with
     | Some s -> s
@@ -121,7 +121,7 @@ let enqueue ?on_commit t ?now ~addr ~n () =
         | Io_queue.Direct -> Io_queue.horizon t.queue
         | Io_queue.Queued clock -> clock ())
   in
-  let tag = Io_queue.submit ?on_commit t.queue ~now ~addr ~nblocks:n in
+  let tag = Io_queue.submit ?on_commit ?read t.queue ~now ~addr ~nblocks:n in
   (match get_mode t with
   | Io_queue.Direct -> ignore (Io_queue.await (Io_queue.Tag (t.queue, tag)))
   | Io_queue.Queued _ -> ());
@@ -158,7 +158,7 @@ let submit_read_into ?now t addr n buf ~pos =
   t.stats.Io_stats.blocks_read <- t.stats.Io_stats.blocks_read + n;
   blit_from_store t.data (addr * bs) buf pos (n * bs);
   if not (Seq_map.is_empty t.pending) then overlay_pending t ~addr ~n buf ~pos;
-  enqueue t ?now ~addr ~n ()
+  enqueue t ~read:true ?now ~addr ~n ()
 
 let submit_read ?now t addr n =
   let out = Bytes.create (n * block_size t) in

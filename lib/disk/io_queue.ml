@@ -6,7 +6,13 @@
    a globally monotonic id, ordered for service by a C-LOOK elevator, and
    serviced one at a time: service start = max(previous completion,
    submit time), so queued requests overlap their wait with the device's
-   current transfer instead of summing serially. *)
+   current transfer instead of summing serially.
+
+   Two service classes share the device.  Foreground requests are served
+   whole.  A background read (a read submitted under [background] on a
+   Queued device) waits until no foreground request is outstanding and
+   is then served in slices, so a foreground arrival waits at most one
+   slice. *)
 
 type req = {
   tag : int;
@@ -15,9 +21,14 @@ type req = {
   submit_s : float;
   on_commit : (unit -> unit) option;
       (* data-plane action deferred to service time (queued writes) *)
+  background : bool;
+  mutable next : int;  (* first block not yet served *)
+  mutable ready_s : float;
+      (* earliest start of its next service: the submit time, then the
+         end of each slice *)
 }
 
-(* The elevator's order: address, then tag.  Tags are globally
+(* The elevator's order: position, then tag.  Tags are globally
    monotonic, so within one queue tag order is submission order. *)
 module By_pos = Map.Make (struct
   type t = int * int
@@ -29,6 +40,19 @@ module By_tag = Map.Make (Int)
 
 type mode = Direct | Queued of (unit -> float)
 
+(* Consecutive slices of one background read served back to back with
+   the head already in place: one transfer, timed as a whole from its
+   first slice, so an uninterrupted read costs exactly what one transfer
+   of all its blocks costs. *)
+type run = {
+  run_tag : int;
+  start : float;
+  busy0 : float;  (* [busy_s] before the run's first slice *)
+  head0 : int;
+  addr0 : int;
+  mutable blocks : int;
+}
+
 type t = {
   service : head:int -> addr:int -> nblocks:int -> float * bool;
       (* modelled duration of one transfer and whether it repositioned *)
@@ -36,12 +60,15 @@ type t = {
   mutable mode : mode;
   mutable head : int;  (* block index just past the previous transfer *)
   mutable horizon : float;  (* completion time of the last serviced request *)
-  mutable by_pos : req By_pos.t;  (* outstanding, in elevator order *)
-  mutable by_tag : req By_tag.t;  (* the same requests, by tag *)
+  mutable fg : req By_pos.t;  (* outstanding foreground, by position *)
+  mutable bg : req By_pos.t;
+      (* outstanding background reads, by the position of their next slice *)
+  mutable by_tag : req By_tag.t;  (* every outstanding request, by tag *)
   mutable depth : int;
   mutable started : (int * float) list;
       (* Queued-mode services committed since the last [pump], newest
          first: (tag, finish) *)
+  mutable run : run option;  (* the background transfer the head is in *)
 }
 
 type ticket = Done | Tag of t * int | Join of ticket list
@@ -52,6 +79,21 @@ type ticket = Done | Tag of t * int | Join of ticket list
 let tag_counter = ref 0
 let next_tag () = !tag_counter
 
+(* Whether reads submitted now take the background class: a scope, like
+   the tag counter, shared by every queue in a stack. *)
+let in_background = ref false
+
+let background f =
+  let outer = !in_background in
+  in_background := true;
+  Fun.protect ~finally:(fun () -> in_background := outer) f
+
+(* The longest piece of a background read served at once: 128 KB, about
+   100 ms of transfer on the Wren IV, so a foreground request arriving
+   behind it waits at most that long, while a read that nothing
+   interrupts still moves at full bandwidth. *)
+let slice_blocks = 32
+
 let create ~service ~stats =
   {
     service;
@@ -59,10 +101,12 @@ let create ~service ~stats =
     mode = Direct;
     head = -1;
     horizon = 0.0;
-    by_pos = By_pos.empty;
+    fg = By_pos.empty;
+    bg = By_pos.empty;
     by_tag = By_tag.empty;
     depth = 0;
     started = [];
+    run = None;
   }
 
 let mode t = t.mode
@@ -74,16 +118,28 @@ let set_horizon t h = t.horizon <- h
 let depth t = t.depth
 
 let reset t =
-  t.by_pos <- By_pos.empty;
+  t.fg <- By_pos.empty;
+  t.bg <- By_pos.empty;
   t.by_tag <- By_tag.empty;
   t.depth <- 0;
-  t.started <- []
+  t.started <- [];
+  t.run <- None
 
-let submit ?on_commit t ~now ~addr ~nblocks =
+(* Only reads are demoted, and only on a Queued device: the log's
+   writes keep their elevator order (see the interface), and a Direct
+   device services every request at submit time anyway. *)
+let submit ?on_commit ?(read = false) t ~now ~addr ~nblocks =
   let tag = !tag_counter in
   incr tag_counter;
-  let r = { tag; addr; nblocks; submit_s = now; on_commit } in
-  t.by_pos <- By_pos.add (addr, tag) r t.by_pos;
+  let background =
+    read && !in_background && match t.mode with Queued _ -> true | Direct -> false
+  in
+  let r =
+    { tag; addr; nblocks; submit_s = now; on_commit; background; next = addr;
+      ready_s = now }
+  in
+  if background then t.bg <- By_pos.add (addr, tag) r t.bg
+  else t.fg <- By_pos.add (addr, tag) r t.fg;
   t.by_tag <- By_tag.add tag r t.by_tag;
   t.depth <- t.depth + 1;
   if t.depth > t.stats.Io_stats.max_queue_depth then
@@ -92,16 +148,33 @@ let submit ?on_commit t ~now ~addr ~nblocks =
 
 (* C-LOOK: the next outstanding request at or beyond the head, lowest
    address first (ties break by submission order); when nothing lies
-   ahead, sweep back to the lowest address. *)
+   ahead, sweep back to the lowest address.  Background reads go only
+   when no foreground request is outstanding. *)
 let pick t =
-  match By_pos.find_first_opt (fun (addr, _) -> addr >= t.head) t.by_pos with
-  | Some (_, r) -> Some r
-  | None -> Option.map snd (By_pos.min_binding_opt t.by_pos)
+  let clook m =
+    match By_pos.find_first_opt (fun (pos, _) -> pos >= t.head) m with
+    | Some (_, r) -> Some r
+    | None -> Option.map snd (By_pos.min_binding_opt m)
+  in
+  if By_pos.is_empty t.fg then clook t.bg else clook t.fg
 
-let commit t r =
-  t.by_pos <- By_pos.remove (r.addr, r.tag) t.by_pos;
+let record t tag =
+  (* Only a Queued device is pumped; a Direct one would hoard its
+     completions for the life of the device. *)
+  match t.mode with
+  | Queued _ -> t.started <- (tag, t.horizon) :: t.started
+  | Direct -> ()
+
+let retire t r =
   t.by_tag <- By_tag.remove r.tag t.by_tag;
   t.depth <- t.depth - 1;
+  (* Deferred data plane last: a crash countdown tripping here must not
+     leave the request half-accounted in the time plane. *)
+  match r.on_commit with None -> () | Some f -> f ()
+
+let commit t r =
+  t.fg <- By_pos.remove (r.addr, r.tag) t.fg;
+  t.run <- None;
   let start = Float.max t.horizon r.submit_s in
   let dur, seeked = t.service ~head:t.head ~addr:r.addr ~nblocks:r.nblocks in
   if seeked then t.stats.Io_stats.seeks <- t.stats.Io_stats.seeks + 1;
@@ -110,20 +183,49 @@ let commit t r =
     t.stats.Io_stats.queue_wait_s +. (start -. r.submit_s);
   t.head <- r.addr + r.nblocks;
   t.horizon <- start +. dur;
-  (* Only a Queued device is pumped; a Direct one would hoard its
-     completions for the life of the device. *)
-  (match t.mode with
-  | Queued _ -> t.started <- (r.tag, t.horizon) :: t.started
-  | Direct -> ());
-  (* Deferred data plane last: a crash countdown tripping here must not
-     leave the request half-accounted in the time plane. *)
-  match r.on_commit with None -> () | Some f -> f ()
+  record t r.tag;
+  retire t r
+
+(* One slice of a background read.  A slice that continues the run the
+   head is in extends that transfer and pays only its own blocks'
+   transfer time; any other starts a new run, with its reposition and
+   per-IO overhead — the price of having yielded to foreground IO. *)
+let commit_slice t r =
+  t.bg <- By_pos.remove (r.next, r.tag) t.bg;
+  let n = min slice_blocks (r.addr + r.nblocks - r.next) in
+  let run =
+    match t.run with
+    | Some run when run.run_tag = r.tag ->
+        run.blocks <- run.blocks + n;
+        run
+    | _ ->
+        let start = Float.max t.horizon r.ready_s in
+        t.stats.Io_stats.queue_wait_s <-
+          t.stats.Io_stats.queue_wait_s +. (start -. r.ready_s);
+        let run =
+          { run_tag = r.tag; start; busy0 = t.stats.Io_stats.busy_s;
+            head0 = t.head; addr0 = r.next; blocks = n }
+        in
+        t.run <- Some run;
+        run
+  in
+  let dur, seeked = t.service ~head:run.head0 ~addr:run.addr0 ~nblocks:run.blocks in
+  if seeked && run.blocks = n then
+    t.stats.Io_stats.seeks <- t.stats.Io_stats.seeks + 1;
+  t.stats.Io_stats.busy_s <- run.busy0 +. dur;
+  t.horizon <- run.start +. dur;
+  r.next <- r.next + n;
+  r.ready_s <- t.horizon;
+  t.head <- r.next;
+  record t r.tag;
+  if r.next < r.addr + r.nblocks then t.bg <- By_pos.add (r.next, r.tag) r t.bg
+  else retire t r
 
 let service_next t =
   match pick t with
   | None -> false
   | Some r ->
-      commit t r;
+      if r.background then commit_slice t r else commit t r;
       true
 
 (* Service (in elevator order) until [tag] is no longer outstanding.
@@ -147,9 +249,10 @@ let drain t =
   t.horizon
 
 (* Event-driven servicing: once the horizon has passed, commit the
-   elevator's next pick, and hand back every service committed since the
-   last pump (including ones forced by [await]/[drain]) so the caller
-   can schedule completion events. *)
+   elevator's next pick (a whole foreground request or one background
+   slice), and hand back every service committed since the last pump
+   (including ones forced by [await]/[drain]) so the caller can
+   schedule completion events. *)
 let pump t ~now =
   if t.depth > 0 && t.horizon <= now then ignore (service_next t);
   let out = List.rev t.started in

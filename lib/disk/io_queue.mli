@@ -12,7 +12,28 @@
     In {!mode} [Direct] (the default for every device) a submit is
     serviced immediately, which reproduces the historical synchronous
     timings exactly; [Queued] defers service to {!await}, {!drain} and
-    {!pump}, letting queued requests overlap. *)
+    {!pump}, letting queued requests overlap.
+
+    {b Two service classes.}  Every request is {e foreground} except a
+    read submitted inside {!background} on a [Queued] device, which is
+    {e background}.  A background read has two rules:
+    - {e foreground first}: the elevator serves it only while no
+      foreground request is outstanding on its queue;
+    - {e slices}: it is served {!slice_blocks} at a time, and its tag
+      stays outstanding until the last slice.  A slice that continues
+      the same read with the head still in place pays only its
+      transfer (no reposition, no second per-IO overhead), so a read
+      nothing interrupts finishes when, and costs what, one transfer
+      of all its blocks would; a read that foreground IO preempted pays
+      a reposition when it resumes.
+    So a foreground request that arrives during a long background read
+    waits at most one slice.
+
+    Writes are never demoted, whatever the scope: the log's writes keep
+    their elevator order, so no log write retires behind a later one
+    and leaves a hole that roll-forward would stop at.  (Every
+    acknowledgement also waits on a sync barrier that awaits all
+    unconfirmed log writes, so the rule is not the only guard.) *)
 
 type t
 
@@ -31,6 +52,16 @@ val next_tag : unit -> int
 (** The tag the next submit (on any queue) will take.  Two reads around
     a block of work bracket every leaf transfer it submitted. *)
 
+val background : (unit -> 'a) -> 'a
+(** [background f] runs [f] with every read it submits to a [Queued]
+    device in the background class (restored on return or exception).
+    A global scope, like the tag counter: the serving engine wraps its
+    idle cleaner step in it. *)
+
+val slice_blocks : int
+(** The most blocks of a background read served at once (32, 128 KB:
+    about 100 ms of transfer on the Wren IV geometry). *)
+
 val create :
   service:(head:int -> addr:int -> nblocks:int -> float * bool) ->
   stats:Io_stats.t ->
@@ -40,8 +71,16 @@ val create :
     [queue_wait_s] and [max_queue_depth] into [stats]. *)
 
 val submit :
-  ?on_commit:(unit -> unit) -> t -> now:float -> addr:int -> nblocks:int -> int
-(** Enqueue a request that arrived at [now]; returns its tag.
+  ?on_commit:(unit -> unit) ->
+  ?read:bool ->
+  t ->
+  now:float ->
+  addr:int ->
+  nblocks:int ->
+  int
+(** Enqueue a request that arrived at [now]; returns its tag.  [read]
+    (default [false]) marks a read, which takes the background class
+    inside {!background} on a [Queued] queue.
     [on_commit] runs when the elevator services the request — the hook
     by which a device defers its data plane (payload persistence, crash
     countdowns) to commit order under [Queued] mode.  Exceptions raised
@@ -59,14 +98,19 @@ val drain : t -> float
     sync-barrier primitive. *)
 
 val pump : t -> now:float -> (int * float) list
-(** If the device is idle at [now], commit the elevator's next pick.
+(** If the device is idle at [now], commit the elevator's next pick: a
+    whole foreground request, or one slice of a background read.
     Returns every [(tag, finish)] committed in [Queued] mode since the
     last pump, oldest first, so the caller can schedule completion
-    events.  Services committed in [Direct] mode are not recorded: no
+    events — one per slice for a background read, so a caller that
+    ticks at each finish ticks at every slice boundary, where a
+    foreground arrival can take the device; the tag's last finish is
+    its completion.  Services committed in [Direct] mode are not recorded: no
     one pumps a Direct queue. *)
 
 val outstanding_in : t -> lo:int -> hi:int -> int
-(** Number of not-yet-serviced requests with tag in [\[lo, hi)]. *)
+(** Number of not-yet-serviced requests with tag in [\[lo, hi)]; a
+    partly served background read still counts. *)
 
 val completed : ticket -> bool
 (** Whether everything the ticket covers has been serviced, without

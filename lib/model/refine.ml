@@ -20,7 +20,8 @@
    FFS), so cuts land inside and after background passes.  [recorded] runs
    any {!Fsops} workload under a {!Fs_model.Recorder} — the serving
    engine ([check_engine], which runs its own queued pipeline at the
-   config's [io_depth]) and the crashtest workloads, which run Direct. *)
+   config's [io_depth], and with [bg_clean] the subject's idle step in
+   its idle windows) and the crashtest workloads, which run Direct. *)
 
 module Prng = Lfs_util.Prng
 module Disk = Lfs_disk.Disk
@@ -239,16 +240,32 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
           idle_passes = !idle_passes;
         } )
 
-  (* Run an {!Fsops} workload under a {!Fs_model.Recorder}. *)
-  let recorded workload () =
+  (* Run an {!Fsops} workload under a {!Fs_model.Recorder}.  With
+     [~idle:true] the workload's [clean_step] is the subject's idle step,
+     and the trace counts the calls that ran a cleaning pass. *)
+  let recorded ?(idle = false) workload () =
     let r = Fs_model.Recorder.create ~root:S.root in
-    ( (fun fs _devs -> workload (Fs_model.Recorder.instrument r (make_fsops fs))),
+    let idle_passes = ref 0 in
+    let fsops fs =
+      let ops = make_fsops fs in
+      if not idle then ops
+      else
+        {
+          ops with
+          Fsops.clean_step =
+            Some
+              (fun ~max_segments:_ ->
+                if S.idle fs then incr idle_passes;
+                0);
+        }
+    in
+    ( (fun fs _devs -> workload (Fs_model.Recorder.instrument r (fsops fs))),
       fun () ->
         {
           upto = Fs_model.Recorder.op r;
           durable = Fs_model.Recorder.durable r;
           events = Fs_model.Recorder.events r;
-          idle_passes = 0;
+          idle_passes = !idle_passes;
         } )
 
   type run = {
@@ -381,8 +398,10 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
     check_ops ?blocks ?io_depth ?stride ?cuts ~seed ~seq ops
 
   (* The serving engine's own generated load (group commit, admission
-     control, io-depth) as the op source. *)
+     control, io-depth) as the op source; with [bg_clean] its idle
+     windows run the subject's idle step. *)
   let check_engine ?blocks ?stride ?cuts ?(seed = 0) (ecfg : Engine.config) =
     sweep ?blocks ?stride ?cuts ~seed ~seq:(-1)
-      (recorded (fun fsops -> ignore (Engine.run ecfg fsops)))
+      (recorded ~idle:ecfg.Engine.bg_clean (fun fsops ->
+           ignore (Engine.run ecfg fsops)))
 end

@@ -345,17 +345,22 @@ let run (cfg : config) (fs : Fsops.t) =
     finish_op req;
     maybe_start ()
   (* Idle window with nothing in flight: run one budgeted cleaner step.
-     Its reads and the log writer's writes share the elevator, so victim
-     read-in overlaps write-out, and foreground arrivals keep starting
-     while it runs.  At most one step per modelled instant, so a
-     zero-cost geometry cannot spin the clock in place. *)
+     Its reads go in the device queues' background class: served in
+     slices, and only while no foreground IO is outstanding, so a
+     request arriving during a victim read waits at most one slice.
+     Its writes stay foreground, in elevator order with the log's other
+     writes.  Foreground arrivals keep starting while it runs.  At most
+     one step per modelled instant, so a zero-cost geometry cannot spin
+     the clock in place. *)
   and maybe_bg_clean () =
     match bg_step with
     | None -> ()
     | Some step ->
         if Sched.now sched > !bg_last then begin
           let lo = Vdev.next_tag () in
-          let (_ : int) = step ~max_segments:1 in
+          let (_ : int) =
+            Lfs_disk.Io_queue.background (fun () -> step ~max_segments:1)
+          in
           let hi = Vdev.next_tag () in
           if hi > lo then begin
             bg_last := Sched.now sched;

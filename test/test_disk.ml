@@ -546,6 +546,190 @@ let test_direct_leaves_nothing_to_pump () =
   Alcotest.(check (list int)) "only the queued request" [ tk ]
     (List.map fst (Disk.pump d ~now:infinity))
 
+(* ----- Background reads: foreground first, served in slices ----- *)
+
+let big = Geometry.wren_iv ~blocks:4096
+
+(* Pump as the engine's device ticks do: advance the clock to each
+   reported finish until the queue has nothing left to commit.  Returns
+   every report, oldest first. *)
+let pump_all d now =
+  let out = ref [] in
+  let rec go () =
+    match Disk.pump d ~now:!now with
+    | [] -> ()
+    | l ->
+        List.iter (fun (_, f) -> if f > !now then now := f) l;
+        out := List.rev_append l !out;
+        go ()
+  in
+  go ();
+  List.rev !out
+
+(* A disk whose head sits away from block 1000, in Direct mode. *)
+let warm_disk () =
+  let d = Disk.create big in
+  Disk.write_block d 3000 (block 'h');
+  d
+
+(* A background read that nothing interrupts is one transfer: the same
+   finish, busy time, seeks and queue wait as in the foreground class,
+   in both modes; only Queued mode slices it. *)
+let test_bg_read_uninterrupted_is_one_transfer () =
+  List.iter
+    (fun queued ->
+      let run bg =
+        let d = warm_disk () in
+        let now = ref 0.0 in
+        if queued then Disk.set_mode d (Io_queue.Queued (fun () -> !now));
+        let submit () = fst (Disk.submit_read d 1000 256) in
+        let tk = if bg then Io_queue.background submit else submit () in
+        let reports = pump_all d now in
+        let fin = Io_queue.await tk in
+        (fin, Disk.stats d, List.length reports)
+      in
+      let at what =
+        Printf.sprintf "%s: %s" (if queued then "queued" else "direct") what
+      in
+      let fin_fg, s_fg, n_fg = run false and fin_bg, s_bg, n_bg = run true in
+      Alcotest.(check (float 0.0)) (at "same finish") fin_fg fin_bg;
+      Alcotest.(check (float 0.0)) (at "same busy_s") s_fg.Io_stats.busy_s
+        s_bg.Io_stats.busy_s;
+      Alcotest.(check int) (at "same seeks") s_fg.Io_stats.seeks s_bg.Io_stats.seeks;
+      Alcotest.(check (float 0.0)) (at "same queue wait")
+        s_fg.Io_stats.queue_wait_s s_bg.Io_stats.queue_wait_s;
+      Alcotest.(check int) (at "foreground reported once")
+        (if queued then 1 else 0) n_fg;
+      Alcotest.(check int) (at "background reported per slice")
+        (if queued then 256 / Io_queue.slice_blocks else 0) n_bg)
+    [ false; true ]
+
+(* A foreground read submitted mid-slice waits only for that slice: it
+   starts at the slice's end and takes exactly its own service, while
+   the preempted read pays a reposition when it resumes. *)
+let test_fg_read_preempts_bg_read () =
+  let d = warm_disk () in
+  let now = ref 0.0 in
+  Disk.set_mode d (Io_queue.Queued (fun () -> !now));
+  let bg = leaf_tag (Io_queue.background (fun () -> fst (Disk.submit_read d 1000 256))) in
+  let slice_end =
+    match Disk.pump d ~now:0.0 with
+    | [ (tag, f) ] when tag = bg -> f
+    | _ -> Alcotest.fail "expected one slice of the background read"
+  in
+  now := slice_end /. 2.0;
+  let submitted = !now in
+  let fg = leaf_tag (fst (Disk.submit_read d 3500 1)) in
+  (* The device tick at the slice's end. *)
+  now := slice_end;
+  let reports = pump_all d now in
+  let fg_fin = List.assoc fg reports in
+  (* The same read alone, from where the slice left the head. *)
+  let own =
+    let twin = Disk.create big in
+    ignore (Disk.read_blocks twin 1000 Io_queue.slice_blocks);
+    let b0 = (Disk.stats twin).Io_stats.busy_s in
+    ignore (Disk.read_blocks twin 3500 1);
+    (Disk.stats twin).Io_stats.busy_s -. b0
+  in
+  Alcotest.(check int) "served right after the slice" fg (fst (List.hd reports));
+  Alcotest.(check (float 1e-12)) "finish = slice end + own service"
+    (slice_end +. own) fg_fin;
+  Alcotest.(check bool)
+    (Printf.sprintf "waited %.4f s, under one slice" (fg_fin -. submitted -. own))
+    true
+    (fg_fin -. submitted -. own < slice_end);
+  let whole =
+    let twin = warm_disk () in
+    let b0 = (Disk.stats twin).Io_stats.busy_s in
+    ignore (Disk.read_blocks twin 1000 256);
+    (Disk.stats twin).Io_stats.busy_s -. b0
+  in
+  Alcotest.(check bool) "far sooner than the whole read" true
+    (fg_fin < whole /. 2.0);
+  let bg_fin = List.fold_left (fun acc (t, f) -> if t = bg then f else acc) nan reports in
+  Alcotest.(check bool) "the resumed read paid a reposition" true
+    (bg_fin > whole +. own);
+  Alcotest.(check int) "nothing outstanding" 0 (Disk.queue_depth d)
+
+(* Only reads are demoted: a write submitted inside the background scope
+   is served whole and first, though the read lies nearer a cold head. *)
+let test_bg_scope_write_not_demoted () =
+  let d = Disk.create big in
+  let now = ref 0.0 in
+  Disk.set_mode d (Io_queue.Queued (fun () -> !now));
+  let w, r =
+    Io_queue.background (fun () ->
+        let w = leaf_tag (Disk.submit_write d 500 (Bytes.make (64 * 4096) 'w')) in
+        let r = leaf_tag (fst (Disk.submit_read d 100 64)) in
+        (w, r))
+  in
+  Alcotest.(check (list int)) "write whole, then the read's slices" [ w; r; r ]
+    (List.map fst (pump_all d now));
+  Helpers.check_bytes "write landed" (Bytes.make 4096 'w')
+    (snd (Disk.submit_read d 563 1));
+  ignore (Disk.drain d)
+
+(* A partly served background read stays outstanding and in the depth;
+   await, drain and pump finish it exactly as one transfer would; a
+   reset forgets it. *)
+let test_partly_served_bg_read () =
+  let partly () =
+    let d = warm_disk () in
+    let now = ref 0.0 in
+    Disk.set_mode d (Io_queue.Queued (fun () -> !now));
+    let tk = Io_queue.background (fun () -> fst (Disk.submit_read d 1000 256)) in
+    let tag = leaf_tag tk in
+    (match Disk.pump d ~now:0.0 with
+    | [ (_, f) ] -> now := f (* the device tick at the slice's end *)
+    | l -> Alcotest.failf "first slice: %d reports" (List.length l));
+    Alcotest.(check int) "still outstanding" 1
+      (Disk.outstanding_in d ~lo:tag ~hi:(tag + 1));
+    Alcotest.(check int) "still in the depth" 1 (Disk.queue_depth d);
+    Alcotest.(check bool) "not completed" false (Io_queue.completed tk);
+    (d, tk, now)
+  in
+  let whole =
+    let d = warm_disk () in
+    let now = ref 0.0 in
+    Disk.set_mode d (Io_queue.Queued (fun () -> !now));
+    Io_queue.await (fst (Disk.submit_read d 1000 256))
+  in
+  let rest = (256 / Io_queue.slice_blocks) - 1 in
+  let check_rest what d fin =
+    Alcotest.(check (float 0.0)) (what ^ ": one transfer's finish") whole fin;
+    Alcotest.(check int) (what ^ ": nothing outstanding") 0 (Disk.queue_depth d);
+    let later = Disk.pump d ~now:infinity in
+    Alcotest.(check int) (what ^ ": remaining slices reported") rest
+      (List.length later);
+    let fins = List.map snd later in
+    Alcotest.(check bool) (what ^ ": oldest first") true
+      (List.sort Float.compare fins = fins);
+    Alcotest.(check (float 0.0)) (what ^ ": last report is the finish") whole
+      (List.nth fins (rest - 1))
+  in
+  (let d, tk, _ = partly () in
+   let fin = Io_queue.await tk in
+   Alcotest.(check bool) "await: completed" true (Io_queue.completed tk);
+   check_rest "await" d fin);
+  (let d, _, _ = partly () in
+   check_rest "drain" d (Disk.drain d));
+  (let d, _, now = partly () in
+   let reports = pump_all d now in
+   Alcotest.(check int) "pump: remaining slices" rest (List.length reports);
+   Alcotest.(check (float 0.0)) "pump: one transfer's finish" whole
+     (snd (List.nth reports (rest - 1))));
+  let d, tk, now = partly () in
+  Disk.reboot d;
+  Alcotest.(check int) "reset: nothing outstanding" 0 (Disk.queue_depth d);
+  Alcotest.(check bool) "reset: forgotten" true (Io_queue.completed tk);
+  Alcotest.(check int) "reset: nothing to report" 0
+    (List.length (Disk.pump d ~now:infinity));
+  let again = Io_queue.background (fun () -> fst (Disk.submit_read d 1032 32)) in
+  Alcotest.(check int) "reset: a new read is served afresh" 1
+    (List.length (pump_all d now));
+  Alcotest.(check bool) "reset: and completes" true (Io_queue.completed again)
+
 (* The cache keeps its own copy of every block: mutating a buffer after
    handing it to a write, or a buffer a read returned (whole-range miss,
    partial hit, full hit), never changes what the cache serves next. *)
@@ -976,6 +1160,11 @@ let suite =
       Alcotest.test_case "vdev read length validated" `Quick test_vdev_read_length_validated;
       Alcotest.test_case "pump oldest first" `Quick test_pump_oldest_first;
       Alcotest.test_case "direct leaves nothing to pump" `Quick test_direct_leaves_nothing_to_pump;
+      Alcotest.test_case "bg read uninterrupted is one transfer" `Quick
+        test_bg_read_uninterrupted_is_one_transfer;
+      Alcotest.test_case "fg read preempts bg read" `Quick test_fg_read_preempts_bg_read;
+      Alcotest.test_case "bg scope write not demoted" `Quick test_bg_scope_write_not_demoted;
+      Alcotest.test_case "partly served bg read" `Quick test_partly_served_bg_read;
       Alcotest.test_case "cache owns its blocks" `Quick test_cache_owns_its_blocks;
       Alcotest.test_case "store: unwritten blocks read zero" `Quick test_store_unwritten_reads_zero;
       Alcotest.test_case "store: snapshot, restore, save/load" `Quick test_store_round_trips;

@@ -252,8 +252,8 @@ let bg_fs_config =
     bg_clean_stop = 10;
   }
 
-let prefilled_bg_fs () =
-  let dev = Vdev.of_disk (Disk.create (engine_geom ~blocks:4096 ())) in
+let prefilled_bg_fs ?(view = Fun.id) () =
+  let dev = view (Vdev.of_disk (Disk.create (engine_geom ~blocks:4096 ()))) in
   Fs.format dev bg_fs_config;
   let fs = Fs.mount dev in
   let payload = Bytes.make 32768 'p' in
@@ -541,6 +541,140 @@ let test_max_batch_still_flushes_early () =
   Alcotest.(check bool) "more, smaller flushes" true
     (capped.Engine.flushes > uncapped.Engine.flushes)
 
+(* An idle step's victim read yields to foreground IO at slice
+   boundaries.  One client over the prefilled image, with the pool
+   below the stop watermark so idle steps clean: a write whose flush
+   starts while one of the idle step's reads is in service must finish
+   within one slice plus its flush's own device time.  The test watches
+   the device's completions through its [pump] and times each flush's
+   own service from them (one device serves one request at a time, so a
+   service starts at the later of its submit and the previous
+   finish). *)
+let test_write_waits_one_slice_behind_bg_read () =
+  let read_tags = Hashtbl.create 64 in
+  let note_reads (v : Vdev.t) =
+    let into ?now addr n buf ~pos =
+      let lo = Vdev.next_tag () in
+      let tk = v.Vdev.submit_read_into ?now addr n buf ~pos in
+      for tag = lo to Vdev.next_tag () - 1 do
+        Hashtbl.replace read_tags tag ()
+      done;
+      tk
+    in
+    let block_size = v.Vdev.block_size in
+    {
+      v with
+      Vdev.submit_read_into = into;
+      submit_read = Vdev.alloc_submit_read ~block_size into;
+      read_blocks = Vdev.alloc_read_blocks ~block_size into;
+    }
+  in
+  let dev, fs = prefilled_bg_fs ~view:note_reads () in
+  (* Below the stop watermark: the first idle windows clean. *)
+  let payload = Bytes.make 32768 'q' in
+  for g = 0 to 7 do
+    Fs.write_path fs (Printf.sprintf "/fill/g%d" ((2 * g) + 1)) payload
+  done;
+  Fs.sync fs;
+  let clock () =
+    match Vdev.get_mode dev with Vdev.Queued c -> c () | Vdev.Direct -> nan
+  in
+  let reports = ref [] and step_range = ref (0, 0) and wrote = ref false in
+  let flushes = ref [] in
+  let base = Fsops.of_lfs fs in
+  let step = Option.get base.Fsops.clean_step in
+  (* Whether one of the last idle step's reads is in service at [now]:
+     committed, with its latest reported finish still ahead. *)
+  let fin_of = Hashtbl.create 256 in
+  let step_read_in_service now =
+    let lo, hi = !step_range in
+    List.exists
+      (fun tag ->
+        Hashtbl.mem read_tags tag
+        && match Hashtbl.find_opt fin_of tag with Some f -> f > now | None -> false)
+      (List.init (hi - lo) (( + ) lo))
+  in
+  let fsops =
+    {
+      base with
+      Fsops.devices =
+        [
+          {
+            dev with
+            Vdev.pump =
+              (fun ~now ->
+                let l = dev.Vdev.pump ~now in
+                List.iter (fun (tag, f) -> Hashtbl.replace fin_of tag f) l;
+                reports := List.rev_append l !reports;
+                l);
+          };
+        ];
+      write =
+        (fun ino ~off b ->
+          wrote := true;
+          base.Fsops.write ino ~off b);
+      clean_step =
+        Some
+          (fun ~max_segments ->
+            let lo = Vdev.next_tag () in
+            let owed = step ~max_segments in
+            step_range := (lo, Vdev.next_tag ());
+            owed);
+      sync =
+        (fun () ->
+          let s = clock () and lo = Vdev.next_tag () in
+          let watch = !wrote && step_read_in_service s in
+          wrote := false;
+          base.Fsops.sync ();
+          if watch then flushes := (s, lo, Vdev.next_tag ()) :: !flushes);
+    }
+  in
+  let r =
+    Engine.run
+      { bg_cfg with Engine.clients = 1; ops_per_client = 40; think_mean_s = 0.1;
+        seed = 1 }
+      fsops
+  in
+  Alcotest.(check bool) "idle steps cleaned" true (r.Engine.bg_clean_steps > 0);
+  let reports = List.rev !reports in
+  let g = engine_geom () in
+  (* The longest slice: a full reposition, then the slice's transfer. *)
+  let one_slice =
+    (1.75 *. g.Geometry.avg_seek_s)
+    +. g.Geometry.rotational_latency_s +. g.Geometry.per_io_overhead_s
+    +. float_of_int (Lfs_disk.Io_queue.slice_blocks * g.Geometry.block_size)
+       /. g.Geometry.bandwidth_bytes_per_s
+  in
+  let timing (s, lo, hi) =
+    let own = ref 0.0 and fin = ref neg_infinity and prev = ref neg_infinity in
+    List.iter
+      (fun (tag, f) ->
+        if tag >= lo && tag < hi then begin
+          own := !own +. (f -. Float.max !prev s);
+          fin := Float.max !fin f
+        end;
+        prev := f)
+      reports;
+    (!fin, !own)
+  in
+  let waited = ref 0 in
+  List.iter
+    (fun ((s, lo, hi) as fl) ->
+      let fin, own = timing fl in
+      if hi > lo && fin > neg_infinity then begin
+        if fin -. s > own +. 1e-9 then incr waited;
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "flush at %.4f s done in %.4f s: within one slice (%.4f s) plus \
+              its own %.4f s"
+             s (fin -. s) one_slice own)
+          true
+          (fin -. s <= one_slice +. own +. 1e-9)
+      end)
+    (List.rev !flushes);
+  Alcotest.(check bool) "some write waited behind a victim read" true
+    (!waited > 0)
+
 let suite =
   ( "server",
     [
@@ -572,4 +706,6 @@ let suite =
         test_followers_start_at_completion;
       Alcotest.test_case "max_batch still flushes early" `Quick
         test_max_batch_still_flushes_early;
+      Alcotest.test_case "write waits one slice behind a bg read" `Quick
+        test_write_waits_one_slice_behind_bg_read;
     ] )
