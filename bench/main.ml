@@ -1066,7 +1066,9 @@ let shard () =
    requests' service times — the p95/p99 write-latency cliff.  With
    --bg-clean the engine runs budgeted single-victim cleaner steps in
    idle windows ("clean during idle periods", paper Section 4), paced by
-   the background watermarks, and the tail collapses. *)
+   the background watermarks, and the tail falls; foreground passes that
+   remain (a victim's space returns only once its read has completed)
+   set the p99. *)
 let server_bgclean () =
   header
     "Server - background vs foreground cleaning at high disk utilisation"

@@ -47,9 +47,7 @@ let pass_size t max_segments =
    memory (Section 3.3), so they push no client block out. *)
 let read_into t first len buf ~pos =
   Metrics.incr ~by:len t.acct.cleaner_read;
-  ignore
-    (Vdev_cache.submit_read_no_fill t.cache first len buf ~pos
-      : Lfs_disk.Io_queue.ticket)
+  Vdev_cache.submit_read_no_fill t.cache first len buf ~pos
 
 (* Liveness tests of Section 3.3 for a data block: version (uid) first —
    a stale version discards the block with no further IO — then the
@@ -140,17 +138,41 @@ let classify_live t (e : Summary.entry) addr payload =
    summary's own address.  The cleaner applies no sequence rule: a
    stale summary from a previous life of the segment, sitting where the
    chain continues, is walked too, and the entries it describes simply
-   fail the liveness checks. *)
+   fail the liveness checks.  A victim read ahead ({!read_ahead})
+   comes with its buffer, and only blocks it lacks are read.  Returns
+   the read and the live items. *)
 let read_victim t seg =
   let first = Layout.seg_first_block t.layout seg and bs = block_size t in
-  let buf = Buf_pool.take t.victim_bufs in
-  t.pass_bufs <- buf :: t.pass_bufs;
-  let whole = t.config.Config.cleaner_read = Config.Whole_segment in
-  if whole then read_into t first t.layout.Layout.seg_blocks buf ~pos:0;
-  let read slot len =
-    if not whole then read_into t (first + slot) len buf ~pos:(slot * bs);
-    (buf, slot * bs)
+  let a =
+    match List.partition (fun a -> a.seg = seg) t.ahead with
+    | a :: _, rest ->
+        t.ahead <- rest;
+        (* A pass relocates from the buffer, so its reads come first: a
+           background pass finds them done, a foreground one forces
+           them. *)
+        List.iter (fun tk -> ignore (Lfs_disk.Io_queue.await tk : float)) a.reads;
+        a
+    | [], _ ->
+        {
+          seg;
+          buf = Buf_pool.take t.victim_bufs;
+          have = Array.make t.layout.Layout.seg_blocks false;
+          reads = [];
+        }
   in
+  let read slot len =
+    let held = ref true in
+    for i = slot to slot + len - 1 do
+      held := !held && a.have.(i)
+    done;
+    if not !held then begin
+      a.reads <- read_into t (first + slot) len a.buf ~pos:(slot * bs) :: a.reads;
+      Array.fill a.have slot len true
+    end;
+    (a.buf, slot * bs)
+  in
+  let whole = t.config.Config.cleaner_read = Config.Whole_segment in
+  if whole then ignore (read 0 t.layout.Layout.seg_blocks);
   let need s i (e : Summary.entry) =
     (not whole)
     &&
@@ -172,22 +194,25 @@ let read_victim t seg =
       : bool);
   (* Classified once the walk is done, so the handles liveness loads
      are read after the victim. *)
-  List.concat_map
-    (fun s ->
-      List.concat
-        (List.mapi
-           (fun i (e : Summary.entry) ->
-             let addr = Summary.entry_addr s t.layout i in
-             classify_live t e addr (fun () -> (buf, (addr - first) * bs))
-             |> List.map (fun item -> (item, e.Summary.mtime)))
-           s.Summary.entries)
-      @ List.filter_map
-          (fun (iaddr, (inode : Inode.t)) ->
-            if inode_live t inode.Inode.ino iaddr then
-              Some (Live_inode inode.Inode.ino, inode.Inode.mtime)
-            else None)
-          (Summary.inline_inodes s t.layout))
-    (List.rev !walked)
+  let items =
+    List.concat_map
+      (fun s ->
+        List.concat
+          (List.mapi
+             (fun i (e : Summary.entry) ->
+               let addr = Summary.entry_addr s t.layout i in
+               classify_live t e addr (fun () -> (a.buf, (addr - first) * bs))
+               |> List.map (fun item -> (item, e.Summary.mtime)))
+             s.Summary.entries)
+        @ List.filter_map
+            (fun (iaddr, (inode : Inode.t)) ->
+              if inode_live t inode.Inode.ino iaddr then
+                Some (Live_inode inode.Inode.ino, inode.Inode.mtime)
+              else None)
+            (Summary.inline_inodes s t.layout))
+      (List.rev !walked)
+  in
+  (a, items)
 
 let relocate_item t item =
   match item with
@@ -229,8 +254,11 @@ let clean_victims t ~bg victims =
       Metrics.observe t.obs.victim_fill u;
       Metrics.observe t.obs.victim_age
         (Float.max 0.0 (t.clock -. Seg_usage.mtime t.usage seg));
-      if Seg_usage.live_bytes t.usage seg > 0 then
-        live := List.rev_append (read_victim t seg) !live)
+      if Seg_usage.live_bytes t.usage seg > 0 then begin
+        let a, items = read_victim t seg in
+        t.pass_bufs <- a.buf :: t.pass_bufs;
+        live := List.rev_append items !live
+      end)
     victims;
   let ordered =
     Cleaner.order_for_grouping ~grouping:t.config.Config.grouping_policy
@@ -260,6 +288,50 @@ let clean_victims t ~bg victims =
    [clean_start] any yield matters. *)
 let bg_max_u = 0.95
 
+(* The victims of one budgeted batch, from the dirty-segment ids in
+   [candidates]: the policy's pick — or, for a background pass, the
+   victims read ahead for it that are still worth cleaning — bounded
+   by what the reusable pool can absorb. *)
+let choose_victims t ~bg ~max_victims ~candidates =
+  let scored =
+    Fs_state.candidates t ~keep:(fun _ -> true) !candidates
+    |> List.filter (fun c -> (not bg) || c.Cleaner.u <= bg_max_u)
+  in
+  let victims =
+    if bg && t.ahead <> [] then
+      List.filter
+        (fun seg -> List.exists (fun c -> c.Cleaner.seg = seg) scored)
+        (List.rev_map (fun a -> a.seg) t.ahead)
+    else
+      (* Below the critical threshold (the pool can no longer absorb
+         even one buffer flush), yield is all that matters: fall back to
+         greedy so a cost-benefit (or ablation) policy that favours old
+         nearly-full segments cannot starve the writer of clean
+         segments. *)
+      let policy =
+        if Seg_pool.length t.pool < flush_need t then Config.Greedy
+        else t.config.Config.cleaning_policy
+      in
+      Cleaner.select ~policy
+        ~rand:(fun n -> Prng.int t.rng n)
+        ~candidates:scored ~count:max_victims ()
+  in
+  (* Relocation writes into clean segments before any victim is freed,
+     so bound the pass by what the reusable pool can absorb, keeping one
+     segment of slack for the checkpoint and 30% headroom for the inode
+     and indirect blocks rewritten alongside the relocated data. *)
+  let budget = Float.max 0.7 (float_of_int (Seg_pool.length t.pool - 1)) in
+  let acc = ref 0.0 in
+  List.filter
+    (fun s ->
+      let cost = (Seg_usage.utilization t.usage s *. 1.3) +. 0.05 in
+      if !acc +. cost <= budget then begin
+        acc := !acc +. cost;
+        true
+      end
+      else false)
+    victims
+
 (* One budgeted victim batch.  [candidates] holds the dirty-segment ids
    scanned once by [drive]; cleaned victims are subtracted so later
    passes never re-walk the whole usage table.  Utilisation and age are
@@ -272,40 +344,7 @@ let bg_max_u = 0.95
 let clean_pass t ~bg ~max_victims ~candidates =
   op_span t (if bg then t.obs.bg_busy else t.obs.fg_busy) @@ fun () ->
   let before = clean_segment_count t in
-  let scored =
-    Fs_state.candidates t ~keep:(fun _ -> true) !candidates
-    |> List.filter (fun c -> (not bg) || c.Cleaner.u <= bg_max_u)
-  in
-  (* Below the critical threshold (the pool can no longer absorb even
-     one buffer flush), yield is all that matters: fall back to greedy
-     so a cost-benefit (or ablation) policy that favours old nearly-full
-     segments cannot starve the writer of clean segments. *)
-  let policy =
-    if Seg_pool.length t.pool < flush_need t then Config.Greedy
-    else t.config.Config.cleaning_policy
-  in
-  let victims =
-    Cleaner.select ~policy
-      ~rand:(fun n -> Prng.int t.rng n)
-      ~candidates:scored ~count:max_victims ()
-  in
-  (* Relocation writes into clean segments before any victim is freed,
-     so bound the pass by what the reusable pool can absorb, keeping one
-     segment of slack for the checkpoint and 30% headroom for the inode
-     and indirect blocks rewritten alongside the relocated data. *)
-  let budget = Float.max 0.7 (float_of_int (Seg_pool.length t.pool - 1)) in
-  let victims =
-    let acc = ref 0.0 in
-    List.filter
-      (fun s ->
-        let cost = (Seg_usage.utilization t.usage s *. 1.3) +. 0.05 in
-        if !acc +. cost <= budget then begin
-          acc := !acc +. cost;
-          true
-        end
-        else false)
-      victims
-  in
+  let victims = choose_victims t ~bg ~max_victims ~candidates in
   if victims = [] then (0, 0, 0.0)
   else begin
     let slack =
@@ -408,30 +447,63 @@ let bg_pending t =
    free, and with nothing else changing the pool would never rise. *)
 let bg_churn_slack = 2.0
 
+(* Under {!Lfs_disk.Io_queue.background} on a queued device, a
+   background pass's victim reads are background: they complete only as
+   foreground IO leaves the disk idle, and the survivors must not reach
+   the log before they are read — a client flush would carry them, or
+   queue behind them, ahead of the read.  So such a pass reads its
+   victims ahead and stops; the next step's pass relocates them, once
+   every read has completed.  A victim's blocks cannot change meanwhile
+   (a dirty segment is never rewritten, and the checkpoint that could
+   hand it out again drops the read-ahead), and liveness is judged when
+   the pass runs.  Returns whether the pass must wait for outstanding
+   reads (a victim served whole from the block cache need not). *)
+let read_ahead t ~max_victims ~candidates =
+  if not (Lfs_disk.Io_queue.reads_background (Vdev.get_mode t.disk)) then false
+  else begin
+    (* Read-aheads no longer worth cleaning give way to fresh victims. *)
+    if t.ahead <> [] && choose_victims t ~bg:true ~max_victims ~candidates = []
+    then drop_ahead t;
+    if t.ahead = [] then
+      List.iter
+        (fun seg ->
+          if Seg_usage.live_bytes t.usage seg > 0 then
+            t.ahead <- fst (read_victim t seg) :: t.ahead)
+        (choose_victims t ~bg:true ~max_victims ~candidates);
+    not
+      (List.for_all
+         (fun a -> List.for_all Lfs_disk.Io_queue.completed a.reads)
+         t.ahead)
+  end
+
 let bg_clean_step t ~max_victims =
   if t.in_cleaner || bg_pending t = 0 then 0
   else
     drive t (fun candidates ->
-        let cleaned, freed, slack = clean_pass t ~bg:true ~max_victims ~candidates in
-        (* Every change ticks the clock: a pass after one starts anew. *)
-        if freed > 0 || t.clock <> t.bg_clock then t.bg_slack <- 0.0;
-        if freed <= 0 then t.bg_slack <- t.bg_slack +. slack;
-        t.bg_clock <- t.clock;
-        if cleaned = 0 || t.bg_slack >= bg_churn_slack then begin
-          (* Nothing worth cleaning: every remaining dirty segment is
-             pinned, nearly fully live, or over budget; or the passes
-             only churn.  Disengage so an idle caller stops spinning —
-             the watermarks may simply be unreachable at this
-             utilisation; the latch re-arms when the pool next drains
-             below the low watermark.  (A pass that cleaned a victim but
-             freed nothing net may still have compacted — the log just
-             rolled into a fresh segment — so one such pass keeps the
-             latch engaged.) *)
-          t.bg_active <- false;
-          t.bg_slack <- 0.0;
-          0
-        end
-        else bg_pending t)
+        if read_ahead t ~max_victims ~candidates then bg_pending t
+        else
+          let cleaned, freed, slack =
+            clean_pass t ~bg:true ~max_victims ~candidates
+          in
+          (* Every change ticks the clock: a pass after one starts anew. *)
+          if freed > 0 || t.clock <> t.bg_clock then t.bg_slack <- 0.0;
+          if freed <= 0 then t.bg_slack <- t.bg_slack +. slack;
+          t.bg_clock <- t.clock;
+          if cleaned = 0 || t.bg_slack >= bg_churn_slack then begin
+            (* Nothing worth cleaning: every remaining dirty segment is
+               pinned, nearly fully live, or over budget; or the passes
+               only churn.  Disengage so an idle caller stops spinning —
+               the watermarks may simply be unreachable at this
+               utilisation; the latch re-arms when the pool next drains
+               below the low watermark.  (A pass that cleaned a victim but
+               freed nothing net may still have compacted — the log just
+               rolled into a fresh segment — so one such pass keeps the
+               latch engaged.) *)
+            t.bg_active <- false;
+            t.bg_slack <- 0.0;
+            0
+          end
+          else bg_pending t)
 
 (* An idle step first serves the compaction watermarks (clean space is
    the scarcer resource), then spends leftover idleness demoting cold

@@ -191,6 +191,16 @@ let usage_table u =
     clear_dirty = Seg_usage.clear_block_dirty u;
   }
 
+(* A victim read ahead of the pass that relocates it (see
+   {!Clean.read_ahead}): its buffer, which of its slots the buffer
+   holds, and the reads filling them. *)
+type ahead = {
+  seg : int;
+  buf : bytes;
+  have : bool array;
+  mutable reads : Lfs_disk.Io_queue.ticket list;
+}
+
 type t = {
   disk : Vdev.t;  (* the device the caller handed us (may itself be a stack) *)
   cache : Vdev_cache.t;
@@ -218,6 +228,7 @@ type t = {
   edge_buf : Buf_pool.Scratch.t;  (* a file read's part-covered run: see {!Fs.read_run} *)
   victim_bufs : Buf_pool.t;  (* one segment each: see {!Clean.read_victim} *)
   mutable pass_bufs : bytes list;  (* taken by this pass, one per victim *)
+  mutable ahead : ahead list;  (* victims read ahead, for the next pass *)
   mutable clock : float;
   mutable ops_since_ckpt : int;
   mutable blocks_since_ckpt : int;
@@ -517,7 +528,16 @@ let sync t =
 
 (* {1 Checkpoints} *)
 
+(* Give back the read-aheads [drop] selects (default: every one). *)
+let drop_ahead ?(drop = fun _ -> true) t =
+  let gone, kept = List.partition drop t.ahead in
+  List.iter (fun a -> Buf_pool.give t.victim_bufs a.buf) gone;
+  t.ahead <- kept
+
+(* Clean segments become reusable only here, and may then be rewritten,
+   so no read-ahead of a clean one outlives it. *)
 let refresh_pool t =
+  drop_ahead t ~drop:(fun a -> Seg_usage.is_clean t.usage a.seg);
   Seg_pool.refresh t.pool t.usage ~active:(Log_writer.active_segments t.log)
 
 (* Append a fresh copy of table block [i] and kill the old one.  The
@@ -704,6 +724,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
         Buf_pool.create ~bound:config.Config.segs_per_pass
           (layout.Layout.seg_blocks * layout.Layout.block_size);
       pass_bufs = [];
+      ahead = [];
       clock;
       ops_since_ckpt = 0;
       blocks_since_ckpt = 0;

@@ -46,6 +46,13 @@ type t = {
 
 exception Crashed
 
+(* The media-transfer time of [nblocks] at full bandwidth. *)
+let transfer_fn geometry ~nblocks =
+  if geometry.Geometry.bandwidth_bytes_per_s = infinity then 0.0
+  else
+    float_of_int (nblocks * geometry.Geometry.block_size)
+    /. geometry.Geometry.bandwidth_bytes_per_s
+
 (* Modelled duration of one transfer: reposition (none when the head is
    already at [addr]), transfer at media bandwidth, fixed per-IO
    overhead.  A cold head ([-1], fresh or rebooted device) pays an
@@ -62,13 +69,9 @@ let service_fn geometry ~head ~addr ~nblocks =
       +. geometry.Geometry.rotational_latency_s
     end
   in
-  let transfer =
-    if geometry.Geometry.bandwidth_bytes_per_s = infinity then 0.0
-    else
-      float_of_int (nblocks * geometry.Geometry.block_size)
-      /. geometry.Geometry.bandwidth_bytes_per_s
-  in
-  (reposition +. transfer +. geometry.Geometry.per_io_overhead_s, seeked)
+  ( reposition +. transfer_fn geometry ~nblocks
+    +. geometry.Geometry.per_io_overhead_s,
+    seeked )
 
 let create geometry =
   let stats = Io_stats.create () in
@@ -76,7 +79,9 @@ let create geometry =
     geometry;
     data = store_create (Geometry.capacity_bytes geometry);
     stats;
-    queue = Io_queue.create ~service:(service_fn geometry) ~stats;
+    queue =
+      Io_queue.create ~service:(service_fn geometry)
+        ~transfer:(transfer_fn geometry) ~stats;
     crash_countdown = None;
     crash_cut = Prefix;
     crashed = false;

@@ -18,7 +18,6 @@ type req = {
   tag : int;
   addr : int;
   nblocks : int;
-  submit_s : float;
   on_commit : (unit -> unit) option;
       (* data-plane action deferred to service time (queued writes) *)
   background : bool;
@@ -40,22 +39,10 @@ module By_tag = Map.Make (Int)
 
 type mode = Direct | Queued of (unit -> float)
 
-(* Consecutive slices of one background read served back to back with
-   the head already in place: one transfer, timed as a whole from its
-   first slice, so an uninterrupted read costs exactly what one transfer
-   of all its blocks costs. *)
-type run = {
-  run_tag : int;
-  start : float;
-  busy0 : float;  (* [busy_s] before the run's first slice *)
-  head0 : int;
-  addr0 : int;
-  mutable blocks : int;
-}
-
 type t = {
   service : head:int -> addr:int -> nblocks:int -> float * bool;
       (* modelled duration of one transfer and whether it repositioned *)
+  transfer : nblocks:int -> float;  (* the media-transfer part alone *)
   stats : Io_stats.t;
   mutable mode : mode;
   mutable head : int;  (* block index just past the previous transfer *)
@@ -68,7 +55,7 @@ type t = {
   mutable started : (int * float) list;
       (* Queued-mode services committed since the last [pump], newest
          first: (tag, finish) *)
-  mutable run : run option;  (* the background transfer the head is in *)
+  mutable last : int;  (* tag of the last service, -1 for none *)
 }
 
 type ticket = Done | Tag of t * int | Join of ticket list
@@ -81,12 +68,16 @@ let next_tag () = !tag_counter
 
 (* Whether reads submitted now take the background class: a scope, like
    the tag counter, shared by every queue in a stack. *)
-let in_background = ref false
+let background_scope = ref false
 
 let background f =
-  let outer = !in_background in
-  in_background := true;
-  Fun.protect ~finally:(fun () -> in_background := outer) f
+  let outer = !background_scope in
+  background_scope := true;
+  Fun.protect ~finally:(fun () -> background_scope := outer) f
+
+let reads_background = function
+  | Queued _ -> !background_scope
+  | Direct -> false
 
 (* The longest piece of a background read served at once: 128 KB, about
    100 ms of transfer on the Wren IV, so a foreground request arriving
@@ -94,9 +85,10 @@ let background f =
    interrupts still moves at full bandwidth. *)
 let slice_blocks = 32
 
-let create ~service ~stats =
+let create ~service ~transfer ~stats =
   {
     service;
+    transfer;
     stats;
     mode = Direct;
     head = -1;
@@ -106,7 +98,7 @@ let create ~service ~stats =
     by_tag = By_tag.empty;
     depth = 0;
     started = [];
-    run = None;
+    last = -1;
   }
 
 let mode t = t.mode
@@ -123,7 +115,7 @@ let reset t =
   t.by_tag <- By_tag.empty;
   t.depth <- 0;
   t.started <- [];
-  t.run <- None
+  t.last <- -1
 
 (* Only reads are demoted, and only on a Queued device: the log's
    writes keep their elevator order (see the interface), and a Direct
@@ -131,12 +123,9 @@ let reset t =
 let submit ?on_commit ?(read = false) t ~now ~addr ~nblocks =
   let tag = !tag_counter in
   incr tag_counter;
-  let background =
-    read && !in_background && match t.mode with Queued _ -> true | Direct -> false
-  in
+  let background = read && reads_background t.mode in
   let r =
-    { tag; addr; nblocks; submit_s = now; on_commit; background; next = addr;
-      ready_s = now }
+    { tag; addr; nblocks; on_commit; background; next = addr; ready_s = now }
   in
   if background then t.bg <- By_pos.add (addr, tag) r t.bg
   else t.fg <- By_pos.add (addr, tag) r t.fg;
@@ -172,52 +161,41 @@ let retire t r =
      leave the request half-accounted in the time plane. *)
   match r.on_commit with None -> () | Some f -> f ()
 
-let commit t r =
-  t.fg <- By_pos.remove (r.addr, r.tag) t.fg;
-  t.run <- None;
-  let start = Float.max t.horizon r.submit_s in
-  let dur, seeked = t.service ~head:t.head ~addr:r.addr ~nblocks:r.nblocks in
-  if seeked then t.stats.Io_stats.seeks <- t.stats.Io_stats.seeks + 1;
+(* Serve [n] blocks of [r] from its next unserved one.  A piece that
+   continues the request the device served last (the next slice of a
+   background read, the head already in place) extends that transfer
+   and pays only its own blocks' transfer time; any other pays a whole
+   service: reposition, transfer and per-IO overhead. *)
+let serve t r n =
+  let start = Float.max t.horizon r.ready_s in
+  let dur =
+    if t.last = r.tag then t.transfer ~nblocks:n
+    else begin
+      let dur, seeked = t.service ~head:t.head ~addr:r.next ~nblocks:n in
+      if seeked then t.stats.Io_stats.seeks <- t.stats.Io_stats.seeks + 1;
+      dur
+    end
+  in
   t.stats.Io_stats.busy_s <- t.stats.Io_stats.busy_s +. dur;
   t.stats.Io_stats.queue_wait_s <-
-    t.stats.Io_stats.queue_wait_s +. (start -. r.submit_s);
-  t.head <- r.addr + r.nblocks;
+    t.stats.Io_stats.queue_wait_s +. (start -. r.ready_s);
+  t.last <- r.tag;
+  r.next <- r.next + n;
+  r.ready_s <- start +. dur;
+  t.head <- r.next;
   t.horizon <- start +. dur;
-  record t r.tag;
+  record t r.tag
+
+let commit t r =
+  t.fg <- By_pos.remove (r.addr, r.tag) t.fg;
+  serve t r r.nblocks;
   retire t r
 
-(* One slice of a background read.  A slice that continues the run the
-   head is in extends that transfer and pays only its own blocks'
-   transfer time; any other starts a new run, with its reposition and
-   per-IO overhead — the price of having yielded to foreground IO. *)
+(* One slice of a background read; the rest goes back in the elevator
+   at the position of its next block. *)
 let commit_slice t r =
   t.bg <- By_pos.remove (r.next, r.tag) t.bg;
-  let n = min slice_blocks (r.addr + r.nblocks - r.next) in
-  let run =
-    match t.run with
-    | Some run when run.run_tag = r.tag ->
-        run.blocks <- run.blocks + n;
-        run
-    | _ ->
-        let start = Float.max t.horizon r.ready_s in
-        t.stats.Io_stats.queue_wait_s <-
-          t.stats.Io_stats.queue_wait_s +. (start -. r.ready_s);
-        let run =
-          { run_tag = r.tag; start; busy0 = t.stats.Io_stats.busy_s;
-            head0 = t.head; addr0 = r.next; blocks = n }
-        in
-        t.run <- Some run;
-        run
-  in
-  let dur, seeked = t.service ~head:run.head0 ~addr:run.addr0 ~nblocks:run.blocks in
-  if seeked && run.blocks = n then
-    t.stats.Io_stats.seeks <- t.stats.Io_stats.seeks + 1;
-  t.stats.Io_stats.busy_s <- run.busy0 +. dur;
-  t.horizon <- run.start +. dur;
-  r.next <- r.next + n;
-  r.ready_s <- t.horizon;
-  t.head <- r.next;
-  record t r.tag;
+  serve t r (min slice_blocks (r.addr + r.nblocks - r.next));
   if r.next < r.addr + r.nblocks then t.bg <- By_pos.add (r.next, r.tag) r t.bg
   else retire t r
 

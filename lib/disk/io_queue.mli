@@ -21,19 +21,21 @@
       foreground request is outstanding on its queue;
     - {e slices}: it is served {!slice_blocks} at a time, and its tag
       stays outstanding until the last slice.  A slice that continues
-      the same read with the head still in place pays only its
-      transfer (no reposition, no second per-IO overhead), so a read
-      nothing interrupts finishes when, and costs what, one transfer
-      of all its blocks would; a read that foreground IO preempted pays
-      a reposition when it resumes.
+      the same read, served right after the previous one, pays only its
+      blocks' transfer time (no reposition, no second per-IO overhead),
+      so a read nothing interrupts costs what one transfer of all its
+      blocks costs; a read that foreground IO preempted pays a
+      reposition when it resumes.
     So a foreground request that arrives during a long background read
     waits at most one slice.
 
     Writes are never demoted, whatever the scope: the log's writes keep
     their elevator order, so no log write retires behind a later one
-    and leaves a hole that roll-forward would stop at.  (Every
-    acknowledgement also waits on a sync barrier that awaits all
-    unconfirmed log writes, so the rule is not the only guard.) *)
+    and leaves a hole that roll-forward would stop at.  A background
+    read is thus no place for data a write is about to carry: the
+    cleaner, whose idle-time victim reads are the background class's
+    one user, relocates a victim only on a later step, once its reads
+    have completed ({!reads_background}). *)
 
 type t
 
@@ -58,17 +60,24 @@ val background : (unit -> 'a) -> 'a
     A global scope, like the tag counter: the serving engine wraps its
     idle cleaner step in it. *)
 
+val reads_background : mode -> bool
+(** Whether a read submitted now to a device in this mode takes the
+    background class: inside {!background} on a [Queued] device. *)
+
 val slice_blocks : int
 (** The most blocks of a background read served at once (32, 128 KB:
     about 100 ms of transfer on the Wren IV geometry). *)
 
 val create :
   service:(head:int -> addr:int -> nblocks:int -> float * bool) ->
+  transfer:(nblocks:int -> float) ->
   stats:Io_stats.t ->
   t
 (** [service] returns the modelled duration of one transfer and whether
-    it repositioned the head; the queue accumulates [busy_s], [seeks],
-    [queue_wait_s] and [max_queue_depth] into [stats]. *)
+    it repositioned the head; [transfer] its media-transfer part alone,
+    what a continued slice of a background read costs.  The queue
+    accumulates [busy_s], [seeks], [queue_wait_s] and [max_queue_depth]
+    into [stats]. *)
 
 val submit :
   ?on_commit:(unit -> unit) ->

@@ -240,24 +240,21 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
           idle_passes = !idle_passes;
         } )
 
-  (* Run an {!Fsops} workload under a {!Fs_model.Recorder}.  With
-     [~idle:true] the workload's [clean_step] is the subject's idle step,
-     and the trace counts the calls that ran a cleaning pass. *)
-  let recorded ?(idle = false) workload () =
+  (* Run an {!Fsops} workload under a {!Fs_model.Recorder}.  The
+     workload's [clean_step] is the subject's idle step, and the trace
+     counts the calls that ran a cleaning pass. *)
+  let recorded workload () =
     let r = Fs_model.Recorder.create ~root:S.root in
     let idle_passes = ref 0 in
     let fsops fs =
-      let ops = make_fsops fs in
-      if not idle then ops
-      else
-        {
-          ops with
-          Fsops.clean_step =
-            Some
-              (fun ~max_segments:_ ->
-                if S.idle fs then incr idle_passes;
-                0);
-        }
+      {
+        (make_fsops fs) with
+        Fsops.clean_step =
+          Some
+            (fun ~max_segments:_ ->
+              if S.idle fs then incr idle_passes;
+              0);
+      }
     in
     ( (fun fs _devs -> workload (Fs_model.Recorder.instrument r (fsops fs))),
       fun () ->
@@ -402,6 +399,5 @@ module Make (S : Lfs_spec.Spec.SUBJECT) = struct
      windows run the subject's idle step. *)
   let check_engine ?blocks ?stride ?cuts ?(seed = 0) (ecfg : Engine.config) =
     sweep ?blocks ?stride ?cuts ~seed ~seq:(-1)
-      (recorded ~idle:ecfg.Engine.bg_clean (fun fsops ->
-           ignore (Engine.run ecfg fsops)))
+      (recorded (fun fsops -> ignore (Engine.run ecfg fsops)))
 end

@@ -347,11 +347,13 @@ let run (cfg : config) (fs : Fsops.t) =
   (* Idle window with nothing in flight: run one budgeted cleaner step.
      Its reads go in the device queues' background class: served in
      slices, and only while no foreground IO is outstanding, so a
-     request arriving during a victim read waits at most one slice.
-     Its writes stay foreground, in elevator order with the log's other
-     writes.  Foreground arrivals keep starting while it runs.  At most
-     one step per modelled instant, so a zero-cost geometry cannot spin
-     the clock in place. *)
+     request arriving during a victim read waits at most one slice.  A
+     step that reads victims relocates nothing: the next step does,
+     once those reads completed, so no log write carries a block before
+     it was read.  The step's writes stay foreground, in elevator order
+     with the log's other writes.  Foreground arrivals keep starting
+     while it runs.  At most one step per modelled instant, so a
+     zero-cost geometry cannot spin the clock in place. *)
   and maybe_bg_clean () =
     match bg_step with
     | None -> ()

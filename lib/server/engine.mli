@@ -69,11 +69,13 @@ type config = {
           IO is in flight.  A step's reads go in the device queues'
           background class ({!Lfs_disk.Io_queue.background}): served in
           slices, and only while no foreground IO is outstanding, so a
-          request arriving mid-read waits at most one slice.  Its
-          writes stay foreground.  [server.bg_clean.busy_s] (each
-          step's modelled time from start to its last IO) includes the
-          time its reads spent yielding to foreground IO.  No-op on
-          backends without a cleaner *)
+          request arriving mid-read waits at most one slice.  A step
+          that reads victims relocates them on a later step, once the
+          reads completed; its writes stay foreground.
+          [server.bg_clean.busy_s] (each step's modelled time from
+          start to its last IO) includes the time its reads spent
+          yielding to foreground IO.  No-op on backends without a
+          cleaner *)
   io_depth : int;
       (** requests with device IO in flight together.  The device stack
           runs queued submission for the whole run: the per-device

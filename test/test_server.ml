@@ -675,6 +675,128 @@ let test_write_waits_one_slice_behind_bg_read () =
   Alcotest.(check bool) "some write waited behind a victim read" true
     (!waited > 0)
 
+let fs_counter fs name =
+  match Metrics.value (Fs.metrics fs) name with
+  | Some (Metrics.Int n) -> n
+  | _ -> 0
+
+(* Drain the prefilled image's pool into the background band, so the
+   latch engages and idle steps clean. *)
+let into_bg_band fs =
+  let payload = Bytes.make 32768 'r' in
+  let g = ref 1 in
+  while Fs.clean_segment_count fs >= bg_fs_config.Lfs_core.Config.bg_clean_start do
+    Fs.write_path fs (Printf.sprintf "/fill/g%d" !g) payload;
+    Fs.sync fs;
+    g := !g + 2
+  done
+
+(* On a queued device inside the background scope, an idle step that
+   reads a victim relocates nothing; a step while those reads are
+   outstanding neither relocates nor reads (it may restock the pool);
+   the step after they completed relocates the victim without reading
+   it again.  On a Direct device one step reads and relocates. *)
+let test_idle_step_reads_ahead () =
+  let step fs =
+    Lfs_disk.Io_queue.background (fun () -> Fs.clean_step ~max_segments:1 fs)
+  in
+  let passes fs = fs_counter fs "fs.cleaner.bg.passes" in
+  let read fs = fs_counter fs "fs.cleaner.blocks_read" in
+  (* Step (settling the device between steps) until one reads a victim. *)
+  let until_read dev fs =
+    let rec go n =
+      if n = 0 then Alcotest.fail "no idle step read a victim";
+      let r0 = read fs and p0 = passes fs in
+      ignore (step fs : int);
+      if read fs = r0 then begin
+        ignore (Vdev.drain dev : float);
+        go (n - 1)
+      end
+      else p0
+    in
+    go 8
+  in
+  (let dev, fs = prefilled_bg_fs () in
+   into_bg_band fs;
+   Fs.drop_caches fs;
+   let p0 = until_read dev fs in
+   Alcotest.(check int) "direct: the reading step relocates" (p0 + 1) (passes fs));
+  let dev, fs = prefilled_bg_fs () in
+  into_bg_band fs;
+  Fs.drop_caches fs;
+  let now = ref 0.0 in
+  Vdev.set_mode dev (Vdev.Queued (fun () -> !now));
+  let p0 = until_read dev fs in
+  Alcotest.(check int) "queued: the reading step relocates nothing" p0 (passes fs);
+  let r1 = read fs in
+  ignore (step fs : int);
+  Alcotest.(check int) "reads outstanding: no victim read again" r1 (read fs);
+  Alcotest.(check int) "reads outstanding: nothing relocated" p0 (passes fs);
+  ignore (Vdev.drain dev : float);
+  ignore (step fs : int);
+  Alcotest.(check int) "reads done: the next step relocates" (p0 + 1) (passes fs);
+  Alcotest.(check int) "from the blocks already read" r1 (read fs);
+  ignore (Vdev.drain dev : float);
+  Vdev.set_mode dev Vdev.Direct;
+  Helpers.fsck_clean fs
+
+(* In the engine no log write carries a relocated block before the
+   read that fetched it from the device has completed: an idle step
+   that reads the device appends no survivor, and a step that appends
+   survivors (from victims read earlier, or served by the block cache)
+   starts with every earlier step's IO complete.  Survivors reach the
+   log only in appends, so neither the step's own writes nor a client
+   flush can carry one early. *)
+let test_survivors_follow_victim_reads () =
+  let dev, fs = prefilled_bg_fs () in
+  into_bg_band fs;
+  Fs.drop_caches fs;
+  let moved () = fs_counter fs "fs.log.blocks_cleaner" in
+  let device_reads () = (Vdev.stats dev).Lfs_disk.Io_stats.blocks_read in
+  let base = Fsops.of_lfs fs in
+  let step = Option.get base.Fsops.clean_step in
+  let reading = ref 0 and relocating = ref 0 and steps = ref [] in
+  let fsops =
+    {
+      base with
+      Fsops.clean_step =
+        Some
+          (fun ~max_segments ->
+            let pending =
+              List.exists
+                (fun (lo, hi) -> Vdev.outstanding_in dev ~lo ~hi > 0)
+                !steps
+            in
+            let read0 = device_reads () and moved0 = moved ()
+            and lo = Vdev.next_tag () in
+            let owed = step ~max_segments in
+            steps := (lo, Vdev.next_tag ()) :: !steps;
+            let read = device_reads () - read0 and moved = moved () - moved0 in
+            if read > 0 then begin
+              incr reading;
+              Alcotest.(check int)
+                "a step reading the device appends no survivor" 0 moved
+            end;
+            if moved > 0 then begin
+              incr relocating;
+              Alcotest.(check bool)
+                "a relocating step starts with every step's IO done" false
+                pending
+            end;
+            owed);
+    }
+  in
+  let r =
+    Engine.run
+      { bg_cfg with Engine.clients = 1; ops_per_client = 40; think_mean_s = 0.1;
+        seed = 1 }
+      fsops
+  in
+  Alcotest.(check int) "all ops completed" 40 r.Engine.completed;
+  Alcotest.(check bool) "steps read victims" true (!reading > 0);
+  Alcotest.(check bool) "steps relocated survivors" true (!relocating > 0);
+  Helpers.fsck_clean fs
+
 let suite =
   ( "server",
     [
@@ -708,4 +830,7 @@ let suite =
         test_max_batch_still_flushes_early;
       Alcotest.test_case "write waits one slice behind a bg read" `Quick
         test_write_waits_one_slice_behind_bg_read;
+      Alcotest.test_case "idle step reads ahead" `Quick test_idle_step_reads_ahead;
+      Alcotest.test_case "survivors follow victim reads" `Quick
+        test_survivors_follow_victim_reads;
     ] )
