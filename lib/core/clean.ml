@@ -77,12 +77,6 @@ type live_item =
   | Live_inode of Types.ino
   | Live_table_block of table * int
 
-(* Whether the inode map places [ino] at [iaddr]. *)
-let inode_live t ino iaddr =
-  ino >= 0
-  && ino < Inode_map.max_inodes t.imap
-  && Types.Iaddr.equal (Inode_map.location t.imap ino) iaddr
-
 (* The live items an entry of a victim stands for (Section 3.3). *)
 let classify_live t (e : Summary.entry) addr payload =
   match e.Summary.kind with
@@ -116,7 +110,7 @@ let classify_live t (e : Summary.entry) addr payload =
         match Inode.decode_ino b ~pos ~slot with
         | None -> ()
         | Some ino ->
-            if inode_live t ino (Types.Iaddr.make ~block:addr ~slot) then
+            if inode_at t ino (Types.Iaddr.make ~block:addr ~slot) then
               acc := Live_inode ino :: !acc
       done;
       List.rev !acc
@@ -206,7 +200,7 @@ let read_victim t seg =
              s.Summary.entries)
         @ List.filter_map
             (fun (iaddr, (inode : Inode.t)) ->
-              if inode_live t inode.Inode.ino iaddr then
+              if inode_at t inode.Inode.ino iaddr then
                 Some (Live_inode inode.Inode.ino, inode.Inode.mtime)
               else None)
             (Summary.inline_inodes s t.layout))

@@ -705,8 +705,8 @@ let live_breakdown t =
   let total_bytes = List.fold_left (fun acc (_, b) -> acc + b) 0 by_kind in
   { by_kind; total_bytes }
 
-let iter_files t f =
-  flush t ~cleaner:false;
+let iter_files ?(flush = true) t f =
+  if flush then Fs_state.flush t ~cleaner:false;
   Inode_map.iter_allocated t.imap (fun ino _ ->
       let h = get_handle t ino in
       f ino h.inode)

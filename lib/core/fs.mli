@@ -252,8 +252,9 @@ val live_breakdown : t -> live_breakdown
 (** Walk all live structures and attribute bytes by kind (Table 4's
     "Live data" column).  Flushes first. *)
 
-val iter_files : t -> (Types.ino -> Inode.t -> unit) -> unit
-(** Visit every allocated inode (flushed state). *)
+val iter_files : ?flush:bool -> t -> (Types.ino -> Inode.t -> unit) -> unit
+(** Visit every allocated inode, after a flush unless [~flush:false]
+    (then buffered writes are not yet in the inodes' block maps). *)
 
 val with_handle : t -> Types.ino -> (Inode.t -> Filemap.t -> 'a) -> 'a
 (** Read-only access to a file's inode and block map (for fsck). *)

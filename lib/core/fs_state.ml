@@ -270,12 +270,17 @@ let with_block t addr f = Vdev_cache.with_block t.cache addr f
 let clean_segment_count t = Seg_usage.clean_count t.usage
 
 (* The one kill path: every dying byte in the log — a block, or an inode
-   in its slot — is subtracted here. *)
+   in its slot — is subtracted here.  A whole block that dies leaves the
+   block cache, so the cache holds only live blocks (Section 2.1's file
+   cache, which a dead copy would only crowd).  It was written by an
+   earlier batch, whose write has already entered it.  Never called
+   inside a [with_block] borrow. *)
 let kill t addr ~bytes =
   let seg = Layout.seg_of_block t.layout addr in
   if seg < 0 then
     Types.corrupt "attempt to kill fixed-area block %d" addr;
   Seg_usage.kill t.usage seg ~bytes;
+  if bytes = block_size t then Vdev_cache.invalidate t.cache addr;
   if Seg_usage.live_bytes t.usage seg = 0 then begin
     (* The next life of the segment starts with no reads counted. *)
     Hashtbl.remove t.tier_reads seg;
@@ -284,12 +289,40 @@ let kill t addr ~bytes =
     if not (Seg_pool.is_victim t.pool seg) then Metrics.incr t.acct.self_emptied
   end
 
-(* The old on-disk copy of an inode dies, if it has one. *)
+(* Whether the inode map places [ino] at [iaddr]. *)
+let inode_at t ino iaddr =
+  ino >= 0
+  && ino < Inode_map.max_inodes t.imap
+  && Types.Iaddr.equal (Inode_map.location t.imap ino) iaddr
+
+(* Whether [b], block [block], holds a live inode in a slot other than
+   [slot].  In a summary only the last slots hold inodes; the inode map
+   places none in the others. *)
+let holds_other_inode t block ~slot b =
+  let rec from s =
+    s < t.layout.Layout.inodes_per_block
+    && ((s <> slot
+        &&
+        match Inode.slot_ino b ~slot:s with
+        | Some ino -> inode_at t ino (Types.Iaddr.make ~block ~slot:s)
+        | None -> false)
+       || from (s + 1))
+  in
+  from 0
+
+(* The old on-disk copy of an inode dies, if it has one.  Log writes
+   never cache a block of inodes, so a resident one came in on a handle
+   miss; it leaves the cache with its last live inode. *)
 let kill_inode t iaddr =
   if
     (not (Types.Iaddr.is_nil iaddr))
     && not (Types.Iaddr.equal iaddr placeholder_iaddr)
-  then kill t (Types.Iaddr.block iaddr) ~bytes:t.layout.Layout.inode_size
+  then begin
+    let block = Types.Iaddr.block iaddr and slot = Types.Iaddr.slot iaddr in
+    kill t block ~bytes:t.layout.Layout.inode_size;
+    if Vdev_cache.peek t.cache block (holds_other_inode t block ~slot) = Some false
+    then Vdev_cache.invalidate t.cache block
+  end
 
 (* Every log write is routed by temperature (Section 3.5): fresh
    foreground data to head 0, cleaner survivors to the cold head(s).
@@ -565,39 +598,43 @@ let checkpoint t =
       (fun () ->
         flush t ~cleaner:false;
         (* The checkpoint's own IO starts here: the flush above wrote
-           foreground data.  (On a queued device that data's service
-           time is charged when the barrier below retires it.) *)
+           foreground data.  Its blocks are counted at submit; its
+           device time is metered by request, so on a queued device
+           the sample lands when the region write is served, and the
+           flush's data, which the barrier below retires, is not in
+           it. *)
         let before = Io_stats.copy (Vdev.stats t.disk) in
-        (* A batch may auto-sync mid-cycle, in which case the cycle's
-           later appends re-dirty already-written table blocks — so
-           cycles repeat until a whole cycle lands in one batch and
-           nothing is dirty after the sync. *)
-        let cycles = ref 0 in
-        while List.exists (fun tb -> tb.dirty () <> []) t.tables do
-          incr cycles;
-          if !cycles > 100 then
-            Types.corrupt "checkpoint: metadata flush failed to converge";
-          List.iter
-            (fun tb -> List.iter (rewrite_table_block t tb) (tb.dirty ()))
-            t.tables;
-          Log_writer.sync t.log
-        done;
-        (* The checkpoint region must not land ahead of the log blocks
-           it points at: barrier before writing it. *)
-        ignore (Log_writer.barrier t.log);
-        let region =
-          {
-            Checkpoint.timestamp = t.clock;
-            log_seq = Log_writer.seq t.log;
-            heads = Log_writer.positions t.log;
-            imap_addrs =
-              Array.init (Inode_map.nblocks t.imap) (Inode_map.block_addr t.imap);
-            usage_addrs =
-              Array.init (Seg_usage.nblocks t.usage) (Seg_usage.block_addr t.usage);
-          }
-        in
-        Checkpoint.write t.layout t.disk ~scratch:t.ckpt_buf
-          ~region:t.ckpt_region region;
+        Lfs_disk.Io_queue.metered (Metrics.observe t.obs.ckpt_busy) (fun () ->
+          (* A batch may auto-sync mid-cycle, in which case the cycle's
+             later appends re-dirty already-written table blocks — so
+             cycles repeat until a whole cycle lands in one batch and
+             nothing is dirty after the sync. *)
+          let cycles = ref 0 in
+          while List.exists (fun tb -> tb.dirty () <> []) t.tables do
+            incr cycles;
+            if !cycles > 100 then
+              Types.corrupt "checkpoint: metadata flush failed to converge";
+            List.iter
+              (fun tb -> List.iter (rewrite_table_block t tb) (tb.dirty ()))
+              t.tables;
+            Log_writer.sync t.log
+          done;
+          (* The checkpoint region must not land ahead of the log blocks
+             it points at: barrier before writing it. *)
+          ignore (Log_writer.barrier t.log);
+          let region =
+            {
+              Checkpoint.timestamp = t.clock;
+              log_seq = Log_writer.seq t.log;
+              heads = Log_writer.positions t.log;
+              imap_addrs =
+                Array.init (Inode_map.nblocks t.imap) (Inode_map.block_addr t.imap);
+              usage_addrs =
+                Array.init (Seg_usage.nblocks t.usage) (Seg_usage.block_addr t.usage);
+            }
+          in
+          Checkpoint.write t.layout t.disk ~scratch:t.ckpt_buf
+            ~region:t.ckpt_region region);
         t.ckpt_region <- 1 - t.ckpt_region;
         t.ops_since_ckpt <- 0;
         t.blocks_since_ckpt <- 0;
@@ -606,7 +643,6 @@ let checkpoint t =
         maybe_evict_handles t;
         t.checkpoint_hook ();
         let d = Io_stats.diff (Vdev.stats t.disk) before in
-        Metrics.observe t.obs.ckpt_busy d.Io_stats.busy_s;
         Metrics.observe t.obs.ckpt_blocks
           (float_of_int d.Io_stats.blocks_written))
   end
@@ -694,7 +730,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
     !log_batch_hook ~blocks
   in
   let log =
-    Log_writer.create layout dev ~pick_clean:(Seg_pool.pick pool) ~on_append
+    Log_writer.create layout cache ~pick_clean:(Seg_pool.pick pool) ~on_append
       ~on_batch ~heads ~seq
   in
   let t =

@@ -8,6 +8,42 @@ type report = {
 
 let is_clean r = r.errors = []
 
+(* The reachability walk: [inode ino i] for each allocated inode, and
+   [claim addr ~bytes what] for all that is live — each inode's slot
+   ([inode_size] bytes), the data and indirect blocks its map holds and
+   every inode-map and usage-table block (a whole block each). *)
+let walk ?flush fs ~inode ~claim =
+  let layout = Fs.layout fs in
+  let bs = layout.Layout.block_size in
+  Fs.iter_files ?flush fs (fun ino i ->
+      inode ino i;
+      claim
+        (Types.Iaddr.block (Fs.imap_location fs ino))
+        ~bytes:layout.Layout.inode_size (Printf.sprintf "inode %d" ino);
+      Fs.with_handle fs ino (fun _ fmap ->
+          Filemap.iter_mapped fmap (fun blockno addr ->
+              claim addr ~bytes:bs (Printf.sprintf "data %d.%d" ino blockno));
+          List.iter
+            (fun (sblockno, addr) ->
+              claim addr ~bytes:bs (Printf.sprintf "indirect %d.%d" ino sblockno))
+            (Filemap.indirect_blocks fmap)));
+  for i = 0 to layout.Layout.imap_blocks - 1 do
+    let addr = Fs.imap_block_addr fs i in
+    if addr <> Types.nil_addr then claim addr ~bytes:bs (Printf.sprintf "imap block %d" i)
+  done;
+  List.iteri
+    (fun i addr ->
+      if addr <> Types.nil_addr then
+        claim addr ~bytes:bs (Printf.sprintf "usage block %d" i))
+    (Fs.usage_block_addrs fs)
+
+let live_blocks fs =
+  let live = ref [] in
+  walk ~flush:false fs
+    ~inode:(fun _ _ -> ())
+    ~claim:(fun addr ~bytes:_ what -> live := (addr, what) :: !live);
+  List.sort compare !live
+
 let check fs =
   Fs.sync fs;
   let layout = Fs.layout fs in
@@ -35,54 +71,36 @@ let check fs =
       end
     end
   in
-  (* Inodes, block maps, data blocks. *)
+  (* Inodes, block maps, data blocks, the inode map and usage table. *)
   let allocated = ref [] in
-  Fs.iter_files fs (fun ino inode ->
-      allocated := ino :: !allocated;
-      if inode.Inode.ino <> ino then
-        error "inode %d stores number %d" ino inode.Inode.ino;
-      (match inode.Inode.ftype with
-      | Types.Regular -> incr files
-      | Types.Directory -> incr directories);
-      (* Roll-forward's orphan sweep trusts a known type word: a
-         directory the map calls regular would lose its subtree. *)
-      (match Fs.imap_ftype fs ino with
-      | Some ftype when ftype <> inode.Inode.ftype ->
-          let name = function
-            | Types.Regular -> "regular"
-            | Types.Directory -> "directory"
-          in
-          error "inode %d: inode map's type word says %s, inode says %s" ino
-            (name ftype) (name inode.Inode.ftype)
-      | Some _ | None -> ());
-      let iaddr = Fs.imap_location fs ino in
-      claim (Types.Iaddr.block iaddr) ~bytes:layout.Layout.inode_size
-        (Printf.sprintf "inode %d" ino);
-      Fs.with_handle fs ino (fun inode fmap ->
-          let max_blocks = (inode.Inode.size + bs - 1) / bs in
-          Filemap.iter_mapped fmap (fun blockno addr ->
-              incr live_data;
-              if blockno >= max_blocks then
-                error "inode %d: block %d beyond size %d" ino blockno
-                  inode.Inode.size;
-              claim addr ~bytes:bs (Printf.sprintf "data %d.%d" ino blockno));
-          List.iter
-            (fun (sblockno, addr) ->
-              incr live_indirect;
-              claim addr ~bytes:bs
-                (Printf.sprintf "indirect %d.%d" ino sblockno))
-            (Filemap.indirect_blocks fmap)));
-  (* Inode map and usage table blocks. *)
-  for i = 0 to layout.Layout.imap_blocks - 1 do
-    let addr = Fs.imap_block_addr fs i in
-    if addr <> Types.nil_addr then
-      claim addr ~bytes:bs (Printf.sprintf "imap block %d" i)
-  done;
-  List.iteri
-    (fun i addr ->
-      if addr <> Types.nil_addr then
-        claim addr ~bytes:bs (Printf.sprintf "usage block %d" i))
-    (Fs.usage_block_addrs fs);
+  let inode ino (inode : Inode.t) =
+    allocated := ino :: !allocated;
+    if inode.Inode.ino <> ino then
+      error "inode %d stores number %d" ino inode.Inode.ino;
+    (match inode.Inode.ftype with
+    | Types.Regular -> incr files
+    | Types.Directory -> incr directories);
+    (* Roll-forward's orphan sweep trusts a known type word: a
+       directory the map calls regular would lose its subtree. *)
+    (match Fs.imap_ftype fs ino with
+    | Some ftype when ftype <> inode.Inode.ftype ->
+        let name = function
+          | Types.Regular -> "regular"
+          | Types.Directory -> "directory"
+        in
+        error "inode %d: inode map's type word says %s, inode says %s" ino
+          (name ftype) (name inode.Inode.ftype)
+    | Some _ | None -> ());
+    Fs.with_handle fs ino (fun inode fmap ->
+        let max_blocks = (inode.Inode.size + bs - 1) / bs in
+        Filemap.iter_mapped fmap (fun blockno _ ->
+            incr live_data;
+            if blockno >= max_blocks then
+              error "inode %d: block %d beyond size %d" ino blockno
+                inode.Inode.size);
+        live_indirect := !live_indirect + List.length (Filemap.indirect_blocks fmap))
+  in
+  walk fs ~inode ~claim;
   (* Usage-table accounting must match the recomputation exactly. *)
   for s = 0 to layout.Layout.nsegs - 1 do
     let actual = Fs.segment_live_bytes fs s in

@@ -28,5 +28,14 @@ type report = {
 val check : Fs.t -> report
 (** Flushes, then validates.  [report.errors = []] means consistent. *)
 
+val live_blocks : Fs.t -> (Types.baddr * string) list
+(** Every block {!check}'s reachability walk finds live, each with what
+    it is, ascending by address: whole blocks (["data 7.15"], ino 7's
+    block 15; ["indirect 7.-2"]; ["imap block 0"]; ["usage block 1"])
+    and the blocks that hold a live inode (["inode 7"]: an inode block
+    or a summary, once per inode).  The mount's state is taken as it
+    stands: nothing is flushed, so a buffered write has not yet
+    replaced the block it overwrites. *)
+
 val is_clean : report -> bool
 val pp_report : Format.formatter -> report -> unit

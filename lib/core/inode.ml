@@ -62,6 +62,12 @@ let decode_ino ?(pos = 0) b ~slot =
     Some (Codec.get_u32 c)
   end
 
+(* The magic byte, then the ftype and link count, then the ino. *)
+let slot_ino ?(pos = 0) b ~slot =
+  let off = pos + (slot * slot_size) in
+  if Bytes.get_uint8 b off <> slot_magic then None
+  else Some (Int32.to_int (Bytes.get_int32_le b (off + 4)) land 0xffffffff)
+
 let decode ?(pos = 0) b ~slot =
   let c = Codec.at b (pos + (slot * slot_size)) in
   if not (slot_used c ~slot) then None

@@ -52,6 +52,12 @@ val decode_ino : ?pos:int -> bytes -> slot:int -> Types.ino option
     (default 0) of the buffer, checking only the magic: what {!decode}
     would return as [ino], without building the inode. *)
 
+val slot_ino : ?pos:int -> bytes -> slot:int -> Types.ino option
+(** As {!decode_ino}, but [None] for any slot whose first byte is not
+    the magic, without raising: a block only partly made of inode slots
+    (a summary's header and entries before its inline inodes) can be
+    scanned slot by slot. *)
+
 val clear_slot : bytes -> slot:int -> unit
 (** Mark a slot unused. *)
 

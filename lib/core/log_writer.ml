@@ -1,4 +1,5 @@
 module Vdev = Lfs_disk.Vdev
+module Vdev_cache = Lfs_disk.Vdev_cache
 module Io_queue = Lfs_disk.Io_queue
 
 type payload = Bytes of bytes * int | Lazy of (bytes -> pos:int -> unit)
@@ -42,13 +43,16 @@ type head = {
 
 type t = {
   layout : Layout.t;
-  disk : Vdev.t;
+  cache : Vdev_cache.t;  (* every batch is written through it *)
   pick_clean : exclude:int list -> int;
   on_append : Types.block_kind -> seg:int -> mtime:float -> unit;
   on_batch : head:int -> addr:int -> blocks:int -> unit;
   xfer : Lfs_util.Buf_pool.Scratch.t;
       (* the transfer buffer every batch is rendered into and written
          from, grown to the largest batch written (at most a segment) *)
+  keep : bool array;
+      (* which blocks of the batch being written enter the cache, by
+         index in the write (the summary is index 0) *)
   sums : int array;
       (* the payload checksum of the block this writer last wrote at each
          log address (index: address - seg_start), -1 when unknown *)
@@ -61,15 +65,16 @@ type t = {
 
 let watermark_hook = ref Fun.id
 
-let create layout disk ~pick_clean ~on_append ~on_batch ~heads ~seq =
+let create layout cache ~pick_clean ~on_append ~on_batch ~heads ~seq =
   if Array.length heads = 0 then invalid_arg "Log_writer: no heads";
   {
     layout;
-    disk;
+    cache;
     pick_clean;
     on_append;
     on_batch;
     xfer = Lfs_util.Buf_pool.Scratch.create ();
+    keep = Array.make layout.Layout.seg_blocks false;
     sums = Array.make (layout.Layout.nsegs * layout.Layout.seg_blocks) (-1);
     heads =
       Array.map
@@ -123,6 +128,17 @@ let place ~bs buf dst = function
       Bytes.blit b pos buf dst bs
   | Lazy render -> render buf ~pos:dst
 
+(* The payload kinds a batch write caches: the blocks that die whole,
+   which the file system's kill path takes back out of the cache.  An
+   inode block dies a slot at a time and a dir-log block is never
+   killed (it is dead once a checkpoint covers it), so neither would
+   ever leave; they and the summary are written around the cache, and a
+   later read of one (an inode on a handle miss) fetches it. *)
+let cached_kind = function
+  | Types.Data | Types.Indirect | Types.Dindirect | Types.Imap | Types.Seg_usage ->
+      true
+  | Types.Inode_block | Types.Dir_log | Types.Summary -> false
+
 (* The seq of the oldest batch write, on any head, that has not
    completed, or [t.seq] when every one has: each earlier batch is on
    the medium.  Completed writes leave the front of [in_flight] as they
@@ -157,7 +173,8 @@ let fits t h ?(more = 0) ?(record_bytes = 0) ?(inodes = 0) () =
    block's new address and folded into the batch's.  The summary goes
    in last, its inline records and inodes rendered into it before its
    checksum is taken.  A batch may carry only inline metadata: then
-   the write is its summary alone. *)
+   the write is its summary alone.  The write enters into the cache
+   only the payload blocks of a [cached_kind]. *)
 let sync_head t i =
   let h = t.heads.(i) in
   if h.batch_slot >= 0 then begin
@@ -172,6 +189,7 @@ let sync_head t i =
       (fun k p ->
         let dst = (k + 1) * bs in
         place ~bs buf dst p.payload;
+        t.keep.(k + 1) <- cached_kind p.kind;
         let sum =
           if p.sum >= 0 then p.sum
           else Summary.payload_checksum ~pos:dst ~len:bs buf
@@ -213,7 +231,11 @@ let sync_head t i =
        queued IO the write pipelines ahead of the next fsync barrier.
        The device takes the data at submit, so the buffer is free for
        the next batch as soon as this returns. *)
-    let tk = Vdev.submit_write_from t.disk addr (h.batch_count + 1) buf ~pos:0 in
+    t.keep.(0) <- false;
+    let tk =
+      Vdev_cache.submit_write_from t.cache ~keep:(Array.get t.keep) addr
+        (h.batch_count + 1) buf ~pos:0
+    in
     Lfs_util.Buf_pool.Scratch.give t.xfer;
     h.unflushed <- tk :: h.unflushed;
     if not (Io_queue.completed tk) then Queue.push (t.seq, tk) t.in_flight;

@@ -42,6 +42,17 @@
     batch-write time.  An append the summary could no longer describe
     beside them writes the batch first and opens a new one.
 
+    Every batch is written through the mount's block cache
+    ({!Lfs_disk.Vdev_cache.submit_write_from}), which invalidates the
+    whole range first and then enters only the payload blocks that die
+    whole: data, indirect, inode-map and usage-table blocks, each of
+    which the file system's kill path takes back out as it dies.  The
+    summary, inode blocks and dir-log blocks are written around the
+    cache, since none of them ever dies whole, so none would ever leave
+    it; a log write evicts no more entries than it has cached blocks.
+    Every block a batch carries is live when the batch is written: the
+    file system kills only blocks an earlier batch wrote.
+
     Every batch goes out of one transfer buffer the writer keeps, grown
     to the largest batch it has written (a summary and at most a
     segment's payloads).  Payloads are copied, or rendered, straight
@@ -90,7 +101,7 @@ type t
 
 val create :
   Layout.t ->
-  Lfs_disk.Vdev.t ->
+  Lfs_disk.Vdev_cache.t ->
   pick_clean:(exclude:int list -> int) ->
   on_append:(Types.block_kind -> seg:int -> mtime:float -> unit) ->
   on_batch:(head:int -> addr:int -> blocks:int -> unit) ->

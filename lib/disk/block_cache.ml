@@ -144,6 +144,10 @@ let with_block t ~fetch addr f =
         lend t data f
       end
 
+let peek t addr f =
+  check_free t;
+  Option.map (fun n -> lend t n.data f) (Addr_table.find_opt t.table addr)
+
 let invalidate t addr =
   check_free t;
   match Addr_table.find_opt t.table addr with Some n -> drop t n | None -> ()
@@ -198,5 +202,6 @@ let clear t =
   t.hits <- 0;
   t.misses <- 0
 
+let length t = Addr_table.length t.table
 let hits t = t.hits
 let misses t = t.misses

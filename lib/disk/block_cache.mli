@@ -64,6 +64,12 @@ val put : t -> int -> ?pos:int -> bytes -> unit
     torn write leaves nothing stale.  Raises [Invalid_argument] when it
     is. *)
 
+val peek : t -> int -> (bytes -> 'a) -> 'a option
+(** [peek t addr f] is [Some (f b)] when block [addr] is resident, [b]
+    its buffer lent under {!with_block}'s borrow contract, and [None]
+    otherwise; it counts no hit or miss and leaves the LRU order as it
+    was. *)
+
 val invalidate : t -> int -> unit
 val invalidate_range : t -> int -> int -> unit
 
@@ -73,6 +79,9 @@ val clear : t -> unit
 
 val mem : t -> int -> bool
 (** Whether block [addr] is resident; no count or LRU change. *)
+
+val length : t -> int
+(** The number of resident blocks, at most the capacity. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -14,6 +14,14 @@
    is then served in slices, so a foreground arrival waits at most one
    slice. *)
 
+(* The device time of the requests submitted in one [metered] scope. *)
+type meter = {
+  mutable busy : float;  (* served so far *)
+  mutable left : int;  (* submitted and not yet retired *)
+  mutable closed : bool;  (* the scope has returned *)
+  on_done : float -> unit;
+}
+
 type req = {
   tag : int;
   addr : int;
@@ -21,6 +29,7 @@ type req = {
   on_commit : (unit -> unit) option;
       (* data-plane action deferred to service time (queued writes) *)
   background : bool;
+  meter : meter option;
   mutable next : int;  (* first block not yet served *)
   mutable ready_s : float;
       (* earliest start of its next service: the submit time, then the
@@ -79,6 +88,23 @@ let reads_background = function
   | Queued _ -> !background_scope
   | Direct -> false
 
+(* The innermost [metered] scope, shared by every queue like the tag
+   counter. *)
+let meter_scope = ref None
+
+(* A meter reports once its scope has returned and its last request
+   has retired. *)
+let settle m = if m.closed && m.left = 0 then m.on_done m.busy
+
+let metered on_done f =
+  let m = { busy = 0.0; left = 0; closed = false; on_done } in
+  let outer = !meter_scope in
+  meter_scope := Some m;
+  let x = Fun.protect ~finally:(fun () -> meter_scope := outer) f in
+  m.closed <- true;
+  settle m;
+  x
+
 (* The longest piece of a background read served at once: 128 KB, about
    100 ms of transfer on the Wren IV, so a foreground request arriving
    behind it waits at most that long, while a read that nothing
@@ -124,8 +150,10 @@ let submit ?on_commit ?(read = false) t ~now ~addr ~nblocks =
   let tag = !tag_counter in
   incr tag_counter;
   let background = read && reads_background t.mode in
+  let meter = !meter_scope in
+  Option.iter (fun m -> m.left <- m.left + 1) meter;
   let r =
-    { tag; addr; nblocks; on_commit; background; next = addr; ready_s = now }
+    { tag; addr; nblocks; on_commit; background; meter; next = addr; ready_s = now }
   in
   if background then t.bg <- By_pos.add (addr, tag) r t.bg
   else t.fg <- By_pos.add (addr, tag) r t.fg;
@@ -157,6 +185,11 @@ let record t tag =
 let retire t r =
   t.by_tag <- By_tag.remove r.tag t.by_tag;
   t.depth <- t.depth - 1;
+  Option.iter
+    (fun m ->
+      m.left <- m.left - 1;
+      settle m)
+    r.meter;
   (* Deferred data plane last: a crash countdown tripping here must not
      leave the request half-accounted in the time plane. *)
   match r.on_commit with None -> () | Some f -> f ()
@@ -177,6 +210,7 @@ let serve t r n =
     end
   in
   t.stats.Io_stats.busy_s <- t.stats.Io_stats.busy_s +. dur;
+  Option.iter (fun m -> m.busy <- m.busy +. dur) r.meter;
   t.stats.Io_stats.queue_wait_s <-
     t.stats.Io_stats.queue_wait_s +. (start -. r.ready_s);
   t.last <- r.tag;

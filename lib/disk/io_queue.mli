@@ -60,6 +60,17 @@ val background : (unit -> 'a) -> 'a
     A global scope, like the tag counter: the serving engine wraps its
     idle cleaner step in it. *)
 
+val metered : (float -> unit) -> (unit -> 'a) -> 'a
+(** [metered report f] runs [f] and then calls [report] once with the
+    device time served to the requests [f] submitted, on any queue —
+    their own service time, not whatever else the elevator retires
+    meanwhile.  Under [Direct] mode every request is served at submit,
+    so [report] runs as [f] returns; under [Queued] mode it runs when
+    the last of them is served, inside whichever {!await}, {!drain} or
+    {!pump} serves it.  If [f] raises, or a {!reset} drops a request,
+    [report] never runs.  Scopes nest: a request is metered by the
+    innermost one only. *)
+
 val reads_background : mode -> bool
 (** Whether a read submitted now to a device in this mode takes the
     background class: inside {!background} on a [Queued] device. *)

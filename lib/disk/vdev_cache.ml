@@ -18,18 +18,22 @@ let read_into ?fill ?now lower cache addr n buf ~pos =
   Block_cache.read_range_into ?fill cache ~fetch:(fetch ?now lower tickets) addr n buf ~pos;
   match !tickets with [] -> Io_queue.Done | ts -> Io_queue.Join ts
 
+(* Invalidate first: if the write below is torn, nothing stale survives
+   in the cache.  Then enter the written blocks [keep] selects. *)
+let write_from ?now ~keep lower cache addr n buf ~pos =
+  Block_cache.invalidate_range cache addr n;
+  let tk = Vdev.submit_write_from ?now lower addr n buf ~pos in
+  let bs = Vdev.block_size lower in
+  for i = 0 to n - 1 do
+    if keep i then Block_cache.put cache (addr + i) ~pos:(pos + (i * bs)) buf
+  done;
+  tk
+
 let make_view lower cache name =
   let bs = Vdev.block_size lower in
   let read_into ?now addr n buf ~pos = read_into ?now lower cache addr n buf ~pos in
   let write_from ?now addr n buf ~pos =
-    (* Invalidate first: if the write below is torn, nothing stale
-       survives in the cache. *)
-    Block_cache.invalidate_range cache addr n;
-    let tk = Vdev.submit_write_from ?now lower addr n buf ~pos in
-    for i = 0 to n - 1 do
-      Block_cache.put cache (addr + i) ~pos:(pos + (i * bs)) buf
-    done;
-    tk
+    write_from ?now ~keep:(fun _ -> true) lower cache addr n buf ~pos
   in
   let zero_blocks addr n =
     Block_cache.invalidate_range cache addr n;
@@ -63,7 +67,13 @@ let with_block t addr f =
 let submit_read_no_fill ?now t addr n buf ~pos =
   read_into ~fill:false ?now t.lower t.cache addr n buf ~pos
 
+let submit_write_from ?now t ~keep addr n buf ~pos =
+  write_from ?now ~keep t.lower t.cache addr n buf ~pos
+
+let peek t addr f = Block_cache.peek t.cache addr f
+let invalidate t addr = Block_cache.invalidate t.cache addr
 let mem t addr = Block_cache.mem t.cache addr
+let resident t = Block_cache.length t.cache
 let hits t = Block_cache.hits t.cache
 let misses t = Block_cache.misses t.cache
 
@@ -79,4 +89,5 @@ let register_metrics ?prefix metrics t =
   let g name f = M.gauge_fn metrics (p ^ "." ^ name) f in
   g "hits" (fun () -> float_of_int (hits t));
   g "misses" (fun () -> float_of_int (misses t));
-  g "hit_rate" (fun () -> hit_rate t)
+  g "hit_rate" (fun () -> hit_rate t);
+  g "resident" (fun () -> float_of_int (resident t))

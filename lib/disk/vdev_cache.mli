@@ -13,7 +13,16 @@
     Crash coherence: a write first invalidates the affected range, then
     forwards, and only re-populates the cache on success — so a torn
     write ({!Vdev.Crashed} from below) leaves no stale blocks, and reads
-    against a crashed lower device raise instead of serving hits. *)
+    against a crashed lower device raise instead of serving hits.
+
+    What stays resident is the owner's to keep live: a write may leave
+    some of its blocks out of the cache ({!submit_write_from} [~keep]),
+    and a block whose contents die should leave it ({!invalidate}).  The
+    log-structured file system does both, so its cache holds only live
+    blocks: a log write caches only its data, indirect and table blocks,
+    each of those leaves the cache when the kill path retires it, and a
+    block of inodes a handle miss read in leaves with its last live
+    inode ({!peek} finds whether one is left). *)
 
 type t
 
@@ -43,8 +52,34 @@ val submit_read_no_fill :
     [~fill:false]).  The cleaner reads victims with it, so a pass does
     not push client blocks out of the cache. *)
 
+val submit_write_from :
+  ?now:float ->
+  t ->
+  keep:(int -> bool) ->
+  int ->
+  int ->
+  bytes ->
+  pos:int ->
+  Io_queue.ticket
+(** [submit_write_from t ~keep addr n buf ~pos] writes as the view's
+    [submit_write_from] does (the range invalidated first, then written
+    below) but afterwards enters only the blocks [addr + i] for which
+    [keep i] holds ([0 <= i < n]); the others are written around the
+    cache: they take no entry and evict nothing. *)
+
+val peek : t -> int -> (bytes -> 'a) -> 'a option
+(** [peek t addr f] applies [f] to block [addr] if it is resident, as
+    {!Block_cache.peek}: no IO, no count, no LRU move. *)
+
+val invalidate : t -> int -> unit
+(** Drop block [addr] if resident; no count changes.  Raises
+    [Invalid_argument] inside a {!with_block} callback. *)
+
 val mem : t -> int -> bool
 (** Whether block [addr] is resident ({!Block_cache.mem}). *)
+
+val resident : t -> int
+(** The number of resident blocks ({!Block_cache.length}). *)
 
 val hits : t -> int
 val misses : t -> int
@@ -57,6 +92,6 @@ val clear : t -> unit
     cold file cache). *)
 
 val register_metrics : ?prefix:string -> Lfs_obs.Metrics.t -> t -> unit
-(** Register [<prefix>.hits], [<prefix>.misses] and [<prefix>.hit_rate]
-    callback gauges; [prefix] defaults to ["vdev." ^ name].  Combine with
+(** Register [<prefix>.hits], [<prefix>.misses], [<prefix>.hit_rate]
+    and [<prefix>.resident] (blocks held) callback gauges; [prefix] defaults to ["vdev." ^ name].  Combine with
     {!Vdev.register_metrics} on {!vdev} for the IO-level view. *)

@@ -488,6 +488,47 @@ let test_read_run_one_transfer () =
   Alcotest.(check int) "a buffered block splits the run" 2
     (Lfs_disk.Io_stats.diff (Disk.stats disk) before).Lfs_disk.Io_stats.reads
 
+(* A block can die while its log write is still in flight: on a queued
+   device, a buffer flush writes /a's block and nothing serves the write
+   before a synced overwrite kills it.  The write entered the block into
+   the cache at submit; the kill takes it out, and the new copy goes in.
+   Nothing resident is dead. *)
+let test_dies_in_flight () =
+  let module Layout = Lfs_core.Layout in
+  let disk = Helpers.fresh_disk ~blocks:2048 () in
+  let dev = Helpers.vdev disk in
+  Fs.format dev Helpers.test_config;
+  let fs = Fs.mount dev in
+  Lfs_disk.Vdev.set_mode dev (Lfs_disk.Vdev.Queued (Fun.const 0.0));
+  let bs = (Fs.layout fs).Layout.block_size in
+  let addr_of a =
+    fst
+      (List.find
+         (fun (_, w) -> w = Printf.sprintf "data %d.0" a)
+         (Lfs_core.Fsck.live_blocks fs))
+  in
+  Fs.write_path fs "/a" (Bytes.make bs 'a');
+  let a = Option.get (Fs.resolve fs "/a") in
+  (* More than the write buffer holds: a flush with no barrier. *)
+  Fs.write_path fs "/b" (Bytes.make (20 * bs) 'b');
+  let old = addr_of a in
+  Alcotest.(check bool) "writes are in flight" true
+    (Lfs_disk.Vdev.outstanding_in dev ~lo:0 ~hi:max_int > 0);
+  Alcotest.(check bool) "and its block cached" true (Fs.block_cached fs old);
+  Fs.write fs a ~off:0 (Bytes.make bs 'c');
+  Fs.sync fs;
+  Alcotest.(check bool) "the dead copy left the cache" false (Fs.block_cached fs old);
+  Alcotest.(check bool) "the new copy is cached" true (Fs.block_cached fs (addr_of a));
+  let live = List.map fst (Lfs_core.Fsck.live_blocks fs) in
+  Alcotest.(check (list int)) "no dead block resident" []
+    (List.filter
+       (fun b -> Fs.block_cached fs b && not (List.mem b live))
+       (List.init (Lfs_disk.Vdev.nblocks dev) Fun.id));
+  ignore (Lfs_disk.Vdev.drain dev : float);
+  Lfs_disk.Vdev.set_mode dev Lfs_disk.Vdev.Direct;
+  Helpers.check_bytes "/a" (Bytes.make bs 'c') (Option.get (Fs.read_path fs "/a"));
+  Helpers.fsck_clean fs
+
 let suite =
   ( "fs",
     [
@@ -535,4 +576,5 @@ let suite =
         (test_recycled_buffers_dead ~queued:true);
       Alcotest.test_case "no block buffer per foreground write" `Quick
         test_no_block_buffer_per_write;
+      Alcotest.test_case "a block dies in flight" `Quick test_dies_in_flight;
     ] )

@@ -13,6 +13,7 @@ let layout = Layout.compute Helpers.test_config ~disk_blocks:1024
 
 type env = {
   disk : Disk.t;
+  cache : Lfs_disk.Vdev_cache.t;  (* the writer's, over [disk] *)
   log : Log_writer.t;
   appended : (Types.block_kind * int * float) list ref;  (* kind, seg, mtime *)
   batches : (int * int * int) list ref;  (* head, addr, blocks *)
@@ -37,15 +38,16 @@ let mk_env ?(heads = 1) ?pick () =
     in
     pick ()
   in
+  let cache = Lfs_disk.Vdev_cache.create ~capacity:64 (Helpers.vdev disk) in
   let log =
-    Log_writer.create layout (Helpers.vdev disk)
+    Log_writer.create layout cache
       ~pick_clean:(Option.value pick ~default:ascending)
       ~on_append:(fun kind ~seg ~mtime -> appended := (kind, seg, mtime) :: !appended)
       ~on_batch:(fun ~head ~addr ~blocks ->
         batches := (head, addr, blocks) :: !batches)
       ~heads:positions ~seq:1
   in
-  { disk; log; appended; batches }
+  { disk; cache; log; appended; batches }
 
 let payload c = Log_writer.Bytes (Bytes.make layout.Layout.block_size c, 0)
 
@@ -247,6 +249,33 @@ let test_lazy_payload_rendered_at_sync () =
   Log_writer.sync env.log;
   Alcotest.(check bool) "rendered at sync" true !rendered
 
+(* A batch write enters only the blocks that die whole into the cache
+   (data, indirect and table blocks): its summary, inode blocks and
+   dir-log blocks go around it, take no entry and evict nothing.  A
+   block resident before the write of its address is dropped either
+   way, so nothing stale survives. *)
+let test_batch_caches_payload_only () =
+  let env = mk_env () in
+  let lazy_block kind =
+    Log_writer.append env.log ~kind ~ino:0 ~blockno:0 ~version:0 ~mtime:1.0
+      (Log_writer.Lazy (fun buf ~pos -> Bytes.fill buf pos layout.Layout.block_size 'L'))
+  in
+  let data = append env 'd' ~blockno:0 in
+  let inode = lazy_block Types.Inode_block in
+  let dir_log = lazy_block Types.Dir_log in
+  let indirect = lazy_block Types.Indirect in
+  let imap = lazy_block Types.Imap in
+  let summary = data - 1 in
+  (* A stale copy of the summary's address, as a read left it. *)
+  ignore (Lfs_disk.Vdev.read_blocks (Lfs_disk.Vdev_cache.vdev env.cache) summary 1 : bytes);
+  Alcotest.(check bool) "stale copy resident" true (Lfs_disk.Vdev_cache.mem env.cache summary);
+  Log_writer.sync env.log;
+  let cached a = Lfs_disk.Vdev_cache.mem env.cache a in
+  Alcotest.(check (list bool)) "data, indirect and imap cached; the rest not"
+    [ true; true; true; false; false; false ]
+    (List.map cached [ data; indirect; imap; inode; dir_log; summary ]);
+  Alcotest.(check int) "three entries" 3 (Lfs_disk.Vdev_cache.resident env.cache)
+
 (* Every batch goes out of the writer's one transfer buffer.  A batch
    shorter than the one before writes exactly its own blocks: nothing of
    the longer batch's tail reaches the disk. *)
@@ -286,7 +315,7 @@ let test_batches_reuse_transfer_buffer () =
   in
   let log =
     Log_writer.create layout
-      (Helpers.vdev (Helpers.fresh_disk ()))
+      (Lfs_disk.Vdev_cache.create ~capacity:0 (Helpers.vdev (Helpers.fresh_disk ())))
       ~pick_clean:pick
       ~on_append:(fun _ ~seg:_ ~mtime:_ -> ())
       ~on_batch:(fun ~head:_ ~addr:_ ~blocks:_ -> ())
@@ -587,6 +616,7 @@ let suite =
       Alcotest.test_case "advance uses reservation" `Quick test_segment_advance_uses_reservation;
       Alcotest.test_case "on_append accounting" `Quick test_on_append_accounting;
       Alcotest.test_case "lazy payload" `Quick test_lazy_payload_rendered_at_sync;
+      Alcotest.test_case "batch caches payload only" `Quick test_batch_caches_payload_only;
       Alcotest.test_case "payload size checked" `Quick test_wrong_payload_size_rejected;
       Alcotest.test_case "short batch after long" `Quick test_short_batch_after_long;
       Alcotest.test_case "batches reuse transfer buffer" `Quick

@@ -316,23 +316,36 @@ let test_fs_metrics_cover_layers () =
       .blocks_written
   in
   Alcotest.(check bool) "vdev layer registered" true
-    (Metrics.float_value m "vdev.disk.blocks_written" = float_of_int dev_writes)
+    (Metrics.float_value m "vdev.disk.blocks_written" = float_of_int dev_writes);
+  let nblocks = Lfs_disk.Vdev.nblocks (List.hd (Fs.devices fs)) in
+  Alcotest.(check (float 0.0)) "the cache gauge counts resident blocks"
+    (float_of_int (List.length (List.filter (Fs.block_cached fs) (List.init nblocks Fun.id))))
+    (Metrics.float_value m "vdev.cache.resident")
 
 (* A checkpoint first flushes buffered writes, but its [fs.checkpoint.*]
    samples count only what it writes itself, its table blocks and its
    region: the same blocks and busy time as a checkpoint of the same
-   state taken once those writes were synced. *)
-let test_checkpoint_counts_own_blocks () =
+   state taken once those writes were synced.  On a queued device too,
+   where the flush's data is served inside the checkpoint's barrier
+   and its region write after the call returns: the busy sample is the
+   device time of the checkpoint's own writes, taken once the last of
+   them is served. *)
+let test_checkpoint_counts_own_blocks ~queued () =
   let module Io_stats = Lfs_disk.Io_stats in
   let run ~sync_first =
     let disk = Lfs_disk.Disk.create (Lfs_disk.Geometry.wren_iv ~blocks:2048) in
     Fs.format (Helpers.vdev disk) Helpers.test_config;
     let fs = Fs.mount (Helpers.vdev disk) in
+    if queued then
+      Lfs_disk.Disk.set_mode disk (Lfs_disk.Io_queue.Queued (Fun.const 0.0));
     List.iter
       (fun name ->
         let ino = Fs.create fs ~dir:Fs.root name in
         Fs.write fs ino ~off:0 (Bytes.make 3000 'x'))
       [ "a"; "b"; "c" ];
+    (* Serve the creates' reads first, so both runs' writes start from
+       one head position. *)
+    ignore (Lfs_disk.Disk.drain disk : float);
     if sync_first then Fs.sync fs;
     let summed name =
       match Metrics.value (Fs.metrics fs) name with
@@ -340,13 +353,15 @@ let test_checkpoint_counts_own_blocks () =
       | _ -> Alcotest.failf "%s: expected a histogram" name
     in
     let n0, blocks0 = summed "fs.checkpoint.blocks" in
-    let _, busy0 = summed "fs.checkpoint.busy_s" in
+    let b0, busy0 = summed "fs.checkpoint.busy_s" in
     let before = Io_stats.copy (Lfs_disk.Disk.stats disk) in
     Fs.checkpoint fs;
+    ignore (Lfs_disk.Disk.drain disk : float);
     let dev = Io_stats.diff (Lfs_disk.Disk.stats disk) before in
     let n1, blocks1 = summed "fs.checkpoint.blocks" in
-    let _, busy1 = summed "fs.checkpoint.busy_s" in
+    let b1, busy1 = summed "fs.checkpoint.busy_s" in
     Alcotest.(check int) "one sample" (n0 + 1) n1;
+    Alcotest.(check int) "one busy sample" (b0 + 1) b1;
     (dev, blocks1 -. blocks0, busy1 -. busy0)
   in
   let dev, blocks, busy = run ~sync_first:false in
@@ -467,6 +482,8 @@ let suite =
       Alcotest.test_case "fs metrics cover layers" `Quick test_fs_metrics_cover_layers;
       Alcotest.test_case "fs metrics validate clean" `Quick test_fs_metrics_validate_clean;
       Alcotest.test_case "checkpoint counts only its own blocks" `Quick
-        test_checkpoint_counts_own_blocks;
+        (test_checkpoint_counts_own_blocks ~queued:false);
+      Alcotest.test_case "checkpoint counts only its own blocks (queued)" `Quick
+        (test_checkpoint_counts_own_blocks ~queued:true);
       Alcotest.test_case "accounting identities" `Quick test_accounting_identities;
     ] )

@@ -709,6 +709,54 @@ let prop_dirty_set =
           op <> D_sync || Fs.dirty_inos !fs = [])
         ops)
 
+(* The cache holds only live blocks (Section 2.1's file cache, which
+   dead copies would crowd): after every operation of a dirty-set
+   sequence without crashes, every block resident in the mount's cache
+   is one the fsck walk finds live — a data, indirect or table block,
+   or the block of a live inode, which only a handle miss reads in (the
+   root's, at mount) — so never a dead copy, a dir-log block, or a
+   summary or inode block whose inodes have died.  On a Direct device,
+   and on a Queued one served at most four requests behind, so log
+   writes are still in flight when their blocks die. *)
+let prop_cache_holds_live_blocks ~queued =
+  QCheck.Test.make ~count:100
+    ~name:
+      (Printf.sprintf "the cache holds only live blocks (%s)"
+         (if queued then "queued, depth 4" else "direct"))
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_dop ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(
+         map (List.filter (( <> ) D_crash)) (list_size (int_range 1 120) dop_gen)))
+    (fun ops ->
+      let disk = Helpers.fresh_disk ~blocks:1024 () in
+      let v = Helpers.vdev disk in
+      Fs.format v Helpers.eager_cleaning_config;
+      let fs = Fs.mount v in
+      let now = ref 0.0 in
+      if queued then Lfs_disk.Vdev.set_mode v (Lfs_disk.Io_queue.Queued (fun () -> !now));
+      let depth () = Lfs_disk.Vdev.outstanding_in v ~lo:0 ~hi:max_int in
+      let nblocks = Lfs_disk.Vdev.nblocks v in
+      List.for_all
+        (fun op ->
+          ignore (apply_dop disk fs op : Fs.t);
+          while depth () > 4 do
+            now := !now +. 1.0;
+            ignore (Lfs_disk.Vdev.pump v ~now:!now : (int * float) list)
+          done;
+          let live = Hashtbl.create 256 in
+          List.iter (fun (a, _) -> Hashtbl.replace live a ()) (Lfs_core.Fsck.live_blocks fs);
+          match
+            List.filter
+              (fun a -> Fs.block_cached fs a && not (Hashtbl.mem live a))
+              (List.init nblocks Fun.id)
+          with
+          | [] -> true
+          | dead ->
+              QCheck.Test.fail_reportf "after %s: dead blocks %s resident" (print_dop op)
+                (String.concat ", " (List.map string_of_int dead)))
+        ops)
+
 let suite =
   ( "properties",
     [
@@ -721,4 +769,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_torn_write_through_cache;
       QCheck_alcotest.to_alcotest prop_queued_data_equivalence;
       QCheck_alcotest.to_alcotest prop_dirty_set;
+      QCheck_alcotest.to_alcotest (prop_cache_holds_live_blocks ~queued:false);
+      QCheck_alcotest.to_alcotest (prop_cache_holds_live_blocks ~queued:true);
     ] )

@@ -541,6 +541,34 @@ let test_max_batch_still_flushes_early () =
   Alcotest.(check bool) "more, smaller flushes" true
     (capped.Engine.flushes > uncapped.Engine.flushes)
 
+(* Section 2.1: file caches absorb reads.  A working set far smaller
+   than the cache stays resident however much the log writes, since the
+   cache holds live blocks only: neither the dead copies of overwritten
+   blocks nor log summaries push it out.  Four clients of four files
+   each (a few dozen live blocks) on a 128-block cache: after a warm-up
+   run, a second run writes the cache over several times and every read
+   hits. *)
+let test_working_set_stays_cached () =
+  let disk = Vdev.of_disk (Disk.create (engine_geom ())) in
+  Fs.format disk { Lfs_core.Config.default with Lfs_core.Config.cache_blocks = 128 };
+  let fs = Fs.mount disk in
+  let cfg =
+    { small_cfg with Engine.ops_per_client = 200; session_files = 4; io_depth = 4 }
+  in
+  let misses () = Helpers.fs_total fs "vdev.cache.misses" in
+  let hits () = Helpers.fs_total fs "vdev.cache.hits" in
+  let written () = (Vdev.stats disk).Lfs_disk.Io_stats.blocks_written in
+  ignore (Engine.run cfg (Fsops.of_lfs fs) : Engine.result);
+  let m0 = misses () and h0 = hits () and w0 = written () in
+  let r = Engine.run { cfg with Engine.seed = 7 } (Fsops.of_lfs fs) in
+  Alcotest.(check int) "every request completed" (4 * 200) r.Engine.completed;
+  Alcotest.(check bool)
+    (Printf.sprintf "the run wrote %d blocks, over 4 cache sizes" (written () - w0))
+    true
+    (written () - w0 > 4 * 128);
+  Alcotest.(check bool) "the run read from the cache" true (hits () - h0 > 100);
+  Alcotest.(check int) "no miss after warm-up" 0 (misses () - m0)
+
 (* An idle step's victim read yields to foreground IO at slice
    boundaries.  One client over the prefilled image, with the pool
    below the stop watermark so idle steps clean: a write whose flush
@@ -833,4 +861,6 @@ let suite =
       Alcotest.test_case "idle step reads ahead" `Quick test_idle_step_reads_ahead;
       Alcotest.test_case "survivors follow victim reads" `Quick
         test_survivors_follow_victim_reads;
+      Alcotest.test_case "working set stays cached" `Quick
+        test_working_set_stays_cached;
     ] )
