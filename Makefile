@@ -161,12 +161,15 @@ bench-check:
 # is a fresh mount), so the target fails if the replay's write cost is
 # not above 1, i.e. if the cleaner stopped relocating during it.  None
 # of those inputs reads a multi-block file from a cold cache, cleans
-# with Config.Live_blocks reads or prints roll-forward's reads, so four
+# with Config.Live_blocks reads or prints roll-forward's reads, and none
+# runs foreground passes with two write heads near a full disk, so five
 # bench experiments close the gap, compared without the wall-clock
 # line: `bench quick fig9` (large-file reads) and `bench quick bgclean`
 # (the live-blocks cleaner under the serving engine) in one output,
 # `bench quick table3` (the scan's reads per cell) and `crashsweep` in
-# another.  Every difference is listed, then the target fails.
+# another, and `bench quick writecost` (one and two heads at 70% and 85%
+# use: the heads' reservations and the restock gap) in a third.  Every
+# difference is listed, then the target fails.
 #   make same REV=<rev>
 EXAMPLES := quickstart office_workload crash_recovery cleaner_tuning nvram_buffer
 
@@ -193,6 +196,7 @@ same:
 	  for ex in $(EXAMPLES); do $$1/examples/$$ex.exe > "$$2/example-$$ex.txt"; done; \
 	  $$1/bench/main.exe quick fig9 bgclean | grep -v '^\[bench completed' > "$$2/bench-quick.txt"; \
 	  $$1/bench/main.exe quick table3 crashsweep | grep -v '^\[bench completed' > "$$2/bench-recovery.txt"; \
+	  $$1/bench/main.exe quick writecost | grep -v '^\[bench completed' > "$$2/bench-writecost.txt"; \
 	  { $$1/bin/lfs_tool.exe mkfs "$$2/image.img" --blocks 1024 --segment-blocks 64; \
 	    $$1/bin/lfs_tool.exe trace-record "$$2/image.trace" --ops 600 --seed 1; \
 	    $$1/bin/lfs_tool.exe trace-replay "$$2/image.img" "$$2/image.trace"; \

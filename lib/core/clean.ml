@@ -5,26 +5,6 @@
 
 open Fs_state
 
-(* One buffer flush can consume several segments before the cleaner gets
-   another chance to run — in the worst case every buffered block belongs
-   to a different large file and drags two indirect-block rewrites and an
-   inode with it — so the trigger must leave that much headroom
-   regardless of the configured threshold. *)
-let flush_need t =
-  ((3 * t.config.Config.write_buffer_blocks) + t.layout.Layout.seg_blocks - 1)
-  / t.layout.Layout.seg_blocks
-
-(* Each write head beyond the first pins one extra clean segment as its
-   standing reservation; those count as "clean" in the usage table but
-   can never be handed out, so the watermarks must sit above them. *)
-let head_reserve t = t.config.Config.log_heads - 1
-
-let clean_start_effective t =
-  max t.config.Config.clean_start (flush_need t + 2) + head_reserve t
-
-let clean_stop_effective t =
-  max (t.config.Config.clean_stop + head_reserve t) (clean_start_effective t + 2)
-
 (* Victims a budgeted pass may take: [max_segments], default
    [segs_per_pass]. *)
 let pass_size t max_segments =
@@ -303,28 +283,14 @@ let choose_victims t ~bg ~max_victims ~candidates =
          nearly-full segments cannot starve the writer of clean
          segments. *)
       let policy =
-        if Seg_pool.length t.pool < flush_need t then Config.Greedy
+        if Seg_pool.length t.pool < t.budget.greedy_below then Config.Greedy
         else t.config.Config.cleaning_policy
       in
       Cleaner.select ~policy
         ~rand:(fun n -> Prng.int t.rng n)
         ~candidates:scored ~count:max_victims ()
   in
-  (* Relocation writes into clean segments before any victim is freed,
-     so bound the pass by what the reusable pool can absorb, keeping one
-     segment of slack for the checkpoint and 30% headroom for the inode
-     and indirect blocks rewritten alongside the relocated data. *)
-  let budget = Float.max 0.7 (float_of_int (Seg_pool.length t.pool - 1)) in
-  let acc = ref 0.0 in
-  List.filter
-    (fun s ->
-      let cost = (Seg_usage.utilization t.usage s *. 1.3) +. 0.05 in
-      if !acc +. cost <= budget then begin
-        acc := !acc +. cost;
-        true
-      end
-      else false)
-    victims
+  Seg_pool.affordable t.pool t.usage victims
 
 (* One budgeted victim batch.  [candidates] holds the dirty-segment ids
    scanned once by [drive]; cleaned victims are subtracted so later
@@ -355,8 +321,8 @@ let clean_pass t ~bg ~max_victims ~candidates =
        idle step's restock, or a pass nearer the line) writes the
        tables for several passes.  The old contents stay untouched until
        then, so a crash still rolls forward from the last checkpoint. *)
-    if (not bg) || Seg_pool.length t.pool < clean_start_effective t + flush_need t
-    then checkpoint t;
+    if (not bg) || Seg_pool.length t.pool < t.budget.checkpoint_below then
+      checkpoint t;
     candidates := List.filter (fun s -> not (List.mem s victims)) !candidates;
     (List.length victims, clean_segment_count t - before, slack)
   end
@@ -383,7 +349,7 @@ let clean t =
         drive t (fun candidates ->
             let continue_cleaning = ref true in
             while
-              !continue_cleaning && clean_segment_count t < clean_stop_effective t
+              !continue_cleaning && clean_segment_count t < t.budget.fg_stop
             do
               let _, freed, _ =
                 clean_pass t ~bg:false
@@ -400,22 +366,15 @@ let clean t =
 (* The foreground trigger: the pool can no longer absorb what the next
    buffer flushes may need. *)
 let maybe_clean t =
-  if (not t.in_cleaner) && Seg_pool.length t.pool < clean_start_effective t
-  then clean t
+  if (not t.in_cleaner) && Seg_pool.length t.pool < t.budget.fg_start then
+    clean t
 
 (* {1 Idle-time background cleaning}
 
    The paper suggests cleaning "at night or during idle periods"
    (Section 4): an idle caller pulls the clean pool up to a high
    watermark well above the emergency threshold, so foreground writers
-   (almost) never hit the stall in [clean].  The effective watermarks sit
-   strictly above the foreground trigger, [clean_start_effective]. *)
-
-let bg_clean_start_effective t =
-  max t.config.Config.bg_clean_start (clean_start_effective t + 1)
-
-let bg_clean_stop_effective t =
-  max t.config.Config.bg_clean_stop (bg_clean_start_effective t + 2)
+   (almost) never hit the stall in [clean]. *)
 
 (* Hysteresis latch: engage when the pool falls below the low watermark,
    stay engaged until it refills to the high one.  Returns the segments
@@ -423,14 +382,14 @@ let bg_clean_stop_effective t =
 let bg_pending t =
   let n = clean_segment_count t in
   if t.bg_active then
-    if n >= bg_clean_stop_effective t then begin
+    if n >= t.budget.bg_stop then begin
       t.bg_active <- false;
       0
     end
-    else bg_clean_stop_effective t - n
-  else if n < bg_clean_start_effective t then begin
+    else t.budget.bg_stop - n
+  else if n < t.budget.bg_start then begin
     t.bg_active <- true;
-    bg_clean_stop_effective t - n
+    t.budget.bg_stop - n
   end
   else 0
 
@@ -509,15 +468,13 @@ let bg_clean_step t ~max_victims =
    write hits the emergency [clean] stall.  Paying for the checkpoint
    here keeps it in the idle window. *)
 let clean_step ?max_segments t =
-  (* The gap must clear 2 per write head because the pool's refresh
-     always excludes every head's current and reserved segment — a
-     smaller gap means a checkpoint would recover nothing, and firing on
-     it would checkpoint on every idle step, forever.  A restocking step
-     runs no pass, so no one step pays for both. *)
+  (* The gap must clear the heads' pinned segments, or firing would
+     checkpoint on every idle step, forever.  A restocking step runs no
+     pass, so no one step pays for both. *)
   if
     (not t.in_cleaner)
-    && Seg_pool.length t.pool < bg_clean_stop_effective t
-    && clean_segment_count t - Seg_pool.length t.pool > 2 * t.config.Config.log_heads
+    && Seg_pool.length t.pool < t.budget.bg_stop
+    && clean_segment_count t - Seg_pool.length t.pool > t.budget.restock_gap
   then begin
     checkpoint t;
     bg_pending t

@@ -47,6 +47,7 @@ let default =
 
 let small =
   {
+    default with
     block_size = 1024;
     seg_blocks = 16;
     max_inodes = 512;
@@ -57,14 +58,6 @@ let small =
     segs_per_pass = 4;
     write_buffer_blocks = 16;
     cache_blocks = 64;
-    checkpoint_interval_ops = 0;
-    checkpoint_interval_blocks = 0;
-    cleaning_policy = Cost_benefit;
-    grouping_policy = Age_sort;
-    cleaner_read = Whole_segment;
-    demote_age_s = 64.0;
-    promote_reads = 0;
-    log_heads = 1;
   }
 
 let with_policy ?cleaning ?grouping t =
@@ -73,7 +66,7 @@ let with_policy ?cleaning ?grouping t =
   in
   match grouping with None -> t | Some g -> { t with grouping_policy = g }
 
-let validate t ~disk_blocks =
+let validate t =
   let fail fmt = Format.kasprintf invalid_arg fmt in
   if t.block_size < 512 then fail "Config: block_size %d < 512" t.block_size;
   if t.block_size land (t.block_size - 1) <> 0 then
@@ -97,13 +90,7 @@ let validate t ~disk_blocks =
   if t.promote_reads < 0 then
     fail "Config: promote_reads %d < 0" t.promote_reads;
   if t.log_heads < 1 || t.log_heads > 8 then
-    fail "Config: log_heads %d outside 1..8" t.log_heads;
-  (* Every head pins two segments (current + reservation); the clean
-     pool must still recover above the stop watermark beyond those. *)
-  if disk_blocks / t.seg_blocks < t.clean_stop + (2 * t.log_heads) then
-    fail "Config: disk of %d blocks has only %d segments; need at least %d"
-      disk_blocks (disk_blocks / t.seg_blocks)
-      (t.clean_stop + (2 * t.log_heads))
+    fail "Config: log_heads %d outside 1..8" t.log_heads
 
 let cleaning_policy_name = function
   | Greedy -> "greedy"

@@ -71,9 +71,9 @@ type t = {
 }
 
 val default : t
-(** 4 KB blocks, 256-block (1 MB) segments, thresholds from Section 3.4
-    ("a few tens" to start, 50-100 to stop, scaled to disk size by
-    {!validate}), cost-benefit cleaning with age-sorting. *)
+(** 4 KB blocks, 256-block (1 MB) segments, thresholds after Section 3.4
+    ("a few tens" to start, 50-100 to stop, scaled down to the small
+    disks the benches use), cost-benefit cleaning with age-sorting. *)
 
 val small : t
 (** Small geometry for unit tests: 1 KB blocks, 16-block segments. *)
@@ -81,9 +81,10 @@ val small : t
 val with_policy :
   ?cleaning:cleaning_policy -> ?grouping:grouping_policy -> t -> t
 
-val validate : t -> disk_blocks:int -> unit
-(** Raises [Invalid_argument] when the configuration cannot fit the disk
-    (fewer than 4 segments, zero inodes, thresholds inverted...). *)
+val validate : t -> unit
+(** Raises [Invalid_argument] when the configuration is inconsistent
+    (segments under 4 blocks, zero inodes, thresholds inverted...).
+    Whether it fits a disk is {!Layout.compute}'s check. *)
 
 val cleaning_policy_name : cleaning_policy -> string
 val grouping_policy_name : grouping_policy -> string

@@ -114,12 +114,20 @@ let decode_records b ~pos ~len =
   in
   go []
 
+(* A block read back from the log may hold anything, so a read past the
+   buffer (a count, tag or name length gone wrong) is a [Types.Corrupt]
+   here, as in [Summary.decode]. *)
 let decode_block ?(pos = 0) b =
   let c = Codec.at b pos in
-  let n = Codec.get_u32 c in
-  if n > Bytes.length b - pos then
-    Types.corrupt "dir-log: impossible record count %d" n;
-  List.init n (fun _ -> decode_record c)
+  match
+    let n = Codec.get_u32 c in
+    if n > Bytes.length b - pos then
+      Types.corrupt "dir-log: impossible record count %d" n;
+    List.init n (fun _ -> decode_record c)
+  with
+  | records -> records
+  | exception (Codec.Overflow m | Invalid_argument m) ->
+      Types.corrupt "dir-log: malformed block: %s" m
 
 let pp_record ppf = function
   | Add { dir; name; ino; nlink; fresh } ->

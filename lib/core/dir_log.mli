@@ -42,7 +42,8 @@ val encode_block_into : block_size:int -> record list -> bytes -> pos:int -> uni
 
 val decode_block : ?pos:int -> bytes -> record list
 (** The records of the dir-log block at byte [pos] (default 0) of the
-    buffer.  Raises {!Types.Corrupt} on malformed content. *)
+    buffer.  Total: raises {!Types.Corrupt} on malformed content,
+    a read past the buffer included, and nothing else. *)
 
 val records_size : record list -> int
 (** Bytes the records take in their encoding, with no count field. *)

@@ -50,6 +50,9 @@ let sync = Fs_state.sync
 let checkpoint = Fs_state.checkpoint
 let clean_segment_count = Fs_state.clean_segment_count
 let reusable_segment_count t = Seg_pool.length t.Fs_state.pool
+let reusable_segments t = Seg_pool.segments t.pool
+let active_segments t = Log_writer.active_segments t.log
+let space_budget t = t.budget
 let clean = Clean.clean
 let clean_step = Clean.clean_step
 
@@ -402,7 +405,7 @@ end)
 (* {1 Construction} *)
 
 let format disk cfg =
-  Config.validate cfg ~disk_blocks:(Vdev.nblocks disk);
+  Config.validate cfg;
   if Vdev.block_size disk <> cfg.Config.block_size then
     invalid_arg "Fs.format: config block size does not match the device";
   let sb = Superblock.create cfg ~disk_blocks:(Vdev.nblocks disk) in

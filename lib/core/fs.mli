@@ -210,6 +210,17 @@ val reusable_segment_count : t -> int
     counts in {!clean_segment_count} but not here until the next
     checkpoint. *)
 
+val reusable_segments : t -> int list
+(** The segments {!reusable_segment_count} counts, ascending. *)
+
+val active_segments : t -> int list
+(** Every write head's current and reserved segment
+    ({!Log_writer.active_segments}): never in the pool. *)
+
+val space_budget : t -> Seg_pool.budget
+(** The clean-segment thresholds this mount's cleaner goes by
+    ({!Seg_pool.budget} of its config and layout). *)
+
 val drop_caches : t -> unit
 (** Flush, then forget cached inodes, block maps and directory contents,
     so subsequent operations hit the disk (cold-cache benchmark

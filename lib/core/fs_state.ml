@@ -222,6 +222,7 @@ type t = {
   wb_blocks : Buf_pool.t;  (* given back once dropped or logged *)
   mutable pending_dirops : Dir_log.record list;  (* newest first *)
   pool : Seg_pool.t;
+  budget : Seg_pool.budget;  (* every clean-segment threshold of this mount *)
   cleaner_attr : bool ref;  (* current appends belong to the cleaner *)
   acct : acct;
   ckpt_buf : Buf_pool.Scratch.t;  (* the region a checkpoint renders *)
@@ -752,6 +753,7 @@ let make_t ?metrics ?tier disk sb ~config ~imap ~usage ~heads ~seq ~clock
           layout.Layout.block_size;
       pending_dirops = [];
       pool;
+      budget = Seg_pool.budget config layout;
       cleaner_attr;
       acct;
       ckpt_buf = Buf_pool.Scratch.create ();

@@ -24,7 +24,7 @@ let ckpt_header_size = 96
 let cdiv a b = (a + b - 1) / b
 
 let compute (c : Config.t) ~disk_blocks =
-  Config.validate c ~disk_blocks;
+  Config.validate c;
   let block_size = c.Config.block_size in
   let imap_entries_per_block = block_size / imap_entry_size in
   let usage_entries_per_block = block_size / usage_entry_size in
@@ -37,11 +37,14 @@ let compute (c : Config.t) ~disk_blocks =
   let ckpt_blocks = cdiv ckpt_payload block_size in
   let seg_start = 1 + (2 * ckpt_blocks) in
   let nsegs = (disk_blocks - seg_start) / c.Config.seg_blocks in
-  if nsegs < c.Config.clean_stop + 2 then
+  (* Every head pins two segments (current + reservation); the clean
+     pool must still recover above the stop watermark beyond those. *)
+  let need = c.Config.clean_stop + (2 * c.Config.log_heads) in
+  if nsegs < need then
     invalid_arg
       (Printf.sprintf
          "Layout.compute: only %d segments fit after the fixed area; need %d"
-         nsegs (c.Config.clean_stop + 2));
+         nsegs need);
   {
     block_size;
     seg_blocks = c.Config.seg_blocks;

@@ -9,6 +9,7 @@ type t = {
 
 let create tier = { tier; free = []; len = 0; victims = Hashtbl.create 16 }
 let length t = t.len
+let segments t = t.free
 let is_victim t s = Hashtbl.mem t.victims s
 let pinned t ~active s = List.mem s active || is_victim t s
 
@@ -89,3 +90,55 @@ let move t ~active ~reserve seg ~target =
 let cleaning t victims f =
   List.iter (fun s -> Hashtbl.replace t.victims s ()) victims;
   Fun.protect ~finally:(fun () -> Hashtbl.reset t.victims) f
+
+(* {1 The space budget} *)
+
+(* Each field is documented in the interface. *)
+type budget = {
+  flush_need : int; head_extra : int; reserve : int;
+  fg_start : int; fg_stop : int; bg_start : int; bg_stop : int;
+  greedy_below : int; checkpoint_below : int; restock_gap : int;
+}
+
+let budget (c : Config.t) (l : Layout.t) =
+  (* One buffer flush can consume several segments before the cleaner
+     gets another chance to run — in the worst case every buffered block
+     belongs to a different large file and drags two indirect-block
+     rewrites and an inode with it — so the trigger must leave that much
+     headroom regardless of the configured threshold. *)
+  let flush_need =
+    ((3 * c.Config.write_buffer_blocks) + l.Layout.seg_blocks - 1)
+    / l.Layout.seg_blocks
+  in
+  (* Each write head beyond the first pins one extra clean segment as
+     its standing reservation; those count as "clean" in the usage table
+     but can never be handed out, so the watermarks must sit above them. *)
+  let head_extra = c.Config.log_heads - 1 in
+  let reserve = flush_need + 2 + head_extra in
+  let fg_start = max (c.Config.clean_start + head_extra) reserve in
+  (* The background watermarks sit strictly above the foreground
+     trigger. *)
+  let bg_start = max c.Config.bg_clean_start (fg_start + 1) in
+  { flush_need; head_extra; reserve; fg_start; bg_start;
+    fg_stop = max (c.Config.clean_stop + head_extra) (fg_start + 2);
+    bg_stop = max c.Config.bg_clean_stop (bg_start + 2);
+    greedy_below = flush_need;
+    checkpoint_below = fg_start + flush_need;
+    (* A checkpoint's refresh always excludes every head's current and
+       reserved segment, so a smaller gap would recover nothing. *)
+    restock_gap = 2 * c.Config.log_heads }
+
+(* Relocation writes into clean segments before any victim is freed, so
+   a pass is bounded by what the pool can absorb, keeping one segment of
+   slack for the checkpoint and 30% headroom for the inode and indirect
+   blocks rewritten alongside the relocated data. *)
+let relocation_cost u = (u *. 1.3) +. 0.05
+let pass_budget t = Float.max 0.7 (float_of_int (t.len - 1))
+
+let affordable t usage victims =
+  let keep (spent, kept) s =
+    let cost = relocation_cost (Seg_usage.utilization usage s) in
+    if spent +. cost <= pass_budget t then (spent +. cost, s :: kept)
+    else (spent, kept)
+  in
+  List.rev (snd (List.fold_left keep (0.0, []) victims))

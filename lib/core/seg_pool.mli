@@ -8,7 +8,9 @@
     away from every consumer — the log's picks, the cleaner's and the
     demoter's candidates, and tier swap donors: a segment is pinned
     while some write head fills it or holds it reserved, or while it is a
-    victim of the cleaning pass in progress. *)
+    victim of the cleaning pass in progress.  And it states the space
+    budget: every clean-segment threshold the cleaner, the checkpoint
+    and the idle restock go by. *)
 
 type t
 
@@ -18,6 +20,9 @@ val create : Lfs_disk.Vdev_tier.t option -> t
 
 val length : t -> int
 (** Segments the pool can still hand out. *)
+
+val segments : t -> int list
+(** Those segments, ascending. *)
 
 val pinned : t -> active:int list -> int -> bool
 (** [pinned t ~active s]: [s] is among [active] (every head's current and
@@ -63,3 +68,61 @@ val cleaning : t -> int list -> (unit -> 'a) -> 'a
 
 val is_victim : t -> int -> bool
 (** [s] is a victim of the pass in progress. *)
+
+(** {1 The space budget}
+
+    The clean-segment thresholds of one mount, built once from its
+    config and layout.  Two counts are compared against them: the usage
+    table's clean count ({!Seg_usage.clean_count}, which includes
+    segments cleaned since the last checkpoint and the heads'
+    reservations) and the pool's {!length} (what the log can still be
+    handed).  Each rule reads one of them, as below. *)
+
+type budget = {
+  flush_need : int;
+      (** segments one write-buffer flush may consume: three log blocks
+          per buffered block, rounded up to whole segments *)
+  head_extra : int;
+      (** [log_heads - 1]: the standing reservations of the heads beyond
+          the first *)
+  reserve : int;
+      (** [flush_need + 2 + head_extra]: the floor of [fg_start] *)
+  fg_start : int;
+      (** foreground cleaning starts when {!length} falls below it:
+          [max (clean_start + head_extra) reserve] *)
+  fg_stop : int;
+      (** foreground passes run while the clean count is below it:
+          [max (clean_stop + head_extra) (fg_start + 2)] *)
+  bg_start : int;
+      (** the background latch engages when the clean count falls below
+          it: [max bg_clean_start (fg_start + 1)] *)
+  bg_stop : int;
+      (** the background latch holds until the clean count reaches it:
+          [max bg_clean_stop (bg_start + 2)]; an idle restock needs
+          {!length} below it *)
+  greedy_below : int;
+      (** a pass falls back to the greedy policy when {!length} is below
+          it ([flush_need]) *)
+  checkpoint_below : int;
+      (** a background pass checkpoints when {!length} is below it
+          ([fg_start + flush_need]) *)
+  restock_gap : int;
+      (** an idle step checkpoints instead of cleaning when the clean
+          count exceeds {!length} by more than this ([2 * log_heads]) *)
+}
+
+val budget : Config.t -> Layout.t -> budget
+
+val relocation_cost : float -> float
+(** Segments of clean space a pass spends relocating a victim of
+    utilisation [u]: [u * 1.3 + 0.05], the 30% covering the inode and
+    indirect blocks rewritten alongside its data. *)
+
+val pass_budget : t -> float
+(** Segments a pass may spend on relocation: {!length} less one for the
+    checkpoint, and at least 0.7. *)
+
+val affordable : t -> Seg_usage.t -> int list -> int list
+(** The victims a pass can afford, in their order: each is kept when its
+    {!relocation_cost} still fits within {!pass_budget} beside those
+    kept before it. *)

@@ -180,9 +180,10 @@ let rec groups n = function
 (* Fresh volumes for the serving tools                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The default config needs clean_stop + 2 = 10 segments of 256 blocks,
-   plus superblock/checkpoint metadata; round up generously so a shard
-   always has working room even when N divides a small volume. *)
+(* The default config needs clean_stop + 2 per write head (10 with one
+   head) segments of 256 blocks after the superblock/checkpoint
+   metadata; round up generously so a shard always has working room
+   even when N divides a small volume. *)
 let min_shard_blocks = 16 * Config.default.Config.seg_blocks
 
 let name r =

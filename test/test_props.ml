@@ -757,6 +757,70 @@ let prop_cache_holds_live_blocks ~queued =
                 (String.concat ", " (List.map string_of_int dead)))
         ops)
 
+(* The segment states the space budget counts on.  After every op of a
+   generated model sequence (idle steps included, each one budgeted
+   cleaning step) and after every recovery: the reusable pool shares no
+   segment with any head's current or reserved one, every pool segment
+   is clean in the usage table, and every pool segment was already clean
+   when the last checkpoint refreshed the pool — a segment cleaned since
+   must wait for the next one (Section 4.1).  On [Spec.small_config],
+   whose idle steps clean whenever a victim qualifies and mostly leave
+   the pass uncheckpointed, with one and two write heads. *)
+module Fs_model = Lfs_model.Fs_model
+
+module Lfs_subject = (val Lfs_spec.Spec.subject (Lfs_spec.Spec.of_string "lfs"))
+module Run_ops = Lfs_model.Refine.Make (Lfs_subject)
+
+let prop_segment_states ~heads =
+  QCheck.Test.make ~count:25
+    ~name:
+      (if heads = 1 then "segment states hold (lfs)"
+       else Printf.sprintf "segment states hold (lfs:heads=%d)" heads)
+    QCheck.(pair (int_bound 1_000_000) (small_list (int_bound 79)))
+    (fun (seed, crashes) ->
+      let v = Helpers.vdev (Helpers.fresh_disk ~blocks:1024 ()) in
+      Fs.format v { Lfs_spec.Spec.small_config with Lfs_core.Config.log_heads = heads };
+      let clean fs =
+        List.filter
+          (fun s -> Fs.segment_live_bytes fs s = 0)
+          (List.init (Fs.layout fs).Lfs_core.Layout.nsegs Fun.id)
+      in
+      (* The clean set as the pool's last refresh saw it: at mount or
+         at the end of recovery, then at every checkpoint. *)
+      let refreshed = ref [] in
+      let watch fs =
+        refreshed := clean fs;
+        Fs.on_checkpoint fs (fun () -> refreshed := clean fs);
+        fs
+      in
+      let fs = ref (watch (Fs.mount v)) in
+      let check after =
+        let pool = Fs.reusable_segments !fs and now = clean !fs in
+        let bad what segs =
+          if segs <> [] then
+            QCheck.Test.fail_reportf "after %s: pool segments %s %s" after
+              (String.concat ", " (List.map string_of_int segs))
+              what
+        in
+        bad "are active" (List.filter (fun s -> List.mem s (Fs.active_segments !fs)) pool);
+        bad "are not clean" (List.filter (fun s -> not (List.mem s now)) pool);
+        bad "were not clean at the last refresh"
+          (List.filter (fun s -> not (List.mem s !refreshed)) pool)
+      in
+      check "mount";
+      List.iteri
+        (fun i op ->
+          let fsops = Lfs_workload.Fsops.of_lfs !fs in
+          let idle () = ignore (Fs.clean_step ~max_segments:1 !fs : int) in
+          (try Run_ops.exec fsops ~idle op with Types.Fs_error _ -> ());
+          check (Fs_model.op_to_string op);
+          if List.mem i crashes then begin
+            fs := watch (fst (Fs.recover v));
+            check "recovery"
+          end)
+        (Lfs_model.Opgen.sequence ~seed ~seq:0 ~nops:80);
+      true)
+
 let suite =
   ( "properties",
     [
@@ -771,4 +835,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_dirty_set;
       QCheck_alcotest.to_alcotest (prop_cache_holds_live_blocks ~queued:false);
       QCheck_alcotest.to_alcotest (prop_cache_holds_live_blocks ~queued:true);
+      QCheck_alcotest.to_alcotest (prop_segment_states ~heads:1);
+      QCheck_alcotest.to_alcotest (prop_segment_states ~heads:2);
     ] )

@@ -3,6 +3,8 @@
 
 module Disk = Lfs_disk.Disk
 module Vdev = Lfs_disk.Vdev
+module Config = Lfs_core.Config
+module Fs = Lfs_core.Fs
 module Vdev_tier = Lfs_disk.Vdev_tier
 module Geometry = Lfs_disk.Geometry
 module Layout = Lfs_core.Layout
@@ -158,6 +160,101 @@ let test_move_keeps_reserve () =
   Alcotest.(check int) "no tier, no room" 0
     (Seg_pool.room flat ~active:[] Vdev_tier.Slow)
 
+(* The space budget of each config at one, two and four write heads, as
+   a mounted volume states it, in the order: flush need, the heads'
+   extra reservations, the reserve, the foreground start and stop
+   watermarks, the background start and stop watermarks, the greedy
+   line, the checkpoint line and the restock gap. *)
+let budget_table =
+  [
+    ( "default",
+      Config.default,
+      [
+        (1, [ 3; 0; 5; 5; 8; 12; 16; 3; 8; 2 ]);
+        (2, [ 3; 1; 6; 6; 9; 12; 16; 3; 9; 4 ]);
+        (4, [ 3; 3; 8; 8; 11; 12; 16; 3; 11; 8 ]);
+      ] );
+    ( "small",
+      Config.small,
+      [
+        (1, [ 3; 0; 5; 5; 7; 7; 9; 3; 8; 2 ]);
+        (2, [ 3; 1; 6; 6; 8; 7; 9; 3; 9; 4 ]);
+        (4, [ 3; 3; 8; 8; 10; 9; 11; 3; 11; 8 ]);
+      ] );
+    ( "spec small",
+      Lfs_spec.Spec.small_config,
+      [
+        (1, [ 2; 0; 4; 4; 6; 1000; 1002; 2; 6; 2 ]);
+        (2, [ 2; 1; 5; 5; 7; 1000; 1002; 2; 7; 4 ]);
+        (4, [ 2; 3; 7; 7; 9; 1000; 1002; 2; 9; 8 ]);
+      ] );
+    ( "test",
+      Helpers.test_config,
+      [
+        (1, [ 2; 0; 4; 4; 6; 12; 16; 2; 6; 2 ]);
+        (2, [ 2; 1; 5; 5; 7; 12; 16; 2; 7; 4 ]);
+        (4, [ 2; 3; 7; 7; 9; 12; 16; 2; 9; 8 ]);
+      ] );
+  ]
+
+let mounted_budget config =
+  let geometry =
+    {
+      (Geometry.instant ~blocks:(24 * config.Config.seg_blocks)) with
+      Geometry.block_size = config.Config.block_size;
+    }
+  in
+  let dev = Vdev.of_disk (Disk.create geometry) in
+  Fs.format dev config;
+  let b = Fs.space_budget (Fs.mount dev) in
+  Seg_pool.
+    [
+      b.flush_need;
+      b.head_extra;
+      b.reserve;
+      b.fg_start;
+      b.fg_stop;
+      b.bg_start;
+      b.bg_stop;
+      b.greedy_below;
+      b.checkpoint_below;
+      b.restock_gap;
+    ]
+
+let test_budget_table () =
+  List.iter
+    (fun (name, config, rows) ->
+      List.iter
+        (fun (heads, want) ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s, %d heads" name heads)
+            want
+            (mounted_budget { config with Config.log_heads = heads }))
+        rows)
+    budget_table;
+  (* A victim of utilisation u costs u x 1.3 + 0.05 segments to
+     relocate; a pass may spend the pool less one, and at least 0.7. *)
+  List.iter
+    (fun (u, cost) ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "relocation cost at u = %g" u)
+        cost (Seg_pool.relocation_cost u))
+    [ (0.0, 0.05); (0.5, 0.7); (0.95, 1.285); (1.0, 1.35) ];
+  List.iter
+    (fun (dirty, want) ->
+      let pool = Seg_pool.create None in
+      Seg_pool.refresh pool (usage_with_dirty dirty) ~active:[];
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "pass budget over %d segments" (Seg_pool.length pool))
+        want (Seg_pool.pass_budget pool))
+    (let all = List.init layout.Layout.nsegs Fun.id in
+     [
+       (all, 0.7);
+       (List.tl all, 0.7);
+       (List.tl (List.tl all), 1.0);
+       (List.filter (fun s -> s >= 5) all, 4.0);
+     ])
+
 let suite =
   ( "seg_pool",
     [
@@ -169,4 +266,5 @@ let suite =
         test_freed_waits_for_refresh;
       Alcotest.test_case "move keeps the donor reserve" `Quick
         test_move_keeps_reserve;
+      Alcotest.test_case "space budget table" `Quick test_budget_table;
     ] )

@@ -40,6 +40,27 @@ let test_layout_rejects_tiny_disk () =
   | _ -> Alcotest.fail "should reject"
   | exception Invalid_argument _ -> ()
 
+(* The one segment minimum: [clean_stop] plus two segments per write
+   head must fit after the fixed area.  At that boundary the layout is
+   accepted; one block less is refused, though the raw count
+   [disk_blocks / seg_blocks] would still reach it. *)
+let test_layout_segment_minimum () =
+  List.iter
+    (fun heads ->
+      let c = { Helpers.test_config with Config.log_heads = heads } in
+      let need = c.Config.clean_stop + (2 * heads) in
+      let start = (Layout.compute c ~disk_blocks:4096).Layout.seg_start in
+      let boundary = start + (need * c.Config.seg_blocks) in
+      Alcotest.(check int)
+        (Printf.sprintf "%d heads: segments at the boundary" heads)
+        need (Layout.compute c ~disk_blocks:boundary).Layout.nsegs;
+      Alcotest.(check bool) "the raw count reaches it a block lower" true
+        ((boundary - 1) / c.Config.seg_blocks >= need);
+      match Layout.compute c ~disk_blocks:(boundary - 1) with
+      | _ -> Alcotest.failf "%d heads: one block below the minimum accepted" heads
+      | exception Invalid_argument _ -> ())
+    [ 1; 2; 4 ]
+
 let test_layout_max_file () =
   let m = Layout.max_file_blocks layout in
   let k = layout.Layout.addrs_per_block in
@@ -808,12 +829,40 @@ let prop_summary_decoder_total =
       | None -> flips <> [] || cut <> None
       | exception Types.Corrupt _ -> true)
 
+(* The dir-log decoder is total too: over a block of every record kind,
+   byte flips (most land in the records' first 96 bytes) and any
+   truncation give the records back, other records, or
+   [Types.Corrupt], never another exception. *)
+let dir_log_fixture =
+  Dir_log.
+    [
+      Add { dir = 1; name = "alpha"; ino = 7; nlink = 1; fresh = true };
+      Remove { dir = 1; name = "beta"; ino = 8; nlink = 0 };
+      Rename { odir = 1; oname = "gamma"; ndir = 9; nname = "delta"; ino = 10 };
+    ]
+
+let prop_dir_log_decoder_total =
+  QCheck.Test.make ~count:1000 ~name:"dir-log decoder is total"
+    QCheck.(
+      pair
+        (small_list (pair (int_bound 95) (int_bound 255)))
+        (option (int_bound 1024)))
+    (fun (flips, cut) ->
+      let b = Bytes.create 1024 in
+      Dir_log.encode_block_into ~block_size:1024 dir_log_fixture b ~pos:0;
+      List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) flips;
+      let b = match cut with Some n -> Bytes.sub b 0 n | None -> b in
+      match Dir_log.decode_block b with
+      | records -> flips <> [] || cut <> None || records = dir_log_fixture
+      | exception Types.Corrupt _ -> true)
+
 let suite =
   ( "structures",
     [
       Alcotest.test_case "layout segments fit" `Quick test_layout_segments_fit;
       Alcotest.test_case "layout seg_of_block" `Quick test_layout_seg_of_block;
       Alcotest.test_case "layout rejects tiny disk" `Quick test_layout_rejects_tiny_disk;
+      Alcotest.test_case "layout segment minimum" `Quick test_layout_segment_minimum;
       Alcotest.test_case "layout max file" `Quick test_layout_max_file;
       Alcotest.test_case "superblock roundtrip" `Quick test_superblock_roundtrip;
       Alcotest.test_case "superblock corruption" `Quick test_superblock_detects_corruption;
@@ -870,4 +919,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_directory_model;
       QCheck_alcotest.to_alcotest prop_summary_roundtrip;
       QCheck_alcotest.to_alcotest prop_summary_decoder_total;
+      QCheck_alcotest.to_alcotest prop_dir_log_decoder_total;
     ] )
